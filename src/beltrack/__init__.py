@@ -2,14 +2,7 @@
 association, track-level label aggregation, quality metrics, and a seeded
 scene simulator."""
 
-from .aggregation import (
-    PredictionBuffer,
-    TrackVerdict,
-    frame_wise_verdicts,
-    majority_vote,
-    record_prediction,
-    running_majority,
-)
+from .aggregation import TrackVerdict, frame_wise_verdicts, majority_vote
 from .assignment import AssignmentResult, build_cost_matrix, solve_assignment
 from .errors import ConfigError, InputError
 from .kalman import (
@@ -23,9 +16,8 @@ from .kalman import (
     state_to_box,
 )
 from .metrics import (
-    ClassificationMetrics,
     VideoQualityReport,
-    classification_metrics,
+    aggregated_report,
     count_id_switches,
     defect_ratio,
     detection_map,

@@ -1,28 +1,21 @@
-"""Per-track prediction buffers and majority-vote verdicts.
+"""Majority-vote verdicts over each track's category predictions.
 
-A track accumulates one category prediction per matched frame; the final
-track label is the most frequent category, collapsed to normal/defect for
-industrial reporting. Voting happens over the full category set first and
-is collapsed afterwards (the reverse order can differ on tracks that mix
-defect types and is available via ``collapse_first``).
+A track accumulates one category prediction per matched frame, in the
+strictly increasing frame order the tracker enforces; the final track label
+is the most frequent category, collapsed to normal/defect for industrial
+reporting. Voting happens over the full category set first and is collapsed
+afterwards (the reverse order can differ on tracks that mix defect types
+and is available via ``collapse_first``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
-from .model import BinaryQuality, CategoryLabel, to_binary
+from .model import BinaryQuality, CategoryLabel, Track, to_binary
 
 TieBreak = Literal["prefer_defect", "lowest_index"]
-
-
-@dataclass
-class PredictionBuffer:
-    """Ordered (frame_index, category) observations for one track."""
-
-    track_id: int
-    entries: list[tuple[int, CategoryLabel]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -34,25 +27,12 @@ class TrackVerdict:
     track_length: int
 
 
-def record_prediction(
-    buffer: PredictionBuffer, frame_index: int, label: CategoryLabel
-) -> PredictionBuffer:
-    """Append one prediction; frame indices must be strictly increasing."""
-    if buffer.entries and frame_index <= buffer.entries[-1][0]:
-        raise ValueError(
-            f"track {buffer.track_id}: prediction frame {frame_index} is not after "
-            f"latest recorded frame {buffer.entries[-1][0]}"
-        )
-    buffer.entries.append((frame_index, label))
-    return buffer
-
-
-def _count_votes(buffer: PredictionBuffer) -> list[int]:
-    if not buffer.entries:
-        raise ValueError(f"track {buffer.track_id} has no predictions to vote on")
-    num_categories = buffer.entries[0][1].num_categories
+def _count_votes(track: Track) -> list[int]:
+    if not track.predictions:
+        raise ValueError(f"track {track.id} has no predictions to vote on")
+    num_categories = track.predictions[0][1].num_categories
     counts = [0] * num_categories
-    for _, label in buffer.entries:
+    for _, label in track.predictions:
         counts[label.index] += 1
     return counts
 
@@ -65,7 +45,7 @@ def _break_tie(tied: list[int], tie_break: TieBreak) -> int:
 
 
 def majority_vote(
-    buffer: PredictionBuffer,
+    track: Track,
     tie_break: TieBreak = "prefer_defect",
     collapse_first: bool = False,
 ) -> TrackVerdict:
@@ -77,7 +57,7 @@ def majority_vote(
     ``collapse_first`` the vote is binary normal-vs-defect and the reported
     category is the most frequent one on the winning side.
     """
-    counts = _count_votes(buffer)
+    counts = _count_votes(track)
     num_categories = len(counts)
 
     if collapse_first:
@@ -101,28 +81,16 @@ def majority_vote(
 
     final = CategoryLabel(winner, num_categories)
     return TrackVerdict(
-        track_id=buffer.track_id,
+        track_id=track.id,
         final_category=final,
         final_binary=to_binary(final),
         vote_counts=tuple(counts),
-        track_length=len(buffer.entries),
+        track_length=len(track.predictions),
     )
 
 
-def frame_wise_verdicts(buffer: PredictionBuffer) -> list[BinaryQuality]:
+def frame_wise_verdicts(track: Track) -> list[BinaryQuality]:
     """Per-frame binary labels without any aggregation (the no-tracking baseline)."""
-    if not buffer.entries:
-        raise ValueError(f"track {buffer.track_id} has no predictions")
-    return [to_binary(label) for _, label in buffer.entries]
-
-
-def running_majority(
-    buffer: PredictionBuffer, tie_break: TieBreak = "prefer_defect"
-) -> list[CategoryLabel]:
-    """Streaming view: the majority label after each successive prediction."""
-    out = []
-    partial = PredictionBuffer(buffer.track_id)
-    for frame_index, label in buffer.entries:
-        record_prediction(partial, frame_index, label)
-        out.append(majority_vote(partial, tie_break).final_category)
-    return out
+    if not track.predictions:
+        raise ValueError(f"track {track.id} has no predictions")
+    return [to_binary(label) for _, label in track.predictions]

@@ -4,10 +4,11 @@ Verbs: ``track`` runs the pipeline on a detection stream, ``simulate``
 writes synthetic scene files, ``evaluate`` scores a stream against a
 ground-truth file, and ``report`` summarizes existing verdict files.
 
-Every flag mirroring a config field has a config-file equivalent (JSON with
-``tracker``, ``simulate``, and ``aggregation`` sections); values from the
-config file win over conflicting flags, with a warning. The ``BELTRACK_CONFIG``
-environment variable names a default config file.
+Every config field has exactly one flag, generated from its dataclass, and
+a config-file equivalent (JSON with ``tracker``, ``simulate``, and
+``aggregation`` sections); values from the config file win over conflicting
+flags, with a warning. The ``BELTRACK_CONFIG`` environment variable names a
+default config file.
 
 Exit codes: 0 success, 1 input error, 2 configuration error.
 """
@@ -21,6 +22,8 @@ import logging
 import os
 import sys
 from pathlib import Path
+from types import UnionType
+from typing import Literal, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError, InputError
 from .io import ingest_detections, ingest_mot, read_ground_truth
@@ -36,66 +39,37 @@ from .tracker import TrackerConfig
 
 logger = logging.getLogger("beltrack")
 
-_TRACKER_FIELDS = [f.name for f in dataclasses.fields(TrackerConfig)]
-_SIM_FIELDS = [f.name for f in dataclasses.fields(SimConfig)]
-_AGGREGATION_FIELDS = [f.name for f in dataclasses.fields(AggregationConfig)]
+#: Config-file section (and flag-group title) of each config dataclass.
+_SECTIONS = {TrackerConfig: "tracker", AggregationConfig: "aggregation", SimConfig: "simulate"}
 
 
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _add_tracker_flags(parser: argparse.ArgumentParser):
-    group = parser.add_argument_group("tracker")
-    group.add_argument(_flag("high_score_threshold"), type=float)
-    group.add_argument(_flag("low_score_threshold"), type=float)
-    group.add_argument(_flag("match_threshold_first"), type=float)
-    group.add_argument(_flag("match_threshold_second"), type=float)
-    group.add_argument(_flag("new_track_min_score"), type=float)
-    group.add_argument(_flag("max_frames_lost"), type=int)
-    group.add_argument(_flag("min_hits_to_activate"), type=int)
-    group.add_argument(_flag("min_track_length_report"), type=int)
-
-
-def _add_aggregation_flags(parser: argparse.ArgumentParser):
-    group = parser.add_argument_group("aggregation")
-    group.add_argument(_flag("tie_break"), choices=["prefer_defect", "lowest_index"])
-    group.add_argument(
-        _flag("collapse_before_vote"), action="store_const", const=True, default=None
-    )
-    group.add_argument(_flag("frame_choice"), choices=["last", "first", "random"])
-    group.add_argument(_flag("stability_granularity"), choices=["binary", "category"])
-
-
-def _add_sim_flags(parser: argparse.ArgumentParser):
-    group = parser.add_argument_group("simulator")
-    group.add_argument("--seed", type=int)
-    group.add_argument(_flag("n_lanes"), type=int)
-    group.add_argument(_flag("lane_spacing"), type=float)
-    group.add_argument(_flag("belt_velocity"), type=float)
-    group.add_argument(_flag("spawn_interval_frames"), type=int)
-    group.add_argument(_flag("spawn_jitter_frames"), type=int)
-    group.add_argument(_flag("box_size_mean"), type=float)
-    group.add_argument(_flag("box_size_std"), type=float)
-    group.add_argument(_flag("n_frames"), type=int)
-    group.add_argument(_flag("frame_width"), type=float)
-    group.add_argument(_flag("frame_height"), type=float)
-    group.add_argument(_flag("defect_probability"), type=float)
-    group.add_argument(
-        _flag("defect_category_weights"),
-        type=lambda s: tuple(float(v) for v in s.split(",")),
-        metavar="W1,W2,W3",
-    )
-    group.add_argument(_flag("detection_dropout_prob"), type=float)
-    group.add_argument(_flag("bbox_jitter_std"), type=float)
-    group.add_argument(_flag("false_positive_rate"), type=float)
-    group.add_argument(_flag("score_mean_true"), type=float)
-    group.add_argument(_flag("score_std_true"), type=float)
-    group.add_argument(_flag("score_mean_fp"), type=float)
-    group.add_argument(_flag("score_std_fp"), type=float)
-    group.add_argument(_flag("label_flip_prob"), type=float)
-    group.add_argument(_flag("n_objects_per_lane"), type=int)
-    group.add_argument(_flag("num_categories"), type=int)
+def _add_config_flags(parser: argparse.ArgumentParser, config_cls: type):
+    """One flag per field of ``config_cls``, parsed according to its type:
+    a Literal gives choices, a bool a valueless switch, ``X | None`` parses
+    as X, and a tuple as comma-separated values."""
+    group = parser.add_argument_group(_SECTIONS[config_cls])
+    hints = get_type_hints(config_cls)
+    for config_field in dataclasses.fields(config_cls):
+        flag, hint = _flag(config_field.name), hints[config_field.name]
+        if get_origin(hint) is UnionType:
+            (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+        if get_origin(hint) is Literal:
+            group.add_argument(flag, choices=get_args(hint))
+        elif hint is bool:
+            group.add_argument(flag, action="store_const", const=True, default=None)
+        elif get_origin(hint) is tuple:
+            item = get_args(hint)[0]
+            group.add_argument(
+                flag,
+                type=lambda text, item=item: tuple(item(v) for v in text.split(",")),
+                metavar="V1,V2,...",
+            )
+        else:
+            group.add_argument(flag, type=hint)
 
 
 def _load_config_file(args: argparse.Namespace) -> dict:
@@ -136,22 +110,18 @@ def _resolve(section: dict, args: argparse.Namespace, names: list[str]) -> dict:
     return merged
 
 
-def _build_tracker_config(config_file: dict, args) -> TrackerConfig:
-    return TrackerConfig(**_resolve(config_file.get("tracker", {}), args, _TRACKER_FIELDS))
-
-
-def _build_aggregation_config(config_file: dict, args) -> AggregationConfig:
-    return AggregationConfig(
-        **_resolve(config_file.get("aggregation", {}), args, _AGGREGATION_FIELDS)
-    )
+def _build_config(config_cls: type, config_file: dict, args):
+    section = config_file.get(_SECTIONS[config_cls], {})
+    names = [f.name for f in dataclasses.fields(config_cls)]
+    return config_cls(**_resolve(section, args, names))
 
 
 def _cmd_track(args) -> int:
     config_file = _load_config_file(args)
     run = PipelineRun(
         input_path=args.input,
-        tracker_config=_build_tracker_config(config_file, args),
-        aggregation=_build_aggregation_config(config_file, args),
+        tracker_config=_build_config(TrackerConfig, config_file, args),
+        aggregation=_build_config(AggregationConfig, config_file, args),
         verdicts_path=args.output_verdicts,
         summary_path=args.output_summary,
         skip_malformed=args.skip_malformed,
@@ -170,7 +140,7 @@ def _cmd_track(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config_file = _load_config_file(args)
-    sim = SimConfig(**_resolve(config_file.get("simulate", {}), args, _SIM_FIELDS))
+    sim = _build_config(SimConfig, config_file, args)
     n_objects, n_frames = simulate_to_files(sim, args.output_detections, args.output_truth)
     print(
         f"wrote {n_objects} objects over {n_frames} non-empty frames to "
@@ -181,14 +151,15 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     config_file = _load_config_file(args)
-    tracker_config = _build_tracker_config(config_file, args)
+    tracker_config = _build_config(TrackerConfig, config_file, args)
+    aggregation = _build_config(AggregationConfig, config_file, args)
     if args.mot:
         frames = ingest_mot(args.detections)
     else:
         frames = ingest_detections(args.detections, num_categories=args.num_categories)
     gt = read_ground_truth(args.truth, num_categories=args.num_categories)
     evaluation = evaluate_against_truth(
-        frames, gt, tracker_config, iou_threshold=args.iou_threshold
+        frames, gt, tracker_config, aggregation, iou_threshold=args.iou_threshold
     )
     payload = dataclasses.asdict(evaluation)
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -245,15 +216,15 @@ def build_parser() -> argparse.ArgumentParser:
     track.add_argument("--output-verdicts", help="per-track verdict JSONL path")
     track.add_argument("--output-summary", help="run summary JSON path")
     track.add_argument("--config", help="JSON config file (overrides flags)")
-    _add_tracker_flags(track)
-    _add_aggregation_flags(track)
+    _add_config_flags(track, TrackerConfig)
+    _add_config_flags(track, AggregationConfig)
     track.set_defaults(func=_cmd_track)
 
     simulate = sub.add_parser("simulate", help="generate a synthetic scene")
     simulate.add_argument("--output-detections", required=True)
     simulate.add_argument("--output-truth", required=True)
     simulate.add_argument("--config", help="JSON config file (overrides flags)")
-    _add_sim_flags(simulate)
+    _add_config_flags(simulate, SimConfig)
     simulate.set_defaults(func=_cmd_simulate)
 
     evaluate = sub.add_parser("evaluate", help="score a stream against ground truth")
@@ -264,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--iou-threshold", type=float, default=0.5)
     evaluate.add_argument("--output", help="write the evaluation JSON here as well")
     evaluate.add_argument("--config", help="JSON config file (overrides flags)")
-    _add_tracker_flags(evaluate)
+    _add_config_flags(evaluate, TrackerConfig)
+    _add_config_flags(evaluate, AggregationConfig)
     evaluate.set_defaults(func=_cmd_evaluate)
 
     report = sub.add_parser("report", help="summarize an existing verdict file")

@@ -142,6 +142,8 @@ def read_ground_truth(path: str | Path, num_categories: int = 4) -> SceneGroundT
                 record = json.loads(line)
                 object_id = int(record["object_id"])
                 frame = int(record["frame"])
+                if frame < 0:
+                    raise ValueError(f"frame_index must be >= 0, got {frame}")
                 box = BoundingBox(
                     x=float(record["x"]), y=float(record["y"]),
                     w=float(record["w"]), h=float(record["h"]),

@@ -1,6 +1,5 @@
-"""Evaluation metrics: video-level quality reports, classification scores,
-detection average precision, and identity-switch counting against simulator
-ground truth.
+"""Evaluation metrics: video-level quality reports, detection average
+precision, and identity-switch counting against simulator ground truth.
 
 Temporal stability divides the change count by the full track length k (not
 k - 1), so a maximally oscillating track scores 1/k rather than 0.
@@ -8,23 +7,18 @@ k - 1), so a maximally oscillating track scores 1/k rather than 0.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
-from .aggregation import (
-    PredictionBuffer,
-    TieBreak,
-    TrackVerdict,
-    frame_wise_verdicts,
-    majority_vote,
-)
+from .aggregation import TrackVerdict, frame_wise_verdicts
 from .model import BinaryQuality, FrameDetections, Track, iou
 from .simulate import SceneGroundTruth
 
-StabilityMode = Literal["frame_wise", "aggregated"]
 FrameChoice = Literal["last", "first", "random"]
+StabilityGranularity = Literal["binary", "category"]
 
 
 @dataclass(frozen=True)
@@ -46,6 +40,18 @@ def defect_ratio(verdicts: Sequence[TrackVerdict]) -> float:
     return n_defect / len(verdicts)
 
 
+def aggregated_report(verdicts: Sequence[TrackVerdict]) -> VideoQualityReport:
+    """Score one video's voted tracks: each reports its verdict on every
+    frame, so its label sequence is constant and its stability exactly 1.0."""
+    return VideoQualityReport(
+        defect_ratio=defect_ratio(verdicts),
+        per_track_stability={v.track_id: 1.0 for v in verdicts},
+        mean_stability=1.0,
+        n_total_tracks=len(verdicts),
+        n_defect_tracks=sum(1 for v in verdicts if v.final_binary is BinaryQuality.DEFECT),
+    )
+
+
 def temporal_stability(labels: Sequence) -> float:
     """1 - (number of adjacent label changes) / (sequence length).
 
@@ -59,98 +65,47 @@ def temporal_stability(labels: Sequence) -> float:
 
 
 def stability_report(
-    buffers: Sequence[PredictionBuffer],
-    mode: StabilityMode,
+    tracks: Sequence[Track],
     *,
     frame_choice: FrameChoice = "last",
-    tie_break: TieBreak = "prefer_defect",
-    granularity: Literal["binary", "category"] = "binary",
+    granularity: StabilityGranularity = "binary",
     rng: np.random.Generator | None = None,
 ) -> VideoQualityReport:
-    """Score one video's tracks in either evaluation mode.
+    """Score one video's tracks frame by frame, without voting.
 
-    ``frame_wise`` scores the raw per-frame label sequences and decides each
-    track by a single frame (``frame_choice``; the default mimics an
-    exit-gate camera reading the last frame). ``aggregated`` scores the
-    constant post-vote sequences, whose stability is 1.0 by construction.
+    Stability is taken over the raw per-frame label sequences, and each
+    track is decided by a single frame (``frame_choice``; the default mimics
+    an exit-gate camera reading the last frame).
     """
-    if not buffers:
-        raise ValueError("stability report needs at least one prediction buffer")
-    if mode not in ("frame_wise", "aggregated"):
-        raise ValueError(f"unknown stability mode {mode!r}")
+    if not tracks:
+        raise ValueError("stability report needs at least one labeled track")
     if frame_choice == "random" and rng is None:
         rng = np.random.default_rng(0)
 
     per_track: dict[int, float] = {}
     n_defect = 0
-    for buffer in buffers:
-        if mode == "aggregated":
-            verdict = majority_vote(buffer, tie_break)
-            final = verdict.final_binary
-            constant = [final] * verdict.track_length
-            per_track[buffer.track_id] = temporal_stability(constant)
+    for track in tracks:
+        binaries = frame_wise_verdicts(track)
+        if granularity == "binary":
+            sequence: Sequence = binaries
         else:
-            binaries = frame_wise_verdicts(buffer)
-            if granularity == "binary":
-                sequence: Sequence = binaries
-            else:
-                sequence = [label for _, label in buffer.entries]
-            per_track[buffer.track_id] = temporal_stability(sequence)
-            if frame_choice == "first":
-                final = binaries[0]
-            elif frame_choice == "random":
-                final = binaries[int(rng.integers(len(binaries)))]
-            else:
-                final = binaries[-1]
+            sequence = [label for _, label in track.predictions]
+        per_track[track.id] = temporal_stability(sequence)
+        if frame_choice == "first":
+            final = binaries[0]
+        elif frame_choice == "random":
+            final = binaries[int(rng.integers(len(binaries)))]
+        else:
+            final = binaries[-1]
         if final is BinaryQuality.DEFECT:
             n_defect += 1
 
     return VideoQualityReport(
-        defect_ratio=n_defect / len(buffers),
+        defect_ratio=n_defect / len(tracks),
         per_track_stability=per_track,
         mean_stability=float(np.mean(list(per_track.values()))),
-        n_total_tracks=len(buffers),
+        n_total_tracks=len(tracks),
         n_defect_tracks=n_defect,
-    )
-
-
-class ClassificationMetrics(NamedTuple):
-    """Binary scores with defect as the positive class; None marks an
-    undefined value (zero denominator), deliberately distinct from 0.0."""
-
-    accuracy: float
-    precision: float | None
-    recall: float | None
-    f1: float | None
-
-
-def classification_metrics(
-    pred: Sequence[BinaryQuality], truth: Sequence[BinaryQuality]
-) -> ClassificationMetrics:
-    if len(pred) != len(truth):
-        raise ValueError(f"length mismatch: {len(pred)} predictions vs {len(truth)} truths")
-    if not pred:
-        raise ValueError("classification metrics need at least one sample")
-    tp = fp = fn = tn = 0
-    for p, t in zip(pred, truth):
-        if p is BinaryQuality.DEFECT:
-            if t is BinaryQuality.DEFECT:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if t is BinaryQuality.DEFECT:
-                fn += 1
-            else:
-                tn += 1
-    precision = tp / (tp + fp) if tp + fp > 0 else None
-    recall = tp / (tp + fn) if tp + fn > 0 else None
-    if precision is None or recall is None or precision + recall == 0:
-        f1 = None
-    else:
-        f1 = 2 * precision * recall / (precision + recall)
-    return ClassificationMetrics(
-        accuracy=(tp + tn) / len(pred), precision=precision, recall=recall, f1=f1
     )
 
 
@@ -202,23 +157,24 @@ def detection_map(
     return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
 
 
-def count_id_switches(
+def covering_tracks(
     tracks: Sequence[Track], gt: SceneGroundTruth, iou_threshold: float = 0.5
-) -> int:
-    """Identity handoffs over ground-truth objects.
+) -> dict[int, list[int]]:
+    """object_id -> the id of the track covering the object on each frame
+    where one does, in frame order; objects no track covers are left out.
 
-    Each (object, frame) is assigned the overlapping track (IoU at or above
-    the threshold, best overlap wins, lowest id on ties); a switch is counted
-    whenever the assigned id differs from the previously assigned one.
+    On each (object, frame) the covering track is the one whose box overlaps
+    the true box with IoU at or above the threshold, best overlap winning and
+    the lowest id breaking ties.
     """
     by_frame: dict[int, list[tuple[int, object]]] = {}
     for track in tracks:
         for frame, box in track.history:
             by_frame.setdefault(frame, []).append((track.id, box))
 
-    switches = 0
+    coverage: dict[int, list[int]] = {}
     for obj in gt.objects:
-        previous: int | None = None
+        ids = []
         for frame, gt_box in obj.boxes:
             best_id, best_overlap = None, 0.0
             for track_id, box in by_frame.get(frame, []):
@@ -231,9 +187,33 @@ def count_id_switches(
                     or (overlap == best_overlap and track_id < best_id)
                 ):
                     best_id, best_overlap = track_id, overlap
-            if best_id is None:
-                continue
-            if previous is not None and best_id != previous:
-                switches += 1
-            previous = best_id
-    return switches
+            if best_id is not None:
+                ids.append(best_id)
+        if ids:
+            coverage[obj.object_id] = ids
+    return coverage
+
+
+def switches_in(coverage: dict[int, list[int]]) -> int:
+    """Identity handoffs: how often an object's covering track changes.
+    Frames no track covers are skipped, so a gap alone is not a switch."""
+    return sum(
+        sum(1 for a, b in zip(ids, ids[1:]) if a != b) for ids in coverage.values()
+    )
+
+
+def majority_tracks(coverage: dict[int, list[int]]) -> dict[int, int]:
+    """object_id -> the track covering it on the most frames (ties: lowest id)."""
+    assignment = {}
+    for object_id, ids in coverage.items():
+        counts = Counter(ids)
+        top = max(counts.values())
+        assignment[object_id] = min(t for t, n in counts.items() if n == top)
+    return assignment
+
+
+def count_id_switches(
+    tracks: Sequence[Track], gt: SceneGroundTruth, iou_threshold: float = 0.5
+) -> int:
+    """Identity handoffs over ground-truth objects (see ``covering_tracks``)."""
+    return switches_in(covering_tracks(tracks, gt, iou_threshold))

@@ -12,34 +12,25 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Literal, get_args, get_origin, get_type_hints
 
-from .aggregation import (
-    PredictionBuffer,
-    TieBreak,
-    TrackVerdict,
-    frame_wise_verdicts,
-    majority_vote,
-    record_prediction,
-)
+from .aggregation import TieBreak, TrackVerdict, majority_vote
 from .errors import ConfigError
 from .io import ingest_detections, ingest_mot, write_detections, write_ground_truth
 from .kalman import DEFAULT_NOISE, MotionNoise
 from .metrics import (
     FrameChoice,
+    StabilityGranularity,
     VideoQualityReport,
-    count_id_switches,
+    aggregated_report,
+    covering_tracks,
+    defect_ratio,
     detection_map,
+    majority_tracks,
     stability_report,
-    temporal_stability,
+    switches_in,
 )
-from .model import (
-    BinaryQuality,
-    Detection,
-    FrameDetections,
-    Track,
-    iou,
-    to_binary,
-)
+from .model import Detection, FrameDetections, Track, to_binary
 from .simulate import SceneGroundTruth, SimConfig, generate_scene
 from .tracker import ByteTracker, TrackerConfig
 
@@ -51,7 +42,15 @@ class AggregationConfig:
     tie_break: TieBreak = "prefer_defect"
     collapse_before_vote: bool = False
     frame_choice: FrameChoice = "last"
-    stability_granularity: str = "binary"
+    stability_granularity: StabilityGranularity = "binary"
+
+    def __post_init__(self):
+        for name, hint in get_type_hints(AggregationConfig).items():
+            value = getattr(self, name)
+            if get_origin(hint) is Literal and value not in get_args(hint):
+                raise ConfigError(
+                    f"{name} must be one of {', '.join(get_args(hint))}, got {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,6 @@ class PipelineResult:
     report_frame_wise: VideoQualityReport
     tracks: list[Track]
     n_unlabeled_tracks: int
-    per_track_frame_stability: dict[int, float]
 
 
 def run_stream(
@@ -110,21 +108,24 @@ def run_stream(
     return tracker.finalize()
 
 
-def buffers_from_tracks(tracks: list[Track]) -> list[PredictionBuffer]:
-    """Per-track prediction buffers, skipping tracks that never saw a label."""
-    buffers = []
-    for track in tracks:
-        if not track.predictions:
-            continue
-        buffer = PredictionBuffer(track.id)
-        for frame_index, label in track.predictions:
-            record_prediction(buffer, frame_index, label)
-        buffers.append(buffer)
-    return buffers
+def _vote(
+    tracks: list[Track], aggregation: AggregationConfig
+) -> tuple[list[Track], list[TrackVerdict]]:
+    """The tracks that saw at least one label, and one verdict for each."""
+    labeled = [track for track in tracks if track.predictions]
+    verdicts = [
+        majority_vote(track, aggregation.tie_break, aggregation.collapse_before_vote)
+        for track in labeled
+    ]
+    return labeled, verdicts
 
 
 def run_pipeline(run: PipelineRun) -> PipelineResult:
-    """Execute the full loop and optionally write verdict/summary files."""
+    """Execute the full loop and optionally write verdict/summary files.
+
+    Both reports derive from the one verdict list and one frame-wise pass,
+    so the verdict file and the summary agree under every configuration.
+    """
     if run.sim_config is not None:
         _, frames = generate_scene(run.sim_config)
     elif run.mot_format:
@@ -137,26 +138,18 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
         )
 
     tracks = run_stream(frames, run.tracker_config)
-    buffers = buffers_from_tracks(tracks)
-    n_unlabeled = len(tracks) - len(buffers)
+    labeled, verdicts = _vote(tracks, run.aggregation)
+    n_unlabeled = len(tracks) - len(labeled)
     if n_unlabeled:
         logger.info("%d of %d tracks carry no category predictions", n_unlabeled, len(tracks))
 
-    verdicts = [
-        majority_vote(b, run.aggregation.tie_break, run.aggregation.collapse_before_vote)
-        for b in buffers
-    ]
-    frame_stability = {
-        b.track_id: temporal_stability(frame_wise_verdicts(b)) for b in buffers
-    }
-    report_kwargs = dict(
-        frame_choice=run.aggregation.frame_choice,
-        tie_break=run.aggregation.tie_break,
-        granularity=run.aggregation.stability_granularity,
-    )
-    if buffers:
-        report_aggregated = stability_report(buffers, "aggregated", **report_kwargs)
-        report_frame_wise = stability_report(buffers, "frame_wise", **report_kwargs)
+    if labeled:
+        report_aggregated = aggregated_report(verdicts)
+        report_frame_wise = stability_report(
+            labeled,
+            frame_choice=run.aggregation.frame_choice,
+            granularity=run.aggregation.stability_granularity,
+        )
     else:
         empty = VideoQualityReport(0.0, {}, 0.0, 0, 0)
         report_aggregated = report_frame_wise = empty
@@ -167,7 +160,6 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
         report_frame_wise=report_frame_wise,
         tracks=tracks,
         n_unlabeled_tracks=n_unlabeled,
-        per_track_frame_stability=frame_stability,
     )
     if run.verdicts_path is not None:
         write_verdicts(result, run.verdicts_path)
@@ -179,6 +171,7 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
 def write_verdicts(result: PipelineResult, path: str | Path):
     """Verdict JSONL: one line per labeled track."""
     path = Path(path)
+    stability = result.report_frame_wise.per_track_stability
     with path.open("w", encoding="utf-8") as handle:
         for verdict in result.verdicts:
             record = {
@@ -187,7 +180,7 @@ def write_verdicts(result: PipelineResult, path: str | Path):
                 "binary": verdict.final_binary.value,
                 "k": verdict.track_length,
                 "votes": list(verdict.vote_counts),
-                "stability_frame_wise": result.per_track_frame_stability[verdict.track_id],
+                "stability_frame_wise": stability[verdict.track_id],
             }
             handle.write(json.dumps(record) + "\n")
 
@@ -234,38 +227,6 @@ class SceneEvaluation:
     mean_frame_wise_stability: float | None
 
 
-def _match_tracks_to_objects(
-    tracks: list[Track], gt: SceneGroundTruth, iou_threshold: float = 0.5
-) -> dict[int, int]:
-    """object_id -> track id covering it on the most frames (ties: lowest id)."""
-    by_frame: dict[int, list[tuple[int, object]]] = {}
-    for track in tracks:
-        for frame, box in track.history:
-            by_frame.setdefault(frame, []).append((track.id, box))
-
-    assignment: dict[int, int] = {}
-    for obj in gt.objects:
-        cover_counts: dict[int, int] = {}
-        for frame, gt_box in obj.boxes:
-            best_id, best_overlap = None, 0.0
-            for track_id, box in by_frame.get(frame, []):
-                overlap = iou(box, gt_box)
-                if overlap < iou_threshold:
-                    continue
-                if (
-                    best_id is None
-                    or overlap > best_overlap
-                    or (overlap == best_overlap and track_id < best_id)
-                ):
-                    best_id, best_overlap = track_id, overlap
-            if best_id is not None:
-                cover_counts[best_id] = cover_counts.get(best_id, 0) + 1
-        if cover_counts:
-            top = max(cover_counts.values())
-            assignment[obj.object_id] = min(t for t, n in cover_counts.items() if n == top)
-    return assignment
-
-
 def evaluate_against_truth(
     frames: list[FrameDetections],
     gt: SceneGroundTruth,
@@ -281,11 +242,8 @@ def evaluate_against_truth(
     """
     aggregation = aggregation or AggregationConfig()
     tracks = run_stream(frames, tracker_config)
-    buffers = {b.track_id: b for b in buffers_from_tracks(tracks)}
-    verdicts = {
-        track_id: majority_vote(b, aggregation.tie_break, aggregation.collapse_before_vote)
-        for track_id, b in buffers.items()
-    }
+    labeled, verdicts = _vote(tracks, aggregation)
+    voted = {track.id: (track, verdict) for track, verdict in zip(labeled, verdicts)}
 
     gt_frames = [
         FrameDetections(frame, [Detection(frame, box, 1.0) for box in boxes])
@@ -293,49 +251,45 @@ def evaluate_against_truth(
     ]
     ap = detection_map(frames, gt_frames, iou_threshold) if gt_frames else 0.0
 
-    assignment = _match_tracks_to_objects(tracks, gt, iou_threshold)
+    coverage = covering_tracks(tracks, gt, iou_threshold)
+    assignment = majority_tracks(coverage)
     agg_bin = agg_cat = last_cat = last_bin = 0
     for obj in gt.objects:
         track_id = assignment.get(obj.object_id)
-        if track_id is None or track_id not in verdicts:
+        if track_id not in voted:
             continue
-        verdict = verdicts[track_id]
+        track, verdict = voted[track_id]
         true_binary = to_binary(obj.true_category)
         if verdict.final_binary is true_binary:
             agg_bin += 1
         if verdict.final_category == obj.true_category:
             agg_cat += 1
-        last_label = buffers[track_id].entries[-1][1]
+        last_label = track.predictions[-1][1]
         if last_label == obj.true_category:
             last_cat += 1
         if to_binary(last_label) is true_binary:
             last_bin += 1
 
     n_objects = len(gt.objects)
-    labeled_verdicts = list(verdicts.values())
-    stability_values = [
-        temporal_stability(frame_wise_verdicts(b)) for b in buffers.values()
-    ]
     n_defect_true = sum(1 for obj in gt.objects if obj.true_category.index != 0)
     return SceneEvaluation(
         n_objects=n_objects,
         n_tracks=len(tracks),
         n_unmatched_objects=n_objects - len(assignment),
-        id_switches=count_id_switches(tracks, gt, iou_threshold),
+        id_switches=switches_in(coverage),
         detection_ap=ap,
         aggregated_binary_accuracy=agg_bin / n_objects if n_objects else 0.0,
         aggregated_category_accuracy=agg_cat / n_objects if n_objects else 0.0,
         last_frame_category_accuracy=last_cat / n_objects if n_objects else 0.0,
         last_frame_binary_accuracy=last_bin / n_objects if n_objects else 0.0,
-        estimated_defect_ratio=(
-            sum(1 for v in labeled_verdicts if v.final_binary is BinaryQuality.DEFECT)
-            / len(labeled_verdicts)
-            if labeled_verdicts
-            else None
-        ),
+        estimated_defect_ratio=defect_ratio(verdicts) if verdicts else None,
         true_defect_ratio=n_defect_true / n_objects if n_objects else 0.0,
         mean_frame_wise_stability=(
-            float(sum(stability_values) / len(stability_values)) if stability_values else None
+            stability_report(
+                labeled, granularity=aggregation.stability_granularity
+            ).mean_stability
+            if labeled
+            else None
         ),
     )
 

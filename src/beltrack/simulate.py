@@ -33,7 +33,7 @@ class SimConfig:
     frame_width: float = 320.0
     frame_height: float = 240.0
     defect_probability: float = 0.3
-    defect_category_weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    defect_category_weights: tuple[float, ...] = (1.0, 1.0, 1.0)
     detection_dropout_prob: float = 0.0
     bbox_jitter_std: float = 0.0
     false_positive_rate: float = 0.0
@@ -120,8 +120,9 @@ def generate_scene(config: SimConfig) -> tuple[SceneGroundTruth, list[FrameDetec
 
     An object spawned at frame s sits fully off-screen at x = -size and moves
     belt_velocity px per frame; it is "visible" (produces a truth box and,
-    modulo dropout, a detection) on frames with a strictly positive overlap
-    with the image. Frames with no detections are omitted from the stream.
+    modulo dropout, a detection) on frames >= 0 with a strictly positive
+    overlap with the image. Frames with no detections are omitted from the
+    stream.
     """
     rng = np.random.default_rng(config.seed)
 
@@ -149,7 +150,9 @@ def generate_scene(config: SimConfig) -> tuple[SceneGroundTruth, list[FrameDetec
         # exits; otherwise trajectories are cut off at n_frames.
         horizon = math.inf if config.n_objects_per_lane is not None else config.n_frames
         boxes = []
-        step = 1
+        # A jittered spawn can fall before frame 0; the stream starts at 0,
+        # so truth starts there too.
+        step = max(1, -spawn)
         while True:
             frame = spawn + step
             x = -size + config.belt_velocity * step

@@ -17,17 +17,19 @@ from beltrack import (
     Detection,
     FrameDetections,
     SimConfig,
+    Track,
+    TrackStatus,
+    aggregated_report,
     evaluate_against_truth,
     iou,
     kf_initiate,
     kf_predict,
     kf_update,
+    majority_vote,
     solve_assignment,
     state_to_box,
-    stability_report,
     temporal_stability,
 )
-from beltrack.aggregation import PredictionBuffer
 from beltrack.cli import main as cli_main
 from beltrack.metrics import detection_map
 from beltrack.model import FRESH
@@ -212,13 +214,16 @@ def test_criterion_07_temporal_stability_formula():
         values.append(evaluate_against_truth(frames, gt).mean_frame_wise_stability)
 
     rng = np.random.default_rng(1007)
-    buffers = []
+    verdicts = []
     for track_id in range(30):
-        buffer = PredictionBuffer(track_id)
         labels = rng.integers(0, 4, size=int(rng.integers(1, 40)))
-        buffer.entries = [(t, CategoryLabel(int(c))) for t, c in enumerate(labels)]
-        buffers.append(buffer)
-    aggregated_exact = stability_report(buffers, "aggregated").mean_stability == 1.0
+        track = Track(
+            id=track_id, state=None, status=TrackStatus.REMOVED,
+            last_update_frame=len(labels) - 1,
+            predictions=[(t, CategoryLabel(int(c))) for t, c in enumerate(labels)],
+        )
+        verdicts.append(majority_vote(track))
+    aggregated_exact = aggregated_report(verdicts).mean_stability == 1.0
 
     worst = max(abs(v - analytic) for v in values)
     ok = exact and worst <= 0.05 and aggregated_exact

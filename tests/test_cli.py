@@ -1,9 +1,13 @@
+import argparse
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
+import beltrack.cli as cli
+from beltrack import AggregationConfig, SimConfig, TrackerConfig
 from beltrack.cli import main
 
 
@@ -109,6 +113,15 @@ class TestConfigFile:
         code = run_cli("track", "--input", str(dets), "--config", str(tmp_path / "no.json"))
         assert code == 2
 
+    def test_misspelled_aggregation_value_is_config_error(self, scene_files, tmp_path):
+        dets, truth = scene_files
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"aggregation": {"tie_break": "bogus"}}))
+        assert run_cli("track", "--input", str(dets), "--config", str(config)) == 2
+        assert run_cli(
+            "evaluate", "--detections", str(dets), "--truth", str(truth), "--config", str(config)
+        ) == 2
+
 
 class TestEvaluate:
     def test_scores_against_truth(self, scene_files, tmp_path, capsys):
@@ -123,6 +136,58 @@ class TestEvaluate:
         assert payload["id_switches"] == 0
         assert payload["n_objects"] == 8
         assert payload["detection_ap"] == 1.0
+
+    def test_aggregation_flags_reach_evaluation(self, scene_files, monkeypatch):
+        dets, truth = scene_files
+        seen, original = [], cli.evaluate_against_truth
+
+        def spy(frames, gt, tracker_config, aggregation, **kwargs):
+            seen.append(aggregation)
+            return original(frames, gt, tracker_config, aggregation, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate_against_truth", spy)
+        code = run_cli(
+            "evaluate", "--detections", str(dets), "--truth", str(truth),
+            "--collapse-before-vote", "--tie-break", "lowest_index",
+        )
+        assert code == 0
+        assert seen == [AggregationConfig(tie_break="lowest_index", collapse_before_vote=True)]
+
+    def test_negative_truth_frame_is_input_error(self, scene_files, tmp_path):
+        dets, _ = scene_files
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text(
+            '{"frame": -1, "object_id": 1, "x": 0, "y": 0, "w": 5, "h": 5, "true_category": 0}\n'
+        )
+        assert run_cli("evaluate", "--detections", str(dets), "--truth", str(truth)) == 1
+
+
+class TestConfigFlags:
+    def test_every_config_field_has_exactly_one_flag(self):
+        parser = cli.build_parser()
+        (verbs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        expected = {
+            "track": (TrackerConfig, AggregationConfig),
+            "evaluate": (TrackerConfig, AggregationConfig),
+            "simulate": (SimConfig,),
+        }
+        for verb, config_classes in expected.items():
+            actions = verbs.choices[verb]._actions
+            for config_cls in config_classes:
+                for field in dataclasses.fields(config_cls):
+                    flags = [a.option_strings for a in actions if a.dest == field.name]
+                    assert flags == [["--" + field.name.replace("_", "-")]], (verb, field.name)
+
+    def test_comma_separated_tuple_flag(self, tmp_path):
+        dets, truth = tmp_path / "dets.jsonl", tmp_path / "truth.jsonl"
+        code = run_cli(
+            "simulate", "--output-detections", str(dets), "--output-truth", str(truth),
+            "--n-objects-per-lane", "2", "--defect-category-weights", "1,0,0",
+            "--defect-probability", "1.0",
+        )
+        assert code == 0
+        categories = {json.loads(line)["true_category"] for line in truth.read_text().splitlines()}
+        assert categories == {1}
 
 
 class TestReport:

@@ -119,6 +119,15 @@ class TestReadGroundTruth:
         with pytest.raises(InputError, match="changes category"):
             read_ground_truth(path)
 
+    def test_negative_frame_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        write_lines(path, [
+            '{"frame": 0, "object_id": 1, "x": 0, "y": 0, "w": 5, "h": 5, "true_category": 0}',
+            '{"frame": -1, "object_id": 2, "x": 0, "y": 0, "w": 5, "h": 5, "true_category": 0}',
+        ])
+        with pytest.raises(InputError, match=r"gt\.jsonl:2: frame_index must be >= 0"):
+            read_ground_truth(path)
+
     def test_boxes_sorted_by_frame(self, tmp_path):
         path = tmp_path / "gt.jsonl"
         write_lines(path, [

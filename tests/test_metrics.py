@@ -7,10 +7,9 @@ from beltrack import (
     CategoryLabel,
     Detection,
     FrameDetections,
-    PredictionBuffer,
     Track,
     TrackStatus,
-    classification_metrics,
+    aggregated_report,
     count_id_switches,
     defect_ratio,
     detection_map,
@@ -18,6 +17,7 @@ from beltrack import (
     stability_report,
     temporal_stability,
 )
+from beltrack.metrics import covering_tracks, majority_tracks
 from beltrack.model import FRESH, ROT
 from beltrack.simulate import GroundTruthObject, SceneGroundTruth
 
@@ -25,14 +25,17 @@ N = BinaryQuality.NORMAL
 D = BinaryQuality.DEFECT
 
 
-def buffer_of(*labels, track_id=1):
-    buffer = PredictionBuffer(track_id)
-    buffer.entries = [(t, label) for t, label in enumerate(labels)]
-    return buffer
+def track_of(*labels, track_id=1):
+    """A finished track that predicted ``labels`` on frames 0, 1, 2, ..."""
+    return Track(
+        id=track_id, state=None, status=TrackStatus.REMOVED,
+        last_update_frame=max(len(labels) - 1, 0),
+        predictions=list(enumerate(labels)),
+    )
 
 
 def verdict_of(*labels, track_id=1):
-    return majority_vote(buffer_of(*labels, track_id=track_id))
+    return majority_vote(track_of(*labels, track_id=track_id))
 
 
 class TestDefectRatio:
@@ -81,107 +84,49 @@ class TestTemporalStability:
 class TestStabilityReport:
     def test_aggregated_mode_is_exactly_stable(self):
         rng = np.random.default_rng(1)
-        buffers = []
+        verdicts = []
         for i in range(20):
             k = int(rng.integers(1, 30))
             labels = [CategoryLabel(int(rng.integers(4))) for _ in range(k)]
-            buffers.append(buffer_of(*labels, track_id=i))
-        report = stability_report(buffers, "aggregated")
+            verdicts.append(verdict_of(*labels, track_id=i))
+        report = aggregated_report(verdicts)
         assert report.mean_stability == 1.0
         assert all(v == 1.0 for v in report.per_track_stability.values())
 
     def test_frame_wise_alternating_buffer(self):
-        report = stability_report([buffer_of(ROT, FRESH, ROT, FRESH)], "frame_wise")
+        report = stability_report([track_of(ROT, FRESH, ROT, FRESH)])
         assert report.mean_stability == 0.25
         assert report.per_track_stability[1] == 0.25
 
     def test_frame_wise_defect_ratio_uses_last_frame_by_default(self):
-        buffers = [buffer_of(ROT, FRESH, track_id=1), buffer_of(FRESH, ROT, track_id=2)]
-        report = stability_report(buffers, "frame_wise")
+        tracks = [track_of(ROT, FRESH, track_id=1), track_of(FRESH, ROT, track_id=2)]
+        report = stability_report(tracks)
         assert report.defect_ratio == 0.5
         assert report.n_defect_tracks == 1
 
     def test_frame_choice_first(self):
-        buffers = [buffer_of(ROT, FRESH, track_id=1), buffer_of(FRESH, ROT, track_id=2)]
-        report = stability_report(buffers, "frame_wise", frame_choice="first")
+        tracks = [track_of(ROT, FRESH, track_id=1), track_of(FRESH, ROT, track_id=2)]
+        report = stability_report(tracks, frame_choice="first")
         assert report.n_defect_tracks == 1  # track 1's first label is defect
 
     def test_category_granularity_counts_defect_type_changes(self):
         labels = [CategoryLabel(1), CategoryLabel(2), CategoryLabel(2), CategoryLabel(3)]
-        binary = stability_report([buffer_of(*labels)], "frame_wise")
-        four_way = stability_report(
-            [buffer_of(*labels)], "frame_wise", granularity="category"
-        )
+        binary = stability_report([track_of(*labels)])
+        four_way = stability_report([track_of(*labels)], granularity="category")
         assert binary.mean_stability == 1.0  # all defect
         assert four_way.mean_stability == 0.5  # two changes over k=4
 
     def test_aggregated_defect_ratio_matches_verdicts(self):
-        buffers = [buffer_of(ROT, ROT, FRESH, track_id=1), buffer_of(FRESH, FRESH, track_id=2)]
-        report = stability_report(buffers, "aggregated")
+        verdicts = [verdict_of(ROT, ROT, FRESH, track_id=1), verdict_of(FRESH, FRESH, track_id=2)]
+        report = aggregated_report(verdicts)
         assert report.defect_ratio == 0.5
         assert report.n_total_tracks == 2
 
     def test_empty_buffers_rejected(self):
         with pytest.raises(ValueError):
-            stability_report([], "aggregated")
-
-
-class TestClassificationMetrics:
-    def test_perfect_predictions(self):
-        pred = [N, D, N, D]
-        result = classification_metrics(pred, pred)
-        assert result.accuracy == 1.0
-        assert result.f1 == 1.0
-
-    def test_all_normal_predictions_undefined_precision(self):
-        result = classification_metrics([N, N, N], [N, D, D])
-        assert result.recall == 0.0
-        assert result.precision is None
-        assert result.f1 is None
-
-    def test_hand_counted_confusion_matrix(self):
-        # TP=2 FP=1 FN=1 TN=6
-        pred = [D, D, D, N] + [N] * 6
-        truth = [D, D, N, D] + [N] * 6
-        result = classification_metrics(pred, truth)
-        assert result.precision == pytest.approx(2 / 3)
-        assert result.recall == pytest.approx(2 / 3)
-        assert result.f1 == pytest.approx(2 / 3)
-        assert result.accuracy == pytest.approx(0.8)
-
-    def test_length_mismatch_rejected(self):
+            stability_report([])
         with pytest.raises(ValueError):
-            classification_metrics([N], [N, D])
-        with pytest.raises(ValueError):
-            classification_metrics([], [])
-
-    def test_f1_identity_whenever_defined(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            n = int(rng.integers(1, 30))
-            pred = [D if rng.random() < 0.5 else N for _ in range(n)]
-            truth = [D if rng.random() < 0.5 else N for _ in range(n)]
-            result = classification_metrics(pred, truth)
-            if result.precision is not None and result.recall is not None:
-                if result.precision + result.recall > 0:
-                    expected = (
-                        2 * result.precision * result.recall
-                        / (result.precision + result.recall)
-                    )
-                    assert result.f1 == pytest.approx(expected)
-                else:
-                    assert result.f1 is None
-
-    def test_accuracy_invariant_under_label_complement(self):
-        rng = np.random.default_rng(3)
-        flip = {N: D, D: N}
-        for _ in range(100):
-            n = int(rng.integers(1, 30))
-            pred = [D if rng.random() < 0.5 else N for _ in range(n)]
-            truth = [D if rng.random() < 0.5 else N for _ in range(n)]
-            direct = classification_metrics(pred, truth)
-            swapped = classification_metrics([flip[p] for p in pred], [flip[t] for t in truth])
-            assert direct.accuracy == swapped.accuracy
+            aggregated_report([])
 
 
 def detection_frames(entries):
@@ -290,3 +235,20 @@ class TestCountIdSwitches:
         far = [(t, BoundingBox(500.0, 500.0, 20, 20)) for t in range(6)]
         tracks = [simple_track(1, boxes), simple_track(2, far)]
         assert count_id_switches(tracks, gt) == 0
+
+
+class TestMajorityTracks:
+    def test_most_frames_wins_and_ties_take_lowest_id(self):
+        boxes = [(t, BoundingBox(5.0 * t, 0, 20, 20)) for t in range(6)]
+        gt = single_object_gt(boxes)
+        handoff = [simple_track(2, boxes[:3]), simple_track(1, boxes[3:])]
+        assert majority_tracks(covering_tracks(handoff, gt)) == {1: 1}
+        uneven = [simple_track(2, boxes[:4]), simple_track(1, boxes[4:])]
+        assert majority_tracks(covering_tracks(uneven, gt)) == {1: 2}
+
+    def test_uncovered_object_left_out(self):
+        boxes = [(t, BoundingBox(5.0 * t, 0, 20, 20)) for t in range(6)]
+        far = [(t, BoundingBox(500.0, 500.0, 20, 20)) for t in range(6)]
+        coverage = covering_tracks([simple_track(1, far)], single_object_gt(boxes))
+        assert coverage == {}
+        assert majority_tracks(coverage) == {}

@@ -1,9 +1,14 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beltrack import (
-    BinaryQuality,
+    AggregationConfig,
+    CategoryLabel,
     ConfigError,
     Detection,
     FrameDetections,
@@ -14,7 +19,7 @@ from beltrack import (
 )
 from beltrack.io import write_detections
 from beltrack.model import BoundingBox, FRESH
-from beltrack.pipeline import PipelineRun, buffers_from_tracks
+from beltrack.pipeline import PipelineRun
 from beltrack.simulate import generate_scene
 
 
@@ -112,14 +117,17 @@ class TestOutOfOrderFrames:
 
 
 class TestUnlabeledTracks:
-    def test_tracks_without_labels_are_counted_not_judged(self):
+    def test_tracks_without_labels_are_counted_not_judged(self, tmp_path):
         frames = [
             FrameDetections(t, [Detection(t, BoundingBox(5.0 * t, 0, 20, 20), 0.9, None)])
             for t in range(5)
         ]
-        tracks = run_stream(frames)
-        assert len(tracks) == 1
-        assert buffers_from_tracks(tracks) == []
+        path = tmp_path / "dets.jsonl"
+        write_detections(frames, path)
+        result = run_pipeline(PipelineRun(input_path=path))
+        assert len(result.tracks) == 1
+        assert result.n_unlabeled_tracks == 1
+        assert result.verdicts == []
 
 
 class TestGapsInStream:
@@ -167,6 +175,15 @@ class TestEvaluateAgainstTruth:
         evaluation = evaluate_against_truth(frames, gt)
         assert evaluation.estimated_defect_ratio == pytest.approx(0.3, abs=0.08)
 
+    def test_spawn_before_frame_zero_evaluates(self):
+        # jitter moves lane 1's first spawn to frame -3; truth starts at 0
+        config = SimConfig(seed=0, n_lanes=2, spawn_jitter_frames=3, n_objects_per_lane=5)
+        gt, frames = generate_scene(config)
+        assert min(frame for obj in gt.objects for frame, _ in obj.boxes) == 0
+        evaluation = evaluate_against_truth(frames, gt)
+        assert evaluation.n_objects == 10
+        assert evaluation.n_unmatched_objects == 0
+
 
 class TestSummaryContents:
     def test_summary_reports_both_modes(self, tmp_path):
@@ -189,3 +206,59 @@ class TestSummaryContents:
         assert set(record) == {"track_id", "category", "binary", "k", "votes", "stability_frame_wise"}
         assert record["binary"] in ("normal", "defect")
         assert sum(record["votes"]) == record["k"]
+
+
+def write_label_stream(path, *label_sequences):
+    """One stationary, always-detected box per sequence, each in its own lane,
+    carrying category ``sequence[t]`` on frame t."""
+    frames = [
+        FrameDetections(t, [
+            Detection(t, BoundingBox(10.0, 60.0 * lane, 20.0, 20.0), 0.9, CategoryLabel(labels[t]))
+            for lane, labels in enumerate(label_sequences)
+            if t < len(labels)
+        ])
+        for t in range(max(len(labels) for labels in label_sequences))
+    ]
+    write_detections(frames, path)
+
+
+def defect_counts(directory: Path, input_path: Path, aggregation: AggregationConfig):
+    """Defect tracks in the verdict file and in the summary's aggregated block."""
+    verdicts, summary = directory / "verdicts.jsonl", directory / "summary.json"
+    run_pipeline(PipelineRun(
+        input_path=input_path, aggregation=aggregation,
+        verdicts_path=verdicts, summary_path=summary,
+    ))
+    records = [json.loads(line) for line in verdicts.read_text().splitlines()]
+    aggregated = json.loads(summary.read_text())["aggregated"]
+    return sum(1 for r in records if r["binary"] == "defect"), aggregated["n_defect_tracks"]
+
+
+class TestVerdictsAndSummaryAgree:
+    def test_collapsed_vote_reaches_summary(self, tmp_path):
+        # votes [3, 2, 2, 0]: fresh has the plurality, the defects the majority
+        stream = tmp_path / "dets.jsonl"
+        write_label_stream(stream, [0, 0, 0, 1, 1, 2, 2])
+        in_file, in_summary = defect_counts(
+            tmp_path, stream, AggregationConfig(collapse_before_vote=True)
+        )
+        assert in_file == 1
+        assert in_summary == in_file
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        label_sequences=st.lists(
+            st.lists(st.integers(0, 3), min_size=1, max_size=9), min_size=1, max_size=3
+        ),
+        tie_break=st.sampled_from(["prefer_defect", "lowest_index"]),
+        collapse=st.booleans(),
+    )
+    def test_any_votes_any_config(self, label_sequences, tie_break, collapse):
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            stream = directory / "dets.jsonl"
+            write_label_stream(stream, *label_sequences)
+            in_file, in_summary = defect_counts(
+                directory, stream, AggregationConfig(tie_break, collapse)
+            )
+        assert in_summary == in_file

@@ -202,6 +202,15 @@ class TestPredictionRecording:
         history_frames = {f for f, _ in track.history}
         assert all(f in history_frames for f, _ in track.predictions)
 
+    def test_hundred_predictions_in_frame_order(self):
+        # votes read Track.predictions directly, so the tracker alone keeps
+        # them one per matched frame in strictly increasing frame order
+        tracker = ByteTracker()
+        for t in range(100):
+            tracker.step(frame_with(t, (moving_box(t, velocity=1.0), 0.9, FRESH)))
+        track = tracker.finalize()[0]
+        assert track.predictions == [(t, FRESH) for t in range(100)]
+
 
 class TestFinalize:
     def test_min_track_length_filter(self):
