@@ -6,10 +6,8 @@ from .aggregation import TrackVerdict, frame_wise_verdicts, majority_vote
 from .assignment import AssignmentResult, build_cost_matrix, solve_assignment
 from .errors import ConfigError, InputError
 from .kalman import (
-    DEFAULT_NOISE,
     FilterDiverged,
     KalmanState,
-    MotionNoise,
     kf_initiate,
     kf_predict,
     kf_update,
@@ -46,10 +44,8 @@ from .pipeline import (
 )
 from .simulate import (
     SceneGroundTruth,
-    SceneStatistics,
     SimConfig,
     generate_scene,
-    scene_statistics,
 )
 from .tracker import ByteTracker, TrackerConfig, TrackerOutput
 

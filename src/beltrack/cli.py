@@ -39,6 +39,9 @@ from .tracker import TrackerConfig
 
 logger = logging.getLogger("beltrack")
 
+#: Fields every verdict line must carry for ``report``.
+_VERDICT_FIELDS = ("track_id", "binary", "k")
+
 #: Config-file section (and flag-group title) of each config dataclass.
 _SECTIONS = {TrackerConfig: "tracker", AggregationConfig: "aggregation", SimConfig: "simulate"}
 
@@ -179,13 +182,23 @@ def _cmd_report(args) -> int:
             if not line.strip():
                 continue
             try:
-                records.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}:{line_number}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(record, dict):
+                raise InputError(f"{path}:{line_number}: expected a JSON object")
+            for key in _VERDICT_FIELDS:
+                if key not in record:
+                    raise InputError(f"{path}:{line_number}: missing field {key!r}")
+            if record["binary"] not in ("normal", "defect") or type(record["k"]) is not int:
+                raise InputError(
+                    f"{path}:{line_number}: 'binary' must be normal or defect, 'k' an integer"
+                )
+            records.append(record)
     if not records:
         raise InputError(f"{path}: no verdicts to summarize")
-    n_defect = sum(1 for r in records if r.get("binary") == "defect")
-    lengths = [r.get("k", 0) for r in records]
+    n_defect = sum(1 for r in records if r["binary"] == "defect")
+    lengths = [r["k"] for r in records]
     stability = [r["stability_frame_wise"] for r in records if "stability_frame_wise" in r]
     payload = {
         "n_tracks": len(records),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from pathlib import Path
 from typing import Iterable
 
@@ -173,8 +174,8 @@ def ingest_mot(path: str | Path) -> list[FrameDetections]:
     """Read MOT-challenge text (frame,id,x,y,w,h,score,...) as a detection stream.
 
     The id column and any trailing fields are ignored; there is no category
-    channel in this format. Confidences are clamped into [0, 1] (MOT files
-    sometimes carry -1 or unnormalized values).
+    channel in this format. Finite confidences are clamped into [0, 1] (MOT
+    files sometimes carry -1 or unnormalized values); nan and inf are rejected.
     """
     path = Path(path)
     if not path.exists():
@@ -193,7 +194,10 @@ def ingest_mot(path: str | Path) -> list[FrameDetections]:
             try:
                 frame = int(float(parts[0]))
                 x, y, w, h = (float(v) for v in parts[2:6])
-                score = min(1.0, max(0.0, float(parts[6])))
+                score = float(parts[6])
+                if not math.isfinite(score):
+                    raise ValueError(f"confidence must be finite, got {parts[6].strip()!r}")
+                score = min(1.0, max(0.0, score))
                 detections.append(
                     Detection(frame_index=frame, box=BoundingBox(x, y, w, h), score=score)
                 )

@@ -19,16 +19,11 @@ class FilterDiverged(ValueError):
     """State no longer encodes a valid box (aspect or height dropped to <= 0)."""
 
 
-@dataclass(frozen=True)
-class MotionNoise:
-    """Per-frame noise scales, each multiplied by the current box height."""
-
-    position_std: float = 1.0 / 20
-    velocity_std: float = 1.0 / 160
-    measurement_std: float = 1.0 / 20
-
-
-DEFAULT_NOISE = MotionNoise()
+# Per-frame noise scales, each multiplied by the current box height; the
+# fixed weights ByteTrack uses.
+_POSITION_STD = 1.0 / 20
+_VELOCITY_STD = 1.0 / 160
+_MEASUREMENT_STD = 1.0 / 20
 
 # Constant-velocity transition (dt = 1 frame) and position-only measurement.
 _F = np.eye(8)
@@ -46,7 +41,7 @@ def _box_to_measurement(box: BoundingBox) -> np.ndarray:
     return np.array([box.cx, box.cy, box.w / box.h, box.h])
 
 
-def kf_initiate(box: BoundingBox, noise: MotionNoise = DEFAULT_NOISE) -> KalmanState:
+def kf_initiate(box: BoundingBox) -> KalmanState:
     """Start a new filter at the observed box with zero velocity.
 
     The initial prior is deliberately wide (2x position, 10x velocity scale)
@@ -56,29 +51,27 @@ def kf_initiate(box: BoundingBox, noise: MotionNoise = DEFAULT_NOISE) -> KalmanS
     mean = np.zeros(8)
     mean[:4] = measurement
     h = box.h
-    std = np.array([2 * noise.position_std * h] * 4 + [10 * noise.velocity_std * h] * 4)
+    std = np.array([2 * _POSITION_STD * h] * 4 + [10 * _VELOCITY_STD * h] * 4)
     return KalmanState(mean=mean, covariance=np.diag(std**2))
 
 
-def kf_predict(state: KalmanState, noise: MotionNoise = DEFAULT_NOISE) -> KalmanState:
+def kf_predict(state: KalmanState) -> KalmanState:
     """Advance one frame: position += velocity, covariance grows by process noise."""
     h = state.mean[3]
-    q_std = np.array([noise.position_std * h] * 4 + [noise.velocity_std * h] * 4)
+    q_std = np.array([_POSITION_STD * h] * 4 + [_VELOCITY_STD * h] * 4)
     mean = _F @ state.mean
     covariance = _F @ state.covariance @ _F.T + np.diag(q_std**2)
     return KalmanState(mean=mean, covariance=0.5 * (covariance + covariance.T))
 
 
-def kf_update(
-    state: KalmanState, observed: BoundingBox, noise: MotionNoise = DEFAULT_NOISE
-) -> KalmanState:
+def kf_update(state: KalmanState, observed: BoundingBox) -> KalmanState:
     """Fuse an observed box into the state (measurement update on cx, cy, a, h).
 
     Uses the Joseph-form covariance update, which stays symmetric PSD even
     after thousands of cycles.
     """
     h = state.mean[3]
-    r = np.diag(np.full(4, (noise.measurement_std * h) ** 2))
+    r = np.diag(np.full(4, (_MEASUREMENT_STD * h) ** 2))
     innovation = _box_to_measurement(observed) - _H @ state.mean
     s = _H @ state.covariance @ _H.T + r
     gain = np.linalg.solve(s.T, (_H @ state.covariance)).T

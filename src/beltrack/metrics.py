@@ -14,7 +14,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .aggregation import TrackVerdict, frame_wise_verdicts
-from .model import BinaryQuality, FrameDetections, Track, iou
+from .model import BinaryQuality, BoundingBox, FrameDetections, Track, iou_matrix
 from .simulate import SceneGroundTruth
 
 FrameChoice = Literal["last", "first", "random"]
@@ -119,7 +119,8 @@ def detection_map(
     Detections are swept in descending score order (stable on ties, so the
     result depends only on the score ranking); each is greedily matched to
     the highest-IoU unmatched ground-truth box of its frame at the given
-    threshold.
+    threshold, the lowest index breaking ties. Frames never share a truth
+    box, so each frame's detections are swept on their own.
     """
     gt_boxes = {f.frame_index: [d.box for d in f.detections] for f in gt}
     n_gt = sum(len(boxes) for boxes in gt_boxes.values())
@@ -128,20 +129,22 @@ def detection_map(
 
     flat = [(det.score, f.frame_index, det.box) for f in dets for det in f.detections]
     flat.sort(key=lambda item: -item[0])
+    ranks_by_frame: dict[int, list[int]] = {}
+    for k, (_, frame, _) in enumerate(flat):
+        ranks_by_frame.setdefault(frame, []).append(k)
 
-    gt_taken = {frame: [False] * len(boxes) for frame, boxes in gt_boxes.items()}
     tp = np.zeros(len(flat))
-    for k, (_, frame, box) in enumerate(flat):
-        best_iou, best_j = 0.0, -1
-        for j, gt_box in enumerate(gt_boxes.get(frame, [])):
-            if gt_taken[frame][j]:
-                continue
-            overlap = iou(box, gt_box)
-            if overlap >= iou_threshold and overlap > best_iou:
-                best_iou, best_j = overlap, j
-        if best_j >= 0:
-            gt_taken[frame][best_j] = True
-            tp[k] = 1.0
+    for frame, ranks in ranks_by_frame.items():
+        truth = gt_boxes.get(frame)
+        if not truth:
+            continue
+        overlap = iou_matrix([flat[k][2] for k in ranks], truth)
+        overlap[overlap < iou_threshold] = -1.0  # too little overlap to match
+        for row, k in enumerate(ranks):
+            j = int(np.argmax(overlap[row]))
+            if overlap[row, j] > 0.0:
+                tp[k] = 1.0
+                overlap[:, j] = -1.0  # this truth box is taken
 
     cum_tp = np.cumsum(tp)
     cum_fp = np.cumsum(1.0 - tp)
@@ -167,28 +170,34 @@ def covering_tracks(
     the true box with IoU at or above the threshold, best overlap winning and
     the lowest id breaking ties.
     """
-    by_frame: dict[int, list[tuple[int, object]]] = {}
+    candidates: dict[int, list[tuple[int, BoundingBox]]] = {}
     for track in tracks:
         for frame, box in track.history:
-            by_frame.setdefault(frame, []).append((track.id, box))
+            candidates.setdefault(frame, []).append((track.id, box))
+    truth: dict[int, list[BoundingBox]] = {}
+    for obj in gt.objects:
+        for frame, box in obj.boxes:
+            truth.setdefault(frame, []).append(box)
+
+    # frame -> the covering track id (or None) of each truth box, in object order
+    covering: dict[int, list[int | None]] = {}
+    for frame, truth_boxes in truth.items():
+        # Columns in id order, so argmax's first maximum is the lowest id.
+        columns = sorted(candidates.get(frame, []), key=lambda c: c[0])
+        if not columns:
+            covering[frame] = [None] * len(truth_boxes)
+            continue
+        overlap = iou_matrix(truth_boxes, [box for _, box in columns])
+        best = np.argmax(overlap, axis=1)
+        covering[frame] = [
+            columns[j][0] if overlap[i, j] >= iou_threshold else None
+            for i, j in enumerate(best.tolist())
+        ]
 
     coverage: dict[int, list[int]] = {}
+    cursor = {frame: iter(ids) for frame, ids in covering.items()}
     for obj in gt.objects:
-        ids = []
-        for frame, gt_box in obj.boxes:
-            best_id, best_overlap = None, 0.0
-            for track_id, box in by_frame.get(frame, []):
-                overlap = iou(box, gt_box)
-                if overlap < iou_threshold:
-                    continue
-                if (
-                    best_id is None
-                    or overlap > best_overlap
-                    or (overlap == best_overlap and track_id < best_id)
-                ):
-                    best_id, best_overlap = track_id, overlap
-            if best_id is not None:
-                ids.append(best_id)
+        ids = [i for i in (next(cursor[frame]) for frame, _ in obj.boxes) if i is not None]
         if ids:
             coverage[obj.object_id] = ids
     return coverage

@@ -17,7 +17,6 @@ from typing import Literal, get_args, get_origin, get_type_hints
 from .aggregation import TieBreak, TrackVerdict, majority_vote
 from .errors import ConfigError
 from .io import ingest_detections, ingest_mot, write_detections, write_ground_truth
-from .kalman import DEFAULT_NOISE, MotionNoise
 from .metrics import (
     FrameChoice,
     StabilityGranularity,
@@ -84,13 +83,13 @@ class PipelineResult:
 def run_stream(
     frames: list[FrameDetections],
     tracker_config: TrackerConfig | None = None,
-    noise: MotionNoise = DEFAULT_NOISE,
 ) -> list[Track]:
     """Drive a tracker over a detection stream and return the finished tracks.
 
     Frames are sorted if needed (with a warning) and the tracker is stepped
     once per frame index over the full contiguous range, so tracks age and
-    coast correctly through frames that produced no detections.
+    coast correctly through frames that produced no detections. A frame
+    index given twice is rejected with ``ValueError``.
     """
     if not frames:
         return []
@@ -98,8 +97,11 @@ def run_stream(
     if indices != sorted(indices):
         logger.warning("detection stream is out of order; sorting %d frames in memory", len(frames))
         frames = sorted(frames, key=lambda f: f.frame_index)
-    by_index = {f.frame_index: f for f in frames}
-    tracker = ByteTracker(tracker_config, noise)
+    by_index: dict[int, FrameDetections] = {}
+    for frame in frames:
+        if by_index.setdefault(frame.frame_index, frame) is not frame:
+            raise ValueError(f"frame {frame.frame_index} appears more than once in the stream")
+    tracker = ByteTracker(tracker_config)
     for frame_index in range(frames[0].frame_index, frames[-1].frame_index + 1):
         frame = by_index.get(frame_index)
         if frame is None:

@@ -86,13 +86,6 @@ class SceneGroundTruth:
     objects: tuple[GroundTruthObject, ...] = field(default_factory=tuple)
 
 
-@dataclass(frozen=True)
-class SceneStatistics:
-    object_count: int
-    defect_fraction: float
-    mean_lifetime: float
-
-
 def _spawn_times(rng: np.random.Generator, config: SimConfig) -> list[int]:
     """Spawn schedule for one lane: nominal interval plus integer jitter,
     kept strictly increasing."""
@@ -210,22 +203,3 @@ def generate_scene(config: SimConfig) -> tuple[SceneGroundTruth, list[FrameDetec
             frames.append(FrameDetections(frame, detections))
 
     return SceneGroundTruth(objects=tuple(objects)), frames
-
-
-def scene_statistics(gt: SceneGroundTruth) -> SceneStatistics:
-    """Exact counts from ground truth: objects, defect fraction, mean lifetime."""
-    if not gt.objects:
-        return SceneStatistics(object_count=0, defect_fraction=0.0, mean_lifetime=0.0)
-    n_defect = sum(1 for obj in gt.objects if obj.true_category.index != 0)
-    lifetimes = [len(obj.boxes) for obj in gt.objects]
-    return SceneStatistics(
-        object_count=len(gt.objects),
-        defect_fraction=n_defect / len(gt.objects),
-        mean_lifetime=float(np.mean(lifetimes)),
-    )
-
-
-def expected_lifetime_frames(config: SimConfig) -> int:
-    """Visible-frame count for an object that fully crosses the belt."""
-    crossing = (config.frame_width + config.box_size_mean) / config.belt_velocity
-    return math.ceil(crossing) - 1

@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from .assignment import build_cost_matrix, solve_assignment
 from .errors import ConfigError
 from .kalman import (
-    DEFAULT_NOISE,
     FilterDiverged,
-    MotionNoise,
     kf_initiate,
     kf_predict,
     kf_update,
@@ -91,10 +89,10 @@ class ByteTracker:
     One instance per video stream; calls must be externally serialized.
     """
 
-    def __init__(self, config: TrackerConfig | None = None, noise: MotionNoise = DEFAULT_NOISE):
+    def __init__(self, config: TrackerConfig | None = None):
         self.config = config if config is not None else TrackerConfig()
-        self.noise = noise
         self._tracks: list[Track] = []  # every track ever created, in spawn order
+        self._live: list[Track] = []  # the tracks not yet removed, in spawn order
         self._next_id = 1
         self._last_frame: int | None = None
 
@@ -124,13 +122,14 @@ class ByteTracker:
             if cfg.low_score_threshold <= d.score < cfg.high_score_threshold
         ]
 
+        # Each predicted box is decoded once: the decode that catches a
+        # diverged filter also feeds both association rounds.
         pool: list[Track] = []
-        for track in self._tracks:
-            if track.status is TrackStatus.REMOVED:
-                continue
-            track.state = kf_predict(track.state, self.noise)
+        pool_boxes: list[BoundingBox] = []
+        for track in self._live:
+            track.state = kf_predict(track.state)
             try:
-                state_to_box(track.state)
+                pool_boxes.append(state_to_box(track.state))
             except FilterDiverged:
                 track.status = TrackStatus.REMOVED
                 removed_now.append(track.id)
@@ -138,19 +137,18 @@ class ByteTracker:
             pool.append(track)
 
         # First round: every live track vs confident detections.
-        costs = build_cost_matrix([state_to_box(tr.state) for tr in pool], [d.box for d in high])
+        costs = build_cost_matrix(pool_boxes, [d.box for d in high])
         first = solve_assignment(costs, cfg.match_threshold_first)
         for ti, di in first.matches:
             self._apply_match(pool[ti], high[di], t)
 
         # Second round: still-unmatched active tracks vs low-confidence
         # detections. Lost and tentative tracks sit this one out.
-        leftovers = [
-            pool[i] for i in first.unmatched_tracks if pool[i].status is TrackStatus.ACTIVE
+        leftover_rows = [
+            i for i in first.unmatched_tracks if pool[i].status is TrackStatus.ACTIVE
         ]
-        costs = build_cost_matrix(
-            [state_to_box(tr.state) for tr in leftovers], [d.box for d in low]
-        )
+        leftovers = [pool[i] for i in leftover_rows]
+        costs = build_cost_matrix([pool_boxes[i] for i in leftover_rows], [d.box for d in low])
         second = solve_assignment(costs, cfg.match_threshold_second)
         for ti, di in second.matches:
             self._apply_match(leftovers[ti], low[di], t)
@@ -173,6 +171,9 @@ class ByteTracker:
                 track.status = TrackStatus.REMOVED
                 removed_now.append(track.id)
 
+        if removed_now:
+            self._live = [tr for tr in self._live if tr.status is not TrackStatus.REMOVED]
+
         # Spawn new tracks from confident detections nothing claimed.
         for di in first.unmatched_detections:
             det = high[di]
@@ -182,7 +183,7 @@ class ByteTracker:
 
         active = tuple(
             (tr.id, tr.history[-1][1])
-            for tr in self._tracks
+            for tr in self._live
             if tr.status is TrackStatus.ACTIVE
         )
         return TrackerOutput(
@@ -199,7 +200,7 @@ class ByteTracker:
         ]
 
     def _apply_match(self, track: Track, det: Detection, t: int):
-        track.state = kf_update(track.state, det.box, self.noise)
+        track.state = kf_update(track.state, det.box)
         track.hit_count += 1
         if track.status is TrackStatus.TENTATIVE:
             if track.hit_count >= self.config.min_hits_to_activate:
@@ -219,7 +220,7 @@ class ByteTracker:
         )
         track = Track(
             id=self._next_id,
-            state=kf_initiate(det.box, self.noise),
+            state=kf_initiate(det.box),
             status=status,
             last_update_frame=t,
             hit_count=1,
@@ -229,3 +230,4 @@ class ByteTracker:
             track.predictions.append((t, det.category_observation))
         self._next_id += 1
         self._tracks.append(track)
+        self._live.append(track)

@@ -204,6 +204,23 @@ class TestReport:
     def test_missing_verdicts_is_input_error(self, tmp_path):
         assert run_cli("report", "--verdicts", str(tmp_path / "no.jsonl")) == 1
 
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            ("[1, 2]", "expected a JSON object"),
+            ('{"track_id": 1}', "missing field 'binary'"),
+            ('{"track_id": 1, "binary": "defect"}', "missing field 'k'"),
+            ('{"track_id": 1, "binary": "bad", "k": 3}', "'binary' must be normal or defect"),
+            ('{"track_id": 1, "binary": "defect", "k": "3"}', "'binary' must be normal or defect"),
+        ],
+    )
+    def test_malformed_verdict_line_is_input_error(self, tmp_path, capsys, bad_line, message):
+        verdicts = tmp_path / "verdicts.jsonl"
+        good = '{"track_id": 1, "binary": "normal", "k": 3}'
+        verdicts.write_text(good + "\n" + bad_line + "\n", encoding="utf-8")
+        assert run_cli("report", "--verdicts", str(verdicts)) == 1
+        assert f"{verdicts}:2: {message}" in capsys.readouterr().err
+
 
 class TestMotInput:
     def test_track_reads_mot_text(self, tmp_path):

@@ -165,3 +165,10 @@ class TestMotAdapter:
         write_lines(path, ["1,1,10,20,30"])
         with pytest.raises(InputError, match=r":1:"):
             ingest_mot(path)
+
+    @pytest.mark.parametrize("confidence", ["nan", "inf", "-inf"])
+    def test_non_finite_confidence_rejected_with_line_number(self, tmp_path, confidence):
+        path = tmp_path / "dets.txt"
+        write_lines(path, ["1,1,10,20,30,40,0.9", f"2,1,15,20,30,40,{confidence}"])
+        with pytest.raises(InputError, match=r":2: confidence must be finite"):
+            ingest_mot(path)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beltrack import (
     BinaryQuality,
@@ -20,6 +22,8 @@ from beltrack import (
 from beltrack.metrics import covering_tracks, majority_tracks
 from beltrack.model import FRESH, ROT
 from beltrack.simulate import GroundTruthObject, SceneGroundTruth
+
+from oracles import covering_tracks_reference, detection_map_reference
 
 N = BinaryQuality.NORMAL
 D = BinaryQuality.DEFECT
@@ -252,3 +256,72 @@ class TestMajorityTracks:
         coverage = covering_tracks([simple_track(1, far)], single_object_gt(boxes))
         assert coverage == {}
         assert majority_tracks(coverage) == {}
+
+
+# Boxes on a coarse grid with two sizes, so identical boxes (equal-overlap
+# ties) and partial overlaps both come up often.
+grid_boxes = st.builds(
+    BoundingBox,
+    x=st.integers(0, 6).map(lambda v: 5.0 * v),
+    y=st.integers(0, 2).map(lambda v: 5.0 * v),
+    w=st.sampled_from([10.0, 20.0]),
+    h=st.sampled_from([10.0, 20.0]),
+)
+frames_and_boxes = st.lists(st.tuples(st.integers(0, 3), grid_boxes), max_size=8)
+thresholds = st.sampled_from([0.0, 0.3, 0.5, 1.0])
+
+
+class TestOverlapKernelMatchesScalarLoops:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        histories=st.lists(frames_and_boxes, max_size=5),
+        truths=st.lists(frames_and_boxes, max_size=4),
+        descending=st.booleans(),
+        threshold=thresholds,
+    )
+    def test_covering_tracks(self, histories, truths, descending, threshold):
+        tracks = [
+            Track(
+                id=track_id, state=None, status=TrackStatus.REMOVED, last_update_frame=0,
+                history=sorted(dict(history).items()),
+            )
+            for track_id, history in enumerate(histories, start=1)
+        ]
+        if descending:
+            tracks.reverse()
+        gt = SceneGroundTruth(objects=tuple(
+            GroundTruthObject(object_id, FRESH, tuple(sorted(dict(boxes).items())))
+            for object_id, boxes in enumerate(truths, start=1)
+        ))
+        assert covering_tracks(tracks, gt, threshold) == covering_tracks_reference(
+            tracks, gt, threshold
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dets=st.lists(
+            st.tuples(st.integers(0, 3), st.lists(
+                st.tuples(grid_boxes, st.sampled_from([0.3, 0.6, 0.9])), max_size=4
+            )),
+            max_size=6,
+        ),
+        truth=st.dictionaries(st.integers(0, 3), st.lists(grid_boxes, max_size=4), min_size=1),
+        threshold=thresholds,
+    )
+    def test_detection_map(self, dets, truth, threshold):
+        # a frame may come in more than one FrameDetections entry
+        det_frames = [
+            FrameDetections(frame, [Detection(frame, box, score) for box, score in entries])
+            for frame, entries in dets
+        ]
+        gt_frames = [
+            FrameDetections(frame, [Detection(frame, box, 1.0) for box in boxes])
+            for frame, boxes in truth.items()
+        ]
+        if not any(truth.values()):
+            with pytest.raises(ValueError):
+                detection_map(det_frames, gt_frames, threshold)
+            return
+        assert detection_map(det_frames, gt_frames, threshold) == detection_map_reference(
+            det_frames, gt_frames, threshold
+        )

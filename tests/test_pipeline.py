@@ -115,6 +115,14 @@ class TestOutOfOrderFrames:
         assert len(tracks) == 1
         assert [f for f, _ in tracks[0].history] == [0, 1]
 
+    def test_repeated_frame_rejected(self):
+        frames = [
+            FrameDetections(t, [Detection(t, BoundingBox(5.0 * t, 0, 20, 20), 0.9, FRESH)])
+            for t in (0, 1, 1)
+        ]
+        with pytest.raises(ValueError, match="frame 1 appears more than once"):
+            run_stream(frames)
+
 
 class TestUnlabeledTracks:
     def test_tracks_without_labels_are_counted_not_judged(self, tmp_path):

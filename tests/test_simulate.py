@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 
 from beltrack import ConfigError
-from beltrack.simulate import (
-    SimConfig,
-    expected_lifetime_frames,
-    generate_scene,
-    scene_statistics,
-)
+from beltrack.simulate import SimConfig, generate_scene
 
 
 def stream_fingerprint(gt, frames):
@@ -48,7 +43,6 @@ class TestNoiselessScene:
         expected = math.ceil((100.0 + 30.0) / 5.0) - 1
         assert expected == 25
         assert len(gt.objects[0].boxes) == expected
-        assert expected_lifetime_frames(self.CONFIG) == expected
 
     def test_centers_advance_exactly_belt_velocity(self):
         gt, _ = generate_scene(self.CONFIG)
@@ -137,9 +131,9 @@ class TestDefectFraction:
             defect_probability=0.3,
         )
         gt, _ = generate_scene(config)
-        stats = scene_statistics(gt)
-        assert stats.object_count == 500
-        assert stats.defect_fraction == pytest.approx(0.3, abs=0.06)
+        assert len(gt.objects) == 500
+        n_defect = sum(1 for obj in gt.objects if obj.true_category.index != 0)
+        assert n_defect / len(gt.objects) == pytest.approx(0.3, abs=0.06)
 
 
 class TestLaneSeparation:
@@ -166,9 +160,7 @@ class TestSceneStatistics:
     def test_empty_scene(self):
         config = SimConfig(seed=0, n_lanes=1, n_objects_per_lane=0)
         gt, frames = generate_scene(config)
-        stats = scene_statistics(gt)
-        assert stats == scene_statistics(gt)
-        assert (stats.object_count, stats.defect_fraction, stats.mean_lifetime) == (0, 0.0, 0.0)
+        assert gt.objects == ()
         assert frames == []
 
 

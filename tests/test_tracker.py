@@ -96,6 +96,31 @@ class TestLifecycleBasics:
         assert tracker.finalize()[0].status is TrackStatus.REMOVED
 
 
+class TestDivergence:
+    def test_filter_diverging_while_lost_is_removed_once(self):
+        # A box shrinking 8 px per frame teaches the filter a negative height
+        # velocity; coasting on it drives the height below zero two frames
+        # after the detections stop, long before max_frames_lost expires.
+        tracker = ByteTracker()
+        for t in range(6):
+            size = 60.0 - 8.0 * t
+            tracker.step(frame_with(t, (BoundingBox(100.0, 100.0, size, size), 0.9, FRESH)))
+        removed, removed_state = [], None
+        for t in range(6, 20):
+            out = tracker.step(FrameDetections(t))
+            removed.extend(out.newly_removed_track_ids)
+            (track,) = tracker.finalize()
+            if removed_state is None and removed:
+                assert track.state.mean[3] <= 0.0
+                removed_state = track.state
+            assert out.active_tracks == ()
+        assert removed == [1]
+        (track,) = tracker.finalize()
+        assert track.state is removed_state  # never predicted after removal
+        assert track.status is TrackStatus.REMOVED
+        assert [f for f, _ in track.history] == list(range(6))
+
+
 class TestLostRecovery:
     def test_refound_after_short_gap_keeps_id(self):
         tracker = ByteTracker()
