@@ -8,6 +8,7 @@ from .errors import ConfigError, InputError
 from .kalman import (
     FilterDiverged,
     KalmanState,
+    decode_boxes,
     kf_initiate,
     kf_predict,
     kf_update,

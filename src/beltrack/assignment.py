@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import BoundingBox, iou_matrix
+from .model import iou_matrix
 
 #: Cost matrix with one row per track and one column per detection.
 #: IoU-derived entries are 1 - IoU, i.e. in [0, 1].
@@ -23,10 +23,9 @@ class AssignmentResult:
     unmatched_detections: tuple[int, ...]
 
 
-def build_cost_matrix(
-    track_boxes: list[BoundingBox], det_boxes: list[BoundingBox]
-) -> CostMatrix:
-    """Entry (i, j) is 1 - IoU(track_boxes[i], det_boxes[j])."""
+def build_cost_matrix(track_boxes: np.ndarray, det_boxes: np.ndarray) -> CostMatrix:
+    """Entry (i, j) is 1 - IoU(track_boxes[i], det_boxes[j]); both are (n, 4)
+    corner arrays (see ``model.corners``)."""
     return 1.0 - iou_matrix(track_boxes, det_boxes)
 
 

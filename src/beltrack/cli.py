@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -193,6 +194,11 @@ def _cmd_report(args) -> int:
             if record["binary"] not in ("normal", "defect") or type(record["k"]) is not int:
                 raise InputError(
                     f"{path}:{line_number}: 'binary' must be normal or defect, 'k' an integer"
+                )
+            frame_wise = record.get("stability_frame_wise", 0.0)
+            if type(frame_wise) not in (int, float) or not math.isfinite(frame_wise):
+                raise InputError(
+                    f"{path}:{line_number}: 'stability_frame_wise' must be a finite number"
                 )
             records.append(record)
     if not records:

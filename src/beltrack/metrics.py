@@ -14,7 +14,15 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .aggregation import TrackVerdict, frame_wise_verdicts
-from .model import BinaryQuality, BoundingBox, FrameDetections, Track, iou_matrix
+from .model import (
+    BinaryQuality,
+    BoundingBox,
+    FrameDetections,
+    Track,
+    corners,
+    iou_matrix,
+    xywh_array,
+)
 from .simulate import SceneGroundTruth
 
 FrameChoice = Literal["last", "first", "random"]
@@ -120,9 +128,12 @@ def detection_map(
     result depends only on the score ranking); each is greedily matched to
     the highest-IoU unmatched ground-truth box of its frame at the given
     threshold, the lowest index breaking ties. Frames never share a truth
-    box, so each frame's detections are swept on their own.
+    box, so each frame's detections are swept on their own. Several ``gt``
+    entries for one frame count as one frame holding all their boxes.
     """
-    gt_boxes = {f.frame_index: [d.box for d in f.detections] for f in gt}
+    gt_boxes: dict[int, list[BoundingBox]] = {}
+    for f in gt:
+        gt_boxes.setdefault(f.frame_index, []).extend(d.box for d in f.detections)
     n_gt = sum(len(boxes) for boxes in gt_boxes.values())
     if n_gt == 0:
         raise ValueError("average precision is undefined without ground-truth boxes")
@@ -138,7 +149,9 @@ def detection_map(
         truth = gt_boxes.get(frame)
         if not truth:
             continue
-        overlap = iou_matrix([flat[k][2] for k in ranks], truth)
+        overlap = iou_matrix(
+            corners(xywh_array([flat[k][2] for k in ranks])), corners(xywh_array(truth))
+        )
         overlap[overlap < iou_threshold] = -1.0  # too little overlap to match
         for row, k in enumerate(ranks):
             j = int(np.argmax(overlap[row]))
@@ -187,7 +200,9 @@ def covering_tracks(
         if not columns:
             covering[frame] = [None] * len(truth_boxes)
             continue
-        overlap = iou_matrix(truth_boxes, [box for _, box in columns])
+        overlap = iou_matrix(
+            corners(xywh_array(truth_boxes)), corners(xywh_array([box for _, box in columns]))
+        )
         best = np.argmax(overlap, axis=1)
         covering[frame] = [
             columns[j][0] if overlap[i, j] >= iou_threshold else None

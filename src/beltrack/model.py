@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -79,17 +79,25 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return inter / (area_a + area_b - inter)
 
 
-def iou_matrix(rows: list[BoundingBox], cols: list[BoundingBox]) -> np.ndarray:
-    """Pairwise IoU between two box lists, shape (len(rows), len(cols))."""
-    if not rows or not cols:
-        return np.zeros((len(rows), len(cols)))
-    ra = np.array([(b.x, b.y, b.right, b.bottom) for b in rows])
-    ca = np.array([(b.x, b.y, b.right, b.bottom) for b in cols])
-    iw = np.minimum(ra[:, None, 2], ca[None, :, 2]) - np.maximum(ra[:, None, 0], ca[None, :, 0])
-    ih = np.minimum(ra[:, None, 3], ca[None, :, 3]) - np.maximum(ra[:, None, 1], ca[None, :, 1])
-    inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    area_r = (ra[:, 2] - ra[:, 0]) * (ra[:, 3] - ra[:, 1])
-    area_c = (ca[:, 2] - ca[:, 0]) * (ca[:, 3] - ca[:, 1])
+def xywh_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
+    """The boxes as an (n, 4) array of (x, y, w, h) rows."""
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
+
+
+def corners(xywh: np.ndarray) -> np.ndarray:
+    """(n, 4) (x, y, w, h) rows as (x, y, right, bottom) corner rows."""
+    out = xywh.copy()
+    out[:, 2:] += xywh[:, :2]
+    return out
+
+
+def iou_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Pairwise IoU between two (n, 4) corner arrays, shape (len(rows), len(cols))."""
+    iw = np.minimum(rows[:, None, 2], cols[None, :, 2]) - np.maximum(rows[:, None, 0], cols[None, :, 0])
+    ih = np.minimum(rows[:, None, 3], cols[None, :, 3]) - np.maximum(rows[:, None, 1], cols[None, :, 1])
+    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    area_r = (rows[:, 2] - rows[:, 0]) * (rows[:, 3] - rows[:, 1])
+    area_c = (cols[:, 2] - cols[:, 0]) * (cols[:, 3] - cols[:, 1])
     return inter / (area_r[:, None] + area_c[None, :] - inter)
 
 
@@ -179,11 +187,14 @@ class Track:
     per-frame category predictions recorded while the track was matched.
 
     Mutated only by the tracker; treat instances obtained from
-    ``ByteTracker.finalize`` as read-only snapshots.
+    ``ByteTracker.finalize`` as read-only snapshots. The tracker steps the
+    filters of live tracks as one batch, so ``state`` is a snapshot of this
+    track's filter: written when the track is removed, and for live tracks
+    on each ``finalize``; None before either.
     """
 
     id: int
-    state: "KalmanState"
+    state: "KalmanState | None"
     status: TrackStatus
     last_update_frame: int
     hit_count: int = 1

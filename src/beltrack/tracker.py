@@ -11,16 +11,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .assignment import build_cost_matrix, solve_assignment
 from .errors import ConfigError
 from .kalman import (
     FilterDiverged,
+    KalmanState,
+    decode_boxes,
     kf_initiate,
     kf_predict,
     kf_update,
-    state_to_box,
 )
-from .model import BoundingBox, Detection, FrameDetections, Track, TrackStatus
+from .model import (
+    BoundingBox,
+    Detection,
+    FrameDetections,
+    Track,
+    TrackStatus,
+    corners,
+    xywh_array,
+)
 
 
 @dataclass(frozen=True)
@@ -86,6 +97,10 @@ class ByteTracker:
     """Stateful per-video tracker. Feed frames in strictly increasing order
     via :meth:`step`, then collect every track with :meth:`finalize`.
 
+    The Kalman filters of the live tracks are kept as one batch (row i of
+    the state arrays belongs to the i-th live track), so each frame makes
+    one predict call and one update call however many tracks are live.
+
     One instance per video stream; calls must be externally serialized.
     """
 
@@ -93,6 +108,7 @@ class ByteTracker:
         self.config = config if config is not None else TrackerConfig()
         self._tracks: list[Track] = []  # every track ever created, in spawn order
         self._live: list[Track] = []  # the tracks not yet removed, in spawn order
+        self._state = KalmanState(mean=np.zeros((0, 8)), covariance=np.zeros((0, 8, 8)))
         self._next_id = 1
         self._last_frame: int | None = None
 
@@ -101,9 +117,9 @@ class ByteTracker:
 
         Stages: split detections by score, predict all live tracks forward,
         match high detections against every non-removed track, match low
-        detections against the remaining active tracks, then demote the
-        unmatched, expire long-lost tracks, and spawn new ones from leftover
-        confident detections.
+        detections against the remaining active tracks, update the matched
+        tracks, then demote the unmatched, expire long-lost tracks, and
+        spawn new ones from leftover confident detections.
         """
         if self._last_frame is not None and frame.frame_index <= self._last_frame:
             raise ValueError(
@@ -115,46 +131,56 @@ class ByteTracker:
         cfg = self.config
         removed_now: list[int] = []
 
-        high = [d for d in frame.detections if d.score >= cfg.high_score_threshold]
+        dets = frame.detections
+        det_boxes = xywh_array([d.box for d in dets])
+        det_corners = corners(det_boxes)
+        high = [i for i, d in enumerate(dets) if d.score >= cfg.high_score_threshold]
         low = [
-            d
-            for d in frame.detections
+            i
+            for i, d in enumerate(dets)
             if cfg.low_score_threshold <= d.score < cfg.high_score_threshold
         ]
 
-        # Each predicted box is decoded once: the decode that catches a
-        # diverged filter also feeds both association rounds.
-        pool: list[Track] = []
-        pool_boxes: list[BoundingBox] = []
-        for track in self._live:
-            track.state = kf_predict(track.state)
-            try:
-                pool_boxes.append(state_to_box(track.state))
-            except FilterDiverged:
+        # A filter whose prediction no longer encodes a box is removed on its
+        # own; the predicted boxes of the rest feed both association rounds.
+        if self._live:
+            self._state = kf_predict(self._state)
+        pool_boxes, valid = decode_boxes(self._state.mean)
+        if not valid.all():
+            for row in np.flatnonzero(~valid):
+                track = self._live[row]
                 track.status = TrackStatus.REMOVED
                 removed_now.append(track.id)
-                continue
-            pool.append(track)
+            self._drop_removed()
+            pool_boxes = pool_boxes[valid]
+        pool = self._live
+        pool_corners = corners(pool_boxes)
 
         # First round: every live track vs confident detections.
-        costs = build_cost_matrix(pool_boxes, [d.box for d in high])
+        costs = build_cost_matrix(pool_corners, det_corners[high])
         first = solve_assignment(costs, cfg.match_threshold_first)
-        for ti, di in first.matches:
-            self._apply_match(pool[ti], high[di], t)
 
         # Second round: still-unmatched active tracks vs low-confidence
         # detections. Lost and tentative tracks sit this one out.
         leftover_rows = [
             i for i in first.unmatched_tracks if pool[i].status is TrackStatus.ACTIVE
         ]
-        leftovers = [pool[i] for i in leftover_rows]
-        costs = build_cost_matrix([pool_boxes[i] for i in leftover_rows], [d.box for d in low])
+        costs = build_cost_matrix(pool_corners[leftover_rows], det_corners[low])
         second = solve_assignment(costs, cfg.match_threshold_second)
-        for ti, di in second.matches:
-            self._apply_match(leftovers[ti], low[di], t)
+
+        # One update for the matches of both rounds. Round 2 scores only
+        # tracks round 1 left unmatched, on their predicted boxes, so
+        # deferring round 1's updates to here changes nothing.
+        matched = [(ti, high[di]) for ti, di in first.matches]
+        matched += [(leftover_rows[ti], low[di]) for ti, di in second.matches]
+        if matched:
+            rows, det_rows = (list(column) for column in zip(*matched))
+            boxes = self._update(rows, det_boxes[det_rows])
+            for row, di, box in zip(rows, det_rows, boxes):
+                self._apply_match(pool[row], dets[di], BoundingBox(*box), t)
 
         # Lifecycle for everything that found no detection this frame.
-        unmatched = [leftovers[i] for i in second.unmatched_tracks]
+        unmatched = [pool[leftover_rows[i]] for i in second.unmatched_tracks]
         unmatched += [
             pool[i] for i in first.unmatched_tracks if pool[i].status is not TrackStatus.ACTIVE
         ]
@@ -170,16 +196,17 @@ class ByteTracker:
             ):
                 track.status = TrackStatus.REMOVED
                 removed_now.append(track.id)
-
         if removed_now:
-            self._live = [tr for tr in self._live if tr.status is not TrackStatus.REMOVED]
+            self._drop_removed()
 
         # Spawn new tracks from confident detections nothing claimed.
-        for di in first.unmatched_detections:
-            det = high[di]
-            if det.score < cfg.spawn_score:
-                continue
-            self._spawn(det, t)
+        spawn = [
+            high[di]
+            for di in first.unmatched_detections
+            if dets[high[di]].score >= cfg.spawn_score
+        ]
+        if spawn:
+            self._spawn([dets[di] for di in spawn], det_boxes[spawn], t)
 
         active = tuple(
             (tr.id, tr.history[-1][1])
@@ -194,40 +221,81 @@ class ByteTracker:
 
     def finalize(self) -> list[Track]:
         """All tracks ever created (removed ones included), longest-lived
-        lifecycle state preserved, filtered by the configured minimum length."""
+        lifecycle state preserved, filtered by the configured minimum length.
+
+        Each live track's ``state`` is set to a snapshot of its filter."""
+        for row, track in enumerate(self._live):
+            track.state = self._snapshot(row)
         return [
             tr for tr in self._tracks if len(tr.history) >= self.config.min_track_length_report
         ]
 
-    def _apply_match(self, track: Track, det: Detection, t: int):
-        track.state = kf_update(track.state, det.box)
+    def _snapshot(self, row: int) -> KalmanState:
+        return KalmanState(
+            mean=self._state.mean[row].copy(), covariance=self._state.covariance[row].copy()
+        )
+
+    def _drop_removed(self):
+        """Take removed tracks out of the batch, leaving each its last state."""
+        keep = [tr.status is not TrackStatus.REMOVED for tr in self._live]
+        for row, (track, kept) in enumerate(zip(self._live, keep)):
+            if not kept:
+                track.state = self._snapshot(row)
+        self._live = [tr for tr, kept in zip(self._live, keep) if kept]
+        self._state = KalmanState(
+            mean=self._state.mean[keep], covariance=self._state.covariance[keep]
+        )
+
+    def _update(self, rows: list[int], observed: np.ndarray) -> list[list[float]]:
+        """Fuse one observed (x, y, w, h) box into each given row's filter and
+        return the updated boxes, in row order."""
+        posterior = kf_update(
+            KalmanState(mean=self._state.mean[rows], covariance=self._state.covariance[rows]),
+            observed,
+        )
+        boxes, valid = decode_boxes(posterior.mean)
+        if not valid.all():
+            ids = [self._live[row].id for row, ok in zip(rows, valid) if not ok]
+            raise FilterDiverged(f"update left tracks {ids} without a valid box")
+        self._state.mean[rows] = posterior.mean
+        self._state.covariance[rows] = posterior.covariance
+        return boxes.tolist()
+
+    def _apply_match(self, track: Track, det: Detection, box: BoundingBox, t: int):
         track.hit_count += 1
         if track.status is TrackStatus.TENTATIVE:
             if track.hit_count >= self.config.min_hits_to_activate:
                 track.status = TrackStatus.ACTIVE
         else:
             track.status = TrackStatus.ACTIVE
-        track.history.append((t, state_to_box(track.state)))
+        track.history.append((t, box))
         if det.category_observation is not None:
             track.predictions.append((t, det.category_observation))
         track.last_update_frame = t
 
-    def _spawn(self, det: Detection, t: int):
+    def _spawn(self, dets: list[Detection], boxes: np.ndarray, t: int):
+        """Start one track per detection, with filters from one initiate call."""
+        born = kf_initiate(boxes)
+        self._state = KalmanState(
+            mean=np.concatenate([self._state.mean, born.mean]),
+            covariance=np.concatenate([self._state.covariance, born.covariance]),
+        )
         status = (
             TrackStatus.ACTIVE
             if self.config.min_hits_to_activate <= 1
             else TrackStatus.TENTATIVE
         )
-        track = Track(
-            id=self._next_id,
-            state=kf_initiate(det.box),
-            status=status,
-            last_update_frame=t,
-            hit_count=1,
-        )
-        track.history.append((t, state_to_box(track.state)))
-        if det.category_observation is not None:
-            track.predictions.append((t, det.category_observation))
-        self._next_id += 1
-        self._tracks.append(track)
-        self._live.append(track)
+        for det, box in zip(dets, decode_boxes(born.mean)[0].tolist()):
+            track = Track(
+                id=self._next_id,
+                state=None,
+                status=status,
+                last_update_frame=t,
+                hit_count=1,
+            )
+            track.history.append((t, BoundingBox(*box)))
+            if det.category_observation is not None:
+                track.predictions.append((t, det.category_observation))
+            self._next_id += 1
+            self._tracks.append(track)
+            self._live.append(track)

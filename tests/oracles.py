@@ -3,14 +3,46 @@
 IoU by counting raster cells and assignment by exhaustive permutation
 search share no code with the package. The metric references are plain
 loops over the pairwise ``iou``, checked against the package's
-``iou_matrix`` versions.
+``iou_matrix`` versions. The Kalman references step one filter with dense
+8x8 matrix products, checked against the package's batched filter.
 """
 
 from itertools import permutations
 
 import numpy as np
 
-from beltrack import BoundingBox, iou
+from beltrack import BoundingBox, KalmanState, iou
+
+# The filter's fixed noise weights (ByteTrack's), restated for the references.
+_POSITION_STD = 1.0 / 20
+_VELOCITY_STD = 1.0 / 160
+_MEASUREMENT_STD = 1.0 / 20
+_F = np.eye(8)
+_F[:4, 4:] = np.eye(4)
+_H = np.eye(4, 8)
+
+
+def kf_predict_reference(state: KalmanState) -> KalmanState:
+    """One filter's predict as the dense product F P F^T + Q."""
+    h = state.mean[3]
+    q_std = np.array([_POSITION_STD * h] * 4 + [_VELOCITY_STD * h] * 4)
+    mean = _F @ state.mean
+    covariance = _F @ state.covariance @ _F.T + np.diag(q_std**2)
+    return KalmanState(mean=mean, covariance=0.5 * (covariance + covariance.T))
+
+
+def kf_update_reference(state: KalmanState, observed: BoundingBox) -> KalmanState:
+    """One filter's Joseph-form measurement update with dense matrices."""
+    h = state.mean[3]
+    r = np.diag(np.full(4, (_MEASUREMENT_STD * h) ** 2))
+    measurement = np.array([observed.cx, observed.cy, observed.w / observed.h, observed.h])
+    innovation = measurement - _H @ state.mean
+    s = _H @ state.covariance @ _H.T + r
+    gain = np.linalg.solve(s.T, (_H @ state.covariance)).T
+    mean = state.mean + gain @ innovation
+    i_kh = np.eye(8) - gain @ _H
+    covariance = i_kh @ state.covariance @ i_kh.T + gain @ r @ gain.T
+    return KalmanState(mean=mean, covariance=0.5 * (covariance + covariance.T))
 
 
 def pixel_iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -85,8 +117,11 @@ def covering_tracks_reference(tracks, gt, iou_threshold=0.5):
 
 def detection_map_reference(dets, gt, iou_threshold=0.5):
     """``metrics.detection_map`` as a loop: one sweep over all detections in
-    descending score order, each taking the best still-free truth box."""
-    gt_boxes = {f.frame_index: [d.box for d in f.detections] for f in gt}
+    descending score order, each taking the best still-free truth box.
+    Several ``gt`` entries for one frame pool their boxes."""
+    gt_boxes = {}
+    for f in gt:
+        gt_boxes.setdefault(f.frame_index, []).extend(d.box for d in f.detections)
     n_gt = sum(len(boxes) for boxes in gt_boxes.values())
     flat = [(det.score, f.frame_index, det.box) for f in dets for det in f.detections]
     flat.sort(key=lambda item: -item[0])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from beltrack import BoundingBox, build_cost_matrix, solve_assignment
+from beltrack.model import corners, xywh_array
 
 from oracles import brute_force_assignment
 
@@ -17,22 +18,26 @@ def assert_partition(result, n_rows, n_cols):
     assert sorted(cols) == list(range(n_cols))
 
 
+def cost_matrix(track_boxes, det_boxes):
+    return build_cost_matrix(corners(xywh_array(track_boxes)), corners(xywh_array(det_boxes)))
+
+
 class TestBuildCostMatrix:
     def test_identical_boxes_cost_zero(self):
         box = BoundingBox(0, 0, 2, 2)
-        assert build_cost_matrix([box], [box])[0, 0] == 0.0
+        assert cost_matrix([box], [box])[0, 0] == 0.0
 
     def test_disjoint_boxes_cost_one(self):
-        costs = build_cost_matrix([BoundingBox(0, 0, 1, 1)], [BoundingBox(9, 9, 1, 1)])
+        costs = cost_matrix([BoundingBox(0, 0, 1, 1)], [BoundingBox(9, 9, 1, 1)])
         assert costs[0, 0] == 1.0
 
     def test_partial_overlap(self):
-        costs = build_cost_matrix([BoundingBox(0, 0, 2, 2)], [BoundingBox(1, 0, 2, 2)])
+        costs = cost_matrix([BoundingBox(0, 0, 2, 2)], [BoundingBox(1, 0, 2, 2)])
         assert costs[0, 0] == pytest.approx(2 / 3, abs=1e-12)
 
     def test_empty_inputs(self):
-        assert build_cost_matrix([], []).shape == (0, 0)
-        assert build_cost_matrix([], [BoundingBox(0, 0, 1, 1)]).shape == (0, 1)
+        assert cost_matrix([], []).shape == (0, 0)
+        assert cost_matrix([], [BoundingBox(0, 0, 1, 1)]).shape == (0, 1)
 
 
 class TestSolveAssignment:

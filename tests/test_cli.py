@@ -1,8 +1,10 @@
 import argparse
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +214,13 @@ class TestReport:
             ('{"track_id": 1, "binary": "defect"}', "missing field 'k'"),
             ('{"track_id": 1, "binary": "bad", "k": 3}', "'binary' must be normal or defect"),
             ('{"track_id": 1, "binary": "defect", "k": "3"}', "'binary' must be normal or defect"),
+            *(
+                (
+                    f'{{"track_id": 1, "binary": "defect", "k": 3, "stability_frame_wise": {value}}}',
+                    "'stability_frame_wise' must be a finite number",
+                )
+                for value in ('"0.5"', "null", "true", "NaN", "Infinity")
+            ),
         ],
     )
     def test_malformed_verdict_line_is_input_error(self, tmp_path, capsys, bad_line, message):
@@ -237,9 +246,14 @@ class TestMotInput:
 
 class TestInstalledEntryPoint:
     def test_console_script_help(self):
+        # The child imports the same beltrack sources as this test run.
+        source_root = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [source_root, os.environ.get("PYTHONPATH")])
+        )}
         result = subprocess.run(
             [sys.executable, "-m", "beltrack.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0
         assert "track" in result.stdout and "simulate" in result.stdout

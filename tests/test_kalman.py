@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beltrack import (
     BoundingBox,
     FilterDiverged,
     KalmanState,
+    decode_boxes,
     kf_initiate,
     kf_predict,
     kf_update,
     state_to_box,
 )
+
+from oracles import kf_predict_reference, kf_update_reference
 
 
 def random_box(rng):
@@ -148,3 +153,79 @@ class TestConstantVelocityTracking:
         truth = box_at(11)
         assert abs(predicted.cx - truth.cx) < 0.5
         assert abs(predicted.cy - truth.cy) < 0.5
+
+
+# Filters in realistic states: started on one box, then a few predict/update
+# cycles of the dense single-filter reference on the following boxes.
+box_tuples = st.tuples(
+    st.floats(0, 300), st.floats(0, 300), st.floats(4, 90), st.floats(4, 90)
+)
+filter_stacks = st.lists(st.lists(box_tuples, min_size=1, max_size=4), min_size=1, max_size=6)
+
+
+def reference_states(histories):
+    states = []
+    for boxes in histories:
+        state = kf_initiate(BoundingBox(*boxes[0]))
+        for box in boxes[1:]:
+            state = kf_update_reference(kf_predict_reference(state), BoundingBox(*box))
+        states.append(state)
+    return states
+
+
+def stacked(states):
+    return KalmanState(
+        mean=np.stack([s.mean for s in states]),
+        covariance=np.stack([s.covariance for s in states]),
+    )
+
+
+class TestBatchedFilterMatchesSingleFilterReference:
+    @settings(max_examples=200, deadline=None)
+    @given(histories=filter_stacks)
+    def test_predict_is_exact(self, histories):
+        states = reference_states(histories)
+        batch = kf_predict(stacked(states))
+        for i, state in enumerate(states):
+            reference = kf_predict_reference(state)
+            assert np.array_equal(batch.mean[i], reference.mean)
+            assert np.array_equal(batch.covariance[i], reference.covariance)
+
+    @settings(max_examples=200, deadline=None)
+    @given(histories=filter_stacks, data=st.data())
+    def test_update_within_rel_1e_12(self, histories, data):
+        priors = [kf_predict_reference(s) for s in reference_states(histories)]
+        observed = [data.draw(box_tuples) for _ in priors]
+        batch = kf_update(stacked(priors), np.array(observed))
+        for i, (prior, box) in enumerate(zip(priors, observed)):
+            reference = kf_update_reference(prior, BoundingBox(*box))
+            for got, want in ((batch.mean[i], reference.mean),
+                              (batch.covariance[i], reference.covariance)):
+                scale = np.max(np.abs(want))
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(-50, 50), st.floats(-50, 50),
+                st.sampled_from([-1.0, -0.0, 0.0, 1e-6, 0.5, 2.0]),
+                st.sampled_from([-3.0, -0.0, 0.0, 1e-6, 1.0, 40.0]),
+            ),
+            min_size=1, max_size=8,
+        )
+    )
+    def test_decode_flags_exactly_the_rows_without_a_box(self, rows):
+        mean = np.zeros((len(rows), 8))
+        mean[:, :4] = rows
+        boxes, valid = decode_boxes(mean)
+        for i, (_, _, aspect, height) in enumerate(rows):
+            state = KalmanState(mean=mean[i], covariance=np.eye(8))
+            if aspect <= 0 or height <= 0:
+                assert not valid[i]
+                with pytest.raises(FilterDiverged):
+                    state_to_box(state)
+            else:
+                assert valid[i]
+                box = state_to_box(state)
+                assert [box.x, box.y, box.w, box.h] == boxes[i].tolist()

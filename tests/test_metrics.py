@@ -156,6 +156,16 @@ class TestDetectionMap:
         dets = detection_frames([(0, 0, 0, 10, 10, 0.9)])
         assert detection_map(dets, gt) == 0.5
 
+    def test_truth_split_over_entries_for_one_frame(self):
+        # Two frame-0 truth entries: both boxes count, so both detections match.
+        gt = [
+            FrameDetections(0, [Detection(0, BoundingBox(0, 0, 10, 10), 1.0)]),
+            FrameDetections(0, [Detection(0, BoundingBox(50, 50, 10, 10), 1.0)]),
+        ]
+        dets = detection_frames([(0, 0, 0, 10, 10, 0.9), (0, 50, 50, 10, 10, 0.8)])
+        assert detection_map(dets, gt) == 1.0
+        assert detection_map_reference(dets, gt) == 1.0
+
     def test_no_ground_truth_rejected(self):
         dets = detection_frames([(0, 0, 0, 10, 10, 0.9)])
         with pytest.raises(ValueError):
@@ -305,20 +315,22 @@ class TestOverlapKernelMatchesScalarLoops:
             )),
             max_size=6,
         ),
-        truth=st.dictionaries(st.integers(0, 3), st.lists(grid_boxes, max_size=4), min_size=1),
+        truth=st.lists(
+            st.tuples(st.integers(0, 3), st.lists(grid_boxes, max_size=4)), min_size=1
+        ),
         threshold=thresholds,
     )
     def test_detection_map(self, dets, truth, threshold):
-        # a frame may come in more than one FrameDetections entry
+        # a frame may come in more than one FrameDetections entry, in both
         det_frames = [
             FrameDetections(frame, [Detection(frame, box, score) for box, score in entries])
             for frame, entries in dets
         ]
         gt_frames = [
             FrameDetections(frame, [Detection(frame, box, 1.0) for box in boxes])
-            for frame, boxes in truth.items()
+            for frame, boxes in truth
         ]
-        if not any(truth.values()):
+        if not any(boxes for _, boxes in truth):
             with pytest.raises(ValueError):
                 detection_map(det_frames, gt_frames, threshold)
             return

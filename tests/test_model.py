@@ -12,7 +12,7 @@ from beltrack import (
     iou,
     to_binary,
 )
-from beltrack.model import BRUISE, FRESH, ROT, SCAB, iou_matrix
+from beltrack.model import BRUISE, FRESH, ROT, SCAB, corners, iou_matrix, xywh_array
 
 from oracles import pixel_iou
 
@@ -79,14 +79,15 @@ class TestIou:
         rng = np.random.default_rng(3)
         rows = [BoundingBox(*rng.uniform(0, 30, 2), *rng.uniform(1, 20, 2)) for _ in range(5)]
         cols = [BoundingBox(*rng.uniform(0, 30, 2), *rng.uniform(1, 20, 2)) for _ in range(7)]
-        matrix = iou_matrix(rows, cols)
+        matrix = iou_matrix(corners(xywh_array(rows)), corners(xywh_array(cols)))
         for i, a in enumerate(rows):
             for j, b in enumerate(cols):
                 assert matrix[i, j] == pytest.approx(iou(a, b), abs=1e-12)
 
     def test_iou_matrix_empty(self):
-        assert iou_matrix([], []).shape == (0, 0)
-        assert iou_matrix([BoundingBox(0, 0, 1, 1)], []).shape == (1, 0)
+        empty = corners(xywh_array([]))
+        assert iou_matrix(empty, empty).shape == (0, 0)
+        assert iou_matrix(corners(xywh_array([BoundingBox(0, 0, 1, 1)])), empty).shape == (1, 0)
 
 
 class TestCategories:

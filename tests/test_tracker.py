@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from beltrack import (
@@ -8,6 +9,10 @@ from beltrack import (
     FrameDetections,
     TrackerConfig,
     TrackStatus,
+    kf_initiate,
+    kf_predict,
+    kf_update,
+    state_to_box,
 )
 from beltrack.model import FRESH, ROT
 from beltrack.pipeline import run_stream
@@ -119,6 +124,44 @@ class TestDivergence:
         assert track.state is removed_state  # never predicted after removal
         assert track.status is TrackStatus.REMOVED
         assert [f for f, _ in track.history] == list(range(6))
+
+    def test_divergence_removes_one_track_of_the_batch(self):
+        # Track 1 shrinks and then coasts into a negative height, as above,
+        # while tracks 2 and 3 are matched on every frame of the same batch.
+        def steady(t, x0):
+            return BoundingBox(x0 + 2.0 * t, 100.0, 30.0, 30.0)
+
+        tracker = ByteTracker()
+        diverged_at = None
+        for t in range(16):
+            entries = [(steady(t, 300.0), 0.9, FRESH), (steady(t, 500.0), 0.9, ROT)]
+            if t < 6:
+                size = 60.0 - 8.0 * t
+                entries.insert(0, (BoundingBox(100.0, 100.0, size, size), 0.9, FRESH))
+            out = tracker.step(frame_with(t, *entries))
+            if out.newly_removed_track_ids:
+                assert diverged_at is None
+                diverged_at = t
+                assert out.newly_removed_track_ids == (1,)
+            assert [tid for tid, _ in out.active_tracks] == ([1, 2, 3] if t < 6 else [2, 3])
+        assert diverged_at is not None
+
+        tracks = tracker.finalize()
+        assert [tr.id for tr in tracks] == [1, 2, 3]
+        assert tracks[0].status is TrackStatus.REMOVED
+        assert tracks[0].state.mean[3] <= 0.0
+        for track, x0 in zip(tracks[1:], (300.0, 500.0)):
+            assert track.status is TrackStatus.ACTIVE
+            assert [f for f, _ in track.history] == list(range(16))
+            # The finalized state is the filter after the last update: it
+            # decodes to the last history box and equals one filter stepped
+            # on its own through the same detections.
+            assert state_to_box(track.state) == track.history[-1][1]
+            alone = kf_initiate(steady(0, x0))
+            for t in range(1, 16):
+                alone = kf_update(kf_predict(alone), steady(t, x0))
+            assert np.allclose(track.state.mean, alone.mean, rtol=1e-12, atol=0.0)
+            assert np.allclose(track.state.covariance, alone.covariance, rtol=1e-12, atol=1e-15)
 
 
 class TestLostRecovery:
