@@ -22,7 +22,8 @@ from .model import BoundingBox, xywh_array
 
 
 class FilterDiverged(ValueError):
-    """State no longer encodes a valid box (aspect or height dropped to <= 0)."""
+    """State no longer encodes a valid box (aspect or height dropped to <= 0,
+    or the box is not finite)."""
 
 
 # Per-frame noise scales, each multiplied by the current box height; the
@@ -109,12 +110,13 @@ def kf_update(state: KalmanState, observed: BoundingBox | np.ndarray) -> KalmanS
 
 def decode_boxes(mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decode states (..., 8) to (x, y, w, h) boxes (..., 4), the inverse of
-    the initiate encoding, plus a mask that is False where the aspect or the
-    height dropped to <= 0, so the row encodes no box."""
+    the initiate encoding, plus a mask that is False where the row encodes no
+    box: the aspect or the height is not > 0, or the box is not finite."""
     boxes = mean[..., :4].copy()
     boxes[..., 2] *= mean[..., 3]
     boxes[..., :2] -= boxes[..., 2:] / 2.0
-    return boxes, ~(mean[..., 2:4] <= 0).any(axis=-1)
+    valid = np.minimum(mean[..., 2], mean[..., 3]) > 0  # False for nan as well
+    return boxes, valid & np.logical_and.reduce(np.isfinite(boxes), axis=-1)
 
 
 def state_to_box(state: KalmanState) -> BoundingBox:

@@ -14,15 +14,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .aggregation import TrackVerdict, frame_wise_verdicts
-from .model import (
-    BinaryQuality,
-    BoundingBox,
-    FrameDetections,
-    Track,
-    corners,
-    iou_matrix,
-    xywh_array,
-)
+from .model import BinaryQuality, FrameDetections, Track, corners, frame_runs, iou_matrix
 from .simulate import SceneGroundTruth
 
 FrameChoice = Literal["last", "first", "random"]
@@ -131,46 +123,57 @@ def detection_map(
     box, so each frame's detections are swept on their own. Several ``gt``
     entries for one frame count as one frame holding all their boxes.
     """
-    gt_boxes: dict[int, list[BoundingBox]] = {}
-    for f in gt:
-        gt_boxes.setdefault(f.frame_index, []).extend(d.box for d in f.detections)
-    n_gt = sum(len(boxes) for boxes in gt_boxes.values())
-    if n_gt == 0:
+    gt_frames, gt_boxes, _ = _columns(gt)
+    if len(gt_frames) == 0:
         raise ValueError("average precision is undefined without ground-truth boxes")
+    pooled = np.argsort(gt_frames, kind="stable")
+    truth = _frame_slices(gt_frames[pooled], corners(gt_boxes[pooled]))
 
-    flat = [(det.score, f.frame_index, det.box) for f in dets for det in f.detections]
-    flat.sort(key=lambda item: -item[0])
-    ranks_by_frame: dict[int, list[int]] = {}
-    for k, (_, frame, _) in enumerate(flat):
-        ranks_by_frame.setdefault(frame, []).append(k)
-
-    tp = np.zeros(len(flat))
-    for frame, ranks in ranks_by_frame.items():
-        truth = gt_boxes.get(frame)
-        if not truth:
+    frames, boxes, scores = _columns(dets)
+    order = np.argsort(-scores, kind="stable")  # sweep order: k-th entry has rank k
+    ranked_frames = frames[order]
+    # Ranks grouped by frame, ascending within each frame.
+    by_frame = np.argsort(ranked_frames, kind="stable")
+    tp = np.zeros(len(order))
+    for frame, ranks in _frame_slices(ranked_frames[by_frame], by_frame).items():
+        truth_corners = truth.get(frame)
+        if truth_corners is None:
             continue
-        overlap = iou_matrix(
-            corners(xywh_array([flat[k][2] for k in ranks])), corners(xywh_array(truth))
-        )
+        overlap = iou_matrix(corners(boxes[order[ranks]]), truth_corners)
         overlap[overlap < iou_threshold] = -1.0  # too little overlap to match
-        for row, k in enumerate(ranks):
-            j = int(np.argmax(overlap[row]))
+        # A row with no candidate now never gains one: columns only get taken.
+        for row in np.flatnonzero((overlap > 0.0).any(axis=1)).tolist():
+            j = overlap[row].argmax()
             if overlap[row, j] > 0.0:
-                tp[k] = 1.0
+                tp[ranks[row]] = 1.0
                 overlap[:, j] = -1.0  # this truth box is taken
 
     cum_tp = np.cumsum(tp)
     cum_fp = np.cumsum(1.0 - tp)
-    recall = cum_tp / n_gt
+    recall = cum_tp / len(gt_frames)
     precision = cum_tp / np.maximum(cum_tp + cum_fp, 1.0)
 
     # All-point interpolation: integrate the running precision envelope.
     mrec = np.concatenate(([0.0], recall, [1.0]))
-    mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(np.concatenate(([0.0], precision, [0.0]))[::-1])[::-1]
     steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
     return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
+
+
+def _columns(frames: Sequence[FrameDetections]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every detection of the frames, in order: frame index, box and score."""
+    counts = [len(f.scores) for f in frames]
+    return (
+        np.repeat(np.array([f.frame_index for f in frames], dtype=np.int64), counts),
+        np.concatenate([f.boxes for f in frames] or [np.zeros((0, 4))]),
+        np.concatenate([f.scores for f in frames] or [np.zeros(0)]),
+    )
+
+
+def _frame_slices(frame_column: np.ndarray, rows: np.ndarray) -> dict[int, np.ndarray]:
+    """frame -> its part of ``rows``, for an ascending frame column aligned
+    with ``rows``."""
+    return {frame: rows[a:b] for frame, a, b in frame_runs(frame_column)}
 
 
 def covering_tracks(
@@ -183,38 +186,45 @@ def covering_tracks(
     the true box with IoU at or above the threshold, best overlap winning and
     the lowest id breaking ties.
     """
-    candidates: dict[int, list[tuple[int, BoundingBox]]] = {}
-    for track in tracks:
-        for frame, box in track.history:
-            candidates.setdefault(frame, []).append((track.id, box))
-    truth: dict[int, list[BoundingBox]] = {}
-    for obj in gt.objects:
-        for frame, box in obj.boxes:
-            truth.setdefault(frame, []).append(box)
+    # Every track box, ordered by frame and then id, so that argmax's first
+    # maximum is the lowest id.
+    boxes = np.array(
+        [(frame, track.id, box.x, box.y, box.w, box.h)
+         for track in tracks for frame, box in track.history],
+        dtype=float,
+    ).reshape(-1, 6)
+    boxes = boxes[np.lexsort((boxes[:, 1], boxes[:, 0]))]
+    track_ids = boxes[:, 1].astype(np.int64)
+    track_corners = corners(boxes[:, 2:])
+    candidates = _frame_slices(boxes[:, 0].astype(np.int64), np.arange(len(boxes)))
 
-    # frame -> the covering track id (or None) of each truth box, in object order
-    covering: dict[int, list[int | None]] = {}
-    for frame, truth_boxes in truth.items():
-        # Columns in id order, so argmax's first maximum is the lowest id.
-        columns = sorted(candidates.get(frame, []), key=lambda c: c[0])
-        if not columns:
-            covering[frame] = [None] * len(truth_boxes)
+    # Every true box, object by object; covering[i] is the covering track of
+    # the i-th, -1 where none covers it.
+    truth = np.array(
+        [(frame, box.x, box.y, box.w, box.h) for obj in gt.objects for frame, box in obj.boxes],
+        dtype=float,
+    ).reshape(-1, 5)
+    truth_frames = truth[:, 0].astype(np.int64)
+    truth_corners = corners(truth[:, 1:])
+    covering = np.full(len(truth), -1, dtype=np.int64)
+    by_frame = np.argsort(truth_frames, kind="stable")
+    for frame, rows in _frame_slices(truth_frames[by_frame], by_frame).items():
+        columns = candidates.get(frame)
+        if columns is None:
             continue
-        overlap = iou_matrix(
-            corners(xywh_array(truth_boxes)), corners(xywh_array([box for _, box in columns]))
-        )
-        best = np.argmax(overlap, axis=1)
-        covering[frame] = [
-            columns[j][0] if overlap[i, j] >= iou_threshold else None
-            for i, j in enumerate(best.tolist())
-        ]
+        overlap = iou_matrix(truth_corners[rows], track_corners[columns])
+        best = overlap.argmax(axis=1)
+        hit = overlap[np.arange(len(rows)), best] >= iou_threshold
+        covering[rows[hit]] = track_ids[columns[best[hit]]]
 
     coverage: dict[int, list[int]] = {}
-    cursor = {frame: iter(ids) for frame, ids in covering.items()}
+    ids = covering.tolist()
+    start = 0
     for obj in gt.objects:
-        ids = [i for i in (next(cursor[frame]) for frame, _ in obj.boxes) if i is not None]
-        if ids:
-            coverage[obj.object_id] = ids
+        covered = [i for i in ids[start : start + len(obj.boxes)] if i >= 0]
+        start += len(obj.boxes)
+        if covered:
+            coverage[obj.object_id] = covered
     return coverage
 
 

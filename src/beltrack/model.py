@@ -1,7 +1,9 @@
 """Shared domain vocabulary: boxes, detections, categories, and tracks.
 
 Everything here is immutable value data except :class:`Track`, which is
-owned and mutated exclusively by the tracker.
+owned and mutated exclusively by the tracker. A frame's detections are held
+as columns (:class:`FrameDetections`); :class:`Detection` is the row type
+callers build frames from and read them back as.
 """
 
 from __future__ import annotations
@@ -9,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from functools import lru_cache
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -33,12 +36,24 @@ class BoundingBox:
     h: float
 
     def __post_init__(self):
+        # One test for the common case: the sum is finite exactly when every
+        # field and extent is (or an extent sum overflows; the checks below
+        # then settle it).
+        if self.w > 0 and self.h > 0 and math.isfinite(
+            self.x + self.w + self.y + self.h + self.w * self.h
+        ):
+            return
         for name in ("x", "y", "w", "h"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"box field {name!r} must be finite, got {value!r}")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box size must be positive, got w={self.w}, h={self.h}")
+        # Finite fields can still overflow: the tracker's overlap areas
+        # would then turn into inf and nan.
+        for name, value in (("right", self.right), ("bottom", self.bottom), ("area", self.area)):
+            if not math.isfinite(value):
+                raise ValueError(f"box {name} must be finite, got {value!r}")
 
     @property
     def right(self) -> float:
@@ -123,6 +138,12 @@ class CategoryLabel:
         return f"category_{self.index}"
 
 
+@lru_cache(maxsize=16)
+def category_labels(num_categories: int) -> tuple[CategoryLabel, ...]:
+    """The label of each category index, built once and shared."""
+    return tuple(CategoryLabel(index, num_categories) for index in range(num_categories))
+
+
 FRESH = CategoryLabel(0)
 BRUISE = CategoryLabel(1)
 ROT = CategoryLabel(2)
@@ -157,21 +178,182 @@ class Detection:
             raise ValueError(f"score must be in [0, 1], got {self.score}")
 
 
-@dataclass(frozen=True)
 class FrameDetections:
-    """All detections of a single frame."""
+    """All detections of a single frame, held as read-only columns:
+    ``boxes`` (n, 4) (x, y, w, h) rows, ``scores`` (n,) and ``categories``
+    (n,) category indices in [0, num_categories), -1 where a box has no
+    classifier label.
 
-    frame_index: int
-    detections: tuple[Detection, ...]
+    ``FrameDetections(frame, [Detection, ...])`` builds the columns from
+    checked rows, and ``detections`` gives the rows back. Equality and
+    pickling compare and carry the columns.
+    """
 
-    def __init__(self, frame_index: int, detections=()):
-        object.__setattr__(self, "frame_index", frame_index)
-        object.__setattr__(self, "detections", tuple(detections))
-        for det in self.detections:
+    __slots__ = ("frame_index", "boxes", "scores", "categories", "num_categories")
+
+    def __init__(self, frame_index: int, detections: Iterable[Detection] = ()):
+        rows = tuple(detections)
+        for det in rows:
             if det.frame_index != frame_index:
                 raise ValueError(
                     f"detection frame {det.frame_index} does not match frame {frame_index}"
                 )
+        counts = {
+            det.category_observation.num_categories
+            for det in rows
+            if det.category_observation is not None
+        }
+        if len(counts) > 1:
+            raise ValueError(f"frame {frame_index} mixes category counts {sorted(counts)}")
+        self._set_columns(
+            frame_index,
+            xywh_array([det.box for det in rows]),
+            np.array([det.score for det in rows], dtype=float),
+            np.array(
+                [
+                    -1 if det.category_observation is None else det.category_observation.index
+                    for det in rows
+                ],
+                dtype=np.int64,
+            ),
+            counts.pop() if counts else DEFAULT_NUM_CATEGORIES,
+        )
+
+    @classmethod
+    def _from_columns(
+        cls,
+        frame_index: int,
+        boxes: np.ndarray,
+        scores: np.ndarray,
+        categories: np.ndarray,
+        num_categories: int,
+    ) -> "FrameDetections":
+        """A frame over the given columns, neither copied nor checked (see
+        ``split_frames``, which checks them)."""
+        frame = cls.__new__(cls)
+        frame._set_columns(frame_index, boxes, scores, categories, num_categories)
+        return frame
+
+    def _set_columns(self, frame_index, boxes, scores, categories, num_categories):
+        for column in (boxes, scores, categories):
+            column.flags.writeable = False
+        for name, value in zip(
+            self.__slots__, (frame_index, boxes, scores, categories, num_categories)
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FrameDetections is immutable; cannot set {name!r}")
+
+    @property
+    def detections(self) -> tuple[Detection, ...]:
+        """The detections as checked rows, in column order."""
+        labels = category_labels(self.num_categories)
+        return tuple(
+            Detection(self.frame_index, BoundingBox(*box), score, None if c < 0 else labels[c])
+            for box, score, c in zip(
+                self.boxes.tolist(), self.scores.tolist(), self.categories.tolist()
+            )
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, FrameDetections):
+            return NotImplemented
+        # As for rows: the category count is part of a label, so it only
+        # matters where a row carries one.
+        return (
+            self.frame_index == other.frame_index
+            and np.array_equal(self.boxes, other.boxes)
+            and np.array_equal(self.scores, other.scores)
+            and np.array_equal(self.categories, other.categories)
+            and (self.num_categories == other.num_categories or not (self.categories >= 0).any())
+        )
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return (
+            FrameDetections._from_columns,
+            (self.frame_index, self.boxes, self.scores, self.categories, self.num_categories),
+        )
+
+    def __repr__(self):
+        return (
+            f"FrameDetections({self.frame_index}, boxes={self.boxes.tolist()}, "
+            f"scores={self.scores.tolist()}, categories={self.categories.tolist()}, "
+            f"num_categories={self.num_categories})"
+        )
+
+
+def detection_row(
+    frame_index: int,
+    box: Sequence[float],
+    score: float,
+    category: int,
+    num_categories: int,
+) -> Detection:
+    """One table row as a checked ``Detection``; category -1 is no label."""
+    label = None if category == -1 else CategoryLabel(category, num_categories)
+    return Detection(frame_index, BoundingBox(*box), score, label)
+
+
+def valid_detection_rows(
+    boxes: np.ndarray, scores: np.ndarray, categories: np.ndarray, num_categories: int
+) -> np.ndarray:
+    """Mask of the table rows ``detection_row`` accepts (given a valid frame
+    index), checked column by column."""
+    x, y, w, h = boxes.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        extent = np.stack([x + w, y + h, w * h], axis=1)
+    return (
+        np.isfinite(boxes).all(axis=1)
+        & (w > 0)
+        & (h > 0)
+        & np.isfinite(extent).all(axis=1)
+        & (scores >= 0.0)
+        & (scores <= 1.0)
+        & (categories >= -1)
+        & (categories < num_categories)
+    )
+
+
+def split_frames(
+    frame_indices: np.ndarray,
+    boxes: np.ndarray,
+    scores: np.ndarray,
+    categories: np.ndarray,
+    num_categories: int,
+) -> list[FrameDetections]:
+    """One frame per distinct frame index, in frame order, from a table of
+    detection rows (category -1: no label). The rows of a frame keep their
+    table order; the frames are views of one sorted copy.
+
+    Raises ``ValueError`` for the first row that ``detection_row`` rejects.
+    """
+    valid = valid_detection_rows(boxes, scores, categories, num_categories) & (frame_indices >= 0)
+    if not valid.all():
+        i = int(np.argmin(valid))
+        detection_row(
+            int(frame_indices[i]), boxes[i].tolist(), float(scores[i]),
+            int(categories[i]), num_categories,
+        )
+    order = np.argsort(frame_indices, kind="stable")
+    boxes, scores, categories = boxes[order], scores[order], categories[order]
+    return [
+        FrameDetections._from_columns(
+            frame, boxes[a:b], scores[a:b], categories[a:b], num_categories
+        )
+        for frame, a, b in frame_runs(frame_indices[order])
+    ]
+
+
+def frame_runs(frame_column: np.ndarray) -> list[tuple[int, int, int]]:
+    """(frame, start, stop) of each run of one frame index in an ascending
+    frame column."""
+    if len(frame_column) == 0:
+        return []
+    bounds = [0, *(np.flatnonzero(np.diff(frame_column)) + 1).tolist(), len(frame_column)]
+    return list(zip(frame_column[bounds[:-1]].tolist(), bounds, bounds[1:]))
 
 
 class TrackStatus(Enum):

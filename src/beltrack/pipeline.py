@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from .aggregation import TieBreak, TrackVerdict, majority_vote
 from .errors import ConfigError
 from .io import ingest_detections, ingest_mot, write_detections, write_ground_truth
@@ -29,7 +31,14 @@ from .metrics import (
     stability_report,
     switches_in,
 )
-from .model import Detection, FrameDetections, Track, to_binary
+from .model import (
+    DEFAULT_NUM_CATEGORIES,
+    FrameDetections,
+    Track,
+    split_frames,
+    to_binary,
+    xywh_array,
+)
 from .simulate import SceneGroundTruth, SimConfig, generate_scene
 from .tracker import ByteTracker, TrackerConfig
 
@@ -247,10 +256,7 @@ def evaluate_against_truth(
     labeled, verdicts = _vote(tracks, aggregation)
     voted = {track.id: (track, verdict) for track, verdict in zip(labeled, verdicts)}
 
-    gt_frames = [
-        FrameDetections(frame, [Detection(frame, box, 1.0) for box in boxes])
-        for frame, boxes in sorted(_boxes_by_frame(gt).items())
-    ]
+    gt_frames = _truth_frames(gt)
     ap = detection_map(frames, gt_frames, iou_threshold) if gt_frames else 0.0
 
     coverage = covering_tracks(tracks, gt, iou_threshold)
@@ -296,12 +302,18 @@ def evaluate_against_truth(
     )
 
 
-def _boxes_by_frame(gt: SceneGroundTruth) -> dict[int, list]:
-    by_frame: dict[int, list] = {}
-    for obj in gt.objects:
-        for frame, box in obj.boxes:
-            by_frame.setdefault(frame, []).append(box)
-    return by_frame
+def _truth_frames(gt: SceneGroundTruth) -> list[FrameDetections]:
+    """The true boxes as unlabeled score-1 detections, one frame per frame
+    index, each frame's boxes in object order."""
+    frames = [frame for obj in gt.objects for frame, _ in obj.boxes]
+    boxes = xywh_array([box for obj in gt.objects for _, box in obj.boxes])
+    return split_frames(
+        np.array(frames, dtype=np.int64),
+        boxes,
+        np.ones(len(frames)),
+        np.full(len(frames), -1, dtype=np.int64),
+        DEFAULT_NUM_CATEGORIES,
+    )
 
 
 def simulate_to_files(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .model import BoundingBox, CategoryLabel, Detection, FrameDetections
+from .model import BoundingBox, CategoryLabel, FrameDetections, split_frames
 
 
 @dataclass(frozen=True)
@@ -157,49 +157,45 @@ def generate_scene(config: SimConfig) -> tuple[SceneGroundTruth, list[FrameDetec
             GroundTruthObject(object_id=object_id, true_category=category, boxes=tuple(boxes))
         )
 
-    visible: dict[int, list[GroundTruthObject]] = {}
-    gt_box: dict[tuple[int, int], BoundingBox] = {}
+    # frame -> (true category, true box) of each object visible on it
+    visible: dict[int, list[tuple[int, BoundingBox]]] = {}
     for obj in objects:
         for frame, box in obj.boxes:
-            visible.setdefault(frame, []).append(obj)
-            gt_box[(obj.object_id, frame)] = box
+            visible.setdefault(frame, []).append((obj.true_category.index, box))
 
-    frames: list[FrameDetections] = []
+    # One (frame, x, y, w, h, score, category) row per detection, in stream order.
+    rows: list[tuple] = []
     last_frame = max(visible) if visible else -1
     n_frames = max(config.n_frames, last_frame + 1)
     for frame in range(n_frames):
-        detections = []
-        for obj in visible.get(frame, []):
+        for true_index, box in visible.get(frame, []):
             if config.detection_dropout_prob > 0 and rng.random() < config.detection_dropout_prob:
                 continue
-            box = gt_box[(obj.object_id, frame)]
+            x, y = box.x, box.y
             if config.bbox_jitter_std > 0:
                 dx, dy = rng.normal(0.0, config.bbox_jitter_std, size=2)
-                box = BoundingBox(x=box.x + dx, y=box.y + dy, w=box.w, h=box.h)
+                x, y = x + dx, y + dy
             score = float(np.clip(rng.normal(config.score_mean_true, config.score_std_true), 0.0, 1.0))
-            label = obj.true_category
+            index = true_index
             if config.label_flip_prob > 0 and rng.random() < config.label_flip_prob:
-                others = [c for c in range(config.num_categories) if c != label.index]
-                label = CategoryLabel(others[int(rng.integers(len(others)))], config.num_categories)
-            detections.append(
-                Detection(frame_index=frame, box=box, score=score, category_observation=label)
-            )
+                others = [c for c in range(config.num_categories) if c != true_index]
+                index = others[int(rng.integers(len(others)))]
+            rows.append((frame, x, y, box.w, box.h, score, index))
         if config.false_positive_rate > 0:
             for _ in range(int(rng.poisson(config.false_positive_rate))):
                 size = max(4.0, float(rng.normal(config.box_size_mean, max(config.box_size_std, 1.0))))
                 x = float(rng.uniform(0.0, max(config.frame_width - size, 1.0)))
                 y = float(rng.uniform(0.0, max(config.frame_height - size, 1.0)))
                 score = float(np.clip(rng.normal(config.score_mean_fp, config.score_std_fp), 0.0, 1.0))
-                label = CategoryLabel(int(rng.integers(config.num_categories)), config.num_categories)
-                detections.append(
-                    Detection(
-                        frame_index=frame,
-                        box=BoundingBox(x=x, y=y, w=size, h=size),
-                        score=score,
-                        category_observation=label,
-                    )
-                )
-        if detections:
-            frames.append(FrameDetections(frame, detections))
+                category = int(rng.integers(config.num_categories))
+                rows.append((frame, x, y, size, size, score, category))
 
+    table = np.array(rows, dtype=float).reshape(-1, 7)
+    frames = split_frames(
+        table[:, 0].astype(np.int64),
+        table[:, 1:5],
+        table[:, 5],
+        table[:, 6].astype(np.int64),
+        config.num_categories,
+    )
     return SceneGroundTruth(objects=tuple(objects)), frames

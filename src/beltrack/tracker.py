@@ -25,12 +25,12 @@ from .kalman import (
 )
 from .model import (
     BoundingBox,
-    Detection,
+    CategoryLabel,
     FrameDetections,
     Track,
     TrackStatus,
+    category_labels,
     corners,
-    xywh_array,
 )
 
 
@@ -131,14 +131,17 @@ class ByteTracker:
         cfg = self.config
         removed_now: list[int] = []
 
-        dets = frame.detections
-        det_boxes = xywh_array([d.box for d in dets])
+        det_boxes = frame.boxes
         det_corners = corners(det_boxes)
-        high = [i for i, d in enumerate(dets) if d.score >= cfg.high_score_threshold]
+        # A frame holds a few dozen detections: plain lists beat NumPy calls.
+        scores = frame.scores.tolist()
+        table = category_labels(frame.num_categories)
+        labels = [None if c < 0 else table[c] for c in frame.categories.tolist()]
+        high = [i for i, score in enumerate(scores) if score >= cfg.high_score_threshold]
         low = [
             i
-            for i, d in enumerate(dets)
-            if cfg.low_score_threshold <= d.score < cfg.high_score_threshold
+            for i, score in enumerate(scores)
+            if cfg.low_score_threshold <= score < cfg.high_score_threshold
         ]
 
         # A filter whose prediction no longer encodes a box is removed on its
@@ -177,7 +180,7 @@ class ByteTracker:
             rows, det_rows = (list(column) for column in zip(*matched))
             boxes = self._update(rows, det_boxes[det_rows])
             for row, di, box in zip(rows, det_rows, boxes):
-                self._apply_match(pool[row], dets[di], BoundingBox(*box), t)
+                self._apply_match(pool[row], labels[di], BoundingBox(*box), t)
 
         # Lifecycle for everything that found no detection this frame.
         unmatched = [pool[leftover_rows[i]] for i in second.unmatched_tracks]
@@ -203,10 +206,10 @@ class ByteTracker:
         spawn = [
             high[di]
             for di in first.unmatched_detections
-            if dets[high[di]].score >= cfg.spawn_score
+            if scores[high[di]] >= cfg.spawn_score
         ]
         if spawn:
-            self._spawn([dets[di] for di in spawn], det_boxes[spawn], t)
+            self._spawn([labels[di] for di in spawn], det_boxes[spawn], t)
 
         active = tuple(
             (tr.id, tr.history[-1][1])
@@ -261,7 +264,7 @@ class ByteTracker:
         self._state.covariance[rows] = posterior.covariance
         return boxes.tolist()
 
-    def _apply_match(self, track: Track, det: Detection, box: BoundingBox, t: int):
+    def _apply_match(self, track: Track, label: CategoryLabel | None, box: BoundingBox, t: int):
         track.hit_count += 1
         if track.status is TrackStatus.TENTATIVE:
             if track.hit_count >= self.config.min_hits_to_activate:
@@ -269,12 +272,12 @@ class ByteTracker:
         else:
             track.status = TrackStatus.ACTIVE
         track.history.append((t, box))
-        if det.category_observation is not None:
-            track.predictions.append((t, det.category_observation))
+        if label is not None:
+            track.predictions.append((t, label))
         track.last_update_frame = t
 
-    def _spawn(self, dets: list[Detection], boxes: np.ndarray, t: int):
-        """Start one track per detection, with filters from one initiate call."""
+    def _spawn(self, labels: list[CategoryLabel | None], boxes: np.ndarray, t: int):
+        """Start one track per detection box, with filters from one initiate call."""
         born = kf_initiate(boxes)
         self._state = KalmanState(
             mean=np.concatenate([self._state.mean, born.mean]),
@@ -285,7 +288,7 @@ class ByteTracker:
             if self.config.min_hits_to_activate <= 1
             else TrackStatus.TENTATIVE
         )
-        for det, box in zip(dets, decode_boxes(born.mean)[0].tolist()):
+        for label, box in zip(labels, decode_boxes(born.mean)[0].tolist()):
             track = Track(
                 id=self._next_id,
                 state=None,
@@ -294,8 +297,8 @@ class ByteTracker:
                 hit_count=1,
             )
             track.history.append((t, BoundingBox(*box)))
-            if det.category_observation is not None:
-                track.predictions.append((t, det.category_observation))
+            if label is not None:
+                track.predictions.append((t, label))
             self._next_id += 1
             self._tracks.append(track)
             self._live.append(track)

@@ -4,14 +4,27 @@ IoU by counting raster cells and assignment by exhaustive permutation
 search share no code with the package. The metric references are plain
 loops over the pairwise ``iou``, checked against the package's
 ``iou_matrix`` versions. The Kalman references step one filter with dense
-8x8 matrix products, checked against the package's batched filter.
+8x8 matrix products, checked against the package's batched filter. The
+ingest reference parses and checks one line at a time into ``Detection``
+rows, checked against the package's table-at-once parse.
 """
 
+import json
+import math
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 
-from beltrack import BoundingBox, KalmanState, iou
+from beltrack import (
+    BoundingBox,
+    CategoryLabel,
+    Detection,
+    FrameDetections,
+    InputError,
+    KalmanState,
+    iou,
+)
 
 # The filter's fixed noise weights (ByteTrack's), restated for the references.
 _POSITION_STD = 1.0 / 20
@@ -148,3 +161,64 @@ def detection_map_reference(dets, gt, iou_threshold=0.5):
         mpre[i] = max(mpre[i], mpre[i + 1])
     steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
     return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
+
+
+_DETECTION_FIELDS = ("frame", "x", "y", "w", "h", "score")
+
+
+def _whole_number(name, value):
+    if not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if abs(value) >= 2.0**63:
+        raise ValueError(f"{name} is out of range, got {value!r}")
+    return int(value)
+
+
+def _reference_detection(line, num_categories):
+    """One JSONL line as a checked ``Detection``, every check in the order
+    the package makes it."""
+    record = json.loads(line)
+    if not isinstance(record, dict):
+        raise ValueError("expected a JSON object")
+    for key in _DETECTION_FIELDS:
+        if key not in record:
+            raise ValueError(f"missing field {key!r}")
+    fields = {key: record[key] for key in _DETECTION_FIELDS}
+    if record.get("category") is not None:
+        fields["category"] = record["category"]
+    for key, value in fields.items():
+        if isinstance(value, bool):
+            raise ValueError(f"{key} must be a number, got {json.dumps(value)}")
+    numbers = {key: float(value) for key, value in fields.items()}
+    if "category" in numbers and math.isnan(numbers["category"]):
+        raise ValueError(f"category must be an integer, got {numbers['category']!r}")
+    frame = _whole_number("frame", numbers["frame"])
+    label = None
+    if "category" in numbers:
+        label = CategoryLabel(_whole_number("category", numbers["category"]), num_categories)
+    box = BoundingBox(numbers["x"], numbers["y"], numbers["w"], numbers["h"])
+    return Detection(frame, box, numbers["score"], label)
+
+
+def ingest_detections_reference(path, *, skip_malformed=False, num_categories=4):
+    """``io.ingest_detections`` as a per-line loop: each line is parsed and
+    checked on its own into a ``Detection``, then the rows are grouped by
+    frame in file order."""
+    path = Path(path)
+    detections = []
+    with path.open(encoding="utf-8") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                detections.append(_reference_detection(line, num_categories))
+            except json.JSONDecodeError as exc:
+                if not skip_malformed:
+                    raise InputError(f"{path}:{line_number}: invalid JSON ({exc.msg})") from exc
+            except (TypeError, ValueError, OverflowError) as exc:
+                if not skip_malformed:
+                    raise InputError(f"{path}:{line_number}: {exc}") from exc
+    grouped = {}
+    for det in detections:
+        grouped.setdefault(det.frame_index, []).append(det)
+    return [FrameDetections(frame, grouped[frame]) for frame in sorted(grouped)]

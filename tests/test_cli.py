@@ -62,6 +62,19 @@ class TestTrack:
     def test_missing_input_is_exit_code_1(self, tmp_path):
         assert run_cli("track", "--input", str(tmp_path / "missing.jsonl")) == 1
 
+    def test_overflowing_box_is_input_error_unless_skipped(self, tmp_path, capsys):
+        dets = tmp_path / "dets.jsonl"
+        lines = [
+            {"frame": t, "x": 5.0 * t, "y": 0.0, "w": 20.0, "h": 20.0, "score": 0.9, "category": 0}
+            for t in range(4)
+        ]
+        lines.insert(2, {**lines[1], "w": 1e200, "h": 1e200, "x": 100.0})
+        dets.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert run_cli("track", "--input", str(dets)) == 1
+        assert f"{dets}:3: box area must be finite" in capsys.readouterr().err
+        assert run_cli("track", "--input", str(dets), "--skip-malformed") == 0
+        assert capsys.readouterr().out.startswith("1 tracks (1 labeled)")
+
     def test_bad_tracker_config_is_exit_code_2(self, scene_files):
         dets, _ = scene_files
         code = run_cli("track", "--input", str(dets), "--high-score-threshold", "1.5")
@@ -162,6 +175,16 @@ class TestEvaluate:
             '{"frame": -1, "object_id": 1, "x": 0, "y": 0, "w": 5, "h": 5, "true_category": 0}\n'
         )
         assert run_cli("evaluate", "--detections", str(dets), "--truth", str(truth)) == 1
+
+
+    def test_out_of_range_truth_category_is_input_error(self, scene_files, tmp_path, capsys):
+        dets, _ = scene_files
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text(
+            '{"frame": 0, "object_id": 1, "x": 0, "y": 0, "w": 5, "h": 5, "true_category": 9}\n'
+        )
+        assert run_cli("evaluate", "--detections", str(dets), "--truth", str(truth)) == 1
+        assert f"{truth}:1: category index 9 out of range [0, 4)" in capsys.readouterr().err
 
 
 class TestConfigFlags:

@@ -73,6 +73,49 @@ class TestIngestDetections:
         with pytest.raises(InputError, match="not found"):
             ingest_detections(tmp_path / "nope.jsonl")
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"frame": "2.7"}, "frame must be an integer, got 2.7"),
+        ({"category": "1.5"}, "category must be an integer, got 1.5"),
+        ({"category": "NaN"}, "category must be an integer, got nan"),
+        ({"category": "-1"}, r"category index -1 out of range \[0, 4\)"),
+        ({"frame": "true"}, "frame must be a number, got true"),
+        ({"x": "false"}, "x must be a number, got false"),
+        ({"score": "true"}, "score must be a number, got true"),
+        ({"category": "true"}, "category must be a number, got true"),
+        ({"w": "1e200", "h": "1e200"}, "box area must be finite"),
+        ({"x": "1.7e308", "w": "1.7e308"}, "box right must be finite"),
+    ])
+    def test_coerced_or_overflowing_values_rejected(self, tmp_path, fields, message):
+        raw = {"frame": "2", "x": "0", "y": "0", "w": "5", "h": "5", "score": "0.9",
+               "category": "1", **fields}
+        path = tmp_path / "dets.jsonl"
+        write_lines(path, [
+            '{"frame": 0, "x": 0, "y": 0, "w": 5, "h": 5, "score": 0.9, "category": 0}',
+            "{" + ", ".join(f'"{key}": {value}' for key, value in raw.items()) + "}",
+        ])
+        with pytest.raises(InputError, match=rf"dets\.jsonl:2: {message}"):
+            ingest_detections(path)
+        frames = ingest_detections(path, skip_malformed=True)
+        assert [(f.frame_index, len(f.scores)) for f in frames] == [(0, 1)]
+
+    def test_integral_float_frame_and_category_accepted(self, tmp_path):
+        path = tmp_path / "dets.jsonl"
+        write_lines(path, ['{"frame": 2.0, "x": 0, "y": 0, "w": 5, "h": 5, "score": 0.9, "category": 1.0}'])
+        (frame,) = ingest_detections(path)
+        assert frame.frame_index == 2
+        assert frame.detections[0].category_observation.index == 1
+
+    def test_earliest_bad_line_reported_whatever_its_kind(self, tmp_path):
+        # Line 2 fails the table check, line 3 the per-line parse.
+        path = tmp_path / "dets.jsonl"
+        write_lines(path, [
+            '{"frame": 0, "x": 0, "y": 0, "w": 5, "h": 5, "score": 0.9}',
+            '{"frame": 0, "x": 0, "y": 0, "w": 5, "h": 5, "score": 1.5}',
+            "not json",
+        ])
+        with pytest.raises(InputError, match=r":2: score must be in \[0, 1\]"):
+            ingest_detections(path)
+
     def test_missing_category_key_means_no_label(self, tmp_path):
         path = tmp_path / "dets.jsonl"
         write_lines(path, ['{"frame": 0, "x": 0, "y": 0, "w": 5, "h": 5, "score": 0.9}'])
@@ -128,6 +171,15 @@ class TestReadGroundTruth:
         with pytest.raises(InputError, match=r"gt\.jsonl:2: frame_index must be >= 0"):
             read_ground_truth(path)
 
+    def test_out_of_range_category_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        write_lines(path, [
+            '{"frame": 0, "object_id": 1, "x": 0, "y": 0, "w": 5, "h": 5, "true_category": 0}',
+            '{"frame": 0, "object_id": 2, "x": 9, "y": 0, "w": 5, "h": 5, "true_category": 9}',
+        ])
+        with pytest.raises(InputError, match=r"gt\.jsonl:2: category index 9 out of range"):
+            read_ground_truth(path)
+
     def test_boxes_sorted_by_frame(self, tmp_path):
         path = tmp_path / "gt.jsonl"
         write_lines(path, [
@@ -164,6 +216,12 @@ class TestMotAdapter:
         path = tmp_path / "dets.txt"
         write_lines(path, ["1,1,10,20,30"])
         with pytest.raises(InputError, match=r":1:"):
+            ingest_mot(path)
+
+    def test_bad_box_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "dets.txt"
+        write_lines(path, ["1,1,10,20,30,40,0.9", "2,1,15,20,0,40,0.9", "3,1,x,20,30,40,0.9"])
+        with pytest.raises(InputError, match=r":2: box size must be positive"):
             ingest_mot(path)
 
     @pytest.mark.parametrize("confidence", ["nan", "inf", "-inf"])

@@ -160,6 +160,8 @@ class TestConstantVelocityTracking:
 box_tuples = st.tuples(
     st.floats(0, 300), st.floats(0, 300), st.floats(4, 90), st.floats(4, 90)
 )
+NON_FINITE = (np.nan, np.inf, -np.inf)
+non_finite = st.sampled_from(NON_FINITE)
 filter_stacks = st.lists(st.lists(box_tuples, min_size=1, max_size=4), min_size=1, max_size=6)
 
 
@@ -208,9 +210,10 @@ class TestBatchedFilterMatchesSingleFilterReference:
     @given(
         rows=st.lists(
             st.tuples(
-                st.floats(-50, 50), st.floats(-50, 50),
-                st.sampled_from([-1.0, -0.0, 0.0, 1e-6, 0.5, 2.0]),
-                st.sampled_from([-3.0, -0.0, 0.0, 1e-6, 1.0, 40.0]),
+                st.one_of(st.floats(-50, 50), non_finite),
+                st.one_of(st.floats(-50, 50), non_finite),
+                st.sampled_from([-1.0, -0.0, 0.0, 1e-6, 0.5, 2.0, *NON_FINITE]),
+                st.sampled_from([-3.0, -0.0, 0.0, 1e-6, 1.0, 40.0, *NON_FINITE]),
             ),
             min_size=1, max_size=8,
         )
@@ -218,14 +221,15 @@ class TestBatchedFilterMatchesSingleFilterReference:
     def test_decode_flags_exactly_the_rows_without_a_box(self, rows):
         mean = np.zeros((len(rows), 8))
         mean[:, :4] = rows
-        boxes, valid = decode_boxes(mean)
-        for i, (_, _, aspect, height) in enumerate(rows):
-            state = KalmanState(mean=mean[i], covariance=np.eye(8))
-            if aspect <= 0 or height <= 0:
-                assert not valid[i]
-                with pytest.raises(FilterDiverged):
-                    state_to_box(state)
-            else:
-                assert valid[i]
-                box = state_to_box(state)
-                assert [box.x, box.y, box.w, box.h] == boxes[i].tolist()
+        with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 decode to nan
+            boxes, valid = decode_boxes(mean)
+            for i, (_, _, aspect, height) in enumerate(rows):
+                state = KalmanState(mean=mean[i], covariance=np.eye(8))
+                if not (aspect > 0 and height > 0 and np.isfinite(rows[i]).all()):
+                    assert not valid[i]
+                    with pytest.raises(FilterDiverged):
+                        state_to_box(state)
+                else:
+                    assert valid[i]
+                    box = state_to_box(state)
+                    assert [box.x, box.y, box.w, box.h] == boxes[i].tolist()

@@ -12,7 +12,16 @@ from beltrack import (
     iou,
     to_binary,
 )
-from beltrack.model import BRUISE, FRESH, ROT, SCAB, corners, iou_matrix, xywh_array
+from beltrack.model import (
+    BRUISE,
+    FRESH,
+    ROT,
+    SCAB,
+    corners,
+    iou_matrix,
+    split_frames,
+    xywh_array,
+)
 
 from oracles import pixel_iou
 
@@ -29,6 +38,15 @@ class TestBoundingBox:
             BoundingBox(math.nan, 0, 1, 1)
         with pytest.raises(ValueError):
             BoundingBox(0, math.inf, 1, 1)
+
+    @pytest.mark.parametrize("box, extent", [
+        ((0, 0, 1e200, 1e200), "area"),
+        ((1e308, 0, 1e308, 1), "right"),
+        ((0, 1e308, 1, 1e308), "bottom"),
+    ])
+    def test_rejects_boxes_whose_extent_overflows(self, box, extent):
+        with pytest.raises(ValueError, match=f"box {extent} must be finite"):
+            BoundingBox(*box)
 
     def test_center_and_edges(self):
         box = BoundingBox(10, 10, 4, 8)
@@ -124,6 +142,33 @@ class TestDetection:
     def test_negative_frame_rejected(self):
         with pytest.raises(ValueError):
             Detection(-1, BoundingBox(0, 0, 1, 1), 0.5)
+
+    def test_frame_columns_are_read_only(self):
+        frame = FrameDetections(0, [Detection(0, BoundingBox(0, 0, 1, 1), 0.5, ROT)])
+        assert frame.boxes.tolist() == [[0.0, 0.0, 1.0, 1.0]]
+        assert frame.scores.tolist() == [0.5]
+        assert frame.categories.tolist() == [2]
+        with pytest.raises(ValueError):
+            frame.boxes[0, 0] = 9.0
+        with pytest.raises(AttributeError):
+            frame.scores = np.zeros(1)
+
+    def test_frame_rejects_mixed_category_counts(self):
+        box = BoundingBox(0, 0, 1, 1)
+        with pytest.raises(ValueError, match="mixes category counts"):
+            FrameDetections(0, [Detection(0, box, 0.5, ROT), Detection(0, box, 0.5, CategoryLabel(1, 6))])
+
+    def test_category_count_only_matters_where_a_row_has_a_label(self):
+        box = BoundingBox(0, 0, 1, 1)
+        unlabeled = FrameDetections(0, [Detection(0, box, 0.5)])
+        assert unlabeled.num_categories == 4
+        assert split_frames(
+            np.zeros(1, dtype=np.int64), unlabeled.boxes, unlabeled.scores,
+            unlabeled.categories, 6,
+        ) == [unlabeled]
+        assert FrameDetections(0, [Detection(0, box, 0.5, CategoryLabel(1, 6))]) != FrameDetections(
+            0, [Detection(0, box, 0.5, CategoryLabel(1, 4))]
+        )
 
     def test_frame_detections_requires_consistent_frames(self):
         det = Detection(3, BoundingBox(0, 0, 1, 1), 0.5)

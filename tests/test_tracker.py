@@ -125,6 +125,17 @@ class TestDivergence:
         assert track.status is TrackStatus.REMOVED
         assert [f for f, _ in track.history] == list(range(6))
 
+    def test_non_finite_filter_is_removed_as_diverged(self):
+        # A filter gone nan encodes no box: it is removed on its own instead
+        # of reaching the cost matrix, and the rest of the frame runs as usual.
+        tracker = ByteTracker()
+        lanes = (50.0, 200.0)
+        tracker.step(frame_with(0, *[(moving_box(0, y0=y), 0.9, FRESH) for y in lanes]))
+        tracker._state.mean[0, 0] = np.nan
+        out = tracker.step(frame_with(1, *[(moving_box(1, y0=y), 0.9, FRESH) for y in lanes]))
+        assert out.newly_removed_track_ids == (1,)
+        assert [track_id for track_id, _ in out.active_tracks] == [2, 3]
+
     def test_divergence_removes_one_track_of_the_batch(self):
         # Track 1 shrinks and then coasts into a negative height, as above,
         # while tracks 2 and 3 are matched on every frame of the same batch.
