@@ -8,7 +8,8 @@ Detection format, one JSON object per line:
 
 ``category`` null (or absent) means no classifier output for that box.
 ``frame`` and ``category`` must be whole numbers, no field may be a JSON
-boolean, and a box's fields, edges and area must be finite. The
+boolean, and a box's fields, edges, area and aspect w/h must be finite,
+with w, h and w/h positive (the tracker's filter encodes the aspect). The
 ground-truth format mirrors it with ``object_id`` and ``true_category``
 fields instead of ``score``/``category``.
 """

@@ -5,11 +5,13 @@ aspect ratio w/h, height, and their per-frame velocities. All noise scales
 are proportional to the current box height, so the filter behaves the same
 for near and far objects.
 
-Initiate, predict, update and decode work on a stack of filters: a
-``KalmanState`` holds means of shape (..., 8) and covariances of shape
-(..., 8, 8), and boxes come as (..., 4) arrays of (x, y, w, h) rows. A single
-filter is the unbatched case, and a single box may also be given as a
-``BoundingBox``.
+The transition pairs each of (cx, cy, a, h) only with its own velocity, the
+noise is diagonal and the measurement selects the positions, so the 8x8
+covariance is four independent 2x2 (position, velocity) blocks, and every
+other entry is exactly 0. A ``KalmanState`` holds means of shape (..., 8)
+and just those blocks, shape (..., 3, 4): rows pp, pv, vv, one column per
+axis. Boxes come as (..., 4) arrays of (x, y, w, h) rows; a single filter
+is the unbatched case, and a single box may also be a ``BoundingBox``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BoundingBox, xywh_array
+from .model import BoundingBox, valid_boxes, xywh_array
 
 
 class FilterDiverged(ValueError):
@@ -32,17 +34,20 @@ _POSITION_STD = 1.0 / 20
 _VELOCITY_STD = 1.0 / 160
 _MEASUREMENT_STD = 1.0 / 20
 
-_INITIAL_STD = np.array([2 * _POSITION_STD] * 4 + [10 * _VELOCITY_STD] * 4)
-_PROCESS_STD = np.array([_POSITION_STD] * 4 + [_VELOCITY_STD] * 4)
-_DIAGONAL = np.arange(8)
-_EYE4 = np.eye(4)
-_EYE8 = np.eye(8)
-
 
 @dataclass(frozen=True, eq=False)
 class KalmanState:
-    mean: np.ndarray        # shape (..., 8)
-    covariance: np.ndarray  # shape (..., 8, 8), each symmetric PSD
+    mean: np.ndarray    # shape (..., 8)
+    blocks: np.ndarray  # shape (..., 3, 4): rows pp, pv, vv; one column per axis
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """The dense (..., 8, 8) covariance the blocks stand for."""
+        dense = np.zeros(self.mean.shape + (8,))
+        pos, vel = np.arange(4), np.arange(4, 8)
+        for row, (i, j) in enumerate([(pos, pos), (pos, vel), (vel, vel)]):
+            dense[..., i, j] = dense[..., j, i] = self.blocks[..., row, :]
+        return dense
 
 
 def _measurement(boxes: BoundingBox | np.ndarray) -> np.ndarray:
@@ -55,10 +60,6 @@ def _measurement(boxes: BoundingBox | np.ndarray) -> np.ndarray:
     return measurement
 
 
-def _symmetrized(covariance: np.ndarray) -> np.ndarray:
-    return 0.5 * (covariance + covariance.swapaxes(-1, -2))
-
-
 def kf_initiate(boxes: BoundingBox | np.ndarray) -> KalmanState:
     """Start new filters at the observed boxes with zero velocity.
 
@@ -67,56 +68,61 @@ def kf_initiate(boxes: BoundingBox | np.ndarray) -> KalmanState:
     """
     measurement = _measurement(boxes)
     mean = np.concatenate([measurement, np.zeros_like(measurement)], axis=-1)
-    covariance = np.zeros(mean.shape + (8,))
-    covariance[..., _DIAGONAL, _DIAGONAL] = (_INITIAL_STD * measurement[..., 3:]) ** 2
-    return KalmanState(mean=mean, covariance=covariance)
+    h = measurement[..., 3:]
+    blocks = np.zeros(measurement.shape[:-1] + (3, 4))
+    blocks[..., 0, :] = (2 * _POSITION_STD * h) ** 2
+    blocks[..., 2, :] = (10 * _VELOCITY_STD * h) ** 2
+    return KalmanState(mean=mean, blocks=blocks)
 
 
 def kf_predict(state: KalmanState) -> KalmanState:
     """Advance one frame: position += velocity, covariance grows by process noise.
 
-    The transition F = [[I, I], [0, I]] is applied by blocks: F P F^T adds
-    P's velocity rows to its position rows, then the velocity columns to the
-    position columns, the same sums a dense product forms.
+    Per axis F = [[1, 1], [0, 1]], and F P F^T adds the velocity row to the
+    position row, then the velocity column to the position column: the same
+    sums, in the same order, as the dense product.
     """
     mean = state.mean.copy()
     mean[..., :4] += state.mean[..., 4:]
-    covariance = state.covariance.copy()
-    covariance[..., :4, :] += covariance[..., 4:, :]
-    covariance[..., :, :4] += covariance[..., :, 4:]
-    q_std = _PROCESS_STD * state.mean[..., 3:4]
-    covariance[..., _DIAGONAL, _DIAGONAL] += q_std**2
-    return KalmanState(mean=mean, covariance=_symmetrized(covariance))
+    pp, pv, vv = (state.blocks[..., row, :] for row in range(3))
+    h = state.mean[..., 3:4]
+    blocks = np.empty_like(state.blocks)
+    blocks[..., 0, :] = (pp + pv) + (pv + vv) + (_POSITION_STD * h) ** 2
+    blocks[..., 1, :] = pv + vv
+    blocks[..., 2, :] = vv + (_VELOCITY_STD * h) ** 2
+    return KalmanState(mean=mean, blocks=blocks)
 
 
 def kf_update(state: KalmanState, observed: BoundingBox | np.ndarray) -> KalmanState:
     """Fuse observed boxes into the states (measurement update on cx, cy, a, h).
 
-    Uses the Joseph-form covariance update, which stays symmetric PSD even
-    after thousands of cycles.
+    Each axis sees its position with noise variance r, so the gain is
+    (pp, pv) / (pp + r). The blocks take the Joseph form, which stays
+    symmetric PSD even after thousands of cycles; where pp + r underflows
+    to 0, the state turns nan, which ``decode_boxes`` flags.
     """
-    mean, covariance = state.mean, state.covariance
-    r = np.square(_MEASUREMENT_STD * mean[..., 3])[..., None, None]
-    innovation = _measurement(observed) - mean[..., :4]
-    s = covariance[..., :4, :4] + r * _EYE4
-    gain = np.linalg.solve(s.swapaxes(-1, -2), covariance[..., :4, :]).swapaxes(-1, -2)
-    mean = mean + (gain @ innovation[..., None])[..., 0]
-    i_kh = np.empty_like(covariance)
-    i_kh[...] = _EYE8
-    i_kh[..., :4] -= gain
-    covariance = i_kh @ covariance @ i_kh.swapaxes(-1, -2) + (gain * r) @ gain.swapaxes(-1, -2)
-    return KalmanState(mean=mean, covariance=_symmetrized(covariance))
+    pp, pv, vv = (state.blocks[..., row, :] for row in range(3))
+    r = np.square(_MEASUREMENT_STD * state.mean[..., 3:4])
+    innovation = _measurement(observed) - state.mean[..., :4]
+    s = pp + r
+    k_p, k_v = pp / s, pv / s
+    mean = state.mean + np.concatenate([k_p * innovation, k_v * innovation], axis=-1)
+    keep = 1.0 - k_p
+    blocks = np.empty_like(state.blocks)
+    blocks[..., 0, :] = keep * keep * pp + k_p * k_p * r
+    blocks[..., 1, :] = keep * (pv - k_v * pp) + k_p * k_v * r
+    blocks[..., 2, :] = vv - k_v * (2.0 * pv - k_v * pp) + k_v * k_v * r
+    return KalmanState(mean=mean, blocks=blocks)
 
 
 def decode_boxes(mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decode states (..., 8) to (x, y, w, h) boxes (..., 4), the inverse of
-    the initiate encoding, plus a mask that is False where the row encodes no
-    box: the aspect or the height is not > 0, or the box is not finite."""
+    the initiate encoding, plus a mask that is False where the row encodes
+    no box ``BoundingBox`` accepts (see ``model.valid_boxes``)."""
     boxes = mean[..., :4].copy()
     boxes[..., 2] *= mean[..., 3]
     boxes[..., :2] -= boxes[..., 2:] / 2.0
-    valid = np.minimum(mean[..., 2], mean[..., 3]) > 0  # False for nan as well
-    return boxes, valid & np.logical_and.reduce(np.isfinite(boxes), axis=-1)
+    return boxes, valid_boxes(boxes)
 
 
 def state_to_box(state: KalmanState) -> BoundingBox:

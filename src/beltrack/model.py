@@ -36,13 +36,16 @@ class BoundingBox:
     h: float
 
     def __post_init__(self):
-        # One test for the common case: the sum is finite exactly when every
-        # field and extent is (or an extent sum overflows; the checks below
-        # then settle it).
-        if self.w > 0 and self.h > 0 and math.isfinite(
-            self.x + self.w + self.y + self.h + self.w * self.h
-        ):
-            return
+        # One test for the common case: a sum of non-negative terms is finite
+        # only when every term is, and |x + w| <= |x| + w, so then every
+        # field, extent and the aspect is finite (when the sum overflows, the
+        # checks below settle it).
+        if self.w > 0 and self.h > 0:
+            aspect = self.w / self.h
+            if aspect > 0 and math.isfinite(
+                abs(self.x) + abs(self.y) + self.w + self.h + self.w * self.h + aspect
+            ):
+                return
         for name in ("x", "y", "w", "h"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -50,10 +53,18 @@ class BoundingBox:
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box size must be positive, got w={self.w}, h={self.h}")
         # Finite fields can still overflow: the tracker's overlap areas
-        # would then turn into inf and nan.
-        for name, value in (("right", self.right), ("bottom", self.bottom), ("area", self.area)):
+        # would then turn into inf and nan, and its filter, which encodes
+        # the aspect w/h, would start from inf or 0.
+        for name, value in (
+            ("right", self.right),
+            ("bottom", self.bottom),
+            ("area", self.area),
+            ("aspect w/h", self.w / self.h),
+        ):
             if not math.isfinite(value):
                 raise ValueError(f"box {name} must be finite, got {value!r}")
+        if not self.w / self.h > 0:
+            raise ValueError(f"box aspect w/h must be positive, got {self.w / self.h!r}")
 
     @property
     def right(self) -> float:
@@ -86,9 +97,9 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     b_right, b_bottom = b.x + b.w, b.y + b.h
     iw = min(a_right, b_right) - max(a.x, b.x)
     ih = min(a_bottom, b_bottom) - max(a.y, b.y)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
     inter = iw * ih
+    if iw <= 0.0 or ih <= 0.0 or inter == 0.0:  # disjoint, or too small for a float
+        return 0.0
     area_a = (a_right - a.x) * (a_bottom - a.y)
     area_b = (b_right - b.x) * (b_bottom - b.y)
     return inter / (area_a + area_b - inter)
@@ -113,7 +124,11 @@ def iou_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
     area_r = (rows[:, 2] - rows[:, 0]) * (rows[:, 3] - rows[:, 1])
     area_c = (cols[:, 2] - cols[:, 0]) * (cols[:, 3] - cols[:, 1])
-    return inter / (area_r[:, None] + area_c[None, :] - inter)
+    with np.errstate(invalid="ignore"):
+        ratio = inter / (area_r[:, None] + area_c[None, :] - inter)
+    # A union too small or too large for a float makes nan (0/0 or inf/inf);
+    # fmax scores those pairs 0, as the scalar ``iou`` does.
+    return np.fmax(ratio, 0.0)
 
 
 @dataclass(frozen=True)
@@ -297,19 +312,25 @@ def detection_row(
     return Detection(frame_index, BoundingBox(*box), score, label)
 
 
+def valid_boxes(boxes: np.ndarray) -> np.ndarray:
+    """Mask of the (..., 4) (x, y, w, h) rows ``BoundingBox`` accepts,
+    checked column by column."""
+    w, h = boxes[..., 2], boxes[..., 3]
+    with np.errstate(all="ignore"):
+        aspect = w / h
+        edges = np.abs(boxes[..., :2] + boxes[..., 2:])  # inf or nan unless x, y, w, h are finite
+        largest = np.maximum(np.maximum(edges[..., 0], edges[..., 1]), np.maximum(w * h, aspect))
+    # h > 0 and w/h > 0 give w > 0; the maximum keeps any nan.
+    return (h > 0) & (aspect > 0) & (largest < np.inf)
+
+
 def valid_detection_rows(
     boxes: np.ndarray, scores: np.ndarray, categories: np.ndarray, num_categories: int
 ) -> np.ndarray:
     """Mask of the table rows ``detection_row`` accepts (given a valid frame
     index), checked column by column."""
-    x, y, w, h = boxes.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        extent = np.stack([x + w, y + h, w * h], axis=1)
     return (
-        np.isfinite(boxes).all(axis=1)
-        & (w > 0)
-        & (h > 0)
-        & np.isfinite(extent).all(axis=1)
+        valid_boxes(boxes)
         & (scores >= 0.0)
         & (scores <= 1.0)
         & (categories >= -1)

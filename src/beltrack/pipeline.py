@@ -95,10 +95,13 @@ def run_stream(
 ) -> list[Track]:
     """Drive a tracker over a detection stream and return the finished tracks.
 
-    Frames are sorted if needed (with a warning) and the tracker is stepped
-    once per frame index over the full contiguous range, so tracks age and
-    coast correctly through frames that produced no detections. A frame
-    index given twice is rejected with ``ValueError``.
+    Frames are sorted if needed (with a warning), and the tracker steps
+    through the frames that produced no detections too, so tracks age and
+    coast correctly. After ``max_frames_lost + 1`` empty frames every track
+    is removed and further empty frames change nothing, so a longer gap is
+    skipped: the run takes time in proportion to the frames given, not to
+    the span of their indices. A frame index given twice is rejected with
+    ``ValueError``.
     """
     if not frames:
         return []
@@ -106,16 +109,17 @@ def run_stream(
     if indices != sorted(indices):
         logger.warning("detection stream is out of order; sorting %d frames in memory", len(frames))
         frames = sorted(frames, key=lambda f: f.frame_index)
-    by_index: dict[int, FrameDetections] = {}
-    for frame in frames:
-        if by_index.setdefault(frame.frame_index, frame) is not frame:
-            raise ValueError(f"frame {frame.frame_index} appears more than once in the stream")
     tracker = ByteTracker(tracker_config)
-    for frame_index in range(frames[0].frame_index, frames[-1].frame_index + 1):
-        frame = by_index.get(frame_index)
-        if frame is None:
-            frame = FrameDetections(frame_index)
+    empty_steps = tracker.config.max_frames_lost + 1
+    previous = None
+    for frame in frames:
+        if previous is not None:
+            if frame.frame_index == previous:
+                raise ValueError(f"frame {previous} appears more than once in the stream")
+            for empty in range(previous + 1, min(frame.frame_index, previous + 1 + empty_steps)):
+                tracker.step(FrameDetections(empty))
         tracker.step(frame)
+        previous = frame.frame_index
     return tracker.finalize()
 
 

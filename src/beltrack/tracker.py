@@ -15,14 +15,7 @@ import numpy as np
 
 from .assignment import build_cost_matrix, solve_assignment
 from .errors import ConfigError
-from .kalman import (
-    FilterDiverged,
-    KalmanState,
-    decode_boxes,
-    kf_initiate,
-    kf_predict,
-    kf_update,
-)
+from .kalman import KalmanState, decode_boxes, kf_initiate, kf_predict, kf_update
 from .model import (
     BoundingBox,
     CategoryLabel,
@@ -108,7 +101,7 @@ class ByteTracker:
         self.config = config if config is not None else TrackerConfig()
         self._tracks: list[Track] = []  # every track ever created, in spawn order
         self._live: list[Track] = []  # the tracks not yet removed, in spawn order
-        self._state = KalmanState(mean=np.zeros((0, 8)), covariance=np.zeros((0, 8, 8)))
+        self._state = KalmanState(mean=np.zeros((0, 8)), blocks=np.zeros((0, 3, 4)))
         self._next_id = 1
         self._last_frame: int | None = None
 
@@ -173,14 +166,19 @@ class ByteTracker:
 
         # One update for the matches of both rounds. Round 2 scores only
         # tracks round 1 left unmatched, on their predicted boxes, so
-        # deferring round 1's updates to here changes nothing.
+        # deferring round 1's updates to here changes nothing. A filter the
+        # update leaves without a box is removed, like one diverged above.
         matched = [(ti, high[di]) for ti, di in first.matches]
         matched += [(leftover_rows[ti], low[di]) for ti, di in second.matches]
         if matched:
             rows, det_rows = (list(column) for column in zip(*matched))
-            boxes = self._update(rows, det_boxes[det_rows])
-            for row, di, box in zip(rows, det_rows, boxes):
-                self._apply_match(pool[row], labels[di], BoundingBox(*box), t)
+            boxes, valid = self._update(rows, det_boxes[det_rows])
+            for row, di, box, ok in zip(rows, det_rows, boxes, valid):
+                if ok:
+                    self._apply_match(pool[row], labels[di], BoundingBox(*box), t)
+                else:
+                    pool[row].status = TrackStatus.REMOVED
+                    removed_now.append(pool[row].id)
 
         # Lifecycle for everything that found no detection this frame.
         unmatched = [pool[leftover_rows[i]] for i in second.unmatched_tracks]
@@ -235,7 +233,7 @@ class ByteTracker:
 
     def _snapshot(self, row: int) -> KalmanState:
         return KalmanState(
-            mean=self._state.mean[row].copy(), covariance=self._state.covariance[row].copy()
+            mean=self._state.mean[row].copy(), blocks=self._state.blocks[row].copy()
         )
 
     def _drop_removed(self):
@@ -245,24 +243,18 @@ class ByteTracker:
             if not kept:
                 track.state = self._snapshot(row)
         self._live = [tr for tr, kept in zip(self._live, keep) if kept]
-        self._state = KalmanState(
-            mean=self._state.mean[keep], covariance=self._state.covariance[keep]
-        )
+        self._state = KalmanState(mean=self._state.mean[keep], blocks=self._state.blocks[keep])
 
-    def _update(self, rows: list[int], observed: np.ndarray) -> list[list[float]]:
+    def _update(self, rows: list[int], observed: np.ndarray) -> tuple[list, list[bool]]:
         """Fuse one observed (x, y, w, h) box into each given row's filter and
-        return the updated boxes, in row order."""
+        return the updated boxes and whether each is valid, in row order."""
         posterior = kf_update(
-            KalmanState(mean=self._state.mean[rows], covariance=self._state.covariance[rows]),
-            observed,
+            KalmanState(mean=self._state.mean[rows], blocks=self._state.blocks[rows]), observed
         )
-        boxes, valid = decode_boxes(posterior.mean)
-        if not valid.all():
-            ids = [self._live[row].id for row, ok in zip(rows, valid) if not ok]
-            raise FilterDiverged(f"update left tracks {ids} without a valid box")
         self._state.mean[rows] = posterior.mean
-        self._state.covariance[rows] = posterior.covariance
-        return boxes.tolist()
+        self._state.blocks[rows] = posterior.blocks
+        boxes, valid = decode_boxes(posterior.mean)
+        return boxes.tolist(), valid.tolist()
 
     def _apply_match(self, track: Track, label: CategoryLabel | None, box: BoundingBox, t: int):
         track.hit_count += 1
@@ -277,18 +269,19 @@ class ByteTracker:
         track.last_update_frame = t
 
     def _spawn(self, labels: list[CategoryLabel | None], boxes: np.ndarray, t: int):
-        """Start one track per detection box, with filters from one initiate call."""
+        """Start one track per detection box, with filters from one initiate
+        call; each history starts at the observed box."""
         born = kf_initiate(boxes)
         self._state = KalmanState(
             mean=np.concatenate([self._state.mean, born.mean]),
-            covariance=np.concatenate([self._state.covariance, born.covariance]),
+            blocks=np.concatenate([self._state.blocks, born.blocks]),
         )
         status = (
             TrackStatus.ACTIVE
             if self.config.min_hits_to_activate <= 1
             else TrackStatus.TENTATIVE
         )
-        for label, box in zip(labels, decode_boxes(born.mean)[0].tolist()):
+        for label, box in zip(labels, boxes.tolist()):
             track = Track(
                 id=self._next_id,
                 state=None,

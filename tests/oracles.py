@@ -4,7 +4,8 @@ IoU by counting raster cells and assignment by exhaustive permutation
 search share no code with the package. The metric references are plain
 loops over the pairwise ``iou``, checked against the package's
 ``iou_matrix`` versions. The Kalman references step one filter with dense
-8x8 matrix products, checked against the package's batched filter. The
+8x8 matrix products, converting its per-axis blocks to the dense covariance
+and back, checked against the package's batched per-axis filter. The
 ingest reference parses and checks one line at a time into ``Detection``
 rows, checked against the package's table-at-once parse.
 """
@@ -35,13 +36,36 @@ _F[:4, 4:] = np.eye(4)
 _H = np.eye(4, 8)
 
 
+def dense_covariance(blocks: np.ndarray) -> np.ndarray:
+    """One filter's (3, 4) per-axis blocks (rows pp, pv, vv) as the dense 8x8
+    covariance over (cx, cy, a, h, vcx, vcy, va, vh)."""
+    dense = np.zeros((8, 8))
+    for axis in range(4):
+        pp, pv, vv = blocks[:, axis]
+        dense[axis, axis], dense[axis + 4, axis + 4] = pp, vv
+        dense[axis, axis + 4] = dense[axis + 4, axis] = pv
+    return dense
+
+
+def per_axis_blocks(dense: np.ndarray) -> np.ndarray:
+    """The (3, 4) per-axis blocks of one filter's dense 8x8 covariance.
+    Asserts that every entry outside the blocks is exactly 0 and that the
+    blocks are symmetric, so nothing is lost."""
+    axes = np.arange(4)
+    blocks = np.array([dense[axes, axes], dense[axes, axes + 4], dense[axes + 4, axes + 4]])
+    assert np.array_equal(dense[axes + 4, axes], blocks[1]), "asymmetric block"
+    outside = dense - dense_covariance(blocks)
+    assert not outside.any(), f"nonzero entry outside the blocks: {np.abs(outside).max()}"
+    return blocks
+
+
 def kf_predict_reference(state: KalmanState) -> KalmanState:
     """One filter's predict as the dense product F P F^T + Q."""
     h = state.mean[3]
     q_std = np.array([_POSITION_STD * h] * 4 + [_VELOCITY_STD * h] * 4)
     mean = _F @ state.mean
-    covariance = _F @ state.covariance @ _F.T + np.diag(q_std**2)
-    return KalmanState(mean=mean, covariance=0.5 * (covariance + covariance.T))
+    covariance = _F @ dense_covariance(state.blocks) @ _F.T + np.diag(q_std**2)
+    return KalmanState(mean=mean, blocks=per_axis_blocks(0.5 * (covariance + covariance.T)))
 
 
 def kf_update_reference(state: KalmanState, observed: BoundingBox) -> KalmanState:
@@ -50,12 +74,20 @@ def kf_update_reference(state: KalmanState, observed: BoundingBox) -> KalmanStat
     r = np.diag(np.full(4, (_MEASUREMENT_STD * h) ** 2))
     measurement = np.array([observed.cx, observed.cy, observed.w / observed.h, observed.h])
     innovation = measurement - _H @ state.mean
-    s = _H @ state.covariance @ _H.T + r
-    gain = np.linalg.solve(s.T, (_H @ state.covariance)).T
+    prior = dense_covariance(state.blocks)
+    s = _H @ prior @ _H.T + r
+    gain = np.linalg.solve(s.T, (_H @ prior)).T
     mean = state.mean + gain @ innovation
     i_kh = np.eye(8) - gain @ _H
-    covariance = i_kh @ state.covariance @ i_kh.T + gain @ r @ gain.T
-    return KalmanState(mean=mean, covariance=0.5 * (covariance + covariance.T))
+    covariance = i_kh @ prior @ i_kh.T + gain @ r @ gain.T
+    return KalmanState(mean=mean, blocks=per_axis_blocks(0.5 * (covariance + covariance.T)))
+
+
+def stacked(states: list[KalmanState]) -> KalmanState:
+    """Single filters as one batch, row i the i-th filter."""
+    return KalmanState(
+        mean=np.stack([s.mean for s in states]), blocks=np.stack([s.blocks for s in states])
+    )
 
 
 def pixel_iou(a: BoundingBox, b: BoundingBox) -> float:

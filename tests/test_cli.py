@@ -4,9 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from types import UnionType
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import beltrack.cli as cli
 from beltrack import AggregationConfig, SimConfig, TrackerConfig
@@ -72,6 +77,26 @@ class TestTrack:
         dets.write_text("".join(json.dumps(line) + "\n" for line in lines))
         assert run_cli("track", "--input", str(dets)) == 1
         assert f"{dets}:3: box area must be finite" in capsys.readouterr().err
+        assert run_cli("track", "--input", str(dets), "--skip-malformed") == 0
+        assert capsys.readouterr().out.startswith("1 tracks (1 labeled)")
+
+    @pytest.mark.parametrize("size, message", [
+        ({"w": 1e10, "h": 1e-300}, "box aspect w/h must be finite, got inf"),
+        ({"w": 1e-300, "h": 1e300}, "box aspect w/h must be positive, got 0.0"),
+    ])
+    def test_aspect_out_of_float_range_is_input_error_unless_skipped(
+        self, tmp_path, capsys, size, message
+    ):
+        # The tracker's filter encodes w/h: inf or 0 there crashed it.
+        dets = tmp_path / "dets.jsonl"
+        lines = [
+            {"frame": t, "x": 5.0 * t, "y": 0.0, "w": 20.0, "h": 20.0, "score": 0.9, "category": 0}
+            for t in range(3)
+        ]
+        lines.insert(1, {**lines[0], **size})
+        dets.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert run_cli("track", "--input", str(dets)) == 1
+        assert f"{dets}:2: {message}" in capsys.readouterr().err
         assert run_cli("track", "--input", str(dets), "--skip-malformed") == 0
         assert capsys.readouterr().out.startswith("1 tracks (1 labeled)")
 
@@ -213,6 +238,100 @@ class TestConfigFlags:
         assert code == 0
         categories = {json.loads(line)["true_category"] for line in truth.read_text().splitlines()}
         assert categories == {1}
+
+
+#: Finite values at and past the edges of what the filter and the overlap
+#: arithmetic can hold, mixed with ordinary ones.
+EXTREME = [5e-324, 1e-300, 1e-170, 1e-160, 1e-5, 1e10, 1e154, 1e200, 1e300, 1.7976931348623157e308]
+coordinates = st.one_of(
+    st.floats(-50, 300), st.sampled_from(EXTREME), st.sampled_from([-v for v in EXTREME])
+)
+sizes = st.one_of(st.floats(1, 60), st.sampled_from(EXTREME))
+#: Steps between consecutive frames, past the default 31-frame fast-forward
+#: and up to 2**62 (two such steps leave the int64 range: an input error).
+frame_steps = st.sampled_from([0, 1, 1, 1, 2, 3, 32, 2**62])
+labels = st.sampled_from(["absent", None, 0, 1, 2, 3])
+
+
+@st.composite
+def detection_streams(draw):
+    """JSONL lines of a few boxes seen over a few frames: each line takes one
+    of up to three boxes, so tracks form, with extreme finite values, gaps,
+    mixed labels and nulls, and now and then a null in a numeric field."""
+    boxes = draw(st.lists(st.tuples(coordinates, coordinates, sizes, sizes), min_size=1, max_size=3))
+    frame = draw(st.integers(0, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        frame += draw(frame_steps)
+        x, y, w, h = draw(st.sampled_from(boxes))
+        record = {"frame": frame, "x": x, "y": y, "w": w, "h": h,
+                  "score": draw(st.sampled_from([0.05, 0.3, 0.7, 0.95, 1.0])),
+                  "category": draw(labels)}
+        if record["category"] == "absent":
+            del record["category"]
+        if draw(st.integers(0, 19)) == 0:
+            record[draw(st.sampled_from(sorted(record)))] = None
+        lines.append(json.dumps(record))
+    return lines
+
+
+@st.composite
+def config_flags(draw, config_cls):
+    """Flags for a random subset of ``config_cls``'s fields, drawn by field
+    type; about one value in eight is out of range (a config error)."""
+    argv = []
+    hints = get_type_hints(config_cls)
+    for field in dataclasses.fields(config_cls):
+        if not draw(st.booleans()):
+            continue
+        flag, hint = cli._flag(field.name), hints[field.name]
+        if get_origin(hint) is UnionType:
+            (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+        if get_origin(hint) is Literal:
+            argv += [flag, draw(st.sampled_from(get_args(hint)))]
+        elif hint is bool:
+            argv.append(flag)
+        elif hint is int:
+            argv += [flag, str(draw(st.sampled_from([0, 1, 1, 2, 3, 4, 31, 40])))]
+        else:
+            assert hint is float, (field.name, hint)
+            argv += [flag, str(draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.6, 0.8, 1.0, 1.5])))]
+    return argv
+
+
+class TestTrackAnyStreamAnyConfig:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lines=detection_streams(),
+        flags=config_flags(TrackerConfig),
+        aggregation_flags=config_flags(AggregationConfig),
+        skip_malformed=st.booleans(),
+    )
+    @example(  # an aspect that overflows to inf
+        lines=[json.dumps({"frame": 0, "x": 0, "y": 0, "w": 1e10, "h": 1e-300, "score": 0.9})],
+        flags=[], aggregation_flags=[], skip_malformed=False,
+    )
+    @example(  # an aspect that underflows to 0
+        lines=[json.dumps({"frame": 0, "x": 0, "y": 0, "w": 1e-300, "h": 1e300, "score": 0.9})],
+        flags=[], aggregation_flags=[], skip_malformed=False,
+    )
+    def test_exits_0_1_or_2_and_outputs_agree(self, lines, flags, aggregation_flags, skip_malformed):
+        with tempfile.TemporaryDirectory() as tmp:
+            dets, verdicts, summary = (Path(tmp) / name for name in ("d.jsonl", "v.jsonl", "s.json"))
+            dets.write_text("".join(line + "\n" for line in lines))
+            argv = ["track", "--input", str(dets), "--output-verdicts", str(verdicts),
+                    "--output-summary", str(summary), *flags, *aggregation_flags]
+            code = run_cli(*argv, *(["--skip-malformed"] if skip_malformed else []))
+            assert code in (0, 1, 2)
+            if code != 0:
+                return
+            records = [json.loads(line) for line in verdicts.read_text().splitlines()]
+            payload = json.loads(summary.read_text())
+        assert payload["n_labeled_tracks"] == len(records)
+        n_defect = sum(record["binary"] == "defect" for record in records)
+        assert payload["aggregated"]["n_defect_tracks"] == n_defect
+        stability = payload["frame_wise"]["per_track_stability"]
+        assert {str(r["track_id"]): r["stability_frame_wise"] for r in records} == stability
 
 
 class TestReport:

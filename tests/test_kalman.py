@@ -14,11 +14,15 @@ from beltrack import (
     state_to_box,
 )
 
-from oracles import kf_predict_reference, kf_update_reference
+from oracles import kf_predict_reference, kf_update_reference, stacked
 
 
 def random_box(rng):
     return BoundingBox(*rng.uniform(0, 200, 2), *rng.uniform(5, 80, 2))
+
+
+#: Unit variances, no position-velocity covariance: the blocks of np.eye(8).
+UNIT_BLOCKS = np.array([[1.0] * 4, [0.0] * 4, [1.0] * 4])
 
 
 class TestInitiate:
@@ -56,10 +60,10 @@ class TestRoundTrip:
                 assert getattr(back, field) == pytest.approx(getattr(box, field), abs=1e-9)
 
     def test_divergent_state_rejected(self):
-        bad = KalmanState(mean=np.array([0, 0, -1.0, 5, 0, 0, 0, 0]), covariance=np.eye(8))
+        bad = KalmanState(mean=np.array([0, 0, -1.0, 5, 0, 0, 0, 0]), blocks=UNIT_BLOCKS)
         with pytest.raises(FilterDiverged):
             state_to_box(bad)
-        bad = KalmanState(mean=np.array([0, 0, 1.0, 0.0, 0, 0, 0, 0]), covariance=np.eye(8))
+        bad = KalmanState(mean=np.array([0, 0, 1.0, 0.0, 0, 0, 0, 0]), blocks=UNIT_BLOCKS)
         with pytest.raises(FilterDiverged):
             state_to_box(bad)
 
@@ -74,20 +78,22 @@ class TestPredict:
         state = kf_initiate(BoundingBox(0, 0, 2, 2))
         mean = state.mean.copy()
         mean[4] = 3.0
-        moved = kf_predict(KalmanState(mean=mean, covariance=state.covariance))
+        moved = kf_predict(KalmanState(mean=mean, blocks=state.blocks))
         assert moved.mean[0] == pytest.approx(4.0)
 
     def test_trace_grows_under_process_noise(self):
-        # Moderate-scale random PSD covariances: with the height-scaled
-        # process noise added, predict inflates total uncertainty.
+        # Moderate-scale random PSD (position, velocity) blocks, one per
+        # axis: with the height-scaled process noise added, predict
+        # inflates total uncertainty.
         rng = np.random.default_rng(2)
         for _ in range(200):
-            factor = rng.normal(0, 0.5, size=(8, 8))
-            cov = factor @ factor.T
+            factor = rng.normal(0, 0.5, size=(4, 2, 2))
+            cov = factor @ factor.swapaxes(1, 2)
+            blocks = np.array([cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]])
             mean = np.zeros(8)
             mean[3] = rng.uniform(10, 60)
-            state = KalmanState(mean=mean, covariance=cov)
-            assert np.trace(kf_predict(state).covariance) > np.trace(cov)
+            state = KalmanState(mean=mean, blocks=blocks)
+            assert np.trace(kf_predict(state).covariance) > np.trace(state.covariance)
 
 
 class TestUpdate:
@@ -175,13 +181,6 @@ def reference_states(histories):
     return states
 
 
-def stacked(states):
-    return KalmanState(
-        mean=np.stack([s.mean for s in states]),
-        covariance=np.stack([s.covariance for s in states]),
-    )
-
-
 class TestBatchedFilterMatchesSingleFilterReference:
     @settings(max_examples=200, deadline=None)
     @given(histories=filter_stacks)
@@ -191,7 +190,7 @@ class TestBatchedFilterMatchesSingleFilterReference:
         for i, state in enumerate(states):
             reference = kf_predict_reference(state)
             assert np.array_equal(batch.mean[i], reference.mean)
-            assert np.array_equal(batch.covariance[i], reference.covariance)
+            assert np.array_equal(batch.blocks[i], reference.blocks)
 
     @settings(max_examples=200, deadline=None)
     @given(histories=filter_stacks, data=st.data())
@@ -202,7 +201,7 @@ class TestBatchedFilterMatchesSingleFilterReference:
         for i, (prior, box) in enumerate(zip(priors, observed)):
             reference = kf_update_reference(prior, BoundingBox(*box))
             for got, want in ((batch.mean[i], reference.mean),
-                              (batch.covariance[i], reference.covariance)):
+                              (batch.blocks[i], reference.blocks)):
                 scale = np.max(np.abs(want))
                 assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
 
@@ -224,7 +223,7 @@ class TestBatchedFilterMatchesSingleFilterReference:
         with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 decode to nan
             boxes, valid = decode_boxes(mean)
             for i, (_, _, aspect, height) in enumerate(rows):
-                state = KalmanState(mean=mean[i], covariance=np.eye(8))
+                state = KalmanState(mean=mean[i], blocks=UNIT_BLOCKS)
                 if not (aspect > 0 and height > 0 and np.isfinite(rows[i]).all()):
                     assert not valid[i]
                     with pytest.raises(FilterDiverged):

@@ -43,10 +43,17 @@ class TestBoundingBox:
         ((0, 0, 1e200, 1e200), "area"),
         ((1e308, 0, 1e308, 1), "right"),
         ((0, 1e308, 1, 1e308), "bottom"),
+        ((-1.7e308, 1e308, 1, 1e308), "bottom"),  # x + w + y + h is finite
+        ((0, 0, 1e10, 1e-300), "aspect w/h"),
     ])
     def test_rejects_boxes_whose_extent_overflows(self, box, extent):
         with pytest.raises(ValueError, match=f"box {extent} must be finite"):
             BoundingBox(*box)
+
+    def test_rejects_aspect_that_underflows(self):
+        # The tracker's filter encodes w/h; 1e-300 / 1e300 is 0.0.
+        with pytest.raises(ValueError, match="box aspect w/h must be positive, got 0.0"):
+            BoundingBox(0, 0, 1e-300, 1e300)
 
     def test_center_and_edges(self):
         box = BoundingBox(10, 10, 4, 8)
@@ -101,6 +108,16 @@ class TestIou:
         for i, a in enumerate(rows):
             for j, b in enumerate(cols):
                 assert matrix[i, j] == pytest.approx(iou(a, b), abs=1e-12)
+
+    @pytest.mark.parametrize("box", [
+        (1e20, 0.0, 1.0, 1.0),  # its right edge rounds to its left: no area
+        (0.0, 0.0, 1e-200, 1e-200),  # its area underflows to 0
+    ])
+    def test_iou_matrix_scores_boxes_without_a_float_area_zero(self, box):
+        # The union of two such boxes is 0, and 0/0 would be nan.
+        boxes = corners(xywh_array([BoundingBox(*box)] * 2))
+        assert iou_matrix(boxes, boxes).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert iou(BoundingBox(*box), BoundingBox(*box)) == 0.0
 
     def test_iou_matrix_empty(self):
         empty = corners(xywh_array([]))

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 
 from beltrack import (
     AggregationConfig,
+    ByteTracker,
     CategoryLabel,
     ConfigError,
     Detection,
     FrameDetections,
     SimConfig,
+    TrackerConfig,
     evaluate_against_truth,
     run_pipeline,
     run_stream,
@@ -148,6 +151,41 @@ class TestGapsInStream:
         ]
         tracks = run_stream(frames)
         assert len(tracks) == 2
+
+    def test_gap_to_frame_2_62_takes_no_time(self):
+        frames = [
+            FrameDetections(t, [Detection(t, BoundingBox(5.0, 0, 20, 20), 0.9, FRESH)])
+            for t in (0, 1, 2**62)
+        ]
+        start = time.perf_counter()
+        tracks = run_stream(frames)
+        assert time.perf_counter() - start < 0.5
+        assert [[f for f, _ in tr.history] for tr in tracks] == [[0, 1], [2**62]]
+
+    @pytest.mark.parametrize("max_frames_lost", [1, 30, 98, 99, 100])
+    def test_long_gap_tracks_as_stepping_every_frame(self, max_frames_lost):
+        # Frames 30..129 of a scene are dropped: a gap of 100 empty frames,
+        # longer than the max_frames_lost + 1 steps run_stream takes into
+        # it for the first three configs, and not for the last two.
+        _, scene = generate_scene(clean_scene(
+            n_lanes=2, n_objects_per_lane=None, n_frames=200, label_flip_prob=0.2
+        ))
+        frames = [f for f in scene if not 30 <= f.frame_index < 130]
+        assert frames[0].frame_index < 30 and frames[-1].frame_index >= 130
+        config = TrackerConfig(max_frames_lost=max_frames_lost)
+        tracker = ByteTracker(config)
+        by_index = {f.frame_index: f for f in frames}
+        for t in range(frames[0].frame_index, frames[-1].frame_index + 1):
+            tracker.step(by_index.get(t, FrameDetections(t)))
+
+        def facts(tracks):
+            return [
+                (tr.id, tr.status, tr.last_update_frame, tr.hit_count, tr.history,
+                 tr.predictions, tr.state.mean.tolist(), tr.state.blocks.tolist())
+                for tr in tracks
+            ]
+
+        assert facts(run_stream(frames, config)) == facts(tracker.finalize())
 
 
 class TestEvaluateAgainstTruth:

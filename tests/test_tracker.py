@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import beltrack.tracker as tracker_module
 from beltrack import (
     BoundingBox,
     ByteTracker,
     ConfigError,
     Detection,
     FrameDetections,
+    KalmanState,
     TrackerConfig,
     TrackStatus,
     kf_initiate,
@@ -14,9 +16,11 @@ from beltrack import (
     kf_update,
     state_to_box,
 )
-from beltrack.model import FRESH, ROT
+from beltrack.model import FRESH, ROT, xywh_array
 from beltrack.pipeline import run_stream
 from beltrack.simulate import SimConfig, generate_scene
+
+from oracles import kf_predict_reference, kf_update_reference, stacked
 
 
 def moving_box(t, *, x0=0.0, y0=50.0, velocity=5.0, size=32.0):
@@ -135,6 +139,25 @@ class TestDivergence:
         out = tracker.step(frame_with(1, *[(moving_box(1, y0=y), 0.9, FRESH) for y in lanes]))
         assert out.newly_removed_track_ids == (1,)
         assert [track_id for track_id, _ in out.active_tracks] == [2, 3]
+
+    def test_filter_left_without_a_box_by_its_update_is_removed(self):
+        # The noise scales with the height: at h = 1e-170 every variance
+        # underflows to 0, the gain is 0/0 and the update leaves nan. That
+        # track is removed on its own, and the rest of the frame runs as usual.
+        tracker = ByteTracker()
+        flat = BoundingBox(0.0, 0.0, 1.0, 1e-170)
+        with np.errstate(invalid="ignore"):
+            for t in range(2):
+                out = tracker.step(
+                    frame_with(t, (flat, 0.9, FRESH), (moving_box(t, y0=200.0), 0.9, FRESH))
+                )
+        assert out.newly_removed_track_ids == (1,)
+        assert [track_id for track_id, _ in out.active_tracks] == [2]
+        flat_track, steady_track = tracker.finalize()
+        assert flat_track.status is TrackStatus.REMOVED
+        assert flat_track.history == [(0, flat)]
+        assert np.isnan(flat_track.state.mean).any()
+        assert [f for f, _ in steady_track.history] == [0, 1]
 
     def test_divergence_removes_one_track_of_the_batch(self):
         # Track 1 shrinks and then coasts into a negative height, as above,
@@ -361,3 +384,44 @@ class TestConfigValidation:
     def test_spawn_score_defaults_to_high_threshold(self):
         assert TrackerConfig(high_score_threshold=0.7).spawn_score == 0.7
         assert TrackerConfig(new_track_min_score=0.5).spawn_score == 0.5
+
+
+class TestPerAxisFilterMatchesDenseReference:
+    def test_cluttered_scene_gives_the_same_tracks(self, monkeypatch):
+        # The same scene tracked with the dense single-filter references
+        # (which also check that every entry outside the per-axis blocks
+        # stays exactly 0) keeps every identity, and every box agrees to 1e-9.
+        _, frames = generate_scene(SimConfig(
+            seed=11, n_lanes=4, n_objects_per_lane=6, spawn_interval_frames=12,
+            false_positive_rate=2.0, score_mean_true=0.75, score_std_true=0.15,
+            detection_dropout_prob=0.15, bbox_jitter_std=1.5, label_flip_prob=0.25,
+        ))
+        per_axis = run_stream(frames)
+
+        def dense_predict(state):
+            return stacked([
+                kf_predict_reference(KalmanState(mean, blocks))
+                for mean, blocks in zip(state.mean, state.blocks)
+            ])
+
+        def dense_update(state, observed):
+            return stacked([
+                kf_update_reference(KalmanState(mean, blocks), BoundingBox(*box))
+                for mean, blocks, box in zip(state.mean, state.blocks, observed.tolist())
+            ])
+
+        monkeypatch.setattr(tracker_module, "kf_predict", dense_predict)
+        monkeypatch.setattr(tracker_module, "kf_update", dense_update)
+        dense = run_stream(frames)
+
+        def identities(tracks):
+            return [
+                (tr.id, tr.status, [f for f, _ in tr.history], tr.predictions) for tr in tracks
+            ]
+
+        assert len(per_axis) > 20
+        assert identities(dense) == identities(per_axis)
+        for got, want in zip(per_axis, dense):
+            got_boxes = xywh_array([box for _, box in got.history])
+            want_boxes = xywh_array([box for _, box in want.history])
+            assert np.allclose(got_boxes, want_boxes, rtol=0.0, atol=1e-9)
