@@ -2,7 +2,7 @@
 association, track-level label aggregation, quality metrics, and a seeded
 scene simulator."""
 
-from .aggregation import TrackVerdict, frame_wise_verdicts, majority_vote
+from .aggregation import TrackVerdict, majority_vote
 from .assignment import AssignmentResult, build_cost_matrix, solve_assignment
 from .errors import ConfigError, InputError
 from .kalman import (
@@ -17,7 +17,6 @@ from .kalman import (
 from .metrics import (
     VideoQualityReport,
     aggregated_report,
-    count_id_switches,
     defect_ratio,
     detection_map,
     stability_report,

@@ -1,8 +1,8 @@
 """Majority-vote verdicts over each track's category predictions.
 
-A track accumulates one category prediction per matched frame, in the
-strictly increasing frame order the tracker enforces; the final track label
-is the most frequent category, collapsed to normal/defect for industrial
+A track records one category per labeled matched frame, in the strictly
+increasing frame order the tracker enforces; the final track label is the
+most frequent category, collapsed to normal/defect for industrial
 reporting. Voting happens over the full category set first and is collapsed
 afterwards (the reverse order can differ on tracks that mix defect types
 and is available via ``collapse_first``).
@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Literal
+
+import numpy as np
 
 from .model import BinaryQuality, CategoryLabel, Track, to_binary
 
@@ -27,23 +29,6 @@ class TrackVerdict:
     track_length: int
 
 
-def _count_votes(track: Track) -> list[int]:
-    if not track.predictions:
-        raise ValueError(f"track {track.id} has no predictions to vote on")
-    num_categories = track.predictions[0][1].num_categories
-    counts = [0] * num_categories
-    for _, label in track.predictions:
-        counts[label.index] += 1
-    return counts
-
-
-def _break_tie(tied: list[int], tie_break: TieBreak) -> int:
-    if tie_break == "lowest_index":
-        return tied[0]
-    defects = [c for c in tied if c >= 1]
-    return defects[0] if defects else tied[0]
-
-
 def majority_vote(
     track: Track,
     tie_break: TieBreak = "prefer_defect",
@@ -57,40 +42,26 @@ def majority_vote(
     ``collapse_first`` the vote is binary normal-vs-defect and the reported
     category is the most frequent one on the winning side.
     """
-    counts = _count_votes(track)
-    num_categories = len(counts)
-
+    labels = track.labels
+    if len(labels) == 0:
+        raise ValueError(f"track {track.id} has no predictions to vote on")
+    counts = np.bincount(labels, minlength=track.num_categories).tolist()
+    top_defect = counts.index(max(counts[1:]), 1)  # lowest index among equals
+    prefer_defect = tie_break == "prefer_defect"
     if collapse_first:
-        normal_votes = counts[0]
-        defect_votes = sum(counts[1:])
-        if defect_votes > normal_votes:
-            defect_wins = True
-        elif defect_votes < normal_votes:
-            defect_wins = False
-        else:
-            defect_wins = tie_break == "prefer_defect"
-        if defect_wins:
-            best = max(counts[1:])
-            winner = next(c for c in range(1, num_categories) if counts[c] == best)
-        else:
-            winner = 0
+        normal, defect = counts[0], sum(counts[1:])
+        defect_wins = defect > normal or (defect == normal and prefer_defect)
+        winner = top_defect if defect_wins else 0
     else:
-        best = max(counts)
-        tied = [c for c in range(num_categories) if counts[c] == best]
-        winner = tied[0] if len(tied) == 1 else _break_tie(tied, tie_break)
+        winner = counts.index(max(counts))  # lowest index among equals
+        if winner == 0 and prefer_defect and counts[top_defect] == counts[0]:
+            winner = top_defect
 
-    final = CategoryLabel(winner, num_categories)
+    final = CategoryLabel(winner, track.num_categories)
     return TrackVerdict(
         track_id=track.id,
         final_category=final,
         final_binary=to_binary(final),
         vote_counts=tuple(counts),
-        track_length=len(track.predictions),
+        track_length=len(labels),
     )
-
-
-def frame_wise_verdicts(track: Track) -> list[BinaryQuality]:
-    """Per-frame binary labels without any aggregation (the no-tracking baseline)."""
-    if not track.predictions:
-        raise ValueError(f"track {track.id} has no predictions")
-    return [to_binary(label) for _, label in track.predictions]

@@ -7,9 +7,10 @@ Detection format, one JSON object per line:
      "score": float, "category": int|null}
 
 ``category`` null (or absent) means no classifier output for that box.
-``frame`` and ``category`` must be whole numbers, no field may be a JSON
-boolean, and a box's fields, edges, area and aspect w/h must be finite,
-with w, h and w/h positive (the tracker's filter encodes the aspect). The
+``frame`` and ``category`` must be whole numbers below 2**53 in magnitude
+(float64 holds every such integer exactly), no field may be a JSON boolean,
+and a box's fields, edges, area and aspect w/h must be finite, with w, h
+and w/h positive (the tracker's filter encodes the aspect). The
 ground-truth format mirrors it with ``object_id`` and ``true_category``
 fields instead of ``score``/``category``.
 """
@@ -43,8 +44,9 @@ DETECTION_FIELDS = ("frame", "x", "y", "w", "h", "score")
 #: Columns of the parsed table: the detection fields, then the category
 #: (nan where a line has none).
 _COLUMNS = (*DETECTION_FIELDS, "category")
-#: Frames and categories are held as int64.
-_INT_LIMIT = 2.0**63
+#: Frames and categories are parsed as float64, exact for integers below
+#: 2**53; any larger one parses to 2**53 or more and is rejected.
+_INT_LIMIT = 2.0**53
 
 
 def _parse_detection_line(line: str) -> tuple[float, ...]:

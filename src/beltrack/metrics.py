@@ -13,8 +13,10 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .aggregation import TrackVerdict, frame_wise_verdicts
-from .model import BinaryQuality, FrameDetections, Track, corners, frame_runs, iou_matrix
+from .aggregation import TrackVerdict
+from .model import (
+    BinaryQuality, FrameDetections, Track, corners, frame_runs, iou_matrix, xywh_array
+)
 from .simulate import SceneGroundTruth
 
 FrameChoice = Literal["last", "first", "random"]
@@ -85,20 +87,14 @@ def stability_report(
     per_track: dict[int, float] = {}
     n_defect = 0
     for track in tracks:
-        binaries = frame_wise_verdicts(track)
-        if granularity == "binary":
-            sequence: Sequence = binaries
-        else:
-            sequence = [label for _, label in track.predictions]
+        labels = track.labels  # temporal_stability rejects an empty sequence
+        defects = (labels > 0).tolist()  # the binary collapse: index 0 is normal
+        sequence = defects if granularity == "binary" else labels.tolist()
         per_track[track.id] = temporal_stability(sequence)
-        if frame_choice == "first":
-            final = binaries[0]
-        elif frame_choice == "random":
-            final = binaries[int(rng.integers(len(binaries)))]
+        if frame_choice == "random":
+            n_defect += defects[int(rng.integers(len(defects)))]
         else:
-            final = binaries[-1]
-        if final is BinaryQuality.DEFECT:
-            n_defect += 1
+            n_defect += defects[0 if frame_choice == "first" else -1]
 
     return VideoQualityReport(
         defect_ratio=n_defect / len(tracks),
@@ -188,25 +184,19 @@ def covering_tracks(
     """
     # Every track box, ordered by frame and then id, so that argmax's first
     # maximum is the lowest id.
-    boxes = np.array(
-        [(frame, track.id, box.x, box.y, box.w, box.h)
-         for track in tracks for frame, box in track.history],
-        dtype=float,
-    ).reshape(-1, 6)
-    boxes = boxes[np.lexsort((boxes[:, 1], boxes[:, 0]))]
-    track_ids = boxes[:, 1].astype(np.int64)
-    track_corners = corners(boxes[:, 2:])
-    candidates = _frame_slices(boxes[:, 0].astype(np.int64), np.arange(len(boxes)))
+    frames = np.concatenate([np.zeros(0, np.int64), *(track.frames for track in tracks)])
+    boxes = np.concatenate([np.zeros((0, 4)), *(track.boxes for track in tracks)])
+    track_ids = np.repeat([t.id for t in tracks], [len(t.frames) for t in tracks]).astype(np.int64)
+    order = np.lexsort((track_ids, frames))
+    track_ids = track_ids[order]
+    track_corners = corners(boxes[order])
+    candidates = _frame_slices(frames[order], np.arange(len(order)))
 
     # Every true box, object by object; covering[i] is the covering track of
     # the i-th, -1 where none covers it.
-    truth = np.array(
-        [(frame, box.x, box.y, box.w, box.h) for obj in gt.objects for frame, box in obj.boxes],
-        dtype=float,
-    ).reshape(-1, 5)
-    truth_frames = truth[:, 0].astype(np.int64)
-    truth_corners = corners(truth[:, 1:])
-    covering = np.full(len(truth), -1, dtype=np.int64)
+    truth_frames = np.array([f for obj in gt.objects for f, _ in obj.boxes], dtype=np.int64)
+    truth_corners = corners(xywh_array([box for obj in gt.objects for _, box in obj.boxes]))
+    covering = np.full(len(truth_frames), -1, dtype=np.int64)
     by_frame = np.argsort(truth_frames, kind="stable")
     for frame, rows in _frame_slices(truth_frames[by_frame], by_frame).items():
         columns = candidates.get(frame)
@@ -245,9 +235,3 @@ def majority_tracks(coverage: dict[int, list[int]]) -> dict[int, int]:
         assignment[object_id] = min(t for t, n in counts.items() if n == top)
     return assignment
 
-
-def count_id_switches(
-    tracks: Sequence[Track], gt: SceneGroundTruth, iou_threshold: float = 0.5
-) -> int:
-    """Identity handoffs over ground-truth objects (see ``covering_tracks``)."""
-    return switches_in(covering_tracks(tracks, gt, iou_threshold))

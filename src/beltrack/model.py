@@ -91,7 +91,8 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union of two boxes: 0 when disjoint, 1 when identical.
 
     Areas are computed from the same corner coordinates the intersection
-    uses, so identical boxes score exactly 1.0 under floating point.
+    uses, so identical boxes score exactly 1.0 under floating point; the
+    union is summed over halved areas so that it cannot overflow.
     """
     a_right, a_bottom = a.x + a.w, a.y + a.h
     b_right, b_bottom = b.x + b.w, b.y + b.h
@@ -102,7 +103,7 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
         return 0.0
     area_a = (a_right - a.x) * (a_bottom - a.y)
     area_b = (b_right - b.x) * (b_bottom - b.y)
-    return inter / (area_a + area_b - inter)
+    return inter / 2 / (area_a / 2 + area_b / 2 - inter / 2)
 
 
 def xywh_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
@@ -124,8 +125,10 @@ def iou_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
     area_r = (rows[:, 2] - rows[:, 0]) * (rows[:, 3] - rows[:, 1])
     area_c = (cols[:, 2] - cols[:, 0]) * (cols[:, 3] - cols[:, 1])
+    # Halved, as in the scalar ``iou``, the union cannot overflow.
+    half = inter / 2
     with np.errstate(invalid="ignore"):
-        ratio = inter / (area_r[:, None] + area_c[None, :] - inter)
+        ratio = half / (area_r[:, None] / 2 + area_c[None, :] / 2 - half)
     # A union too small or too large for a float makes nan (0/0 or inf/inf);
     # fmax scores those pairs 0, as the scalar ``iou`` does.
     return np.fmax(ratio, 0.0)
@@ -384,16 +387,18 @@ class TrackStatus(Enum):
     REMOVED = "removed"
 
 
-@dataclass
+@dataclass(eq=False)
 class Track:
-    """Persistent object identity with motion state, box history, and the
-    per-frame category predictions recorded while the track was matched.
+    """Persistent object identity with motion state and, as columns in
+    frame order, the frames it matched: ``frames`` (k,), ``boxes`` (k, 4)
+    (x, y, w, h) rows and ``categories`` (k,), -1 where the detection had no
+    label. ``history`` and ``predictions`` give (frame, box) and (frame,
+    label) tuples.
 
-    Mutated only by the tracker; treat instances obtained from
-    ``ByteTracker.finalize`` as read-only snapshots. The tracker steps the
-    filters of live tracks as one batch, so ``state`` is a snapshot of this
-    track's filter: written when the track is removed, and for live tracks
-    on each ``finalize``; None before either.
+    Mutated only by the tracker; ``ByteTracker.finalize`` fills the columns
+    and gives read-only snapshots. ``state`` is a snapshot of the track's
+    filter, written when the track is removed and for live tracks on each
+    ``finalize``; None before either.
     """
 
     id: int
@@ -401,10 +406,23 @@ class Track:
     status: TrackStatus
     last_update_frame: int
     hit_count: int = 1
-    history: list[tuple[int, BoundingBox]] = field(default_factory=list)
-    predictions: list[tuple[int, CategoryLabel]] = field(default_factory=list)
+    frames: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    boxes: np.ndarray = field(default_factory=lambda: np.zeros((0, 4)))
+    categories: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    num_categories: int = DEFAULT_NUM_CATEGORIES
 
     @property
-    def length(self) -> int:
-        """Number of frames on which the track matched a detection."""
-        return len(self.history)
+    def labels(self) -> np.ndarray:
+        """The categories of the labeled rows, in frame order."""
+        return self.categories[self.categories >= 0]
+
+    @property
+    def history(self) -> list[tuple[int, BoundingBox]]:
+        return [(f, BoundingBox(*box)) for f, box in zip(self.frames.tolist(), self.boxes.tolist())]
+
+    @property
+    def predictions(self) -> list[tuple[int, CategoryLabel]]:
+        table = category_labels(self.num_categories)
+        return [
+            (f, table[c]) for f, c in zip(self.frames.tolist(), self.categories.tolist()) if c >= 0
+        ]

@@ -35,6 +35,7 @@ from .model import (
     DEFAULT_NUM_CATEGORIES,
     FrameDetections,
     Track,
+    category_labels,
     split_frames,
     to_binary,
     xywh_array,
@@ -127,7 +128,7 @@ def _vote(
     tracks: list[Track], aggregation: AggregationConfig
 ) -> tuple[list[Track], list[TrackVerdict]]:
     """The tracks that saw at least one label, and one verdict for each."""
-    labeled = [track for track in tracks if track.predictions]
+    labeled = [track for track in tracks if len(track.labels)]
     verdicts = [
         majority_vote(track, aggregation.tie_break, aggregation.collapse_before_vote)
         for track in labeled
@@ -272,15 +273,11 @@ def evaluate_against_truth(
             continue
         track, verdict = voted[track_id]
         true_binary = to_binary(obj.true_category)
-        if verdict.final_binary is true_binary:
-            agg_bin += 1
-        if verdict.final_category == obj.true_category:
-            agg_cat += 1
-        last_label = track.predictions[-1][1]
-        if last_label == obj.true_category:
-            last_cat += 1
-        if to_binary(last_label) is true_binary:
-            last_bin += 1
+        last_label = category_labels(track.num_categories)[track.labels[-1]]
+        agg_bin += verdict.final_binary is true_binary
+        agg_cat += verdict.final_category == obj.true_category
+        last_cat += last_label == obj.true_category
+        last_bin += to_binary(last_label) is true_binary
 
     n_objects = len(gt.objects)
     n_defect_true = sum(1 for obj in gt.objects if obj.true_category.index != 0)

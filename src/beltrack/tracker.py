@@ -16,14 +16,12 @@ import numpy as np
 from .assignment import build_cost_matrix, solve_assignment
 from .errors import ConfigError
 from .kalman import KalmanState, decode_boxes, kf_initiate, kf_predict, kf_update
-from .model import (
-    BoundingBox,
-    CategoryLabel,
-    FrameDetections,
-    Track,
-    TrackStatus,
-    category_labels,
-    corners,
+from .model import DEFAULT_NUM_CATEGORIES, FrameDetections, Track, TrackStatus, corners
+
+#: One row of a tracker's match table: a track matched (or spawned from) a
+#: detection on a frame; category -1 where the detection had no label.
+MATCH_ROW = np.dtype(
+    [("frame", np.int64), ("track", np.int64), ("box", np.float64, (4,)), ("category", np.int64)]
 )
 
 
@@ -82,7 +80,7 @@ class TrackerConfig:
 @dataclass(frozen=True)
 class TrackerOutput:
     frame_index: int
-    active_tracks: tuple[tuple[int, BoundingBox], ...]
+    active_tracks: tuple[int, ...]  # ids of the tracks active after the frame
     newly_removed_track_ids: tuple[int, ...]
 
 
@@ -94,6 +92,9 @@ class ByteTracker:
     the state arrays belongs to the i-th live track), so each frame makes
     one predict call and one update call however many tracks are live.
 
+    Each frame appends its matches and spawns to one table of ``MATCH_ROW``
+    rows, which ``finalize`` splits into the tracks' columns.
+
     One instance per video stream; calls must be externally serialized.
     """
 
@@ -104,6 +105,9 @@ class ByteTracker:
         self._state = KalmanState(mean=np.zeros((0, 8)), blocks=np.zeros((0, 3, 4)))
         self._next_id = 1
         self._last_frame: int | None = None
+        self._matches = np.zeros(256, MATCH_ROW)
+        self._rows = 0  # rows of ``_matches`` in use
+        self._num_categories: int | None = None  # of the labeled frames so far
 
     def step(self, frame: FrameDetections) -> TrackerOutput:
         """Process one frame of detections.
@@ -119,6 +123,13 @@ class ByteTracker:
                 f"out-of-order frame {frame.frame_index}: "
                 f"already processed frame {self._last_frame}"
             )
+        if (frame.categories >= 0).any():
+            if self._num_categories not in (None, frame.num_categories):
+                raise ValueError(
+                    f"frame {frame.frame_index} has {frame.num_categories} categories, "
+                    f"earlier frames have {self._num_categories}"
+                )
+            self._num_categories = frame.num_categories
         self._last_frame = frame.frame_index
         t = frame.frame_index
         cfg = self.config
@@ -128,8 +139,6 @@ class ByteTracker:
         det_corners = corners(det_boxes)
         # A frame holds a few dozen detections: plain lists beat NumPy calls.
         scores = frame.scores.tolist()
-        table = category_labels(frame.num_categories)
-        labels = [None if c < 0 else table[c] for c in frame.categories.tolist()]
         high = [i for i, score in enumerate(scores) if score >= cfg.high_score_threshold]
         low = [
             i
@@ -168,17 +177,24 @@ class ByteTracker:
         # tracks round 1 left unmatched, on their predicted boxes, so
         # deferring round 1's updates to here changes nothing. A filter the
         # update leaves without a box is removed, like one diverged above.
+        # The kept matches and the spawns make the frame's block of the match
+        # table: a track id, a detection row and a box part for each.
+        ids, det_rows, box_parts = [], [], [det_boxes[:0]]
         matched = [(ti, high[di]) for ti, di in first.matches]
         matched += [(leftover_rows[ti], low[di]) for ti, di in second.matches]
         if matched:
-            rows, det_rows = (list(column) for column in zip(*matched))
-            boxes, valid = self._update(rows, det_boxes[det_rows])
-            for row, di, box, ok in zip(rows, det_rows, boxes, valid):
+            rows, matched_dets = (list(column) for column in zip(*matched))
+            posterior, valid = self._update(rows, det_boxes[matched_dets])
+            for row, di, ok in zip(rows, matched_dets, valid.tolist()):
+                track = pool[row]
                 if ok:
-                    self._apply_match(pool[row], labels[di], BoundingBox(*box), t)
+                    self._apply_match(track, t)
+                    ids.append(track.id)
+                    det_rows.append(di)
                 else:
-                    pool[row].status = TrackStatus.REMOVED
-                    removed_now.append(pool[row].id)
+                    track.status = TrackStatus.REMOVED
+                    removed_now.append(track.id)
+            box_parts.append(posterior[valid])
 
         # Lifecycle for everything that found no detection this frame.
         unmatched = [pool[leftover_rows[i]] for i in second.unmatched_tracks]
@@ -207,16 +223,16 @@ class ByteTracker:
             if scores[high[di]] >= cfg.spawn_score
         ]
         if spawn:
-            self._spawn([labels[di] for di in spawn], det_boxes[spawn], t)
+            ids += range(self._next_id, self._next_id + len(spawn))
+            det_rows += spawn
+            box_parts.append(det_boxes[spawn])  # a new track starts at the observed box
+            self._spawn(det_boxes[spawn], t)
+        if ids:
+            self._record(t, ids, np.concatenate(box_parts), frame.categories[det_rows])
 
-        active = tuple(
-            (tr.id, tr.history[-1][1])
-            for tr in self._live
-            if tr.status is TrackStatus.ACTIVE
-        )
         return TrackerOutput(
             frame_index=t,
-            active_tracks=active,
+            active_tracks=tuple(tr.id for tr in self._live if tr.status is TrackStatus.ACTIVE),
             newly_removed_track_ids=tuple(removed_now),
         )
 
@@ -224,11 +240,23 @@ class ByteTracker:
         """All tracks ever created (removed ones included), longest-lived
         lifecycle state preserved, filtered by the configured minimum length.
 
-        Each live track's ``state`` is set to a snapshot of its filter."""
+        Each track's columns are set to its rows of the match table, in frame
+        order, as read-only views of one sorted copy, and each live track's
+        ``state`` to a snapshot of its filter."""
         for row, track in enumerate(self._live):
             track.state = self._snapshot(row)
+        table = self._matches[: self._rows]
+        table = table[np.argsort(table["track"], kind="stable")]
+        table.flags.writeable = False
+        frames, boxes, categories = table["frame"], table["box"], table["category"]
+        # Ids run 1, 2, ... in spawn order, and each track has its spawn row.
+        stops = np.cumsum(np.bincount(table["track"])[1:]).tolist()
+        for track, start, stop in zip(self._tracks, [0, *stops], stops):
+            track.frames, track.boxes = frames[start:stop], boxes[start:stop]
+            track.categories = categories[start:stop]
+            track.num_categories = self._num_categories or DEFAULT_NUM_CATEGORIES
         return [
-            tr for tr in self._tracks if len(tr.history) >= self.config.min_track_length_report
+            tr for tr in self._tracks if len(tr.frames) >= self.config.min_track_length_report
         ]
 
     def _snapshot(self, row: int) -> KalmanState:
@@ -245,7 +273,7 @@ class ByteTracker:
         self._live = [tr for tr, kept in zip(self._live, keep) if kept]
         self._state = KalmanState(mean=self._state.mean[keep], blocks=self._state.blocks[keep])
 
-    def _update(self, rows: list[int], observed: np.ndarray) -> tuple[list, list[bool]]:
+    def _update(self, rows: list[int], observed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fuse one observed (x, y, w, h) box into each given row's filter and
         return the updated boxes and whether each is valid, in row order."""
         posterior = kf_update(
@@ -253,24 +281,33 @@ class ByteTracker:
         )
         self._state.mean[rows] = posterior.mean
         self._state.blocks[rows] = posterior.blocks
-        boxes, valid = decode_boxes(posterior.mean)
-        return boxes.tolist(), valid.tolist()
+        return decode_boxes(posterior.mean)
 
-    def _apply_match(self, track: Track, label: CategoryLabel | None, box: BoundingBox, t: int):
+    def _record(self, t: int, ids: list[int], boxes: np.ndarray, categories: np.ndarray):
+        """Append one frame's block of rows to the match table, doubling the
+        table when it is full (rows past ``_rows`` are never read)."""
+        start, stop = self._rows, self._rows + len(ids)
+        if stop > len(self._matches):
+            self._matches = np.resize(self._matches, max(stop, 2 * len(self._matches)))
+        block = self._matches[start:stop]
+        block["frame"] = t
+        block["track"] = ids
+        block["box"] = boxes
+        block["category"] = categories
+        self._rows = stop
+
+    def _apply_match(self, track: Track, t: int):
         track.hit_count += 1
         if track.status is TrackStatus.TENTATIVE:
             if track.hit_count >= self.config.min_hits_to_activate:
                 track.status = TrackStatus.ACTIVE
         else:
             track.status = TrackStatus.ACTIVE
-        track.history.append((t, box))
-        if label is not None:
-            track.predictions.append((t, label))
         track.last_update_frame = t
 
-    def _spawn(self, labels: list[CategoryLabel | None], boxes: np.ndarray, t: int):
+    def _spawn(self, boxes: np.ndarray, t: int):
         """Start one track per detection box, with filters from one initiate
-        call; each history starts at the observed box."""
+        call."""
         born = kf_initiate(boxes)
         self._state = KalmanState(
             mean=np.concatenate([self._state.mean, born.mean]),
@@ -281,17 +318,8 @@ class ByteTracker:
             if self.config.min_hits_to_activate <= 1
             else TrackStatus.TENTATIVE
         )
-        for label, box in zip(labels, boxes.tolist()):
-            track = Track(
-                id=self._next_id,
-                state=None,
-                status=status,
-                last_update_frame=t,
-                hit_count=1,
-            )
-            track.history.append((t, BoundingBox(*box)))
-            if label is not None:
-                track.predictions.append((t, label))
+        for _ in range(len(boxes)):
+            track = Track(id=self._next_id, state=None, status=status, last_update_frame=t)
             self._next_id += 1
             self._tracks.append(track)
             self._live.append(track)

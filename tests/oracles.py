@@ -7,7 +7,9 @@ loops over the pairwise ``iou``, checked against the package's
 8x8 matrix products, converting its per-axis blocks to the dense covariance
 and back, checked against the package's batched per-axis filter. The
 ingest reference parses and checks one line at a time into ``Detection``
-rows, checked against the package's table-at-once parse.
+rows, checked against the package's table-at-once parse. The vote
+reference counts a track's labels one by one, checked against the
+package's ``bincount`` over the track's category column.
 """
 
 import json
@@ -195,13 +197,32 @@ def detection_map_reference(dets, gt, iou_threshold=0.5):
     return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
 
 
+def majority_vote_reference(labels, num_categories, tie_break, collapse_first):
+    """``aggregation.majority_vote`` as a loop over category indices: the
+    vote counts and the winning index."""
+    counts = [0] * num_categories
+    for label in labels:
+        counts[label] += 1
+    if collapse_first:
+        normal_votes, defect_votes = counts[0], sum(counts[1:])
+        if defect_votes > normal_votes or (
+            defect_votes == normal_votes and tie_break == "prefer_defect"
+        ):
+            return counts, counts.index(max(counts[1:]), 1)
+        return counts, 0
+    tied = [c for c in range(num_categories) if counts[c] == max(counts)]
+    if tie_break == "prefer_defect" and len(tied) > 1 and tied[0] == 0:
+        return counts, tied[1]  # the lowest tied defect
+    return counts, tied[0]
+
+
 _DETECTION_FIELDS = ("frame", "x", "y", "w", "h", "score")
 
 
 def _whole_number(name, value):
     if not value.is_integer():
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if abs(value) >= 2.0**63:
+    if abs(value) >= 2.0**53:
         raise ValueError(f"{name} is out of range, got {value!r}")
     return int(value)
 

@@ -219,8 +219,10 @@ def test_criterion_07_temporal_stability_formula():
         labels = rng.integers(0, 4, size=int(rng.integers(1, 40)))
         track = Track(
             id=track_id, state=None, status=TrackStatus.REMOVED,
-            last_update_frame=len(labels) - 1,
-            predictions=[(t, CategoryLabel(int(c))) for t, c in enumerate(labels)],
+            last_update_frame=len(labels) - 1, hit_count=len(labels),
+            frames=np.arange(len(labels), dtype=np.int64),
+            boxes=np.tile([0.0, 0.0, 30.0, 30.0], (len(labels), 1)),
+            categories=labels.astype(np.int64),
         )
         verdicts.append(majority_vote(track))
     aggregated_exact = aggregated_report(verdicts).mean_stability == 1.0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from beltrack import (
@@ -11,18 +13,26 @@ from beltrack import (
     FrameDetections,
     Track,
     TrackStatus,
-    frame_wise_verdicts,
     majority_vote,
+    stability_report,
 )
 from beltrack.model import BRUISE, FRESH, ROT, SCAB
 
+from oracles import majority_vote_reference
+
 
 def track_of(*labels, track_id=1):
-    """A finished track that predicted ``labels`` on frames 0, 1, 2, ..."""
+    """A finished track that predicted ``labels`` on frames 0, 1, 2, ...; a
+    None label is a matched frame without a label."""
+    k = len(labels)
+    counts = {label.num_categories for label in labels if label is not None}
     return Track(
         id=track_id, state=None, status=TrackStatus.REMOVED,
-        last_update_frame=max(len(labels) - 1, 0),
-        predictions=list(enumerate(labels)),
+        last_update_frame=max(k - 1, 0), hit_count=k,
+        frames=np.arange(k, dtype=np.int64),
+        boxes=np.tile([0.0, 0.0, 10.0, 10.0], (k, 1)),
+        categories=np.array([-1 if c is None else c.index for c in labels], dtype=np.int64),
+        num_categories=counts.pop() if counts else 4,
     )
 
 
@@ -130,24 +140,53 @@ class TestMajorityVote:
             extended = majority_vote(track_of(*labels, winner)).final_category
             assert extended == winner
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        num_categories=st.integers(2, 6),
+        tie_break=st.sampled_from(["prefer_defect", "lowest_index"]),
+        collapse_first=st.booleans(),
+    )
+    def test_matches_loop_reference(self, data, num_categories, tie_break, collapse_first):
+        # unlabeled frames (-1) sit between the labels and cast no vote
+        categories = data.draw(st.lists(st.integers(-1, num_categories - 1), max_size=30))
+        labels = [c for c in categories if c >= 0]
+        track = track_of(*(
+            None if c < 0 else CategoryLabel(c, num_categories) for c in categories
+        ))
+        track.num_categories = num_categories
+        if not labels:
+            with pytest.raises(ValueError, match="no predictions"):
+                majority_vote(track, tie_break, collapse_first)
+            return
+        verdict = majority_vote(track, tie_break, collapse_first)
+        counts, winner = majority_vote_reference(labels, num_categories, tie_break, collapse_first)
+        assert verdict.vote_counts == tuple(counts)
+        assert verdict.final_category == CategoryLabel(winner, num_categories)
+        assert verdict.track_length == len(labels)
 
-class TestFrameWiseVerdicts:
+
+class TestFrameWiseLabels:
+    # without voting, each labeled frame is collapsed to normal/defect on its
+    # own; stability_report reads that sequence off the category column
+
     def test_sequence_mapping(self):
-        labels = frame_wise_verdicts(track_of(FRESH, ROT, FRESH))
-        assert labels == [BinaryQuality.NORMAL, BinaryQuality.DEFECT, BinaryQuality.NORMAL]
+        report = stability_report([track_of(FRESH, ROT, FRESH)])
+        assert report.per_track_stability[1] == 1.0 - 2 / 3
+        assert report.n_defect_tracks == 0  # the last frame is fresh
 
     def test_all_fresh(self):
-        labels = frame_wise_verdicts(track_of(*([FRESH] * 5)))
-        assert labels == [BinaryQuality.NORMAL] * 5
+        report = stability_report([track_of(*([FRESH] * 5))])
+        assert report.per_track_stability[1] == 1.0
+        assert report.n_defect_tracks == 0
 
     def test_alternating_has_five_changes(self):
-        labels = frame_wise_verdicts(track_of(FRESH, ROT, FRESH, ROT, FRESH, ROT))
-        changes = sum(1 for a, b in zip(labels, labels[1:]) if a != b)
-        assert changes == 5
+        report = stability_report([track_of(FRESH, ROT, FRESH, ROT, FRESH, ROT)])
+        assert report.per_track_stability[1] == 1.0 - 5 / 6
 
     def test_empty_buffer_rejected(self):
         with pytest.raises(ValueError):
-            frame_wise_verdicts(track_of())
+            stability_report([track_of()])
 
 
 class TestVoteAccuracyBound:

@@ -100,6 +100,15 @@ class TestTrack:
         assert run_cli("track", "--input", str(dets), "--skip-malformed") == 0
         assert capsys.readouterr().out.startswith("1 tracks (1 labeled)")
 
+    def test_frames_a_float_cannot_tell_apart_are_input_error(self, tmp_path, capsys):
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text("".join(
+            json.dumps({"frame": frame, "x": 0.0, "y": 0.0, "w": 5.0, "h": 5.0, "score": 0.9}) + "\n"
+            for frame in (4611686018427387904, 4611686018427387905)
+        ))
+        assert run_cli("track", "--input", str(dets)) == 1
+        assert f"{dets}:1: frame is out of range" in capsys.readouterr().err
+
     def test_bad_tracker_config_is_exit_code_2(self, scene_files):
         dets, _ = scene_files
         code = run_cli("track", "--input", str(dets), "--high-score-threshold", "1.5")
@@ -248,7 +257,7 @@ coordinates = st.one_of(
 )
 sizes = st.one_of(st.floats(1, 60), st.sampled_from(EXTREME))
 #: Steps between consecutive frames, past the default 31-frame fast-forward
-#: and up to 2**62 (two such steps leave the int64 range: an input error).
+#: and up to 2**62 (past 2**53, the frames ingest accepts: an input error).
 frame_steps = st.sampled_from([0, 1, 1, 1, 2, 3, 32, 2**62])
 labels = st.sampled_from(["absent", None, 0, 1, 2, 3])
 

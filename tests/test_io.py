@@ -98,6 +98,26 @@ class TestIngestDetections:
         frames = ingest_detections(path, skip_malformed=True)
         assert [(f.frame_index, len(f.scores)) for f in frames] == [(0, 1)]
 
+    def test_frames_a_float_cannot_tell_apart_rejected(self, tmp_path):
+        # 4611686018427387904 and ...905 parse to one float: they would merge.
+        path = tmp_path / "dets.jsonl"
+        write_lines(path, [
+            f'{{"frame": {frame}, "x": 0, "y": 0, "w": 5, "h": 5, "score": 0.9}}'
+            for frame in (4611686018427387904, 4611686018427387905)
+        ])
+        with pytest.raises(InputError, match=r"dets\.jsonl:1: frame is out of range"):
+            ingest_detections(path)
+
+    @pytest.mark.parametrize("frame, accepted", [(2**53 - 1, True), (2**53, False), (2**53 + 1, False)])
+    def test_frames_below_2_to_the_53_accepted(self, tmp_path, frame, accepted):
+        path = tmp_path / "dets.jsonl"
+        write_lines(path, [f'{{"frame": {frame}, "x": 0, "y": 0, "w": 5, "h": 5, "score": 0.9}}'])
+        if accepted:
+            assert [f.frame_index for f in ingest_detections(path)] == [frame]
+        else:
+            with pytest.raises(InputError, match=r"dets\.jsonl:1: frame is out of range"):
+                ingest_detections(path)
+
     def test_integral_float_frame_and_category_accepted(self, tmp_path):
         path = tmp_path / "dets.jsonl"
         write_lines(path, ['{"frame": 2.0, "x": 0, "y": 0, "w": 5, "h": 5, "score": 0.9, "category": 1.0}'])
@@ -222,6 +242,12 @@ class TestMotAdapter:
         path = tmp_path / "dets.txt"
         write_lines(path, ["1,1,10,20,30,40,0.9", "2,1,15,20,0,40,0.9", "3,1,x,20,30,40,0.9"])
         with pytest.raises(InputError, match=r":2: box size must be positive"):
+            ingest_mot(path)
+
+    def test_frame_at_2_to_the_53_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "dets.txt"
+        write_lines(path, ["1,1,10,20,30,40,0.9", f"{2**53},1,15,20,30,40,0.9"])
+        with pytest.raises(InputError, match=r":2: frame is out of range"):
             ingest_mot(path)
 
     @pytest.mark.parametrize("confidence", ["nan", "inf", "-inf"])

@@ -12,15 +12,14 @@ from beltrack import (
     Track,
     TrackStatus,
     aggregated_report,
-    count_id_switches,
     defect_ratio,
     detection_map,
     majority_vote,
     stability_report,
     temporal_stability,
 )
-from beltrack.metrics import covering_tracks, majority_tracks
-from beltrack.model import FRESH, ROT
+from beltrack.metrics import covering_tracks, majority_tracks, switches_in
+from beltrack.model import FRESH, ROT, xywh_array
 from beltrack.simulate import GroundTruthObject, SceneGroundTruth
 
 from oracles import covering_tracks_reference, detection_map_reference
@@ -31,10 +30,14 @@ D = BinaryQuality.DEFECT
 
 def track_of(*labels, track_id=1):
     """A finished track that predicted ``labels`` on frames 0, 1, 2, ..."""
+    k = len(labels)
     return Track(
         id=track_id, state=None, status=TrackStatus.REMOVED,
-        last_update_frame=max(len(labels) - 1, 0),
-        predictions=list(enumerate(labels)),
+        last_update_frame=max(k - 1, 0), hit_count=k,
+        frames=np.arange(k, dtype=np.int64),
+        boxes=np.tile([0.0, 0.0, 10.0, 10.0], (k, 1)),
+        categories=np.array([label.index for label in labels], dtype=np.int64),
+        num_categories=labels[0].num_categories if labels else 4,
     )
 
 
@@ -212,10 +215,14 @@ class TestDetectionMap:
                 assert detection_map(rescaled, gt) == pytest.approx(baseline, abs=1e-12)
 
 
-def simple_track(track_id, boxes):
+def simple_track(track_id, boxes, status=TrackStatus.ACTIVE):
+    """An unlabeled track that matched the given (frame, box) pairs, in frame order."""
     return Track(
-        id=track_id, state=None, status=TrackStatus.ACTIVE,
-        last_update_frame=max(f for f, _ in boxes), history=list(boxes),
+        id=track_id, state=None, status=status,
+        last_update_frame=max((f for f, _ in boxes), default=0), hit_count=len(boxes),
+        frames=np.array([f for f, _ in boxes], dtype=np.int64),
+        boxes=xywh_array([box for _, box in boxes]),
+        categories=np.full(len(boxes), -1, dtype=np.int64),
     )
 
 
@@ -229,26 +236,26 @@ class TestCountIdSwitches:
     def test_perfect_coverage_no_switches(self):
         boxes = [(t, BoundingBox(5.0 * t, 0, 20, 20)) for t in range(10)]
         gt = single_object_gt(boxes)
-        assert count_id_switches([simple_track(1, boxes)], gt) == 0
+        assert switches_in(covering_tracks([simple_track(1, boxes)], gt)) == 0
 
     def test_identity_handoff_counts_once(self):
         boxes = [(t, BoundingBox(5.0 * t, 0, 20, 20)) for t in range(10)]
         gt = single_object_gt(boxes)
         tracks = [simple_track(1, boxes[:5]), simple_track(2, boxes[5:])]
-        assert count_id_switches(tracks, gt) == 1
+        assert switches_in(covering_tracks(tracks, gt)) == 1
 
     def test_coverage_gap_is_not_a_switch(self):
         boxes = [(t, BoundingBox(5.0 * t, 0, 20, 20)) for t in range(10)]
         gt = single_object_gt(boxes)
         tracks = [simple_track(1, boxes[:4] + boxes[6:])]
-        assert count_id_switches(tracks, gt) == 0
+        assert switches_in(covering_tracks(tracks, gt)) == 0
 
     def test_low_overlap_tracks_ignored(self):
         boxes = [(t, BoundingBox(5.0 * t, 0, 20, 20)) for t in range(6)]
         gt = single_object_gt(boxes)
         far = [(t, BoundingBox(500.0, 500.0, 20, 20)) for t in range(6)]
         tracks = [simple_track(1, boxes), simple_track(2, far)]
-        assert count_id_switches(tracks, gt) == 0
+        assert switches_in(covering_tracks(tracks, gt)) == 0
 
 
 class TestMajorityTracks:
@@ -291,10 +298,7 @@ class TestOverlapKernelMatchesScalarLoops:
     )
     def test_covering_tracks(self, histories, truths, descending, threshold):
         tracks = [
-            Track(
-                id=track_id, state=None, status=TrackStatus.REMOVED, last_update_frame=0,
-                history=sorted(dict(history).items()),
-            )
+            simple_track(track_id, sorted(dict(history).items()), TrackStatus.REMOVED)
             for track_id, history in enumerate(histories, start=1)
         ]
         if descending:

@@ -119,6 +119,14 @@ class TestIou:
         assert iou_matrix(boxes, boxes).tolist() == [[0.0, 0.0], [0.0, 0.0]]
         assert iou(BoundingBox(*box), BoundingBox(*box)) == 0.0
 
+    def test_box_with_the_largest_float_areas_overlaps_itself_fully(self):
+        # Two areas of 1.5e308 sum past the float range: the union is formed
+        # over halved areas, so it stays finite.
+        box = BoundingBox(0, 0, 1e154, 1.5e154)
+        boxes = corners(xywh_array([box]))
+        assert iou(box, box) == 1.0
+        assert iou_matrix(boxes, boxes).tolist() == [[1.0]]
+
     def test_iou_matrix_empty(self):
         empty = corners(xywh_array([]))
         assert iou_matrix(empty, empty).shape == (0, 0)

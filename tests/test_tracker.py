@@ -16,7 +16,7 @@ from beltrack import (
     kf_update,
     state_to_box,
 )
-from beltrack.model import FRESH, ROT, xywh_array
+from beltrack.model import FRESH, ROT, CategoryLabel, split_frames, xywh_array
 from beltrack.pipeline import run_stream
 from beltrack.simulate import SimConfig, generate_scene
 
@@ -47,8 +47,7 @@ class TestLifecycleBasics:
         tracker = ByteTracker()
         for t in range(10):
             out = tracker.step(frame_with(t, (moving_box(t), 0.9, FRESH)))
-            assert len(out.active_tracks) == 1
-            assert out.active_tracks[0][0] == 1
+            assert out.active_tracks == (1,)
         tracks = tracker.finalize()
         assert len(tracks) == 1
         assert tracks[0].id == 1
@@ -138,7 +137,7 @@ class TestDivergence:
         tracker._state.mean[0, 0] = np.nan
         out = tracker.step(frame_with(1, *[(moving_box(1, y0=y), 0.9, FRESH) for y in lanes]))
         assert out.newly_removed_track_ids == (1,)
-        assert [track_id for track_id, _ in out.active_tracks] == [2, 3]
+        assert list(out.active_tracks) == [2, 3]
 
     def test_filter_left_without_a_box_by_its_update_is_removed(self):
         # The noise scales with the height: at h = 1e-170 every variance
@@ -152,7 +151,7 @@ class TestDivergence:
                     frame_with(t, (flat, 0.9, FRESH), (moving_box(t, y0=200.0), 0.9, FRESH))
                 )
         assert out.newly_removed_track_ids == (1,)
-        assert [track_id for track_id, _ in out.active_tracks] == [2]
+        assert list(out.active_tracks) == [2]
         flat_track, steady_track = tracker.finalize()
         assert flat_track.status is TrackStatus.REMOVED
         assert flat_track.history == [(0, flat)]
@@ -177,7 +176,7 @@ class TestDivergence:
                 assert diverged_at is None
                 diverged_at = t
                 assert out.newly_removed_track_ids == (1,)
-            assert [tid for tid, _ in out.active_tracks] == ([1, 2, 3] if t < 6 else [2, 3])
+            assert list(out.active_tracks) == ([1, 2, 3] if t < 6 else [2, 3])
         assert diverged_at is not None
 
         tracks = tracker.finalize()
@@ -258,7 +257,7 @@ class TestByteRecovery:
 
         tracker = warm_tracker()
         out = tracker.step(frame_with(3, (moving_box(3, velocity=2.0), 0.3, FRESH)))
-        assert [tid for tid, _ in out.active_tracks] == [1]
+        assert list(out.active_tracks) == [1]
         assert tracker.finalize()[0].status is TrackStatus.ACTIVE
 
         tracker = warm_tracker()
@@ -276,7 +275,7 @@ class TestTentativeLifecycle:
         out = tracker.step(frame_with(1, (moving_box(1), 0.9, FRESH)))
         assert out.active_tracks == ()
         out = tracker.step(frame_with(2, (moving_box(2), 0.9, FRESH)))
-        assert [tid for tid, _ in out.active_tracks] == [1]
+        assert list(out.active_tracks) == [1]
 
     def test_unmatched_tentative_is_removed(self):
         config = TrackerConfig(min_hits_to_activate=3)
@@ -312,6 +311,48 @@ class TestPredictionRecording:
             tracker.step(frame_with(t, (moving_box(t, velocity=1.0), 0.9, FRESH)))
         track = tracker.finalize()[0]
         assert track.predictions == [(t, FRESH) for t in range(100)]
+
+
+class TestMatchTable:
+    def test_columns_agree_with_the_lifecycle_on_a_cluttered_scene(self):
+        _, frames = generate_scene(SimConfig(
+            seed=11, n_lanes=4, n_objects_per_lane=6, spawn_interval_frames=12,
+            false_positive_rate=2.0, score_mean_true=0.75, score_std_true=0.15,
+            detection_dropout_prob=0.15, bbox_jitter_std=1.5, label_flip_prob=0.25,
+        ))
+        by_index = {f.frame_index: f for f in frames}
+        tracks = run_stream(frames)
+        assert len(tracks) > 20
+        assert sum(len(track.frames) for track in tracks) > 256  # the table has grown
+        for track in tracks:
+            assert (np.diff(track.frames) > 0).all()
+            assert len(track.frames) == len(track.boxes) == len(track.categories)
+            assert len(track.frames) == track.hit_count
+            assert track.frames[-1] == track.last_update_frame
+            history_frames = {f for f, _ in track.history}
+            assert {f for f, _ in track.predictions} <= history_frames
+            # The first row is the spawn: an observed box and its label.
+            spawn = by_index[int(track.frames[0])]
+            (row,) = np.flatnonzero((spawn.boxes == track.boxes[0]).all(axis=1))
+            assert track.categories[0] == spawn.categories[row]
+            assert not track.boxes.flags.writeable
+
+    def test_mixed_category_counts_rejected(self):
+        # Unlabeled frames carry no category count; labeled frames must agree.
+        box = [[5.0, 50.0, 32.0, 32.0]]
+        frames = [
+            frame_with(0, (moving_box(0), 0.9, ROT)),
+            *split_frames(np.array([1]), np.array(box), np.array([0.9]), np.array([-1]), 6),
+            frame_with(2, (moving_box(2), 0.9, CategoryLabel(5, 6))),
+        ]
+        with pytest.raises(ValueError, match="frame 2 has 6 categories, earlier frames have 4"):
+            run_stream(frames)
+
+    def test_box_with_the_largest_float_area_keeps_one_track(self):
+        # Its area doubled overflows; the overlap with itself must still be 1.
+        box = BoundingBox(0.0, 0.0, 1e154, 1.5e154)
+        tracks = run_stream([frame_with(t, (box, 0.9, FRESH)) for t in range(3)])
+        assert [list(track.frames) for track in tracks] == [[0, 1, 2]]
 
 
 class TestFinalize:
