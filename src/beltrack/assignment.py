@@ -1,11 +1,22 @@
-"""IoU cost matrices and optimal linear assignment with cost gating."""
+"""IoU cost matrices and optimal linear assignment with cost gating.
+
+The solver is exact and needs only NumPy. Let ``top`` be the largest cost
+of a matrix. A matching of ``min(n, m)`` pairs costs ``min(n, m) * top``
+less the saving ``top - c`` of each of its pairs cheaper than ``top``. The
+optimum is therefore a matching of greatest saving within each connected
+group of cheaper pairs, plus the rows left over paired with the columns left
+over, each such pair at cost ``top``. An IoU matrix is sparse: nearly every
+group has a single row or a single column and takes its cheapest pair, so
+the general solver (shortest augmenting paths, the method scipy's
+``linear_sum_assignment`` uses) runs only on the rare larger groups.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import iou_matrix
 
@@ -32,28 +43,148 @@ def build_cost_matrix(track_boxes: np.ndarray, det_boxes: np.ndarray) -> CostMat
 def solve_assignment(costs: CostMatrix, max_cost: float) -> AssignmentResult:
     """Minimum-total-cost matching, then gate out pairs costing more than max_cost.
 
-    Gating is applied after solving: the optimal matching is computed on the
-    full matrix and any matched pair above the threshold is demoted to
-    unmatched on both sides. Degenerate (empty) matrices yield all-unmatched.
+    Gating is applied after solving: the optimal matching of ``min(n, m)``
+    pairs is computed on the full matrix and any matched pair above the
+    threshold is demoted to unmatched on both sides. Degenerate (empty)
+    matrices yield all-unmatched; a nan or infinite cost is a ValueError.
+
+    Where several matchings share the optimum, a group of cheaper-than-top
+    pairs with one row or one column takes its cheapest pair, the lowest row
+    and then the lowest column among equals; a larger group takes the first
+    optimum its augmenting-path search reaches (rows in index order, the
+    lowest column among equal reduced costs); and the rows left over take
+    the columns left over in index order.
     """
     costs = np.asarray(costs, dtype=float)
     n_rows, n_cols = costs.shape
     if costs.size == 0:
         return AssignmentResult((), tuple(range(n_rows)), tuple(range(n_cols)))
+    top = float(costs.max())
+    if not (math.isfinite(top) and math.isfinite(costs.min())):
+        raise ValueError("cost matrix entries must be finite")
 
-    rows, cols = linear_sum_assignment(costs)
-    matches = []
-    matched_rows: set[int] = set()
-    matched_cols: set[int] = set()
-    for r, c in zip(rows, cols):
-        if costs[r, c] > max_cost:
-            continue
-        matches.append((int(r), int(c)))
-        matched_rows.add(int(r))
-        matched_cols.add(int(c))
+    # The pairs cheaper than ``top`` as (cost, row, column), by cost and
+    # then row-major among equal costs.
+    below = costs < top
+    rows, cols = (index.tolist() for index in np.nonzero(below))
+    cheap = sorted(zip(costs[below].tolist(), rows, cols))
+    if _joins_shared_row_and_column(rows, cols):
+        cheap = _group_matching(costs, top, cheap)
+    else:
+        cheap = _first_per_group(cheap)
+    matches = [(r, c) for cost, r, c in cheap if cost <= max_cost]
+
+    matched_rows = {r for r, _ in matches}
+    matched_cols = {c for _, c in matches}
+    free_rows = [i for i in range(n_rows) if i not in matched_rows]
+    free_cols = [j for j in range(n_cols) if j not in matched_cols]
+    # Every leftover pair costs ``top``, so the gate keeps all of them or
+    # none; and when it keeps them, it kept every cheap pair too.
+    if top <= max_cost:
+        k = min(len(free_rows), len(free_cols))
+        matches += zip(free_rows[:k], free_cols[:k])
+        free_rows, free_cols = free_rows[k:], free_cols[k:]
     matches.sort()
-    return AssignmentResult(
-        matches=tuple(matches),
-        unmatched_tracks=tuple(i for i in range(n_rows) if i not in matched_rows),
-        unmatched_detections=tuple(j for j in range(n_cols) if j not in matched_cols),
-    )
+    return AssignmentResult(tuple(matches), tuple(free_rows), tuple(free_cols))
+
+
+def _joins_shared_row_and_column(rows: list[int], cols: list[int]) -> bool:
+    """Whether a pair joins a row and a column that both have other pairs,
+    that is, whether some group has two rows and two columns or more.
+    ``rows`` is sorted."""
+    shared_rows = {r for r, s in zip(rows, rows[1:]) if r == s}
+    if not shared_rows:
+        return False
+    seen, shared_cols = set(), set()
+    for c in cols:
+        (shared_cols if c in seen else seen).add(c)
+    return any(r in shared_rows and c in shared_cols for r, c in zip(rows, cols))
+
+
+def _first_per_group(cheap: list[tuple[float, int, int]]) -> list[tuple[float, int, int]]:
+    """Where every group has one row or one column: one greedy pass in cost
+    order takes each group's first pair, its cheapest."""
+    taken_rows, taken_cols, matching = set(), set(), []
+    for pair in cheap:
+        _, r, c = pair
+        if r not in taken_rows and c not in taken_cols:
+            taken_rows.add(r)
+            taken_cols.add(c)
+            matching.append(pair)
+    return matching
+
+
+def _group_matching(
+    costs: np.ndarray, top: float, cheap: list[tuple[float, int, int]]
+) -> list[tuple[float, int, int]]:
+    """An optimal matching of the cheap pairs (``(cost, row, column)`` in
+    cost order), group by group: the first pair of a group with one row or
+    one column, and the shortest-augmenting-path optimum of a larger group's
+    submatrix, cut to its cheap pairs."""
+    parent: dict[int, int] = {}  # union-find over rows r and columns ~c
+
+    def root(node: int) -> int:
+        while node in parent:
+            node = parent[node]
+        return node
+
+    for _, r, c in cheap:
+        a, b = root(r), root(~c)
+        if a != b:
+            parent[a] = b
+    groups: dict[int, list[tuple[float, int, int]]] = {}
+    for pair in cheap:
+        groups.setdefault(root(pair[1]), []).append(pair)
+
+    matching = []
+    for group in groups.values():
+        rows = sorted({r for _, r, _ in group})
+        cols = sorted({c for _, _, c in group})
+        if len(rows) == 1 or len(cols) == 1:
+            matching.append(group[0])
+            continue
+        sub = costs[np.ix_(rows, cols)]
+        for i, j in _shortest_augmenting_paths(sub):
+            if sub[i, j] < top:
+                matching.append((float(sub[i, j]), rows[i], cols[j]))
+    return matching
+
+
+def _shortest_augmenting_paths(costs: np.ndarray) -> list[tuple[int, int]]:
+    """Minimum-cost matching of min(n, m) pairs of a small dense matrix: the
+    Hungarian method with potentials, one shortest augmenting path (Dijkstra
+    on reduced costs) per row. Plain Python, O(n^2 m)."""
+    transposed = costs.shape[0] > costs.shape[1]
+    table = (costs.T if transposed else costs).tolist()
+    n, m = len(table), len(table[0])
+    # Columns are 1..m, with 0 the virtual start; row_of[j] is the 1-based row
+    # on column j (0 for none).
+    u, v = [0.0] * (n + 1), [0.0] * (m + 1)
+    row_of, came_from = [0] * (m + 1), [0] * (m + 1)
+    for i in range(1, n + 1):
+        row_of[0], j0 = i, 0
+        dist, used = [math.inf] * (m + 1), [False] * (m + 1)
+        while row_of[j0]:
+            used[j0] = True
+            i0, line = row_of[j0], table[row_of[j0] - 1]
+            delta, j1 = math.inf, 0
+            for j in range(1, m + 1):
+                if not used[j]:
+                    reduced = line[j - 1] - u[i0] - v[j]
+                    if reduced < dist[j]:
+                        dist[j], came_from[j] = reduced, j0
+                    if dist[j] < delta:
+                        delta, j1 = dist[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    dist[j] -= delta
+            j0 = j1
+        while j0:
+            j1 = came_from[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    pairs = [(row_of[j] - 1, j - 1) for j in range(1, m + 1) if row_of[j]]
+    return [(j, i) for i, j in pairs] if transposed else pairs

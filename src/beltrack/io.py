@@ -11,8 +11,8 @@ Detection format, one JSON object per line:
 (float64 holds every such integer exactly), no field may be a JSON boolean,
 and a box's fields, edges, area and aspect w/h must be finite, with w, h
 and w/h positive (the tracker's filter encodes the aspect). The
-ground-truth format mirrors it with ``object_id`` and ``true_category``
-fields instead of ``score``/``category``.
+ground-truth format mirrors it, and its rules, with ``object_id`` and
+``true_category`` fields (both whole numbers) instead of ``score``/``category``.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .simulate import GroundTruthObject, SceneGroundTruth
 logger = logging.getLogger(__name__)
 
 DETECTION_FIELDS = ("frame", "x", "y", "w", "h", "score")
+TRUTH_FIELDS = ("frame", "object_id", "x", "y", "w", "h", "true_category")
 #: Columns of the parsed table: the detection fields, then the category
 #: (nan where a line has none).
 _COLUMNS = (*DETECTION_FIELDS, "category")
@@ -211,6 +212,31 @@ def write_ground_truth(gt: SceneGroundTruth, path: str | Path):
                 handle.write(json.dumps(record) + "\n")
 
 
+def _parse_truth_line(line: str) -> tuple[int, int, BoundingBox, int]:
+    """One ground-truth JSONL line as (frame, object id, box, category index),
+    under the detection reader's rules: no field may be a JSON boolean, and
+    ``frame``, ``object_id`` and ``true_category`` must be whole numbers
+    below 2**53 in magnitude. Raises ValueError, TypeError or OverflowError."""
+    record = json.loads(line)
+    if not isinstance(record, dict):
+        raise ValueError("expected a JSON object")
+    values = []
+    for key in TRUTH_FIELDS:
+        if key not in record:
+            raise ValueError(f"missing field {key!r}")
+        if type(record[key]) is bool:
+            raise ValueError(f"{key} must be a number, got {json.dumps(record[key])}")
+        values.append(float(record[key]))
+    frame, object_id, x, y, w, h, category = values
+    for key, value in (("frame", frame), ("object_id", object_id), ("true_category", category)):
+        message = _whole_number_error(key, value)
+        if message is not None:
+            raise ValueError(message)
+    if frame < 0:
+        raise ValueError(f"frame_index must be >= 0, got {int(frame)}")
+    return int(frame), int(object_id), BoundingBox(x, y, w, h), int(category)
+
+
 def read_ground_truth(path: str | Path, num_categories: int = 4) -> SceneGroundTruth:
     path = Path(path)
     if not path.exists():
@@ -222,18 +248,10 @@ def read_ground_truth(path: str | Path, num_categories: int = 4) -> SceneGroundT
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-                object_id = int(record["object_id"])
-                frame = int(record["frame"])
-                if frame < 0:
-                    raise ValueError(f"frame_index must be >= 0, got {frame}")
-                box = BoundingBox(
-                    x=float(record["x"]), y=float(record["y"]),
-                    w=float(record["w"]), h=float(record["h"]),
-                )
-                category = CategoryLabel(int(record["true_category"]), num_categories)
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise InputError(f"{path}:{line_number}: {exc}") from exc
+                frame, object_id, box, index = _parse_truth_line(line)
+                category = CategoryLabel(index, num_categories)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InputError(f"{path}:{line_number}: {_line_error(exc)}") from exc
             if object_id in categories and categories[object_id] != category:
                 raise InputError(
                     f"{path}:{line_number}: object {object_id} changes category "

@@ -254,8 +254,11 @@ def evaluate_against_truth(
 
     Object-level accuracies treat an object with no covering track (or a
     track without labels) as misclassified, so they are comparable across
-    configurations that drop different objects.
+    configurations that drop different objects. ``iou_threshold`` must be
+    in (0, 1]: at 0, boxes that do not overlap would count as matches.
     """
+    if not 0.0 < iou_threshold <= 1.0:  # nan fails too
+        raise ConfigError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     aggregation = aggregation or AggregationConfig()
     tracks = run_stream(frames, tracker_config)
     labeled, verdicts = _vote(tracks, aggregation)

@@ -161,17 +161,19 @@ class ByteTracker:
         pool = self._live
         pool_corners = corners(pool_boxes)
 
+        # One cost matrix for both rounds: every live track against the
+        # confident detections (its first columns), then the low ones.
+        costs = build_cost_matrix(pool_corners, det_corners[high + low])
+
         # First round: every live track vs confident detections.
-        costs = build_cost_matrix(pool_corners, det_corners[high])
-        first = solve_assignment(costs, cfg.match_threshold_first)
+        first = solve_assignment(costs[:, : len(high)], cfg.match_threshold_first)
 
         # Second round: still-unmatched active tracks vs low-confidence
         # detections. Lost and tentative tracks sit this one out.
         leftover_rows = [
             i for i in first.unmatched_tracks if pool[i].status is TrackStatus.ACTIVE
         ]
-        costs = build_cost_matrix(pool_corners[leftover_rows], det_corners[low])
-        second = solve_assignment(costs, cfg.match_threshold_second)
+        second = solve_assignment(costs[leftover_rows, len(high) :], cfg.match_threshold_second)
 
         # One update for the matches of both rounds. Round 2 scores only
         # tracks round 1 left unmatched, on their predicted boxes, so

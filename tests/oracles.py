@@ -1,8 +1,10 @@
 """Independent reference implementations used to check the fast paths.
 
 IoU by counting raster cells and assignment by exhaustive permutation
-search share no code with the package. The metric references are plain
-loops over the pairwise ``iou``, checked against the package's
+search share no code with the package, and scipy's
+``linear_sum_assignment`` (which the package does not use) is the reference
+for the solver's optimum. The metric references are plain loops over the
+pairwise ``iou``, checked against the package's
 ``iou_matrix`` versions. The Kalman references step one filter with dense
 8x8 matrix products, converting its per-axis blocks to the dense covariance
 and back, checked against the package's batched per-axis filter. The
@@ -18,6 +20,7 @@ from itertools import permutations
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from beltrack import (
     BoundingBox,
@@ -131,6 +134,14 @@ def brute_force_assignment(costs: np.ndarray) -> tuple[float, list[tuple[int, in
     # canonical row-major summation so exact-equality comparisons are
     # insensitive to float association order
     return float(sum(costs[r, c] for r, c in best_pairs)), best_pairs
+
+
+def scipy_assignment(costs: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
+    """scipy's minimum-total-cost matching of min(rows, cols) pairs, as
+    (total, sorted pairs), summed row-major like ``brute_force_assignment``."""
+    rows, cols = linear_sum_assignment(np.asarray(costs, dtype=float))
+    pairs = sorted(zip(rows.tolist(), cols.tolist()))
+    return float(sum(costs[r, c] for r, c in pairs)), pairs
 
 
 def covering_tracks_reference(tracks, gt, iou_threshold=0.5):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beltrack import BoundingBox, build_cost_matrix, solve_assignment
 from beltrack.model import corners, xywh_array
 
-from oracles import brute_force_assignment
+from oracles import brute_force_assignment, scipy_assignment
 
 
 def total_cost(costs, result):
@@ -107,3 +109,92 @@ class TestSolveAssignment:
             base = solve_assignment(costs, max_cost=np.inf)
             moved = solve_assignment(shifted, max_cost=np.inf)
             assert base.matches == moved.matches
+
+
+@st.composite
+def cost_matrices(draw):
+    """0-8 x 0-8 matrices of three kinds: continuous costs, small integers
+    with many ties, and 1 - IoU of integer boxes on a small field (sparse,
+    with exact ties at 1.0 and between equal overlaps)."""
+    n_rows, n_cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["continuous", "integer", "iou"]))
+    if kind != "iou":
+        cells = st.floats(0.0, 1.0) if kind == "continuous" else st.integers(0, 3)
+        values = draw(st.lists(cells, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+        return np.array(values, dtype=float).reshape(n_rows, n_cols)
+    box = st.tuples(st.integers(0, 20), st.integers(0, 20), st.integers(1, 8), st.integers(1, 8))
+    track_boxes = draw(st.lists(box, min_size=n_rows, max_size=n_rows))
+    det_boxes = draw(st.lists(box, min_size=n_cols, max_size=n_cols))
+    return cost_matrix([BoundingBox(*b) for b in track_boxes], [BoundingBox(*b) for b in det_boxes])
+
+
+class TestExactSolver:
+    @settings(max_examples=400, deadline=None)
+    @given(costs=cost_matrices(), max_cost=st.floats(0.0, 1.0))
+    def test_optimal_full_matching_then_gate(self, costs, max_cost):
+        n_rows, n_cols = costs.shape
+        full = solve_assignment(costs, max_cost=np.inf)
+        expected_total, _ = scipy_assignment(costs)
+        assert total_cost(costs, full) == pytest.approx(expected_total, abs=1e-9)
+        assert len(full.matches) == min(n_rows, n_cols)
+        assert_partition(full, n_rows, n_cols)
+
+        gated = solve_assignment(costs, max_cost)
+        assert_partition(gated, n_rows, n_cols)
+        assert gated.matches == tuple(p for p in full.matches if costs[p] <= max_cost)
+
+    def test_same_matches_as_scipy_on_continuous_matrices(self):
+        # Continuous costs have no ties, so the optimum is unique.
+        rng = np.random.default_rng(31)
+        for _ in range(500):
+            costs = rng.uniform(0, 1, size=(int(rng.integers(1, 12)), int(rng.integers(1, 12))))
+            assert list(solve_assignment(costs, max_cost=np.inf).matches) == scipy_assignment(costs)[1]
+
+    def test_group_of_three_rows_and_three_columns(self):
+        # The overlaps r0-c0-r1-c2-r2 and r0-c1 form one group; taking the
+        # cheapest pair (0, 0) first would leave row 1 at cost 1.
+        costs = np.array([
+            [0.10, 0.20, 1.00, 1.00],
+            [0.15, 1.00, 0.30, 1.00],
+            [1.00, 1.00, 0.25, 1.00],
+        ])
+        result = solve_assignment(costs, max_cost=0.8)
+        assert result.matches == ((0, 1), (1, 0), (2, 2))
+        assert result.unmatched_detections == (3,)
+        assert total_cost(costs, result) == pytest.approx(brute_force_assignment(costs)[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cost_rejected(self, bad):
+        costs = np.array([[0.2, 1.0], [1.0, 0.3]])
+        costs[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve_assignment(costs, max_cost=0.8)
+
+    def test_leftover_rows_take_leftover_columns_in_index_order(self):
+        costs = np.ones((3, 4))
+        costs[1, 2] = 0.4
+        result = solve_assignment(costs, max_cost=1.0)
+        assert result.matches == ((0, 0), (1, 2), (2, 1))
+        assert result.unmatched_tracks == ()
+        assert result.unmatched_detections == (3,)
+        # Below the top cost, the gate drops every leftover pair.
+        gated = solve_assignment(costs, max_cost=0.99)
+        assert gated.matches == ((1, 2),)
+        assert gated.unmatched_tracks == (0, 2)
+        assert gated.unmatched_detections == (0, 1, 3)
+
+    def test_a_row_its_group_leaves_over_takes_the_lowest_free_column(self):
+        # Rows 0-2 and columns 1-3 form one group; its best pairs are (0, 2)
+        # and (1, 1), so row 2 is left over and takes column 0, not column 3.
+        costs = np.array([
+            [1.0, 0.10, 0.20, 0.25],
+            [1.0, 0.30, 1.00, 1.00],
+            [1.0, 0.35, 1.00, 1.00],
+        ])
+        assert solve_assignment(costs, max_cost=1.0).matches == ((0, 2), (1, 1), (2, 0))
+        assert solve_assignment(costs, max_cost=0.8).matches == ((0, 2), (1, 1))
+
+    def test_ties_in_a_one_row_or_one_column_group_go_to_the_lowest_index(self):
+        costs = np.array([[1.0, 0.5, 1.0, 0.5], [1.0, 1.0, 1.0, 1.0]])
+        assert solve_assignment(costs, max_cost=0.8).matches == ((0, 1),)
+        assert solve_assignment(costs.T, max_cost=0.8).matches == ((1, 0),)

@@ -221,6 +221,34 @@ class TestEvaluate:
         assert f"{truth}:1: category index 9 out of range [0, 4)" in capsys.readouterr().err
 
 
+    def test_truth_line_with_fractional_numbers_is_input_error(self, scene_files, tmp_path, capsys):
+        dets, _ = scene_files
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text(
+            '{"frame": 2.7, "object_id": 1.9, "x": 0, "y": 0, "w": 5, "h": 5, "true_category": 1}\n'
+        )
+        assert run_cli("evaluate", "--detections", str(dets), "--truth", str(truth)) == 1
+        assert f"{truth}:1: frame must be an integer, got 2.7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["nan", "0", "-0.1", "1.5"])
+    def test_iou_threshold_outside_zero_one_is_config_error(self, scene_files, threshold, capsys):
+        dets, truth = scene_files
+        code = run_cli(
+            "evaluate", "--detections", str(dets), "--truth", str(truth),
+            "--iou-threshold", threshold,
+        )
+        assert code == 2
+        assert "iou_threshold must be in (0, 1]" in capsys.readouterr().err
+
+    def test_iou_threshold_one_accepted(self, scene_files, capsys):
+        dets, truth = scene_files
+        code = run_cli(
+            "evaluate", "--detections", str(dets), "--truth", str(truth), "--iou-threshold", "1",
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["n_objects"] == 8
+
+
 class TestConfigFlags:
     def test_every_config_field_has_exactly_one_flag(self):
         parser = cli.build_parser()
@@ -408,3 +436,36 @@ class TestInstalledEntryPoint:
         )
         assert result.returncode == 0
         assert "track" in result.stdout and "simulate" in result.stdout
+
+
+class TestRuntimeWithoutScipy:
+    # The child cannot import scipy; it imports beltrack and runs three verbs.
+    SCRIPT = """
+import sys
+sys.modules["scipy"] = None
+import beltrack, beltrack.cli
+out = sys.argv[1]
+dets, truth = out + "/dets.jsonl", out + "/truth.jsonl"
+verbs = [
+    ["simulate", "--output-detections", dets, "--output-truth", truth,
+     "--seed", "3", "--n-lanes", "2", "--n-objects-per-lane", "3", "--frame-width", "150"],
+    ["track", "--input", dets, "--output-summary", out + "/summary.json"],
+    ["evaluate", "--detections", dets, "--truth", truth],
+]
+for argv in verbs:
+    code = beltrack.cli.main(argv)
+    if code != 0:
+        sys.exit(f"{argv[0]} exited {code}")
+"""
+
+    def test_simulate_track_evaluate_without_scipy(self, tmp_path):
+        source_root = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [source_root, os.environ.get("PYTHONPATH")])
+        )}
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads((tmp_path / "summary.json").read_text())["n_tracks"] > 0

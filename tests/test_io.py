@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -199,6 +200,51 @@ class TestReadGroundTruth:
         ])
         with pytest.raises(InputError, match=r"gt\.jsonl:2: category index 9 out of range"):
             read_ground_truth(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("frame", "2.7", "frame must be an integer, got 2.7"),
+        ("object_id", "1.9", "object_id must be an integer, got 1.9"),
+        ("true_category", "true", "true_category must be a number, got true"),
+        ("true_category", "1.5", "true_category must be an integer, got 1.5"),
+        ("frame", "9007199254740992", "frame is out of range"),
+        ("x", "true", "x must be a number, got true"),
+        ("w", "false", "w must be a number, got false"),
+    ])
+    def test_detection_rules_apply(self, tmp_path, field, value, message):
+        record = {"frame": 0, "object_id": 1, "x": 0, "y": 0, "w": 5, "h": 5, "true_category": 0}
+        line = json.dumps(record).replace(f'"{field}": {json.dumps(record[field])}', f'"{field}": {value}')
+        path = tmp_path / "gt.jsonl"
+        write_lines(path, [json.dumps(record), line])
+        with pytest.raises(InputError, match=re.escape(f"gt.jsonl:2: {message}")):
+            read_ground_truth(path)
+
+    def test_found_line_rejected(self, tmp_path):
+        # Read as frame 2, object 1, category 1 before whole numbers were
+        # checked. As in the detection reader, booleans are reported first.
+        path = tmp_path / "gt.jsonl"
+        line = '{"frame": 2.7, "object_id": 1.9, "x": 0, "y": 0, "w": 5, "h": 5, "true_category": true}'
+        write_lines(path, [line])
+        with pytest.raises(InputError, match=r"gt\.jsonl:1: true_category must be a number, got true"):
+            read_ground_truth(path)
+        write_lines(path, [line.replace("true}", "1}")])
+        with pytest.raises(InputError, match=r"gt\.jsonl:1: frame must be an integer, got 2\.7"):
+            read_ground_truth(path)
+
+    def test_missing_field_and_non_object_rejected(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        write_lines(path, ['{"frame": 0, "object_id": 1, "x": 0, "y": 0, "w": 5, "true_category": 0}'])
+        with pytest.raises(InputError, match=r"gt\.jsonl:1: missing field 'h'"):
+            read_ground_truth(path)
+        write_lines(path, ["[0, 1]"])
+        with pytest.raises(InputError, match=r"gt\.jsonl:1: expected a JSON object"):
+            read_ground_truth(path)
+
+    def test_whole_floats_accepted(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        write_lines(path, ['{"frame": 3.0, "object_id": 2.0, "x": 0, "y": 0, "w": 5, "h": 5, "true_category": 1.0}'])
+        (obj,) = read_ground_truth(path).objects
+        assert (obj.object_id, obj.true_category.index, obj.boxes[0][0]) == (2, 1, 3)
+        assert type(obj.object_id) is int and type(obj.boxes[0][0]) is int
 
     def test_boxes_sorted_by_frame(self, tmp_path):
         path = tmp_path / "gt.jsonl"

@@ -221,6 +221,17 @@ class TestEvaluateAgainstTruth:
         evaluation = evaluate_against_truth(frames, gt)
         assert evaluation.estimated_defect_ratio == pytest.approx(0.3, abs=0.08)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), 0.0, -0.1, 1.5])
+    def test_iou_threshold_outside_zero_one_rejected(self, threshold):
+        gt, frames = generate_scene(clean_scene())
+        with pytest.raises(ConfigError, match="iou_threshold must be in"):
+            evaluate_against_truth(frames, gt, iou_threshold=threshold)
+
+    def test_iou_threshold_one_accepted(self):
+        gt, frames = generate_scene(clean_scene())
+        evaluation = evaluate_against_truth(frames, gt, iou_threshold=1.0)
+        assert evaluation.n_objects == 1
+
     def test_spawn_before_frame_zero_evaluates(self):
         # jitter moves lane 1's first spawn to frame -3; truth starts at 0
         config = SimConfig(seed=0, n_lanes=2, spawn_jitter_frames=3, n_objects_per_lane=5)
