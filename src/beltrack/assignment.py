@@ -68,11 +68,7 @@ def solve_assignment(costs: CostMatrix, max_cost: float) -> AssignmentResult:
     below = costs < top
     rows, cols = (index.tolist() for index in np.nonzero(below))
     cheap = sorted(zip(costs[below].tolist(), rows, cols))
-    if _joins_shared_row_and_column(rows, cols):
-        cheap = _group_matching(costs, top, cheap)
-    else:
-        cheap = _first_per_group(cheap)
-    matches = [(r, c) for cost, r, c in cheap if cost <= max_cost]
+    matches = [(r, c) for cost, r, c in _group_matching(costs, top, cheap) if cost <= max_cost]
 
     matched_rows = {r for r, _ in matches}
     matched_cols = {c for _, c in matches}
@@ -88,32 +84,6 @@ def solve_assignment(costs: CostMatrix, max_cost: float) -> AssignmentResult:
     return AssignmentResult(tuple(matches), tuple(free_rows), tuple(free_cols))
 
 
-def _joins_shared_row_and_column(rows: list[int], cols: list[int]) -> bool:
-    """Whether a pair joins a row and a column that both have other pairs,
-    that is, whether some group has two rows and two columns or more.
-    ``rows`` is sorted."""
-    shared_rows = {r for r, s in zip(rows, rows[1:]) if r == s}
-    if not shared_rows:
-        return False
-    seen, shared_cols = set(), set()
-    for c in cols:
-        (shared_cols if c in seen else seen).add(c)
-    return any(r in shared_rows and c in shared_cols for r, c in zip(rows, cols))
-
-
-def _first_per_group(cheap: list[tuple[float, int, int]]) -> list[tuple[float, int, int]]:
-    """Where every group has one row or one column: one greedy pass in cost
-    order takes each group's first pair, its cheapest."""
-    taken_rows, taken_cols, matching = set(), set(), []
-    for pair in cheap:
-        _, r, c = pair
-        if r not in taken_rows and c not in taken_cols:
-            taken_rows.add(r)
-            taken_cols.add(c)
-            matching.append(pair)
-    return matching
-
-
 def _group_matching(
     costs: np.ndarray, top: float, cheap: list[tuple[float, int, int]]
 ) -> list[tuple[float, int, int]]:
@@ -121,32 +91,38 @@ def _group_matching(
     cost order), group by group: the first pair of a group with one row or
     one column, and the shortest-augmenting-path optimum of a larger group's
     submatrix, cut to its cheap pairs."""
-    parent: dict[int, int] = {}  # union-find over rows r and columns ~c
-
-    def root(node: int) -> int:
-        while node in parent:
-            node = parent[node]
-        return node
-
+    # Union-find over rows r and columns ~c; a group is keyed by its root.
+    parent: dict[int, int] = {}
     for _, r, c in cheap:
-        a, b = root(r), root(~c)
+        a, b = r, ~c
+        while a in parent:
+            a = parent[a]
+        while b in parent:
+            b = parent[b]
         if a != b:
             parent[a] = b
     groups: dict[int, list[tuple[float, int, int]]] = {}
     for pair in cheap:
-        groups.setdefault(root(pair[1]), []).append(pair)
+        a = pair[1]
+        while a in parent:
+            a = parent[a]
+        if a in groups:
+            groups[a].append(pair)
+        else:
+            groups[a] = [pair]
 
     matching = []
     for group in groups.values():
-        rows = sorted({r for _, r, _ in group})
-        cols = sorted({c for _, _, c in group})
-        if len(rows) == 1 or len(cols) == 1:
-            matching.append(group[0])
-            continue
-        sub = costs[np.ix_(rows, cols)]
-        for i, j in _shortest_augmenting_paths(sub):
-            if sub[i, j] < top:
-                matching.append((float(sub[i, j]), rows[i], cols[j]))
+        if len(group) > 1:
+            rows = sorted({r for _, r, _ in group})
+            cols = sorted({c for _, _, c in group})
+            if len(rows) > 1 and len(cols) > 1:
+                sub = costs[np.ix_(rows, cols)]
+                for i, j in _shortest_augmenting_paths(sub):
+                    if sub[i, j] < top:
+                        matching.append((float(sub[i, j]), rows[i], cols[j]))
+                continue
+        matching.append(group[0])  # one row or one column: its cheapest pair
     return matching
 
 

@@ -50,24 +50,37 @@ _COLUMNS = (*DETECTION_FIELDS, "category")
 _INT_LIMIT = 2.0**53
 
 
-def _parse_detection_line(line: str) -> tuple[float, ...]:
-    """One JSONL line as a table row; raises ValueError (JSONDecodeError
-    included), TypeError or OverflowError for a line that is not a
-    detection record. Whole-number checks are left to the table."""
+def _record_values(
+    line: str, fields: tuple[str, ...], optional: str | None = None
+) -> tuple[float, ...]:
+    """The numbers of one JSONL record: its ``fields`` in order, then its
+    ``optional`` field where that is present and not null. Raises ValueError
+    (JSONDecodeError included) for a line that is not a JSON object, a
+    missing field or a JSON boolean, and TypeError or OverflowError for a
+    value ``float`` does not take."""
     record = json.loads(line)
     if not isinstance(record, dict):
         raise ValueError("expected a JSON object")
-    for key in DETECTION_FIELDS:
+    for key in fields:
         if key not in record:
             raise ValueError(f"missing field {key!r}")
-    category = record.get("category")
-    values = [record[key] for key in DETECTION_FIELDS]
-    values.append(math.nan if category is None else category)
+    if optional is not None and record.get(optional) is not None:
+        fields = (*fields, optional)
+    values = [record[key] for key in fields]
     if bool in map(type, values):
-        key = _COLUMNS[[type(v) for v in values].index(bool)]
+        key = fields[list(map(type, values)).index(bool)]
         raise ValueError(f"{key} must be a number, got {json.dumps(record[key])}")
-    row = tuple(map(float, values))
-    if category is not None and math.isnan(row[-1]):  # nan marks "no category"
+    return tuple(map(float, values))
+
+
+def _parse_detection_line(line: str) -> tuple[float, ...]:
+    """One JSONL line as a table row, nan in the category column where the
+    line has none. Raises as ``_record_values`` does; whole-number checks
+    are left to the table."""
+    row = _record_values(line, DETECTION_FIELDS, optional="category")
+    if len(row) == len(DETECTION_FIELDS):
+        return (*row, math.nan)
+    if math.isnan(row[-1]):  # nan marks "no category"
         raise ValueError(f"category must be an integer, got {row[-1]!r}")
     return row
 
@@ -217,17 +230,7 @@ def _parse_truth_line(line: str) -> tuple[int, int, BoundingBox, int]:
     under the detection reader's rules: no field may be a JSON boolean, and
     ``frame``, ``object_id`` and ``true_category`` must be whole numbers
     below 2**53 in magnitude. Raises ValueError, TypeError or OverflowError."""
-    record = json.loads(line)
-    if not isinstance(record, dict):
-        raise ValueError("expected a JSON object")
-    values = []
-    for key in TRUTH_FIELDS:
-        if key not in record:
-            raise ValueError(f"missing field {key!r}")
-        if type(record[key]) is bool:
-            raise ValueError(f"{key} must be a number, got {json.dumps(record[key])}")
-        values.append(float(record[key]))
-    frame, object_id, x, y, w, h, category = values
+    frame, object_id, x, y, w, h, category = _record_values(line, TRUTH_FIELDS)
     for key, value in (("frame", frame), ("object_id", object_id), ("true_category", category)):
         message = _whole_number_error(key, value)
         if message is not None:
