@@ -7,12 +7,13 @@ Detection format, one JSON object per line:
      "score": float, "category": int|null}
 
 ``category`` null (or absent) means no classifier output for that box.
-``frame`` and ``category`` must be whole numbers below 2**53 in magnitude
-(float64 holds every such integer exactly), no field may be a JSON boolean,
-and a box's fields, edges, area and aspect w/h must be finite, with w, h
-and w/h positive (the tracker's filter encodes the aspect). The
-ground-truth format mirrors it, and its rules, with ``object_id`` and
-``true_category`` fields (both whole numbers) instead of ``score``/``category``.
+Every field must be a JSON number (not a string or a boolean), ``frame``
+and ``category`` whole numbers below 2**53 in magnitude (float64 holds every
+such integer exactly), and a box's fields, edges, area and aspect w/h must
+be finite, with w, h and w/h positive (the tracker's filter encodes the
+aspect). The ground-truth format mirrors it, and its rules, with
+``object_id`` and ``true_category`` fields (both whole numbers) instead of
+``score``/``category``, and at most one line per object and frame.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ def _record_values(
     """The numbers of one JSONL record: its ``fields`` in order, then its
     ``optional`` field where that is present and not null. Raises ValueError
     (JSONDecodeError included) for a line that is not a JSON object, a
-    missing field or a JSON boolean, and TypeError or OverflowError for a
-    value ``float`` does not take."""
+    missing field or a value that is not a JSON number (JSON booleans
+    included), and OverflowError for an integer past the float range."""
     record = json.loads(line)
     if not isinstance(record, dict):
         raise ValueError("expected a JSON object")
@@ -67,8 +68,8 @@ def _record_values(
     if optional is not None and record.get(optional) is not None:
         fields = (*fields, optional)
     values = [record[key] for key in fields]
-    if bool in map(type, values):
-        key = fields[list(map(type, values)).index(bool)]
+    if not {int, float}.issuperset(map(type, values)):  # bool is a type of its own
+        key = next(k for k, v in zip(fields, values) if type(v) not in (int, float))
         raise ValueError(f"{key} must be a number, got {json.dumps(record[key])}")
     return tuple(map(float, values))
 
@@ -178,7 +179,7 @@ def ingest_detections(
                 continue
             try:
                 rows.extend(_parse_detection_line(line))
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (ValueError, OverflowError) as exc:
                 errors.append((line_number, _line_error(exc)))
                 if not skip_malformed:
                     break  # an earlier line may still fail the table check
@@ -227,9 +228,9 @@ def write_ground_truth(gt: SceneGroundTruth, path: str | Path):
 
 def _parse_truth_line(line: str) -> tuple[int, int, BoundingBox, int]:
     """One ground-truth JSONL line as (frame, object id, box, category index),
-    under the detection reader's rules: no field may be a JSON boolean, and
-    ``frame``, ``object_id`` and ``true_category`` must be whole numbers
-    below 2**53 in magnitude. Raises ValueError, TypeError or OverflowError."""
+    under the detection reader's rules: every field must be a JSON number,
+    and ``frame``, ``object_id`` and ``true_category`` must be whole numbers
+    below 2**53 in magnitude. Raises ValueError or OverflowError."""
     frame, object_id, x, y, w, h, category = _record_values(line, TRUTH_FIELDS)
     for key, value in (("frame", frame), ("object_id", object_id), ("true_category", category)):
         message = _whole_number_error(key, value)
@@ -244,7 +245,7 @@ def read_ground_truth(path: str | Path, num_categories: int = 4) -> SceneGroundT
     path = Path(path)
     if not path.exists():
         raise InputError(f"ground-truth file not found: {path}")
-    boxes: dict[int, list[tuple[int, BoundingBox]]] = {}
+    boxes: dict[int, dict[int, BoundingBox]] = {}  # object id -> frame -> box
     categories: dict[int, CategoryLabel] = {}
     with path.open(encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -253,7 +254,7 @@ def read_ground_truth(path: str | Path, num_categories: int = 4) -> SceneGroundT
             try:
                 frame, object_id, box, index = _parse_truth_line(line)
                 category = CategoryLabel(index, num_categories)
-            except (TypeError, ValueError, OverflowError) as exc:
+            except (ValueError, OverflowError) as exc:
                 raise InputError(f"{path}:{line_number}: {_line_error(exc)}") from exc
             if object_id in categories and categories[object_id] != category:
                 raise InputError(
@@ -261,12 +262,17 @@ def read_ground_truth(path: str | Path, num_categories: int = 4) -> SceneGroundT
                     f"({categories[object_id].index} -> {category.index})"
                 )
             categories[object_id] = category
-            boxes.setdefault(object_id, []).append((frame, box))
+            seen = boxes.setdefault(object_id, {})
+            if frame in seen:
+                raise InputError(
+                    f"{path}:{line_number}: object {object_id} appears twice on frame {frame}"
+                )
+            seen[frame] = box
     objects = tuple(
         GroundTruthObject(
             object_id=object_id,
             true_category=categories[object_id],
-            boxes=tuple(sorted(boxes[object_id])),
+            boxes=tuple(sorted(boxes[object_id].items())),
         )
         for object_id in sorted(boxes)
     )
@@ -294,9 +300,8 @@ def ingest_mot(path: str | Path) -> list[FrameDetections]:
             try:
                 if len(parts) < 7:
                     raise ValueError("expected at least 7 comma-separated fields")
-                frame = int(float(parts[0]))
-                x, y, w, h = (float(v) for v in parts[2:6])
-                score = float(parts[6])
+                # The frame stays a float: the table check rejects a fractional one.
+                frame, x, y, w, h, score = (float(parts[i]) for i in (0, 2, 3, 4, 5, 6))
                 if not math.isfinite(score):
                     raise ValueError(f"confidence must be finite, got {parts[6].strip()!r}")
             except (ValueError, OverflowError) as exc:

@@ -395,10 +395,10 @@ class Track:
     label. ``history`` and ``predictions`` give (frame, box) and (frame,
     label) tuples.
 
-    Mutated only by the tracker; ``ByteTracker.finalize`` fills the columns
-    and gives read-only snapshots. ``state`` is a snapshot of the track's
-    filter, written when the track is removed and for live tracks on each
-    ``finalize``; None before either.
+    ``ByteTracker`` builds a track once it is removed, or on ``finalize``
+    while live, with its lifecycle fields and ``state`` (a snapshot of its
+    filter, None for a track built elsewhere) as they are then; ``finalize``
+    fills the columns with read-only views of the match table.
     """
 
     id: int

@@ -23,6 +23,19 @@ from .model import DEFAULT_NUM_CATEGORIES, FrameDetections, Track, TrackStatus, 
 MATCH_ROW = np.dtype(
     [("frame", np.int64), ("track", np.int64), ("box", np.float64, (4,)), ("category", np.int64)]
 )
+#: One row of a tracker's live table: a track not yet removed, its lifecycle
+#: (a ``status`` code, the number of frames it matched and the last of them)
+#: and its Kalman filter (the ``mean`` and ``blocks`` of a ``KalmanState``).
+LIVE_ROW = np.dtype([
+    ("id", np.int64), ("status", np.int8), ("hits", np.int64), ("last", np.int64),
+    ("mean", np.float64, (8,)), ("blocks", np.float64, (3, 4)),
+], align=True)
+#: The ``status`` codes: each is the position of its ``TrackStatus``. A row
+#: marked REMOVED leaves the table before its frame's step returns.
+TENTATIVE, ACTIVE, LOST, REMOVED = range(4)
+_STATUSES = tuple(TrackStatus)
+#: The status a row moves to when it is not matched, by its status code.
+_ON_MISS = np.array([REMOVED, LOST, LOST, REMOVED], np.int8)
 
 
 @dataclass(frozen=True)
@@ -81,16 +94,18 @@ class TrackerConfig:
 class TrackerOutput:
     frame_index: int
     active_tracks: tuple[int, ...]  # ids of the tracks active after the frame
-    newly_removed_track_ids: tuple[int, ...]
+    newly_removed_track_ids: tuple[int, ...]  # in ascending id order
 
 
 class ByteTracker:
     """Stateful per-video tracker. Feed frames in strictly increasing order
     via :meth:`step`, then collect every track with :meth:`finalize`.
 
-    The Kalman filters of the live tracks are kept as one batch (row i of
-    the state arrays belongs to the i-th live track), so each frame makes
-    one predict call and one update call however many tracks are live.
+    Each live track is one row of a table of ``LIVE_ROW`` rows, in id order,
+    so each frame makes one predict call and one update call however many
+    tracks are live, and moves every row through the lifecycle with masks.
+    A ``Track`` is built for a row when it is removed, and for each live row
+    on ``finalize``.
 
     Each frame appends its matches and spawns to one table of ``MATCH_ROW``
     rows, which ``finalize`` splits into the tracks' columns.
@@ -100,9 +115,8 @@ class ByteTracker:
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config if config is not None else TrackerConfig()
-        self._tracks: list[Track] = []  # every track ever created, in spawn order
-        self._live: list[Track] = []  # the tracks not yet removed, in spawn order
-        self._state = KalmanState(mean=np.zeros((0, 8)), blocks=np.zeros((0, 3, 4)))
+        self._live = np.zeros(0, LIVE_ROW)
+        self._removed: list[Track] = []  # in order of removal
         self._next_id = 1
         self._last_frame: int | None = None
         self._matches = np.zeros(256, MATCH_ROW)
@@ -113,10 +127,11 @@ class ByteTracker:
         """Process one frame of detections.
 
         Stages: split detections by score, predict all live tracks forward,
-        match high detections against every non-removed track, match low
+        match high detections against every live track, match low
         detections against the remaining active tracks, update the matched
-        tracks, then demote the unmatched, expire long-lost tracks, and
-        spawn new ones from leftover confident detections.
+        tracks, then demote the unmatched, remove the unmatched tentative,
+        long-lost and diverged tracks (in id order), and spawn new ones from
+        leftover confident detections.
         """
         if self._last_frame is not None and frame.frame_index <= self._last_frame:
             raise ValueError(
@@ -133,7 +148,6 @@ class ByteTracker:
         self._last_frame = frame.frame_index
         t = frame.frame_index
         cfg = self.config
-        removed_now: list[int] = []
 
         det_boxes = frame.boxes
         det_corners = corners(det_boxes)
@@ -148,31 +162,28 @@ class ByteTracker:
 
         # A filter whose prediction no longer encodes a box is removed on its
         # own; the predicted boxes of the rest feed both association rounds.
-        if self._live:
-            self._state = kf_predict(self._state)
-        pool_boxes, valid = decode_boxes(self._state.mean)
+        live = self._live
+        if len(live):
+            predicted = kf_predict(KalmanState(mean=live["mean"], blocks=live["blocks"]))
+            live["mean"], live["blocks"] = predicted.mean, predicted.blocks
+        boxes, valid = decode_boxes(live["mean"])
+        removed_ids = []
         if not valid.all():
-            for row in np.flatnonzero(~valid):
-                track = self._live[row]
-                track.status = TrackStatus.REMOVED
-                removed_now.append(track.id)
-            self._drop_removed()
-            pool_boxes = pool_boxes[valid]
-        pool = self._live
-        pool_corners = corners(pool_boxes)
+            removed_ids, boxes = self._remove(~valid), boxes[valid]
+        live = self._live
+        status, hits, last = live["status"], live["hits"], live["last"]
 
         # One cost matrix for both rounds: every live track against the
         # confident detections (its first columns), then the low ones.
-        costs = build_cost_matrix(pool_corners, det_corners[high + low])
+        costs = build_cost_matrix(corners(boxes), det_corners[high + low])
 
         # First round: every live track vs confident detections.
         first = solve_assignment(costs[:, : len(high)], cfg.match_threshold_first)
 
         # Second round: still-unmatched active tracks vs low-confidence
         # detections. Lost and tentative tracks sit this one out.
-        leftover_rows = [
-            i for i in first.unmatched_tracks if pool[i].status is TrackStatus.ACTIVE
-        ]
+        active = (status == ACTIVE).tolist()
+        leftover_rows = [i for i in first.unmatched_tracks if active[i]]
         second = solve_assignment(costs[leftover_rows, len(high) :], cfg.match_threshold_second)
 
         # One update for the matches of both rounds. Round 2 scores only
@@ -185,38 +196,33 @@ class ByteTracker:
         matched = [(ti, high[di]) for ti, di in first.matches]
         matched += [(leftover_rows[ti], low[di]) for ti, di in second.matches]
         if matched:
-            rows, matched_dets = (list(column) for column in zip(*matched))
-            posterior, valid = self._update(rows, det_boxes[matched_dets])
-            for row, di, ok in zip(rows, matched_dets, valid.tolist()):
-                track = pool[row]
-                if ok:
-                    self._apply_match(track, t)
-                    ids.append(track.id)
-                    det_rows.append(di)
-                else:
-                    track.status = TrackStatus.REMOVED
-                    removed_now.append(track.id)
-            box_parts.append(posterior[valid])
+            rows, matched_dets = (np.array(column) for column in zip(*matched))
+            posterior = kf_update(
+                KalmanState(mean=live["mean"][rows], blocks=live["blocks"][rows]),
+                det_boxes[matched_dets],
+            )
+            live["mean"][rows], live["blocks"][rows] = posterior.mean, posterior.blocks
+            updated, valid = decode_boxes(posterior.mean)
+            if not valid.all():
+                status[rows[~valid]] = REMOVED
+                rows, matched_dets, updated = rows[valid], matched_dets[valid], updated[valid]
+            hits[rows] += 1
+            last[rows] = t
+            # Only a tentative track has fewer hits than it takes to activate.
+            status[rows[hits[rows] >= cfg.min_hits_to_activate]] = ACTIVE
+            ids += live["id"][rows].tolist()
+            det_rows += matched_dets.tolist()
+            box_parts.append(updated)
 
-        # Lifecycle for everything that found no detection this frame.
-        unmatched = [pool[leftover_rows[i]] for i in second.unmatched_tracks]
-        unmatched += [
-            pool[i] for i in first.unmatched_tracks if pool[i].status is not TrackStatus.ACTIVE
-        ]
-        for track in unmatched:
-            if track.status is TrackStatus.ACTIVE:
-                track.status = TrackStatus.LOST
-            elif track.status is TrackStatus.TENTATIVE:
-                track.status = TrackStatus.REMOVED
-                removed_now.append(track.id)
-            if (
-                track.status is TrackStatus.LOST
-                and t - track.last_update_frame > cfg.max_frames_lost
-            ):
-                track.status = TrackStatus.REMOVED
-                removed_now.append(track.id)
-        if removed_now:
-            self._drop_removed()
+        # Every row that found no detection this frame moves on: a tentative
+        # one is removed and an active one is lost. A row left unmatched for
+        # more than ``max_frames_lost`` frames is removed, whatever its status.
+        missed = last < t
+        status[missed] = _ON_MISS[status[missed]]
+        status[last < t - cfg.max_frames_lost] = REMOVED
+        removed = status == REMOVED
+        if removed.any():
+            removed_ids += self._remove(removed)
 
         # Spawn new tracks from confident detections nothing claimed.
         spawn = [
@@ -232,58 +238,42 @@ class ByteTracker:
         if ids:
             self._record(t, ids, np.concatenate(box_parts), frame.categories[det_rows])
 
+        live = self._live
         return TrackerOutput(
             frame_index=t,
-            active_tracks=tuple(tr.id for tr in self._live if tr.status is TrackStatus.ACTIVE),
-            newly_removed_track_ids=tuple(removed_now),
+            active_tracks=tuple(live["id"][live["status"] == ACTIVE].tolist()),
+            newly_removed_track_ids=tuple(sorted(removed_ids)),
         )
 
     def finalize(self) -> list[Track]:
-        """All tracks ever created (removed ones included), longest-lived
-        lifecycle state preserved, filtered by the configured minimum length.
+        """All tracks ever created (removed ones included), in id order,
+        filtered by the configured minimum length.
 
         Each track's columns are set to its rows of the match table, in frame
-        order, as read-only views of one sorted copy, and each live track's
-        ``state`` to a snapshot of its filter."""
-        for row, track in enumerate(self._live):
-            track.state = self._snapshot(row)
+        order, as read-only views of one sorted copy. A removed track is the
+        same object on every call; a live track is built anew from its row,
+        its ``state`` a snapshot of its filter."""
+        tracks = sorted(self._removed + _tracks(self._live.copy()), key=lambda tr: tr.id)
         table = self._matches[: self._rows]
         table = table[np.argsort(table["track"], kind="stable")]
         table.flags.writeable = False
         frames, boxes, categories = table["frame"], table["box"], table["category"]
         # Ids run 1, 2, ... in spawn order, and each track has its spawn row.
         stops = np.cumsum(np.bincount(table["track"])[1:]).tolist()
-        for track, start, stop in zip(self._tracks, [0, *stops], stops):
+        for track, start, stop in zip(tracks, [0, *stops], stops):
             track.frames, track.boxes = frames[start:stop], boxes[start:stop]
             track.categories = categories[start:stop]
             track.num_categories = self._num_categories or DEFAULT_NUM_CATEGORIES
-        return [
-            tr for tr in self._tracks if len(tr.frames) >= self.config.min_track_length_report
-        ]
+        return [tr for tr in tracks if len(tr.frames) >= self.config.min_track_length_report]
 
-    def _snapshot(self, row: int) -> KalmanState:
-        return KalmanState(
-            mean=self._state.mean[row].copy(), blocks=self._state.blocks[row].copy()
-        )
-
-    def _drop_removed(self):
-        """Take removed tracks out of the batch, leaving each its last state."""
-        keep = [tr.status is not TrackStatus.REMOVED for tr in self._live]
-        for row, (track, kept) in enumerate(zip(self._live, keep)):
-            if not kept:
-                track.state = self._snapshot(row)
-        self._live = [tr for tr, kept in zip(self._live, keep) if kept]
-        self._state = KalmanState(mean=self._state.mean[keep], blocks=self._state.blocks[keep])
-
-    def _update(self, rows: list[int], observed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fuse one observed (x, y, w, h) box into each given row's filter and
-        return the updated boxes and whether each is valid, in row order."""
-        posterior = kf_update(
-            KalmanState(mean=self._state.mean[rows], blocks=self._state.blocks[rows]), observed
-        )
-        self._state.mean[rows] = posterior.mean
-        self._state.blocks[rows] = posterior.blocks
-        return decode_boxes(posterior.mean)
+    def _remove(self, mask: np.ndarray) -> list[int]:
+        """Turn the masked rows into removed ``Track``s, each holding its
+        last filter state, drop them from the table and return their ids."""
+        gone = self._live[mask]
+        gone["status"] = REMOVED
+        self._removed += _tracks(gone)
+        self._live = self._live[~mask]
+        return gone["id"].tolist()
 
     def _record(self, t: int, ids: list[int], boxes: np.ndarray, categories: np.ndarray):
         """Append one frame's block of rows to the match table, doubling the
@@ -298,30 +288,32 @@ class ByteTracker:
         block["category"] = categories
         self._rows = stop
 
-    def _apply_match(self, track: Track, t: int):
-        track.hit_count += 1
-        if track.status is TrackStatus.TENTATIVE:
-            if track.hit_count >= self.config.min_hits_to_activate:
-                track.status = TrackStatus.ACTIVE
-        else:
-            track.status = TrackStatus.ACTIVE
-        track.last_update_frame = t
-
     def _spawn(self, boxes: np.ndarray, t: int):
-        """Start one track per detection box, with filters from one initiate
+        """Append one row per detection box, with filters from one initiate
         call."""
         born = kf_initiate(boxes)
-        self._state = KalmanState(
-            mean=np.concatenate([self._state.mean, born.mean]),
-            blocks=np.concatenate([self._state.blocks, born.blocks]),
+        kept = len(self._live)
+        table = np.empty(kept + len(boxes), LIVE_ROW)
+        table[:kept] = self._live  # faster than concatenating structured arrays
+        rows = table[kept:]
+        rows["id"] = np.arange(self._next_id, self._next_id + len(boxes))
+        rows["status"] = ACTIVE if self.config.min_hits_to_activate <= 1 else TENTATIVE
+        rows["hits"], rows["last"] = 1, t
+        rows["mean"], rows["blocks"] = born.mean, born.blocks
+        self._live = table
+        self._next_id += len(boxes)
+
+
+def _tracks(rows: np.ndarray) -> list[Track]:
+    """A ``Track`` for each row of a live table that is no longer written to;
+    each ``state`` is a view of its row's filter."""
+    return [
+        Track(
+            id=track_id, state=KalmanState(mean=mean, blocks=blocks), status=_STATUSES[code],
+            last_update_frame=last, hit_count=hits,
         )
-        status = (
-            TrackStatus.ACTIVE
-            if self.config.min_hits_to_activate <= 1
-            else TrackStatus.TENTATIVE
+        for track_id, code, hits, last, mean, blocks in zip(
+            rows["id"].tolist(), rows["status"].tolist(), rows["hits"].tolist(),
+            rows["last"].tolist(), rows["mean"], rows["blocks"],
         )
-        for _ in range(len(boxes)):
-            track = Track(id=self._next_id, state=None, status=status, last_update_frame=t)
-            self._next_id += 1
-            self._tracks.append(track)
-            self._live.append(track)
+    ]

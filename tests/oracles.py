@@ -251,7 +251,7 @@ def _reference_detection(line, num_categories):
     if record.get("category") is not None:
         fields["category"] = record["category"]
     for key, value in fields.items():
-        if isinstance(value, bool):
+        if type(value) not in (int, float):
             raise ValueError(f"{key} must be a number, got {json.dumps(value)}")
     numbers = {key: float(value) for key, value in fields.items()}
     if "category" in numbers and math.isnan(numbers["category"]):

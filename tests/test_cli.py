@@ -109,6 +109,14 @@ class TestTrack:
         assert run_cli("track", "--input", str(dets)) == 1
         assert f"{dets}:1: frame is out of range" in capsys.readouterr().err
 
+    def test_numbers_given_as_strings_are_input_error(self, tmp_path, capsys):
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text(
+            '{"frame": "3", "x": "1", "y": 0, "w": 5, "h": 5, "score": "0.9", "category": "1"}\n'
+        )
+        assert run_cli("track", "--input", str(dets)) == 1
+        assert f'{dets}:1: frame must be a number, got "3"' in capsys.readouterr().err
+
     def test_bad_tracker_config_is_exit_code_2(self, scene_files):
         dets, _ = scene_files
         code = run_cli("track", "--input", str(dets), "--high-score-threshold", "1.5")
@@ -229,6 +237,16 @@ class TestEvaluate:
         )
         assert run_cli("evaluate", "--detections", str(dets), "--truth", str(truth)) == 1
         assert f"{truth}:1: frame must be an integer, got 2.7" in capsys.readouterr().err
+
+    def test_object_twice_on_one_frame_is_input_error(self, scene_files, tmp_path, capsys):
+        dets, _ = scene_files
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text(
+            '{"frame": 0, "object_id": 1, "x": 0, "y": 0, "w": 5, "h": 5, "true_category": 1}\n'
+            '{"frame": 0, "object_id": 1, "x": 9, "y": 0, "w": 5, "h": 5, "true_category": 1}\n'
+        )
+        assert run_cli("evaluate", "--detections", str(dets), "--truth", str(truth)) == 1
+        assert f"input error: {truth}:2: object 1 appears twice on frame 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threshold", ["nan", "0", "-0.1", "1.5"])
     def test_iou_threshold_outside_zero_one_is_config_error(self, scene_files, threshold, capsys):

@@ -83,6 +83,10 @@ class TestIngestDetections:
         ({"x": "false"}, "x must be a number, got false"),
         ({"score": "true"}, "score must be a number, got true"),
         ({"category": "true"}, "category must be a number, got true"),
+        ({"frame": '"3"'}, 'frame must be a number, got "3"'),
+        ({"score": '"0.9"'}, 'score must be a number, got "0.9"'),
+        ({"category": '"1"'}, 'category must be a number, got "1"'),
+        ({"x": "null"}, "x must be a number, got null"),
         ({"w": "1e200", "h": "1e200"}, "box area must be finite"),
         ({"x": "1.7e308", "w": "1.7e308"}, "box right must be finite"),
     ])
@@ -209,6 +213,9 @@ class TestReadGroundTruth:
         ("frame", "9007199254740992", "frame is out of range"),
         ("x", "true", "x must be a number, got true"),
         ("w", "false", "w must be a number, got false"),
+        ("frame", '"0"', 'frame must be a number, got "0"'),
+        ("object_id", '"1"', 'object_id must be a number, got "1"'),
+        ("x", '"0"', 'x must be a number, got "0"'),
     ])
     def test_detection_rules_apply(self, tmp_path, field, value, message):
         record = {"frame": 0, "object_id": 1, "x": 0, "y": 0, "w": 5, "h": 5, "true_category": 0}
@@ -245,6 +252,16 @@ class TestReadGroundTruth:
         (obj,) = read_ground_truth(path).objects
         assert (obj.object_id, obj.true_category.index, obj.boxes[0][0]) == (2, 1, 3)
         assert type(obj.object_id) is int and type(obj.boxes[0][0]) is int
+
+    @pytest.mark.parametrize("second_x", [5, 0])  # another box, the same line
+    def test_object_twice_on_one_frame_rejected(self, tmp_path, second_x):
+        path = tmp_path / "gt.jsonl"
+        write_lines(path, [
+            '{"frame": 0, "object_id": 1, "x": 0, "y": 0, "w": 5, "h": 5, "true_category": 1}',
+            f'{{"frame": 0, "object_id": 1, "x": {second_x}, "y": 0, "w": 5, "h": 5, "true_category": 1}}',
+        ])
+        with pytest.raises(InputError, match=r"gt\.jsonl:2: object 1 appears twice on frame 0"):
+            read_ground_truth(path)
 
     def test_boxes_sorted_by_frame(self, tmp_path):
         path = tmp_path / "gt.jsonl"
@@ -294,6 +311,12 @@ class TestMotAdapter:
         path = tmp_path / "dets.txt"
         write_lines(path, ["1,1,10,20,30,40,0.9", f"{2**53},1,15,20,30,40,0.9"])
         with pytest.raises(InputError, match=r":2: frame is out of range"):
+            ingest_mot(path)
+
+    def test_fractional_frame_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "dets.txt"
+        write_lines(path, ["1,1,10,20,30,40,0.9", "2.7,1,0,0,5,5,0.9"])
+        with pytest.raises(InputError, match=r":2: frame must be an integer, got 2\.7"):
             ingest_mot(path)
 
     @pytest.mark.parametrize("confidence", ["nan", "inf", "-inf"])

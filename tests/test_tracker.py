@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beltrack.tracker as tracker_module
 from beltrack import (
@@ -134,10 +136,18 @@ class TestDivergence:
         tracker = ByteTracker()
         lanes = (50.0, 200.0)
         tracker.step(frame_with(0, *[(moving_box(0, y0=y), 0.9, FRESH) for y in lanes]))
-        tracker._state.mean[0, 0] = np.nan
+        tracker._live["mean"][0, 0] = np.nan
         out = tracker.step(frame_with(1, *[(moving_box(1, y0=y), 0.9, FRESH) for y in lanes]))
         assert out.newly_removed_track_ids == (1,)
         assert list(out.active_tracks) == [2, 3]
+
+    def test_removals_of_one_frame_come_in_id_order(self):
+        # Track 2 diverges at predict and is removed first; track 1, still
+        # tentative, is removed when it goes unmatched later in the same frame.
+        tracker = ByteTracker(TrackerConfig(min_hits_to_activate=2))
+        tracker.step(frame_with(0, *[(moving_box(0, y0=y), 0.9, FRESH) for y in (50.0, 200.0)]))
+        tracker._live["mean"][1, 0] = np.nan
+        assert tracker.step(FrameDetections(1)).newly_removed_track_ids == (1, 2)
 
     def test_filter_left_without_a_box_by_its_update_is_removed(self):
         # The noise scales with the height: at h = 1e-170 every variance
@@ -285,6 +295,76 @@ class TestTentativeLifecycle:
         assert out.newly_removed_track_ids == (1,)
 
 
+#: One frame of a lifecycle stream: the step from the previous frame, then
+#: detections as (lane, x offset, score); lanes are 60 px apart.
+lifecycle_frames = st.tuples(
+    st.sampled_from([1, 1, 1, 2, 4, 7]),
+    st.lists(
+        st.tuples(
+            st.integers(0, 2),
+            st.sampled_from([0.0, 0.0, 8.0, 40.0]),
+            st.sampled_from([0.05, 0.3, 0.5, 0.7, 0.95]),
+        ),
+        max_size=4,
+    ),
+)
+
+
+class TestLifecycleProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stream=st.lists(lifecycle_frames, max_size=25),
+        min_hits=st.integers(1, 3),
+        max_lost=st.integers(1, 5),
+        high=st.sampled_from([0.4, 0.6, 0.8]),
+        low=st.sampled_from([0.1, 0.3]),
+        first=st.sampled_from([0.5, 0.8, 1.0]),
+        second=st.sampled_from([0.3, 0.5, 1.0]),
+    )
+    def test_removals_statuses_and_counts_agree(
+        self, stream, min_hits, max_lost, high, low, first, second
+    ):
+        tracker = ByteTracker(TrackerConfig(
+            high_score_threshold=high, low_score_threshold=low, match_threshold_first=first,
+            match_threshold_second=second, max_frames_lost=max_lost,
+            min_hits_to_activate=min_hits,
+        ))
+        removed, removed_at, stepped, t, out = [], {}, [], 0, None
+        for step, detections in stream:
+            t += step
+            out = tracker.step(frame_with(t, *[
+                (BoundingBox(5.0 * t + offset, 60.0 * lane, 32.0, 32.0), score, FRESH)
+                for lane, offset, score in detections
+            ]))
+            assert list(out.newly_removed_track_ids) == sorted(set(out.newly_removed_track_ids))
+            removed += out.newly_removed_track_ids
+            removed_at.update(dict.fromkeys(out.newly_removed_track_ids, t))
+            stepped.append(t)
+        tracks = tracker.finalize()
+        assert len(removed) == len(set(removed))
+        assert set(removed) == {tr.id for tr in tracks if tr.status is TrackStatus.REMOVED}
+        if out is not None:
+            assert set(out.active_tracks) == {
+                tr.id for tr in tracks if tr.status is TrackStatus.ACTIVE
+            }
+        for track in tracks:
+            assert track.hit_count == len(track.frames)
+            assert track.last_update_frame == track.frames[-1]
+            # Every box is 32 x 32, so no filter diverges: a track is removed
+            # on its first unmatched frame while tentative, and on the first
+            # frame more than max_frames_lost past its last match once active.
+            last, activated = track.last_update_frame, track.hit_count >= min_hits
+            later = [f for f in stepped if f > last]
+            if track.status is TrackStatus.REMOVED:
+                due = [f for f in later if f - last > max_lost] if activated else later
+                assert removed_at[track.id] == due[0]
+            elif track.status is TrackStatus.LOST:
+                assert activated and later and t - last <= max_lost
+            else:
+                assert not later
+                assert activated == (track.status is TrackStatus.ACTIVE)
+
+
 class TestPredictionRecording:
     def test_labels_recorded_only_when_present(self):
         tracker = ByteTracker()
@@ -365,6 +445,18 @@ class TestFinalize:
         tracks = tracker.finalize()
         assert len(tracks) == 1  # the 1-frame track is filtered out
         assert len(tracks[0].history) == 3
+
+    def test_live_track_state_is_a_snapshot(self):
+        tracker = ByteTracker()
+        for t in range(3):
+            tracker.step(frame_with(t, (moving_box(t), 0.9, FRESH)))
+        (track,) = tracker.finalize()
+        mean = track.state.mean.copy()
+        tracker.step(frame_with(3, (moving_box(3), 0.9, FRESH)))
+        assert np.array_equal(track.state.mean, mean)
+        assert track.hit_count == 3 and track.status is TrackStatus.ACTIVE
+        (later,) = tracker.finalize()
+        assert later.hit_count == 4
 
     def test_no_input_no_tracks(self):
         assert ByteTracker().finalize() == []
