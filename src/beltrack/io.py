@@ -34,10 +34,11 @@ from .model import (
     CategoryLabel,
     Detection,
     FrameDetections,
+    check_box,
     split_frames,
     valid_detection_rows,
 )
-from .simulate import GroundTruthObject, SceneGroundTruth
+from .simulate import SceneGroundTruth
 
 logger = logging.getLogger(__name__)
 
@@ -211,72 +212,85 @@ def write_detections(frames: Iterable[FrameDetections], path: str | Path):
 def write_ground_truth(gt: SceneGroundTruth, path: str | Path):
     """One line per (object, frame): the detection format plus identity fields."""
     path = Path(path)
+    object_ids = np.repeat(gt.object_ids, gt.counts).tolist()
+    categories = np.repeat(gt.categories, gt.counts).tolist()
     with path.open("w", encoding="utf-8") as handle:
-        for obj in gt.objects:
-            for frame, box in obj.boxes:
-                record = {
-                    "frame": frame,
-                    "object_id": obj.object_id,
-                    "x": box.x,
-                    "y": box.y,
-                    "w": box.w,
-                    "h": box.h,
-                    "true_category": obj.true_category.index,
-                }
-                handle.write(json.dumps(record) + "\n")
+        for object_id, category, frame, (x, y, w, h) in zip(
+            object_ids, categories, gt.frames.tolist(), gt.boxes.tolist()
+        ):
+            record = {
+                "frame": frame,
+                "object_id": object_id,
+                "x": x,
+                "y": y,
+                "w": w,
+                "h": h,
+                "true_category": category,
+            }
+            handle.write(json.dumps(record) + "\n")
 
 
-def _parse_truth_line(line: str) -> tuple[int, int, BoundingBox, int]:
-    """One ground-truth JSONL line as (frame, object id, box, category index),
-    under the detection reader's rules: every field must be a JSON number,
-    and ``frame``, ``object_id`` and ``true_category`` must be whole numbers
-    below 2**53 in magnitude. Raises ValueError or OverflowError."""
-    frame, object_id, x, y, w, h, category = _record_values(line, TRUTH_FIELDS)
+def _parse_truth_line(line: str) -> tuple[float, ...]:
+    """One ground-truth JSONL line as (frame, object id, x, y, w, h,
+    category index), under the detection reader's rules: every field must
+    be a JSON number, ``frame``, ``object_id`` and ``true_category`` must be
+    whole numbers below 2**53 in magnitude, and the box one that
+    ``BoundingBox`` accepts. Raises ValueError or OverflowError."""
+    row = _record_values(line, TRUTH_FIELDS)
+    frame, object_id, x, y, w, h, category = row
     for key, value in (("frame", frame), ("object_id", object_id), ("true_category", category)):
         message = _whole_number_error(key, value)
         if message is not None:
             raise ValueError(message)
     if frame < 0:
         raise ValueError(f"frame_index must be >= 0, got {int(frame)}")
-    return int(frame), int(object_id), BoundingBox(x, y, w, h), int(category)
+    check_box(x, y, w, h)
+    return row
 
 
 def read_ground_truth(path: str | Path, num_categories: int = 4) -> SceneGroundTruth:
+    """Read a ground-truth JSONL file into one table, objects in id order
+    and each object's rows in frame order; the first bad line aborts with
+    its line number."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"ground-truth file not found: {path}")
-    boxes: dict[int, dict[int, BoundingBox]] = {}  # object id -> frame -> box
-    categories: dict[int, CategoryLabel] = {}
+    rows = array("d")  # the TRUTH_FIELDS of each line
+    categories: dict[int, CategoryLabel] = {}  # object id -> its category
+    seen: set[tuple[int, int]] = set()  # (object id, frame)
     with path.open(encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                frame, object_id, box, index = _parse_truth_line(line)
-                category = CategoryLabel(index, num_categories)
+                row = _parse_truth_line(line)
+                category = CategoryLabel(int(row[-1]), num_categories)
             except (ValueError, OverflowError) as exc:
                 raise InputError(f"{path}:{line_number}: {_line_error(exc)}") from exc
-            if object_id in categories and categories[object_id] != category:
+            frame, object_id = int(row[0]), int(row[1])
+            if categories.setdefault(object_id, category) != category:
                 raise InputError(
                     f"{path}:{line_number}: object {object_id} changes category "
                     f"({categories[object_id].index} -> {category.index})"
                 )
-            categories[object_id] = category
-            seen = boxes.setdefault(object_id, {})
-            if frame in seen:
+            if (object_id, frame) in seen:
                 raise InputError(
                     f"{path}:{line_number}: object {object_id} appears twice on frame {frame}"
                 )
-            seen[frame] = box
-    objects = tuple(
-        GroundTruthObject(
-            object_id=object_id,
-            true_category=categories[object_id],
-            boxes=tuple(sorted(boxes[object_id].items())),
-        )
-        for object_id in sorted(boxes)
+            seen.add((object_id, frame))
+            rows.extend(row)
+    table = np.frombuffer(rows).reshape(-1, len(TRUTH_FIELDS))
+    frames, object_ids = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64)
+    order = np.lexsort((frames, object_ids))
+    ids, counts = np.unique(object_ids, return_counts=True)
+    return SceneGroundTruth(
+        ids,
+        [categories[object_id].index for object_id in ids.tolist()],
+        counts,
+        frames[order],
+        table[order, 2:6],
+        num_categories,
     )
-    return SceneGroundTruth(objects=objects)
 
 
 def ingest_mot(path: str | Path) -> list[FrameDetections]:

@@ -14,9 +14,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .aggregation import TrackVerdict
-from .model import (
-    BinaryQuality, FrameDetections, Track, corners, frame_runs, iou_matrix, xywh_array
-)
+from .model import BinaryQuality, FrameDetections, Track, corners, frame_runs, iou_matrix
 from .simulate import SceneGroundTruth
 
 FrameChoice = Literal["last", "first", "random"]
@@ -192,13 +190,12 @@ def covering_tracks(
     track_corners = corners(boxes[order])
     candidates = _frame_slices(frames[order], np.arange(len(order)))
 
-    # Every true box, object by object; covering[i] is the covering track of
-    # the i-th, -1 where none covers it.
-    truth_frames = np.array([f for obj in gt.objects for f, _ in obj.boxes], dtype=np.int64)
-    truth_corners = corners(xywh_array([box for obj in gt.objects for _, box in obj.boxes]))
-    covering = np.full(len(truth_frames), -1, dtype=np.int64)
-    by_frame = np.argsort(truth_frames, kind="stable")
-    for frame, rows in _frame_slices(truth_frames[by_frame], by_frame).items():
+    # covering[i] is the covering track of the i-th true box (in the truth's
+    # object order), -1 where none covers it.
+    truth_corners = corners(gt.boxes)
+    covering = np.full(len(gt.frames), -1, dtype=np.int64)
+    by_frame = np.argsort(gt.frames, kind="stable")
+    for frame, rows in _frame_slices(gt.frames[by_frame], by_frame).items():
         columns = candidates.get(frame)
         if columns is None:
             continue
@@ -209,12 +206,11 @@ def covering_tracks(
 
     coverage: dict[int, list[int]] = {}
     ids = covering.tolist()
-    start = 0
-    for obj in gt.objects:
-        covered = [i for i in ids[start : start + len(obj.boxes)] if i >= 0]
-        start += len(obj.boxes)
+    stops = np.cumsum(gt.counts).tolist()
+    for object_id, start, stop in zip(gt.object_ids.tolist(), [0, *stops], stops):
+        covered = [i for i in ids[start:stop] if i >= 0]
         if covered:
-            coverage[obj.object_id] = covered
+            coverage[object_id] = covered
     return coverage
 
 

@@ -36,35 +36,7 @@ class BoundingBox:
     h: float
 
     def __post_init__(self):
-        # One test for the common case: a sum of non-negative terms is finite
-        # only when every term is, and |x + w| <= |x| + w, so then every
-        # field, extent and the aspect is finite (when the sum overflows, the
-        # checks below settle it).
-        if self.w > 0 and self.h > 0:
-            aspect = self.w / self.h
-            if aspect > 0 and math.isfinite(
-                abs(self.x) + abs(self.y) + self.w + self.h + self.w * self.h + aspect
-            ):
-                return
-        for name in ("x", "y", "w", "h"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"box field {name!r} must be finite, got {value!r}")
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"box size must be positive, got w={self.w}, h={self.h}")
-        # Finite fields can still overflow: the tracker's overlap areas
-        # would then turn into inf and nan, and its filter, which encodes
-        # the aspect w/h, would start from inf or 0.
-        for name, value in (
-            ("right", self.right),
-            ("bottom", self.bottom),
-            ("area", self.area),
-            ("aspect w/h", self.w / self.h),
-        ):
-            if not math.isfinite(value):
-                raise ValueError(f"box {name} must be finite, got {value!r}")
-        if not self.w / self.h > 0:
-            raise ValueError(f"box aspect w/h must be positive, got {self.w / self.h!r}")
+        check_box(self.x, self.y, self.w, self.h)
 
     @property
     def right(self) -> float:
@@ -85,6 +57,40 @@ class BoundingBox:
     @property
     def area(self) -> float:
         return self.w * self.h
+
+
+def check_box(x: float, y: float, w: float, h: float):
+    """Raise ``ValueError`` unless (x, y, w, h) is a box ``BoundingBox``
+    accepts: every field, edge, the area and the aspect w/h finite, and w,
+    h and w/h positive."""
+    # One test for the common case: a sum of non-negative terms is finite
+    # only when every term is, and |x + w| <= |x| + w, so then every field,
+    # extent and the aspect is finite (when the sum overflows, the checks
+    # below settle it).
+    if w > 0 and h > 0:
+        aspect = w / h
+        if aspect > 0 and math.isfinite(abs(x) + abs(y) + w + h + w * h + aspect):
+            return
+    for name, value in (("x", x), ("y", y), ("w", w), ("h", h)):
+        if not math.isfinite(value):
+            raise ValueError(f"box field {name!r} must be finite, got {value!r}")
+    if w <= 0 or h <= 0:
+        raise ValueError(f"box size must be positive, got w={w}, h={h}")
+    # Finite fields can still overflow: the tracker's overlap areas would
+    # then turn into inf and nan, and its filter, which encodes the aspect
+    # w/h, would start from inf or 0.
+    for name, value in (
+        ("right", x + w), ("bottom", y + h), ("area", w * h), ("aspect w/h", w / h)
+    ):
+        if not math.isfinite(value):
+            raise ValueError(f"box {name} must be finite, got {value!r}")
+    if not w / h > 0:
+        raise ValueError(f"box aspect w/h must be positive, got {w / h!r}")
+
+
+def box_history(frames: np.ndarray, boxes: np.ndarray) -> list[tuple[int, BoundingBox]]:
+    """(frame, box) pairs from a frame column and its (k, 4) (x, y, w, h) rows."""
+    return [(f, BoundingBox(*box)) for f, box in zip(frames.tolist(), boxes.tolist())]
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -418,7 +424,7 @@ class Track:
 
     @property
     def history(self) -> list[tuple[int, BoundingBox]]:
-        return [(f, BoundingBox(*box)) for f, box in zip(self.frames.tolist(), self.boxes.tolist())]
+        return box_history(self.frames, self.boxes)
 
     @property
     def predictions(self) -> list[tuple[int, CategoryLabel]]:

@@ -38,7 +38,6 @@ from .model import (
     category_labels,
     split_frames,
     to_binary,
-    xywh_array,
 )
 from .simulate import SceneGroundTruth, SimConfig, generate_scene
 from .tracker import ByteTracker, TrackerConfig
@@ -270,20 +269,22 @@ def evaluate_against_truth(
     coverage = covering_tracks(tracks, gt, iou_threshold)
     assignment = majority_tracks(coverage)
     agg_bin = agg_cat = last_cat = last_bin = 0
-    for obj in gt.objects:
-        track_id = assignment.get(obj.object_id)
+    truth_labels = category_labels(gt.num_categories)
+    for object_id, true_index in zip(gt.object_ids.tolist(), gt.categories.tolist()):
+        track_id = assignment.get(object_id)
         if track_id not in voted:
             continue
         track, verdict = voted[track_id]
-        true_binary = to_binary(obj.true_category)
+        true_category = truth_labels[true_index]
+        true_binary = to_binary(true_category)
         last_label = category_labels(track.num_categories)[track.labels[-1]]
         agg_bin += verdict.final_binary is true_binary
-        agg_cat += verdict.final_category == obj.true_category
-        last_cat += last_label == obj.true_category
+        agg_cat += verdict.final_category == true_category
+        last_cat += last_label == true_category
         last_bin += to_binary(last_label) is true_binary
 
-    n_objects = len(gt.objects)
-    n_defect_true = sum(1 for obj in gt.objects if obj.true_category.index != 0)
+    n_objects = len(gt.object_ids)
+    n_defect_true = int(np.count_nonzero(gt.categories))
     return SceneEvaluation(
         n_objects=n_objects,
         n_tracks=len(tracks),
@@ -309,14 +310,9 @@ def evaluate_against_truth(
 def _truth_frames(gt: SceneGroundTruth) -> list[FrameDetections]:
     """The true boxes as unlabeled score-1 detections, one frame per frame
     index, each frame's boxes in object order."""
-    frames = [frame for obj in gt.objects for frame, _ in obj.boxes]
-    boxes = xywh_array([box for obj in gt.objects for _, box in obj.boxes])
+    n = len(gt.frames)
     return split_frames(
-        np.array(frames, dtype=np.int64),
-        boxes,
-        np.ones(len(frames)),
-        np.full(len(frames), -1, dtype=np.int64),
-        DEFAULT_NUM_CATEGORIES,
+        gt.frames, gt.boxes, np.ones(n), np.full(n, -1, dtype=np.int64), DEFAULT_NUM_CATEGORIES
     )
 
 
@@ -327,4 +323,4 @@ def simulate_to_files(
     gt, frames = generate_scene(config)
     write_detections(frames, detections_path)
     write_ground_truth(gt, truth_path)
-    return len(gt.objects), len(frames)
+    return len(gt.object_ids), len(frames)

@@ -11,12 +11,21 @@ bit-identical across runs (PCG64 generator).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import BoundingBox, CategoryLabel, FrameDetections, split_frames
+from .model import (
+    DEFAULT_NUM_CATEGORIES,
+    BoundingBox,
+    CategoryLabel,
+    FrameDetections,
+    box_history,
+    category_labels,
+    frame_runs,
+    split_frames,
+)
 
 
 @dataclass(frozen=True)
@@ -74,16 +83,92 @@ class SimConfig:
             raise ConfigError(f"false_positive_rate must be >= 0, got {self.false_positive_rate}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruthObject:
+    """One object of a ``SceneGroundTruth``: its id, its true category and
+    read-only views of its rows, ``frames`` (k,) in frame order and
+    ``boxes`` (k, 4) (x, y, w, h). ``history`` gives (frame, box) pairs."""
+
     object_id: int
     true_category: CategoryLabel
-    boxes: tuple[tuple[int, BoundingBox], ...]  # (frame_index, true box), ordered
+    frames: np.ndarray
+    boxes: np.ndarray
+
+    @property
+    def history(self) -> list[tuple[int, BoundingBox]]:
+        return box_history(self.frames, self.boxes)
 
 
-@dataclass(frozen=True)
+#: The columns of a ``SceneGroundTruth``: one entry per object, then one per row.
+_TRUTH_COLUMNS = ("object_ids", "categories", "counts", "frames", "boxes")
+
+
+@dataclass(frozen=True, eq=False)
 class SceneGroundTruth:
-    objects: tuple[GroundTruthObject, ...] = field(default_factory=tuple)
+    """The true trajectories of a scene as one read-only table in object
+    order: ``object_ids`` (n,), true ``categories`` (n,) (indices in
+    [0, num_categories)) and ``counts`` (n,), each object's number of rows;
+    then the rows, object after object and each object's in frame order,
+    ``frames`` (k,) and ``boxes`` (k, 4) (x, y, w, h). An object that never
+    enters the image has no rows.
+
+    ``objects`` gives one ``GroundTruthObject`` view per object, built on
+    each access. Equality and pickling compare and carry the columns.
+    """
+
+    object_ids: np.ndarray
+    categories: np.ndarray
+    counts: np.ndarray
+    frames: np.ndarray
+    boxes: np.ndarray
+    num_categories: int = DEFAULT_NUM_CATEGORIES
+
+    def __post_init__(self):
+        ids, categories, counts, frames = (
+            np.array(getattr(self, name), dtype=np.int64) for name in _TRUTH_COLUMNS[:4]
+        )
+        boxes = np.array(self.boxes, dtype=float)
+        if not (
+            ids.ndim == frames.ndim == 1
+            and categories.shape == counts.shape == ids.shape
+            and boxes.shape == (len(frames), 4)
+            and (counts >= 0).all()
+            and counts.sum() == len(frames)
+        ):
+            raise ValueError(
+                "ground truth needs a category and a row count per object, and a frame "
+                "and an (x, y, w, h) box per row, as many rows as the counts add up to"
+            )
+        if ((categories < 0) | (categories >= self.num_categories)).any():
+            raise ValueError(f"true categories must be in [0, {self.num_categories})")
+        for name, column in zip(_TRUTH_COLUMNS, (ids, categories, counts, frames, boxes)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @property
+    def objects(self) -> tuple[GroundTruthObject, ...]:
+        """One view per object, in table order."""
+        labels = category_labels(self.num_categories)
+        stops = np.cumsum(self.counts).tolist()
+        return tuple(
+            GroundTruthObject(object_id, labels[c], self.frames[a:b], self.boxes[a:b])
+            for object_id, c, a, b in zip(
+                self.object_ids.tolist(), self.categories.tolist(), [0, *stops], stops
+            )
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, SceneGroundTruth):
+            return NotImplemented
+        # As for labels: the category count matters only where there is an object.
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _TRUTH_COLUMNS
+        ) and (self.num_categories == other.num_categories or not len(self.object_ids))
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return SceneGroundTruth, (*(getattr(self, n) for n in _TRUTH_COLUMNS), self.num_categories)
 
 
 def _spawn_times(rng: np.random.Generator, config: SimConfig) -> list[int]:
@@ -124,8 +209,9 @@ def generate_scene(config: SimConfig) -> tuple[SceneGroundTruth, list[FrameDetec
         (t, lane) for lane, times in enumerate(lane_spawns) for t in times
     )
 
-    objects = []
-    for object_id, (spawn, lane) in enumerate(spawn_list, start=1):
+    # Each object's size, category, lane offset and the steps it may be seen.
+    sizes, categories, ys, starts, stops = [], [], [], [], []
+    for spawn, lane in spawn_list:
         if config.box_size_std > 0:
             size = max(4.0, float(rng.normal(config.box_size_mean, config.box_size_std)))
         else:
@@ -136,57 +222,73 @@ def generate_scene(config: SimConfig) -> tuple[SceneGroundTruth, list[FrameDetec
             index = 1 + int(rng.choice(len(weights), p=weights))
         else:
             index = 0
-        category = CategoryLabel(index, config.num_categories)
-
-        y = (lane + 0.5) * config.lane_spacing - size / 2.0
-        # With a fixed object budget the stream runs until the last object
-        # exits; otherwise trajectories are cut off at n_frames.
-        horizon = math.inf if config.n_objects_per_lane is not None else config.n_frames
-        boxes = []
+        sizes.append(size)
+        categories.append(index)
+        ys.append((lane + 0.5) * config.lane_spacing - size / 2.0)
         # A jittered spawn can fall before frame 0; the stream starts at 0,
-        # so truth starts there too.
-        step = max(1, -spawn)
-        while True:
-            frame = spawn + step
-            x = -size + config.belt_velocity * step
-            if x >= config.frame_width or frame >= horizon:
-                break
-            boxes.append((frame, BoundingBox(x=x, y=y, w=size, h=size)))
-            step += 1
-        objects.append(
-            GroundTruthObject(object_id=object_id, true_category=category, boxes=tuple(boxes))
-        )
+        # so truth starts there too. One step after it crosses the image, a
+        # box is past the right edge. With a fixed object budget the stream
+        # runs until the last object exits; otherwise trajectories are cut
+        # off at n_frames.
+        start = max(1, -spawn)
+        stop = math.ceil((config.frame_width + size) / config.belt_velocity) + 1
+        if config.n_objects_per_lane is None:
+            stop = min(stop, config.n_frames - spawn)
+        starts.append(start)
+        stops.append(max(start, stop))
 
-    # frame -> (true category, true box) of each object visible on it
-    visible: dict[int, list[tuple[int, BoundingBox]]] = {}
-    for obj in objects:
-        for frame, box in obj.boxes:
-            visible.setdefault(frame, []).append((obj.true_category.index, box))
+    # Step s of an object is frame spawn + s, at x = -size + belt_velocity * s;
+    # the object is seen until its box reaches the right edge.
+    starts = np.array(starts, dtype=np.int64)
+    counts = np.array(stops, dtype=np.int64) - starts
+    row_object = np.repeat(np.arange(len(counts)), counts)
+    steps = np.arange(len(row_object)) - (np.cumsum(counts) - counts - starts)[row_object]
+    x = -np.array(sizes)[row_object] + config.belt_velocity * steps
+    inside = x < config.frame_width
+    row_object, steps, x = row_object[inside], steps[inside], x[inside]
+    row_frames = np.array([spawn for spawn, _ in spawn_list], dtype=np.int64)[row_object] + steps
+    row_sizes = np.array(sizes)[row_object]
+    truth = SceneGroundTruth(
+        np.arange(1, len(counts) + 1),
+        categories,
+        np.bincount(row_object, minlength=len(counts)),
+        row_frames,
+        np.column_stack((x, np.array(ys)[row_object], row_sizes, row_sizes)),
+        config.num_categories,
+    )
+
+    # The rows of each frame, in object order.
+    by_frame = np.argsort(row_frames, kind="stable")
+    visible = {frame: by_frame[a:b] for frame, a, b in frame_runs(row_frames[by_frame])}
+    row_category = truth.categories[row_object]
 
     # One (frame, x, y, w, h, score, category) row per detection, in stream order.
     rows: list[tuple] = []
-    last_frame = max(visible) if visible else -1
+    last_frame = int(row_frames.max()) if len(row_frames) else -1
     n_frames = max(config.n_frames, last_frame + 1)
     for frame in range(n_frames):
-        for true_index, box in visible.get(frame, []):
+        seen = visible.get(frame, by_frame[:0])
+        boxes, true_indices = truth.boxes[seen].tolist(), row_category[seen].tolist()
+        for (x, y, w, h), true_index in zip(boxes, true_indices):
             if config.detection_dropout_prob > 0 and rng.random() < config.detection_dropout_prob:
                 continue
-            x, y = box.x, box.y
             if config.bbox_jitter_std > 0:
                 dx, dy = rng.normal(0.0, config.bbox_jitter_std, size=2)
                 x, y = x + dx, y + dy
-            score = float(np.clip(rng.normal(config.score_mean_true, config.score_std_true), 0.0, 1.0))
+            score = float(rng.normal(config.score_mean_true, config.score_std_true))
+            score = min(max(score, 0.0), 1.0)
             index = true_index
             if config.label_flip_prob > 0 and rng.random() < config.label_flip_prob:
                 others = [c for c in range(config.num_categories) if c != true_index]
                 index = others[int(rng.integers(len(others)))]
-            rows.append((frame, x, y, box.w, box.h, score, index))
+            rows.append((frame, x, y, w, h, score, index))
         if config.false_positive_rate > 0:
             for _ in range(int(rng.poisson(config.false_positive_rate))):
                 size = max(4.0, float(rng.normal(config.box_size_mean, max(config.box_size_std, 1.0))))
                 x = float(rng.uniform(0.0, max(config.frame_width - size, 1.0)))
                 y = float(rng.uniform(0.0, max(config.frame_height - size, 1.0)))
-                score = float(np.clip(rng.normal(config.score_mean_fp, config.score_std_fp), 0.0, 1.0))
+                score = float(rng.normal(config.score_mean_fp, config.score_std_fp))
+                score = min(max(score, 0.0), 1.0)
                 category = int(rng.integers(config.num_categories))
                 rows.append((frame, x, y, size, size, score, category))
 
@@ -198,4 +300,4 @@ def generate_scene(config: SimConfig) -> tuple[SceneGroundTruth, list[FrameDetec
         table[:, 6].astype(np.int64),
         config.num_categories,
     )
-    return SceneGroundTruth(objects=tuple(objects)), frames
+    return truth, frames

@@ -160,83 +160,87 @@ class ByteTracker:
             if cfg.low_score_threshold <= score < cfg.high_score_threshold
         ]
 
-        # A filter whose prediction no longer encodes a box is removed on its
-        # own; the predicted boxes of the rest feed both association rounds.
-        live = self._live
-        if len(live):
-            predicted = kf_predict(KalmanState(mean=live["mean"], blocks=live["blocks"]))
-            live["mean"], live["blocks"] = predicted.mean, predicted.blocks
-        boxes, valid = decode_boxes(live["mean"])
-        removed_ids = []
-        if not valid.all():
-            removed_ids, boxes = self._remove(~valid), boxes[valid]
-        live = self._live
-        status, hits, last = live["status"], live["hits"], live["last"]
-
-        # One cost matrix for both rounds: every live track against the
-        # confident detections (its first columns), then the low ones.
-        costs = build_cost_matrix(corners(boxes), det_corners[high + low])
-
-        # First round: every live track vs confident detections.
-        first = solve_assignment(costs[:, : len(high)], cfg.match_threshold_first)
-
-        # Second round: still-unmatched active tracks vs low-confidence
-        # detections. Lost and tentative tracks sit this one out.
-        active = (status == ACTIVE).tolist()
-        leftover_rows = [i for i in first.unmatched_tracks if active[i]]
-        second = solve_assignment(costs[leftover_rows, len(high) :], cfg.match_threshold_second)
-
-        # One update for the matches of both rounds. Round 2 scores only
-        # tracks round 1 left unmatched, on their predicted boxes, so
-        # deferring round 1's updates to here changes nothing. A filter the
-        # update leaves without a box is removed, like one diverged above.
-        # The kept matches and the spawns make the frame's block of the match
-        # table: a track id, a detection row and a box part for each.
-        ids, det_rows, box_parts = [], [], [det_boxes[:0]]
-        matched = [(ti, high[di]) for ti, di in first.matches]
-        matched += [(leftover_rows[ti], low[di]) for ti, di in second.matches]
-        if matched:
-            rows, matched_dets = (np.array(column) for column in zip(*matched))
-            posterior = kf_update(
-                KalmanState(mean=live["mean"][rows], blocks=live["blocks"][rows]),
-                det_boxes[matched_dets],
-            )
-            live["mean"][rows], live["blocks"][rows] = posterior.mean, posterior.blocks
-            updated, valid = decode_boxes(posterior.mean)
+        # The step runs without floating-point warnings: a filter whose box
+        # height is too large or too small for its height-scaled variances
+        # turns inf or nan, and is removed as diverged below.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # A filter whose prediction no longer encodes a box is removed on its
+            # own; the predicted boxes of the rest feed both association rounds.
+            live = self._live
+            if len(live):
+                predicted = kf_predict(KalmanState(mean=live["mean"], blocks=live["blocks"]))
+                live["mean"], live["blocks"] = predicted.mean, predicted.blocks
+            boxes, valid = decode_boxes(live["mean"])
+            removed_ids = []
             if not valid.all():
-                status[rows[~valid]] = REMOVED
-                rows, matched_dets, updated = rows[valid], matched_dets[valid], updated[valid]
-            hits[rows] += 1
-            last[rows] = t
-            # Only a tentative track has fewer hits than it takes to activate.
-            status[rows[hits[rows] >= cfg.min_hits_to_activate]] = ACTIVE
-            ids += live["id"][rows].tolist()
-            det_rows += matched_dets.tolist()
-            box_parts.append(updated)
+                removed_ids, boxes = self._remove(~valid), boxes[valid]
+            live = self._live
+            status, hits, last = live["status"], live["hits"], live["last"]
 
-        # Every row that found no detection this frame moves on: a tentative
-        # one is removed and an active one is lost. A row left unmatched for
-        # more than ``max_frames_lost`` frames is removed, whatever its status.
-        missed = last < t
-        status[missed] = _ON_MISS[status[missed]]
-        status[last < t - cfg.max_frames_lost] = REMOVED
-        removed = status == REMOVED
-        if removed.any():
-            removed_ids += self._remove(removed)
+            # One cost matrix for both rounds: every live track against the
+            # confident detections (its first columns), then the low ones.
+            costs = build_cost_matrix(corners(boxes), det_corners[high + low])
 
-        # Spawn new tracks from confident detections nothing claimed.
-        spawn = [
-            high[di]
-            for di in first.unmatched_detections
-            if scores[high[di]] >= cfg.spawn_score
-        ]
-        if spawn:
-            ids += range(self._next_id, self._next_id + len(spawn))
-            det_rows += spawn
-            box_parts.append(det_boxes[spawn])  # a new track starts at the observed box
-            self._spawn(det_boxes[spawn], t)
-        if ids:
-            self._record(t, ids, np.concatenate(box_parts), frame.categories[det_rows])
+            # First round: every live track vs confident detections.
+            first = solve_assignment(costs[:, : len(high)], cfg.match_threshold_first)
+
+            # Second round: still-unmatched active tracks vs low-confidence
+            # detections. Lost and tentative tracks sit this one out.
+            active = (status == ACTIVE).tolist()
+            leftover_rows = [i for i in first.unmatched_tracks if active[i]]
+            second = solve_assignment(costs[leftover_rows, len(high) :], cfg.match_threshold_second)
+
+            # One update for the matches of both rounds. Round 2 scores only
+            # tracks round 1 left unmatched, on their predicted boxes, so
+            # deferring round 1's updates to here changes nothing. A filter the
+            # update leaves without a box is removed, like one diverged above.
+            # The kept matches and the spawns make the frame's block of the match
+            # table: a track id, a detection row and a box part for each.
+            ids, det_rows, box_parts = [], [], [det_boxes[:0]]
+            matched = [(ti, high[di]) for ti, di in first.matches]
+            matched += [(leftover_rows[ti], low[di]) for ti, di in second.matches]
+            if matched:
+                rows, matched_dets = (np.array(column) for column in zip(*matched))
+                posterior = kf_update(
+                    KalmanState(mean=live["mean"][rows], blocks=live["blocks"][rows]),
+                    det_boxes[matched_dets],
+                )
+                live["mean"][rows], live["blocks"][rows] = posterior.mean, posterior.blocks
+                updated, valid = decode_boxes(posterior.mean)
+                if not valid.all():
+                    status[rows[~valid]] = REMOVED
+                    rows, matched_dets, updated = rows[valid], matched_dets[valid], updated[valid]
+                hits[rows] += 1
+                last[rows] = t
+                # Only a tentative track has fewer hits than it takes to activate.
+                status[rows[hits[rows] >= cfg.min_hits_to_activate]] = ACTIVE
+                ids += live["id"][rows].tolist()
+                det_rows += matched_dets.tolist()
+                box_parts.append(updated)
+
+            # Every row that found no detection this frame moves on: a tentative
+            # one is removed and an active one is lost. A row left unmatched for
+            # more than ``max_frames_lost`` frames is removed, whatever its status.
+            missed = last < t
+            status[missed] = _ON_MISS[status[missed]]
+            status[last < t - cfg.max_frames_lost] = REMOVED
+            removed = status == REMOVED
+            if removed.any():
+                removed_ids += self._remove(removed)
+
+            # Spawn new tracks from confident detections nothing claimed.
+            spawn = [
+                high[di]
+                for di in first.unmatched_detections
+                if scores[high[di]] >= cfg.spawn_score
+            ]
+            if spawn:
+                ids += range(self._next_id, self._next_id + len(spawn))
+                det_rows += spawn
+                box_parts.append(det_boxes[spawn])  # a new track starts at the observed box
+                self._spawn(det_boxes[spawn], t)
+            if ids:
+                self._record(t, ids, np.concatenate(box_parts), frame.categories[det_rows])
 
         live = self._live
         return TrackerOutput(

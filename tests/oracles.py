@@ -154,7 +154,7 @@ def covering_tracks_reference(tracks, gt, iou_threshold=0.5):
     coverage = {}
     for obj in gt.objects:
         ids = []
-        for frame, gt_box in obj.boxes:
+        for frame, gt_box in obj.history:
             best_id, best_overlap = None, 0.0
             for track_id, box in by_frame.get(frame, []):
                 overlap = iou(box, gt_box)

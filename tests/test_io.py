@@ -1,7 +1,13 @@
 import json
+import pickle
 import re
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beltrack import InputError
 from beltrack.io import (
@@ -11,11 +17,36 @@ from beltrack.io import (
     write_detections,
     write_ground_truth,
 )
-from beltrack.simulate import SimConfig, generate_scene
+from beltrack.simulate import SceneGroundTruth, SimConfig, generate_scene
 
 
 def write_lines(path, lines):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+@st.composite
+def truth_tables(draw):
+    """Ground truth as a file can hold it: objects in id order, each with at
+    least one row, its frames distinct and ascending."""
+    num_categories = draw(st.integers(2, 6))
+    ids = sorted(draw(st.sets(st.integers(-(2**53) + 1, 2**53 - 1), max_size=4)))
+    frames = [
+        sorted(draw(st.sets(st.integers(0, 2**53 - 1), min_size=1, max_size=4))) for _ in ids
+    ]
+    coordinates = st.floats(-1e9, 1e9)
+    sizes = st.floats(1e-6, 1e9)
+    boxes = [
+        [draw(coordinates), draw(coordinates), draw(sizes), draw(sizes)]
+        for rows in frames for _ in rows
+    ]
+    return SceneGroundTruth(
+        ids,
+        [draw(st.integers(0, num_categories - 1)) for _ in ids],
+        [len(rows) for rows in frames],
+        [frame for rows in frames for frame in rows],
+        np.array(boxes, dtype=float).reshape(-1, 4),
+        num_categories,
+    )
 
 
 class TestIngestDetections:
@@ -176,6 +207,22 @@ class TestRoundTrip:
         write_ground_truth(gt, path)
         assert read_ground_truth(path) == gt
 
+    @settings(max_examples=100, deadline=None)
+    @given(gt=truth_tables())
+    def test_ground_truth_columns_round_trip(self, gt):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "gt.jsonl"
+            write_ground_truth(gt, path)
+            read = read_ground_truth(path, num_categories=gt.num_categories)
+        assert read == gt
+
+    def test_pickled_ground_truth_holds_only_columns(self):
+        config = SimConfig(seed=34, n_lanes=2, n_objects_per_lane=3, spawn_jitter_frames=3)
+        gt, _ = generate_scene(config)
+        data = pickle.dumps(gt)
+        assert b"BoundingBox" not in data and b"GroundTruthObject" not in data
+        assert pickle.loads(data) == gt
+
 
 class TestReadGroundTruth:
     def test_category_change_rejected(self, tmp_path):
@@ -250,8 +297,8 @@ class TestReadGroundTruth:
         path = tmp_path / "gt.jsonl"
         write_lines(path, ['{"frame": 3.0, "object_id": 2.0, "x": 0, "y": 0, "w": 5, "h": 5, "true_category": 1.0}'])
         (obj,) = read_ground_truth(path).objects
-        assert (obj.object_id, obj.true_category.index, obj.boxes[0][0]) == (2, 1, 3)
-        assert type(obj.object_id) is int and type(obj.boxes[0][0]) is int
+        assert (obj.object_id, obj.true_category.index, obj.history[0][0]) == (2, 1, 3)
+        assert type(obj.object_id) is int and type(obj.history[0][0]) is int
 
     @pytest.mark.parametrize("second_x", [5, 0])  # another box, the same line
     def test_object_twice_on_one_frame_rejected(self, tmp_path, second_x):
@@ -270,7 +317,7 @@ class TestReadGroundTruth:
             '{"frame": 1, "object_id": 1, "x": 5, "y": 0, "w": 5, "h": 5, "true_category": 1}',
         ])
         gt = read_ground_truth(path)
-        assert [f for f, _ in gt.objects[0].boxes] == [1, 3]
+        assert [f for f, _ in gt.objects[0].history] == [1, 3]
 
 
 class TestMotAdapter:

@@ -20,7 +20,7 @@ from beltrack import (
 )
 from beltrack.metrics import covering_tracks, majority_tracks, switches_in
 from beltrack.model import FRESH, ROT, xywh_array
-from beltrack.simulate import GroundTruthObject, SceneGroundTruth
+from beltrack.simulate import SceneGroundTruth
 
 from oracles import covering_tracks_reference, detection_map_reference
 
@@ -226,10 +226,20 @@ def simple_track(track_id, boxes, status=TrackStatus.ACTIVE):
     )
 
 
-def single_object_gt(boxes, category=FRESH):
+def truth_of(*objects):
+    """Ground truth from (object id, category, [(frame, box), ...]) triples,
+    each object's pairs in frame order."""
     return SceneGroundTruth(
-        objects=(GroundTruthObject(object_id=1, true_category=category, boxes=tuple(boxes)),)
+        [object_id for object_id, _, _ in objects],
+        [category.index for _, category, _ in objects],
+        [len(pairs) for _, _, pairs in objects],
+        [frame for _, _, pairs in objects for frame, _ in pairs],
+        xywh_array([box for _, _, pairs in objects for _, box in pairs]),
     )
+
+
+def single_object_gt(boxes, category=FRESH):
+    return truth_of((1, category, boxes))
 
 
 class TestCountIdSwitches:
@@ -303,8 +313,8 @@ class TestOverlapKernelMatchesScalarLoops:
         ]
         if descending:
             tracks.reverse()
-        gt = SceneGroundTruth(objects=tuple(
-            GroundTruthObject(object_id, FRESH, tuple(sorted(dict(boxes).items())))
+        gt = truth_of(*(
+            (object_id, FRESH, sorted(dict(boxes).items()))
             for object_id, boxes in enumerate(truths, start=1)
         ))
         assert covering_tracks(tracks, gt, threshold) == covering_tracks_reference(

@@ -236,10 +236,25 @@ class TestEvaluateAgainstTruth:
         # jitter moves lane 1's first spawn to frame -3; truth starts at 0
         config = SimConfig(seed=0, n_lanes=2, spawn_jitter_frames=3, n_objects_per_lane=5)
         gt, frames = generate_scene(config)
-        assert min(frame for obj in gt.objects for frame, _ in obj.boxes) == 0
+        assert min(frame for obj in gt.objects for frame, _ in obj.history) == 0
         evaluation = evaluate_against_truth(frames, gt)
         assert evaluation.n_objects == 10
         assert evaluation.n_unmatched_objects == 0
+
+    def test_never_visible_objects_keep_a_row_and_count_as_unmatched(self):
+        # Jitter 40 spawns the first two objects so long before frame 0 that
+        # they have crossed the 20 px frame before the stream starts.
+        config = SimConfig(
+            seed=9, n_lanes=2, n_objects_per_lane=3, spawn_jitter_frames=40, frame_width=20.0
+        )
+        gt, frames = generate_scene(config)
+        assert gt.counts.tolist() == [0, 0, 5, 10, 10, 10]
+        first = gt.objects[0]
+        assert first.frames.shape == (0,) and first.boxes.shape == (0, 4)
+        assert first.history == []
+        evaluation = evaluate_against_truth(frames, gt)
+        assert evaluation.n_objects == 6
+        assert evaluation.n_unmatched_objects == 2
 
 
 class TestSummaryContents:

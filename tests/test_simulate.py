@@ -11,7 +11,7 @@ from beltrack.simulate import SimConfig, generate_scene
 def stream_fingerprint(gt, frames):
     parts = []
     for obj in gt.objects:
-        parts.append((obj.object_id, obj.true_category.index, tuple(obj.boxes)))
+        parts.append((obj.object_id, obj.true_category.index, tuple(obj.history)))
     for frame in frames:
         for det in frame.detections:
             label = None if det.category_observation is None else det.category_observation.index
@@ -28,7 +28,7 @@ class TestNoiselessScene:
     def test_detections_equal_ground_truth(self):
         gt, frames = generate_scene(self.CONFIG)
         obj = gt.objects[0]
-        truth = dict(obj.boxes)
+        truth = dict(obj.history)
         seen = {}
         for frame in frames:
             assert len(frame.detections) == 1
@@ -46,7 +46,7 @@ class TestNoiselessScene:
 
     def test_centers_advance_exactly_belt_velocity(self):
         gt, _ = generate_scene(self.CONFIG)
-        boxes = gt.objects[0].boxes
+        boxes = gt.objects[0].history
         for (f0, b0), (f1, b1) in zip(boxes, boxes[1:]):
             assert f1 == f0 + 1
             assert b1.cx - b0.cx == pytest.approx(5.0, abs=1e-12)
@@ -90,7 +90,7 @@ class TestLabelNoise:
         gt, frames = generate_scene(config)
         by_id = {obj.object_id: obj for obj in gt.objects}
         true_box = {
-            (obj.object_id, f): box for obj in gt.objects for f, box in obj.boxes
+            (obj.object_id, f): box for obj in gt.objects for f, box in obj.history
         }
         for frame in frames:
             for det in frame.detections:
@@ -112,7 +112,7 @@ class TestLabelNoise:
         # no jitter in this config, so detections carry exact truth positions
         true_cat = {}
         for obj in gt.objects:
-            for f, box in obj.boxes:
+            for f, box in obj.history:
                 true_cat[(f, box.x, box.cy)] = obj.true_category
         flips = total = 0
         for frame in frames:
@@ -147,7 +147,7 @@ class TestLaneSeparation:
         gt, _ = generate_scene(config)
         by_frame = {}
         for obj in gt.objects:
-            for f, box in obj.boxes:
+            for f, box in obj.history:
                 by_frame.setdefault(f, []).append(box)
         for boxes in by_frame.values():
             for i, a in enumerate(boxes):

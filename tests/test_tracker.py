@@ -1,3 +1,6 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from beltrack import (
     kf_update,
     state_to_box,
 )
+from beltrack.io import ingest_detections
 from beltrack.model import FRESH, ROT, CategoryLabel, split_frames, xywh_array
 from beltrack.pipeline import run_stream
 from beltrack.simulate import SimConfig, generate_scene
@@ -155,11 +159,10 @@ class TestDivergence:
         # track is removed on its own, and the rest of the frame runs as usual.
         tracker = ByteTracker()
         flat = BoundingBox(0.0, 0.0, 1.0, 1e-170)
-        with np.errstate(invalid="ignore"):
-            for t in range(2):
-                out = tracker.step(
-                    frame_with(t, (flat, 0.9, FRESH), (moving_box(t, y0=200.0), 0.9, FRESH))
-                )
+        for t in range(2):
+            out = tracker.step(
+                frame_with(t, (flat, 0.9, FRESH), (moving_box(t, y0=200.0), 0.9, FRESH))
+            )
         assert out.newly_removed_track_ids == (1,)
         assert list(out.active_tracks) == [2]
         flat_track, steady_track = tracker.finalize()
@@ -167,6 +170,23 @@ class TestDivergence:
         assert flat_track.history == [(0, flat)]
         assert np.isnan(flat_track.state.mean).any()
         assert [f for f, _ in steady_track.history] == [0, 1]
+
+    @pytest.mark.parametrize("height", [1e200, 1e-300])
+    @pytest.mark.parametrize("n_lines", [1, 2])
+    def test_extreme_height_tracks_without_warnings(self, tmp_path, height, n_lines):
+        # The variances scale with (h/20)**2, which overflows at h = 1e200
+        # and underflows to 0 at h = 1e-300: the filter starts inf or turns
+        # nan at its first update, which removes it as diverged, and no
+        # floating-point warning reaches stderr.
+        path = tmp_path / "dets.jsonl"
+        record = {"x": 0, "y": 0, "w": 1.0, "h": height, "score": 0.9}
+        path.write_text("".join(json.dumps({"frame": t, **record}) + "\n" for t in range(n_lines)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (track,) = run_stream(ingest_detections(path))
+        assert (track.id, track.hit_count, track.last_update_frame) == (1, 1, 0)
+        assert track.status is (TrackStatus.ACTIVE if n_lines == 1 else TrackStatus.REMOVED)
+        assert track.history == [(0, BoundingBox(0.0, 0.0, 1.0, height))]
 
     def test_divergence_removes_one_track_of_the_batch(self):
         # Track 1 shrinks and then coasts into a negative height, as above,
