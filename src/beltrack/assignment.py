@@ -35,9 +35,10 @@ class AssignmentResult:
 
 
 def build_cost_matrix(track_boxes: np.ndarray, det_boxes: np.ndarray) -> CostMatrix:
-    """Entry (i, j) is 1 - IoU(track_boxes[i], det_boxes[j]); both are (n, 4)
-    corner arrays (see ``model.corners``)."""
-    return 1.0 - iou_matrix(track_boxes, det_boxes)
+    """Entry (i, j) is 1 - IoU(track i, detection j); both are (4, n) corner
+    rows (see ``model.corners``)."""
+    costs = iou_matrix(track_boxes, det_boxes)
+    return np.subtract(1.0, costs, out=costs)
 
 
 def solve_assignment(costs: CostMatrix, max_cost: float) -> AssignmentResult:
@@ -60,14 +61,14 @@ def solve_assignment(costs: CostMatrix, max_cost: float) -> AssignmentResult:
     if costs.size == 0:
         return AssignmentResult((), tuple(range(n_rows)), tuple(range(n_cols)))
     top = float(costs.max())
-    if not (math.isfinite(top) and math.isfinite(costs.min())):
-        raise ValueError("cost matrix entries must be finite")
-
     # The pairs cheaper than ``top`` as (cost, row, column), by cost and
     # then row-major among equal costs.
-    below = costs < top
-    rows, cols = (index.tolist() for index in np.nonzero(below))
-    cheap = sorted(zip(costs[below].tolist(), rows, cols))
+    cells = np.flatnonzero(costs < top)
+    values = costs.take(cells).tolist()
+    cheap = sorted((cost, *divmod(cell, n_cols)) for cost, cell in zip(values, cells.tolist()))
+    # A nan makes ``top`` nan; the least cost is ``top`` or the first cheap one.
+    if not (math.isfinite(top) and math.isfinite(cheap[0][0] if cheap else top)):
+        raise ValueError("cost matrix entries must be finite")
     matches = [(r, c) for cost, r, c in _group_matching(costs, top, cheap) if cost <= max_cost]
 
     matched_rows = {r for r, _ in matches}

@@ -8,10 +8,11 @@ for near and far objects.
 The transition pairs each of (cx, cy, a, h) only with its own velocity, the
 noise is diagonal and the measurement selects the positions, so the 8x8
 covariance is four independent 2x2 (position, velocity) blocks, and every
-other entry is exactly 0. A ``KalmanState`` holds means of shape (..., 8)
-and just those blocks, shape (..., 3, 4): rows pp, pv, vv, one column per
-axis. Boxes come as (..., 4) arrays of (x, y, w, h) rows; a single filter
-is the unbatched case, and a single box may also be a ``BoundingBox``.
+other entry is exactly 0. A ``KalmanState`` holds just those blocks. Arrays
+put the component axes first, so a batch of n filters holds each component
+as one row: means (8, n), blocks (3, 4, n), boxes (4, n) x, y, w, h rows; a
+single filter (or ``BoundingBox``) is the unbatched case. Predict and update
+write into the state they are given.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BoundingBox, valid_boxes, xywh_array
+from .model import BoundingBox, valid_extents, xywh_array
 
 
 class FilterDiverged(ValueError):
@@ -33,30 +34,30 @@ class FilterDiverged(ValueError):
 _POSITION_STD = 1.0 / 20
 _VELOCITY_STD = 1.0 / 160
 _MEASUREMENT_STD = 1.0 / 20
+_PROCESS_STD = np.array([_POSITION_STD, _VELOCITY_STD])
+#: Rows of a table of filters: 8 mean components, then 12 block entries.
+STATE_ROWS = 20
 
 
 @dataclass(frozen=True, eq=False)
 class KalmanState:
-    mean: np.ndarray    # shape (..., 8)
-    blocks: np.ndarray  # shape (..., 3, 4): rows pp, pv, vv; one column per axis
+    """Filters as component rows: a mean and per-axis blocks, batch axis last."""
+    mean: np.ndarray    # shape (8, ...)
+    blocks: np.ndarray  # shape (3, 4, ...): rows pp, pv, vv; one column per axis
 
-    @property
-    def covariance(self) -> np.ndarray:
-        """The dense (..., 8, 8) covariance the blocks stand for."""
-        dense = np.zeros(self.mean.shape + (8,))
-        pos, vel = np.arange(4), np.arange(4, 8)
-        for row, (i, j) in enumerate([(pos, pos), (pos, vel), (vel, vel)]):
-            dense[..., i, j] = dense[..., j, i] = self.blocks[..., row, :]
-        return dense
+    @staticmethod
+    def view(table: np.ndarray) -> "KalmanState":
+        """Filters whose mean and blocks are views of a (STATE_ROWS, n) table."""
+        return KalmanState(mean=table[:8], blocks=table[8:].reshape(3, 4, table.shape[1]))
 
 
 def _measurement(boxes: BoundingBox | np.ndarray) -> np.ndarray:
-    """(..., 4) boxes as (cx, cy, aspect, height) measurements."""
+    """(4, ...) boxes as (cx, cy, aspect, height) measurements."""
     if isinstance(boxes, BoundingBox):
         boxes = xywh_array([boxes])[0]
     measurement = np.array(boxes, dtype=float)
-    measurement[..., :2] += measurement[..., 2:] / 2.0
-    measurement[..., 2] /= measurement[..., 3]
+    measurement[:2] += measurement[2:] / 2.0
+    measurement[2] /= measurement[3]
     return measurement
 
 
@@ -67,68 +68,84 @@ def kf_initiate(boxes: BoundingBox | np.ndarray) -> KalmanState:
     so the velocity estimate can adapt within the first few frames.
     """
     measurement = _measurement(boxes)
-    mean = np.concatenate([measurement, np.zeros_like(measurement)], axis=-1)
-    h = measurement[..., 3:]
-    blocks = np.zeros(measurement.shape[:-1] + (3, 4))
-    blocks[..., 0, :] = (2 * _POSITION_STD * h) ** 2
-    blocks[..., 2, :] = (10 * _VELOCITY_STD * h) ** 2
+    mean = np.concatenate([measurement, np.zeros_like(measurement)])
+    h = measurement[3]
+    blocks = np.zeros((3, 4) + measurement.shape[1:])
+    blocks[0] = (2 * _POSITION_STD * h) ** 2
+    blocks[2] = (10 * _VELOCITY_STD * h) ** 2
     return KalmanState(mean=mean, blocks=blocks)
 
 
 def kf_predict(state: KalmanState) -> KalmanState:
-    """Advance one frame: position += velocity, covariance grows by process noise.
-
-    Per axis F = [[1, 1], [0, 1]], and F P F^T adds the velocity row to the
-    position row, then the velocity column to the position column: the same
-    sums, in the same order, as the dense product.
+    """Advance one frame in place, and return the state: position +=
+    velocity, covariance grows by process noise scaled by the prior height.
+    Per axis F = [[1, 1], [0, 1]], so F P F^T + Q has blocks
+    ((pp + pv) + (pv + vv) + q_p, pv + vv, vv + q_v): the same sums, in the
+    same order, as the dense product.
     """
-    mean = state.mean.copy()
-    mean[..., :4] += state.mean[..., 4:]
-    pp, pv, vv = (state.blocks[..., row, :] for row in range(3))
-    h = state.mean[..., 3:4]
-    blocks = np.empty_like(state.blocks)
-    blocks[..., 0, :] = (pp + pv) + (pv + vv) + (_POSITION_STD * h) ** 2
-    blocks[..., 1, :] = pv + vv
-    blocks[..., 2, :] = vv + (_VELOCITY_STD * h) ** 2
-    return KalmanState(mean=mean, blocks=blocks)
+    mean, blocks = state.mean, state.blocks
+    noise = np.square(np.multiply.outer(_PROCESS_STD, mean[3]))  # rows q_p, q_v
+    mean[:4] += mean[4:]
+    blocks[:2] += blocks[1:]  # pp + pv, pv + vv (NumPy buffers the overlap)
+    blocks[0] += blocks[1]
+    blocks[::2] += noise[:, None]
+    return state
 
 
 def kf_update(state: KalmanState, observed: BoundingBox | np.ndarray) -> KalmanState:
-    """Fuse observed boxes into the states (measurement update on cx, cy, a, h).
-
-    Each axis sees its position with noise variance r, so the gain is
-    (pp, pv) / (pp + r). The blocks take the Joseph form, which stays
-    symmetric PSD even after thousands of cycles; where pp + r underflows
-    to 0, the state turns nan, which ``decode_boxes`` flags.
+    """Fuse observed boxes into the states in place (measurement update on
+    cx, cy, a, h), and return the state. Each axis sees its position with
+    noise variance r, so the gain is (pp, pv) / (pp + r). The blocks take
+    the Joseph form, which stays symmetric PSD even after thousands of
+    cycles; where pp + r underflows to 0, the state turns nan, which
+    ``decode_boxes`` flags.
     """
-    pp, pv, vv = (state.blocks[..., row, :] for row in range(3))
-    r = np.square(_MEASUREMENT_STD * state.mean[..., 3:4])
-    innovation = _measurement(observed) - state.mean[..., :4]
-    s = pp + r
-    k_p, k_v = pp / s, pv / s
-    mean = state.mean + np.concatenate([k_p * innovation, k_v * innovation], axis=-1)
+    mean, blocks = state.mean, state.blocks
+    pp, pv, vv = blocks[0], blocks[1], blocks[2]
+    r = np.square(_MEASUREMENT_STD * mean[3])
+    innovation = _measurement(observed)
+    innovation -= mean[:4]
+    gain = blocks[:2] / (pp + r)  # rows k_p, k_v
+    k_p, k_v = gain[0], gain[1]
+    mean += (gain * innovation).reshape(mean.shape)
+    # Joseph form: each block row is a + b r with b one of k_p k_p, k_v k_p
+    # and k_v k_v, written after the last read of the rows it needs.
+    noise = np.empty_like(blocks)
+    np.multiply(gain, k_p, out=noise[:2])
+    np.multiply(k_v, k_v, out=noise[2])
+    noise *= r
     keep = 1.0 - k_p
-    blocks = np.empty_like(state.blocks)
-    blocks[..., 0, :] = keep * keep * pp + k_p * k_p * r
-    blocks[..., 1, :] = keep * (pv - k_v * pp) + k_p * k_v * r
-    blocks[..., 2, :] = vv - k_v * (2.0 * pv - k_v * pp) + k_v * k_v * r
-    return KalmanState(mean=mean, blocks=blocks)
+    k_v_pp = k_v * pp
+    vv -= k_v * (2.0 * pv - k_v_pp)
+    pv -= k_v_pp
+    pv *= keep
+    pp *= keep * keep
+    blocks += noise
+    return state
 
 
 def decode_boxes(mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decode states (..., 8) to (x, y, w, h) boxes (..., 4), the inverse of
-    the initiate encoding, plus a mask that is False where the row encodes
-    no box ``BoundingBox`` accepts (see ``model.valid_boxes``)."""
-    boxes = mean[..., :4].copy()
-    boxes[..., 2] *= mean[..., 3]
-    boxes[..., :2] -= boxes[..., 2:] / 2.0
-    return boxes, valid_boxes(boxes)
+    """Decode (8, n) states to (8, n) boxes (the inverse of the initiate
+    encoding) with rows x, y, right, bottom (corners), area, aspect, w, h,
+    and a mask, False where the state encodes no box ``BoundingBox`` takes.
+    Such states raise floating-point warnings; callers silence them."""
+    boxes = np.empty((8,) + mean.shape[1:])
+    w, h, size = boxes[6], boxes[7], boxes[6:]
+    np.multiply(mean[2], mean[3], out=w)
+    h[:] = mean[3]
+    np.divide(size, 2.0, out=boxes[2:4])
+    np.subtract(mean[:2], boxes[2:4], out=boxes[:2])
+    np.add(boxes[:2], size, out=boxes[2:4])
+    np.multiply(w, h, out=boxes[4])
+    np.divide(w, h, out=boxes[5])
+    return boxes, valid_extents(boxes[2:6], h)
 
 
 def state_to_box(state: KalmanState) -> BoundingBox:
     """Decode one filter's state back to a box."""
-    box, valid = decode_boxes(state.mean)
-    if not valid:
+    with np.errstate(all="ignore"):
+        boxes, valid = decode_boxes(state.mean[:, None])
+    if not valid[0]:
         a, h = state.mean[2:4]
         raise FilterDiverged(f"state does not encode a valid box: aspect={a}, height={h}")
-    return BoundingBox(*box.tolist())
+    return BoundingBox(*boxes[[0, 1, 6, 7], 0].tolist())  # x, y, w, h

@@ -121,7 +121,7 @@ def detection_map(
     if len(gt_frames) == 0:
         raise ValueError("average precision is undefined without ground-truth boxes")
     pooled = np.argsort(gt_frames, kind="stable")
-    truth = _frame_slices(gt_frames[pooled], corners(gt_boxes[pooled]))
+    truth = _frame_slices(gt_frames[pooled], corners(gt_boxes[pooled]).T)
 
     frames, boxes, scores = _columns(dets)
     order = np.argsort(-scores, kind="stable")  # sweep order: k-th entry has rank k
@@ -133,7 +133,7 @@ def detection_map(
         truth_corners = truth.get(frame)
         if truth_corners is None:
             continue
-        overlap = iou_matrix(corners(boxes[order[ranks]]), truth_corners)
+        overlap = iou_matrix(corners(boxes[order[ranks]]), truth_corners.T)
         overlap[overlap < iou_threshold] = -1.0  # too little overlap to match
         # A row with no candidate now never gains one: columns only get taken.
         for row in np.flatnonzero((overlap > 0.0).any(axis=1)).tolist():
@@ -199,7 +199,7 @@ def covering_tracks(
         columns = candidates.get(frame)
         if columns is None:
             continue
-        overlap = iou_matrix(truth_corners[rows], track_corners[columns])
+        overlap = iou_matrix(truth_corners[:, rows], track_corners[:, columns])
         best = overlap.argmax(axis=1)
         hit = overlap[np.arange(len(rows)), best] >= iou_threshold
         covering[rows[hit]] = track_ids[columns[best[hit]]]

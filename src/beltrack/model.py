@@ -118,26 +118,29 @@ def xywh_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
 
 
 def corners(xywh: np.ndarray) -> np.ndarray:
-    """(n, 4) (x, y, w, h) rows as (x, y, right, bottom) corner rows."""
-    out = xywh.copy()
-    out[:, 2:] += xywh[:, :2]
-    return out
+    """(n, 4) (x, y, w, h) rows as (4, n) corner rows: x, y, right, bottom."""
+    xy = xywh[:, :2].T
+    return np.concatenate([xy, xy + xywh[:, 2:].T])
 
 
 def iou_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between two (n, 4) corner arrays, shape (len(rows), len(cols))."""
-    iw = np.minimum(rows[:, None, 2], cols[None, :, 2]) - np.maximum(rows[:, None, 0], cols[None, :, 0])
-    ih = np.minimum(rows[:, None, 3], cols[None, :, 3]) - np.maximum(rows[:, None, 1], cols[None, :, 1])
-    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-    area_r = (rows[:, 2] - rows[:, 0]) * (rows[:, 3] - rows[:, 1])
-    area_c = (cols[:, 2] - cols[:, 0]) * (cols[:, 3] - cols[:, 1])
+    """Pairwise IoU between (4, n) and (4, m) corner rows (see ``corners``),
+    shape (n, m)."""
+    edges = np.concatenate([rows, cols], axis=1)
+    halves = (edges[2] - edges[0]) * (edges[3] - edges[1]) / 2  # both sets' halved areas
+    # The overlaps' widths and heights, then their halved areas and unions.
+    overlap = np.minimum(rows[2:, :, None], cols[2:, None, :])
+    overlap -= np.maximum(rows[:2, :, None], cols[:2, None, :])
+    np.maximum(overlap, 0.0, out=overlap)
+    half = np.multiply(overlap[0], overlap[1], out=overlap[0])
+    half /= 2
     # Halved, as in the scalar ``iou``, the union cannot overflow.
-    half = inter / 2
-    with np.errstate(invalid="ignore"):
-        ratio = half / (area_r[:, None] / 2 + area_c[None, :] / 2 - half)
-    # A union too small or too large for a float makes nan (0/0 or inf/inf);
-    # fmax scores those pairs 0, as the scalar ``iou`` does.
-    return np.fmax(ratio, 0.0)
+    union = np.add(halves[: rows.shape[1], None], halves[rows.shape[1] :], out=overlap[1])
+    union -= half
+    # Pairs without a float overlap keep 0 and skip the division, which
+    # could be 0/0; fmax scores an inf/inf pair 0, as the scalar ``iou`` does.
+    np.divide(half, union, out=half, where=half > 0.0)
+    return np.fmax(half, 0.0, out=half)
 
 
 @dataclass(frozen=True)
@@ -321,16 +324,11 @@ def detection_row(
     return Detection(frame_index, BoundingBox(*box), score, label)
 
 
-def valid_boxes(boxes: np.ndarray) -> np.ndarray:
-    """Mask of the (..., 4) (x, y, w, h) rows ``BoundingBox`` accepts,
-    checked column by column."""
-    w, h = boxes[..., 2], boxes[..., 3]
-    with np.errstate(all="ignore"):
-        aspect = w / h
-        edges = np.abs(boxes[..., :2] + boxes[..., 2:])  # inf or nan unless x, y, w, h are finite
-        largest = np.maximum(np.maximum(edges[..., 0], edges[..., 1]), np.maximum(w * h, aspect))
-    # h > 0 and w/h > 0 give w > 0; the maximum keeps any nan.
-    return (h > 0) & (aspect > 0) & (largest < np.inf)
+def valid_extents(extents: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Mask of the boxes ``BoundingBox`` accepts, from their heights and (4, n)
+    rows right (x + w), bottom (y + h), area w * h and aspect w / h."""
+    # h, w/h > 0 give w > 0; then the rows are finite only if x, y, w, h are.
+    return np.isfinite(extents).all(axis=0) & (np.minimum(h, extents[3]) > 0.0)
 
 
 def valid_detection_rows(
@@ -338,13 +336,11 @@ def valid_detection_rows(
 ) -> np.ndarray:
     """Mask of the table rows ``detection_row`` accepts (given a valid frame
     index), checked column by column."""
-    return (
-        valid_boxes(boxes)
-        & (scores >= 0.0)
-        & (scores <= 1.0)
-        & (categories >= -1)
-        & (categories < num_categories)
-    )
+    x, y, w, h = boxes.T
+    with np.errstate(all="ignore"):
+        extents = np.array([x + w, y + h, w * h, w / h])
+    labels = (categories >= -1) & (categories < num_categories)
+    return valid_extents(extents, h) & (scores >= 0.0) & (scores <= 1.0) & labels
 
 
 def split_frames(

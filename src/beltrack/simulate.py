@@ -109,8 +109,8 @@ class SceneGroundTruth:
     order: ``object_ids`` (n,), true ``categories`` (n,) (indices in
     [0, num_categories)) and ``counts`` (n,), each object's number of rows;
     then the rows, object after object and each object's in frame order,
-    ``frames`` (k,) and ``boxes`` (k, 4) (x, y, w, h). An object that never
-    enters the image has no rows.
+    ``frames`` (k,) and ``boxes`` (k, 4) (x, y, w, h). ``generate_scene``
+    keeps only objects with rows.
 
     ``objects`` gives one ``GroundTruthObject`` view per object, built on
     each access. Equality and pickling compare and carry the columns.
@@ -248,10 +248,13 @@ def generate_scene(config: SimConfig) -> tuple[SceneGroundTruth, list[FrameDetec
     row_object, steps, x = row_object[inside], steps[inside], x[inside]
     row_frames = np.array([spawn for spawn, _ in spawn_list], dtype=np.int64)[row_object] + steps
     row_sizes = np.array(sizes)[row_object]
+    # Objects no frame shows are left out; no random draw depends on them.
+    categories = np.array(categories, dtype=np.int64)
+    seen = np.bincount(row_object, minlength=len(counts))  # rows per object
     truth = SceneGroundTruth(
-        np.arange(1, len(counts) + 1),
-        categories,
-        np.bincount(row_object, minlength=len(counts)),
+        np.arange(1, len(counts) + 1)[seen > 0],
+        categories[seen > 0],
+        seen[seen > 0],
         row_frames,
         np.column_stack((x, np.array(ys)[row_object], row_sizes, row_sizes)),
         config.num_categories,
@@ -260,7 +263,7 @@ def generate_scene(config: SimConfig) -> tuple[SceneGroundTruth, list[FrameDetec
     # The rows of each frame, in object order.
     by_frame = np.argsort(row_frames, kind="stable")
     visible = {frame: by_frame[a:b] for frame, a, b in frame_runs(row_frames[by_frame])}
-    row_category = truth.categories[row_object]
+    row_category = categories[row_object]
 
     # One (frame, x, y, w, h, score, category) row per detection, in stream order.
     rows: list[tuple] = []

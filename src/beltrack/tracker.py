@@ -15,7 +15,7 @@ import numpy as np
 
 from .assignment import build_cost_matrix, solve_assignment
 from .errors import ConfigError
-from .kalman import KalmanState, decode_boxes, kf_initiate, kf_predict, kf_update
+from .kalman import STATE_ROWS, KalmanState, decode_boxes, kf_initiate, kf_predict, kf_update
 from .model import DEFAULT_NUM_CATEGORIES, FrameDetections, Track, TrackStatus, corners
 
 #: One row of a tracker's match table: a track matched (or spawned from) a
@@ -23,19 +23,12 @@ from .model import DEFAULT_NUM_CATEGORIES, FrameDetections, Track, TrackStatus, 
 MATCH_ROW = np.dtype(
     [("frame", np.int64), ("track", np.int64), ("box", np.float64, (4,)), ("category", np.int64)]
 )
-#: One row of a tracker's live table: a track not yet removed, its lifecycle
-#: (a ``status`` code, the number of frames it matched and the last of them)
-#: and its Kalman filter (the ``mean`` and ``blocks`` of a ``KalmanState``).
-LIVE_ROW = np.dtype([
-    ("id", np.int64), ("status", np.int8), ("hits", np.int64), ("last", np.int64),
-    ("mean", np.float64, (8,)), ("blocks", np.float64, (3, 4)),
-], align=True)
-#: The ``status`` codes: each is the position of its ``TrackStatus``. A row
-#: marked REMOVED leaves the table before its frame's step returns.
+#: The ``status`` codes: each is the position of its ``TrackStatus``. A
+#: column marked REMOVED leaves the live tables before its step returns.
 TENTATIVE, ACTIVE, LOST, REMOVED = range(4)
 _STATUSES = tuple(TrackStatus)
-#: The status a row moves to when it is not matched, by its status code.
-_ON_MISS = np.array([REMOVED, LOST, LOST, REMOVED], np.int8)
+#: The status a column moves to when it is not matched, by its status code.
+_ON_MISS = np.array([REMOVED, LOST, LOST, REMOVED])
 
 
 @dataclass(frozen=True)
@@ -101,11 +94,13 @@ class ByteTracker:
     """Stateful per-video tracker. Feed frames in strictly increasing order
     via :meth:`step`, then collect every track with :meth:`finalize`.
 
-    Each live track is one row of a table of ``LIVE_ROW`` rows, in id order,
-    so each frame makes one predict call and one update call however many
-    tracks are live, and moves every row through the lifecycle with masks.
-    A ``Track`` is built for a row when it is removed, and for each live row
-    on ``finalize``.
+    Each live track is one column, in id order, of two tables: ``_life``
+    (int64 rows id, status code, hit count, last matched frame) and
+    ``_filters`` (see ``KalmanState.view``). Each frame makes one in-place
+    predict call and one update call however many tracks are live, and
+    moves the columns through the lifecycle with whole-row masks. A
+    ``Track`` is built for a column when it is removed, and for each live
+    column on ``finalize``.
 
     Each frame appends its matches and spawns to one table of ``MATCH_ROW``
     rows, which ``finalize`` splits into the tracks' columns.
@@ -115,7 +110,8 @@ class ByteTracker:
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config if config is not None else TrackerConfig()
-        self._live = np.zeros(0, LIVE_ROW)
+        self._life = np.zeros((4, 0), np.int64)
+        self._filters = np.zeros((STATE_ROWS, 0))
         self._removed: list[Track] = []  # in order of removal
         self._next_id = 1
         self._last_frame: int | None = None
@@ -138,7 +134,7 @@ class ByteTracker:
                 f"out-of-order frame {frame.frame_index}: "
                 f"already processed frame {self._last_frame}"
             )
-        if (frame.categories >= 0).any():
+        if max(frame.categories.tolist(), default=-1) >= 0:  # a labeled detection
             if self._num_categories not in (None, frame.num_categories):
                 raise ValueError(
                     f"frame {frame.frame_index} has {frame.num_categories} categories, "
@@ -150,15 +146,11 @@ class ByteTracker:
         cfg = self.config
 
         det_boxes = frame.boxes
-        det_corners = corners(det_boxes)
         # A frame holds a few dozen detections: plain lists beat NumPy calls.
         scores = frame.scores.tolist()
-        high = [i for i, score in enumerate(scores) if score >= cfg.high_score_threshold]
-        low = [
-            i
-            for i, score in enumerate(scores)
-            if cfg.low_score_threshold <= score < cfg.high_score_threshold
-        ]
+        low_score, high_score = cfg.low_score_threshold, cfg.high_score_threshold
+        high = [i for i, score in enumerate(scores) if score >= high_score]
+        low = [i for i, score in enumerate(scores) if low_score <= score < high_score]
 
         # The step runs without floating-point warnings: a filter whose box
         # height is too large or too small for its height-scaled variances
@@ -166,61 +158,59 @@ class ByteTracker:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             # A filter whose prediction no longer encodes a box is removed on its
             # own; the predicted boxes of the rest feed both association rounds.
-            live = self._live
-            if len(live):
-                predicted = kf_predict(KalmanState(mean=live["mean"], blocks=live["blocks"]))
-                live["mean"], live["blocks"] = predicted.mean, predicted.blocks
-            boxes, valid = decode_boxes(live["mean"])
+            boxes, valid = decode_boxes(kf_predict(KalmanState.view(self._filters)).mean)
             removed_ids = []
             if not valid.all():
-                removed_ids, boxes = self._remove(~valid), boxes[valid]
-            live = self._live
-            status, hits, last = live["status"], live["hits"], live["last"]
+                removed_ids, boxes = self._remove(~valid), boxes[:, valid]
+            life = self._life
+            track_ids, status, hits, last = life[0], life[1], life[2], life[3]
 
             # One cost matrix for both rounds: every live track against the
             # confident detections (its first columns), then the low ones.
-            costs = build_cost_matrix(corners(boxes), det_corners[high + low])
+            costs = build_cost_matrix(boxes[:4], corners(det_boxes[high + low]))
 
             # First round: every live track vs confident detections.
             first = solve_assignment(costs[:, : len(high)], cfg.match_threshold_first)
+            matched = [(ti, high[di]) for ti, di in first.matches]
 
             # Second round: still-unmatched active tracks vs low-confidence
             # detections. Lost and tentative tracks sit this one out.
             active = (status == ACTIVE).tolist()
             leftover_rows = [i for i in first.unmatched_tracks if active[i]]
-            second = solve_assignment(costs[leftover_rows, len(high) :], cfg.match_threshold_second)
+            if leftover_rows and low:
+                low_costs = costs[leftover_rows, len(high) :]
+                second = solve_assignment(low_costs, cfg.match_threshold_second)
+                matched += [(leftover_rows[ti], low[di]) for ti, di in second.matches]
 
             # One update for the matches of both rounds. Round 2 scores only
             # tracks round 1 left unmatched, on their predicted boxes, so
-            # deferring round 1's updates to here changes nothing. A filter the
-            # update leaves without a box is removed, like one diverged above.
-            # The kept matches and the spawns make the frame's block of the match
+            # deferring round 1's updates to here changes nothing. A filter
+            # the update leaves without a box is removed, like one diverged
+            # above, with the hit count and last frame it had. The kept
+            # matches and the spawns make the frame's block of the match
             # table: a track id, a detection row and a box part for each.
-            ids, det_rows, box_parts = [], [], [det_boxes[:0]]
-            matched = [(ti, high[di]) for ti, di in first.matches]
-            matched += [(leftover_rows[ti], low[di]) for ti, di in second.matches]
+            ids, det_rows, box_parts = [], [], []
             if matched:
                 rows, matched_dets = (np.array(column) for column in zip(*matched))
-                posterior = kf_update(
-                    KalmanState(mean=live["mean"][rows], blocks=live["blocks"][rows]),
-                    det_boxes[matched_dets],
-                )
-                live["mean"][rows], live["blocks"][rows] = posterior.mean, posterior.blocks
-                updated, valid = decode_boxes(posterior.mean)
+                posterior = self._filters.take(rows, axis=1)
+                kf_update(KalmanState.view(posterior), det_boxes.T.take(matched_dets, axis=1))
+                self._filters[:, rows] = posterior
+                updated, valid = decode_boxes(posterior[:8])
                 if not valid.all():
                     status[rows[~valid]] = REMOVED
-                    rows, matched_dets, updated = rows[valid], matched_dets[valid], updated[valid]
+                    rows, matched_dets = rows[valid], matched_dets[valid]
+                    updated = updated[:, valid]
                 hits[rows] += 1
                 last[rows] = t
                 # Only a tentative track has fewer hits than it takes to activate.
                 status[rows[hits[rows] >= cfg.min_hits_to_activate]] = ACTIVE
-                ids += live["id"][rows].tolist()
+                ids += track_ids[rows].tolist()
                 det_rows += matched_dets.tolist()
-                box_parts.append(updated)
+                box_parts.append(updated.take([0, 1, 6, 7], axis=0).T)  # x, y, w, h
 
-            # Every row that found no detection this frame moves on: a tentative
-            # one is removed and an active one is lost. A row left unmatched for
-            # more than ``max_frames_lost`` frames is removed, whatever its status.
+            # Every column that found no detection this frame moves on: a
+            # tentative one is removed and an active one is lost. One left
+            # unmatched for over ``max_frames_lost`` frames is removed.
             missed = last < t
             status[missed] = _ON_MISS[status[missed]]
             status[last < t - cfg.max_frames_lost] = REMOVED
@@ -229,23 +219,20 @@ class ByteTracker:
                 removed_ids += self._remove(removed)
 
             # Spawn new tracks from confident detections nothing claimed.
-            spawn = [
-                high[di]
-                for di in first.unmatched_detections
-                if scores[high[di]] >= cfg.spawn_score
-            ]
+            unclaimed = [high[di] for di in first.unmatched_detections]
+            spawn = [i for i in unclaimed if scores[i] >= cfg.spawn_score]
             if spawn:
                 ids += range(self._next_id, self._next_id + len(spawn))
                 det_rows += spawn
                 box_parts.append(det_boxes[spawn])  # a new track starts at the observed box
                 self._spawn(det_boxes[spawn], t)
             if ids:
-                self._record(t, ids, np.concatenate(box_parts), frame.categories[det_rows])
+                self._record(t, ids, np.concatenate(box_parts), frame.categories.take(det_rows))
 
-        live = self._live
+        track_ids, status = self._life[0], self._life[1]
         return TrackerOutput(
             frame_index=t,
-            active_tracks=tuple(live["id"][live["status"] == ACTIVE].tolist()),
+            active_tracks=tuple(track_ids[status == ACTIVE].tolist()),
             newly_removed_track_ids=tuple(sorted(removed_ids)),
         )
 
@@ -255,9 +242,9 @@ class ByteTracker:
 
         Each track's columns are set to its rows of the match table, in frame
         order, as read-only views of one sorted copy. A removed track is the
-        same object on every call; a live track is built anew from its row,
-        its ``state`` a snapshot of its filter."""
-        tracks = sorted(self._removed + _tracks(self._live.copy()), key=lambda tr: tr.id)
+        same object on every call; a live track is built anew from its
+        column, its ``state`` a snapshot of its filter."""
+        tracks = sorted(self._removed + _tracks(self._life, self._filters), key=lambda tr: tr.id)
         table = self._matches[: self._rows]
         table = table[np.argsort(table["track"], kind="stable")]
         table.flags.writeable = False
@@ -271,13 +258,16 @@ class ByteTracker:
         return [tr for tr in tracks if len(tr.frames) >= self.config.min_track_length_report]
 
     def _remove(self, mask: np.ndarray) -> list[int]:
-        """Turn the masked rows into removed ``Track``s, each holding its
-        last filter state, drop them from the table and return their ids."""
-        gone = self._live[mask]
-        gone["status"] = REMOVED
-        self._removed += _tracks(gone)
-        self._live = self._live[~mask]
-        return gone["id"].tolist()
+        """Turn the masked columns into removed ``Track``s, each holding its
+        last filter state, drop them from the live tables and return their
+        ids."""
+        gone = self._life.compress(mask, axis=1)
+        gone[1] = REMOVED
+        self._removed += _tracks(gone, self._filters.compress(mask, axis=1))
+        kept = ~mask
+        self._life = self._life.compress(kept, axis=1)
+        self._filters = self._filters.compress(kept, axis=1)
+        return gone[0].tolist()
 
     def _record(self, t: int, ids: list[int], boxes: np.ndarray, categories: np.ndarray):
         """Append one frame's block of rows to the match table, doubling the
@@ -293,31 +283,24 @@ class ByteTracker:
         self._rows = stop
 
     def _spawn(self, boxes: np.ndarray, t: int):
-        """Append one row per detection box, with filters from one initiate
-        call."""
-        born = kf_initiate(boxes)
-        kept = len(self._live)
-        table = np.empty(kept + len(boxes), LIVE_ROW)
-        table[:kept] = self._live  # faster than concatenating structured arrays
-        rows = table[kept:]
-        rows["id"] = np.arange(self._next_id, self._next_id + len(boxes))
-        rows["status"] = ACTIVE if self.config.min_hits_to_activate <= 1 else TENTATIVE
-        rows["hits"], rows["last"] = 1, t
-        rows["mean"], rows["blocks"] = born.mean, born.blocks
-        self._live = table
-        self._next_id += len(boxes)
+        """Append one column per detection box, with filters from one
+        initiate call."""
+        born = kf_initiate(boxes.T)
+        n, status = len(boxes), ACTIVE if self.config.min_hits_to_activate <= 1 else TENTATIVE
+        life = [list(range(self._next_id, self._next_id + n)), [status] * n, [1] * n, [t] * n]
+        self._life = np.concatenate([self._life, life], axis=1)
+        born = np.concatenate([born.mean, born.blocks.reshape(12, n)])
+        self._filters = np.concatenate([self._filters, born], axis=1)
+        self._next_id += n
 
 
-def _tracks(rows: np.ndarray) -> list[Track]:
-    """A ``Track`` for each row of a live table that is no longer written to;
-    each ``state`` is a view of its row's filter."""
+def _tracks(life: np.ndarray, filters: np.ndarray) -> list[Track]:
+    """A ``Track`` for each column of the live tables, each ``state`` a
+    snapshot of its filter."""
     return [
         Track(
-            id=track_id, state=KalmanState(mean=mean, blocks=blocks), status=_STATUSES[code],
-            last_update_frame=last, hit_count=hits,
+            id=track_id, state=KalmanState(mean=state[:8], blocks=state[8:].reshape(3, 4)),
+            status=_STATUSES[code], last_update_frame=last, hit_count=hits,
         )
-        for track_id, code, hits, last, mean, blocks in zip(
-            rows["id"].tolist(), rows["status"].tolist(), rows["hits"].tolist(),
-            rows["last"].tolist(), rows["mean"], rows["blocks"],
-        )
+        for (track_id, code, hits, last), state in zip(life.T.tolist(), filters.T.copy())
     ]

@@ -89,9 +89,10 @@ def kf_update_reference(state: KalmanState, observed: BoundingBox) -> KalmanStat
 
 
 def stacked(states: list[KalmanState]) -> KalmanState:
-    """Single filters as one batch, row i the i-th filter."""
+    """Single filters as one batch, column i (the last axis) the i-th filter."""
     return KalmanState(
-        mean=np.stack([s.mean for s in states]), blocks=np.stack([s.blocks for s in states])
+        mean=np.stack([s.mean for s in states], axis=-1),
+        blocks=np.stack([s.blocks for s in states], axis=-1),
     )
 
 

@@ -35,7 +35,7 @@ from beltrack.metrics import detection_map
 from beltrack.model import FRESH
 from beltrack.simulate import generate_scene
 
-from oracles import brute_force_assignment, pixel_iou
+from oracles import brute_force_assignment, dense_covariance, pixel_iou
 
 N, D = BinaryQuality.NORMAL, BinaryQuality.DEFECT
 
@@ -72,6 +72,10 @@ def test_criterion_02_iou_pixel_oracle():
     report(2, f"iou matches pixel rasterization within 1e-12 (worst {worst:.2e})", worst <= 1e-12)
 
 
+def asymmetry(matrix):
+    return np.max(np.abs(matrix - matrix.T))
+
+
 def test_criterion_03_kalman_roundtrip_convergence_symmetry():
     rng = np.random.default_rng(1003)
 
@@ -97,10 +101,10 @@ def test_criterion_03_kalman_roundtrip_convergence_symmetry():
     worst_asym = 0.0
     for _ in range(1000):
         state = kf_predict(state)
-        worst_asym = max(worst_asym, np.max(np.abs(state.covariance - state.covariance.T)))
+        worst_asym = max(worst_asym, asymmetry(dense_covariance(state.blocks)))
         observed = BoundingBox(*rng.uniform(50, 150, 2), *rng.uniform(10, 50, 2))
         state = kf_update(state, observed)
-        worst_asym = max(worst_asym, np.max(np.abs(state.covariance - state.covariance.T)))
+        worst_asym = max(worst_asym, asymmetry(dense_covariance(state.blocks)))
 
     ok = worst_rt < 1e-9 and residual < 1e-3 and worst_asym < 1e-9
     report(

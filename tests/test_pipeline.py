@@ -20,9 +20,9 @@ from beltrack import (
     run_pipeline,
     run_stream,
 )
-from beltrack.io import write_detections
+from beltrack.io import ingest_detections, read_ground_truth, write_detections
 from beltrack.model import BoundingBox, FRESH
-from beltrack.pipeline import PipelineRun
+from beltrack.pipeline import PipelineRun, simulate_to_files
 from beltrack.simulate import generate_scene
 
 
@@ -241,20 +241,26 @@ class TestEvaluateAgainstTruth:
         assert evaluation.n_objects == 10
         assert evaluation.n_unmatched_objects == 0
 
-    def test_never_visible_objects_keep_a_row_and_count_as_unmatched(self):
+    def test_never_visible_objects_are_left_out_of_the_truth(self, tmp_path):
         # Jitter 40 spawns the first two objects so long before frame 0 that
-        # they have crossed the 20 px frame before the stream starts.
+        # they have crossed the 20 px frame before the stream starts: no frame
+        # shows them, so the truth leaves them out, and the library call and
+        # the files written by ``simulate_to_files`` score the same objects.
         config = SimConfig(
             seed=9, n_lanes=2, n_objects_per_lane=3, spawn_jitter_frames=40, frame_width=20.0
         )
         gt, frames = generate_scene(config)
-        assert gt.counts.tolist() == [0, 0, 5, 10, 10, 10]
-        first = gt.objects[0]
-        assert first.frames.shape == (0,) and first.boxes.shape == (0, 4)
-        assert first.history == []
-        evaluation = evaluate_against_truth(frames, gt)
-        assert evaluation.n_objects == 6
-        assert evaluation.n_unmatched_objects == 2
+        assert gt.object_ids.tolist() == [3, 4, 5, 6]
+        assert gt.counts.tolist() == [5, 10, 10, 10]
+        in_memory = evaluate_against_truth(frames, gt)
+        assert in_memory.n_objects == 4
+
+        detections_path, truth_path = tmp_path / "dets.jsonl", tmp_path / "truth.jsonl"
+        assert simulate_to_files(config, detections_path, truth_path) == (4, len(frames))
+        from_files = evaluate_against_truth(
+            ingest_detections(detections_path), read_ground_truth(truth_path)
+        )
+        assert from_files == in_memory
 
 
 class TestSummaryContents:

@@ -26,7 +26,7 @@ from beltrack.model import FRESH, ROT, CategoryLabel, split_frames, xywh_array
 from beltrack.pipeline import run_stream
 from beltrack.simulate import SimConfig, generate_scene
 
-from oracles import kf_predict_reference, kf_update_reference, stacked
+from oracles import dense_covariance, kf_predict_reference, kf_update_reference
 
 
 def moving_box(t, *, x0=0.0, y0=50.0, velocity=5.0, size=32.0):
@@ -140,7 +140,7 @@ class TestDivergence:
         tracker = ByteTracker()
         lanes = (50.0, 200.0)
         tracker.step(frame_with(0, *[(moving_box(0, y0=y), 0.9, FRESH) for y in lanes]))
-        tracker._live["mean"][0, 0] = np.nan
+        tracker._filters[0, 0] = np.nan  # the first live filter's cx
         out = tracker.step(frame_with(1, *[(moving_box(1, y0=y), 0.9, FRESH) for y in lanes]))
         assert out.newly_removed_track_ids == (1,)
         assert list(out.active_tracks) == [2, 3]
@@ -150,7 +150,7 @@ class TestDivergence:
         # tentative, is removed when it goes unmatched later in the same frame.
         tracker = ByteTracker(TrackerConfig(min_hits_to_activate=2))
         tracker.step(frame_with(0, *[(moving_box(0, y0=y), 0.9, FRESH) for y in (50.0, 200.0)]))
-        tracker._live["mean"][1, 0] = np.nan
+        tracker._filters[0, 1] = np.nan  # the second live filter's cx
         assert tracker.step(FrameDetections(1)).newly_removed_track_ids == (1, 2)
 
     def test_filter_left_without_a_box_by_its_update_is_removed(self):
@@ -167,6 +167,8 @@ class TestDivergence:
         assert list(out.active_tracks) == [2]
         flat_track, steady_track = tracker.finalize()
         assert flat_track.status is TrackStatus.REMOVED
+        # The update that left no box does not count as a hit.
+        assert (flat_track.hit_count, flat_track.last_update_frame) == (1, 0)
         assert flat_track.history == [(0, flat)]
         assert np.isnan(flat_track.state.mean).any()
         assert [f for f, _ in steady_track.history] == [0, 1]
@@ -224,7 +226,10 @@ class TestDivergence:
             for t in range(1, 16):
                 alone = kf_update(kf_predict(alone), steady(t, x0))
             assert np.allclose(track.state.mean, alone.mean, rtol=1e-12, atol=0.0)
-            assert np.allclose(track.state.covariance, alone.covariance, rtol=1e-12, atol=1e-15)
+            assert np.allclose(
+                dense_covariance(track.state.blocks), dense_covariance(alone.blocks),
+                rtol=1e-12, atol=1e-15,
+            )
 
 
 class TestLostRecovery:
@@ -551,21 +556,33 @@ class TestPerAxisFilterMatchesDenseReference:
         ))
         per_axis = run_stream(frames)
 
+        # The references replace the batch kernels by name, writing into the
+        # state they are given as the kernels do; each call counts its
+        # filters, so a step that bypassed the kernels would fail below.
+        stepped = {"predict": 0, "update": 0}
+
         def dense_predict(state):
-            return stacked([
-                kf_predict_reference(KalmanState(mean, blocks))
-                for mean, blocks in zip(state.mean, state.blocks)
-            ])
+            for i in range(state.mean.shape[-1]):
+                reference = kf_predict_reference(KalmanState(state.mean[:, i], state.blocks[..., i]))
+                state.mean[:, i], state.blocks[..., i] = reference.mean, reference.blocks
+            stepped["predict"] += state.mean.shape[-1]
+            return state
 
         def dense_update(state, observed):
-            return stacked([
-                kf_update_reference(KalmanState(mean, blocks), BoundingBox(*box))
-                for mean, blocks, box in zip(state.mean, state.blocks, observed.tolist())
-            ])
+            for i, box in enumerate(observed.T.tolist()):
+                reference = kf_update_reference(
+                    KalmanState(state.mean[:, i], state.blocks[..., i]), BoundingBox(*box)
+                )
+                state.mean[:, i], state.blocks[..., i] = reference.mean, reference.blocks
+            stepped["update"] += observed.shape[-1]
+            return state
 
         monkeypatch.setattr(tracker_module, "kf_predict", dense_predict)
         monkeypatch.setattr(tracker_module, "kf_update", dense_update)
         dense = run_stream(frames)
+        # Every match is one update; every live filter is predicted once a frame.
+        assert stepped["update"] == sum(len(tr.frames) - 1 for tr in dense)
+        assert stepped["predict"] >= stepped["update"]
 
         def identities(tracks):
             return [
