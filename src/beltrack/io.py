@@ -14,6 +14,11 @@ be finite, with w, h and w/h positive (the tracker's filter encodes the
 aspect). The ground-truth format mirrors it, and its rules, with
 ``object_id`` and ``true_category`` fields (both whole numbers) instead of
 ``score``/``category``, and at most one line per object and frame.
+
+Each non-blank line must hold exactly one JSON object. Files are read in
+blocks of ``_BLOCK_LINES`` lines, each parsed with one ``json.loads`` and
+checked column by column, so parse memory is bounded by one block; a block
+with a bad line is parsed again line by line, which words the error.
 """
 
 from __future__ import annotations
@@ -22,19 +27,20 @@ import json
 import logging
 import math
 from array import array
+from itertools import chain, islice, repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
 from .errors import InputError
 from .model import (
     DEFAULT_NUM_CATEGORIES,
-    BoundingBox,
     CategoryLabel,
-    Detection,
     FrameDetections,
     check_box,
+    check_detection,
     split_frames,
     valid_detection_rows,
 )
@@ -50,41 +56,97 @@ _COLUMNS = (*DETECTION_FIELDS, "category")
 #: Frames and categories are parsed as float64, exact for integers below
 #: 2**53; any larger one parses to 2**53 or more and is rejected.
 _INT_LIMIT = 2.0**53
+#: Lines parsed per ``json.loads`` call: few enough that a block's records
+#: stay below the garbage collector's first threshold (700 new objects).
+_BLOCK_LINES = 512
+#: (line numbers, rows) of a detection file without lines.
+_EMPTY_BLOCK = (np.empty(0, np.int64), np.empty((0, len(_COLUMNS))))
 
 
-def _record_values(
-    line: str, fields: tuple[str, ...], optional: str | None = None
-) -> tuple[float, ...]:
-    """The numbers of one JSONL record: its ``fields`` in order, then its
-    ``optional`` field where that is present and not null. Raises ValueError
-    (JSONDecodeError included) for a line that is not a JSON object, a
-    missing field or a value that is not a JSON number (JSON booleans
-    included), and OverflowError for an integer past the float range."""
+def _parse_line(line: str, fields: tuple[str, ...], optional: str | None) -> tuple[float, ...]:
+    """One JSONL record as a table row: its ``fields``, then ``optional`` if
+    given (nan where absent or null). Raises ValueError (JSONDecodeError
+    included) for a line that is not a JSON object, a missing field, a value
+    that is not a JSON number (booleans included) or a NaN ``optional``, and
+    OverflowError for an integer past the float range."""
     record = json.loads(line)
     if not isinstance(record, dict):
         raise ValueError("expected a JSON object")
     for key in fields:
         if key not in record:
             raise ValueError(f"missing field {key!r}")
-    if optional is not None and record.get(optional) is not None:
-        fields = (*fields, optional)
-    values = [record[key] for key in fields]
+    labeled = optional is not None and record.get(optional) is not None
+    keys = (*fields, optional) if labeled else fields
+    values = [record[key] for key in keys]
     if not {int, float}.issuperset(map(type, values)):  # bool is a type of its own
-        key = next(k for k, v in zip(fields, values) if type(v) not in (int, float))
+        key = next(k for k, v in zip(keys, values) if type(v) not in (int, float))
         raise ValueError(f"{key} must be a number, got {json.dumps(record[key])}")
-    return tuple(map(float, values))
+    row = tuple(map(float, values))
+    if labeled and math.isnan(row[-1]):  # nan marks an absent ``optional``
+        raise ValueError(f"{optional} must be an integer, got {row[-1]!r}")
+    return row if labeled or optional is None else (*row, math.nan)
 
 
-def _parse_detection_line(line: str) -> tuple[float, ...]:
-    """One JSONL line as a table row, nan in the category column where the
-    line has none. Raises as ``_record_values`` does; whole-number checks
-    are left to the table."""
-    row = _record_values(line, DETECTION_FIELDS, optional="category")
-    if len(row) == len(DETECTION_FIELDS):
-        return (*row, math.nan)
-    if math.isnan(row[-1]):  # nan marks "no category"
-        raise ValueError(f"category must be an integer, got {row[-1]!r}")
-    return row
+def _parse_block(
+    lines: list[str], fields: tuple[str, ...], optional: str | None
+) -> np.ndarray | None:
+    """The rows ``_parse_line`` gives for ``lines``, one per line, as one
+    table; None when a line is blank or ``_parse_line`` would reject it."""
+    # Every line holds one "{" and one "}": if the joined lines then parse
+    # to one object per line, each brace is an object's, so no object spans
+    # two lines (a JSON string holds no raw newline) or shares one.
+    for brace in "{}":
+        if set(map(str.count, lines, repeat(brace))) != {1}:
+            return None
+    try:
+        records = json.loads("[" + ",".join(lines) + "]")
+        if len(records) != len(lines) or set(map(type, records)) != {dict}:
+            return None
+        columns = [list(map(itemgetter(key), records)) for key in fields]
+        if not {int, float}.issuperset(map(type, chain.from_iterable(columns))):
+            return None  # bool and str are not numbers
+        if optional is not None:
+            columns.append(list(map(dict.get, records, repeat(optional))))
+            if not {int, float, type(None)}.issuperset(map(type, columns[-1])):
+                return None
+        table = np.array(columns, dtype=float)  # None becomes nan
+    except (ValueError, RecursionError, KeyError, OverflowError):
+        return None  # not JSON, too deep, a missing field, past the float range
+    if optional is not None and np.isnan(table[-1]).sum() != columns[-1].count(None):
+        return None  # a NaN ``optional``
+    return table.T
+
+
+def _blocks(
+    handle: IO[str], fields: tuple[str, ...], optional: str | None,
+    errors: list[tuple[int, str]], skip_malformed: bool,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(line numbers, ``_parse_line`` rows) of each block of ``_BLOCK_LINES``
+    lines. A block with a blank or bad line is parsed line by line: each bad
+    line adds (line number, message) to ``errors``, and the first one ends
+    the read, after the rows before it, unless ``skip_malformed``."""
+    start = 1
+    while lines := list(islice(handle, _BLOCK_LINES)):
+        table = _parse_block(lines, fields, optional)
+        if table is not None:
+            yield np.arange(start, start + len(lines)), table
+        else:
+            rows, numbers = [], []
+            for line_number, line in enumerate(lines, start):
+                if not line.strip():
+                    continue
+                try:
+                    rows.append(_parse_line(line, fields, optional))
+                    numbers.append(line_number)
+                except (ValueError, OverflowError) as exc:
+                    errors.append((line_number, _line_error(exc)))
+                    if not skip_malformed:
+                        break
+            width = len(fields) + (optional is not None)
+            yield np.array(numbers, np.int64), np.array(rows).reshape(-1, width)
+            if errors and not skip_malformed:
+                return
+        start += len(lines)
 
 
 def _line_error(exc: Exception) -> str:
@@ -116,8 +178,10 @@ def _row_error(row: list[float], num_categories: int) -> str:
     if message is not None:
         return message
     try:
-        label = CategoryLabel(int(category), num_categories) if labeled else None
-        Detection(int(frame), BoundingBox(*box), score, label)
+        if labeled:
+            CategoryLabel(int(category), num_categories)
+        check_box(*box)
+        check_detection(int(frame), score)
     except ValueError as exc:
         return str(exc)
     raise AssertionError(f"the table check and the scalar checks disagree on {row}")
@@ -125,17 +189,15 @@ def _row_error(row: list[float], num_categories: int) -> str:
 
 def _frames_from_table(
     path: Path,
-    rows: array,
-    line_numbers: array,
+    table: np.ndarray,
+    lines: np.ndarray,
     errors: list[tuple[int, str]],
     skip_malformed: bool,
     num_categories: int,
 ) -> list[FrameDetections]:
-    """Check the parsed rows as one table, report the first bad line (or log
-    and drop every bad line when ``skip_malformed``), and split the rest
-    into frames. ``errors`` holds the lines that failed to parse."""
-    table = np.frombuffer(rows).reshape(-1, len(_COLUMNS))
-    lines = np.frombuffer(line_numbers, dtype=np.int64)
+    """Check the parsed rows (``_COLUMNS``) as one table, report the first
+    bad line (or log and drop every bad line when ``skip_malformed``), and
+    split the rest into frames. ``errors`` holds the lines that failed to parse."""
     frames, boxes, scores, categories = table[:, 0], table[:, 1:5], table[:, 5], table[:, 6]
     labeled = ~np.isnan(categories)
     whole = _whole_numbers(frames) & (~labeled | _whole_numbers(categories))
@@ -172,21 +234,13 @@ def ingest_detections(
     path = Path(path)
     if not path.exists():
         raise InputError(f"detection file not found: {path}")
-    rows, line_numbers = array("d"), array("q")
     errors: list[tuple[int, str]] = []
     with path.open(encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.extend(_parse_detection_line(line))
-            except (ValueError, OverflowError) as exc:
-                errors.append((line_number, _line_error(exc)))
-                if not skip_malformed:
-                    break  # an earlier line may still fail the table check
-                continue
-            line_numbers.append(line_number)
-    return _frames_from_table(path, rows, line_numbers, errors, skip_malformed, num_categories)
+        blocks = _blocks(handle, DETECTION_FIELDS, "category", errors, skip_malformed)
+        # A parse error ends the read after the rows before it, which may
+        # still fail the table check. No block outlives the join.
+        lines, table = (np.concatenate(part) for part in zip(_EMPTY_BLOCK, *blocks))
+    return _frames_from_table(path, table, lines, errors, skip_malformed, num_categories)
 
 
 def write_detections(frames: Iterable[FrameDetections], path: str | Path):
@@ -197,16 +251,8 @@ def write_detections(frames: Iterable[FrameDetections], path: str | Path):
             for (x, y, w, h), score, category in zip(
                 frame.boxes.tolist(), frame.scores.tolist(), frame.categories.tolist()
             ):
-                record = {
-                    "frame": frame.frame_index,
-                    "x": x,
-                    "y": y,
-                    "w": w,
-                    "h": h,
-                    "score": score,
-                    "category": None if category < 0 else category,
-                }
-                handle.write(json.dumps(record) + "\n")
+                values = (frame.frame_index, x, y, w, h, score, None if category < 0 else category)
+                handle.write(json.dumps(dict(zip(_COLUMNS, values))) + "\n")
 
 
 def write_ground_truth(gt: SceneGroundTruth, path: str | Path):
@@ -218,25 +264,15 @@ def write_ground_truth(gt: SceneGroundTruth, path: str | Path):
         for object_id, category, frame, (x, y, w, h) in zip(
             object_ids, categories, gt.frames.tolist(), gt.boxes.tolist()
         ):
-            record = {
-                "frame": frame,
-                "object_id": object_id,
-                "x": x,
-                "y": y,
-                "w": w,
-                "h": h,
-                "true_category": category,
-            }
-            handle.write(json.dumps(record) + "\n")
+            values = (frame, object_id, x, y, w, h, category)
+            handle.write(json.dumps(dict(zip(TRUTH_FIELDS, values))) + "\n")
 
 
-def _parse_truth_line(line: str) -> tuple[float, ...]:
-    """One ground-truth JSONL line as (frame, object id, x, y, w, h,
-    category index), under the detection reader's rules: every field must
-    be a JSON number, ``frame``, ``object_id`` and ``true_category`` must be
-    whole numbers below 2**53 in magnitude, and the box one that
-    ``BoundingBox`` accepts. Raises ValueError or OverflowError."""
-    row = _record_values(line, TRUTH_FIELDS)
+def _check_truth_row(row: list[float]):
+    """Raise ValueError unless a ground-truth row (frame, object id, x, y,
+    w, h, category index) holds what the detection reader's rules allow:
+    ``frame``, ``object_id`` and ``true_category`` whole numbers below 2**53
+    in magnitude, ``frame`` at least 0, and a box ``BoundingBox`` accepts."""
     frame, object_id, x, y, w, h, category = row
     for key, value in (("frame", frame), ("object_id", object_id), ("true_category", category)):
         message = _whole_number_error(key, value)
@@ -245,7 +281,6 @@ def _parse_truth_line(line: str) -> tuple[float, ...]:
     if frame < 0:
         raise ValueError(f"frame_index must be >= 0, got {int(frame)}")
     check_box(x, y, w, h)
-    return row
 
 
 def read_ground_truth(path: str | Path, num_categories: int = 4) -> SceneGroundTruth:
@@ -255,31 +290,34 @@ def read_ground_truth(path: str | Path, num_categories: int = 4) -> SceneGroundT
     path = Path(path)
     if not path.exists():
         raise InputError(f"ground-truth file not found: {path}")
-    rows = array("d")  # the TRUTH_FIELDS of each line
+    tables = [np.empty((0, len(TRUTH_FIELDS)))]  # the TRUTH_FIELDS of each line
     categories: dict[int, CategoryLabel] = {}  # object id -> its category
     seen: set[tuple[int, int]] = set()  # (object id, frame)
+    errors: list[tuple[int, str]] = []  # a line that failed to parse ends the read
     with path.open(encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = _parse_truth_line(line)
-                category = CategoryLabel(int(row[-1]), num_categories)
-            except (ValueError, OverflowError) as exc:
-                raise InputError(f"{path}:{line_number}: {_line_error(exc)}") from exc
-            frame, object_id = int(row[0]), int(row[1])
-            if categories.setdefault(object_id, category) != category:
-                raise InputError(
-                    f"{path}:{line_number}: object {object_id} changes category "
-                    f"({categories[object_id].index} -> {category.index})"
-                )
-            if (object_id, frame) in seen:
-                raise InputError(
-                    f"{path}:{line_number}: object {object_id} appears twice on frame {frame}"
-                )
-            seen.add((object_id, frame))
-            rows.extend(row)
-    table = np.frombuffer(rows).reshape(-1, len(TRUTH_FIELDS))
+        for lines, block in _blocks(handle, TRUTH_FIELDS, None, errors, False):
+            for line_number, row in zip(lines.tolist(), block.tolist()):
+                try:
+                    _check_truth_row(row)
+                    category = CategoryLabel(int(row[-1]), num_categories)
+                except ValueError as exc:
+                    raise InputError(f"{path}:{line_number}: {exc}") from exc
+                frame, object_id = int(row[0]), int(row[1])
+                if categories.setdefault(object_id, category) != category:
+                    raise InputError(
+                        f"{path}:{line_number}: object {object_id} changes category "
+                        f"({categories[object_id].index} -> {category.index})"
+                    )
+                if (object_id, frame) in seen:
+                    raise InputError(
+                        f"{path}:{line_number}: object {object_id} appears twice on frame {frame}"
+                    )
+                seen.add((object_id, frame))
+            tables.append(block)
+    if errors:
+        line_number, message = errors[0]
+        raise InputError(f"{path}:{line_number}: {message}")
+    table = np.concatenate(tables)
     frames, object_ids = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64)
     order = np.lexsort((frames, object_ids))
     ids, counts = np.unique(object_ids, return_counts=True)
@@ -323,4 +361,6 @@ def ingest_mot(path: str | Path) -> list[FrameDetections]:
                 break  # an earlier line may still fail the table check
             rows.extend((frame, x, y, w, h, min(1.0, max(0.0, score)), math.nan))
             line_numbers.append(line_number)
-    return _frames_from_table(path, rows, line_numbers, errors, False, DEFAULT_NUM_CATEGORIES)
+    table = np.frombuffer(rows).reshape(-1, len(_COLUMNS))
+    lines = np.frombuffer(line_numbers, dtype=np.int64)
+    return _frames_from_table(path, table, lines, errors, False, DEFAULT_NUM_CATEGORIES)

@@ -88,6 +88,15 @@ def check_box(x: float, y: float, w: float, h: float):
         raise ValueError(f"box aspect w/h must be positive, got {w / h!r}")
 
 
+def check_detection(frame_index: int, score: float):
+    """Raise ``ValueError`` unless a detection's frame index and score are
+    ones ``Detection`` accepts (it checks its box first)."""
+    if frame_index < 0:
+        raise ValueError(f"frame_index must be >= 0, got {frame_index}")
+    if not 0.0 <= score <= 1.0:
+        raise ValueError(f"score must be in [0, 1], got {score}")
+
+
 def box_history(frames: np.ndarray, boxes: np.ndarray) -> list[tuple[int, BoundingBox]]:
     """(frame, box) pairs from a frame column and its (k, 4) (x, y, w, h) rows."""
     return [(f, BoundingBox(*box)) for f, box in zip(frames.tolist(), boxes.tolist())]
@@ -199,10 +208,7 @@ class Detection:
     category_observation: CategoryLabel | None = None
 
     def __post_init__(self):
-        if self.frame_index < 0:
-            raise ValueError(f"frame_index must be >= 0, got {self.frame_index}")
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must be in [0, 1], got {self.score}")
+        check_detection(self.frame_index, self.score)
 
 
 class FrameDetections:

@@ -8,14 +8,18 @@ pairwise ``iou``, checked against the package's
 ``iou_matrix`` versions. The Kalman references step one filter with dense
 8x8 matrix products, converting its per-axis blocks to the dense covariance
 and back, checked against the package's batched per-axis filter. The
-ingest reference parses and checks one line at a time into ``Detection``
-rows, checked against the package's table-at-once parse. The vote
-reference counts a track's labels one by one, checked against the
-package's ``bincount`` over the track's category column.
+scalar ingest reference parses and checks one line at a time into
+``Detection`` rows, checked against the package's table-at-once check. The
+per-line readers call ``json.loads`` once per line, as the package's JSONL
+readers do only for a block with a bad line, and are checked against the
+block parse. The vote reference counts a track's labels one by one,
+checked against the package's ``bincount`` over the track's category
+column.
 """
 
 import json
 import math
+from array import array
 from itertools import permutations
 from pathlib import Path
 
@@ -31,6 +35,8 @@ from beltrack import (
     KalmanState,
     iou,
 )
+import beltrack.io as bio
+from beltrack.simulate import SceneGroundTruth
 
 # The filter's fixed noise weights (ByteTrack's), restated for the references.
 _POSITION_STD = 1.0 / 20
@@ -265,8 +271,8 @@ def _reference_detection(line, num_categories):
     return Detection(frame, box, numbers["score"], label)
 
 
-def ingest_detections_reference(path, *, skip_malformed=False, num_categories=4):
-    """``io.ingest_detections`` as a per-line loop: each line is parsed and
+def ingest_detections_scalar_reference(path, *, skip_malformed=False, num_categories=4):
+    """``ingest_detections`` as a per-line loop: each line is parsed and
     checked on its own into a ``Detection``, then the rows are grouped by
     frame in file order."""
     path = Path(path)
@@ -287,3 +293,75 @@ def ingest_detections_reference(path, *, skip_malformed=False, num_categories=4)
     for det in detections:
         grouped.setdefault(det.frame_index, []).append(det)
     return [FrameDetections(frame, grouped[frame]) for frame in sorted(grouped)]
+
+
+def ingest_detections_reference(path, *, skip_malformed=False, num_categories=4):
+    """``ingest_detections`` with one ``json.loads`` per line: each line
+    parsed by ``bio._parse_line``, the first parse error ending the
+    read unless ``skip_malformed``, the rows checked as one table."""
+    path = Path(path)
+    if not path.exists():
+        raise InputError(f"detection file not found: {path}")
+    rows, line_numbers = array("d"), array("q")
+    errors = []
+    with path.open(encoding="utf-8") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                rows.extend(bio._parse_line(line, bio.DETECTION_FIELDS, "category"))
+            except (ValueError, OverflowError) as exc:
+                errors.append((line_number, bio._line_error(exc)))
+                if not skip_malformed:
+                    break  # an earlier line may still fail the table check
+                continue
+            line_numbers.append(line_number)
+    table = np.frombuffer(rows).reshape(-1, len(bio._COLUMNS))
+    lines = np.frombuffer(line_numbers, dtype=np.int64)
+    return bio._frames_from_table(path, table, lines, errors, skip_malformed, num_categories)
+
+
+def read_ground_truth_reference(path, num_categories=4):
+    """``read_ground_truth`` with one ``json.loads`` per line: each line
+    parsed by ``bio._parse_line``, checked by ``bio._check_truth_row`` and
+    then against the lines before it, the first bad line aborting the read."""
+    path = Path(path)
+    if not path.exists():
+        raise InputError(f"ground-truth file not found: {path}")
+    rows = array("d")
+    categories = {}
+    seen = set()
+    with path.open(encoding="utf-8") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                row = bio._parse_line(line, bio.TRUTH_FIELDS, None)
+                bio._check_truth_row(row)
+                category = CategoryLabel(int(row[-1]), num_categories)
+            except (ValueError, OverflowError) as exc:
+                raise InputError(f"{path}:{line_number}: {bio._line_error(exc)}") from exc
+            frame, object_id = int(row[0]), int(row[1])
+            if categories.setdefault(object_id, category) != category:
+                raise InputError(
+                    f"{path}:{line_number}: object {object_id} changes category "
+                    f"({categories[object_id].index} -> {category.index})"
+                )
+            if (object_id, frame) in seen:
+                raise InputError(
+                    f"{path}:{line_number}: object {object_id} appears twice on frame {frame}"
+                )
+            seen.add((object_id, frame))
+            rows.extend(row)
+    table = np.frombuffer(rows).reshape(-1, len(bio.TRUTH_FIELDS))
+    frames, object_ids = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64)
+    order = np.lexsort((frames, object_ids))
+    ids, counts = np.unique(object_ids, return_counts=True)
+    return SceneGroundTruth(
+        ids,
+        [categories[object_id].index for object_id in ids.tolist()],
+        counts,
+        frames[order],
+        table[order, 2:6],
+        num_categories,
+    )

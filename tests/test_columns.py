@@ -1,5 +1,5 @@
 """Property tests of the columnar detection layer against its row-by-row
-counterparts: the table-at-once ingest against the per-line reference, the
+counterparts: the table-at-once ingest against the scalar reference, the
 column check against the scalar checks, and frames against their rows."""
 
 import json
@@ -17,7 +17,7 @@ from beltrack import FrameDetections, InputError
 from beltrack.io import DETECTION_FIELDS, ingest_detections
 from beltrack.model import detection_row, split_frames, valid_detection_rows
 
-from oracles import ingest_detections_reference
+from oracles import ingest_detections_scalar_reference
 
 GOOD_VALUES = {
     "frame": st.integers(0, 5),
@@ -72,7 +72,7 @@ class TestIngestMatchesPerLineReference:
             path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
             options = {"skip_malformed": skip_malformed, "num_categories": num_categories}
             try:
-                want = ingest_detections_reference(path, **options)
+                want = ingest_detections_scalar_reference(path, **options)
             except InputError as error:
                 with pytest.raises(InputError) as got:
                     ingest_detections(path, **options)

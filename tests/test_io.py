@@ -1,14 +1,17 @@
 import json
+import logging
 import pickle
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import beltrack.io as bio
 from beltrack import InputError
 from beltrack.io import (
     ingest_detections,
@@ -18,6 +21,8 @@ from beltrack.io import (
     write_ground_truth,
 )
 from beltrack.simulate import SceneGroundTruth, SimConfig, generate_scene
+
+from oracles import ingest_detections_reference, read_ground_truth_reference
 
 
 def write_lines(path, lines):
@@ -372,3 +377,174 @@ class TestMotAdapter:
         write_lines(path, ["1,1,10,20,30,40,0.9", f"2,1,15,20,30,40,{confidence}"])
         with pytest.raises(InputError, match=r":2: confidence must be finite"):
             ingest_mot(path)
+
+
+#: A record cut after its "x" field: with the comma a joined block puts
+#: between lines, the two halves read as one object.
+RECORD_HEAD = '{"frame": 0, "x": 1.5'
+RECORD_TAIL = '"y": 2.0, "w": 3.0, "h": 4.0, "score": 0.5}'
+RECORD = f"{RECORD_HEAD}, {RECORD_TAIL}"
+HUGE = "1" + "0" * 400  # past the float range
+FILLER_LINES = ["", "   ", "\x0c", "\t", "not json", "null", "[]", "{}"]
+
+
+def line_fragments(records):
+    """Lines of a JSONL file from one or two drawn records: the record
+    alone, or as the fragments that test the block parser's guard."""
+
+    @st.composite
+    def fragments(draw):
+        record, other = draw(records), draw(records)
+        first, second, tail = record[:-1].split(", ", 2)
+        head = f"{first}, {second}"
+        return draw(st.sampled_from([
+            [record], [record], [record], [record],
+            [head, tail + "}"],  # split over two lines, the joined comma fills the gap
+            [head + ",", tail + "}"],
+            [f"{record}, {other}"], [f"{record} {other}"],  # two on one line
+            [head, f"{tail}}}, {other}"],  # a split record's end and a whole record
+            [f"{other}, {head}", tail + "}"],  # a whole record and a split record's start
+            [record[:-1] + ', "note": "}{"}'], [record[:-1] + ', "note": "{"}'],
+            [head + ', "note": "}"', tail + ', "more": "{"}'],  # one object, two lines
+            ["[" + record + ",", other + "]"],  # an array spanning lines
+            ["\ufeff" + record], [record + ","], [" " + record + " "],
+            [draw(st.sampled_from(FILLER_LINES))],
+        ]))
+
+    return fragments()
+
+
+#: Values a per-line parse rejects or turns into an out-of-range float;
+#: "" leaves the field out.
+EDGES = ("", "true", '"0.5"', "null", "NaN", "1e400", HUGE, str(2**53 + 1), "-1", "2.5")
+
+
+def jsonl_records(valid, edges):
+    """JSON records with each field drawn from its ``valid`` values, and in
+    one record of four one field drawn from ``EDGES`` or its ``edges``
+    instead. A field whose value is "" is left out."""
+
+    @st.composite
+    def record(draw):
+        values = {key: draw(st.sampled_from(choices)) for key, choices in valid.items()}
+        if draw(st.integers(0, 3)) == 0:
+            key = draw(st.sampled_from(list(valid)))
+            values[key] = draw(st.sampled_from(EDGES + edges.get(key, ())))
+        return "{" + ", ".join(f'"{key}": {value}' for key, value in values.items() if value) + "}"
+
+    return record()
+
+
+detection_records = jsonl_records(
+    {
+        "frame": ("0", "1", "2", "2.0"), "x": ("1.5", "-20", str(2**53 + 1)), "y": ("2.0",),
+        "w": ("3.0", "3"), "h": ("4.0",), "score": ("0.5", "1", "0.0"),
+        "category": ("", "null", "0", "2", "1.0", "3"),
+    },
+    {"w": ("0", "1e200"), "score": ("1.5",), "category": ("7", '"1"')},
+)
+truth_records = jsonl_records(
+    {
+        "frame": tuple(map(str, range(6))) + ("2.0",),
+        "object_id": tuple(map(str, range(6))) + ("1.0",),
+        "x": ("1.5",), "y": ("2.0",), "w": ("3.0",), "h": ("4.0",),
+        "true_category": ("0", "1", "1.0", "3"),
+    },
+    {"w": ("0",), "true_category": ("7",)},
+)
+
+
+@st.composite
+def jsonl_files(draw, records):
+    """The text of a JSONL file: a few fragments, its last line ended or not."""
+    lines = [line for fragment in draw(st.lists(line_fragments(records), max_size=8))
+             for line in fragment]
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def outcome(caplog, read, path, **options):
+    """What a reader gives for ``path``: its result or its error's text,
+    and the warnings it logged."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger=bio.__name__):
+        try:
+            result = read(path, **options)
+        except InputError as error:
+            result = f"InputError: {error}"
+    return result, [record.getMessage() for record in caplog.records]
+
+
+class TestBlockParseMatchesPerLineReaders:
+    """The readers parse blocks of lines; one ``json.loads`` per line is the
+    spec, also for lines that straddle the edges of small blocks."""
+
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        text=jsonl_files(detection_records),
+        skip_malformed=st.booleans(),
+        block_lines=st.integers(1, 5),
+    )
+    def test_detections(self, caplog, text, skip_malformed, block_lines):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "dets.jsonl"
+            path.write_text(text, encoding="utf-8")
+            want = outcome(caplog, ingest_detections_reference, path, skip_malformed=skip_malformed)
+            with mock.patch.object(bio, "_BLOCK_LINES", block_lines):
+                got = outcome(caplog, ingest_detections, path, skip_malformed=skip_malformed)
+        assert got == want
+
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=jsonl_files(truth_records), block_lines=st.integers(1, 5))
+    def test_ground_truth(self, caplog, text, block_lines):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "gt.jsonl"
+            path.write_text(text, encoding="utf-8")
+            want = outcome(caplog, read_ground_truth_reference, path)
+            with mock.patch.object(bio, "_BLOCK_LINES", block_lines):
+                got = outcome(caplog, read_ground_truth, path)
+        assert got == want
+
+    def test_split_record_beside_two_records_on_one_line_rejected(self, tmp_path):
+        # Three lines joined into three objects: counting objects alone
+        # would take the block for clean.
+        path = tmp_path / "dets.jsonl"
+        write_lines(path, [RECORD_HEAD, RECORD_TAIL, f"{RECORD}, {RECORD}"])
+        with pytest.raises(InputError, match=r"dets\.jsonl:1: invalid JSON"):
+            ingest_detections(path)
+        assert ingest_detections(path, skip_malformed=True) == []
+
+    def test_split_record_ending_beside_a_whole_record_rejected(self, tmp_path):
+        # Two lines joined into two objects, every line with one "{".
+        path = tmp_path / "dets.jsonl"
+        write_lines(path, [RECORD_HEAD, f"{RECORD_TAIL}, {RECORD}", RECORD])
+        with pytest.raises(InputError, match=r"dets\.jsonl:1: invalid JSON"):
+            ingest_detections(path)
+        (frame,) = ingest_detections(path, skip_malformed=True)
+        assert len(frame.scores) == 1
+
+    def test_whole_record_beside_a_split_record_start_rejected(self, tmp_path):
+        # Two lines joined into two objects, every line with one "}".
+        path = tmp_path / "dets.jsonl"
+        write_lines(path, [RECORD, f"{RECORD}, {RECORD_HEAD}", RECORD_TAIL])
+        with pytest.raises(InputError, match=r"dets\.jsonl:2: invalid JSON"):
+            ingest_detections(path)
+        (frame,) = ingest_detections(path, skip_malformed=True)
+        assert len(frame.scores) == 1
+
+    def test_per_line_parser_runs_only_for_a_block_with_a_bad_line(self, tmp_path):
+        path = tmp_path / "dets.jsonl"
+        write_lines(path, [RECORD] * 5 + ["not json"] + [RECORD] * 3)
+        per_line = mock.patch.object(bio, "_parse_line", wraps=bio._parse_line)
+        with mock.patch.object(bio, "_BLOCK_LINES", 4), per_line as parse:
+            (frame,) = ingest_detections(path, skip_malformed=True)
+            assert parse.call_count == 4  # lines 5 to 8, the block holding line 6
+            write_lines(path, [RECORD] * 9)
+            ingest_detections(path)
+            assert parse.call_count == 4
+        assert len(frame.scores) == 8
