@@ -6,13 +6,11 @@ from .aggregation import TrackVerdict, majority_vote
 from .assignment import AssignmentResult, build_cost_matrix, solve_assignment
 from .errors import ConfigError, InputError
 from .kalman import (
-    FilterDiverged,
     KalmanState,
     decode_boxes,
     kf_initiate,
     kf_predict,
     kf_update,
-    state_to_box,
 )
 from .metrics import (
     VideoQualityReport,
@@ -30,7 +28,6 @@ from .model import (
     FrameDetections,
     Track,
     TrackStatus,
-    iou,
     to_binary,
 )
 from .pipeline import (

@@ -15,10 +15,12 @@ aspect). The ground-truth format mirrors it, and its rules, with
 ``object_id`` and ``true_category`` fields (both whole numbers) instead of
 ``score``/``category``, and at most one line per object and frame.
 
-Each non-blank line must hold exactly one JSON object. Files are read in
-blocks of ``_BLOCK_LINES`` lines, each parsed with one ``json.loads`` and
-checked column by column, so parse memory is bounded by one block; a block
-with a bad line is parsed again line by line, which words the error.
+Files must be UTF-8: a line holding a byte that is not is a bad line, like
+one that is not JSON. Each non-blank line must hold exactly one JSON
+object. Files are read in blocks of ``_BLOCK_LINES`` lines, each parsed
+with one ``json.loads`` and checked column by column, so parse memory is
+bounded by one block; a block with a bad line is parsed again line by line,
+which words the error.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .model import (
     CategoryLabel,
     FrameDetections,
     check_box,
-    check_detection,
+    check_detection_row,
     split_frames,
     valid_detection_rows,
 )
@@ -63,12 +65,29 @@ _BLOCK_LINES = 512
 _EMPTY_BLOCK = (np.empty(0, np.int64), np.empty((0, len(_COLUMNS))))
 
 
+def _open_text(path: Path) -> IO[str]:
+    """``path`` as UTF-8 text, split into lines as a strict decode would;
+    each byte that is not UTF-8 turns into a lone surrogate code point,
+    which ``_check_utf8`` rejects."""
+    return path.open(encoding="utf-8", errors="surrogateescape")
+
+
+def _check_utf8(line: str):
+    """Raise ValueError if ``line`` held a byte that is not UTF-8."""
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        byte = ord(line[exc.start]) - 0xDC00
+        raise ValueError(f"not valid UTF-8 (byte 0x{byte:02x})") from None
+
+
 def _parse_line(line: str, fields: tuple[str, ...], optional: str | None) -> tuple[float, ...]:
     """One JSONL record as a table row: its ``fields``, then ``optional`` if
     given (nan where absent or null). Raises ValueError (JSONDecodeError
     included) for a line that is not a JSON object, a missing field, a value
     that is not a JSON number (booleans included) or a NaN ``optional``, and
     OverflowError for an integer past the float range."""
+    _check_utf8(line)
     record = json.loads(line)
     if not isinstance(record, dict):
         raise ValueError("expected a JSON object")
@@ -92,6 +111,9 @@ def _parse_block(
 ) -> np.ndarray | None:
     """The rows ``_parse_line`` gives for ``lines``, one per line, as one
     table; None when a line is blank or ``_parse_line`` would reject it."""
+    text = "[" + ",".join(lines) + "]"
+    if not text.isascii():
+        return None  # the per-line parse checks for bytes that are not UTF-8
     # Every line holds one "{" and one "}": if the joined lines then parse
     # to one object per line, each brace is an object's, so no object spans
     # two lines (a JSON string holds no raw newline) or shares one.
@@ -99,7 +121,7 @@ def _parse_block(
         if set(map(str.count, lines, repeat(brace))) != {1}:
             return None
     try:
-        records = json.loads("[" + ",".join(lines) + "]")
+        records = json.loads(text)
         if len(records) != len(lines) or set(map(type, records)) != {dict}:
             return None
         columns = [list(map(itemgetter(key), records)) for key in fields]
@@ -178,10 +200,9 @@ def _row_error(row: list[float], num_categories: int) -> str:
     if message is not None:
         return message
     try:
-        if labeled:
-            CategoryLabel(int(category), num_categories)
-        check_box(*box)
-        check_detection(int(frame), score)
+        check_detection_row(
+            int(frame), box, score, int(category) if labeled else None, num_categories
+        )
     except ValueError as exc:
         return str(exc)
     raise AssertionError(f"the table check and the scalar checks disagree on {row}")
@@ -235,7 +256,7 @@ def ingest_detections(
     if not path.exists():
         raise InputError(f"detection file not found: {path}")
     errors: list[tuple[int, str]] = []
-    with path.open(encoding="utf-8") as handle:
+    with _open_text(path) as handle:
         blocks = _blocks(handle, DETECTION_FIELDS, "category", errors, skip_malformed)
         # A parse error ends the read after the rows before it, which may
         # still fail the table check. No block outlives the join.
@@ -294,7 +315,7 @@ def read_ground_truth(path: str | Path, num_categories: int = 4) -> SceneGroundT
     categories: dict[int, CategoryLabel] = {}  # object id -> its category
     seen: set[tuple[int, int]] = set()  # (object id, frame)
     errors: list[tuple[int, str]] = []  # a line that failed to parse ends the read
-    with path.open(encoding="utf-8") as handle:
+    with _open_text(path) as handle:
         for lines, block in _blocks(handle, TRUTH_FIELDS, None, errors, False):
             for line_number, row in zip(lines.tolist(), block.tolist()):
                 try:
@@ -331,25 +352,27 @@ def read_ground_truth(path: str | Path, num_categories: int = 4) -> SceneGroundT
     )
 
 
-def ingest_mot(path: str | Path) -> list[FrameDetections]:
+def ingest_mot(path: str | Path, *, skip_malformed: bool = False) -> list[FrameDetections]:
     """Read MOT-challenge text (frame,id,x,y,w,h,score,...) as a detection stream.
 
     The id column and any trailing fields are ignored; there is no category
     channel in this format. Finite confidences are clamped into [0, 1] (MOT
     files sometimes carry -1 or unnormalized values); nan and inf are rejected.
+    Malformed lines abort, or are logged and dropped with ``skip_malformed``.
     """
     path = Path(path)
     if not path.exists():
         raise InputError(f"MOT file not found: {path}")
     rows, line_numbers = array("d"), array("q")
     errors: list[tuple[int, str]] = []
-    with path.open(encoding="utf-8") as handle:
+    with _open_text(path) as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
             try:
+                _check_utf8(line)
                 if len(parts) < 7:
                     raise ValueError("expected at least 7 comma-separated fields")
                 # The frame stays a float: the table check rejects a fractional one.
@@ -358,9 +381,11 @@ def ingest_mot(path: str | Path) -> list[FrameDetections]:
                     raise ValueError(f"confidence must be finite, got {parts[6].strip()!r}")
             except (ValueError, OverflowError) as exc:
                 errors.append((line_number, str(exc)))
+                if skip_malformed:
+                    continue
                 break  # an earlier line may still fail the table check
             rows.extend((frame, x, y, w, h, min(1.0, max(0.0, score)), math.nan))
             line_numbers.append(line_number)
     table = np.frombuffer(rows).reshape(-1, len(_COLUMNS))
     lines = np.frombuffer(line_numbers, dtype=np.int64)
-    return _frames_from_table(path, table, lines, errors, False, DEFAULT_NUM_CATEGORIES)
+    return _frames_from_table(path, table, lines, errors, skip_malformed, DEFAULT_NUM_CATEGORIES)

@@ -11,8 +11,9 @@ covariance is four independent 2x2 (position, velocity) blocks, and every
 other entry is exactly 0. A ``KalmanState`` holds just those blocks. Arrays
 put the component axes first, so a batch of n filters holds each component
 as one row: means (8, n), blocks (3, 4, n), boxes (4, n) x, y, w, h rows; a
-single filter (or ``BoundingBox``) is the unbatched case. Predict and update
-write into the state they are given.
+single filter, mean (8,) and box (4,), is the unbatched case. Predict and
+update write into the state they are given; ``decode_boxes`` turns means back
+into boxes and flags the states that no longer encode one.
 """
 
 from __future__ import annotations
@@ -21,12 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BoundingBox, valid_extents, xywh_array
-
-
-class FilterDiverged(ValueError):
-    """State no longer encodes a valid box (aspect or height dropped to <= 0,
-    or the box is not finite)."""
+from .model import valid_extents
 
 
 # Per-frame noise scales, each multiplied by the current box height; the
@@ -51,18 +47,16 @@ class KalmanState:
         return KalmanState(mean=table[:8], blocks=table[8:].reshape(3, 4, table.shape[1]))
 
 
-def _measurement(boxes: BoundingBox | np.ndarray) -> np.ndarray:
+def _measurement(boxes: np.ndarray) -> np.ndarray:
     """(4, ...) boxes as (cx, cy, aspect, height) measurements."""
-    if isinstance(boxes, BoundingBox):
-        boxes = xywh_array([boxes])[0]
     measurement = np.array(boxes, dtype=float)
     measurement[:2] += measurement[2:] / 2.0
     measurement[2] /= measurement[3]
     return measurement
 
 
-def kf_initiate(boxes: BoundingBox | np.ndarray) -> KalmanState:
-    """Start new filters at the observed boxes with zero velocity.
+def kf_initiate(boxes: np.ndarray) -> KalmanState:
+    """Start new filters at the observed (4, ...) boxes with zero velocity.
 
     The initial prior is deliberately wide (2x position, 10x velocity scale)
     so the velocity estimate can adapt within the first few frames.
@@ -92,13 +86,13 @@ def kf_predict(state: KalmanState) -> KalmanState:
     return state
 
 
-def kf_update(state: KalmanState, observed: BoundingBox | np.ndarray) -> KalmanState:
-    """Fuse observed boxes into the states in place (measurement update on
-    cx, cy, a, h), and return the state. Each axis sees its position with
-    noise variance r, so the gain is (pp, pv) / (pp + r). The blocks take
-    the Joseph form, which stays symmetric PSD even after thousands of
-    cycles; where pp + r underflows to 0, the state turns nan, which
-    ``decode_boxes`` flags.
+def kf_update(state: KalmanState, observed: np.ndarray) -> KalmanState:
+    """Fuse observed (4, ...) boxes into the states in place (measurement
+    update on cx, cy, a, h), and return the state. Each axis sees its
+    position with noise variance r, so the gain is (pp, pv) / (pp + r). The
+    blocks take the Joseph form, which stays symmetric PSD even after
+    thousands of cycles; where pp + r underflows to 0, the state turns nan,
+    which ``decode_boxes`` flags.
     """
     mean, blocks = state.mean, state.blocks
     pp, pv, vv = blocks[0], blocks[1], blocks[2]
@@ -139,13 +133,3 @@ def decode_boxes(mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.multiply(w, h, out=boxes[4])
     np.divide(w, h, out=boxes[5])
     return boxes, valid_extents(boxes[2:6], h)
-
-
-def state_to_box(state: KalmanState) -> BoundingBox:
-    """Decode one filter's state back to a box."""
-    with np.errstate(all="ignore"):
-        boxes, valid = decode_boxes(state.mean[:, None])
-    if not valid[0]:
-        a, h = state.mean[2:4]
-        raise FilterDiverged(f"state does not encode a valid box: aspect={a}, height={h}")
-    return BoundingBox(*boxes[[0, 1, 6, 7], 0].tolist())  # x, y, w, h

@@ -1,9 +1,10 @@
 """Shared domain vocabulary: boxes, detections, categories, and tracks.
 
 Everything here is immutable value data except :class:`Track`, which is
-owned and mutated exclusively by the tracker. A frame's detections are held
-as columns (:class:`FrameDetections`); :class:`Detection` is the row type
-callers build frames from and read them back as.
+owned and mutated exclusively by the tracker. Detections and tracks are held
+as columns: a frame's detections (:class:`FrameDetections`) and a track's
+matches (:class:`Track`) are (x, y, w, h) box rows beside score and category
+columns, checked and compared as tables (``split_frames``, ``iou_matrix``).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -37,26 +38,6 @@ class BoundingBox:
 
     def __post_init__(self):
         check_box(self.x, self.y, self.w, self.h)
-
-    @property
-    def right(self) -> float:
-        return self.x + self.w
-
-    @property
-    def bottom(self) -> float:
-        return self.y + self.h
-
-    @property
-    def cx(self) -> float:
-        return self.x + self.w / 2.0
-
-    @property
-    def cy(self) -> float:
-        return self.y + self.h / 2.0
-
-    @property
-    def area(self) -> float:
-        return self.w * self.h
 
 
 def check_box(x: float, y: float, w: float, h: float):
@@ -88,42 +69,23 @@ def check_box(x: float, y: float, w: float, h: float):
         raise ValueError(f"box aspect w/h must be positive, got {w / h!r}")
 
 
-def check_detection(frame_index: int, score: float):
-    """Raise ``ValueError`` unless a detection's frame index and score are
-    ones ``Detection`` accepts (it checks its box first)."""
+def check_detection_row(
+    frame_index: int,
+    box: Sequence[float],
+    score: float,
+    category: int | None,
+    num_categories: int,
+):
+    """Raise ``ValueError`` unless one table row holds a detection, checking
+    its label (category None: no label), its box, its frame index and its
+    score, in that order."""
+    if category is not None:
+        CategoryLabel(category, num_categories)
+    check_box(*box)
     if frame_index < 0:
         raise ValueError(f"frame_index must be >= 0, got {frame_index}")
     if not 0.0 <= score <= 1.0:
         raise ValueError(f"score must be in [0, 1], got {score}")
-
-
-def box_history(frames: np.ndarray, boxes: np.ndarray) -> list[tuple[int, BoundingBox]]:
-    """(frame, box) pairs from a frame column and its (k, 4) (x, y, w, h) rows."""
-    return [(f, BoundingBox(*box)) for f, box in zip(frames.tolist(), boxes.tolist())]
-
-
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes: 0 when disjoint, 1 when identical.
-
-    Areas are computed from the same corner coordinates the intersection
-    uses, so identical boxes score exactly 1.0 under floating point; the
-    union is summed over halved areas so that it cannot overflow.
-    """
-    a_right, a_bottom = a.x + a.w, a.y + a.h
-    b_right, b_bottom = b.x + b.w, b.y + b.h
-    iw = min(a_right, b_right) - max(a.x, b.x)
-    ih = min(a_bottom, b_bottom) - max(a.y, b.y)
-    inter = iw * ih
-    if iw <= 0.0 or ih <= 0.0 or inter == 0.0:  # disjoint, or too small for a float
-        return 0.0
-    area_a = (a_right - a.x) * (a_bottom - a.y)
-    area_b = (b_right - b.x) * (b_bottom - b.y)
-    return inter / 2 / (area_a / 2 + area_b / 2 - inter / 2)
-
-
-def xywh_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
-    """The boxes as an (n, 4) array of (x, y, w, h) rows."""
-    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
 
 
 def corners(xywh: np.ndarray) -> np.ndarray:
@@ -143,11 +105,11 @@ def iou_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     np.maximum(overlap, 0.0, out=overlap)
     half = np.multiply(overlap[0], overlap[1], out=overlap[0])
     half /= 2
-    # Halved, as in the scalar ``iou``, the union cannot overflow.
+    # Halved, the union cannot overflow.
     union = np.add(halves[: rows.shape[1], None], halves[rows.shape[1] :], out=overlap[1])
     union -= half
     # Pairs without a float overlap keep 0 and skip the division, which
-    # could be 0/0; fmax scores an inf/inf pair 0, as the scalar ``iou`` does.
+    # could be 0/0; fmax scores an inf/inf pair 0.
     np.divide(half, union, out=half, where=half > 0.0)
     return np.fmax(half, 0.0, out=half)
 
@@ -180,12 +142,6 @@ def category_labels(num_categories: int) -> tuple[CategoryLabel, ...]:
     return tuple(CategoryLabel(index, num_categories) for index in range(num_categories))
 
 
-FRESH = CategoryLabel(0)
-BRUISE = CategoryLabel(1)
-ROT = CategoryLabel(2)
-SCAB = CategoryLabel(3)
-
-
 class BinaryQuality(Enum):
     """Industrial pass/fail label collapsed from the multi-class categories."""
 
@@ -200,57 +156,52 @@ def to_binary(label: CategoryLabel) -> BinaryQuality:
 
 @dataclass(frozen=True)
 class Detection:
-    """One detector output box at one frame, with an optional classifier label."""
+    """One detector output box at one frame, with an optional classifier
+    label: a row of a ``FrameDetections``, which checked it."""
 
     frame_index: int
     box: BoundingBox
     score: float
     category_observation: CategoryLabel | None = None
 
-    def __post_init__(self):
-        check_detection(self.frame_index, self.score)
 
-
+@dataclass(frozen=True, eq=False, slots=True)
 class FrameDetections:
     """All detections of a single frame, held as read-only columns:
     ``boxes`` (n, 4) (x, y, w, h) rows, ``scores`` (n,) and ``categories``
     (n,) category indices in [0, num_categories), -1 where a box has no
     classifier label.
 
-    ``FrameDetections(frame, [Detection, ...])`` builds the columns from
-    checked rows, and ``detections`` gives the rows back. Equality and
-    pickling compare and carry the columns.
+    ``FrameDetections(frame, boxes, scores, categories)`` copies the columns
+    and checks them as ``split_frames`` does; without ``categories`` no box
+    has a label, and ``FrameDetections(frame)`` is an empty frame.
+    ``detections`` gives the rows as ``Detection``s. Equality and pickling
+    compare and carry the columns.
     """
 
-    __slots__ = ("frame_index", "boxes", "scores", "categories", "num_categories")
+    frame_index: int
+    boxes: np.ndarray | None = None
+    scores: np.ndarray | Sequence[float] = ()
+    categories: np.ndarray | None = None
+    num_categories: int = DEFAULT_NUM_CATEGORIES
 
-    def __init__(self, frame_index: int, detections: Iterable[Detection] = ()):
-        rows = tuple(detections)
-        for det in rows:
-            if det.frame_index != frame_index:
-                raise ValueError(
-                    f"detection frame {det.frame_index} does not match frame {frame_index}"
-                )
-        counts = {
-            det.category_observation.num_categories
-            for det in rows
-            if det.category_observation is not None
-        }
-        if len(counts) > 1:
-            raise ValueError(f"frame {frame_index} mixes category counts {sorted(counts)}")
-        self._set_columns(
-            frame_index,
-            xywh_array([det.box for det in rows]),
-            np.array([det.score for det in rows], dtype=float),
-            np.array(
-                [
-                    -1 if det.category_observation is None else det.category_observation.index
-                    for det in rows
-                ],
-                dtype=np.int64,
-            ),
-            counts.pop() if counts else DEFAULT_NUM_CATEGORIES,
-        )
+    def __post_init__(self):
+        scores = np.array(self.scores, dtype=float)
+        boxes = np.array(np.empty((0, 4)) if self.boxes is None else self.boxes, dtype=float)
+        if self.categories is None:
+            categories = np.full(scores.shape, -1, dtype=np.int64)
+        else:
+            categories = np.array(self.categories, dtype=np.int64)
+        if not (
+            scores.ndim == 1
+            and boxes.shape == (len(scores), 4)
+            and categories.shape == scores.shape
+        ):
+            raise ValueError("a frame needs an (x, y, w, h) box, a score and a category per row")
+        frames = np.full(len(scores), self.frame_index)
+        _check_rows(frames, boxes, scores, categories, self.num_categories)
+        columns = _read_only(boxes, scores, categories)
+        _set_columns(self, self.frame_index, *columns, self.num_categories)
 
     @classmethod
     def _from_columns(
@@ -261,26 +212,22 @@ class FrameDetections:
         categories: np.ndarray,
         num_categories: int,
     ) -> "FrameDetections":
-        """A frame over the given columns, neither copied nor checked (see
-        ``split_frames``, which checks them)."""
+        """A frame over the given read-only columns, neither copied nor
+        checked (see ``split_frames``, which checks them)."""
         frame = cls.__new__(cls)
-        frame._set_columns(frame_index, boxes, scores, categories, num_categories)
+        _set_columns(frame, frame_index, boxes, scores, categories, num_categories)
         return frame
 
-    def _set_columns(self, frame_index, boxes, scores, categories, num_categories):
-        for column in (boxes, scores, categories):
-            column.flags.writeable = False
-        for name, value in zip(
-            self.__slots__, (frame_index, boxes, scores, categories, num_categories)
-        ):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"FrameDetections is immutable; cannot set {name!r}")
+    @classmethod
+    def _unpickle(cls, frame_index, boxes, scores, categories, num_categories):
+        """A frame over unpickled columns, which it makes read-only."""
+        return cls._from_columns(
+            frame_index, *_read_only(boxes, scores, categories), num_categories
+        )
 
     @property
     def detections(self) -> tuple[Detection, ...]:
-        """The detections as checked rows, in column order."""
+        """The detections as rows, in column order."""
         labels = category_labels(self.num_categories)
         return tuple(
             Detection(self.frame_index, BoundingBox(*box), score, None if c < 0 else labels[c])
@@ -302,32 +249,22 @@ class FrameDetections:
             and (self.num_categories == other.num_categories or not (self.categories >= 0).any())
         )
 
-    __hash__ = None
-
     def __reduce__(self):
         return (
-            FrameDetections._from_columns,
+            FrameDetections._unpickle,
             (self.frame_index, self.boxes, self.scores, self.categories, self.num_categories),
         )
 
-    def __repr__(self):
-        return (
-            f"FrameDetections({self.frame_index}, boxes={self.boxes.tolist()}, "
-            f"scores={self.scores.tolist()}, categories={self.categories.tolist()}, "
-            f"num_categories={self.num_categories})"
-        )
+
+def _set_columns(frame, *values):
+    for name, value in zip(FrameDetections.__slots__, values):
+        object.__setattr__(frame, name, value)
 
 
-def detection_row(
-    frame_index: int,
-    box: Sequence[float],
-    score: float,
-    category: int,
-    num_categories: int,
-) -> Detection:
-    """One table row as a checked ``Detection``; category -1 is no label."""
-    label = None if category == -1 else CategoryLabel(category, num_categories)
-    return Detection(frame_index, BoundingBox(*box), score, label)
+def _read_only(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    for column in columns:
+        column.flags.writeable = False
+    return columns
 
 
 def valid_extents(extents: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -340,13 +277,32 @@ def valid_extents(extents: np.ndarray, h: np.ndarray) -> np.ndarray:
 def valid_detection_rows(
     boxes: np.ndarray, scores: np.ndarray, categories: np.ndarray, num_categories: int
 ) -> np.ndarray:
-    """Mask of the table rows ``detection_row`` accepts (given a valid frame
-    index), checked column by column."""
+    """Mask of the table rows ``check_detection_row`` accepts (given a valid
+    frame index; category -1: no label), checked column by column."""
     x, y, w, h = boxes.T
     with np.errstate(all="ignore"):
         extents = np.array([x + w, y + h, w * h, w / h])
     labels = (categories >= -1) & (categories < num_categories)
     return valid_extents(extents, h) & (scores >= 0.0) & (scores <= 1.0) & labels
+
+
+def _check_rows(
+    frame_indices: np.ndarray,
+    boxes: np.ndarray,
+    scores: np.ndarray,
+    categories: np.ndarray,
+    num_categories: int,
+):
+    """Raise ``ValueError`` for the first row ``check_detection_row`` rejects
+    (category -1: no label), in its words."""
+    valid = valid_detection_rows(boxes, scores, categories, num_categories) & (frame_indices >= 0)
+    if not valid.all():
+        i = int(np.argmin(valid))
+        category = int(categories[i])
+        check_detection_row(
+            int(frame_indices[i]), boxes[i].tolist(), float(scores[i]),
+            None if category == -1 else category, num_categories,
+        )
 
 
 def split_frames(
@@ -358,19 +314,14 @@ def split_frames(
 ) -> list[FrameDetections]:
     """One frame per distinct frame index, in frame order, from a table of
     detection rows (category -1: no label). The rows of a frame keep their
-    table order; the frames are views of one sorted copy.
+    table order; the frames are views of one sorted, read-only copy.
 
-    Raises ``ValueError`` for the first row that ``detection_row`` rejects.
+    Raises ``ValueError`` for the first row that ``check_detection_row``
+    rejects.
     """
-    valid = valid_detection_rows(boxes, scores, categories, num_categories) & (frame_indices >= 0)
-    if not valid.all():
-        i = int(np.argmin(valid))
-        detection_row(
-            int(frame_indices[i]), boxes[i].tolist(), float(scores[i]),
-            int(categories[i]), num_categories,
-        )
+    _check_rows(frame_indices, boxes, scores, categories, num_categories)
     order = np.argsort(frame_indices, kind="stable")
-    boxes, scores, categories = boxes[order], scores[order], categories[order]
+    boxes, scores, categories = _read_only(boxes[order], scores[order], categories[order])
     return [
         FrameDetections._from_columns(
             frame, boxes[a:b], scores[a:b], categories[a:b], num_categories
@@ -400,8 +351,7 @@ class Track:
     """Persistent object identity with motion state and, as columns in
     frame order, the frames it matched: ``frames`` (k,), ``boxes`` (k, 4)
     (x, y, w, h) rows and ``categories`` (k,), -1 where the detection had no
-    label. ``history`` and ``predictions`` give (frame, box) and (frame,
-    label) tuples.
+    label. ``predictions`` gives (frame, label) tuples of the labeled rows.
 
     ``ByteTracker`` builds a track once it is removed, or on ``finalize``
     while live, with its lifecycle fields and ``state`` (a snapshot of its
@@ -423,10 +373,6 @@ class Track:
     def labels(self) -> np.ndarray:
         """The categories of the labeled rows, in frame order."""
         return self.categories[self.categories >= 0]
-
-    @property
-    def history(self) -> list[tuple[int, BoundingBox]]:
-        return box_history(self.frames, self.boxes)
 
     @property
     def predictions(self) -> list[tuple[int, CategoryLabel]]:

@@ -144,7 +144,7 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
     if run.sim_config is not None:
         _, frames = generate_scene(run.sim_config)
     elif run.mot_format:
-        frames = ingest_mot(run.input_path)
+        frames = ingest_mot(run.input_path, skip_malformed=run.skip_malformed)
     else:
         frames = ingest_detections(
             run.input_path,

@@ -18,10 +18,8 @@ import numpy as np
 from .errors import ConfigError
 from .model import (
     DEFAULT_NUM_CATEGORIES,
-    BoundingBox,
     CategoryLabel,
     FrameDetections,
-    box_history,
     category_labels,
     frame_runs,
     split_frames,
@@ -87,16 +85,12 @@ class SimConfig:
 class GroundTruthObject:
     """One object of a ``SceneGroundTruth``: its id, its true category and
     read-only views of its rows, ``frames`` (k,) in frame order and
-    ``boxes`` (k, 4) (x, y, w, h). ``history`` gives (frame, box) pairs."""
+    ``boxes`` (k, 4) (x, y, w, h)."""
 
     object_id: int
     true_category: CategoryLabel
     frames: np.ndarray
     boxes: np.ndarray
-
-    @property
-    def history(self) -> list[tuple[int, BoundingBox]]:
-        return box_history(self.frames, self.boxes)
 
 
 #: The columns of a ``SceneGroundTruth``: one entry per object, then one per row.

@@ -1,20 +1,22 @@
-"""Independent reference implementations used to check the fast paths.
+"""Independent reference implementations used to check the fast paths,
+and builders of the package's columnar values from rows.
 
 IoU by counting raster cells and assignment by exhaustive permutation
 search share no code with the package, and scipy's
 ``linear_sum_assignment`` (which the package does not use) is the reference
-for the solver's optimum. The metric references are plain loops over the
-pairwise ``iou``, checked against the package's
-``iou_matrix`` versions. The Kalman references step one filter with dense
-8x8 matrix products, converting its per-axis blocks to the dense covariance
-and back, checked against the package's batched per-axis filter. The
-scalar ingest reference parses and checks one line at a time into
-``Detection`` rows, checked against the package's table-at-once check. The
-per-line readers call ``json.loads`` once per line, as the package's JSONL
-readers do only for a block with a bad line, and are checked against the
-block parse. The vote reference counts a track's labels one by one,
-checked against the package's ``bincount`` over the track's category
-column.
+for the solver's optimum. The scalar ``iou`` of two boxes is checked against
+the package's ``iou_matrix``, and the metric references are plain loops over
+it, checked against the package's ``iou_matrix`` versions. The Kalman
+references step one filter with dense 8x8 matrix products, converting its
+per-axis blocks to the dense covariance and back, checked against the
+package's batched per-axis filter. The scalar ingest reference parses and
+checks one line at a time into ``Detection`` rows, checked against the
+package's table-at-once check, and ``detection_row`` checks one table row
+the same way. The per-line readers call ``json.loads`` once per line, as
+the package's JSONL readers do only for a block with a bad line, and are
+checked against the block parse. The vote reference counts a track's labels
+one by one, checked against the package's ``bincount`` over the track's
+category column.
 """
 
 import json
@@ -33,10 +35,62 @@ from beltrack import (
     FrameDetections,
     InputError,
     KalmanState,
-    iou,
+    decode_boxes,
 )
 import beltrack.io as bio
+from beltrack.model import category_labels
 from beltrack.simulate import SceneGroundTruth
+
+#: The default categories, in index order.
+FRESH, BRUISE, ROT, SCAB = category_labels(4)
+
+
+def frame_of(frame_index, rows=(), num_categories=4):
+    """A frame from (x, y, w, h, score) or (x, y, w, h, score, category)
+    tuples; the category is an index, a ``CategoryLabel`` or None (no
+    label)."""
+    categories = [getattr(row[5], "index", row[5]) if len(row) > 5 else None for row in rows]
+    return FrameDetections(
+        frame_index,
+        np.array([row[:4] for row in rows], dtype=float).reshape(-1, 4),
+        [row[4] for row in rows],
+        [-1 if c is None else c for c in categories],
+        num_categories,
+    )
+
+
+def frames_of(rows, num_categories=4):
+    """Frames in frame order from (frame, x, y, w, h, score[, category])
+    tuples, each frame's rows in the order given."""
+    grouped = {}
+    for row in rows:
+        grouped.setdefault(row[0], []).append(row[1:])
+    return [frame_of(t, grouped[t], num_categories) for t in sorted(grouped)]
+
+
+def detection(frame_index, box, score, label):
+    """A ``Detection`` of a checked box and label, once its frame index and
+    score are checked."""
+    if frame_index < 0:
+        raise ValueError(f"frame_index must be >= 0, got {frame_index}")
+    if not 0.0 <= score <= 1.0:
+        raise ValueError(f"score must be in [0, 1], got {score}")
+    return Detection(frame_index, box, score, label)
+
+
+def detection_row(frame_index, box, score, category, num_categories):
+    """One table row as a checked ``Detection``; category -1 is no label."""
+    label = None if category == -1 else CategoryLabel(category, num_categories)
+    return detection(frame_index, BoundingBox(*box), score, label)
+
+
+def decoded_box(state: KalmanState) -> list[float]:
+    """One filter's state as the (x, y, w, h) box ``decode_boxes`` gives;
+    asserts that the state encodes one."""
+    boxes, valid = decode_boxes(state.mean[:, None])
+    assert valid[0], f"state encodes no box: {state.mean[:4]}"
+    return boxes[[0, 1, 6, 7], 0].tolist()
+
 
 # The filter's fixed noise weights (ByteTrack's), restated for the references.
 _POSITION_STD = 1.0 / 20
@@ -79,11 +133,13 @@ def kf_predict_reference(state: KalmanState) -> KalmanState:
     return KalmanState(mean=mean, blocks=per_axis_blocks(0.5 * (covariance + covariance.T)))
 
 
-def kf_update_reference(state: KalmanState, observed: BoundingBox) -> KalmanState:
-    """One filter's Joseph-form measurement update with dense matrices."""
+def kf_update_reference(state: KalmanState, observed) -> KalmanState:
+    """One filter's Joseph-form measurement update with dense matrices, on
+    an observed (x, y, w, h) box."""
     h = state.mean[3]
     r = np.diag(np.full(4, (_MEASUREMENT_STD * h) ** 2))
-    measurement = np.array([observed.cx, observed.cy, observed.w / observed.h, observed.h])
+    x, y, w, box_h = observed
+    measurement = np.array([x + w / 2.0, y + box_h / 2.0, w / box_h, box_h])
     innovation = measurement - _H @ state.mean
     prior = dense_covariance(state.blocks)
     s = _H @ prior @ _H.T + r
@@ -102,19 +158,42 @@ def stacked(states: list[KalmanState]) -> KalmanState:
     )
 
 
-def pixel_iou(a: BoundingBox, b: BoundingBox) -> float:
-    """IoU of integer-coordinate boxes by counting unit cells on a grid."""
-    x0 = int(min(a.x, b.x))
-    y0 = int(min(a.y, b.y))
-    x1 = int(max(a.x + a.w, b.x + b.w))
-    y1 = int(max(a.y + a.h, b.y + b.h))
+def pixel_iou(a, b) -> float:
+    """IoU of integer-coordinate (x, y, w, h) boxes by counting unit cells
+    on a grid."""
+    (ax, ay, aw, ah), (bx, by, bw, bh) = a, b
+    x0 = int(min(ax, bx))
+    y0 = int(min(ay, by))
+    x1 = int(max(ax + aw, bx + bw))
+    y1 = int(max(ay + ah, by + bh))
     grid_a = np.zeros((y1 - y0, x1 - x0), dtype=bool)
     grid_b = np.zeros_like(grid_a)
-    grid_a[int(a.y) - y0 : int(a.y + a.h) - y0, int(a.x) - x0 : int(a.x + a.w) - x0] = True
-    grid_b[int(b.y) - y0 : int(b.y + b.h) - y0, int(b.x) - x0 : int(b.x + b.w) - x0] = True
+    grid_a[int(ay) - y0 : int(ay + ah) - y0, int(ax) - x0 : int(ax + aw) - x0] = True
+    grid_b[int(by) - y0 : int(by + bh) - y0, int(bx) - x0 : int(bx + bw) - x0] = True
     inter = np.logical_and(grid_a, grid_b).sum()
     union = np.logical_or(grid_a, grid_b).sum()
     return float(inter) / float(union)
+
+
+def iou(a, b) -> float:
+    """Intersection over union of two (x, y, w, h) boxes: 0 when disjoint,
+    1 when identical.
+
+    Areas are computed from the same corner coordinates the intersection
+    uses, so identical boxes score exactly 1.0 under floating point; the
+    union is summed over halved areas so that it cannot overflow.
+    """
+    (ax, ay, aw, ah), (bx, by, bw, bh) = a, b
+    a_right, a_bottom = ax + aw, ay + ah
+    b_right, b_bottom = bx + bw, by + bh
+    iw = min(a_right, b_right) - max(ax, bx)
+    ih = min(a_bottom, b_bottom) - max(ay, by)
+    inter = iw * ih
+    if iw <= 0.0 or ih <= 0.0 or inter == 0.0:  # disjoint, or too small for a float
+        return 0.0
+    area_a = (a_right - ax) * (a_bottom - ay)
+    area_b = (b_right - bx) * (b_bottom - by)
+    return inter / 2 / (area_a / 2 + area_b / 2 - inter / 2)
 
 
 def brute_force_assignment(costs: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
@@ -156,14 +235,14 @@ def covering_tracks_reference(tracks, gt, iou_threshold=0.5):
     track with the best overlap at or above the threshold, lowest id on ties."""
     by_frame = {}
     for track in tracks:
-        for frame, box in track.history:
-            by_frame.setdefault(frame, []).append((track.id, box))
+        for t, box in zip(track.frames.tolist(), track.boxes.tolist()):
+            by_frame.setdefault(t, []).append((track.id, box))
     coverage = {}
     for obj in gt.objects:
         ids = []
-        for frame, gt_box in obj.history:
+        for t, gt_box in zip(obj.frames.tolist(), obj.boxes.tolist()):
             best_id, best_overlap = None, 0.0
-            for track_id, box in by_frame.get(frame, []):
+            for track_id, box in by_frame.get(t, []):
                 overlap = iou(box, gt_box)
                 if overlap < iou_threshold:
                     continue
@@ -186,9 +265,13 @@ def detection_map_reference(dets, gt, iou_threshold=0.5):
     Several ``gt`` entries for one frame pool their boxes."""
     gt_boxes = {}
     for f in gt:
-        gt_boxes.setdefault(f.frame_index, []).extend(d.box for d in f.detections)
+        gt_boxes.setdefault(f.frame_index, []).extend(f.boxes.tolist())
     n_gt = sum(len(boxes) for boxes in gt_boxes.values())
-    flat = [(det.score, f.frame_index, det.box) for f in dets for det in f.detections]
+    flat = [
+        (score, f.frame_index, box)
+        for f in dets
+        for box, score in zip(f.boxes.tolist(), f.scores.tolist())
+    ]
     flat.sort(key=lambda item: -item[0])
     gt_taken = {frame: [False] * len(boxes) for frame, boxes in gt_boxes.items()}
     tp = np.zeros(len(flat))
@@ -268,7 +351,7 @@ def _reference_detection(line, num_categories):
     if "category" in numbers:
         label = CategoryLabel(_whole_number("category", numbers["category"]), num_categories)
     box = BoundingBox(numbers["x"], numbers["y"], numbers["w"], numbers["h"])
-    return Detection(frame, box, numbers["score"], label)
+    return detection(frame, box, numbers["score"], label)
 
 
 def ingest_detections_scalar_reference(path, *, skip_malformed=False, num_categories=4):
@@ -289,10 +372,13 @@ def ingest_detections_scalar_reference(path, *, skip_malformed=False, num_catego
             except (TypeError, ValueError, OverflowError) as exc:
                 if not skip_malformed:
                     raise InputError(f"{path}:{line_number}: {exc}") from exc
-    grouped = {}
-    for det in detections:
-        grouped.setdefault(det.frame_index, []).append(det)
-    return [FrameDetections(frame, grouped[frame]) for frame in sorted(grouped)]
+    return frames_of(
+        [
+            (d.frame_index, d.box.x, d.box.y, d.box.w, d.box.h, d.score, d.category_observation)
+            for d in detections
+        ],
+        num_categories,
+    )
 
 
 def ingest_detections_reference(path, *, skip_malformed=False, num_categories=4):

@@ -11,31 +11,34 @@ import pytest
 
 from beltrack import (
     BinaryQuality,
-    BoundingBox,
     ByteTracker,
-    CategoryLabel,
-    Detection,
     FrameDetections,
     SimConfig,
     Track,
     TrackStatus,
     aggregated_report,
+    decode_boxes,
     evaluate_against_truth,
-    iou,
     kf_initiate,
     kf_predict,
     kf_update,
     majority_vote,
     solve_assignment,
-    state_to_box,
     temporal_stability,
 )
 from beltrack.cli import main as cli_main
 from beltrack.metrics import detection_map
-from beltrack.model import FRESH
+from beltrack.model import corners, iou_matrix
 from beltrack.simulate import generate_scene
 
-from oracles import brute_force_assignment, dense_covariance, pixel_iou
+from oracles import (
+    FRESH,
+    brute_force_assignment,
+    dense_covariance,
+    frame_of,
+    frames_of,
+    pixel_iou,
+)
 
 N, D = BinaryQuality.NORMAL, BinaryQuality.DEFECT
 
@@ -64,11 +67,12 @@ def test_criterion_02_iou_pixel_oracle():
     rng = np.random.default_rng(1002)
     worst = 0.0
     for _ in range(1000):
-        a = BoundingBox(int(rng.integers(0, 65)), int(rng.integers(0, 65)),
-                        int(rng.integers(1, 65)), int(rng.integers(1, 65)))
-        b = BoundingBox(int(rng.integers(0, 65)), int(rng.integers(0, 65)),
-                        int(rng.integers(1, 65)), int(rng.integers(1, 65)))
-        worst = max(worst, abs(iou(a, b) - pixel_iou(a, b)))
+        a = (int(rng.integers(0, 65)), int(rng.integers(0, 65)),
+             int(rng.integers(1, 65)), int(rng.integers(1, 65)))
+        b = (int(rng.integers(0, 65)), int(rng.integers(0, 65)),
+             int(rng.integers(1, 65)), int(rng.integers(1, 65)))
+        overlap = iou_matrix(corners(np.array([a], float)), corners(np.array([b], float)))[0, 0]
+        worst = max(worst, abs(overlap - pixel_iou(a, b)))
     report(2, f"iou matches pixel rasterization within 1e-12 (worst {worst:.2e})", worst <= 1e-12)
 
 
@@ -81,28 +85,26 @@ def test_criterion_03_kalman_roundtrip_convergence_symmetry():
 
     worst_rt = 0.0
     for _ in range(200):
-        box = BoundingBox(*rng.uniform(0, 300, 2), *rng.uniform(4, 90, 2))
-        back = state_to_box(kf_initiate(box))
-        worst_rt = max(
-            worst_rt,
-            *(abs(getattr(back, f) - getattr(box, f)) for f in ("x", "y", "w", "h")),
-        )
+        box = np.concatenate([rng.uniform(0, 300, 2), rng.uniform(4, 90, 2)])  # x, y, w, h
+        decoded, valid = decode_boxes(kf_initiate(box).mean[:, None])
+        error = np.abs(decoded[[0, 1, 6, 7], 0] - box).max() if valid[0] else np.inf
+        worst_rt = max(worst_rt, error)
 
     # fixed observation at detection-jitter offset from the initial box
-    state = kf_initiate(BoundingBox(50, 50, 20, 20))
-    target = BoundingBox(52, 51, 20, 20)
-    target_measurement = np.array([target.cx, target.cy, 1.0, 20.0])
+    state = kf_initiate(np.array([50.0, 50.0, 20.0, 20.0]))
+    target = np.array([52.0, 51.0, 20.0, 20.0])
+    target_measurement = np.array([62.0, 61.0, 1.0, 20.0])  # cx, cy, w / h, h
     residual = np.inf
     for _ in range(50):
         state = kf_update(kf_predict(state), target)
         residual = np.max(np.abs(state.mean[:4] - target_measurement))
 
-    state = kf_initiate(BoundingBox(100, 100, 30, 30))
+    state = kf_initiate(np.array([100.0, 100.0, 30.0, 30.0]))
     worst_asym = 0.0
     for _ in range(1000):
         state = kf_predict(state)
         worst_asym = max(worst_asym, asymmetry(dense_covariance(state.blocks)))
-        observed = BoundingBox(*rng.uniform(50, 150, 2), *rng.uniform(10, 50, 2))
+        observed = np.concatenate([rng.uniform(50, 150, 2), rng.uniform(10, 50, 2)])
         state = kf_update(state, observed)
         worst_asym = max(worst_asym, asymmetry(dense_covariance(state.blocks)))
 
@@ -145,8 +147,7 @@ def test_criterion_05_byte_low_confidence_recovery():
             if score < 0.6 and not include_lows:
                 frames.append(FrameDetections(t))
                 continue
-            box = BoundingBox(velocity * t, 50.0, size, size)
-            frames.append(FrameDetections(t, [Detection(t, box, score, FRESH)]))
+            frames.append(frame_of(t, [(velocity * t, 50.0, size, size, score, FRESH)]))
         return frames
 
     def track_count(frames):
@@ -261,19 +262,14 @@ def test_criterion_08_defect_ratio_recovery():
 
 
 def test_criterion_09_detection_map_sanity():
-    def frames_of(entries):
-        grouped = {}
-        for frame, x, y, score in entries:
-            grouped.setdefault(frame, []).append(
-                Detection(frame, BoundingBox(x, y, 10, 10), score)
-            )
-        return [FrameDetections(f, dets) for f, dets in sorted(grouped.items())]
+    def frames_of_squares(entries):
+        return frames_of([(frame, x, y, 10, 10, score) for frame, x, y, score in entries])
 
-    gt1 = frames_of([(0, 0, 0, 1.0)])
+    gt1 = frames_of_squares([(0, 0, 0, 1.0)])
     perfect = detection_map(gt1, gt1) == 1.0
-    tp_then_fp = detection_map(frames_of([(0, 0, 0, 0.9), (0, 80, 80, 0.8)]), gt1) == 1.0
-    gt2 = frames_of([(0, 0, 0, 1.0), (0, 50, 50, 1.0)])
-    half = detection_map(frames_of([(0, 0, 0, 0.9)]), gt2) == 0.5
+    tp_then_fp = detection_map(frames_of_squares([(0, 0, 0, 0.9), (0, 80, 80, 0.8)]), gt1) == 1.0
+    gt2 = frames_of_squares([(0, 0, 0, 1.0), (0, 50, 50, 1.0)])
+    half = detection_map(frames_of_squares([(0, 0, 0, 0.9)]), gt2) == 0.5
 
     rng = np.random.default_rng(1009)
     invariant = True
@@ -292,16 +288,12 @@ def test_criterion_09_detection_map_sanity():
              float(rng.uniform(0.1, 1.0)))
             for _ in range(int(rng.integers(0, 4)))
         ]
-        gt = frames_of(gt_entries)
-        dets = frames_of(det_entries)
+        gt = frames_of_squares(gt_entries)
+        dets = frames_of_squares(det_entries)
         baseline = detection_map(dets, gt)
         for transform in (lambda s: s**2, lambda s: s**0.5, lambda s: 0.25 + s / 2):
             rescaled = [
-                FrameDetections(
-                    f.frame_index,
-                    [Detection(d.frame_index, d.box, transform(d.score)) for d in f.detections],
-                )
-                for f in dets
+                FrameDetections(f.frame_index, f.boxes, transform(f.scores)) for f in dets
             ]
             if abs(detection_map(rescaled, gt) - baseline) > 1e-12:
                 invariant = False

@@ -6,19 +6,15 @@ from scipy import stats
 
 from beltrack import (
     BinaryQuality,
-    BoundingBox,
     ByteTracker,
     CategoryLabel,
-    Detection,
-    FrameDetections,
     Track,
     TrackStatus,
     majority_vote,
     stability_report,
 )
-from beltrack.model import BRUISE, FRESH, ROT, SCAB
 
-from oracles import majority_vote_reference
+from oracles import BRUISE, FRESH, ROT, SCAB, frame_of, majority_vote_reference
 
 
 def track_of(*labels, track_id=1):
@@ -38,19 +34,18 @@ def track_of(*labels, track_id=1):
 
 def tracked_frame(t, label):
     """One confident detection of an apple moving 1 px per frame."""
-    box = BoundingBox(float(t), 50.0, 32.0, 32.0)
-    return FrameDetections(t, [Detection(t, box, 0.9, label)])
+    return frame_of(t, [(float(t), 50.0, 32.0, 32.0, 0.9, label)])
 
 
 class TestRecordPrediction:
-    # the votes read Track.predictions, which the tracker fills one entry per
-    # labelled matched frame; these check the recording the votes rely on
+    # the votes read a track's category column, which the tracker fills one
+    # row per matched frame; these check the recording the votes rely on
 
     def test_append_to_empty(self):
         tracker = ByteTracker()
         tracker.step(tracked_frame(0, FRESH))
         (track,) = tracker.finalize()
-        assert track.predictions == [(0, FRESH)]
+        assert (track.frames.tolist(), track.categories.tolist()) == ([0], [FRESH.index])
 
     def test_non_increasing_frame_rejected(self):
         tracker = ByteTracker()
@@ -61,15 +56,15 @@ class TestRecordPrediction:
         with pytest.raises(ValueError):
             tracker.step(tracked_frame(0, ROT))
         (track,) = tracker.finalize()
-        assert track.predictions == [(0, FRESH), (1, FRESH)]
+        assert (track.frames.tolist(), track.categories.tolist()) == ([0, 1], [FRESH.index] * 2)
 
     def test_hundred_sequential_records(self):
         tracker = ByteTracker()
         for t in range(100):
             tracker.step(tracked_frame(t, FRESH))
         (track,) = tracker.finalize()
-        assert len(track.predictions) == 100
-        assert [f for f, _ in track.predictions] == list(range(100))
+        assert track.frames.tolist() == list(range(100))
+        assert track.labels.tolist() == [FRESH.index] * 100
         assert majority_vote(track).track_length == 100
 
 

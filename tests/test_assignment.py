@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beltrack import BoundingBox, build_cost_matrix, solve_assignment
-from beltrack.model import corners, xywh_array
+from beltrack import build_cost_matrix, solve_assignment
+from beltrack.model import corners
 
 from oracles import brute_force_assignment, scipy_assignment
 
@@ -21,25 +21,29 @@ def assert_partition(result, n_rows, n_cols):
 
 
 def cost_matrix(track_boxes, det_boxes):
-    return build_cost_matrix(corners(xywh_array(track_boxes)), corners(xywh_array(det_boxes)))
+    """``build_cost_matrix`` of two lists of (x, y, w, h) boxes."""
+    return build_cost_matrix(
+        corners(np.array(track_boxes, dtype=float).reshape(-1, 4)),
+        corners(np.array(det_boxes, dtype=float).reshape(-1, 4)),
+    )
 
 
 class TestBuildCostMatrix:
     def test_identical_boxes_cost_zero(self):
-        box = BoundingBox(0, 0, 2, 2)
+        box = (0, 0, 2, 2)
         assert cost_matrix([box], [box])[0, 0] == 0.0
 
     def test_disjoint_boxes_cost_one(self):
-        costs = cost_matrix([BoundingBox(0, 0, 1, 1)], [BoundingBox(9, 9, 1, 1)])
+        costs = cost_matrix([(0, 0, 1, 1)], [(9, 9, 1, 1)])
         assert costs[0, 0] == 1.0
 
     def test_partial_overlap(self):
-        costs = cost_matrix([BoundingBox(0, 0, 2, 2)], [BoundingBox(1, 0, 2, 2)])
+        costs = cost_matrix([(0, 0, 2, 2)], [(1, 0, 2, 2)])
         assert costs[0, 0] == pytest.approx(2 / 3, abs=1e-12)
 
     def test_empty_inputs(self):
         assert cost_matrix([], []).shape == (0, 0)
-        assert cost_matrix([], [BoundingBox(0, 0, 1, 1)]).shape == (0, 1)
+        assert cost_matrix([], [(0, 0, 1, 1)]).shape == (0, 1)
 
 
 class TestSolveAssignment:
@@ -125,7 +129,7 @@ def cost_matrices(draw):
     box = st.tuples(st.integers(0, 20), st.integers(0, 20), st.integers(1, 8), st.integers(1, 8))
     track_boxes = draw(st.lists(box, min_size=n_rows, max_size=n_rows))
     det_boxes = draw(st.lists(box, min_size=n_cols, max_size=n_cols))
-    return cost_matrix([BoundingBox(*b) for b in track_boxes], [BoundingBox(*b) for b in det_boxes])
+    return cost_matrix(track_boxes, det_boxes)
 
 
 class TestExactSolver:

@@ -440,6 +440,21 @@ class TestMotInput:
         assert payload["n_tracks"] == 1
         assert payload["n_unlabeled_tracks"] == 1
 
+    def test_skip_malformed_skips_a_bad_line(self, tmp_path, capsys, caplog):
+        mot = tmp_path / "dets.txt"
+        mot.write_text("0,1,0,0,20,20,0.9\n1,1,x,0,20,20,0.9\n2,1,10,0,20,20,0.9\n")
+        assert run_cli("track", "--input", str(mot), "--mot") == 1
+        assert f"{mot}:2: could not convert string to float: 'x'" in capsys.readouterr().err
+        summary = tmp_path / "summary.json"
+        with caplog.at_level("WARNING", logger="beltrack"):
+            code = run_cli(
+                "track", "--input", str(mot), "--mot", "--skip-malformed",
+                "--output-summary", str(summary),
+            )
+        assert code == 0
+        assert f"skipping line: {mot}:2:" in caplog.text
+        assert json.loads(summary.read_text())["n_tracks"] == 1
+
 
 class TestInstalledEntryPoint:
     def test_console_script_help(self):

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from beltrack import FrameDetections, InputError
 from beltrack.io import DETECTION_FIELDS, ingest_detections
-from beltrack.model import detection_row, split_frames, valid_detection_rows
+from beltrack.model import check_detection_row, split_frames, valid_detection_rows
 
-from oracles import ingest_detections_scalar_reference
+from oracles import detection_row, frame_of, ingest_detections_scalar_reference
 
 GOOD_VALUES = {
     "frame": st.integers(0, 5),
@@ -108,12 +108,17 @@ class TestColumnCheckMatchesScalarChecks:
             num_categories,
         )
         for accepted, (box, score, category) in zip(mask.tolist(), rows):
+            label = None if category == -1 else category
             try:
                 detection_row(0, box, score, category, num_categories)
-            except ValueError:
+            except ValueError as error:
                 assert not accepted, (box, score, category)
+                with pytest.raises(ValueError) as words:
+                    check_detection_row(0, box, score, label, num_categories)
+                assert str(words.value) == str(error)
             else:
                 assert accepted, (box, score, category)
+                check_detection_row(0, box, score, label, num_categories)
 
 
 valid_rows = st.lists(
@@ -127,27 +132,51 @@ valid_rows = st.lists(
 )
 
 
-def frames_of(rows, num_categories):
-    return split_frames(
+def table_of(rows):
+    """The (frame, boxes, scores, categories) columns of ``valid_rows``."""
+    return (
         np.array([frame for frame, _, _, _ in rows], dtype=np.int64),
         np.array([box for _, box, _, _ in rows], dtype=float).reshape(-1, 4),
         np.array([score for _, _, score, _ in rows], dtype=float),
         np.array([category for _, _, _, category in rows], dtype=np.int64),
-        num_categories,
     )
+
+
+def frames_of(rows, num_categories):
+    return split_frames(*table_of(rows), num_categories)
+
+
+def assert_read_only(frame):
+    for column in (frame.boxes, frame.scores, frame.categories):
+        assert not column.flags.writeable
 
 
 class TestFramesAndRows:
     @settings(max_examples=200, deadline=None)
     @given(rows=valid_rows, num_categories=st.sampled_from([3, 4, 6]))
     def test_pickle_and_row_round_trips(self, rows, num_categories):
-        frames = frames_of(rows, num_categories)
+        table = table_of(rows)
+        frames = split_frames(*table, num_categories)
+        # The frames are views of a read-only copy; the table stays as it was.
+        assert all(column.flags.writeable for column in table)
         assert [f.frame_index for f in frames] == sorted({frame for frame, _, _, _ in rows})
         for frame in frames:
+            assert_read_only(frame)
             copy = pickle.loads(pickle.dumps(frame))
             assert copy == frame
-            assert not copy.boxes.flags.writeable
-            rebuilt = FrameDetections(frame.frame_index, frame.detections)
+            assert_read_only(copy)
+            built = FrameDetections(
+                frame.frame_index, frame.boxes, frame.scores, frame.categories,
+                frame.num_categories,
+            )
+            assert built == frame
+            assert_read_only(built)
+            rebuilt = frame_of(
+                frame.frame_index,
+                [(d.box.x, d.box.y, d.box.w, d.box.h, d.score, d.category_observation)
+                 for d in frame.detections],
+                frame.num_categories,
+            )
             assert rebuilt == frame
             assert rebuilt.detections == frame.detections
 

@@ -64,9 +64,8 @@ class TestIngestDetections:
         ])
         frames = ingest_detections(path)
         assert [f.frame_index for f in frames] == [0, 1]
-        assert len(frames[1].detections) == 2
-        assert frames[0].detections[0].category_observation is None
-        assert frames[1].detections[1].category_observation.index == 2
+        assert frames[0].categories.tolist() == [-1]
+        assert frames[1].categories.tolist() == [0, 2]
 
     def test_zero_width_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "dets.jsonl"
@@ -104,7 +103,7 @@ class TestIngestDetections:
         ])
         frames = ingest_detections(path, skip_malformed=True)
         assert len(frames) == 1
-        assert len(frames[0].detections) == 1
+        assert len(frames[0].scores) == 1
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="not found"):
@@ -164,7 +163,7 @@ class TestIngestDetections:
         write_lines(path, ['{"frame": 2.0, "x": 0, "y": 0, "w": 5, "h": 5, "score": 0.9, "category": 1.0}'])
         (frame,) = ingest_detections(path)
         assert frame.frame_index == 2
-        assert frame.detections[0].category_observation.index == 1
+        assert frame.categories.tolist() == [1]
 
     def test_earliest_bad_line_reported_whatever_its_kind(self, tmp_path):
         # Line 2 fails the table check, line 3 the per-line parse.
@@ -181,7 +180,7 @@ class TestIngestDetections:
         path = tmp_path / "dets.jsonl"
         write_lines(path, ['{"frame": 0, "x": 0, "y": 0, "w": 5, "h": 5, "score": 0.9}'])
         frames = ingest_detections(path)
-        assert frames[0].detections[0].category_observation is None
+        assert frames[0].categories.tolist() == [-1]
 
 
 class TestRoundTrip:
@@ -301,9 +300,10 @@ class TestReadGroundTruth:
     def test_whole_floats_accepted(self, tmp_path):
         path = tmp_path / "gt.jsonl"
         write_lines(path, ['{"frame": 3.0, "object_id": 2.0, "x": 0, "y": 0, "w": 5, "h": 5, "true_category": 1.0}'])
-        (obj,) = read_ground_truth(path).objects
-        assert (obj.object_id, obj.true_category.index, obj.history[0][0]) == (2, 1, 3)
-        assert type(obj.object_id) is int and type(obj.history[0][0]) is int
+        gt = read_ground_truth(path)
+        (obj,) = gt.objects
+        assert (obj.object_id, obj.true_category.index, obj.frames.tolist()) == (2, 1, [3])
+        assert type(obj.object_id) is int and gt.frames.dtype == np.int64
 
     @pytest.mark.parametrize("second_x", [5, 0])  # another box, the same line
     def test_object_twice_on_one_frame_rejected(self, tmp_path, second_x):
@@ -322,7 +322,8 @@ class TestReadGroundTruth:
             '{"frame": 1, "object_id": 1, "x": 5, "y": 0, "w": 5, "h": 5, "true_category": 1}',
         ])
         gt = read_ground_truth(path)
-        assert [f for f, _ in gt.objects[0].history] == [1, 3]
+        assert gt.frames.tolist() == [1, 3]
+        assert gt.boxes[:, 0].tolist() == [5, 15]
 
 
 class TestMotAdapter:
@@ -335,17 +336,14 @@ class TestMotAdapter:
         ])
         frames = ingest_mot(path)
         assert [f.frame_index for f in frames] == [1, 2]
-        assert len(frames[0].detections) == 2
-        det = frames[0].detections[0]
-        assert (det.box.x, det.box.y, det.box.w, det.box.h) == (10, 20, 30, 40)
-        assert det.category_observation is None
+        assert frames[0].boxes.tolist() == [[10, 20, 30, 40], [100, 20, 30, 40]]
+        assert frames[0].categories.tolist() == [-1, -1]
 
     def test_confidence_clamped(self, tmp_path):
         path = tmp_path / "dets.txt"
         write_lines(path, ["1,1,10,20,30,40,-1", "1,2,10,80,30,40,7.5"])
         frames = ingest_mot(path)
-        scores = [d.score for d in frames[0].detections]
-        assert scores == [0.0, 1.0]
+        assert frames[0].scores.tolist() == [0.0, 1.0]
 
     def test_short_line_rejected(self, tmp_path):
         path = tmp_path / "dets.txt"
@@ -548,3 +546,41 @@ class TestBlockParseMatchesPerLineReaders:
             ingest_detections(path)
             assert parse.call_count == 4
         assert len(frame.scores) == 8
+
+
+class TestBytesThatAreNotUtf8:
+    """A line holding a byte that is not UTF-8 is a bad line: an error that
+    names path:line, or a skipped line. Line numbers are those of the text
+    split, whatever the line ends."""
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    @pytest.mark.parametrize("bad_line", [
+        b'{"frame": 1, "x": 0, "y": 0, "w": 5, "h": 5, "score": 0.9, "note": "\xff"}',
+        b"\xff",
+    ])
+    def test_detection_line_rejected_or_skipped(self, tmp_path, newline, bad_line):
+        path = tmp_path / "dets.jsonl"
+        lines = [RECORD.encode(), bad_line, RECORD.replace('"frame": 0', '"frame": 2').encode()]
+        path.write_bytes(newline.join(lines) + newline)
+        with pytest.raises(InputError, match=r"dets\.jsonl:2: not valid UTF-8 \(byte 0xff\)"):
+            ingest_detections(path)
+        assert [f.frame_index for f in ingest_detections(path, skip_malformed=True)] == [0, 2]
+
+    def test_text_that_is_utf8_but_not_ascii_accepted(self, tmp_path):
+        path = tmp_path / "dets.jsonl"
+        path.write_bytes(RECORD.replace("{", '{"note": "é", ', 1).encode() + b"\n")
+        assert [f.frame_index for f in ingest_detections(path)] == [0]
+
+    def test_truth_line_rejected(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        record = b'{"frame": 0, "object_id": 1, "x": 0, "y": 0, "w": 5, "h": 5, "true_category": 0}'
+        path.write_bytes(record + b"\r\n\xc3(\r\n")
+        with pytest.raises(InputError, match=r"gt\.jsonl:2: not valid UTF-8 \(byte 0xc3\)"):
+            read_ground_truth(path)
+
+    def test_mot_line_rejected_or_skipped(self, tmp_path):
+        path = tmp_path / "dets.txt"
+        path.write_bytes(b"0,1,0,0,20,20,0.9\r1,1,0,0,20,20,0.9,\xff\r2,1,10,0,20,20,0.9\r")
+        with pytest.raises(InputError, match=r"dets\.txt:2: not valid UTF-8 \(byte 0xff\)"):
+            ingest_mot(path)
+        assert [f.frame_index for f in ingest_mot(path, skip_malformed=True)] == [0, 2]

@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from beltrack import (
     BinaryQuality,
-    BoundingBox,
     CategoryLabel,
-    Detection,
     FrameDetections,
     Track,
     TrackStatus,
@@ -19,10 +17,16 @@ from beltrack import (
     temporal_stability,
 )
 from beltrack.metrics import covering_tracks, majority_tracks, switches_in
-from beltrack.model import FRESH, ROT, xywh_array
 from beltrack.simulate import SceneGroundTruth
 
-from oracles import covering_tracks_reference, detection_map_reference
+from oracles import (
+    FRESH,
+    ROT,
+    covering_tracks_reference,
+    detection_map_reference,
+    frame_of,
+    frames_of,
+)
 
 N = BinaryQuality.NORMAL
 D = BinaryQuality.DEFECT
@@ -136,47 +140,36 @@ class TestStabilityReport:
             aggregated_report([])
 
 
-def detection_frames(entries):
-    """entries: list of (frame, x, y, w, h, score)."""
-    grouped = {}
-    for frame, x, y, w, h, score in entries:
-        grouped.setdefault(frame, []).append(Detection(frame, BoundingBox(x, y, w, h), score))
-    return [FrameDetections(f, dets) for f, dets in sorted(grouped.items())]
-
-
 class TestDetectionMap:
     def test_perfect_detector(self):
-        gt = detection_frames([(0, 0, 0, 10, 10, 1.0), (0, 50, 50, 10, 10, 1.0), (1, 0, 0, 9, 9, 1.0)])
+        gt = frames_of([(0, 0, 0, 10, 10, 1.0), (0, 50, 50, 10, 10, 1.0), (1, 0, 0, 9, 9, 1.0)])
         assert detection_map(gt, gt) == 1.0
 
     def test_false_positive_after_full_recall_keeps_ap_one(self):
-        gt = detection_frames([(0, 0, 0, 10, 10, 1.0)])
-        dets = detection_frames([(0, 0, 0, 10, 10, 0.9), (0, 80, 80, 10, 10, 0.8)])
+        gt = frames_of([(0, 0, 0, 10, 10, 1.0)])
+        dets = frames_of([(0, 0, 0, 10, 10, 0.9), (0, 80, 80, 10, 10, 0.8)])
         assert detection_map(dets, gt) == 1.0
 
     def test_missing_ground_truth_caps_recall(self):
-        gt = detection_frames([(0, 0, 0, 10, 10, 1.0), (0, 50, 50, 10, 10, 1.0)])
-        dets = detection_frames([(0, 0, 0, 10, 10, 0.9)])
+        gt = frames_of([(0, 0, 0, 10, 10, 1.0), (0, 50, 50, 10, 10, 1.0)])
+        dets = frames_of([(0, 0, 0, 10, 10, 0.9)])
         assert detection_map(dets, gt) == 0.5
 
     def test_truth_split_over_entries_for_one_frame(self):
         # Two frame-0 truth entries: both boxes count, so both detections match.
-        gt = [
-            FrameDetections(0, [Detection(0, BoundingBox(0, 0, 10, 10), 1.0)]),
-            FrameDetections(0, [Detection(0, BoundingBox(50, 50, 10, 10), 1.0)]),
-        ]
-        dets = detection_frames([(0, 0, 0, 10, 10, 0.9), (0, 50, 50, 10, 10, 0.8)])
+        gt = [frame_of(0, [(0, 0, 10, 10, 1.0)]), frame_of(0, [(50, 50, 10, 10, 1.0)])]
+        dets = frames_of([(0, 0, 0, 10, 10, 0.9), (0, 50, 50, 10, 10, 0.8)])
         assert detection_map(dets, gt) == 1.0
         assert detection_map_reference(dets, gt) == 1.0
 
     def test_no_ground_truth_rejected(self):
-        dets = detection_frames([(0, 0, 0, 10, 10, 0.9)])
+        dets = frames_of([(0, 0, 0, 10, 10, 0.9)])
         with pytest.raises(ValueError):
             detection_map(dets, [])
 
     def test_low_scoring_fp_before_tp_lowers_ap(self):
-        gt = detection_frames([(0, 0, 0, 10, 10, 1.0)])
-        dets = detection_frames([(0, 0, 0, 10, 10, 0.5), (0, 80, 80, 10, 10, 0.9)])
+        gt = frames_of([(0, 0, 0, 10, 10, 1.0)])
+        dets = frames_of([(0, 0, 0, 10, 10, 0.5), (0, 80, 80, 10, 10, 0.9)])
         # FP outranks the TP: precision at full recall is 0.5
         assert detection_map(dets, gt) == 0.5
 
@@ -201,40 +194,37 @@ class TestDetectionMap:
                     (int(rng.integers(3)), float(rng.uniform(100, 200)), float(rng.uniform(100, 200)),
                      10.0, 10.0, float(rng.uniform(0.1, 1.0)))
                 )
-            gt = detection_frames(gt_entries)
-            dets = detection_frames(det_entries)
+            gt = frames_of(gt_entries)
+            dets = frames_of(det_entries)
             baseline = detection_map(dets, gt)
             for transform in (lambda s: s**2, lambda s: s**0.5, lambda s: 0.25 + s / 2):
                 rescaled = [
-                    FrameDetections(
-                        f.frame_index,
-                        [Detection(d.frame_index, d.box, transform(d.score), None) for d in f.detections],
-                    )
-                    for f in dets
+                    FrameDetections(f.frame_index, f.boxes, transform(f.scores)) for f in dets
                 ]
                 assert detection_map(rescaled, gt) == pytest.approx(baseline, abs=1e-12)
 
 
 def simple_track(track_id, boxes, status=TrackStatus.ACTIVE):
-    """An unlabeled track that matched the given (frame, box) pairs, in frame order."""
+    """An unlabeled track that matched the given (frame, (x, y, w, h)) pairs,
+    in frame order."""
     return Track(
         id=track_id, state=None, status=status,
         last_update_frame=max((f for f, _ in boxes), default=0), hit_count=len(boxes),
         frames=np.array([f for f, _ in boxes], dtype=np.int64),
-        boxes=xywh_array([box for _, box in boxes]),
+        boxes=np.array([box for _, box in boxes], dtype=float).reshape(-1, 4),
         categories=np.full(len(boxes), -1, dtype=np.int64),
     )
 
 
 def truth_of(*objects):
-    """Ground truth from (object id, category, [(frame, box), ...]) triples,
-    each object's pairs in frame order."""
+    """Ground truth from (object id, category, [(frame, (x, y, w, h)), ...])
+    triples, each object's pairs in frame order."""
     return SceneGroundTruth(
         [object_id for object_id, _, _ in objects],
         [category.index for _, category, _ in objects],
         [len(pairs) for _, _, pairs in objects],
         [frame for _, _, pairs in objects for frame, _ in pairs],
-        xywh_array([box for _, _, pairs in objects for _, box in pairs]),
+        np.array([box for _, _, pairs in objects for _, box in pairs], dtype=float).reshape(-1, 4),
     )
 
 
@@ -244,33 +234,33 @@ def single_object_gt(boxes, category=FRESH):
 
 class TestCountIdSwitches:
     def test_perfect_coverage_no_switches(self):
-        boxes = [(t, BoundingBox(5.0 * t, 0, 20, 20)) for t in range(10)]
+        boxes = [(t, (5.0 * t, 0, 20, 20)) for t in range(10)]
         gt = single_object_gt(boxes)
         assert switches_in(covering_tracks([simple_track(1, boxes)], gt)) == 0
 
     def test_identity_handoff_counts_once(self):
-        boxes = [(t, BoundingBox(5.0 * t, 0, 20, 20)) for t in range(10)]
+        boxes = [(t, (5.0 * t, 0, 20, 20)) for t in range(10)]
         gt = single_object_gt(boxes)
         tracks = [simple_track(1, boxes[:5]), simple_track(2, boxes[5:])]
         assert switches_in(covering_tracks(tracks, gt)) == 1
 
     def test_coverage_gap_is_not_a_switch(self):
-        boxes = [(t, BoundingBox(5.0 * t, 0, 20, 20)) for t in range(10)]
+        boxes = [(t, (5.0 * t, 0, 20, 20)) for t in range(10)]
         gt = single_object_gt(boxes)
         tracks = [simple_track(1, boxes[:4] + boxes[6:])]
         assert switches_in(covering_tracks(tracks, gt)) == 0
 
     def test_low_overlap_tracks_ignored(self):
-        boxes = [(t, BoundingBox(5.0 * t, 0, 20, 20)) for t in range(6)]
+        boxes = [(t, (5.0 * t, 0, 20, 20)) for t in range(6)]
         gt = single_object_gt(boxes)
-        far = [(t, BoundingBox(500.0, 500.0, 20, 20)) for t in range(6)]
+        far = [(t, (500.0, 500.0, 20, 20)) for t in range(6)]
         tracks = [simple_track(1, boxes), simple_track(2, far)]
         assert switches_in(covering_tracks(tracks, gt)) == 0
 
 
 class TestMajorityTracks:
     def test_most_frames_wins_and_ties_take_lowest_id(self):
-        boxes = [(t, BoundingBox(5.0 * t, 0, 20, 20)) for t in range(6)]
+        boxes = [(t, (5.0 * t, 0, 20, 20)) for t in range(6)]
         gt = single_object_gt(boxes)
         handoff = [simple_track(2, boxes[:3]), simple_track(1, boxes[3:])]
         assert majority_tracks(covering_tracks(handoff, gt)) == {1: 1}
@@ -278,8 +268,8 @@ class TestMajorityTracks:
         assert majority_tracks(covering_tracks(uneven, gt)) == {1: 2}
 
     def test_uncovered_object_left_out(self):
-        boxes = [(t, BoundingBox(5.0 * t, 0, 20, 20)) for t in range(6)]
-        far = [(t, BoundingBox(500.0, 500.0, 20, 20)) for t in range(6)]
+        boxes = [(t, (5.0 * t, 0, 20, 20)) for t in range(6)]
+        far = [(t, (500.0, 500.0, 20, 20)) for t in range(6)]
         coverage = covering_tracks([simple_track(1, far)], single_object_gt(boxes))
         assert coverage == {}
         assert majority_tracks(coverage) == {}
@@ -287,12 +277,11 @@ class TestMajorityTracks:
 
 # Boxes on a coarse grid with two sizes, so identical boxes (equal-overlap
 # ties) and partial overlaps both come up often.
-grid_boxes = st.builds(
-    BoundingBox,
-    x=st.integers(0, 6).map(lambda v: 5.0 * v),
-    y=st.integers(0, 2).map(lambda v: 5.0 * v),
-    w=st.sampled_from([10.0, 20.0]),
-    h=st.sampled_from([10.0, 20.0]),
+grid_boxes = st.tuples(
+    st.integers(0, 6).map(lambda v: 5.0 * v),
+    st.integers(0, 2).map(lambda v: 5.0 * v),
+    st.sampled_from([10.0, 20.0]),
+    st.sampled_from([10.0, 20.0]),
 )
 frames_and_boxes = st.lists(st.tuples(st.integers(0, 3), grid_boxes), max_size=8)
 thresholds = st.sampled_from([0.0, 0.3, 0.5, 1.0])
@@ -337,13 +326,9 @@ class TestOverlapKernelMatchesScalarLoops:
     def test_detection_map(self, dets, truth, threshold):
         # a frame may come in more than one FrameDetections entry, in both
         det_frames = [
-            FrameDetections(frame, [Detection(frame, box, score) for box, score in entries])
-            for frame, entries in dets
+            frame_of(frame, [(*box, score) for box, score in entries]) for frame, entries in dets
         ]
-        gt_frames = [
-            FrameDetections(frame, [Detection(frame, box, 1.0) for box in boxes])
-            for frame, boxes in truth
-        ]
+        gt_frames = [frame_of(frame, [(*box, 1.0) for box in boxes]) for frame, boxes in truth]
         if not any(boxes for _, boxes in truth):
             with pytest.raises(ValueError):
                 detection_map(det_frames, gt_frames, threshold)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,21 +10,24 @@ from beltrack import (
     CategoryLabel,
     Detection,
     FrameDetections,
-    iou,
+    kf_initiate,
     to_binary,
 )
-from beltrack.model import (
-    BRUISE,
-    FRESH,
-    ROT,
-    SCAB,
-    corners,
-    iou_matrix,
-    split_frames,
-    xywh_array,
-)
+from beltrack.model import corners, iou_matrix, split_frames
 
-from oracles import pixel_iou
+from oracles import BRUISE, FRESH, ROT, SCAB, frame_of, iou, pixel_iou
+
+
+def boxes_iou(rows, cols):
+    """``iou_matrix`` of two lists of (x, y, w, h) boxes."""
+    return iou_matrix(
+        corners(np.array(rows, dtype=float).reshape(-1, 4)),
+        corners(np.array(cols, dtype=float).reshape(-1, 4)),
+    )
+
+
+def pair_iou(a, b):
+    return float(boxes_iou([a], [b])[0, 0])
 
 
 class TestBoundingBox:
@@ -56,55 +60,46 @@ class TestBoundingBox:
             BoundingBox(0, 0, 1e-300, 1e300)
 
     def test_center_and_edges(self):
-        box = BoundingBox(10, 10, 4, 8)
-        assert (box.cx, box.cy) == (12, 14)
-        assert (box.right, box.bottom) == (14, 18)
+        box = np.array([10.0, 10.0, 4.0, 8.0])
+        assert kf_initiate(box).mean[:2].tolist() == [12, 14]
+        assert corners(box[None]).ravel().tolist() == [10, 10, 14, 18]
 
 
 class TestIou:
     def test_identical_boxes(self):
-        box = BoundingBox(0, 0, 2, 2)
-        assert iou(box, box) == 1.0
+        assert pair_iou((0, 0, 2, 2), (0, 0, 2, 2)) == 1.0
 
     def test_disjoint_boxes(self):
-        assert iou(BoundingBox(0, 0, 1, 1), BoundingBox(5, 5, 1, 1)) == 0.0
+        assert pair_iou((0, 0, 1, 1), (5, 5, 1, 1)) == 0.0
 
     def test_partial_overlap(self):
         # intersection 1x2=2, union 4+4-2=6
-        value = iou(BoundingBox(0, 0, 2, 2), BoundingBox(1, 0, 2, 2))
-        assert value == pytest.approx(1 / 3, abs=1e-12)
+        assert pair_iou((0, 0, 2, 2), (1, 0, 2, 2)) == pytest.approx(1 / 3, abs=1e-12)
 
     def test_touching_edges_count_as_disjoint(self):
-        assert iou(BoundingBox(0, 0, 1, 1), BoundingBox(1, 0, 1, 1)) == 0.0
+        assert pair_iou((0, 0, 1, 1), (1, 0, 1, 1)) == 0.0
 
     def test_symmetry_and_range_on_random_boxes(self):
         rng = np.random.default_rng(7)
-        for _ in range(500):
-            a = BoundingBox(*rng.uniform(-50, 50, 2), *rng.uniform(0.5, 40, 2))
-            b = BoundingBox(*rng.uniform(-50, 50, 2), *rng.uniform(0.5, 40, 2))
-            ab = iou(a, b)
-            assert ab == iou(b, a)
-            assert 0.0 <= ab <= 1.0
-            assert iou(a, a) == 1.0
+        rows = np.column_stack([rng.uniform(-50, 50, (500, 2)), rng.uniform(0.5, 40, (500, 2))])
+        cols = np.column_stack([rng.uniform(-50, 50, (500, 2)), rng.uniform(0.5, 40, (500, 2))])
+        matrix = boxes_iou(rows, cols)
+        assert np.array_equal(matrix, boxes_iou(cols, rows).T)
+        assert ((matrix >= 0.0) & (matrix <= 1.0)).all()
+        assert (np.diag(boxes_iou(rows, rows)) == 1.0).all()
 
     def test_matches_pixel_counting_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(1000):
-            a = BoundingBox(
-                int(rng.integers(0, 65)), int(rng.integers(0, 65)),
-                int(rng.integers(1, 65)), int(rng.integers(1, 65)),
-            )
-            b = BoundingBox(
-                int(rng.integers(0, 65)), int(rng.integers(0, 65)),
-                int(rng.integers(1, 65)), int(rng.integers(1, 65)),
-            )
-            assert iou(a, b) == pytest.approx(pixel_iou(a, b), abs=1e-12)
+            a = (*rng.integers(0, 65, 2).tolist(), *rng.integers(1, 65, 2).tolist())
+            b = (*rng.integers(0, 65, 2).tolist(), *rng.integers(1, 65, 2).tolist())
+            assert pair_iou(a, b) == pytest.approx(pixel_iou(a, b), abs=1e-12)
 
     def test_iou_matrix_agrees_with_scalar(self):
         rng = np.random.default_rng(3)
-        rows = [BoundingBox(*rng.uniform(0, 30, 2), *rng.uniform(1, 20, 2)) for _ in range(5)]
-        cols = [BoundingBox(*rng.uniform(0, 30, 2), *rng.uniform(1, 20, 2)) for _ in range(7)]
-        matrix = iou_matrix(corners(xywh_array(rows)), corners(xywh_array(cols)))
+        rows = [(*rng.uniform(0, 30, 2), *rng.uniform(1, 20, 2)) for _ in range(5)]
+        cols = [(*rng.uniform(0, 30, 2), *rng.uniform(1, 20, 2)) for _ in range(7)]
+        matrix = boxes_iou(rows, cols)
         for i, a in enumerate(rows):
             for j, b in enumerate(cols):
                 assert matrix[i, j] == pytest.approx(iou(a, b), abs=1e-12)
@@ -115,22 +110,20 @@ class TestIou:
     ])
     def test_iou_matrix_scores_boxes_without_a_float_area_zero(self, box):
         # The union of two such boxes is 0, and 0/0 would be nan.
-        boxes = corners(xywh_array([BoundingBox(*box)] * 2))
-        assert iou_matrix(boxes, boxes).tolist() == [[0.0, 0.0], [0.0, 0.0]]
-        assert iou(BoundingBox(*box), BoundingBox(*box)) == 0.0
+        BoundingBox(*box)  # a box the package accepts
+        assert boxes_iou([box] * 2, [box] * 2).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert iou(box, box) == 0.0
 
     def test_box_with_the_largest_float_areas_overlaps_itself_fully(self):
         # Two areas of 1.5e308 sum past the float range: the union is formed
         # over halved areas, so it stays finite.
-        box = BoundingBox(0, 0, 1e154, 1.5e154)
-        boxes = corners(xywh_array([box]))
+        box = (0, 0, 1e154, 1.5e154)
         assert iou(box, box) == 1.0
-        assert iou_matrix(boxes, boxes).tolist() == [[1.0]]
+        assert boxes_iou([box], [box]).tolist() == [[1.0]]
 
     def test_iou_matrix_empty(self):
-        empty = corners(xywh_array([]))
-        assert iou_matrix(empty, empty).shape == (0, 0)
-        assert iou_matrix(corners(xywh_array([BoundingBox(0, 0, 1, 1)])), empty).shape == (1, 0)
+        assert boxes_iou([], []).shape == (0, 0)
+        assert boxes_iou([(0, 0, 1, 1)], []).shape == (1, 0)
 
 
 class TestCategories:
@@ -158,18 +151,17 @@ class TestCategories:
 
 class TestDetection:
     def test_score_range_enforced(self):
-        box = BoundingBox(0, 0, 1, 1)
-        with pytest.raises(ValueError):
-            Detection(0, box, 1.5)
-        with pytest.raises(ValueError):
-            Detection(0, box, -0.1)
+        for score in (1.5, -0.1):
+            with pytest.raises(ValueError, match=f"score must be in \\[0, 1\\], got {score}"):
+                frame_of(0, [(0, 0, 1, 1, score)])
 
     def test_negative_frame_rejected(self):
-        with pytest.raises(ValueError):
-            Detection(-1, BoundingBox(0, 0, 1, 1), 0.5)
+        with pytest.raises(ValueError, match="frame_index must be >= 0, got -1"):
+            frame_of(-1, [(0, 0, 1, 1, 0.5)])
 
     def test_frame_columns_are_read_only(self):
-        frame = FrameDetections(0, [Detection(0, BoundingBox(0, 0, 1, 1), 0.5, ROT)])
+        boxes = np.array([[0.0, 0.0, 1.0, 1.0]])
+        frame = FrameDetections(0, boxes, [0.5], [2])
         assert frame.boxes.tolist() == [[0.0, 0.0, 1.0, 1.0]]
         assert frame.scores.tolist() == [0.5]
         assert frame.categories.tolist() == [2]
@@ -177,27 +169,28 @@ class TestDetection:
             frame.boxes[0, 0] = 9.0
         with pytest.raises(AttributeError):
             frame.scores = np.zeros(1)
+        boxes[0, 0] = 9.0  # the frame holds a copy, and the input stays writeable
+        assert frame.boxes[0, 0] == 0.0
 
     def test_frame_rejects_mixed_category_counts(self):
-        box = BoundingBox(0, 0, 1, 1)
-        with pytest.raises(ValueError, match="mixes category counts"):
-            FrameDetections(0, [Detection(0, box, 0.5, ROT), Detection(0, box, 0.5, CategoryLabel(1, 6))])
+        # One count holds for the frame: a label of a larger set is rejected
+        # with the words of CategoryLabel.
+        with pytest.raises(ValueError, match=re.escape("category index 5 out of range [0, 4)")):
+            frame_of(0, [(0, 0, 1, 1, 0.5, 2), (0, 0, 1, 1, 0.5, 5)])
+        assert frame_of(0, [(0, 0, 1, 1, 0.5, 5)], num_categories=6).categories.tolist() == [5]
 
     def test_category_count_only_matters_where_a_row_has_a_label(self):
-        box = BoundingBox(0, 0, 1, 1)
-        unlabeled = FrameDetections(0, [Detection(0, box, 0.5)])
+        unlabeled = frame_of(0, [(0, 0, 1, 1, 0.5)])
         assert unlabeled.num_categories == 4
         assert split_frames(
             np.zeros(1, dtype=np.int64), unlabeled.boxes, unlabeled.scores,
             unlabeled.categories, 6,
         ) == [unlabeled]
-        assert FrameDetections(0, [Detection(0, box, 0.5, CategoryLabel(1, 6))]) != FrameDetections(
-            0, [Detection(0, box, 0.5, CategoryLabel(1, 4))]
-        )
+        assert frame_of(0, [(0, 0, 1, 1, 0.5, 1)], 6) != frame_of(0, [(0, 0, 1, 1, 0.5, 1)], 4)
 
     def test_frame_detections_requires_consistent_frames(self):
-        det = Detection(3, BoundingBox(0, 0, 1, 1), 0.5)
-        with pytest.raises(ValueError):
-            FrameDetections(4, [det])
-        frame = FrameDetections(3, [det])
-        assert frame.detections == (det,)
+        # The rows carry the frame's index.
+        frame = frame_of(3, [(0, 0, 1, 1, 0.5)])
+        assert frame.detections == (Detection(3, BoundingBox(0, 0, 1, 1), 0.5),)
+        with pytest.raises(ValueError, match="a score and a category per row"):
+            FrameDetections(3, np.zeros((2, 4)), [0.5])

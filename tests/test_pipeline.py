@@ -3,6 +3,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +11,7 @@ from hypothesis import strategies as st
 from beltrack import (
     AggregationConfig,
     ByteTracker,
-    CategoryLabel,
     ConfigError,
-    Detection,
     FrameDetections,
     SimConfig,
     TrackerConfig,
@@ -21,9 +20,10 @@ from beltrack import (
     run_stream,
 )
 from beltrack.io import ingest_detections, read_ground_truth, write_detections
-from beltrack.model import BoundingBox, FRESH
 from beltrack.pipeline import PipelineRun, simulate_to_files
 from beltrack.simulate import generate_scene
+
+from oracles import FRESH, frame_of
 
 
 def clean_scene(**overrides):
@@ -88,7 +88,9 @@ class TestTrackingIndependentOfAggregation:
         tracks = run_stream(frames)
         result = run_pipeline(PipelineRun(sim_config=config))
         assert [t.id for t in result.tracks] == [t.id for t in tracks]
-        assert [tuple(t.history) for t in result.tracks] == [tuple(t.history) for t in tracks]
+        for got, want in zip(result.tracks, tracks):
+            assert np.array_equal(got.frames, want.frames)
+            assert np.array_equal(got.boxes, want.boxes)
         assert result.report_frame_wise.n_total_tracks == result.report_aggregated.n_total_tracks
 
 
@@ -109,18 +111,18 @@ class TestStabilityGranularityOption:
 class TestOutOfOrderFrames:
     def test_sorted_with_warning(self, caplog):
         frames = [
-            FrameDetections(1, [Detection(1, BoundingBox(5, 0, 20, 20), 0.9, FRESH)]),
-            FrameDetections(0, [Detection(0, BoundingBox(0, 0, 20, 20), 0.9, FRESH)]),
+            frame_of(1, [(5, 0, 20, 20, 0.9, FRESH)]),
+            frame_of(0, [(0, 0, 20, 20, 0.9, FRESH)]),
         ]
         with caplog.at_level("WARNING"):
             tracks = run_stream(frames)
         assert "out of order" in caplog.text
         assert len(tracks) == 1
-        assert [f for f, _ in tracks[0].history] == [0, 1]
+        assert tracks[0].frames.tolist() == [0, 1]
 
     def test_repeated_frame_rejected(self):
         frames = [
-            FrameDetections(t, [Detection(t, BoundingBox(5.0 * t, 0, 20, 20), 0.9, FRESH)])
+            frame_of(t, [(5.0 * t, 0, 20, 20, 0.9, FRESH)])
             for t in (0, 1, 1)
         ]
         with pytest.raises(ValueError, match="frame 1 appears more than once"):
@@ -130,7 +132,7 @@ class TestOutOfOrderFrames:
 class TestUnlabeledTracks:
     def test_tracks_without_labels_are_counted_not_judged(self, tmp_path):
         frames = [
-            FrameDetections(t, [Detection(t, BoundingBox(5.0 * t, 0, 20, 20), 0.9, None)])
+            frame_of(t, [(5.0 * t, 0, 20, 20, 0.9, None)])
             for t in range(5)
         ]
         path = tmp_path / "dets.jsonl"
@@ -146,7 +148,7 @@ class TestGapsInStream:
         # detections at frames 0..2 and 40..42; default max_frames_lost=30
         # means the reappearance becomes a second track
         frames = [
-            FrameDetections(t, [Detection(t, BoundingBox(2.0 * t, 0, 20, 20), 0.9, FRESH)])
+            frame_of(t, [(2.0 * t, 0, 20, 20, 0.9, FRESH)])
             for t in (0, 1, 2, 40, 41, 42)
         ]
         tracks = run_stream(frames)
@@ -154,13 +156,13 @@ class TestGapsInStream:
 
     def test_gap_to_frame_2_62_takes_no_time(self):
         frames = [
-            FrameDetections(t, [Detection(t, BoundingBox(5.0, 0, 20, 20), 0.9, FRESH)])
+            frame_of(t, [(5.0, 0, 20, 20, 0.9, FRESH)])
             for t in (0, 1, 2**62)
         ]
         start = time.perf_counter()
         tracks = run_stream(frames)
         assert time.perf_counter() - start < 0.5
-        assert [[f for f, _ in tr.history] for tr in tracks] == [[0, 1], [2**62]]
+        assert [tr.frames.tolist() for tr in tracks] == [[0, 1], [2**62]]
 
     @pytest.mark.parametrize("max_frames_lost", [1, 30, 98, 99, 100])
     def test_long_gap_tracks_as_stepping_every_frame(self, max_frames_lost):
@@ -180,8 +182,9 @@ class TestGapsInStream:
 
         def facts(tracks):
             return [
-                (tr.id, tr.status, tr.last_update_frame, tr.hit_count, tr.history,
-                 tr.predictions, tr.state.mean.tolist(), tr.state.blocks.tolist())
+                (tr.id, tr.status, tr.last_update_frame, tr.hit_count, tr.frames.tolist(),
+                 tr.boxes.tolist(), tr.categories.tolist(), tr.state.mean.tolist(),
+                 tr.state.blocks.tolist())
                 for tr in tracks
             ]
 
@@ -236,7 +239,7 @@ class TestEvaluateAgainstTruth:
         # jitter moves lane 1's first spawn to frame -3; truth starts at 0
         config = SimConfig(seed=0, n_lanes=2, spawn_jitter_frames=3, n_objects_per_lane=5)
         gt, frames = generate_scene(config)
-        assert min(frame for obj in gt.objects for frame, _ in obj.history) == 0
+        assert gt.frames.min() == 0
         evaluation = evaluate_against_truth(frames, gt)
         assert evaluation.n_objects == 10
         assert evaluation.n_unmatched_objects == 0
@@ -290,8 +293,8 @@ def write_label_stream(path, *label_sequences):
     """One stationary, always-detected box per sequence, each in its own lane,
     carrying category ``sequence[t]`` on frame t."""
     frames = [
-        FrameDetections(t, [
-            Detection(t, BoundingBox(10.0, 60.0 * lane, 20.0, 20.0), 0.9, CategoryLabel(labels[t]))
+        frame_of(t, [
+            (10.0, 60.0 * lane, 20.0, 20.0, 0.9, labels[t])
             for lane, labels in enumerate(label_sequences)
             if t < len(labels)
         ])

@@ -9,14 +9,37 @@ from beltrack.simulate import SimConfig, generate_scene
 
 
 def stream_fingerprint(gt, frames):
-    parts = []
-    for obj in gt.objects:
-        parts.append((obj.object_id, obj.true_category.index, tuple(obj.history)))
+    parts = [gt.object_ids.tolist(), gt.categories.tolist(), gt.counts.tolist()]
+    parts += [gt.frames.tolist(), gt.boxes.tolist()]
     for frame in frames:
-        for det in frame.detections:
-            label = None if det.category_observation is None else det.category_observation.index
-            parts.append((det.frame_index, det.box, det.score, label))
-    return tuple(parts)
+        parts.append((
+            frame.frame_index, frame.boxes.tolist(), frame.scores.tolist(),
+            frame.categories.tolist(),
+        ))
+    return parts
+
+
+def truth_rows(gt):
+    """(object, frame, (x, y, w, h)) of every truth row."""
+    return [
+        (obj, f, tuple(box))
+        for obj in gt.objects
+        for f, box in zip(obj.frames.tolist(), obj.boxes.tolist())
+    ]
+
+
+def detection_rows(frames):
+    """(frame, (x, y, w, h), category) of every detection."""
+    return [
+        (frame.frame_index, tuple(box), category)
+        for frame in frames
+        for box, category in zip(frame.boxes.tolist(), frame.categories.tolist())
+    ]
+
+
+def center(box):
+    x, y, w, h = box
+    return x + w / 2.0, y + h / 2.0
 
 
 class TestNoiselessScene:
@@ -28,13 +51,12 @@ class TestNoiselessScene:
     def test_detections_equal_ground_truth(self):
         gt, frames = generate_scene(self.CONFIG)
         obj = gt.objects[0]
-        truth = dict(obj.history)
+        truth = {f: box for _, f, box in truth_rows(gt)}
         seen = {}
         for frame in frames:
-            assert len(frame.detections) == 1
-            det = frame.detections[0]
-            assert det.category_observation == obj.true_category
-            seen[frame.frame_index] = det.box
+            assert len(frame.scores) == 1
+            assert frame.categories.tolist() == [obj.true_category.index]
+            seen[frame.frame_index] = tuple(frame.boxes[0].tolist())
         assert seen == truth
 
     def test_lifetime_from_crossing_geometry(self):
@@ -46,11 +68,11 @@ class TestNoiselessScene:
 
     def test_centers_advance_exactly_belt_velocity(self):
         gt, _ = generate_scene(self.CONFIG)
-        boxes = gt.objects[0].history
-        for (f0, b0), (f1, b1) in zip(boxes, boxes[1:]):
-            assert f1 == f0 + 1
-            assert b1.cx - b0.cx == pytest.approx(5.0, abs=1e-12)
-            assert b1.cy == b0.cy
+        obj = gt.objects[0]
+        assert (np.diff(obj.frames) == 1).all()
+        x, y, w, h = obj.boxes.T
+        assert np.allclose(np.diff(x + w / 2.0), 5.0, rtol=0.0, atol=1e-12)
+        assert (y + h / 2.0 == y[0] + h[0] / 2.0).all()
 
 
 class TestDeterminism:
@@ -88,20 +110,17 @@ class TestLabelNoise:
             detection_dropout_prob=0.2, bbox_jitter_std=1.0, label_flip_prob=0.0,
         )
         gt, frames = generate_scene(config)
-        by_id = {obj.object_id: obj for obj in gt.objects}
-        true_box = {
-            (obj.object_id, f): box for obj in gt.objects for f, box in obj.history
-        }
-        for frame in frames:
-            for det in frame.detections:
-                # identify the source object by its lane center
-                candidates = [
-                    oid for (oid, f), box in true_box.items()
-                    if f == frame.frame_index and abs(box.cy - det.box.cy) < 40
-                    and abs(box.cx - det.box.cx) < 10
-                ]
-                assert len(candidates) == 1
-                assert det.category_observation == by_id[candidates[0]].true_category
+        truth = truth_rows(gt)
+        for t, box, category in detection_rows(frames):
+            # identify the source object by its lane center
+            cx, cy = center(box)
+            candidates = [
+                obj for obj, f, true_box in truth
+                if f == t and abs(center(true_box)[1] - cy) < 40
+                and abs(center(true_box)[0] - cx) < 10
+            ]
+            assert len(candidates) == 1
+            assert category == candidates[0].true_category.index
 
     def test_flip_rate_concentrates_around_q(self):
         config = SimConfig(
@@ -110,16 +129,13 @@ class TestLabelNoise:
         )
         gt, frames = generate_scene(config)
         # no jitter in this config, so detections carry exact truth positions
-        true_cat = {}
-        for obj in gt.objects:
-            for f, box in obj.history:
-                true_cat[(f, box.x, box.cy)] = obj.true_category
+        true_cat = {
+            (f, box[0], center(box)[1]): obj.true_category.index for obj, f, box in truth_rows(gt)
+        }
         flips = total = 0
-        for frame in frames:
-            for det in frame.detections:
-                truth = true_cat[(det.frame_index, det.box.x, det.box.cy)]
-                total += 1
-                flips += det.category_observation != truth
+        for t, box, category in detection_rows(frames):
+            total += 1
+            flips += category != true_cat[(t, box[0], center(box)[1])]
         assert total > 500
         assert flips / total == pytest.approx(0.3, abs=0.05)
 
@@ -146,14 +162,13 @@ class TestLaneSeparation:
         )
         gt, _ = generate_scene(config)
         by_frame = {}
-        for obj in gt.objects:
-            for f, box in obj.history:
-                by_frame.setdefault(f, []).append(box)
+        for _, f, box in truth_rows(gt):
+            by_frame.setdefault(f, []).append(box)
         for boxes in by_frame.values():
-            for i, a in enumerate(boxes):
-                for b in boxes[i + 1 :]:
-                    if a.cy == b.cy:  # same lane
-                        assert a.x + a.w <= b.x or b.x + b.w <= a.x
+            for i, (ax, ay, aw, ah) in enumerate(boxes):
+                for bx, by, bw, bh in boxes[i + 1 :]:
+                    if ay + ah / 2.0 == by + bh / 2.0:  # same lane
+                        assert ax + aw <= bx or bx + bw <= ax
 
 
 class TestSceneStatistics:

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 import beltrack.tracker as tracker_module
 from beltrack import (
-    BoundingBox,
     ByteTracker,
     ConfigError,
-    Detection,
     FrameDetections,
     KalmanState,
     TrackerConfig,
@@ -19,26 +17,30 @@ from beltrack import (
     kf_initiate,
     kf_predict,
     kf_update,
-    state_to_box,
 )
 from beltrack.io import ingest_detections
-from beltrack.model import FRESH, ROT, CategoryLabel, split_frames, xywh_array
+from beltrack.model import split_frames
 from beltrack.pipeline import run_stream
 from beltrack.simulate import SimConfig, generate_scene
 
-from oracles import dense_covariance, kf_predict_reference, kf_update_reference
+from oracles import (
+    FRESH,
+    ROT,
+    decoded_box,
+    dense_covariance,
+    frame_of,
+    kf_predict_reference,
+    kf_update_reference,
+)
 
 
 def moving_box(t, *, x0=0.0, y0=50.0, velocity=5.0, size=32.0):
-    return BoundingBox(x0 + velocity * t, y0, size, size)
+    return (x0 + velocity * t, y0, size, size)
 
 
 def frame_with(t, *boxes_scores):
-    dets = [
-        Detection(t, box, score, label)
-        for box, score, label in boxes_scores
-    ]
-    return FrameDetections(t, dets)
+    """A frame from (box, score, label) entries, each box (x, y, w, h)."""
+    return frame_of(t, [(*box, score, label) for box, score, label in boxes_scores])
 
 
 class TestLifecycleBasics:
@@ -57,8 +59,7 @@ class TestLifecycleBasics:
         tracks = tracker.finalize()
         assert len(tracks) == 1
         assert tracks[0].id == 1
-        assert len(tracks[0].history) == 10
-        assert [f for f, _ in tracks[0].history] == list(range(10))
+        assert tracks[0].frames.tolist() == list(range(10))
 
     def test_two_lanes_two_tracks_in_spawn_order(self):
         tracker = ByteTracker()
@@ -71,7 +72,7 @@ class TestLifecycleBasics:
             tracker.step(frame)
         tracks = tracker.finalize()
         assert [tr.id for tr in tracks] == [1, 2]
-        assert all(len(tr.history) == 8 for tr in tracks)
+        assert all(len(tr.frames) == 8 for tr in tracks)
 
     def test_out_of_order_frame_rejected(self):
         tracker = ByteTracker()
@@ -91,17 +92,17 @@ class TestLifecycleBasics:
         config = TrackerConfig(max_frames_lost=1)
         tracker = ByteTracker(config)
         # object appears, vanishes long enough to be removed, reappears far away
-        tracker.step(frame_with(0, (BoundingBox(0, 0, 20, 20), 0.9, None)))
+        tracker.step(frame_with(0, ((0, 0, 20, 20), 0.9, None)))
         for t in range(1, 5):
             tracker.step(FrameDetections(t))
-        tracker.step(frame_with(5, (BoundingBox(200, 200, 20, 20), 0.9, None)))
+        tracker.step(frame_with(5, ((200, 200, 20, 20), 0.9, None)))
         tracks = tracker.finalize()
         assert [tr.id for tr in tracks] == [1, 2]
 
     def test_lost_track_expires_into_removed(self):
         config = TrackerConfig(max_frames_lost=2)
         tracker = ByteTracker(config)
-        tracker.step(frame_with(0, (BoundingBox(0, 0, 20, 20), 0.9, None)))
+        tracker.step(frame_with(0, ((0, 0, 20, 20), 0.9, None)))
         removed = []
         for t in range(1, 6):
             out = tracker.step(FrameDetections(t))
@@ -118,7 +119,7 @@ class TestDivergence:
         tracker = ByteTracker()
         for t in range(6):
             size = 60.0 - 8.0 * t
-            tracker.step(frame_with(t, (BoundingBox(100.0, 100.0, size, size), 0.9, FRESH)))
+            tracker.step(frame_with(t, ((100.0, 100.0, size, size), 0.9, FRESH)))
         removed, removed_state = [], None
         for t in range(6, 20):
             out = tracker.step(FrameDetections(t))
@@ -132,7 +133,7 @@ class TestDivergence:
         (track,) = tracker.finalize()
         assert track.state is removed_state  # never predicted after removal
         assert track.status is TrackStatus.REMOVED
-        assert [f for f, _ in track.history] == list(range(6))
+        assert track.frames.tolist() == list(range(6))
 
     def test_non_finite_filter_is_removed_as_diverged(self):
         # A filter gone nan encodes no box: it is removed on its own instead
@@ -158,7 +159,7 @@ class TestDivergence:
         # underflows to 0, the gain is 0/0 and the update leaves nan. That
         # track is removed on its own, and the rest of the frame runs as usual.
         tracker = ByteTracker()
-        flat = BoundingBox(0.0, 0.0, 1.0, 1e-170)
+        flat = (0.0, 0.0, 1.0, 1e-170)
         for t in range(2):
             out = tracker.step(
                 frame_with(t, (flat, 0.9, FRESH), (moving_box(t, y0=200.0), 0.9, FRESH))
@@ -169,9 +170,9 @@ class TestDivergence:
         assert flat_track.status is TrackStatus.REMOVED
         # The update that left no box does not count as a hit.
         assert (flat_track.hit_count, flat_track.last_update_frame) == (1, 0)
-        assert flat_track.history == [(0, flat)]
+        assert (flat_track.frames.tolist(), flat_track.boxes.tolist()) == ([0], [list(flat)])
         assert np.isnan(flat_track.state.mean).any()
-        assert [f for f, _ in steady_track.history] == [0, 1]
+        assert steady_track.frames.tolist() == [0, 1]
 
     @pytest.mark.parametrize("height", [1e200, 1e-300])
     @pytest.mark.parametrize("n_lines", [1, 2])
@@ -188,13 +189,13 @@ class TestDivergence:
             (track,) = run_stream(ingest_detections(path))
         assert (track.id, track.hit_count, track.last_update_frame) == (1, 1, 0)
         assert track.status is (TrackStatus.ACTIVE if n_lines == 1 else TrackStatus.REMOVED)
-        assert track.history == [(0, BoundingBox(0.0, 0.0, 1.0, height))]
+        assert (track.frames.tolist(), track.boxes.tolist()) == ([0], [[0.0, 0.0, 1.0, height]])
 
     def test_divergence_removes_one_track_of_the_batch(self):
         # Track 1 shrinks and then coasts into a negative height, as above,
         # while tracks 2 and 3 are matched on every frame of the same batch.
         def steady(t, x0):
-            return BoundingBox(x0 + 2.0 * t, 100.0, 30.0, 30.0)
+            return (x0 + 2.0 * t, 100.0, 30.0, 30.0)
 
         tracker = ByteTracker()
         diverged_at = None
@@ -202,7 +203,7 @@ class TestDivergence:
             entries = [(steady(t, 300.0), 0.9, FRESH), (steady(t, 500.0), 0.9, ROT)]
             if t < 6:
                 size = 60.0 - 8.0 * t
-                entries.insert(0, (BoundingBox(100.0, 100.0, size, size), 0.9, FRESH))
+                entries.insert(0, ((100.0, 100.0, size, size), 0.9, FRESH))
             out = tracker.step(frame_with(t, *entries))
             if out.newly_removed_track_ids:
                 assert diverged_at is None
@@ -217,14 +218,14 @@ class TestDivergence:
         assert tracks[0].state.mean[3] <= 0.0
         for track, x0 in zip(tracks[1:], (300.0, 500.0)):
             assert track.status is TrackStatus.ACTIVE
-            assert [f for f, _ in track.history] == list(range(16))
+            assert track.frames.tolist() == list(range(16))
             # The finalized state is the filter after the last update: it
-            # decodes to the last history box and equals one filter stepped
+            # decodes to the last matched box and equals one filter stepped
             # on its own through the same detections.
-            assert state_to_box(track.state) == track.history[-1][1]
-            alone = kf_initiate(steady(0, x0))
+            assert decoded_box(track.state) == track.boxes[-1].tolist()
+            alone = kf_initiate(np.array(steady(0, x0)))
             for t in range(1, 16):
-                alone = kf_update(kf_predict(alone), steady(t, x0))
+                alone = kf_update(kf_predict(alone), np.array(steady(t, x0)))
             assert np.allclose(track.state.mean, alone.mean, rtol=1e-12, atol=0.0)
             assert np.allclose(
                 dense_covariance(track.state.blocks), dense_covariance(alone.blocks),
@@ -244,8 +245,7 @@ class TestLostRecovery:
         tracks = tracker.finalize()
         assert len(tracks) == 1
         assert tracks[0].status is TrackStatus.ACTIVE
-        frames_matched = [f for f, _ in tracks[0].history]
-        assert frames_matched == [0, 1, 2, 3, 4, 5, 8, 9, 10, 11]
+        assert tracks[0].frames.tolist() == [0, 1, 2, 3, 4, 5, 8, 9, 10, 11]
 
 
 class TestByteRecovery:
@@ -274,7 +274,7 @@ class TestByteRecovery:
             tracker.step(frame)
         tracks = tracker.finalize()
         assert len(tracks) == 1
-        assert len(tracks[0].history) == 10
+        assert len(tracks[0].frames) == 10
 
     def test_without_lows_track_fragments(self):
         tracker = ByteTracker()
@@ -358,7 +358,7 @@ class TestLifecycleProperties:
         for step, detections in stream:
             t += step
             out = tracker.step(frame_with(t, *[
-                (BoundingBox(5.0 * t + offset, 60.0 * lane, 32.0, 32.0), score, FRESH)
+                ((5.0 * t + offset, 60.0 * lane, 32.0, 32.0), score, FRESH)
                 for lane, offset, score in detections
             ]))
             assert list(out.newly_removed_track_ids) == sorted(set(out.newly_removed_track_ids))
@@ -397,7 +397,8 @@ class TestPredictionRecording:
         tracker.step(frame_with(1, (moving_box(1), 0.9, None)))
         tracker.step(frame_with(2, (moving_box(2), 0.9, ROT)))
         track = tracker.finalize()[0]
-        assert track.predictions == [(0, FRESH), (2, ROT)]
+        assert track.frames[track.categories >= 0].tolist() == [0, 2]
+        assert track.labels.tolist() == [FRESH.index, ROT.index]
 
     def test_prediction_frames_subset_of_history(self):
         tracker = ByteTracker()
@@ -405,17 +406,18 @@ class TestPredictionRecording:
             label = FRESH if t % 2 == 0 else None
             tracker.step(frame_with(t, (moving_box(t), 0.9, label)))
         track = tracker.finalize()[0]
-        history_frames = {f for f, _ in track.history}
-        assert all(f in history_frames for f, _ in track.predictions)
+        assert track.frames.tolist() == list(range(6))
+        assert track.categories.tolist() == [FRESH.index, -1] * 3
 
     def test_hundred_predictions_in_frame_order(self):
-        # votes read Track.predictions directly, so the tracker alone keeps
-        # them one per matched frame in strictly increasing frame order
+        # votes read the track's category column, so the tracker alone keeps
+        # one row per matched frame in strictly increasing frame order
         tracker = ByteTracker()
         for t in range(100):
             tracker.step(frame_with(t, (moving_box(t, velocity=1.0), 0.9, FRESH)))
         track = tracker.finalize()[0]
-        assert track.predictions == [(t, FRESH) for t in range(100)]
+        assert track.frames.tolist() == list(range(100))
+        assert track.labels.tolist() == [FRESH.index] * 100
 
 
 class TestMatchTable:
@@ -434,8 +436,10 @@ class TestMatchTable:
             assert len(track.frames) == len(track.boxes) == len(track.categories)
             assert len(track.frames) == track.hit_count
             assert track.frames[-1] == track.last_update_frame
-            history_frames = {f for f, _ in track.history}
-            assert {f for f, _ in track.predictions} <= history_frames
+            # ``predictions`` gives the labeled rows.
+            assert [(f, label.index) for f, label in track.predictions] == [
+                (f, c) for f, c in zip(track.frames.tolist(), track.categories.tolist()) if c >= 0
+            ]
             # The first row is the spawn: an observed box and its label.
             spawn = by_index[int(track.frames[0])]
             (row,) = np.flatnonzero((spawn.boxes == track.boxes[0]).all(axis=1))
@@ -448,14 +452,14 @@ class TestMatchTable:
         frames = [
             frame_with(0, (moving_box(0), 0.9, ROT)),
             *split_frames(np.array([1]), np.array(box), np.array([0.9]), np.array([-1]), 6),
-            frame_with(2, (moving_box(2), 0.9, CategoryLabel(5, 6))),
+            frame_of(2, [(*moving_box(2), 0.9, 5)], num_categories=6),
         ]
         with pytest.raises(ValueError, match="frame 2 has 6 categories, earlier frames have 4"):
             run_stream(frames)
 
     def test_box_with_the_largest_float_area_keeps_one_track(self):
         # Its area doubled overflows; the overlap with itself must still be 1.
-        box = BoundingBox(0.0, 0.0, 1e154, 1.5e154)
+        box = (0.0, 0.0, 1e154, 1.5e154)
         tracks = run_stream([frame_with(t, (box, 0.9, FRESH)) for t in range(3)])
         assert [list(track.frames) for track in tracks] == [[0, 1, 2]]
 
@@ -464,12 +468,12 @@ class TestFinalize:
     def test_min_track_length_filter(self):
         config = TrackerConfig(min_track_length_report=3)
         tracker = ByteTracker(config)
-        tracker.step(frame_with(0, (BoundingBox(0, 0, 20, 20), 0.9, None)))
+        tracker.step(frame_with(0, ((0, 0, 20, 20), 0.9, None)))
         for t in range(1, 4):
-            tracker.step(frame_with(t, (BoundingBox(200, 0, 20, 20), 0.9, None)))
+            tracker.step(frame_with(t, ((200, 0, 20, 20), 0.9, None)))
         tracks = tracker.finalize()
         assert len(tracks) == 1  # the 1-frame track is filtered out
-        assert len(tracks[0].history) == 3
+        assert len(tracks[0].frames) == 3
 
     def test_live_track_state_is_a_snapshot(self):
         tracker = ByteTracker()
@@ -498,9 +502,22 @@ class TestDeterminism:
         for _ in range(2):
             tracks = run_stream(frames)
             runs.append(
-                [(tr.id, tuple(tr.history), tuple(tr.predictions), tr.status) for tr in tracks]
+                [
+                    (tr.id, tr.status, tr.frames.tolist(), tr.boxes.tolist(),
+                     tr.categories.tolist())
+                    for tr in tracks
+                ]
             )
         assert runs[0] == runs[1]
+
+
+def confident(frame):
+    """The frame's detections that score at least 0.6."""
+    keep = frame.scores >= 0.6
+    return FrameDetections(
+        frame.frame_index, frame.boxes[keep], frame.scores[keep], frame.categories[keep],
+        frame.num_categories,
+    )
 
 
 class TestLowConfidenceHelpsStatistically:
@@ -516,10 +533,7 @@ class TestLowConfidenceHelpsStatistically:
                 score_mean_true=0.65, score_std_true=0.15,
             )
             _, frames = generate_scene(config)
-            filtered = [
-                FrameDetections(f.frame_index, [d for d in f.detections if d.score >= 0.6])
-                for f in frames
-            ]
+            filtered = [confident(f) for f in frames]
             n_full = len(run_stream(frames))
             n_filtered = len(run_stream(filtered))
             assert n_full <= n_filtered
@@ -571,7 +585,7 @@ class TestPerAxisFilterMatchesDenseReference:
         def dense_update(state, observed):
             for i, box in enumerate(observed.T.tolist()):
                 reference = kf_update_reference(
-                    KalmanState(state.mean[:, i], state.blocks[..., i]), BoundingBox(*box)
+                    KalmanState(state.mean[:, i], state.blocks[..., i]), box
                 )
                 state.mean[:, i], state.blocks[..., i] = reference.mean, reference.blocks
             stepped["update"] += observed.shape[-1]
@@ -586,12 +600,10 @@ class TestPerAxisFilterMatchesDenseReference:
 
         def identities(tracks):
             return [
-                (tr.id, tr.status, [f for f, _ in tr.history], tr.predictions) for tr in tracks
+                (tr.id, tr.status, tr.frames.tolist(), tr.categories.tolist()) for tr in tracks
             ]
 
         assert len(per_axis) > 20
         assert identities(dense) == identities(per_axis)
         for got, want in zip(per_axis, dense):
-            got_boxes = xywh_array([box for _, box in got.history])
-            want_boxes = xywh_array([box for _, box in want.history])
-            assert np.allclose(got_boxes, want_boxes, rtol=0.0, atol=1e-9)
+            assert np.allclose(got.boxes, want.boxes, rtol=0.0, atol=1e-9)
