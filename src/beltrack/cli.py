@@ -27,7 +27,7 @@ from types import UnionType
 from typing import Literal, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError, InputError
-from .io import ingest_detections, ingest_mot, read_ground_truth
+from .io import _check_utf8, _open_text, ingest_detections, ingest_mot, read_ground_truth
 from .pipeline import (
     AggregationConfig,
     PipelineRun,
@@ -178,14 +178,17 @@ def _cmd_report(args) -> int:
     if not path.exists():
         raise InputError(f"verdict file not found: {path}")
     records = []
-    with path.open(encoding="utf-8") as handle:
+    with _open_text(path) as handle:
         for line_number, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
+                _check_utf8(line)
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}:{line_number}: invalid JSON ({exc.msg})") from exc
+            except ValueError as exc:
+                raise InputError(f"{path}:{line_number}: {exc}") from None
             if not isinstance(record, dict):
                 raise InputError(f"{path}:{line_number}: expected a JSON object")
             for key in _VERDICT_FIELDS:

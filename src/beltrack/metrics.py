@@ -1,5 +1,6 @@
-"""Evaluation metrics: video-level quality reports, detection average
-precision, and identity-switch counting against simulator ground truth.
+"""Evaluation metrics: video-level quality reports, and detection average
+precision and identity switches against simulator ground truth, which score
+only the candidate pairs of one blocked overlap join (``_overlaps``).
 
 Temporal stability divides the change count by the full track length k (not
 k - 1), so a maximally oscillating track scores 1/k rather than 0.
@@ -9,12 +10,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
 from .aggregation import TrackVerdict
-from .model import BinaryQuality, FrameDetections, Track, corners, frame_runs, iou_matrix
+from .model import BinaryQuality, FrameDetections, Track, corners, pair_iou
 from .simulate import SceneGroundTruth
 
 FrameChoice = Literal["last", "first", "random"]
@@ -112,39 +113,16 @@ def detection_map(
 
     Detections are swept in descending score order (stable on ties, so the
     result depends only on the score ranking); each is greedily matched to
-    the highest-IoU unmatched ground-truth box of its frame at the given
-    threshold, the lowest index breaking ties. Frames never share a truth
-    box, so each frame's detections are swept on their own. Several ``gt``
-    entries for one frame count as one frame holding all their boxes.
+    the highest-IoU unmatched ground-truth box of its frame with IoU above 0
+    and at or above the threshold, the lowest index breaking ties. Several
+    ``gt`` entries for one frame count as one frame holding all their boxes.
+    A candidate pair (see ``_overlaps``) whose detection and truth box have
+    no other candidate matches whatever the order; only the rest are swept.
     """
-    gt_frames, gt_boxes, _ = _columns(gt)
-    if len(gt_frames) == 0:
-        raise ValueError("average precision is undefined without ground-truth boxes")
-    pooled = np.argsort(gt_frames, kind="stable")
-    truth = _frame_slices(gt_frames[pooled], corners(gt_boxes[pooled]).T)
-
-    frames, boxes, scores = _columns(dets)
-    order = np.argsort(-scores, kind="stable")  # sweep order: k-th entry has rank k
-    ranked_frames = frames[order]
-    # Ranks grouped by frame, ascending within each frame.
-    by_frame = np.argsort(ranked_frames, kind="stable")
-    tp = np.zeros(len(order))
-    for frame, ranks in _frame_slices(ranked_frames[by_frame], by_frame).items():
-        truth_corners = truth.get(frame)
-        if truth_corners is None:
-            continue
-        overlap = iou_matrix(corners(boxes[order[ranks]]), truth_corners.T)
-        overlap[overlap < iou_threshold] = -1.0  # too little overlap to match
-        # A row with no candidate now never gains one: columns only get taken.
-        for row in np.flatnonzero((overlap > 0.0).any(axis=1)).tolist():
-            j = overlap[row].argmax()
-            if overlap[row, j] > 0.0:
-                tp[ranks[row]] = 1.0
-                overlap[:, j] = -1.0  # this truth box is taken
-
+    tp, n_gt = _true_positives(dets, gt, iou_threshold)
     cum_tp = np.cumsum(tp)
     cum_fp = np.cumsum(1.0 - tp)
-    recall = cum_tp / len(gt_frames)
+    recall = cum_tp / n_gt
     precision = cum_tp / np.maximum(cum_tp + cum_fp, 1.0)
 
     # All-point interpolation: integrate the running precision envelope.
@@ -152,6 +130,31 @@ def detection_map(
     mpre = np.maximum.accumulate(np.concatenate(([0.0], precision, [0.0]))[::-1])[::-1]
     steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
     return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
+
+
+def _true_positives(dets, gt, iou_threshold) -> tuple[np.ndarray, int]:
+    """Each detection's match (1.0) or not in rank order, and the truth box
+    count; the candidates die with this frame, before the precision arrays."""
+    gt_frames, gt_boxes, _ = _columns(gt)
+    if len(gt_frames) == 0:
+        raise ValueError("average precision is undefined without ground-truth boxes")
+    frames, boxes, scores = _columns(dets)
+    order = np.argsort(-scores, kind="stable")  # sweep order: k-th entry has rank k
+    ranks = np.argsort(frames[order], kind="stable")  # grouped by frame, ascending within
+    found = _overlaps(order[ranks], frames, boxes, gt_frames, gt_boxes, iou_threshold)
+    parts = [(ranks[k], truth, overlap) for k, truth, overlap in found]
+    rank, truth, overlap = (np.concatenate(c) for c in zip((_NO_ROWS, _NO_ROWS, np.zeros(0)), *parts))
+    tp = np.zeros(len(order))
+    alone = (np.bincount(rank)[rank] == 1) & (np.bincount(truth)[truth] == 1)
+    tp[rank[alone]] = 1.0
+    rest = np.flatnonzero(~alone)  # swept by rank, then best overlap, then lowest truth index
+    rest = rest[np.lexsort((truth[rest], -overlap[rest], rank[rest]))]
+    taken, last = set(), -1
+    for r, t in zip(rank[rest].tolist(), truth[rest].tolist()):
+        if r != last and t not in taken:
+            taken.add(t)
+            tp[r], last = 1.0, r
+    return tp, len(gt_frames)
 
 
 def _columns(frames: Sequence[FrameDetections]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -164,10 +167,47 @@ def _columns(frames: Sequence[FrameDetections]) -> tuple[np.ndarray, np.ndarray,
     )
 
 
-def _frame_slices(frame_column: np.ndarray, rows: np.ndarray) -> dict[int, np.ndarray]:
-    """frame -> its part of ``rows``, for an ascending frame column aligned
-    with ``rows``."""
-    return {frame: rows[a:b] for frame, a, b in frame_runs(frame_column)}
+#: ``a`` rows per block of ``_overlaps``, which bounds the pairs held at once.
+_BLOCK = 512
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+
+
+def _overlaps(
+    a_rows: np.ndarray, a_frames: np.ndarray, a_boxes: np.ndarray,
+    b_frames: np.ndarray, b_boxes: np.ndarray, iou_threshold: float,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per block of ``a_rows`` (a rows by ascending frame), (k, j, IoU) of each
+    same-frame pair of (x, y, w, h) boxes ``a_rows[k]`` and j with IoU above 0
+    and at or above the threshold. With b sorted by (frame, left edge), an a
+    row scores only the b rows of its frame with left edge in [left_a - reach,
+    right_a), reach being the largest w of those frames' b rows."""
+    b_order = np.lexsort((b_boxes[:, 0], b_frames))
+    b_frames = b_frames[b_order]
+    for start in range(0, len(a_rows), _BLOCK):
+        rows = a_rows[start : start + _BLOCK]
+        frames, a = a_frames[rows], corners(a_boxes[rows])
+        # The b rows of the block's frames, and each a row's frame run in them.
+        first = np.searchsorted(b_frames, frames[0])
+        run_frames = b_frames[first : np.searchsorted(b_frames, frames[-1], "right")]
+        run_boxes = b_boxes[b_order[first : first + len(run_frames)]]
+        run_start, run_stop = (np.searchsorted(run_frames, frames, side) for side in ("left", "right"))
+        # A b box meeting an a box has fl(left_b + w_b) > left_a; rounding to
+        # nearest passes no float, so left_a <= left_b + w_b, and left_a - reach
+        # rounds (monotone) to at most left_b: no rounding of x + w escapes.
+        reach, b = run_boxes[:, 2].max(initial=0.0), corners(run_boxes)
+        # Complex keys (real, imaginary parts side by side; 1j * inf would be
+        # nan) sort by real, then imaginary part: one search finds each window
+        # by (frame run start, left edge); a frame b lacks clips empty.
+        keys = np.column_stack((np.searchsorted(run_frames, run_frames), b[0])).view(complex)
+        ends = np.column_stack((np.tile(run_start, 2), np.concatenate((a[0] - reach, a[2]))))
+        lo, hi = np.searchsorted(keys[:, 0], ends.view(complex)[:, 0]).reshape(2, -1)
+        lo, hi = np.maximum(lo, run_start), np.minimum(hi, run_stop)
+        counts = np.maximum(hi - lo, 0)
+        k = np.repeat(np.arange(len(rows)), counts)
+        j = np.arange(len(k)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+        overlap = pair_iou(a[:, k], b[:, j])
+        keep = (overlap >= iou_threshold) & (overlap > 0.0)
+        yield start + k[keep], b_order[first + j[keep]], overlap[keep]
 
 
 def covering_tracks(
@@ -178,31 +218,24 @@ def covering_tracks(
 
     On each (object, frame) the covering track is the one whose box overlaps
     the true box with IoU at or above the threshold, best overlap winning and
-    the lowest id breaking ties.
+    the lowest id breaking ties, among the candidate pairs of ``_overlaps``.
+    The threshold must be in (0, 1]: at 0, a box that misses would cover.
     """
-    # Every track box, ordered by frame and then id, so that argmax's first
-    # maximum is the lowest id.
-    frames = np.concatenate([np.zeros(0, np.int64), *(track.frames for track in tracks)])
+    if not 0.0 < iou_threshold <= 1.0:  # nan fails too
+        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
+    frames = np.concatenate([_NO_ROWS, *(track.frames for track in tracks)])
     boxes = np.concatenate([np.zeros((0, 4)), *(track.boxes for track in tracks)])
     track_ids = np.repeat([t.id for t in tracks], [len(t.frames) for t in tracks]).astype(np.int64)
-    order = np.lexsort((track_ids, frames))
-    track_ids = track_ids[order]
-    track_corners = corners(boxes[order])
-    candidates = _frame_slices(frames[order], np.arange(len(order)))
 
     # covering[i] is the covering track of the i-th true box (in the truth's
     # object order), -1 where none covers it.
-    truth_corners = corners(gt.boxes)
     covering = np.full(len(gt.frames), -1, dtype=np.int64)
     by_frame = np.argsort(gt.frames, kind="stable")
-    for frame, rows in _frame_slices(gt.frames[by_frame], by_frame).items():
-        columns = candidates.get(frame)
-        if columns is None:
-            continue
-        overlap = iou_matrix(truth_corners[:, rows], track_corners[:, columns])
-        best = overlap.argmax(axis=1)
-        hit = overlap[np.arange(len(rows)), best] >= iou_threshold
-        covering[rows[hit]] = track_ids[columns[best[hit]]]
+    for k, rows, overlap in _overlaps(by_frame, gt.frames, gt.boxes, frames, boxes, iou_threshold):
+        ids = track_ids[rows]
+        best = np.lexsort((ids, -overlap, k))  # per true box: best overlap, then lowest id
+        best = best[np.diff(k[best], prepend=-1) != 0]
+        covering[by_frame[k[best]]] = ids[best]
 
     coverage: dict[int, list[int]] = {}
     ids = covering.tolist()

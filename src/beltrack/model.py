@@ -22,10 +22,6 @@ if TYPE_CHECKING:
 
 DEFAULT_NUM_CATEGORIES = 4
 
-#: Canonical category ordering. Index 0 is the only non-defect category;
-#: the binary collapse below relies on that.
-CATEGORY_NAMES = ("fresh", "bruise_defect", "rot_defect", "scab_defect")
-
 
 @dataclass(frozen=True)
 class BoundingBox:
@@ -97,16 +93,30 @@ def corners(xywh: np.ndarray) -> np.ndarray:
 def iou_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Pairwise IoU between (4, n) and (4, m) corner rows (see ``corners``),
     shape (n, m)."""
-    edges = np.concatenate([rows, cols], axis=1)
-    halves = (edges[2] - edges[0]) * (edges[3] - edges[1]) / 2  # both sets' halved areas
+    halves = _half_areas(np.concatenate([rows, cols], axis=1))  # both sets' at once
+    n = rows.shape[1]
+    return _iou(rows[:, :, None], cols[:, None, :], halves[:n, None], halves[n:])
+
+
+def pair_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of two (4, k) corner rows column by column, as ``iou_matrix``'s."""
+    return _iou(a, b, _half_areas(a), _half_areas(b))
+
+
+def _half_areas(edges: np.ndarray) -> np.ndarray:
+    return (edges[2] - edges[0]) * (edges[3] - edges[1]) / 2
+
+
+def _iou(a: np.ndarray, b: np.ndarray, half_a: np.ndarray, half_b: np.ndarray) -> np.ndarray:
+    """The one IoU formula: corner rows ``a``, ``b`` broadcast, given halved areas."""
     # The overlaps' widths and heights, then their halved areas and unions.
-    overlap = np.minimum(rows[2:, :, None], cols[2:, None, :])
-    overlap -= np.maximum(rows[:2, :, None], cols[:2, None, :])
+    overlap = np.minimum(a[2:], b[2:])
+    overlap -= np.maximum(a[:2], b[:2])
     np.maximum(overlap, 0.0, out=overlap)
     half = np.multiply(overlap[0], overlap[1], out=overlap[0])
     half /= 2
     # Halved, the union cannot overflow.
-    union = np.add(halves[: rows.shape[1], None], halves[rows.shape[1] :], out=overlap[1])
+    union = np.add(half_a, half_b, out=overlap[1])
     union -= half
     # Pairs without a float overlap keep 0 and skip the division, which
     # could be 0/0; fmax scores an inf/inf pair 0.
@@ -128,12 +138,6 @@ class CategoryLabel:
             raise ValueError(
                 f"category index {self.index} out of range [0, {self.num_categories})"
             )
-
-    @property
-    def name(self) -> str:
-        if self.num_categories == DEFAULT_NUM_CATEGORIES:
-            return CATEGORY_NAMES[self.index]
-        return f"category_{self.index}"
 
 
 @lru_cache(maxsize=16)

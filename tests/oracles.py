@@ -6,7 +6,7 @@ search share no code with the package, and scipy's
 ``linear_sum_assignment`` (which the package does not use) is the reference
 for the solver's optimum. The scalar ``iou`` of two boxes is checked against
 the package's ``iou_matrix``, and the metric references are plain loops over
-it, checked against the package's ``iou_matrix`` versions. The Kalman
+it, checked against the package's candidate-pair join. The Kalman
 references step one filter with dense 8x8 matrix products, converting its
 per-axis blocks to the dense covariance and back, checked against the
 package's batched per-axis filter. The scalar ingest reference parses and

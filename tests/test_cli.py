@@ -427,6 +427,13 @@ class TestReport:
         assert run_cli("report", "--verdicts", str(verdicts)) == 1
         assert f"{verdicts}:2: {message}" in capsys.readouterr().err
 
+    def test_verdict_file_not_utf8_is_input_error(self, tmp_path, capsys):
+        verdicts = tmp_path / "verdicts.jsonl"
+        good = b'{"track_id": 1, "binary": "normal", "k": 3}'
+        verdicts.write_bytes(good + b"\n" + b'{"track_id": 2, "binary": "\xff", "k": 3}\n')
+        assert run_cli("report", "--verdicts", str(verdicts)) == 1
+        assert f"{verdicts}:2: not valid UTF-8 (byte 0xff)" in capsys.readouterr().err
+
 
 class TestMotInput:
     def test_track_reads_mot_text(self, tmp_path):

@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from beltrack import (
     stability_report,
     temporal_stability,
 )
+from beltrack import metrics
 from beltrack.metrics import covering_tracks, majority_tracks, switches_in
 from beltrack.simulate import SceneGroundTruth
 
@@ -284,7 +287,7 @@ grid_boxes = st.tuples(
     st.sampled_from([10.0, 20.0]),
 )
 frames_and_boxes = st.lists(st.tuples(st.integers(0, 3), grid_boxes), max_size=8)
-thresholds = st.sampled_from([0.0, 0.3, 0.5, 1.0])
+thresholds = st.sampled_from([0.0, 1e-9, 0.3, 0.5, 1.0])
 
 
 class TestOverlapKernelMatchesScalarLoops:
@@ -306,6 +309,10 @@ class TestOverlapKernelMatchesScalarLoops:
             (object_id, FRESH, sorted(dict(boxes).items()))
             for object_id, boxes in enumerate(truths, start=1)
         ))
+        if threshold == 0.0:  # a track whose box misses the object's would cover it
+            with pytest.raises(ValueError):
+                covering_tracks(tracks, gt, threshold)
+            return
         assert covering_tracks(tracks, gt, threshold) == covering_tracks_reference(
             tracks, gt, threshold
         )
@@ -336,3 +343,151 @@ class TestOverlapKernelMatchesScalarLoops:
         assert detection_map(det_frames, gt_frames, threshold) == detection_map_reference(
             det_frames, gt_frames, threshold
         )
+
+
+def assert_join_matches_oracles(truth_rows, other_rows, threshold=0.5):
+    """``covering_tracks`` and ``detection_map`` equal their oracles with the
+    (frame, (x, y, w, h)) rows of ``truth_rows`` as truth (one object each)
+    and those of ``other_rows`` as one-row tracks (ids descending) and as
+    detections (scores cycling through 0.9, 0.6 and 0.3), and again with the
+    two sides swapped. Returns the first coverage and AP (None without truth)."""
+    results = []
+    for truth, other in ((truth_rows, other_rows), (other_rows, truth_rows)):
+        gt = truth_of(*((i, FRESH, [row]) for i, row in enumerate(truth, start=1)))
+        tracks = [simple_track(len(other) - i, [row]) for i, row in enumerate(other)]
+        coverage = covering_tracks(tracks, gt, threshold)
+        assert coverage == covering_tracks_reference(tracks, gt, threshold)
+        dets = frames_of([(f, *box, (0.9, 0.6, 0.3)[i % 3]) for i, (f, box) in enumerate(other)])
+        gt_frames = frames_of([(f, *box, 1.0) for f, box in truth])
+        ap = None
+        if truth:
+            ap = detection_map(dets, gt_frames, threshold)
+            assert ap == detection_map_reference(dets, gt_frames, threshold)
+        else:
+            with pytest.raises(ValueError):
+                detection_map(dets, gt_frames, threshold)
+        results.append((coverage, ap))
+    return results[0]
+
+
+def candidate_pairs(a_rows, b_rows, threshold):
+    """The (a row, b row) pairs ``metrics._overlaps`` yields for two lists of
+    (frame, (x, y, w, h)) rows, a in frame order."""
+    def columns(rows):
+        frames = np.array([f for f, _ in rows], dtype=np.int64)
+        return frames, np.array([box for _, box in rows], dtype=float).reshape(-1, 4)
+
+    a_frames, a_boxes = columns(a_rows)
+    b_frames, b_boxes = columns(b_rows)
+    rows = np.arange(len(a_rows))
+    return sorted(
+        (int(k), int(j))
+        for ks, js, _ in metrics._overlaps(rows, a_frames, a_boxes, b_frames, b_boxes, threshold)
+        for k, j in zip(ks, js)
+    )
+
+
+wide_boxes = st.tuples(
+    st.integers(-4, 6).map(lambda v: 5.0 * v),
+    st.integers(0, 2).map(lambda v: 5.0 * v),
+    st.sampled_from([10.0, 20.0, 1000.0]),
+    st.sampled_from([10.0, 20.0]),
+)
+scene_rows = st.lists(st.tuples(st.integers(0, 3), wide_boxes), max_size=12)
+
+
+class TestOverlapJoinEdgeCases:
+    def test_touching_edges_are_not_candidates(self):
+        truth = [(0, (0.0, 0.0, 10.0, 10.0))]
+        touching = [
+            (0, (10.0, 0.0, 10.0, 10.0)),
+            (0, (0.0, 10.0, 10.0, 10.0)),
+            (0, (-10.0, -10.0, 10.0, 10.0)),
+            (0, (-10.0, 0.0, 10.0, 10.0)),
+        ]
+        assert candidate_pairs(truth, touching, 1e-9) == []
+        assert candidate_pairs(touching, truth, 1e-9) == []
+        assert assert_join_matches_oracles(truth, touching, 1e-9) == ({}, 0.0)
+
+    def test_pair_at_exactly_the_threshold(self):
+        truth = [(0, (0.0, 0.0, 10.0, 10.0))]
+        half = [(0, (0.0, 0.0, 10.0, 5.0)), (0, (0.0, 5.0, 10.0, 4.0))]  # IoU 0.5 and 0.4
+        assert assert_join_matches_oracles(truth, half, 0.5) == ({1: [2]}, 1.0)
+        above = float(np.nextafter(0.5, 1.0))
+        assert assert_join_matches_oracles(truth, half, above) == ({}, 0.0)
+
+    def test_equal_overlaps_take_the_lowest_index(self):
+        # Each tie's lowest index lies to the right, after the other
+        # candidate in the window's left-edge order.
+        truth = [(0, (5.0, 0.0, 10.0, 10.0))]
+        tracks = [(0, (0.0, 0.0, 10.0, 10.0)), (0, (10.0, 0.0, 10.0, 10.0))]  # ids 2, 1
+        assert assert_join_matches_oracles(truth, tracks, 0.3)[0] == {1: [1]}
+        # Detection 0.9 overlaps both truth boxes by 1/3 and takes truth 0,
+        # which leaves truth 1 to detection 0.6.
+        truth = [(0, (10.0, 0.0, 10.0, 10.0)), (0, (0.0, 0.0, 10.0, 10.0))]
+        dets = [(0, (5.0, 0.0, 10.0, 10.0)), (0, (-3.0, 0.0, 10.0, 10.0))]
+        assert assert_join_matches_oracles(truth, dets, 0.3)[1] == 1.0
+
+    def test_box_much_wider_than_the_rest(self):
+        truth = [(0, (30.0 * i, 0.0, 10.0, 10.0)) for i in range(11)]
+        other = [(0, (-500.0, 0.0, 1000.0, 10.0)), (0, (301.0, 0.0, 10.0, 10.0))]
+        for threshold in (1e-9, 0.5):
+            assert_join_matches_oracles(truth, other, threshold)
+        # The wide box on either side is a candidate of every box it meets.
+        assert len(candidate_pairs(truth, other, 1e-9)) == 12
+        assert len(candidate_pairs(other[:1], truth, 1e-9)) == 11
+
+    def test_frames_on_one_side_only(self):
+        box = (0.0, 0.0, 10.0, 10.0)
+        truth = [(0, box), (1, box), (3, box)]
+        other = [(1, (1.0, 0.0, 10.0, 10.0)), (2, box), (4, box)]
+        coverage, _ = assert_join_matches_oracles(truth, other)
+        assert coverage == {2: [3]}
+
+    def test_empty_sides(self):
+        rows = [(0, (0.0, 0.0, 10.0, 10.0)), (2, (5.0, 0.0, 10.0, 10.0))]
+        assert assert_join_matches_oracles(rows, []) == ({}, 0.0)
+        assert assert_join_matches_oracles([], []) == ({}, None)
+        assert candidate_pairs(rows, [], 0.5) == candidate_pairs([], rows, 0.5) == []
+
+    def test_frame_split_across_blocks(self):
+        # Frame 1 starts 5 rows before the first block ends, on both sides,
+        # and its boxes crowd each other, so the sweep's order decides.
+        n = metrics._BLOCK
+        truth = [(0, (25.0 * i, 0.0, 20.0, 20.0)) for i in range(n - 5)]
+        truth += [(1, (2.0 * i, 0.0, 20.0, 20.0)) for i in range(12)]
+        truth += [(2, (0.0, 0.0, 20.0, 20.0))]
+        other = [(0, (25.0 * i + 1.0, 1.0, 20.0, 20.0)) for i in range(n - 5)]
+        other += [(1, (3.0 * i, 2.0, 20.0, 20.0)) for i in range(12)]
+        other += [(2, (1.0, 0.0, 20.0, 20.0))]
+        coverage, ap = assert_join_matches_oracles(truth, other)
+        assert len(coverage) > n and 0.9 < ap < 1.0
+
+    def test_window_holds_boxes_whose_right_edge_rounds_up(self):
+        # Above 2**53 floats are 2 apart, so x + 3 rounds up to x + 4: the
+        # boxes overlap by 2 of 4 and score IoU 0.5 (1/4 in exact
+        # arithmetic). The window must take the rounded right edges, and its
+        # lower bound x + 2 - 3 must still reach x.
+        x = 2.0**53
+        truth = [(0, (x, 0.0, 3.0, 10.0))]
+        other = [(0, (x + 2.0, 0.0, 2.0, 10.0))]
+        assert x + 3.0 == x + 4.0
+        assert candidate_pairs(other, truth, 0.5) == candidate_pairs(truth, other, 0.5) == [(0, 0)]
+        assert assert_join_matches_oracles(truth, other, 0.5) == ({1: [1]}, 1.0)
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan")])
+    def test_covering_threshold_out_of_range_rejected(self, threshold):
+        gt = single_object_gt([(0, (0.0, 0.0, 10.0, 10.0))])
+        with pytest.raises(ValueError, match="iou_threshold"):
+            covering_tracks([simple_track(1, [(0, (20.0, 0.0, 10.0, 10.0))])], gt, threshold)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        truth=scene_rows,
+        other=scene_rows,
+        block=st.integers(1, 4),
+        threshold=st.sampled_from([1e-9, 0.3, 0.5, 1.0]),
+    )
+    def test_any_block_size(self, truth, other, block, threshold):
+        with patch.object(metrics, "_BLOCK", block):
+            assert_join_matches_oracles(truth, other, threshold)

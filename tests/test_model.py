@@ -13,6 +13,7 @@ from beltrack import (
     kf_initiate,
     to_binary,
 )
+from beltrack import model
 from beltrack.model import corners, iou_matrix, split_frames
 
 from oracles import BRUISE, FRESH, ROT, SCAB, frame_of, iou, pixel_iou
@@ -121,6 +122,16 @@ class TestIou:
         assert iou(box, box) == 1.0
         assert boxes_iou([box], [box]).tolist() == [[1.0]]
 
+    def test_pair_iou_equals_iou_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        extremes = [(1e20, 0.0, 1.0, 1.0), (0.0, 0.0, 1e-200, 1e-200), (0.0, 0.0, 1e154, 1.5e154)]
+        rows = [(*rng.uniform(0, 30, 2), *rng.uniform(1, 20, 2)) for _ in range(9)] + extremes
+        cols = [(*rng.uniform(0, 30, 2), *rng.uniform(1, 20, 2)) for _ in range(8)] + extremes
+        a = corners(np.array(rows, dtype=float))
+        b = corners(np.array(cols, dtype=float))
+        i, j = np.divmod(np.arange(len(rows) * len(cols)), len(cols))
+        assert np.array_equal(model.pair_iou(a[:, i], b[:, j]), iou_matrix(a, b).ravel())
+
     def test_iou_matrix_empty(self):
         assert boxes_iou([], []).shape == (0, 0)
         assert boxes_iou([(0, 0, 1, 1)], []).shape == (1, 0)
@@ -143,10 +154,6 @@ class TestCategories:
             CategoryLabel(4)
         with pytest.raises(ValueError):
             CategoryLabel(-1)
-
-    def test_canonical_names(self):
-        assert FRESH.name == "fresh"
-        assert ROT.name == "rot_defect"
 
 
 class TestDetection:
