@@ -27,7 +27,6 @@ from .model import (
     Detection,
     FrameDetections,
     Track,
-    TrackStatus,
     to_binary,
 )
 from .pipeline import (

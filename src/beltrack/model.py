@@ -1,7 +1,6 @@
 """Shared domain vocabulary: boxes, detections, categories, and tracks.
 
-Everything here is immutable value data except :class:`Track`, which is
-owned and mutated exclusively by the tracker. Detections and tracks are held
+Everything here is immutable value data. Detections and tracks are held
 as columns: a frame's detections (:class:`FrameDetections`) and a track's
 matches (:class:`Track`) are (x, y, w, h) box rows beside score and category
 columns, checked and compared as tables (``split_frames``, ``iou_matrix``).
@@ -10,15 +9,12 @@ columns, checked and compared as tables (``split_frames``, ``iou_matrix``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .kalman import KalmanState
 
 DEFAULT_NUM_CATEGORIES = 4
 
@@ -343,35 +339,22 @@ def frame_runs(frame_column: np.ndarray) -> list[tuple[int, int, int]]:
     return list(zip(frame_column[bounds[:-1]].tolist(), bounds, bounds[1:]))
 
 
-class TrackStatus(Enum):
-    TENTATIVE = "tentative"
-    ACTIVE = "active"
-    LOST = "lost"
-    REMOVED = "removed"
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Track:
-    """Persistent object identity with motion state and, as columns in
-    frame order, the frames it matched: ``frames`` (k,), ``boxes`` (k, 4)
-    (x, y, w, h) rows and ``categories`` (k,), -1 where the detection had no
-    label. ``predictions`` gives (frame, label) tuples of the labeled rows.
+    """A track's id and, as columns in frame order, the frames it matched:
+    ``frames`` (k,), ``boxes`` (k, 4) (x, y, w, h) rows and ``categories``
+    (k,), -1 where the detection had no label. ``predictions`` gives
+    (frame, label) tuples of the labeled rows.
 
-    ``ByteTracker`` builds a track once it is removed, or on ``finalize``
-    while live, with its lifecycle fields and ``state`` (a snapshot of its
-    filter, None for a track built elsewhere) as they are then; ``finalize``
-    fills the columns with read-only views of the match table.
+    ``ByteTracker.finalize`` builds each track from its rows of the match
+    table, the columns read-only views of one sorted copy.
     """
 
     id: int
-    state: "KalmanState | None"
-    status: TrackStatus
-    last_update_frame: int
-    hit_count: int = 1
-    frames: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    boxes: np.ndarray = field(default_factory=lambda: np.zeros((0, 4)))
-    categories: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    num_categories: int = DEFAULT_NUM_CATEGORIES
+    frames: np.ndarray
+    boxes: np.ndarray
+    categories: np.ndarray
+    num_categories: int
 
     @property
     def labels(self) -> np.ndarray:

@@ -31,14 +31,7 @@ from .metrics import (
     stability_report,
     switches_in,
 )
-from .model import (
-    DEFAULT_NUM_CATEGORIES,
-    FrameDetections,
-    Track,
-    category_labels,
-    split_frames,
-    to_binary,
-)
+from .model import DEFAULT_NUM_CATEGORIES, FrameDetections, Track, split_frames
 from .simulate import SceneGroundTruth, SimConfig, generate_scene
 from .tracker import ByteTracker, TrackerConfig
 
@@ -254,13 +247,21 @@ def evaluate_against_truth(
     Object-level accuracies treat an object with no covering track (or a
     track without labels) as misclassified, so they are comparable across
     configurations that drop different objects. ``iou_threshold`` must be
-    in (0, 1]: at 0, boxes that do not overlap would count as matches.
+    in (0, 1]: at 0, boxes that do not overlap would count as matches. A
+    labeled stream must have the truth's number of categories, or
+    ``ValueError`` is raised.
     """
     if not 0.0 < iou_threshold <= 1.0:  # nan fails too
         raise ConfigError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     aggregation = aggregation or AggregationConfig()
     tracks = run_stream(frames, tracker_config)
     labeled, verdicts = _vote(tracks, aggregation)
+    # The tracker gives every track of a stream one category count.
+    if labeled and labeled[0].num_categories != gt.num_categories:
+        raise ValueError(
+            f"the stream has {labeled[0].num_categories} categories, "
+            f"the truth has {gt.num_categories}"
+        )
     voted = {track.id: (track, verdict) for track, verdict in zip(labeled, verdicts)}
 
     gt_frames = _truth_frames(gt)
@@ -268,20 +269,19 @@ def evaluate_against_truth(
 
     coverage = covering_tracks(tracks, gt, iou_threshold)
     assignment = majority_tracks(coverage)
+    # Categories compare as indices, and as binary labels by whether the
+    # index is 0 (fresh, normal) or not (defect).
     agg_bin = agg_cat = last_cat = last_bin = 0
-    truth_labels = category_labels(gt.num_categories)
     for object_id, true_index in zip(gt.object_ids.tolist(), gt.categories.tolist()):
         track_id = assignment.get(object_id)
         if track_id not in voted:
             continue
         track, verdict = voted[track_id]
-        true_category = truth_labels[true_index]
-        true_binary = to_binary(true_category)
-        last_label = category_labels(track.num_categories)[track.labels[-1]]
-        agg_bin += verdict.final_binary is true_binary
-        agg_cat += verdict.final_category == true_category
-        last_cat += last_label == true_category
-        last_bin += to_binary(last_label) is true_binary
+        voted_index, last_index = verdict.final_category.index, int(track.labels[-1])
+        agg_cat += voted_index == true_index
+        agg_bin += (voted_index == 0) == (true_index == 0)
+        last_cat += last_index == true_index
+        last_bin += (last_index == 0) == (true_index == 0)
 
     n_objects = len(gt.object_ids)
     n_defect_true = int(np.count_nonzero(gt.categories))

@@ -16,17 +16,16 @@ import numpy as np
 from .assignment import build_cost_matrix, solve_assignment
 from .errors import ConfigError
 from .kalman import STATE_ROWS, KalmanState, decode_boxes, kf_initiate, kf_predict, kf_update
-from .model import DEFAULT_NUM_CATEGORIES, FrameDetections, Track, TrackStatus, corners
+from .model import DEFAULT_NUM_CATEGORIES, FrameDetections, Track, corners
 
 #: One row of a tracker's match table: a track matched (or spawned from) a
 #: detection on a frame; category -1 where the detection had no label.
 MATCH_ROW = np.dtype(
     [("frame", np.int64), ("track", np.int64), ("box", np.float64, (4,)), ("category", np.int64)]
 )
-#: The ``status`` codes: each is the position of its ``TrackStatus``. A
-#: column marked REMOVED leaves the live tables before its step returns.
+#: The ``status`` codes. A column marked REMOVED leaves the live tables
+#: before its step returns.
 TENTATIVE, ACTIVE, LOST, REMOVED = range(4)
-_STATUSES = tuple(TrackStatus)
 #: The status a column moves to when it is not matched, by its status code.
 _ON_MISS = np.array([REMOVED, LOST, LOST, REMOVED])
 
@@ -98,12 +97,11 @@ class ByteTracker:
     (int64 rows id, status code, hit count, last matched frame) and
     ``_filters`` (see ``KalmanState.view``). Each frame makes one in-place
     predict call and one update call however many tracks are live, and
-    moves the columns through the lifecycle with whole-row masks. A
-    ``Track`` is built for a column when it is removed, and for each live
-    column on ``finalize``.
+    moves the columns through the lifecycle with whole-row masks. A removed
+    column leaves both tables and nothing else behind.
 
     Each frame appends its matches and spawns to one table of ``MATCH_ROW``
-    rows, which ``finalize`` splits into the tracks' columns.
+    rows, which ``finalize`` splits into the tracks, live and removed alike.
 
     One instance per video stream; calls must be externally serialized.
     """
@@ -112,7 +110,6 @@ class ByteTracker:
         self.config = config if config is not None else TrackerConfig()
         self._life = np.zeros((4, 0), np.int64)
         self._filters = np.zeros((STATE_ROWS, 0))
-        self._removed: list[Track] = []  # in order of removal
         self._next_id = 1
         self._last_frame: int | None = None
         self._matches = np.zeros(256, MATCH_ROW)
@@ -186,9 +183,9 @@ class ByteTracker:
             # tracks round 1 left unmatched, on their predicted boxes, so
             # deferring round 1's updates to here changes nothing. A filter
             # the update leaves without a box is removed, like one diverged
-            # above, with the hit count and last frame it had. The kept
-            # matches and the spawns make the frame's block of the match
-            # table: a track id, a detection row and a box part for each.
+            # above, and its match is not recorded. The kept matches and the
+            # spawns make the frame's block of the match table: a track id, a
+            # detection row and a box part for each.
             ids, det_rows, box_parts = [], [], []
             if matched:
                 rows, matched_dets = (np.array(column) for column in zip(*matched))
@@ -240,34 +237,30 @@ class ByteTracker:
         """All tracks ever created (removed ones included), in id order,
         filtered by the configured minimum length.
 
-        Each track's columns are set to its rows of the match table, in frame
-        order, as read-only views of one sorted copy. A removed track is the
-        same object on every call; a live track is built anew from its
-        column, its ``state`` a snapshot of its filter."""
-        tracks = sorted(self._removed + _tracks(self._life, self._filters), key=lambda tr: tr.id)
+        A track is its id and its rows of the match table, in frame order,
+        as read-only views of one sorted copy: each call builds the tracks
+        anew, and later steps leave those of earlier calls as they were."""
         table = self._matches[: self._rows]
         table = table[np.argsort(table["track"], kind="stable")]
         table.flags.writeable = False
         frames, boxes, categories = table["frame"], table["box"], table["category"]
+        num_categories = self._num_categories or DEFAULT_NUM_CATEGORIES
         # Ids run 1, 2, ... in spawn order, and each track has its spawn row.
         stops = np.cumsum(np.bincount(table["track"])[1:]).tolist()
-        for track, start, stop in zip(tracks, [0, *stops], stops):
-            track.frames, track.boxes = frames[start:stop], boxes[start:stop]
-            track.categories = categories[start:stop]
-            track.num_categories = self._num_categories or DEFAULT_NUM_CATEGORIES
-        return [tr for tr in tracks if len(tr.frames) >= self.config.min_track_length_report]
+        return [
+            Track(track_id, frames[start:stop], boxes[start:stop], categories[start:stop],
+                  num_categories)
+            for track_id, start, stop in zip(range(1, self._next_id), [0, *stops], stops)
+            if stop - start >= self.config.min_track_length_report
+        ]
 
     def _remove(self, mask: np.ndarray) -> list[int]:
-        """Turn the masked columns into removed ``Track``s, each holding its
-        last filter state, drop them from the live tables and return their
-        ids."""
-        gone = self._life.compress(mask, axis=1)
-        gone[1] = REMOVED
-        self._removed += _tracks(gone, self._filters.compress(mask, axis=1))
+        """Drop the masked columns from the live tables and return their ids."""
+        removed = self._life[0, mask].tolist()
         kept = ~mask
         self._life = self._life.compress(kept, axis=1)
         self._filters = self._filters.compress(kept, axis=1)
-        return gone[0].tolist()
+        return removed
 
     def _record(self, t: int, ids: list[int], boxes: np.ndarray, categories: np.ndarray):
         """Append one frame's block of rows to the match table, doubling the
@@ -293,14 +286,3 @@ class ByteTracker:
         self._filters = np.concatenate([self._filters, born], axis=1)
         self._next_id += n
 
-
-def _tracks(life: np.ndarray, filters: np.ndarray) -> list[Track]:
-    """A ``Track`` for each column of the live tables, each ``state`` a
-    snapshot of its filter."""
-    return [
-        Track(
-            id=track_id, state=KalmanState(mean=state[:8], blocks=state[8:].reshape(3, 4)),
-            status=_STATUSES[code], last_update_frame=last, hit_count=hits,
-        )
-        for (track_id, code, hits, last), state in zip(life.T.tolist(), filters.T.copy())
-    ]

@@ -16,7 +16,8 @@ the same way. The per-line readers call ``json.loads`` once per line, as
 the package's JSONL readers do only for a block with a bad line, and are
 checked against the block parse. The vote reference counts a track's labels
 one by one, checked against the package's ``bincount`` over the track's
-category column.
+category column. ``live_tracks`` reads a tracker's live tables, which
+hold the lifecycle of the tracks that are not yet removed.
 """
 
 import json
@@ -24,6 +25,7 @@ import math
 from array import array
 from itertools import permutations
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -40,6 +42,27 @@ from beltrack import (
 import beltrack.io as bio
 from beltrack.model import category_labels
 from beltrack.simulate import SceneGroundTruth
+
+class LiveTrack(NamedTuple):
+    """One live track as its tracker's tables hold it."""
+
+    status: int  # a ``beltrack.tracker`` status code: TENTATIVE, ACTIVE or LOST
+    hits: int
+    last_frame: int  # the last frame it was matched on
+    state: KalmanState  # views of its filter in the tracker's filter table
+
+
+def live_tracks(tracker) -> dict[int, LiveTrack]:
+    """A ``ByteTracker``'s live tracks by id, in id order. Each ``state``
+    is a view: copy it to keep it past the tracker's next step."""
+    filters = KalmanState.view(tracker._filters)
+    return {
+        track_id: LiveTrack(
+            status, hits, last, KalmanState(filters.mean[:, i], filters.blocks[..., i])
+        )
+        for i, (track_id, status, hits, last) in enumerate(tracker._life.T.tolist())
+    }
+
 
 #: The default categories, in index order.
 FRESH, BRUISE, ROT, SCAB = category_labels(4)

@@ -15,7 +15,6 @@ from beltrack import (
     FrameDetections,
     SimConfig,
     Track,
-    TrackStatus,
     aggregated_report,
     decode_boxes,
     evaluate_against_truth,
@@ -223,11 +222,11 @@ def test_criterion_07_temporal_stability_formula():
     for track_id in range(30):
         labels = rng.integers(0, 4, size=int(rng.integers(1, 40)))
         track = Track(
-            id=track_id, state=None, status=TrackStatus.REMOVED,
-            last_update_frame=len(labels) - 1, hit_count=len(labels),
+            id=track_id,
             frames=np.arange(len(labels), dtype=np.int64),
             boxes=np.tile([0.0, 0.0, 30.0, 30.0], (len(labels), 1)),
             categories=labels.astype(np.int64),
+            num_categories=4,
         )
         verdicts.append(majority_vote(track))
     aggregated_exact = aggregated_report(verdicts).mean_stability == 1.0

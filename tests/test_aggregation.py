@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from beltrack import (
     ByteTracker,
     CategoryLabel,
     Track,
-    TrackStatus,
     majority_vote,
     stability_report,
 )
@@ -23,8 +24,7 @@ def track_of(*labels, track_id=1):
     k = len(labels)
     counts = {label.num_categories for label in labels if label is not None}
     return Track(
-        id=track_id, state=None, status=TrackStatus.REMOVED,
-        last_update_frame=max(k - 1, 0), hit_count=k,
+        id=track_id,
         frames=np.arange(k, dtype=np.int64),
         boxes=np.tile([0.0, 0.0, 10.0, 10.0], (k, 1)),
         categories=np.array([-1 if c is None else c.index for c in labels], dtype=np.int64),
@@ -146,10 +146,9 @@ class TestMajorityVote:
         # unlabeled frames (-1) sit between the labels and cast no vote
         categories = data.draw(st.lists(st.integers(-1, num_categories - 1), max_size=30))
         labels = [c for c in categories if c >= 0]
-        track = track_of(*(
+        track = replace(track_of(*(
             None if c < 0 else CategoryLabel(c, num_categories) for c in categories
-        ))
-        track.num_categories = num_categories
+        )), num_categories=num_categories)
         if not labels:
             with pytest.raises(ValueError, match="no predictions"):
                 majority_vote(track, tie_break, collapse_first)

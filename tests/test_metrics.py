@@ -10,7 +10,6 @@ from beltrack import (
     CategoryLabel,
     FrameDetections,
     Track,
-    TrackStatus,
     aggregated_report,
     defect_ratio,
     detection_map,
@@ -39,8 +38,7 @@ def track_of(*labels, track_id=1):
     """A finished track that predicted ``labels`` on frames 0, 1, 2, ..."""
     k = len(labels)
     return Track(
-        id=track_id, state=None, status=TrackStatus.REMOVED,
-        last_update_frame=max(k - 1, 0), hit_count=k,
+        id=track_id,
         frames=np.arange(k, dtype=np.int64),
         boxes=np.tile([0.0, 0.0, 10.0, 10.0], (k, 1)),
         categories=np.array([label.index for label in labels], dtype=np.int64),
@@ -207,15 +205,15 @@ class TestDetectionMap:
                 assert detection_map(rescaled, gt) == pytest.approx(baseline, abs=1e-12)
 
 
-def simple_track(track_id, boxes, status=TrackStatus.ACTIVE):
+def simple_track(track_id, boxes):
     """An unlabeled track that matched the given (frame, (x, y, w, h)) pairs,
     in frame order."""
     return Track(
-        id=track_id, state=None, status=status,
-        last_update_frame=max((f for f, _ in boxes), default=0), hit_count=len(boxes),
+        id=track_id,
         frames=np.array([f for f, _ in boxes], dtype=np.int64),
         boxes=np.array([box for _, box in boxes], dtype=float).reshape(-1, 4),
         categories=np.full(len(boxes), -1, dtype=np.int64),
+        num_categories=4,
     )
 
 
@@ -300,7 +298,7 @@ class TestOverlapKernelMatchesScalarLoops:
     )
     def test_covering_tracks(self, histories, truths, descending, threshold):
         tracks = [
-            simple_track(track_id, sorted(dict(history).items()), TrackStatus.REMOVED)
+            simple_track(track_id, sorted(dict(history).items()))
             for track_id, history in enumerate(histories, start=1)
         ]
         if descending:

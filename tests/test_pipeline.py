@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import beltrack.pipeline as pipeline_module
 from beltrack import (
     AggregationConfig,
     ByteTracker,
@@ -21,9 +22,9 @@ from beltrack import (
 )
 from beltrack.io import ingest_detections, read_ground_truth, write_detections
 from beltrack.pipeline import PipelineRun, simulate_to_files
-from beltrack.simulate import generate_scene
+from beltrack.simulate import SceneGroundTruth, generate_scene
 
-from oracles import FRESH, frame_of
+from oracles import FRESH, frame_of, live_tracks
 
 
 def clean_scene(**overrides):
@@ -165,7 +166,7 @@ class TestGapsInStream:
         assert [tr.frames.tolist() for tr in tracks] == [[0, 1], [2**62]]
 
     @pytest.mark.parametrize("max_frames_lost", [1, 30, 98, 99, 100])
-    def test_long_gap_tracks_as_stepping_every_frame(self, max_frames_lost):
+    def test_long_gap_tracks_as_stepping_every_frame(self, monkeypatch, max_frames_lost):
         # Frames 30..129 of a scene are dropped: a gap of 100 empty frames,
         # longer than the max_frames_lost + 1 steps run_stream takes into
         # it for the first three configs, and not for the last two.
@@ -175,20 +176,45 @@ class TestGapsInStream:
         frames = [f for f in scene if not 30 <= f.frame_index < 130]
         assert frames[0].frame_index < 30 and frames[-1].frame_index >= 130
         config = TrackerConfig(max_frames_lost=max_frames_lost)
-        tracker = ByteTracker(config)
+        stepping = RecordingTracker(config)
         by_index = {f.frame_index: f for f in frames}
         for t in range(frames[0].frame_index, frames[-1].frame_index + 1):
-            tracker.step(by_index.get(t, FrameDetections(t)))
+            stepping.step(by_index.get(t, FrameDetections(t)))
+        made = []  # the tracker run_stream makes
 
-        def facts(tracks):
-            return [
-                (tr.id, tr.status, tr.last_update_frame, tr.hit_count, tr.frames.tolist(),
-                 tr.boxes.tolist(), tr.categories.tolist(), tr.state.mean.tolist(),
-                 tr.state.blocks.tolist())
+        def recording(config):
+            made.append(RecordingTracker(config))
+            return made[-1]
+
+        monkeypatch.setattr(pipeline_module, "ByteTracker", recording)
+        tracks = run_stream(frames, config)
+        (skipping,) = made
+
+        def facts(tracker, tracks):
+            live = {
+                track_id: (status, hits, last, state.mean.tolist(), state.blocks.tolist())
+                for track_id, (status, hits, last, state) in live_tracks(tracker).items()
+            }
+            columns = [
+                (tr.id, tr.frames.tolist(), tr.boxes.tolist(), tr.categories.tolist())
                 for tr in tracks
             ]
+            return columns, live, tracker.removed_at
 
-        assert facts(run_stream(frames, config)) == facts(tracker.finalize())
+        assert facts(skipping, tracks) == facts(stepping, stepping.finalize())
+
+
+class RecordingTracker(ByteTracker):
+    """A tracker that records the frame each track is removed on."""
+
+    def __init__(self, config=None):
+        super().__init__(config)
+        self.removed_at = {}
+
+    def step(self, frame):
+        out = super().step(frame)
+        self.removed_at.update(dict.fromkeys(out.newly_removed_track_ids, frame.frame_index))
+        return out
 
 
 class TestEvaluateAgainstTruth:
@@ -204,6 +230,19 @@ class TestEvaluateAgainstTruth:
         assert evaluation.last_frame_category_accuracy == 1.0
         assert evaluation.n_unmatched_objects == 0
         assert evaluation.estimated_defect_ratio == evaluation.true_defect_ratio
+
+    def test_stream_and_truth_must_agree_on_the_category_count(self):
+        gt, frames = generate_scene(clean_scene(n_lanes=2, n_objects_per_lane=4, seed=0))
+        five = [
+            FrameDetections(f.frame_index, f.boxes, f.scores, f.categories, 5) for f in frames
+        ]
+        with pytest.raises(ValueError, match="the stream has 5 categories, the truth has 4"):
+            evaluate_against_truth(five, gt)
+        # With both at 5 categories, the scores are those of both at 4.
+        gt_five = SceneGroundTruth(gt.object_ids, gt.categories, gt.counts, gt.frames, gt.boxes, 5)
+        evaluation = evaluate_against_truth(frames, gt)
+        assert evaluate_against_truth(five, gt_five) == evaluation
+        assert evaluation.aggregated_category_accuracy == 1.0
 
     def test_aggregation_beats_last_frame_under_flip_noise(self):
         config = clean_scene(

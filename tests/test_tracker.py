@@ -1,5 +1,7 @@
 import json
+import tracemalloc
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -13,7 +15,6 @@ from beltrack import (
     FrameDetections,
     KalmanState,
     TrackerConfig,
-    TrackStatus,
     kf_initiate,
     kf_predict,
     kf_update,
@@ -22,6 +23,7 @@ from beltrack.io import ingest_detections
 from beltrack.model import split_frames
 from beltrack.pipeline import run_stream
 from beltrack.simulate import SimConfig, generate_scene
+from beltrack.tracker import ACTIVE, LOST, TENTATIVE
 
 from oracles import (
     FRESH,
@@ -31,6 +33,7 @@ from oracles import (
     frame_of,
     kf_predict_reference,
     kf_update_reference,
+    live_tracks,
 )
 
 
@@ -41,6 +44,11 @@ def moving_box(t, *, x0=0.0, y0=50.0, velocity=5.0, size=32.0):
 def frame_with(t, *boxes_scores):
     """A frame from (box, score, label) entries, each box (x, y, w, h)."""
     return frame_of(t, [(*box, score, label) for box, score, label in boxes_scores])
+
+
+def copied(state):
+    """A copy of a filter, which the tracker's next step leaves as it is."""
+    return KalmanState(state.mean.copy(), state.blocks.copy())
 
 
 class TestLifecycleBasics:
@@ -103,12 +111,17 @@ class TestLifecycleBasics:
         config = TrackerConfig(max_frames_lost=2)
         tracker = ByteTracker(config)
         tracker.step(frame_with(0, ((0, 0, 20, 20), 0.9, None)))
-        removed = []
+        removed_at = {}
         for t in range(1, 6):
             out = tracker.step(FrameDetections(t))
-            removed.extend(out.newly_removed_track_ids)
-        assert removed == [1]
-        assert tracker.finalize()[0].status is TrackStatus.REMOVED
+            removed_at.update(dict.fromkeys(out.newly_removed_track_ids, t))
+            assert [status for status, *_ in live_tracks(tracker).values()] == (
+                [] if removed_at else [LOST]
+            )
+        # Unmatched on frames 1, 2 and 3: the third is over max_frames_lost.
+        assert removed_at == {1: 3}
+        (track,) = tracker.finalize()
+        assert (track.id, track.frames.tolist()) == (1, [0])
 
 
 class TestDivergence:
@@ -120,19 +133,18 @@ class TestDivergence:
         for t in range(6):
             size = 60.0 - 8.0 * t
             tracker.step(frame_with(t, ((100.0, 100.0, size, size), 0.9, FRESH)))
-        removed, removed_state = [], None
+        removed = []
         for t in range(6, 20):
+            before = {i: copied(live.state) for i, live in live_tracks(tracker).items()}
             out = tracker.step(FrameDetections(t))
             removed.extend(out.newly_removed_track_ids)
-            (track,) = tracker.finalize()
-            if removed_state is None and removed:
-                assert track.state.mean[3] <= 0.0
-                removed_state = track.state
+            if out.newly_removed_track_ids:
+                # The filter's prediction for this frame has no height.
+                assert kf_predict(before[1]).mean[3] <= 0.0
             assert out.active_tracks == ()
         assert removed == [1]
+        assert live_tracks(tracker) == {}
         (track,) = tracker.finalize()
-        assert track.state is removed_state  # never predicted after removal
-        assert track.status is TrackStatus.REMOVED
         assert track.frames.tolist() == list(range(6))
 
     def test_non_finite_filter_is_removed_as_diverged(self):
@@ -161,17 +173,19 @@ class TestDivergence:
         tracker = ByteTracker()
         flat = (0.0, 0.0, 1.0, 1e-170)
         for t in range(2):
+            if t == 1:
+                flat_state = copied(live_tracks(tracker)[1].state)
             out = tracker.step(
                 frame_with(t, (flat, 0.9, FRESH), (moving_box(t, y0=200.0), 0.9, FRESH))
             )
         assert out.newly_removed_track_ids == (1,)
         assert list(out.active_tracks) == [2]
+        assert list(live_tracks(tracker)) == [2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert np.isnan(kf_update(kf_predict(flat_state), np.array(flat)).mean).any()
         flat_track, steady_track = tracker.finalize()
-        assert flat_track.status is TrackStatus.REMOVED
-        # The update that left no box does not count as a hit.
-        assert (flat_track.hit_count, flat_track.last_update_frame) == (1, 0)
+        # The update that left no box is not recorded as a match.
         assert (flat_track.frames.tolist(), flat_track.boxes.tolist()) == ([0], [list(flat)])
-        assert np.isnan(flat_track.state.mean).any()
         assert steady_track.frames.tolist() == [0, 1]
 
     @pytest.mark.parametrize("height", [1e200, 1e-300])
@@ -184,12 +198,20 @@ class TestDivergence:
         path = tmp_path / "dets.jsonl"
         record = {"x": 0, "y": 0, "w": 1.0, "h": height, "score": 0.9}
         path.write_text("".join(json.dumps({"frame": t, **record}) + "\n" for t in range(n_lines)))
+        tracker = ByteTracker()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (track,) = run_stream(ingest_detections(path))
-        assert (track.id, track.hit_count, track.last_update_frame) == (1, 1, 0)
-        assert track.status is (TrackStatus.ACTIVE if n_lines == 1 else TrackStatus.REMOVED)
-        assert (track.frames.tolist(), track.boxes.tolist()) == ([0], [[0.0, 0.0, 1.0, height]])
+            outputs = [tracker.step(frame) for frame in ingest_detections(path)]
+            (track,) = tracker.finalize()
+        if n_lines == 1:
+            (live,) = live_tracks(tracker).values()
+            assert (live.status, live.hits, live.last_frame) == (ACTIVE, 1, 0)
+        else:
+            assert outputs[1].newly_removed_track_ids == (1,)
+            assert live_tracks(tracker) == {}
+        assert (track.id, track.frames.tolist(), track.boxes.tolist()) == (
+            1, [0], [[0.0, 0.0, 1.0, height]]
+        )
 
     def test_divergence_removes_one_track_of_the_batch(self):
         # Track 1 shrinks and then coasts into a negative height, as above,
@@ -204,31 +226,33 @@ class TestDivergence:
             if t < 6:
                 size = 60.0 - 8.0 * t
                 entries.insert(0, ((100.0, 100.0, size, size), 0.9, FRESH))
+            before = {i: copied(live.state) for i, live in live_tracks(tracker).items()}
             out = tracker.step(frame_with(t, *entries))
             if out.newly_removed_track_ids:
                 assert diverged_at is None
                 diverged_at = t
                 assert out.newly_removed_track_ids == (1,)
+                assert kf_predict(before[1]).mean[3] <= 0.0
             assert list(out.active_tracks) == ([1, 2, 3] if t < 6 else [2, 3])
         assert diverged_at is not None
 
         tracks = tracker.finalize()
         assert [tr.id for tr in tracks] == [1, 2, 3]
-        assert tracks[0].status is TrackStatus.REMOVED
-        assert tracks[0].state.mean[3] <= 0.0
+        assert list(live_tracks(tracker)) == [2, 3]
         for track, x0 in zip(tracks[1:], (300.0, 500.0)):
-            assert track.status is TrackStatus.ACTIVE
+            live = live_tracks(tracker)[track.id]
+            assert (live.status, live.hits, live.last_frame) == (ACTIVE, 16, 15)
             assert track.frames.tolist() == list(range(16))
-            # The finalized state is the filter after the last update: it
+            # The live filter is the filter after the last update: it
             # decodes to the last matched box and equals one filter stepped
             # on its own through the same detections.
-            assert decoded_box(track.state) == track.boxes[-1].tolist()
+            assert decoded_box(live.state) == track.boxes[-1].tolist()
             alone = kf_initiate(np.array(steady(0, x0)))
             for t in range(1, 16):
                 alone = kf_update(kf_predict(alone), np.array(steady(t, x0)))
-            assert np.allclose(track.state.mean, alone.mean, rtol=1e-12, atol=0.0)
+            assert np.allclose(live.state.mean, alone.mean, rtol=1e-12, atol=0.0)
             assert np.allclose(
-                dense_covariance(track.state.blocks), dense_covariance(alone.blocks),
+                dense_covariance(live.state.blocks), dense_covariance(alone.blocks),
                 rtol=1e-12, atol=1e-15,
             )
 
@@ -244,7 +268,7 @@ class TestLostRecovery:
             tracker.step(frame_with(t, (moving_box(t, velocity=3.0), 0.9, FRESH)))
         tracks = tracker.finalize()
         assert len(tracks) == 1
-        assert tracks[0].status is TrackStatus.ACTIVE
+        assert live_tracks(tracker)[1].status == ACTIVE
         assert tracks[0].frames.tolist() == [0, 1, 2, 3, 4, 5, 8, 9, 10, 11]
 
 
@@ -293,12 +317,12 @@ class TestByteRecovery:
         tracker = warm_tracker()
         out = tracker.step(frame_with(3, (moving_box(3, velocity=2.0), 0.3, FRESH)))
         assert list(out.active_tracks) == [1]
-        assert tracker.finalize()[0].status is TrackStatus.ACTIVE
+        assert live_tracks(tracker)[1].status == ACTIVE
 
         tracker = warm_tracker()
         out = tracker.step(FrameDetections(3))
         assert out.active_tracks == ()
-        assert tracker.finalize()[0].status is TrackStatus.LOST
+        assert live_tracks(tracker)[1].status == LOST
 
 
 class TestTentativeLifecycle:
@@ -365,29 +389,29 @@ class TestLifecycleProperties:
             removed += out.newly_removed_track_ids
             removed_at.update(dict.fromkeys(out.newly_removed_track_ids, t))
             stepped.append(t)
-        tracks = tracker.finalize()
+        tracks, live = tracker.finalize(), live_tracks(tracker)
         assert len(removed) == len(set(removed))
-        assert set(removed) == {tr.id for tr in tracks if tr.status is TrackStatus.REMOVED}
+        assert set(removed) == {tr.id for tr in tracks} - set(live)
         if out is not None:
-            assert set(out.active_tracks) == {
-                tr.id for tr in tracks if tr.status is TrackStatus.ACTIVE
-            }
+            assert set(out.active_tracks) == {i for i, tr in live.items() if tr.status == ACTIVE}
         for track in tracks:
-            assert track.hit_count == len(track.frames)
-            assert track.last_update_frame == track.frames[-1]
+            # Every match is a row: the hits and the last matched frame.
+            last, hits = int(track.frames[-1]), len(track.frames)
+            if track.id in live:
+                assert (live[track.id].hits, live[track.id].last_frame) == (hits, last)
             # Every box is 32 x 32, so no filter diverges: a track is removed
             # on its first unmatched frame while tentative, and on the first
             # frame more than max_frames_lost past its last match once active.
-            last, activated = track.last_update_frame, track.hit_count >= min_hits
+            activated = hits >= min_hits
             later = [f for f in stepped if f > last]
-            if track.status is TrackStatus.REMOVED:
+            if track.id not in live:
                 due = [f for f in later if f - last > max_lost] if activated else later
                 assert removed_at[track.id] == due[0]
-            elif track.status is TrackStatus.LOST:
+            elif live[track.id].status == LOST:
                 assert activated and later and t - last <= max_lost
             else:
                 assert not later
-                assert activated == (track.status is TrackStatus.ACTIVE)
+                assert live[track.id].status == (ACTIVE if activated else TENTATIVE)
 
 
 class TestPredictionRecording:
@@ -428,14 +452,21 @@ class TestMatchTable:
             detection_dropout_prob=0.15, bbox_jitter_std=1.5, label_flip_prob=0.25,
         ))
         by_index = {f.frame_index: f for f in frames}
-        tracks = run_stream(frames)
+        tracker = ByteTracker()
+        for t in range(frames[-1].frame_index + 1):
+            tracker.step(by_index.get(t, FrameDetections(t)))
+            if t % 20 == 0:  # the live tracks' hits and last frames are their rows'
+                hits_and_last = {
+                    track.id: (len(track.frames), track.frames[-1]) for track in tracker.finalize()
+                }
+                for track_id, live in live_tracks(tracker).items():
+                    assert hits_and_last[track_id] == (live.hits, live.last_frame)
+        tracks = tracker.finalize()
         assert len(tracks) > 20
         assert sum(len(track.frames) for track in tracks) > 256  # the table has grown
         for track in tracks:
             assert (np.diff(track.frames) > 0).all()
             assert len(track.frames) == len(track.boxes) == len(track.categories)
-            assert len(track.frames) == track.hit_count
-            assert track.frames[-1] == track.last_update_frame
             # ``predictions`` gives the labeled rows.
             assert [(f, label.index) for f, label in track.predictions] == [
                 (f, c) for f, c in zip(track.frames.tolist(), track.categories.tolist()) if c >= 0
@@ -475,20 +506,85 @@ class TestFinalize:
         assert len(tracks) == 1  # the 1-frame track is filtered out
         assert len(tracks[0].frames) == 3
 
-    def test_live_track_state_is_a_snapshot(self):
+    def test_later_steps_leave_finalized_tracks_as_they_were(self):
         tracker = ByteTracker()
         for t in range(3):
             tracker.step(frame_with(t, (moving_box(t), 0.9, FRESH)))
         (track,) = tracker.finalize()
-        mean = track.state.mean.copy()
+        assert live_tracks(tracker)[1][:3] == (ACTIVE, 3, 2)
         tracker.step(frame_with(3, (moving_box(3), 0.9, FRESH)))
-        assert np.array_equal(track.state.mean, mean)
-        assert track.hit_count == 3 and track.status is TrackStatus.ACTIVE
+        assert track.frames.tolist() == [0, 1, 2]
+        assert live_tracks(tracker)[1][:3] == (ACTIVE, 4, 3)
         (later,) = tracker.finalize()
-        assert later.hit_count == 4
+        assert later.frames.tolist() == [0, 1, 2, 3]
+
+    def test_finalize_is_repeatable(self):
+        # Mid-stream and at the end, finalize gives the columns a fresh
+        # tracker gives for the frames stepped so far.
+        _, frames = generate_scene(SimConfig(
+            seed=5, n_lanes=2, n_objects_per_lane=8, detection_dropout_prob=0.1,
+            false_positive_rate=0.5, label_flip_prob=0.2, frame_width=200,
+        ))
+        by_index = {f.frame_index: f for f in frames}
+        stream = [by_index.get(t, FrameDetections(t)) for t in range(frames[-1].frame_index + 1)]
+        middle = len(stream) // 2
+
+        def columns(tracks):
+            return [
+                (tr.id, tr.frames.tolist(), tr.boxes.tolist(), tr.categories.tolist(),
+                 tr.num_categories)
+                for tr in tracks
+            ]
+
+        def fresh(stop):
+            tracker = ByteTracker()
+            for frame in stream[:stop]:
+                tracker.step(frame)
+            return columns(tracker.finalize())
+
+        tracker = ByteTracker()
+        for frame in stream[:middle]:
+            tracker.step(frame)
+        early = tracker.finalize()
+        early_columns = columns(early)
+        assert early_columns == fresh(middle)
+        for frame in stream[middle:]:
+            tracker.step(frame)
+        assert columns(tracker.finalize()) == fresh(len(stream))
+        assert columns(tracker.finalize()) != early_columns
+        assert columns(early) == early_columns
+        assert len(early) > 5
+        with pytest.raises(FrozenInstanceError):
+            early[0].frames = early[1].frames
 
     def test_no_input_no_tracks(self):
         assert ByteTracker().finalize() == []
+
+
+class TestMemory:
+    def test_removed_tracks_leave_only_their_rows(self):
+        # A long belt removes hundreds of tracks; past its match table, what
+        # the tracker holds stays bounded by the live tracks.
+        _, frames = generate_scene(SimConfig(
+            seed=1, n_lanes=3, n_objects_per_lane=200, spawn_jitter_frames=5,
+            detection_dropout_prob=0.1, bbox_jitter_std=1.0, false_positive_rate=0.5,
+            label_flip_prob=0.2,
+        ))
+        by_index = {f.frame_index: f for f in frames}
+        n_frames = frames[-1].frame_index + 1
+        assert n_frames == 4053
+        removed = 0
+        tracemalloc.start()
+        try:
+            tracker = ByteTracker()
+            for t in range(n_frames):
+                out = tracker.step(by_index.get(t, FrameDetections(t)))
+                removed += len(out.newly_removed_track_ids)
+            held = tracemalloc.get_traced_memory()[0] - tracker._matches.nbytes
+        finally:
+            tracemalloc.stop()
+        assert removed == 594
+        assert held <= 64 * 1024
 
 
 class TestDeterminism:
@@ -503,8 +599,7 @@ class TestDeterminism:
             tracks = run_stream(frames)
             runs.append(
                 [
-                    (tr.id, tr.status, tr.frames.tolist(), tr.boxes.tolist(),
-                     tr.categories.tolist())
+                    (tr.id, tr.frames.tolist(), tr.boxes.tolist(), tr.categories.tolist())
                     for tr in tracks
                 ]
             )
@@ -600,7 +695,7 @@ class TestPerAxisFilterMatchesDenseReference:
 
         def identities(tracks):
             return [
-                (tr.id, tr.status, tr.frames.tolist(), tr.categories.tolist()) for tr in tracks
+                (tr.id, tr.frames.tolist(), tr.categories.tolist()) for tr in tracks
             ]
 
         assert len(per_axis) > 20
