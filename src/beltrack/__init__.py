@@ -18,7 +18,6 @@ from .metrics import (
     defect_ratio,
     detection_map,
     stability_report,
-    temporal_stability,
 )
 from .model import (
     BinaryQuality,

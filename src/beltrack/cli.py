@@ -51,16 +51,22 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+def _field_types(config_cls: type) -> dict[str, tuple[object, bool]]:
+    """Each field's type (``X | None`` as X) and whether it takes None."""
+    return {
+        name: (next(arg for arg in get_args(hint) if arg is not type(None)), True)
+        if get_origin(hint) is UnionType else (hint, False)
+        for name, hint in get_type_hints(config_cls).items()
+    }
+
+
 def _add_config_flags(parser: argparse.ArgumentParser, config_cls: type):
     """One flag per field of ``config_cls``, parsed according to its type:
     a Literal gives choices, a bool a valueless switch, ``X | None`` parses
     as X, and a tuple as comma-separated values."""
     group = parser.add_argument_group(_SECTIONS[config_cls])
-    hints = get_type_hints(config_cls)
-    for config_field in dataclasses.fields(config_cls):
-        flag, hint = _flag(config_field.name), hints[config_field.name]
-        if get_origin(hint) is UnionType:
-            (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+    for name, (hint, _) in _field_types(config_cls).items():
+        flag = _flag(name)
         if get_origin(hint) is Literal:
             group.add_argument(flag, choices=get_args(hint))
         elif hint is bool:
@@ -74,6 +80,25 @@ def _add_config_flags(parser: argparse.ArgumentParser, config_cls: type):
             )
         else:
             group.add_argument(flag, type=hint)
+
+
+#: The Python types of the JSON values a config-file entry of each field
+#: type may hold: a float takes an integer too, and no number takes a bool.
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
+def _config_value(name: str, value, hint, optional: bool):
+    """A config-file value as its field takes it (a list as a tuple), or
+    ``ConfigError`` if its JSON type does not fit the field's type. A
+    Literal's choices are left to its dataclass to check."""
+    many = get_origin(hint) is tuple  # a list of values of its item type
+    kind = get_args(hint)[0] if many else str if get_origin(hint) is Literal else hint
+    if many and type(value) is list and all(type(item) in _JSON_TYPES[kind] for item in value):
+        return tuple(value)
+    if (not many and type(value) in _JSON_TYPES[kind]) or (value is None and optional):
+        return value
+    what = ("a list of " if many else "") + kind.__name__ + (" or null" if optional else "")
+    raise ConfigError(f"{name} must be {what}, got {json.dumps(value)}")
 
 
 def _load_config_file(args: argparse.Namespace) -> dict:
@@ -92,18 +117,16 @@ def _load_config_file(args: argparse.Namespace) -> dict:
     return data
 
 
-def _resolve(section: dict, args: argparse.Namespace, names: list[str]) -> dict:
+def _resolve(section: dict, args: argparse.Namespace, types: dict) -> dict:
     """Merge config-file section and CLI flags; the file wins conflicts."""
-    unknown = set(section) - set(names)
+    unknown = set(section) - set(types)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     merged = {}
-    for name in names:
+    for name, (hint, optional) in types.items():
         cli_value = getattr(args, name, None)
         if name in section:
-            value = section[name]
-            if isinstance(value, list):
-                value = tuple(value)
+            value = _config_value(name, section[name], hint, optional)
             if cli_value is not None and value != cli_value:
                 logger.warning(
                     "config file overrides %s=%r (flag gave %r)", name, value, cli_value
@@ -116,8 +139,9 @@ def _resolve(section: dict, args: argparse.Namespace, names: list[str]) -> dict:
 
 def _build_config(config_cls: type, config_file: dict, args):
     section = config_file.get(_SECTIONS[config_cls], {})
-    names = [f.name for f in dataclasses.fields(config_cls)]
-    return config_cls(**_resolve(section, args, names))
+    if type(section) is not dict:
+        raise ConfigError(f"config section {_SECTIONS[config_cls]!r} must be a JSON object")
+    return config_cls(**_resolve(section, args, _field_types(config_cls)))
 
 
 def _cmd_track(args) -> int:

@@ -36,7 +36,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConfigError, InputError
 from .model import (
     DEFAULT_NUM_CATEGORIES,
     CategoryLabel,
@@ -252,6 +252,8 @@ def ingest_detections(
     ``skip_malformed`` is set, in which case they are logged and dropped.
     Each line becomes one numeric row; the rows are checked as one table.
     """
+    if num_categories < 2:
+        raise ConfigError(f"num_categories must be >= 2, got {num_categories}")
     path = Path(path)
     if not path.exists():
         raise InputError(f"detection file not found: {path}")
@@ -308,6 +310,8 @@ def read_ground_truth(path: str | Path, num_categories: int = 4) -> SceneGroundT
     """Read a ground-truth JSONL file into one table, objects in id order
     and each object's rows in frame order; the first bad line aborts with
     its line number."""
+    if num_categories < 2:
+        raise ConfigError(f"num_categories must be >= 2, got {num_categories}")
     path = Path(path)
     if not path.exists():
         raise InputError(f"ground-truth file not found: {path}")

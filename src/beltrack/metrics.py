@@ -8,7 +8,6 @@ k - 1), so a maximally oscillating track scores 1/k rather than 0.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Literal, Sequence
 
@@ -53,18 +52,6 @@ def aggregated_report(verdicts: Sequence[TrackVerdict]) -> VideoQualityReport:
     )
 
 
-def temporal_stability(labels: Sequence) -> float:
-    """1 - (number of adjacent label changes) / (sequence length).
-
-    Works on any label sequence (binary or multi-class); a constant sequence
-    scores exactly 1.0.
-    """
-    if len(labels) == 0:
-        raise ValueError("temporal stability is undefined for an empty label sequence")
-    changes = sum(1 for a, b in zip(labels, labels[1:]) if a != b)
-    return 1.0 - changes / len(labels)
-
-
 def stability_report(
     tracks: Sequence[Track],
     *,
@@ -72,33 +59,35 @@ def stability_report(
     granularity: StabilityGranularity = "binary",
     rng: np.random.Generator | None = None,
 ) -> VideoQualityReport:
-    """Score one video's tracks frame by frame, without voting.
+    """Score one video's tracks frame by frame, without voting, in one pass
+    over their concatenated labels.
 
     Stability is taken over the raw per-frame label sequences, and each
     track is decided by a single frame (``frame_choice``; the default mimics
-    an exit-gate camera reading the last frame).
+    an exit-gate camera reading the last frame; ``random`` draws every
+    track's frame with one ``rng.integers`` call).
     """
     if not tracks:
         raise ValueError("stability report needs at least one labeled track")
-    if frame_choice == "random" and rng is None:
-        rng = np.random.default_rng(0)
-
-    per_track: dict[int, float] = {}
-    n_defect = 0
-    for track in tracks:
-        labels = track.labels  # temporal_stability rejects an empty sequence
-        defects = (labels > 0).tolist()  # the binary collapse: index 0 is normal
-        sequence = defects if granularity == "binary" else labels.tolist()
-        per_track[track.id] = temporal_stability(sequence)
-        if frame_choice == "random":
-            n_defect += defects[int(rng.integers(len(defects)))]
-        else:
-            n_defect += defects[0 if frame_choice == "first" else -1]
-
+    lengths = np.array([len(track.labels) for track in tracks])
+    if not lengths.all():
+        raise ValueError("temporal stability is undefined for an empty label sequence")
+    labels = np.concatenate([track.labels for track in tracks])
+    defects = labels > 0  # the binary collapse: index 0 is normal
+    sequence = defects if granularity == "binary" else labels
+    changes = np.concatenate(([0], np.cumsum(sequence[1:] != sequence[:-1])))
+    stops = np.cumsum(lengths)
+    starts = stops - lengths
+    stability = 1.0 - (changes[stops - 1] - changes[starts]) / lengths
+    if frame_choice == "random":
+        chosen = starts + (rng or np.random.default_rng(0)).integers(lengths)
+    else:
+        chosen = starts if frame_choice == "first" else stops - 1
+    n_defect = int(np.count_nonzero(defects[chosen]))
     return VideoQualityReport(
         defect_ratio=n_defect / len(tracks),
-        per_track_stability=per_track,
-        mean_stability=float(np.mean(list(per_track.values()))),
+        per_track_stability=dict(zip([track.id for track in tracks], stability.tolist())),
+        mean_stability=float(np.mean(stability)),
         n_total_tracks=len(tracks),
         n_defect_tracks=n_defect,
     )
@@ -106,18 +95,17 @@ def stability_report(
 
 def detection_map(
     dets: Sequence[FrameDetections],
-    gt: Sequence[FrameDetections],
+    gt: SceneGroundTruth,
     iou_threshold: float = 0.5,
 ) -> float:
     """Single-class average precision with all-point interpolation.
 
     Detections are swept in descending score order (stable on ties, so the
     result depends only on the score ranking); each is greedily matched to
-    the highest-IoU unmatched ground-truth box of its frame with IoU above 0
-    and at or above the threshold, the lowest index breaking ties. Several
-    ``gt`` entries for one frame count as one frame holding all their boxes.
-    A candidate pair (see ``_overlaps``) whose detection and truth box have
-    no other candidate matches whatever the order; only the rest are swept.
+    the highest-IoU unmatched true box of its frame with IoU above 0 and at
+    or above the threshold, the lowest truth row breaking ties. A candidate
+    pair (see ``_overlaps``) whose detection and truth box have no other
+    candidate matches whatever the order; only the rest are swept.
     """
     tp, n_gt = _true_positives(dets, gt, iou_threshold)
     cum_tp = np.cumsum(tp)
@@ -135,13 +123,14 @@ def detection_map(
 def _true_positives(dets, gt, iou_threshold) -> tuple[np.ndarray, int]:
     """Each detection's match (1.0) or not in rank order, and the truth box
     count; the candidates die with this frame, before the precision arrays."""
-    gt_frames, gt_boxes, _ = _columns(gt)
-    if len(gt_frames) == 0:
+    if len(gt.frames) == 0:
         raise ValueError("average precision is undefined without ground-truth boxes")
-    frames, boxes, scores = _columns(dets)
+    frames = np.repeat([f.frame_index for f in dets], [len(f.scores) for f in dets]).astype(np.int64)
+    boxes = np.concatenate([np.zeros((0, 4)), *(f.boxes for f in dets)])
+    scores = np.concatenate([np.zeros(0), *(f.scores for f in dets)])
     order = np.argsort(-scores, kind="stable")  # sweep order: k-th entry has rank k
     ranks = np.argsort(frames[order], kind="stable")  # grouped by frame, ascending within
-    found = _overlaps(order[ranks], frames, boxes, gt_frames, gt_boxes, iou_threshold)
+    found = _overlaps(order[ranks], frames, boxes, gt.frames, gt.boxes, iou_threshold)
     parts = [(ranks[k], truth, overlap) for k, truth, overlap in found]
     rank, truth, overlap = (np.concatenate(c) for c in zip((_NO_ROWS, _NO_ROWS, np.zeros(0)), *parts))
     tp = np.zeros(len(order))
@@ -154,17 +143,7 @@ def _true_positives(dets, gt, iou_threshold) -> tuple[np.ndarray, int]:
         if r != last and t not in taken:
             taken.add(t)
             tp[r], last = 1.0, r
-    return tp, len(gt_frames)
-
-
-def _columns(frames: Sequence[FrameDetections]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every detection of the frames, in order: frame index, box and score."""
-    counts = [len(f.scores) for f in frames]
-    return (
-        np.repeat(np.array([f.frame_index for f in frames], dtype=np.int64), counts),
-        np.concatenate([f.boxes for f in frames] or [np.zeros((0, 4))]),
-        np.concatenate([f.scores for f in frames] or [np.zeros(0)]),
-    )
+    return tp, len(gt.frames)
 
 
 #: ``a`` rows per block of ``_overlaps``, which bounds the pairs held at once.
@@ -212,9 +191,10 @@ def _overlaps(
 
 def covering_tracks(
     tracks: Sequence[Track], gt: SceneGroundTruth, iou_threshold: float = 0.5
-) -> dict[int, list[int]]:
-    """object_id -> the id of the track covering the object on each frame
-    where one does, in frame order; objects no track covers are left out.
+) -> np.ndarray:
+    """The covering column: for each truth row, in the truth's row order,
+    the id of the track covering that true box, -1 where none does (so
+    track ids must be non-negative).
 
     On each (object, frame) the covering track is the one whose box overlaps
     the true box with IoU at or above the threshold, best overlap winning and
@@ -227,8 +207,6 @@ def covering_tracks(
     boxes = np.concatenate([np.zeros((0, 4)), *(track.boxes for track in tracks)])
     track_ids = np.repeat([t.id for t in tracks], [len(t.frames) for t in tracks]).astype(np.int64)
 
-    # covering[i] is the covering track of the i-th true box (in the truth's
-    # object order), -1 where none covers it.
     covering = np.full(len(gt.frames), -1, dtype=np.int64)
     by_frame = np.argsort(gt.frames, kind="stable")
     for k, rows, overlap in _overlaps(by_frame, gt.frames, gt.boxes, frames, boxes, iou_threshold):
@@ -236,31 +214,36 @@ def covering_tracks(
         best = np.lexsort((ids, -overlap, k))  # per true box: best overlap, then lowest id
         best = best[np.diff(k[best], prepend=-1) != 0]
         covering[by_frame[k[best]]] = ids[best]
-
-    coverage: dict[int, list[int]] = {}
-    ids = covering.tolist()
-    stops = np.cumsum(gt.counts).tolist()
-    for object_id, start, stop in zip(gt.object_ids.tolist(), [0, *stops], stops):
-        covered = [i for i in ids[start:stop] if i >= 0]
-        if covered:
-            coverage[object_id] = covered
-    return coverage
+    return covering
 
 
-def switches_in(coverage: dict[int, list[int]]) -> int:
+def _covered_rows(covering: np.ndarray, gt: SceneGroundTruth) -> tuple[np.ndarray, np.ndarray]:
+    """The object index (position in ``gt.object_ids``) and the covering
+    track id of every covered truth row, in the truth's row order."""
+    objects = np.repeat(np.arange(len(gt.counts)), gt.counts)
+    covered = covering >= 0
+    return objects[covered], covering[covered]
+
+
+def switches_in(covering: np.ndarray, gt: SceneGroundTruth) -> int:
     """Identity handoffs: how often an object's covering track changes.
-    Frames no track covers are skipped, so a gap alone is not a switch."""
-    return sum(
-        sum(1 for a, b in zip(ids, ids[1:]) if a != b) for ids in coverage.values()
-    )
+    Rows no track covers are skipped, so a gap alone is not a switch."""
+    objects, ids = _covered_rows(covering, gt)
+    return int(np.count_nonzero((ids[1:] != ids[:-1]) & (objects[1:] == objects[:-1])))
 
 
-def majority_tracks(coverage: dict[int, list[int]]) -> dict[int, int]:
-    """object_id -> the track covering it on the most frames (ties: lowest id)."""
-    assignment = {}
-    for object_id, ids in coverage.items():
-        counts = Counter(ids)
-        top = max(counts.values())
-        assignment[object_id] = min(t for t, n in counts.items() if n == top)
+def majority_tracks(covering: np.ndarray, gt: SceneGroundTruth) -> np.ndarray:
+    """The track covering each object (in the truth's object order) on the
+    most frames, the lowest id breaking ties; -1 for an uncovered object."""
+    objects, ids = _covered_rows(covering, gt)
+    order = np.lexsort((ids, objects))
+    objects, ids = objects[order], ids[order]
+    # One run per (object, track) pair, in (object, id) order, so the stable
+    # sort on -frames keeps the lowest id first among each object's longest.
+    starts = np.flatnonzero((np.diff(objects, prepend=-1) != 0) | (np.diff(ids, prepend=-1) != 0))
+    frames = np.diff(starts, append=len(ids))
+    best = starts[np.lexsort((-frames, objects[starts]))]
+    best = best[np.diff(objects[best], prepend=-1) != 0]
+    assignment = np.full(len(gt.counts), -1, dtype=np.int64)
+    assignment[objects[best]] = ids[best]
     return assignment
-

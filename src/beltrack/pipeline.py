@@ -31,7 +31,7 @@ from .metrics import (
     stability_report,
     switches_in,
 )
-from .model import DEFAULT_NUM_CATEGORIES, FrameDetections, Track, split_frames
+from .model import FrameDetections, Track
 from .simulate import SceneGroundTruth, SimConfig, generate_scene
 from .tracker import ByteTracker, TrackerConfig
 
@@ -262,41 +262,35 @@ def evaluate_against_truth(
             f"the stream has {labeled[0].num_categories} categories, "
             f"the truth has {gt.num_categories}"
         )
-    voted = {track.id: (track, verdict) for track, verdict in zip(labeled, verdicts)}
+    ap = detection_map(frames, gt, iou_threshold) if len(gt.frames) else 0.0
 
-    gt_frames = _truth_frames(gt)
-    ap = detection_map(frames, gt_frames, iou_threshold) if gt_frames else 0.0
-
-    coverage = covering_tracks(tracks, gt, iou_threshold)
-    assignment = majority_tracks(coverage)
-    # Categories compare as indices, and as binary labels by whether the
-    # index is 0 (fresh, normal) or not (defect).
-    agg_bin = agg_cat = last_cat = last_bin = 0
-    for object_id, true_index in zip(gt.object_ids.tolist(), gt.categories.tolist()):
-        track_id = assignment.get(object_id)
-        if track_id not in voted:
-            continue
-        track, verdict = voted[track_id]
-        voted_index, last_index = verdict.final_category.index, int(track.labels[-1])
-        agg_cat += voted_index == true_index
-        agg_bin += (voted_index == 0) == (true_index == 0)
-        last_cat += last_index == true_index
-        last_bin += (last_index == 0) == (true_index == 0)
-
+    covering = covering_tracks(tracks, gt, iou_threshold)
+    assignment = majority_tracks(covering, gt)
+    # Each object's voted and last-frame category, looked up by its track's
+    # id (ids may skip numbers, so the table spans the largest id), -1 where
+    # it has no track or its track no labels. Categories compare as indices,
+    # and as binary labels by whether the index is 0 (fresh, normal) or not.
+    lookup = np.full((2, max((track.id for track in tracks), default=0) + 1), -1)
+    ids = [track.id for track in labeled]
+    lookup[0, ids] = [verdict.final_category.index for verdict in verdicts]
+    lookup[1, ids] = [track.labels[-1] for track in labeled]
+    found = np.where(assignment >= 0, lookup[:, assignment], -1)
+    hits = [found == gt.categories, (found >= 0) & ((found == 0) == (gt.categories == 0))]
     n_objects = len(gt.object_ids)
-    n_defect_true = int(np.count_nonzero(gt.categories))
+    # Shares of the objects, 0.0 without objects.
+    (agg_cat, last_cat), (agg_bin, last_bin) = (np.sum(hits, axis=2) / max(n_objects, 1)).tolist()
     return SceneEvaluation(
         n_objects=n_objects,
         n_tracks=len(tracks),
-        n_unmatched_objects=n_objects - len(assignment),
-        id_switches=switches_in(coverage),
+        n_unmatched_objects=int(np.count_nonzero(assignment < 0)),
+        id_switches=switches_in(covering, gt),
         detection_ap=ap,
-        aggregated_binary_accuracy=agg_bin / n_objects if n_objects else 0.0,
-        aggregated_category_accuracy=agg_cat / n_objects if n_objects else 0.0,
-        last_frame_category_accuracy=last_cat / n_objects if n_objects else 0.0,
-        last_frame_binary_accuracy=last_bin / n_objects if n_objects else 0.0,
+        aggregated_binary_accuracy=agg_bin,
+        aggregated_category_accuracy=agg_cat,
+        last_frame_category_accuracy=last_cat,
+        last_frame_binary_accuracy=last_bin,
         estimated_defect_ratio=defect_ratio(verdicts) if verdicts else None,
-        true_defect_ratio=n_defect_true / n_objects if n_objects else 0.0,
+        true_defect_ratio=int(np.count_nonzero(gt.categories)) / max(n_objects, 1),
         mean_frame_wise_stability=(
             stability_report(
                 labeled, granularity=aggregation.stability_granularity
@@ -304,15 +298,6 @@ def evaluate_against_truth(
             if labeled
             else None
         ),
-    )
-
-
-def _truth_frames(gt: SceneGroundTruth) -> list[FrameDetections]:
-    """The true boxes as unlabeled score-1 detections, one frame per frame
-    index, each frame's boxes in object order."""
-    n = len(gt.frames)
-    return split_frames(
-        gt.frames, gt.boxes, np.ones(n), np.full(n, -1, dtype=np.int64), DEFAULT_NUM_CATEGORIES
     )
 
 

@@ -70,6 +70,8 @@ class SimConfig:
             raise ConfigError(f"spawn_jitter_frames must be >= 0, got {self.spawn_jitter_frames}")
         if self.box_size_mean <= 0:
             raise ConfigError(f"box_size_mean must be > 0, got {self.box_size_mean}")
+        if self.num_categories < 2:
+            raise ConfigError(f"num_categories must be >= 2, got {self.num_categories}")
         if len(self.defect_category_weights) != self.num_categories - 1:
             raise ConfigError(
                 f"defect_category_weights needs {self.num_categories - 1} entries, "

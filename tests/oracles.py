@@ -6,7 +6,10 @@ search share no code with the package, and scipy's
 ``linear_sum_assignment`` (which the package does not use) is the reference
 for the solver's optimum. The scalar ``iou`` of two boxes is checked against
 the package's ``iou_matrix``, and the metric references are plain loops over
-it, checked against the package's candidate-pair join. The Kalman
+it, checked against the package's candidate-pair join; the object and
+track loops of ``evaluate_reference`` (a ``Counter`` majority, one
+``temporal_stability`` per track) against the package's array code over
+the covering column and the concatenated labels. The Kalman
 references step one filter with dense 8x8 matrix products, converting its
 per-axis blocks to the dense covariance and back, checked against the
 package's batched per-axis filter. The scalar ingest reference parses and
@@ -23,6 +26,7 @@ hold the lifecycle of the tracks that are not yet removed.
 import json
 import math
 from array import array
+from collections import Counter
 from itertools import permutations
 from pathlib import Path
 from typing import NamedTuple
@@ -31,13 +35,18 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from beltrack import (
+    AggregationConfig,
+    BinaryQuality,
     BoundingBox,
     CategoryLabel,
     Detection,
     FrameDetections,
     InputError,
     KalmanState,
+    SceneEvaluation,
     decode_boxes,
+    majority_vote,
+    run_stream,
 )
 import beltrack.io as bio
 from beltrack.model import category_labels
@@ -253,43 +262,85 @@ def scipy_assignment(costs: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
     return float(sum(costs[r, c] for r, c in pairs)), pairs
 
 
+def truth_of_rows(rows):
+    """Fresh ground truth with one object per (frame, x, y, w, h, ...) tuple
+    (ids 1, 2, ...), its row in the order given; further fields such as a
+    score are ignored."""
+    n = len(rows)
+    return SceneGroundTruth(
+        np.arange(1, n + 1), np.zeros(n), np.ones(n), [row[0] for row in rows],
+        np.array([row[1:5] for row in rows], dtype=float).reshape(-1, 4),
+    )
+
+
+def temporal_stability(labels) -> float:
+    """A track's frame-wise stability as ``metrics.stability_report`` scores
+    it: 1 - (number of adjacent label changes) / (sequence length), on any
+    label sequence (binary or multi-class)."""
+    if len(labels) == 0:
+        raise ValueError("temporal stability is undefined for an empty label sequence")
+    changes = sum(1 for a, b in zip(labels, labels[1:]) if a != b)
+    return 1.0 - changes / len(labels)
+
+
 def covering_tracks_reference(tracks, gt, iou_threshold=0.5):
-    """``metrics.covering_tracks`` as a loop: for every (object, frame), the
-    track with the best overlap at or above the threshold, lowest id on ties."""
+    """``metrics.covering_tracks`` as a loop: for every truth row, the id of
+    the track with the best overlap at or above the threshold (lowest id on
+    ties), -1 where none reaches it."""
     by_frame = {}
     for track in tracks:
         for t, box in zip(track.frames.tolist(), track.boxes.tolist()):
             by_frame.setdefault(t, []).append((track.id, box))
-    coverage = {}
-    for obj in gt.objects:
-        ids = []
-        for t, gt_box in zip(obj.frames.tolist(), obj.boxes.tolist()):
-            best_id, best_overlap = None, 0.0
-            for track_id, box in by_frame.get(t, []):
-                overlap = iou(box, gt_box)
-                if overlap < iou_threshold:
-                    continue
-                if (
-                    best_id is None
-                    or overlap > best_overlap
-                    or (overlap == best_overlap and track_id < best_id)
-                ):
-                    best_id, best_overlap = track_id, overlap
-            if best_id is not None:
-                ids.append(best_id)
-        if ids:
-            coverage[obj.object_id] = ids
-    return coverage
+    covering = []
+    for t, gt_box in zip(gt.frames.tolist(), gt.boxes.tolist()):
+        best_id, best_overlap = -1, 0.0
+        for track_id, box in by_frame.get(t, []):
+            overlap = iou(box, gt_box)
+            if overlap < iou_threshold:
+                continue
+            if (
+                best_id == -1
+                or overlap > best_overlap
+                or (overlap == best_overlap and track_id < best_id)
+            ):
+                best_id, best_overlap = track_id, overlap
+        covering.append(best_id)
+    return covering
+
+
+def covered_ids(covering, gt):
+    """Per object, the ids of the tracks covering its rows, frames no track
+    covers left out."""
+    stops = np.cumsum(gt.counts).tolist()
+    return [[i for i in covering[a:b] if i >= 0] for a, b in zip([0, *stops], stops)]
+
+
+def switches_reference(covering, gt):
+    """``metrics.switches_in`` as a loop over each object's covering ids."""
+    return sum(
+        sum(1 for a, b in zip(ids, ids[1:]) if a != b) for ids in covered_ids(covering, gt)
+    )
+
+
+def majority_tracks_reference(covering, gt):
+    """``metrics.majority_tracks`` with a ``Counter``: each object's most
+    frequent covering id, the lowest among equals, -1 if it has none."""
+    assignment = []
+    for ids in covered_ids(covering, gt):
+        counts = Counter(ids)
+        top = max(counts.values(), default=0)
+        assignment.append(min((t for t, n in counts.items() if n == top), default=-1))
+    return assignment
 
 
 def detection_map_reference(dets, gt, iou_threshold=0.5):
     """``metrics.detection_map`` as a loop: one sweep over all detections in
-    descending score order, each taking the best still-free truth box.
-    Several ``gt`` entries for one frame pool their boxes."""
+    descending score order, each taking the best still-free truth box, the
+    first of its frame's truth rows on ties."""
     gt_boxes = {}
-    for f in gt:
-        gt_boxes.setdefault(f.frame_index, []).extend(f.boxes.tolist())
-    n_gt = sum(len(boxes) for boxes in gt_boxes.values())
+    for frame, box in zip(gt.frames.tolist(), gt.boxes.tolist()):
+        gt_boxes.setdefault(frame, []).append(box)
+    n_gt = len(gt.frames)
     flat = [
         (score, f.frame_index, box)
         for f in dets
@@ -338,6 +389,55 @@ def majority_vote_reference(labels, num_categories, tie_break, collapse_first):
     if tie_break == "prefer_defect" and len(tied) > 1 and tied[0] == 0:
         return counts, tied[1]  # the lowest tied defect
     return counts, tied[0]
+
+
+def evaluate_reference(frames, gt, tracker_config=None, aggregation=None, iou_threshold=0.5):
+    """``pipeline.evaluate_against_truth`` as loops over tracks and objects,
+    on the references above; the tracker and the vote are the package's."""
+    aggregation = aggregation or AggregationConfig()
+    tracks = run_stream(frames, tracker_config)
+    voted = {
+        track.id: (track, majority_vote(
+            track, aggregation.tie_break, aggregation.collapse_before_vote
+        ))
+        for track in tracks if len(track.labels)
+    }
+    covering = covering_tracks_reference(tracks, gt, iou_threshold)
+    agg_bin = agg_cat = last_cat = last_bin = 0
+    for track_id, true_index in zip(
+        majority_tracks_reference(covering, gt), gt.categories.tolist()
+    ):
+        if track_id not in voted:
+            continue
+        track, verdict = voted[track_id]
+        voted_index, last_index = verdict.final_category.index, int(track.labels[-1])
+        agg_cat += voted_index == true_index
+        agg_bin += (voted_index == 0) == (true_index == 0)
+        last_cat += last_index == true_index
+        last_bin += (last_index == 0) == (true_index == 0)
+    stabilities = [
+        temporal_stability(
+            (track.labels > 0).tolist() if aggregation.stability_granularity == "binary"
+            else track.labels.tolist()
+        )
+        for track, _ in voted.values()
+    ]
+    n = len(gt.object_ids)
+    n_defect = sum(v.final_binary is BinaryQuality.DEFECT for _, v in voted.values())
+    return SceneEvaluation(
+        n_objects=n,
+        n_tracks=len(tracks),
+        n_unmatched_objects=majority_tracks_reference(covering, gt).count(-1),
+        id_switches=switches_reference(covering, gt),
+        detection_ap=detection_map_reference(frames, gt, iou_threshold) if n else 0.0,
+        aggregated_binary_accuracy=agg_bin / n if n else 0.0,
+        aggregated_category_accuracy=agg_cat / n if n else 0.0,
+        last_frame_category_accuracy=last_cat / n if n else 0.0,
+        last_frame_binary_accuracy=last_bin / n if n else 0.0,
+        estimated_defect_ratio=n_defect / len(voted) if voted else None,
+        true_defect_ratio=sum(c > 0 for c in gt.categories.tolist()) / n if n else 0.0,
+        mean_frame_wise_stability=float(np.mean(stabilities)) if stabilities else None,
+    )
 
 
 _DETECTION_FIELDS = ("frame", "x", "y", "w", "h", "score")

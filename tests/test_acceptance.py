@@ -23,7 +23,6 @@ from beltrack import (
     kf_update,
     majority_vote,
     solve_assignment,
-    temporal_stability,
 )
 from beltrack.cli import main as cli_main
 from beltrack.metrics import detection_map
@@ -37,6 +36,8 @@ from oracles import (
     frame_of,
     frames_of,
     pixel_iou,
+    temporal_stability,
+    truth_of_rows,
 )
 
 N, D = BinaryQuality.NORMAL, BinaryQuality.DEFECT
@@ -264,10 +265,13 @@ def test_criterion_09_detection_map_sanity():
     def frames_of_squares(entries):
         return frames_of([(frame, x, y, 10, 10, score) for frame, x, y, score in entries])
 
-    gt1 = frames_of_squares([(0, 0, 0, 1.0)])
-    perfect = detection_map(gt1, gt1) == 1.0
+    def truth_of_squares(entries):
+        return truth_of_rows([(frame, x, y, 10, 10) for frame, x, y, _ in entries])
+
+    gt1 = truth_of_squares([(0, 0, 0, 1.0)])
+    perfect = detection_map(frames_of_squares([(0, 0, 0, 1.0)]), gt1) == 1.0
     tp_then_fp = detection_map(frames_of_squares([(0, 0, 0, 0.9), (0, 80, 80, 0.8)]), gt1) == 1.0
-    gt2 = frames_of_squares([(0, 0, 0, 1.0), (0, 50, 50, 1.0)])
+    gt2 = truth_of_squares([(0, 0, 0, 1.0), (0, 50, 50, 1.0)])
     half = detection_map(frames_of_squares([(0, 0, 0, 0.9)]), gt2) == 0.5
 
     rng = np.random.default_rng(1009)
@@ -287,7 +291,7 @@ def test_criterion_09_detection_map_sanity():
              float(rng.uniform(0.1, 1.0)))
             for _ in range(int(rng.integers(0, 4)))
         ]
-        gt = frames_of_squares(gt_entries)
+        gt = truth_of_squares(gt_entries)
         dets = frames_of_squares(det_entries)
         baseline = detection_map(dets, gt)
         for transform in (lambda s: s**2, lambda s: s**0.5, lambda s: 0.25 + s / 2):

@@ -14,8 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import beltrack.cli as cli
-from beltrack import AggregationConfig, SimConfig, TrackerConfig
+from beltrack import AggregationConfig, ConfigError, SimConfig, TrackerConfig
 from beltrack.cli import main
+from beltrack.io import ingest_detections, read_ground_truth
 
 
 def run_cli(*argv):
@@ -178,6 +179,106 @@ class TestConfigFile:
         assert run_cli(
             "evaluate", "--detections", str(dets), "--truth", str(truth), "--config", str(config)
         ) == 2
+
+
+class TestConfigValueTypes:
+    """A config-file value of the wrong JSON type for its field is a
+    configuration error, as is a section that is not an object."""
+
+    @pytest.mark.parametrize("config", [
+        {"tracker": {"max_frames_lost": "30"}},
+        {"tracker": {"high_score_threshold": None}},
+        {"tracker": {"max_frames_lost": 2.5}},
+        {"tracker": {"min_hits_to_activate": True}},
+        {"tracker": []},
+        {"aggregation": {"collapse_before_vote": 1}},
+        {"aggregation": {"tie_break": 3}},
+        {"aggregation": "last"},
+    ])
+    def test_track_rejects(self, scene_files, tmp_path, capsys, config):
+        dets, truth = scene_files
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("track", "--input", str(dets), "--config", str(path)) == 2
+        assert run_cli(
+            "evaluate", "--detections", str(dets), "--truth", str(truth), "--config", str(path)
+        ) == 2
+        assert "config error: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [
+        {"simulate": {"seed": 2.5}},
+        {"simulate": {"n_lanes": "2"}},
+        {"simulate": {"defect_category_weights": [1.0, 1.0, "1"]}},
+        {"simulate": {"defect_category_weights": 1.0}},
+        {"simulate": {"n_objects_per_lane": 2.0}},
+        {"simulate": None},
+    ])
+    def test_simulate_rejects(self, tmp_path, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code = run_cli(
+            "simulate", "--output-detections", str(tmp_path / "d.jsonl"),
+            "--output-truth", str(tmp_path / "t.jsonl"), "--config", str(path),
+        )
+        assert code == 2
+        assert "config error: " in capsys.readouterr().err
+
+    def test_message_names_the_field_and_the_type(self, scene_files, tmp_path, capsys):
+        dets, _ = scene_files
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"tracker": {"max_frames_lost": "30"}}))
+        assert run_cli("track", "--input", str(dets), "--config", str(path)) == 2
+        assert "max_frames_lost must be int, got \"30\"" in capsys.readouterr().err
+
+    def test_accepts_integers_for_floats_null_where_optional_and_lists(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"simulate": {
+            "seed": 3, "belt_velocity": 5, "n_objects_per_lane": None, "n_frames": 40,
+            "defect_category_weights": [1, 2.5, 0],
+        }}))
+        dets, truth = tmp_path / "d.jsonl", tmp_path / "t.jsonl"
+        code = run_cli(
+            "simulate", "--output-detections", str(dets), "--output-truth", str(truth),
+            "--config", str(path),
+        )
+        assert code == 0
+        path.write_text(json.dumps({
+            "tracker": {"new_track_min_score": None, "high_score_threshold": 1},
+            "aggregation": {"collapse_before_vote": True, "frame_choice": "first"},
+        }))
+        assert run_cli("track", "--input", str(dets), "--config", str(path)) == 0
+
+
+class TestNumCategoriesBelowTwo:
+    """A category count below 2 is a configuration error, raised before any
+    line of the stream or the truth is read."""
+
+    @pytest.mark.parametrize("num_categories, line", [
+        ("1", {"frame": 0, "x": 0, "y": 0, "w": 10, "h": 10, "score": 0.9, "category": 0}),
+        ("-3", {"frame": 0, "x": 0, "y": 0, "w": 10, "h": 10, "score": 0.9}),
+        ("1", {"frame": 1, "x": 0, "y": 0, "w": 10, "h": 10, "score": 0.9, "category": 1}),
+        ("0", {"frame": 0, "x": 0, "y": 0, "w": 10, "h": 10, "score": 0.9, "category": 0}),
+    ])
+    def test_track(self, tmp_path, capsys, num_categories, line):
+        dets = tmp_path / "d.jsonl"
+        dets.write_text(json.dumps(line) + "\n")
+        assert run_cli("track", "--input", str(dets), "--num-categories", num_categories) == 2
+        assert f"num_categories must be >= 2, got {num_categories}" in capsys.readouterr().err
+
+    def test_evaluate(self, scene_files, capsys):
+        dets, truth = scene_files
+        code = run_cli(
+            "evaluate", "--detections", str(dets), "--truth", str(truth), "--num-categories", "1"
+        )
+        assert code == 2
+        assert "num_categories must be >= 2, got 1" in capsys.readouterr().err
+
+    def test_readers_check_before_reading(self, tmp_path):
+        missing = tmp_path / "missing.jsonl"
+        with pytest.raises(ConfigError, match="num_categories must be >= 2"):
+            ingest_detections(missing, num_categories=1)
+        with pytest.raises(ConfigError, match="num_categories must be >= 2"):
+            read_ground_truth(missing, num_categories=1)
 
 
 class TestEvaluate:

@@ -15,7 +15,6 @@ from beltrack import (
     detection_map,
     majority_vote,
     stability_report,
-    temporal_stability,
 )
 from beltrack import metrics
 from beltrack.metrics import covering_tracks, majority_tracks, switches_in
@@ -28,6 +27,10 @@ from oracles import (
     detection_map_reference,
     frame_of,
     frames_of,
+    majority_tracks_reference,
+    switches_reference,
+    temporal_stability,
+    truth_of_rows,
 )
 
 N = BinaryQuality.NORMAL
@@ -143,33 +146,37 @@ class TestStabilityReport:
 
 class TestDetectionMap:
     def test_perfect_detector(self):
-        gt = frames_of([(0, 0, 0, 10, 10, 1.0), (0, 50, 50, 10, 10, 1.0), (1, 0, 0, 9, 9, 1.0)])
-        assert detection_map(gt, gt) == 1.0
+        rows = [(0, 0, 0, 10, 10, 1.0), (0, 50, 50, 10, 10, 1.0), (1, 0, 0, 9, 9, 1.0)]
+        assert detection_map(frames_of(rows), truth_of_rows(rows)) == 1.0
 
     def test_false_positive_after_full_recall_keeps_ap_one(self):
-        gt = frames_of([(0, 0, 0, 10, 10, 1.0)])
+        gt = truth_of_rows([(0, 0, 0, 10, 10)])
         dets = frames_of([(0, 0, 0, 10, 10, 0.9), (0, 80, 80, 10, 10, 0.8)])
         assert detection_map(dets, gt) == 1.0
 
     def test_missing_ground_truth_caps_recall(self):
-        gt = frames_of([(0, 0, 0, 10, 10, 1.0), (0, 50, 50, 10, 10, 1.0)])
+        gt = truth_of_rows([(0, 0, 0, 10, 10), (0, 50, 50, 10, 10)])
         dets = frames_of([(0, 0, 0, 10, 10, 0.9)])
         assert detection_map(dets, gt) == 0.5
 
-    def test_truth_split_over_entries_for_one_frame(self):
-        # Two frame-0 truth entries: both boxes count, so both detections match.
-        gt = [frame_of(0, [(0, 0, 10, 10, 1.0)]), frame_of(0, [(50, 50, 10, 10, 1.0)])]
-        dets = frames_of([(0, 0, 0, 10, 10, 0.9), (0, 50, 50, 10, 10, 0.8)])
+    def test_truth_rows_in_object_order(self):
+        # Object 1 covers frames 0 and 1, object 2 frame 0: the truth's rows
+        # are not in frame order, and each frame's boxes all count.
+        gt = truth_of(
+            (1, FRESH, [(0, (0.0, 0.0, 10.0, 10.0)), (1, (5.0, 0.0, 10.0, 10.0))]),
+            (2, FRESH, [(0, (50.0, 50.0, 10.0, 10.0))]),
+        )
+        dets = frames_of([(0, 0, 0, 10, 10, 0.9), (0, 50, 50, 10, 10, 0.8), (1, 5, 0, 10, 10, 0.7)])
         assert detection_map(dets, gt) == 1.0
         assert detection_map_reference(dets, gt) == 1.0
 
     def test_no_ground_truth_rejected(self):
         dets = frames_of([(0, 0, 0, 10, 10, 0.9)])
         with pytest.raises(ValueError):
-            detection_map(dets, [])
+            detection_map(dets, truth_of_rows([]))
 
     def test_low_scoring_fp_before_tp_lowers_ap(self):
-        gt = frames_of([(0, 0, 0, 10, 10, 1.0)])
+        gt = truth_of_rows([(0, 0, 0, 10, 10)])
         dets = frames_of([(0, 0, 0, 10, 10, 0.5), (0, 80, 80, 10, 10, 0.9)])
         # FP outranks the TP: precision at full recall is 0.5
         assert detection_map(dets, gt) == 0.5
@@ -195,7 +202,7 @@ class TestDetectionMap:
                     (int(rng.integers(3)), float(rng.uniform(100, 200)), float(rng.uniform(100, 200)),
                      10.0, 10.0, float(rng.uniform(0.1, 1.0)))
                 )
-            gt = frames_of(gt_entries)
+            gt = truth_of_rows(gt_entries)
             dets = frames_of(det_entries)
             baseline = detection_map(dets, gt)
             for transform in (lambda s: s**2, lambda s: s**0.5, lambda s: 0.25 + s / 2):
@@ -237,26 +244,26 @@ class TestCountIdSwitches:
     def test_perfect_coverage_no_switches(self):
         boxes = [(t, (5.0 * t, 0, 20, 20)) for t in range(10)]
         gt = single_object_gt(boxes)
-        assert switches_in(covering_tracks([simple_track(1, boxes)], gt)) == 0
+        assert switches_in(covering_tracks([simple_track(1, boxes)], gt), gt) == 0
 
     def test_identity_handoff_counts_once(self):
         boxes = [(t, (5.0 * t, 0, 20, 20)) for t in range(10)]
         gt = single_object_gt(boxes)
         tracks = [simple_track(1, boxes[:5]), simple_track(2, boxes[5:])]
-        assert switches_in(covering_tracks(tracks, gt)) == 1
+        assert switches_in(covering_tracks(tracks, gt), gt) == 1
 
     def test_coverage_gap_is_not_a_switch(self):
         boxes = [(t, (5.0 * t, 0, 20, 20)) for t in range(10)]
         gt = single_object_gt(boxes)
         tracks = [simple_track(1, boxes[:4] + boxes[6:])]
-        assert switches_in(covering_tracks(tracks, gt)) == 0
+        assert switches_in(covering_tracks(tracks, gt), gt) == 0
 
     def test_low_overlap_tracks_ignored(self):
         boxes = [(t, (5.0 * t, 0, 20, 20)) for t in range(6)]
         gt = single_object_gt(boxes)
         far = [(t, (500.0, 500.0, 20, 20)) for t in range(6)]
         tracks = [simple_track(1, boxes), simple_track(2, far)]
-        assert switches_in(covering_tracks(tracks, gt)) == 0
+        assert switches_in(covering_tracks(tracks, gt), gt) == 0
 
 
 class TestMajorityTracks:
@@ -264,16 +271,74 @@ class TestMajorityTracks:
         boxes = [(t, (5.0 * t, 0, 20, 20)) for t in range(6)]
         gt = single_object_gt(boxes)
         handoff = [simple_track(2, boxes[:3]), simple_track(1, boxes[3:])]
-        assert majority_tracks(covering_tracks(handoff, gt)) == {1: 1}
+        assert majority_tracks(covering_tracks(handoff, gt), gt).tolist() == [1]
         uneven = [simple_track(2, boxes[:4]), simple_track(1, boxes[4:])]
-        assert majority_tracks(covering_tracks(uneven, gt)) == {1: 2}
+        assert majority_tracks(covering_tracks(uneven, gt), gt).tolist() == [2]
 
-    def test_uncovered_object_left_out(self):
+    def test_uncovered_object_gets_minus_one(self):
         boxes = [(t, (5.0 * t, 0, 20, 20)) for t in range(6)]
         far = [(t, (500.0, 500.0, 20, 20)) for t in range(6)]
-        coverage = covering_tracks([simple_track(1, far)], single_object_gt(boxes))
-        assert coverage == {}
-        assert majority_tracks(coverage) == {}
+        gt = single_object_gt(boxes)
+        covering = covering_tracks([simple_track(1, far)], gt)
+        assert covering.tolist() == [-1] * 6
+        assert majority_tracks(covering, gt).tolist() == [-1]
+
+
+# Per object, the covering id of each of its rows (-1: none), ids small so
+# that runs, repeats and ties come up often.
+covering_columns = st.lists(st.lists(st.integers(-1, 3), max_size=8), max_size=6)
+
+
+def truth_with_counts(covered):
+    """Ground truth with one object per list of ``covered``, as many rows as
+    its entries, and the covering column of those entries."""
+    counts = [len(ids) for ids in covered]
+    gt = SceneGroundTruth(
+        np.arange(len(covered)), np.zeros(len(covered)), counts,
+        [t for n in counts for t in range(n)], np.zeros((sum(counts), 4)),
+    )
+    return gt, np.array([i for ids in covered for i in ids], dtype=np.int64)
+
+
+class TestCoveringColumnMatchesLoops:
+    @settings(max_examples=200, deadline=None)
+    @given(covered=covering_columns)
+    def test_switches_and_majority(self, covered):
+        gt, covering = truth_with_counts(covered)
+        assert switches_in(covering, gt) == switches_reference(covering.tolist(), gt)
+        assert majority_tracks(covering, gt).tolist() == majority_tracks_reference(
+            covering.tolist(), gt
+        )
+
+
+class TestStabilityReportMatchesPerTrackLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        histories=st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=12), min_size=1, max_size=8),
+        frame_choice=st.sampled_from(["last", "first", "random"]),
+        granularity=st.sampled_from(["binary", "category"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_pass_equals_per_track_scores(self, histories, frame_choice, granularity, seed):
+        tracks = [
+            track_of(*(CategoryLabel(c) for c in labels), track_id=2 * i + 1)
+            for i, labels in enumerate(histories)
+        ]
+        report = stability_report(
+            tracks, frame_choice=frame_choice, granularity=granularity,
+            rng=np.random.default_rng(seed),
+        )
+        rng = np.random.default_rng(seed)  # one scalar draw per track, in track order
+        stability, n_defect = {}, 0
+        for track, labels in zip(tracks, histories):
+            defects = [c > 0 for c in labels]
+            stability[track.id] = temporal_stability(defects if granularity == "binary" else labels)
+            frame = {"first": 0, "last": -1}.get(frame_choice)
+            n_defect += defects[int(rng.integers(len(labels))) if frame is None else frame]
+        assert report.per_track_stability == stability
+        assert report.mean_stability == float(np.mean(list(stability.values())))
+        assert (report.n_defect_tracks, report.n_total_tracks) == (n_defect, len(tracks))
+        assert report.defect_ratio == n_defect / len(tracks)
 
 
 # Boxes on a coarse grid with two sizes, so identical boxes (equal-overlap
@@ -311,7 +376,7 @@ class TestOverlapKernelMatchesScalarLoops:
             with pytest.raises(ValueError):
                 covering_tracks(tracks, gt, threshold)
             return
-        assert covering_tracks(tracks, gt, threshold) == covering_tracks_reference(
+        assert covering_tracks(tracks, gt, threshold).tolist() == covering_tracks_reference(
             tracks, gt, threshold
         )
 
@@ -323,23 +388,25 @@ class TestOverlapKernelMatchesScalarLoops:
             )),
             max_size=6,
         ),
-        truth=st.lists(
-            st.tuples(st.integers(0, 3), st.lists(grid_boxes, max_size=4)), min_size=1
-        ),
+        truths=st.lists(frames_and_boxes, max_size=4),
         threshold=thresholds,
     )
-    def test_detection_map(self, dets, truth, threshold):
-        # a frame may come in more than one FrameDetections entry, in both
+    def test_detection_map(self, dets, truths, threshold):
+        # a frame may come in more than one FrameDetections entry, and the
+        # truth's rows are in object order, not in frame order
         det_frames = [
             frame_of(frame, [(*box, score) for box, score in entries]) for frame, entries in dets
         ]
-        gt_frames = [frame_of(frame, [(*box, 1.0) for box in boxes]) for frame, boxes in truth]
-        if not any(boxes for _, boxes in truth):
+        gt = truth_of(*(
+            (object_id, FRESH, sorted(dict(boxes).items()))
+            for object_id, boxes in enumerate(truths, start=1)
+        ))
+        if len(gt.frames) == 0:
             with pytest.raises(ValueError):
-                detection_map(det_frames, gt_frames, threshold)
+                detection_map(det_frames, gt, threshold)
             return
-        assert detection_map(det_frames, gt_frames, threshold) == detection_map_reference(
-            det_frames, gt_frames, threshold
+        assert detection_map(det_frames, gt, threshold) == detection_map_reference(
+            det_frames, gt, threshold
         )
 
 
@@ -348,22 +415,22 @@ def assert_join_matches_oracles(truth_rows, other_rows, threshold=0.5):
     (frame, (x, y, w, h)) rows of ``truth_rows`` as truth (one object each)
     and those of ``other_rows`` as one-row tracks (ids descending) and as
     detections (scores cycling through 0.9, 0.6 and 0.3), and again with the
-    two sides swapped. Returns the first coverage and AP (None without truth)."""
+    two sides swapped. Returns the first covering column, as a list, and AP
+    (None without truth)."""
     results = []
     for truth, other in ((truth_rows, other_rows), (other_rows, truth_rows)):
         gt = truth_of(*((i, FRESH, [row]) for i, row in enumerate(truth, start=1)))
         tracks = [simple_track(len(other) - i, [row]) for i, row in enumerate(other)]
-        coverage = covering_tracks(tracks, gt, threshold)
+        coverage = covering_tracks(tracks, gt, threshold).tolist()
         assert coverage == covering_tracks_reference(tracks, gt, threshold)
         dets = frames_of([(f, *box, (0.9, 0.6, 0.3)[i % 3]) for i, (f, box) in enumerate(other)])
-        gt_frames = frames_of([(f, *box, 1.0) for f, box in truth])
         ap = None
         if truth:
-            ap = detection_map(dets, gt_frames, threshold)
-            assert ap == detection_map_reference(dets, gt_frames, threshold)
+            ap = detection_map(dets, gt, threshold)
+            assert ap == detection_map_reference(dets, gt, threshold)
         else:
             with pytest.raises(ValueError):
-                detection_map(dets, gt_frames, threshold)
+                detection_map(dets, gt, threshold)
         results.append((coverage, ap))
     return results[0]
 
@@ -405,21 +472,21 @@ class TestOverlapJoinEdgeCases:
         ]
         assert candidate_pairs(truth, touching, 1e-9) == []
         assert candidate_pairs(touching, truth, 1e-9) == []
-        assert assert_join_matches_oracles(truth, touching, 1e-9) == ({}, 0.0)
+        assert assert_join_matches_oracles(truth, touching, 1e-9) == ([-1], 0.0)
 
     def test_pair_at_exactly_the_threshold(self):
         truth = [(0, (0.0, 0.0, 10.0, 10.0))]
         half = [(0, (0.0, 0.0, 10.0, 5.0)), (0, (0.0, 5.0, 10.0, 4.0))]  # IoU 0.5 and 0.4
-        assert assert_join_matches_oracles(truth, half, 0.5) == ({1: [2]}, 1.0)
+        assert assert_join_matches_oracles(truth, half, 0.5) == ([2], 1.0)
         above = float(np.nextafter(0.5, 1.0))
-        assert assert_join_matches_oracles(truth, half, above) == ({}, 0.0)
+        assert assert_join_matches_oracles(truth, half, above) == ([-1], 0.0)
 
     def test_equal_overlaps_take_the_lowest_index(self):
         # Each tie's lowest index lies to the right, after the other
         # candidate in the window's left-edge order.
         truth = [(0, (5.0, 0.0, 10.0, 10.0))]
         tracks = [(0, (0.0, 0.0, 10.0, 10.0)), (0, (10.0, 0.0, 10.0, 10.0))]  # ids 2, 1
-        assert assert_join_matches_oracles(truth, tracks, 0.3)[0] == {1: [1]}
+        assert assert_join_matches_oracles(truth, tracks, 0.3)[0] == [1]
         # Detection 0.9 overlaps both truth boxes by 1/3 and takes truth 0,
         # which leaves truth 1 to detection 0.6.
         truth = [(0, (10.0, 0.0, 10.0, 10.0)), (0, (0.0, 0.0, 10.0, 10.0))]
@@ -440,12 +507,12 @@ class TestOverlapJoinEdgeCases:
         truth = [(0, box), (1, box), (3, box)]
         other = [(1, (1.0, 0.0, 10.0, 10.0)), (2, box), (4, box)]
         coverage, _ = assert_join_matches_oracles(truth, other)
-        assert coverage == {2: [3]}
+        assert coverage == [-1, 3, -1]
 
     def test_empty_sides(self):
         rows = [(0, (0.0, 0.0, 10.0, 10.0)), (2, (5.0, 0.0, 10.0, 10.0))]
-        assert assert_join_matches_oracles(rows, []) == ({}, 0.0)
-        assert assert_join_matches_oracles([], []) == ({}, None)
+        assert assert_join_matches_oracles(rows, []) == ([-1, -1], 0.0)
+        assert assert_join_matches_oracles([], []) == ([], None)
         assert candidate_pairs(rows, [], 0.5) == candidate_pairs([], rows, 0.5) == []
 
     def test_frame_split_across_blocks(self):
@@ -459,7 +526,7 @@ class TestOverlapJoinEdgeCases:
         other += [(1, (3.0 * i, 2.0, 20.0, 20.0)) for i in range(12)]
         other += [(2, (1.0, 0.0, 20.0, 20.0))]
         coverage, ap = assert_join_matches_oracles(truth, other)
-        assert len(coverage) > n and 0.9 < ap < 1.0
+        assert sum(i >= 0 for i in coverage) > n and 0.9 < ap < 1.0
 
     def test_window_holds_boxes_whose_right_edge_rounds_up(self):
         # Above 2**53 floats are 2 apart, so x + 3 rounds up to x + 4: the
@@ -471,7 +538,7 @@ class TestOverlapJoinEdgeCases:
         other = [(0, (x + 2.0, 0.0, 2.0, 10.0))]
         assert x + 3.0 == x + 4.0
         assert candidate_pairs(other, truth, 0.5) == candidate_pairs(truth, other, 0.5) == [(0, 0)]
-        assert assert_join_matches_oracles(truth, other, 0.5) == ({1: [1]}, 1.0)
+        assert assert_join_matches_oracles(truth, other, 0.5) == ([1], 1.0)
 
     @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5, float("nan")])
     def test_covering_threshold_out_of_range_rejected(self, threshold):

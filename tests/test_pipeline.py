@@ -24,7 +24,7 @@ from beltrack.io import ingest_detections, read_ground_truth, write_detections
 from beltrack.pipeline import PipelineRun, simulate_to_files
 from beltrack.simulate import SceneGroundTruth, generate_scene
 
-from oracles import FRESH, frame_of, live_tracks
+from oracles import FRESH, evaluate_reference, frame_of, live_tracks
 
 
 def clean_scene(**overrides):
@@ -262,6 +262,34 @@ class TestEvaluateAgainstTruth:
         gt, frames = generate_scene(config)
         evaluation = evaluate_against_truth(frames, gt)
         assert evaluation.estimated_defect_ratio == pytest.approx(0.3, abs=0.08)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_loop_reference(self, seed):
+        # A cluttered scene whose lane-0 detections carry no labels, so some
+        # objects have an unlabeled track; min_track_length_report drops
+        # short tracks, so the kept ids skip numbers.
+        config = SimConfig(
+            seed=seed, n_lanes=4, n_objects_per_lane=5, spawn_interval_frames=12,
+            false_positive_rate=2.0, score_mean_fp=0.6, score_mean_true=0.75, score_std_true=0.15,
+            detection_dropout_prob=0.15, bbox_jitter_std=1.5, label_flip_prob=0.25,
+        )
+        gt, frames = generate_scene(config)
+        frames = [
+            FrameDetections(
+                f.frame_index, f.boxes, f.scores, np.where(f.boxes[:, 1] < 80.0, -1, f.categories)
+            )
+            for f in frames
+        ]
+        short_dropped = TrackerConfig(min_track_length_report=8)
+        ids = [track.id for track in run_stream(frames, short_dropped)]
+        assert max(ids) > len(ids)
+        other = AggregationConfig(
+            tie_break="lowest_index", collapse_before_vote=True, stability_granularity="category"
+        )
+        for tracker_config in (TrackerConfig(), short_dropped, TrackerConfig(min_hits_to_activate=3)):
+            for aggregation, threshold in ((AggregationConfig(), 0.5), (other, 0.3), (other, 1.0)):
+                args = (frames, gt, tracker_config, aggregation, threshold)
+                assert evaluate_against_truth(*args) == evaluate_reference(*args)
 
     @pytest.mark.parametrize("threshold", [float("nan"), 0.0, -0.1, 1.5])
     def test_iou_threshold_outside_zero_one_rejected(self, threshold):

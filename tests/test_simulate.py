@@ -197,3 +197,10 @@ class TestConfigValidation:
             SimConfig(defect_category_weights=(1.0, 1.0))
         with pytest.raises(ConfigError):
             SimConfig(defect_category_weights=(0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("num_categories", [1, 0, -3])
+    def test_fewer_than_two_categories(self, num_categories):
+        # One category and no defect weights once reached min(()).
+        weights = (1.0,) * max(num_categories - 1, 0)
+        with pytest.raises(ConfigError, match="num_categories must be >= 2"):
+            SimConfig(num_categories=num_categories, defect_category_weights=weights)
