@@ -26,7 +26,6 @@ from .model import (
     Detection,
     FrameDetections,
     Track,
-    to_binary,
 )
 from .pipeline import (
     AggregationConfig,

@@ -15,15 +15,17 @@ from typing import Literal
 
 import numpy as np
 
-from .model import BinaryQuality, CategoryLabel, Track, to_binary
+from .model import BinaryQuality, Track
 
 TieBreak = Literal["prefer_defect", "lowest_index"]
 
 
 @dataclass(frozen=True)
 class TrackVerdict:
+    """A track's vote: the winning category index and its binary label."""
+
     track_id: int
-    final_category: CategoryLabel
+    final_category: int
     final_binary: BinaryQuality
     vote_counts: tuple[int, ...]
     track_length: int
@@ -57,11 +59,10 @@ def majority_vote(
         if winner == 0 and prefer_defect and counts[top_defect] == counts[0]:
             winner = top_defect
 
-    final = CategoryLabel(winner, track.num_categories)
     return TrackVerdict(
         track_id=track.id,
-        final_category=final,
-        final_binary=to_binary(final),
+        final_category=winner,
+        final_binary=BinaryQuality.NORMAL if winner == 0 else BinaryQuality.DEFECT,
         vote_counts=tuple(counts),
         track_length=len(labels),
     )

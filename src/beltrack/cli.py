@@ -114,6 +114,9 @@ def _load_config_file(args: argparse.Namespace) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
+    unknown = set(data) - set(_SECTIONS.values())
+    if unknown:
+        raise ConfigError(f"unknown config sections: {', '.join(sorted(unknown))}")
     return data
 
 

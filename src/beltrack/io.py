@@ -7,20 +7,20 @@ Detection format, one JSON object per line:
      "score": float, "category": int|null}
 
 ``category`` null (or absent) means no classifier output for that box.
-Every field must be a JSON number (not a string or a boolean), ``frame``
-and ``category`` whole numbers below 2**53 in magnitude (float64 holds every
-such integer exactly), and a box's fields, edges, area and aspect w/h must
-be finite, with w, h and w/h positive (the tracker's filter encodes the
-aspect). The ground-truth format mirrors it, and its rules, with
-``object_id`` and ``true_category`` fields (both whole numbers) instead of
-``score``/``category``, and at most one line per object and frame.
+Every field must be a JSON number (not a string or a boolean). The ground-
+truth format mirrors it with ``object_id`` and ``true_category`` fields
+(both whole numbers, every line labeled) instead of ``score``/``category``,
+and at most one line per object and frame, each object in one category.
+Each reader parses its file into one table of float64 rows and checks the
+table with ``model.row_checks``, which holds the rules and the order in
+which a line's first fault is reported.
 
 Files must be UTF-8: a line holding a byte that is not is a bad line, like
 one that is not JSON. Each non-blank line must hold exactly one JSON
 object. Files are read in blocks of ``_BLOCK_LINES`` lines, each parsed
-with one ``json.loads`` and checked column by column, so parse memory is
-bounded by one block; a block with a bad line is parsed again line by line,
-which words the error.
+with one ``json.loads`` into a table, so parse memory is bounded by one
+block; a block with a bad line is parsed again line by line, which words
+the error.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .model import (
     DEFAULT_NUM_CATEGORIES,
-    CategoryLabel,
     FrameDetections,
-    check_box,
-    check_detection_row,
-    split_frames,
-    valid_detection_rows,
+    first_fault,
+    passing_rows,
+    row_checks,
+    split_checked_rows,
 )
 from .simulate import SceneGroundTruth
 
@@ -55,14 +54,9 @@ TRUTH_FIELDS = ("frame", "object_id", "x", "y", "w", "h", "true_category")
 #: Columns of the parsed table: the detection fields, then the category
 #: (nan where a line has none).
 _COLUMNS = (*DETECTION_FIELDS, "category")
-#: Frames and categories are parsed as float64, exact for integers below
-#: 2**53; any larger one parses to 2**53 or more and is rejected.
-_INT_LIMIT = 2.0**53
 #: Lines parsed per ``json.loads`` call: few enough that a block's records
 #: stay below the garbage collector's first threshold (700 new objects).
 _BLOCK_LINES = 512
-#: (line numbers, rows) of a detection file without lines.
-_EMPTY_BLOCK = (np.empty(0, np.int64), np.empty((0, len(_COLUMNS))))
 
 
 def _open_text(path: Path) -> IO[str]:
@@ -146,7 +140,11 @@ def _blocks(
     """(line numbers, ``_parse_line`` rows) of each block of ``_BLOCK_LINES``
     lines. A block with a blank or bad line is parsed line by line: each bad
     line adds (line number, message) to ``errors``, and the first one ends
-    the read, after the rows before it, unless ``skip_malformed``."""
+    the read, after the rows before it, unless ``skip_malformed``. The
+    first block is empty, so a file without lines joins into a table of
+    the right width."""
+    width = len(fields) + (optional is not None)
+    yield np.empty(0, np.int64), np.empty((0, width))
     start = 1
     while lines := list(islice(handle, _BLOCK_LINES)):
         table = _parse_block(lines, fields, optional)
@@ -164,7 +162,6 @@ def _blocks(
                     errors.append((line_number, _line_error(exc)))
                     if not skip_malformed:
                         break
-            width = len(fields) + (optional is not None)
             yield np.array(numbers, np.int64), np.array(rows).reshape(-1, width)
             if errors and not skip_malformed:
                 return
@@ -175,37 +172,6 @@ def _line_error(exc: Exception) -> str:
     if isinstance(exc, json.JSONDecodeError):
         return f"invalid JSON ({exc.msg})"
     return str(exc)
-
-
-def _whole_number_error(name: str, value: float) -> str | None:
-    if not value.is_integer():
-        return f"{name} must be an integer, got {value!r}"
-    if abs(value) >= _INT_LIMIT:
-        return f"{name} is out of range, got {value!r}"
-    return None
-
-
-def _whole_numbers(column: np.ndarray) -> np.ndarray:
-    """Mask of the entries ``_whole_number_error`` accepts."""
-    return (column == np.floor(column)) & (np.abs(column) < _INT_LIMIT)
-
-
-def _row_error(row: list[float], num_categories: int) -> str:
-    """Why the table check rejected a row, in the words of the scalar checks."""
-    frame, *box, score, category = row
-    labeled = not math.isnan(category)
-    message = _whole_number_error("frame", frame) or (
-        _whole_number_error("category", category) if labeled else None
-    )
-    if message is not None:
-        return message
-    try:
-        check_detection_row(
-            int(frame), box, score, int(category) if labeled else None, num_categories
-        )
-    except ValueError as exc:
-        return str(exc)
-    raise AssertionError(f"the table check and the scalar checks disagree on {row}")
 
 
 def _frames_from_table(
@@ -220,26 +186,22 @@ def _frames_from_table(
     bad line (or log and drop every bad line when ``skip_malformed``), and
     split the rest into frames. ``errors`` holds the lines that failed to parse."""
     frames, boxes, scores, categories = table[:, 0], table[:, 1:5], table[:, 5], table[:, 6]
-    labeled = ~np.isnan(categories)
-    whole = _whole_numbers(frames) & (~labeled | _whole_numbers(categories))
-    frames = np.where(whole, frames, 0).astype(np.int64)
-    categories = np.where(whole & labeled, categories, -1).astype(np.int64)
-    valid = (
-        whole
-        & (frames >= 0)
-        & ~(labeled & (categories < 0))  # -1 is "no label" only in the table
-        & valid_detection_rows(boxes, scores, categories, num_categories)
+    checks = row_checks(
+        {"frame": frames, "box": boxes, "score": scores, "category": categories}, num_categories
     )
+    valid = passing_rows(checks)
     for i in np.flatnonzero(~valid).tolist():
-        errors.append((int(lines[i]), _row_error(table[i].tolist(), num_categories)))
+        errors.append((int(lines[i]), first_fault(checks, i)))
     errors.sort()
     if errors and not skip_malformed:
         line_number, message = errors[0]
         raise InputError(f"{path}:{line_number}: {message}")
     for line_number, message in errors:
         logger.warning("skipping line: %s:%d: %s", path, line_number, message)
-    return split_frames(
-        frames[valid], boxes[valid], scores[valid], categories[valid], num_categories
+    categories = np.nan_to_num(categories[valid], nan=-1)  # nan: no label
+    return split_checked_rows(
+        frames[valid].astype(np.int64), boxes[valid], scores[valid],
+        categories.astype(np.int64), num_categories,
     )
 
 
@@ -262,7 +224,7 @@ def ingest_detections(
         blocks = _blocks(handle, DETECTION_FIELDS, "category", errors, skip_malformed)
         # A parse error ends the read after the rows before it, which may
         # still fail the table check. No block outlives the join.
-        lines, table = (np.concatenate(part) for part in zip(_EMPTY_BLOCK, *blocks))
+        lines, table = (np.concatenate(part) for part in zip(*blocks))
     return _frames_from_table(path, table, lines, errors, skip_malformed, num_categories)
 
 
@@ -291,66 +253,58 @@ def write_ground_truth(gt: SceneGroundTruth, path: str | Path):
             handle.write(json.dumps(dict(zip(TRUTH_FIELDS, values))) + "\n")
 
 
-def _check_truth_row(row: list[float]):
-    """Raise ValueError unless a ground-truth row (frame, object id, x, y,
-    w, h, category index) holds what the detection reader's rules allow:
-    ``frame``, ``object_id`` and ``true_category`` whole numbers below 2**53
-    in magnitude, ``frame`` at least 0, and a box ``BoundingBox`` accepts."""
-    frame, object_id, x, y, w, h, category = row
-    for key, value in (("frame", frame), ("object_id", object_id), ("true_category", category)):
-        message = _whole_number_error(key, value)
-        if message is not None:
-            raise ValueError(message)
-    if frame < 0:
-        raise ValueError(f"frame_index must be >= 0, got {int(frame)}")
-    check_box(x, y, w, h)
-
-
 def read_ground_truth(path: str | Path, num_categories: int = 4) -> SceneGroundTruth:
     """Read a ground-truth JSONL file into one table, objects in id order
-    and each object's rows in frame order; the first bad line aborts with
-    its line number."""
+    and each object's rows in frame order. The lines are checked as one
+    table, by ``row_checks`` and then for a line that changes its object's
+    category or repeats its (object, frame) pair, in that order; the lowest
+    bad line aborts the read."""
     if num_categories < 2:
         raise ConfigError(f"num_categories must be >= 2, got {num_categories}")
     path = Path(path)
     if not path.exists():
         raise InputError(f"ground-truth file not found: {path}")
-    tables = [np.empty((0, len(TRUTH_FIELDS)))]  # the TRUTH_FIELDS of each line
-    categories: dict[int, CategoryLabel] = {}  # object id -> its category
-    seen: set[tuple[int, int]] = set()  # (object id, frame)
     errors: list[tuple[int, str]] = []  # a line that failed to parse ends the read
     with _open_text(path) as handle:
-        for lines, block in _blocks(handle, TRUTH_FIELDS, None, errors, False):
-            for line_number, row in zip(lines.tolist(), block.tolist()):
-                try:
-                    _check_truth_row(row)
-                    category = CategoryLabel(int(row[-1]), num_categories)
-                except ValueError as exc:
-                    raise InputError(f"{path}:{line_number}: {exc}") from exc
-                frame, object_id = int(row[0]), int(row[1])
-                if categories.setdefault(object_id, category) != category:
-                    raise InputError(
-                        f"{path}:{line_number}: object {object_id} changes category "
-                        f"({categories[object_id].index} -> {category.index})"
-                    )
-                if (object_id, frame) in seen:
-                    raise InputError(
-                        f"{path}:{line_number}: object {object_id} appears twice on frame {frame}"
-                    )
-                seen.add((object_id, frame))
-            tables.append(block)
-    if errors:
+        blocks = _blocks(handle, TRUTH_FIELDS, None, errors, False)
+        lines, table = (np.concatenate(part) for part in zip(*blocks))
+    frames, object_ids, categories = table[:, 0], table[:, 1], table[:, 6]
+    checks = row_checks(
+        {"frame": frames, "object_id": object_ids, "box": table[:, 2:6],
+         "true_category": categories},
+        num_categories,
+    )
+    # Each row's object and the object's first row; then the rows by object,
+    # frame and line (lexsort is stable), where a row repeats the pair of the
+    # row before it.
+    ids, first, objects, counts = np.unique(
+        object_ids, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.lexsort((frames, object_ids))
+    sorted_frames = frames[order]
+    repeated = np.zeros(len(order), dtype=bool)
+    repeated[order[1:]] = (np.diff(objects[order]) == 0) & (sorted_frames[1:] == sorted_frames[:-1])
+    # A row and its object's first row pass the row checks, or a line at or
+    # below the row's fails them first.
+    checks.append((categories == categories[first[objects]], lambda i: (
+        f"object {int(object_ids[i])} changes category "
+        f"({int(categories[first[objects[i]]])} -> {int(categories[i])})"
+    )))
+    checks.append((~repeated, lambda i: (
+        f"object {int(object_ids[i])} appears twice on frame {int(frames[i])}"
+    )))
+    valid = passing_rows(checks)
+    if not valid.all():
+        row = int(np.argmin(valid))  # rows are in line order
+        raise InputError(f"{path}:{lines[row]}: {first_fault(checks, row)}")
+    if errors:  # the parse error follows every row read
         line_number, message = errors[0]
         raise InputError(f"{path}:{line_number}: {message}")
-    table = np.concatenate(tables)
-    frames, object_ids = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64)
-    order = np.lexsort((frames, object_ids))
-    ids, counts = np.unique(object_ids, return_counts=True)
     return SceneGroundTruth(
-        ids,
-        [categories[object_id].index for object_id in ids.tolist()],
+        ids.astype(np.int64),
+        categories[first].astype(np.int64),
         counts,
-        frames[order],
+        sorted_frames.astype(np.int64),
         table[order, 2:6],
         num_categories,
     )

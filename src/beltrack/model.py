@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,55 +29,99 @@ class BoundingBox:
     h: float
 
     def __post_init__(self):
-        check_box(self.x, self.y, self.w, self.h)
+        x, y, w, h = self.x, self.y, self.w, self.h
+        # One test accepts the common case: a sum of non-negative terms is
+        # finite only when every term is, and |x + w| <= |x| + w, so then
+        # every field, extent and the aspect is finite (when the sum
+        # overflows, the row checks settle it).
+        if w > 0 and h > 0:
+            aspect = w / h
+            if aspect > 0 and math.isfinite(abs(x) + abs(y) + w + h + w * h + aspect):
+                return
+        check_rows({"box": np.array([[x, y, w, h]], dtype=float)})
 
 
-def check_box(x: float, y: float, w: float, h: float):
-    """Raise ``ValueError`` unless (x, y, w, h) is a box ``BoundingBox``
-    accepts: every field, edge, the area and the aspect w/h finite, and w,
-    h and w/h positive."""
-    # One test for the common case: a sum of non-negative terms is finite
-    # only when every term is, and |x + w| <= |x| + w, so then every field,
-    # extent and the aspect is finite (when the sum overflows, the checks
-    # below settle it).
-    if w > 0 and h > 0:
-        aspect = w / h
-        if aspect > 0 and math.isfinite(abs(x) + abs(y) + w + h + w * h + aspect):
-            return
-    for name, value in (("x", x), ("y", y), ("w", w), ("h", h)):
-        if not math.isfinite(value):
-            raise ValueError(f"box field {name!r} must be finite, got {value!r}")
-    if w <= 0 or h <= 0:
-        raise ValueError(f"box size must be positive, got w={w}, h={h}")
-    # Finite fields can still overflow: the tracker's overlap areas would
-    # then turn into inf and nan, and its filter, which encodes the aspect
-    # w/h, would start from inf or 0.
-    for name, value in (
-        ("right", x + w), ("bottom", y + h), ("area", w * h), ("aspect w/h", w / h)
-    ):
-        if not math.isfinite(value):
-            raise ValueError(f"box {name} must be finite, got {value!r}")
-    if not w / h > 0:
-        raise ValueError(f"box aspect w/h must be positive, got {w / h!r}")
+#: A check of an input table: the mask of the rows that pass it, and the
+#: words for the row at an index that fails it.
+RowCheck = tuple[np.ndarray, Callable[[int], str]]
 
 
-def check_detection_row(
-    frame_index: int,
-    box: Sequence[float],
-    score: float,
-    category: int | None,
-    num_categories: int,
-):
-    """Raise ``ValueError`` unless one table row holds a detection, checking
-    its label (category None: no label), its box, its frame index and its
-    score, in that order."""
-    if category is not None:
-        CategoryLabel(category, num_categories)
-    check_box(*box)
-    if frame_index < 0:
-        raise ValueError(f"frame_index must be >= 0, got {frame_index}")
-    if not 0.0 <= score <= 1.0:
-        raise ValueError(f"score must be in [0, 1], got {score}")
+def row_checks(
+    columns: dict[str, np.ndarray], num_categories: int = DEFAULT_NUM_CATEGORIES
+) -> list[RowCheck]:
+    """The checks of an input table in report order: the one definition of
+    what an input row must hold. A row is accepted when it passes every
+    check, and its fault is the first check it fails (``first_fault``).
+
+    ``columns`` holds ``"box"``, (n, 4) (x, y, w, h) rows, and any of
+    ``"frame"``, ``"object_id"``, ``"score"`` and a label column,
+    ``"category"`` (nan, or -1 in an integer column: no label) or
+    ``"true_category"``. Float columns, as parsed from a file, must hold
+    whole numbers below 2**53, which float64 holds exactly. A box's edges,
+    area and aspect must be finite too, or the tracker's overlaps and its
+    filter, which encodes the aspect, would overflow.
+    """
+    if "category" in columns:  # an unlabeled row passes as label 0
+        labels = columns["category"]
+        unlabeled = np.isnan(labels) if labels.dtype.kind == "f" else labels == -1
+        columns = {**columns, "category": np.where(unlabeled, 0, labels)}
+    checks = []
+    for key in ("frame", "object_id", "category", "true_category"):
+        column = columns.get(key)
+        if column is not None and column.dtype.kind == "f":
+            whole = np.isfinite(column) & (column == np.floor(column))
+            checks.append(_check(whole, f"{key} must be an integer, got {{!r}}", column))
+            in_range = np.abs(column) < 2.0**53
+            checks.append(_check(in_range, f"{key} is out of range, got {{!r}}", column))
+    labels = columns.get("category", columns.get("true_category"))
+    if labels is not None:
+        checks.append(((labels >= 0) & (labels < num_categories), lambda i: (
+            f"category index {int(labels[i])} out of range [0, {num_categories})"
+        )))
+    boxes = columns["box"]
+    x, y, w, h = boxes.T
+    with np.errstate(all="ignore"):
+        extents = np.array([x + w, y + h, w * h, w / h])
+    for name, field, finite in zip("xywh", boxes.T, np.isfinite(boxes).T):
+        checks.append(_check(finite, f"box field {name!r} must be finite, got {{!r}}", field))
+    checks.append(_check((w > 0.0) & (h > 0.0), "box size must be positive, got w={}, h={}", w, h))
+    names = ("right", "bottom", "area", "aspect w/h")
+    for name, extent, finite in zip(names, extents, np.isfinite(extents)):
+        checks.append(_check(finite, f"box {name} must be finite, got {{!r}}", extent))
+    aspect = extents[3]
+    checks.append(_check(aspect > 0.0, "box aspect w/h must be positive, got {!r}", aspect))
+    if "frame" in columns:
+        frames = columns["frame"]
+        checks.append((frames >= 0, lambda i: f"frame_index must be >= 0, got {int(frames[i])}"))
+    if "score" in columns:
+        scores = columns["score"]
+        in_range = (scores >= 0.0) & (scores <= 1.0)
+        checks.append(_check(in_range, "score must be in [0, 1], got {}", scores))
+    return checks
+
+
+def _check(passed: np.ndarray, words: str, *columns: np.ndarray) -> RowCheck:
+    """A check that words row i by filling ``words`` with the columns' entries."""
+    return passed, lambda i: words.format(*(column[i].item() for column in columns))
+
+
+def passing_rows(checks: list[RowCheck]) -> np.ndarray:
+    """Mask of the rows that pass every check."""
+    return np.logical_and.reduce([passed for passed, _ in checks])
+
+
+def first_fault(checks: list[RowCheck], row: int) -> str:
+    """The words of the first check that row ``row`` fails."""
+    return next(words(row) for passed, words in checks if not passed[row])
+
+
+def check_rows(columns: dict[str, np.ndarray], num_categories: int = DEFAULT_NUM_CATEGORIES):
+    """Raise ``ValueError`` with the fault of the first row ``row_checks``
+    rejects."""
+    checks = row_checks(columns, num_categories)
+    valid = passing_rows(checks)
+    if not valid.all():
+        raise ValueError(first_fault(checks, int(np.argmin(valid))))
 
 
 def corners(xywh: np.ndarray) -> np.ndarray:
@@ -149,11 +193,6 @@ class BinaryQuality(Enum):
     DEFECT = "defect"
 
 
-def to_binary(label: CategoryLabel) -> BinaryQuality:
-    """Collapse a category to binary: fresh (index 0) is normal, everything else defect."""
-    return BinaryQuality.NORMAL if label.index == 0 else BinaryQuality.DEFECT
-
-
 @dataclass(frozen=True)
 class Detection:
     """One detector output box at one frame, with an optional classifier
@@ -198,8 +237,11 @@ class FrameDetections:
             and categories.shape == scores.shape
         ):
             raise ValueError("a frame needs an (x, y, w, h) box, a score and a category per row")
-        frames = np.full(len(scores), self.frame_index)
-        _check_rows(frames, boxes, scores, categories, self.num_categories)
+        check_rows(
+            {"frame": np.full(len(scores), self.frame_index), "box": boxes, "score": scores,
+             "category": categories},
+            self.num_categories,
+        )
         columns = _read_only(boxes, scores, categories)
         _set_columns(self, self.frame_index, *columns, self.num_categories)
 
@@ -274,37 +316,6 @@ def valid_extents(extents: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.isfinite(extents).all(axis=0) & (np.minimum(h, extents[3]) > 0.0)
 
 
-def valid_detection_rows(
-    boxes: np.ndarray, scores: np.ndarray, categories: np.ndarray, num_categories: int
-) -> np.ndarray:
-    """Mask of the table rows ``check_detection_row`` accepts (given a valid
-    frame index; category -1: no label), checked column by column."""
-    x, y, w, h = boxes.T
-    with np.errstate(all="ignore"):
-        extents = np.array([x + w, y + h, w * h, w / h])
-    labels = (categories >= -1) & (categories < num_categories)
-    return valid_extents(extents, h) & (scores >= 0.0) & (scores <= 1.0) & labels
-
-
-def _check_rows(
-    frame_indices: np.ndarray,
-    boxes: np.ndarray,
-    scores: np.ndarray,
-    categories: np.ndarray,
-    num_categories: int,
-):
-    """Raise ``ValueError`` for the first row ``check_detection_row`` rejects
-    (category -1: no label), in its words."""
-    valid = valid_detection_rows(boxes, scores, categories, num_categories) & (frame_indices >= 0)
-    if not valid.all():
-        i = int(np.argmin(valid))
-        category = int(categories[i])
-        check_detection_row(
-            int(frame_indices[i]), boxes[i].tolist(), float(scores[i]),
-            None if category == -1 else category, num_categories,
-        )
-
-
 def split_frames(
     frame_indices: np.ndarray,
     boxes: np.ndarray,
@@ -316,10 +327,20 @@ def split_frames(
     detection rows (category -1: no label). The rows of a frame keep their
     table order; the frames are views of one sorted, read-only copy.
 
-    Raises ``ValueError`` for the first row that ``check_detection_row``
-    rejects.
+    Raises ``ValueError`` for the first row that ``row_checks`` rejects.
     """
-    _check_rows(frame_indices, boxes, scores, categories, num_categories)
+    check_rows(
+        {"frame": frame_indices, "box": boxes, "score": scores, "category": categories},
+        num_categories,
+    )
+    return split_checked_rows(frame_indices, boxes, scores, categories, num_categories)
+
+
+def split_checked_rows(
+    frame_indices: np.ndarray, boxes: np.ndarray, scores: np.ndarray, categories: np.ndarray,
+    num_categories: int,
+) -> list[FrameDetections]:
+    """``split_frames`` of rows that have passed ``row_checks``."""
     order = np.argsort(frame_indices, kind="stable")
     boxes, scores, categories = _read_only(boxes[order], scores[order], categories[order])
     return [

@@ -184,7 +184,7 @@ def write_verdicts(result: PipelineResult, path: str | Path):
         for verdict in result.verdicts:
             record = {
                 "track_id": verdict.track_id,
-                "category": verdict.final_category.index,
+                "category": verdict.final_category,
                 "binary": verdict.final_binary.value,
                 "k": verdict.track_length,
                 "votes": list(verdict.vote_counts),
@@ -272,7 +272,7 @@ def evaluate_against_truth(
     # and as binary labels by whether the index is 0 (fresh, normal) or not.
     lookup = np.full((2, max((track.id for track in tracks), default=0) + 1), -1)
     ids = [track.id for track in labeled]
-    lookup[0, ids] = [verdict.final_category.index for verdict in verdicts]
+    lookup[0, ids] = [verdict.final_category for verdict in verdicts]
     lookup[1, ids] = [track.labels[-1] for track in labeled]
     found = np.where(assignment >= 0, lookup[:, assignment], -1)
     hits = [found == gt.categories, (found >= 0) & ((found == 0) == (gt.categories == 0))]

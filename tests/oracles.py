@@ -12,12 +12,15 @@ track loops of ``evaluate_reference`` (a ``Counter`` majority, one
 the covering column and the concatenated labels. The Kalman
 references step one filter with dense 8x8 matrix products, converting its
 per-axis blocks to the dense covariance and back, checked against the
-package's batched per-axis filter. The scalar ingest reference parses and
-checks one line at a time into ``Detection`` rows, checked against the
-package's table-at-once check, and ``detection_row`` checks one table row
-the same way. The per-line readers call ``json.loads`` once per line, as
-the package's JSONL readers do only for a block with a bad line, and are
-checked against the block parse. The vote reference counts a track's labels
+package's batched per-axis filter. The scalar checks (``check_box``,
+``check_detection_row``, ``check_truth_row``) check one row at a time, in
+the package's report order, and are checked against its list of column
+checks; the scalar ingest reference parses and checks one line at a time
+with them, checked against the package's table-at-once check. The per-line
+readers call ``json.loads`` once per line, as the package's JSONL readers
+do only for a block with a bad line, and are checked against the block
+parse; the ground-truth one checks each line with ``check_truth_row`` and
+then against the lines before it. The vote reference counts a track's labels
 one by one, checked against the package's ``bincount`` over the track's
 category column. ``live_tracks`` reads a tracker's live tables, which
 hold the lifecycle of the tracks that are not yet removed.
@@ -37,9 +40,6 @@ from scipy.optimize import linear_sum_assignment
 from beltrack import (
     AggregationConfig,
     BinaryQuality,
-    BoundingBox,
-    CategoryLabel,
-    Detection,
     FrameDetections,
     InputError,
     KalmanState,
@@ -100,20 +100,53 @@ def frames_of(rows, num_categories=4):
     return [frame_of(t, grouped[t], num_categories) for t in sorted(grouped)]
 
 
-def detection(frame_index, box, score, label):
-    """A ``Detection`` of a checked box and label, once its frame index and
-    score are checked."""
+def check_box(x, y, w, h):
+    """Raise ``ValueError`` unless (x, y, w, h) is a box the package accepts:
+    every field, edge, the area and the aspect w/h finite, and w, h and w/h
+    positive, checked in that order."""
+    for name, value in (("x", x), ("y", y), ("w", w), ("h", h)):
+        if not math.isfinite(value):
+            raise ValueError(f"box field {name!r} must be finite, got {value!r}")
+    if w <= 0 or h <= 0:
+        raise ValueError(f"box size must be positive, got w={w}, h={h}")
+    for name, value in (
+        ("right", x + w), ("bottom", y + h), ("area", w * h), ("aspect w/h", w / h)
+    ):
+        if not math.isfinite(value):
+            raise ValueError(f"box {name} must be finite, got {value!r}")
+    if not w / h > 0:
+        raise ValueError(f"box aspect w/h must be positive, got {w / h!r}")
+
+
+def check_label(category, num_categories):
+    if not 0 <= category < num_categories:
+        raise ValueError(f"category index {category} out of range [0, {num_categories})")
+
+
+def check_detection_row(frame_index, box, score, category, num_categories):
+    """Raise ``ValueError`` unless one table row holds a detection, checking
+    its label (category None: no label), its box, its frame index and its
+    score, in that order."""
+    if category is not None:
+        check_label(category, num_categories)
+    check_box(*box)
     if frame_index < 0:
         raise ValueError(f"frame_index must be >= 0, got {frame_index}")
     if not 0.0 <= score <= 1.0:
         raise ValueError(f"score must be in [0, 1], got {score}")
-    return Detection(frame_index, box, score, label)
 
 
-def detection_row(frame_index, box, score, category, num_categories):
-    """One table row as a checked ``Detection``; category -1 is no label."""
-    label = None if category == -1 else CategoryLabel(category, num_categories)
-    return detection(frame_index, BoundingBox(*box), score, label)
+def check_truth_row(row, num_categories):
+    """Raise ``ValueError`` unless a parsed ground-truth row (frame, object
+    id, x, y, w, h, category) holds a truth line, checking its whole
+    numbers, its label, its box and its frame, in that order."""
+    frame, object_id, x, y, w, h, category = row
+    for key, value in (("frame", frame), ("object_id", object_id), ("true_category", category)):
+        _whole_number(key, value)
+    check_label(int(category), num_categories)
+    check_box(x, y, w, h)
+    if frame < 0:
+        raise ValueError(f"frame_index must be >= 0, got {int(frame)}")
 
 
 def decoded_box(state: KalmanState) -> list[float]:
@@ -410,7 +443,7 @@ def evaluate_reference(frames, gt, tracker_config=None, aggregation=None, iou_th
         if track_id not in voted:
             continue
         track, verdict = voted[track_id]
-        voted_index, last_index = verdict.final_category.index, int(track.labels[-1])
+        voted_index, last_index = verdict.final_category, int(track.labels[-1])
         agg_cat += voted_index == true_index
         agg_bin += (voted_index == 0) == (true_index == 0)
         last_cat += last_index == true_index
@@ -452,8 +485,9 @@ def _whole_number(name, value):
 
 
 def _reference_detection(line, num_categories):
-    """One JSONL line as a checked ``Detection``, every check in the order
-    the package makes it."""
+    """One JSONL line as a checked (frame, x, y, w, h, score, category)
+    tuple (category None: no label), every check in the order the package
+    makes it."""
     record = json.loads(line)
     if not isinstance(record, dict):
         raise ValueError("expected a JSON object")
@@ -470,38 +504,33 @@ def _reference_detection(line, num_categories):
     if "category" in numbers and math.isnan(numbers["category"]):
         raise ValueError(f"category must be an integer, got {numbers['category']!r}")
     frame = _whole_number("frame", numbers["frame"])
-    label = None
+    category = None
     if "category" in numbers:
-        label = CategoryLabel(_whole_number("category", numbers["category"]), num_categories)
-    box = BoundingBox(numbers["x"], numbers["y"], numbers["w"], numbers["h"])
-    return detection(frame, box, numbers["score"], label)
+        category = _whole_number("category", numbers["category"])
+    box = (numbers["x"], numbers["y"], numbers["w"], numbers["h"])
+    check_detection_row(frame, box, numbers["score"], category, num_categories)
+    return (frame, *box, numbers["score"], category)
 
 
 def ingest_detections_scalar_reference(path, *, skip_malformed=False, num_categories=4):
     """``ingest_detections`` as a per-line loop: each line is parsed and
-    checked on its own into a ``Detection``, then the rows are grouped by
-    frame in file order."""
+    checked on its own into a row, then the rows are grouped by frame in
+    file order."""
     path = Path(path)
-    detections = []
+    rows = []
     with path.open(encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                detections.append(_reference_detection(line, num_categories))
+                rows.append(_reference_detection(line, num_categories))
             except json.JSONDecodeError as exc:
                 if not skip_malformed:
                     raise InputError(f"{path}:{line_number}: invalid JSON ({exc.msg})") from exc
             except (TypeError, ValueError, OverflowError) as exc:
                 if not skip_malformed:
                     raise InputError(f"{path}:{line_number}: {exc}") from exc
-    return frames_of(
-        [
-            (d.frame_index, d.box.x, d.box.y, d.box.w, d.box.h, d.score, d.category_observation)
-            for d in detections
-        ],
-        num_categories,
-    )
+    return frames_of(rows, num_categories)
 
 
 def ingest_detections_reference(path, *, skip_malformed=False, num_categories=4):
@@ -532,8 +561,8 @@ def ingest_detections_reference(path, *, skip_malformed=False, num_categories=4)
 
 def read_ground_truth_reference(path, num_categories=4):
     """``read_ground_truth`` with one ``json.loads`` per line: each line
-    parsed by ``bio._parse_line``, checked by ``bio._check_truth_row`` and
-    then against the lines before it, the first bad line aborting the read."""
+    parsed by ``bio._parse_line``, checked by ``check_truth_row`` and then
+    against the lines before it, the first bad line aborting the read."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"ground-truth file not found: {path}")
@@ -546,15 +575,14 @@ def read_ground_truth_reference(path, num_categories=4):
                 continue
             try:
                 row = bio._parse_line(line, bio.TRUTH_FIELDS, None)
-                bio._check_truth_row(row)
-                category = CategoryLabel(int(row[-1]), num_categories)
+                check_truth_row(row, num_categories)
             except (ValueError, OverflowError) as exc:
                 raise InputError(f"{path}:{line_number}: {bio._line_error(exc)}") from exc
-            frame, object_id = int(row[0]), int(row[1])
+            frame, object_id, category = int(row[0]), int(row[1]), int(row[-1])
             if categories.setdefault(object_id, category) != category:
                 raise InputError(
                     f"{path}:{line_number}: object {object_id} changes category "
-                    f"({categories[object_id].index} -> {category.index})"
+                    f"({categories[object_id]} -> {category})"
                 )
             if (object_id, frame) in seen:
                 raise InputError(
@@ -568,7 +596,7 @@ def read_ground_truth_reference(path, num_categories=4):
     ids, counts = np.unique(object_ids, return_counts=True)
     return SceneGroundTruth(
         ids,
-        [categories[object_id].index for object_id in ids.tolist()],
+        [categories[object_id] for object_id in ids.tolist()],
         counts,
         frames[order],
         table[order, 2:6],

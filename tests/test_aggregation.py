@@ -71,27 +71,27 @@ class TestRecordPrediction:
 class TestMajorityVote:
     def test_strict_majority(self):
         verdict = majority_vote(track_of(FRESH, FRESH, ROT))
-        assert verdict.final_category == FRESH
+        assert verdict.final_category == FRESH.index
         assert verdict.final_binary is BinaryQuality.NORMAL
         assert verdict.vote_counts == (2, 0, 1, 0)
         assert verdict.track_length == 3
 
     def test_tie_prefers_defect(self):
         verdict = majority_vote(track_of(FRESH, ROT))
-        assert verdict.final_category == ROT
+        assert verdict.final_category == ROT.index
         assert verdict.final_binary is BinaryQuality.DEFECT
 
     def test_tie_between_defects_takes_lowest_index(self):
         verdict = majority_vote(track_of(ROT, SCAB, BRUISE, FRESH))
-        assert verdict.final_category == BRUISE
+        assert verdict.final_category == BRUISE.index
 
     def test_lowest_index_tie_break_mode(self):
         verdict = majority_vote(track_of(FRESH, ROT), tie_break="lowest_index")
-        assert verdict.final_category == FRESH
+        assert verdict.final_category == FRESH.index
 
     def test_single_vote(self):
         verdict = majority_vote(track_of(BRUISE))
-        assert verdict.final_category == BRUISE
+        assert verdict.final_category == BRUISE.index
         assert verdict.final_binary is BinaryQuality.DEFECT
         assert verdict.track_length == 1
 
@@ -105,7 +105,7 @@ class TestMajorityVote:
         assert majority_vote(mixed).final_binary is BinaryQuality.NORMAL
         collapsed = majority_vote(mixed, collapse_first=True)
         assert collapsed.final_binary is BinaryQuality.DEFECT
-        assert collapsed.final_category == BRUISE
+        assert collapsed.final_category == BRUISE.index
 
     def test_vote_counts_sum_to_length_and_winner_is_max(self):
         rng = np.random.default_rng(5)
@@ -114,7 +114,7 @@ class TestMajorityVote:
             labels = [CategoryLabel(int(rng.integers(4))) for _ in range(k)]
             verdict = majority_vote(track_of(*labels))
             assert sum(verdict.vote_counts) == k
-            assert verdict.vote_counts[verdict.final_category.index] == max(verdict.vote_counts)
+            assert verdict.vote_counts[verdict.final_category] == max(verdict.vote_counts)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
@@ -132,7 +132,7 @@ class TestMajorityVote:
             k = int(rng.integers(1, 25))
             labels = [CategoryLabel(int(rng.integers(4))) for _ in range(k)]
             winner = majority_vote(track_of(*labels)).final_category
-            extended = majority_vote(track_of(*labels, winner)).final_category
+            extended = majority_vote(track_of(*labels, CategoryLabel(winner))).final_category
             assert extended == winner
 
     @settings(max_examples=300, deadline=None)
@@ -156,7 +156,8 @@ class TestMajorityVote:
         verdict = majority_vote(track, tie_break, collapse_first)
         counts, winner = majority_vote_reference(labels, num_categories, tie_break, collapse_first)
         assert verdict.vote_counts == tuple(counts)
-        assert verdict.final_category == CategoryLabel(winner, num_categories)
+        assert verdict.final_category == winner
+        assert verdict.final_binary is (BinaryQuality.NORMAL if winner == 0 else BinaryQuality.DEFECT)
         assert verdict.track_length == len(labels)
 
 
@@ -201,6 +202,6 @@ class TestVoteAccuracyBound:
                 else:
                     labels.append(true)
             verdict = majority_vote(track_of(*labels))
-            correct += verdict.final_category == true
+            correct += verdict.final_category == true.index
         bound = stats.binom.sf(k // 2, k, 1 - q)
         assert correct / n_tracks >= bound - 0.03

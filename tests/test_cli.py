@@ -166,6 +166,22 @@ class TestConfigFile:
         config.write_text(json.dumps({"tracker": {"not_a_field": 1}}))
         assert run_cli("track", "--input", str(dets), "--config", str(config)) == 2
 
+    def test_unknown_config_section_is_config_error(self, scene_files, tmp_path, capsys):
+        dets, truth = scene_files
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"trackr": {"max_frames_lost": 5}}))
+        assert run_cli("track", "--input", str(dets), "--config", str(config)) == 2
+        assert "unknown config sections: trackr" in capsys.readouterr().err
+        # Every verb takes a file with all three known sections.
+        config.write_text(json.dumps({"tracker": {}, "aggregation": {}, "simulate": {}}))
+        assert run_cli(
+            "evaluate", "--detections", str(dets), "--truth", str(truth), "--config", str(config)
+        ) == 0
+        assert run_cli(
+            "simulate", "--output-detections", str(tmp_path / "d.jsonl"),
+            "--output-truth", str(tmp_path / "t.jsonl"), "--config", str(config),
+        ) == 0
+
     def test_missing_config_file_is_config_error(self, scene_files, tmp_path):
         dets, _ = scene_files
         code = run_cli("track", "--input", str(dets), "--config", str(tmp_path / "no.json"))

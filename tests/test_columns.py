@@ -1,6 +1,6 @@
 """Property tests of the columnar detection layer against its row-by-row
 counterparts: the table-at-once ingest against the scalar reference, the
-column check against the scalar checks, and frames against their rows."""
+column checks against the scalar checks, and frames against their rows."""
 
 import json
 import math
@@ -13,11 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beltrack import FrameDetections, InputError
+from beltrack import BoundingBox, FrameDetections, InputError
 from beltrack.io import DETECTION_FIELDS, ingest_detections
-from beltrack.model import check_detection_row, split_frames, valid_detection_rows
+from beltrack.model import first_fault, passing_rows, row_checks, split_frames, valid_extents
 
-from oracles import detection_row, frame_of, ingest_detections_scalar_reference
+from oracles import (
+    check_box,
+    check_detection_row,
+    check_truth_row,
+    frame_of,
+    ingest_detections_scalar_reference,
+)
 
 GOOD_VALUES = {
     "frame": st.integers(0, 5),
@@ -87,11 +93,26 @@ floats_of_every_kind = st.one_of(
 )
 
 
+def assert_same_faults(checks, scalar_check, rows):
+    """``row_checks`` accept a row exactly when ``scalar_check`` does, and
+    word its first fault the same."""
+    accepted = passing_rows(checks)
+    for i, row in enumerate(rows):
+        try:
+            scalar_check(row)
+        except ValueError as error:
+            assert not accepted[i], row
+            assert first_fault(checks, i) == str(error)
+        else:
+            assert accepted[i], row
+
+
 class TestColumnCheckMatchesScalarChecks:
     @settings(max_examples=400, deadline=None)
     @given(
         rows=st.lists(
             st.tuples(
+                st.integers(-2, 3),
                 st.tuples(*[floats_of_every_kind] * 4),
                 st.one_of(st.floats(-0.5, 1.5), st.sampled_from([math.nan, math.inf])),
                 st.integers(-3, 6),
@@ -101,24 +122,60 @@ class TestColumnCheckMatchesScalarChecks:
         num_categories=st.integers(2, 5),
     )
     def test_same_rows_accepted(self, rows, num_categories):
-        mask = valid_detection_rows(
-            np.array([box for box, _, _ in rows], dtype=float).reshape(-1, 4),
-            np.array([score for _, score, _ in rows], dtype=float),
-            np.array([category for _, _, category in rows], dtype=np.int64),
+        checks = row_checks(
+            {
+                "frame": np.array([frame for frame, _, _, _ in rows], dtype=np.int64),
+                "box": np.array([box for _, box, _, _ in rows], dtype=float).reshape(-1, 4),
+                "score": np.array([score for _, _, score, _ in rows], dtype=float),
+                "category": np.array([category for *_, category in rows], dtype=np.int64),
+            },
             num_categories,
         )
-        for accepted, (box, score, category) in zip(mask.tolist(), rows):
-            label = None if category == -1 else category
-            try:
-                detection_row(0, box, score, category, num_categories)
-            except ValueError as error:
-                assert not accepted, (box, score, category)
-                with pytest.raises(ValueError) as words:
-                    check_detection_row(0, box, score, label, num_categories)
-                assert str(words.value) == str(error)
-            else:
-                assert accepted, (box, score, category)
-                check_detection_row(0, box, score, label, num_categories)
+        assert_same_faults(
+            checks,
+            lambda row: check_detection_row(
+                row[0], row[1], row[2], None if row[3] == -1 else row[3], num_categories
+            ),
+            rows,
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 3.0, -1.0, 2.5, 2.0**53, math.nan, -math.inf]),
+                st.sampled_from([1.0, -7.0, 1.5, -(2.0**53), math.inf]),
+                *[floats_of_every_kind] * 4,
+                st.sampled_from([0.0, 1.0, 3.0, 4.0, -1.0, 0.5, 1e300, math.nan]),
+            ),
+            max_size=10,
+        ),
+        num_categories=st.integers(2, 5),
+    )
+    def test_same_truth_rows_accepted(self, rows, num_categories):
+        table = np.array(rows, dtype=float).reshape(-1, 7)
+        checks = row_checks(
+            {"frame": table[:, 0], "object_id": table[:, 1], "box": table[:, 2:6],
+             "true_category": table[:, 6]},
+            num_categories,
+        )
+        assert_same_faults(checks, lambda row: check_truth_row(row, num_categories), rows)
+
+
+class TestBoxChecks:
+    @settings(max_examples=400, deadline=None)
+    @given(boxes=st.lists(st.tuples(*[floats_of_every_kind] * 4), max_size=10))
+    def test_box_checks_valid_extents_and_bounding_box_agree(self, boxes):
+        table = np.array(boxes, dtype=float).reshape(-1, 4)
+        checks = row_checks({"box": table})
+        x, y, w, h = table.T
+        with np.errstate(all="ignore"):
+            extents = np.array([x + w, y + h, w * h, w / h])
+        accepted = passing_rows(checks)
+        assert np.array_equal(accepted, valid_extents(extents, h))
+        # BoundingBox's one-test accept never takes a box the checks reject.
+        assert_same_faults(checks, lambda box: BoundingBox(*box), boxes)
+        assert_same_faults(checks, lambda box: check_box(*box), boxes)
 
 
 valid_rows = st.lists(

@@ -228,6 +228,13 @@ class TestRoundTrip:
         assert pickle.loads(data) == gt
 
 
+#: A truth line of object 1.
+TRUTH_LINE = (
+    '{{"frame": {frame}, "object_id": 1, "x": 0, "y": 0, "w": {w}, "h": 5, '
+    '"true_category": {category}}}'
+)
+
+
 class TestReadGroundTruth:
     def test_category_change_rejected(self, tmp_path):
         path = tmp_path / "gt.jsonl"
@@ -313,6 +320,23 @@ class TestReadGroundTruth:
             f'{{"frame": 0, "object_id": 1, "x": {second_x}, "y": 0, "w": 5, "h": 5, "true_category": 1}}',
         ])
         with pytest.raises(InputError, match=r"gt\.jsonl:2: object 1 appears twice on frame 0"):
+            read_ground_truth(path)
+
+    @pytest.mark.parametrize("lines, message", [
+        # A negative frame, a zero width and a category out of range: the
+        # label is checked before the box, and the box before the frame.
+        ([TRUTH_LINE.format(frame=-1, w=0, category=9)], "1: category index 9 out of range [0, 4)"),
+        ([TRUTH_LINE.format(frame=-1, w=0, category=1)], "1: box size must be positive, got w=0.0, h=5.0"),
+        # A check comes before a category change, which comes before a repeat.
+        ([TRUTH_LINE.format(frame=0, w=5, category=1), TRUTH_LINE.format(frame=0, w=0, category=2)],
+         "2: box size must be positive"),
+        ([TRUTH_LINE.format(frame=0, w=5, category=1), TRUTH_LINE.format(frame=0, w=5, category=2)],
+         "2: object 1 changes category (1 -> 2)"),
+    ])
+    def test_faults_of_one_line_reported_in_one_order(self, tmp_path, lines, message):
+        path = tmp_path / "gt.jsonl"
+        write_lines(path, lines)
+        with pytest.raises(InputError, match=re.escape(f"gt.jsonl:{message}")):
             read_ground_truth(path)
 
     def test_boxes_sorted_by_frame(self, tmp_path):
@@ -419,15 +443,16 @@ EDGES = ("", "true", '"0.5"', "null", "NaN", "1e400", HUGE, str(2**53 + 1), "-1"
 
 def jsonl_records(valid, edges):
     """JSON records with each field drawn from its ``valid`` values, and in
-    one record of four one field drawn from ``EDGES`` or its ``edges``
-    instead. A field whose value is "" is left out."""
+    one record of four one or two fields drawn from ``EDGES`` or their
+    ``edges`` instead, so that a line can hold two faults. A field whose
+    value is "" is left out."""
 
     @st.composite
     def record(draw):
         values = {key: draw(st.sampled_from(choices)) for key, choices in valid.items()}
         if draw(st.integers(0, 3)) == 0:
-            key = draw(st.sampled_from(list(valid)))
-            values[key] = draw(st.sampled_from(EDGES + edges.get(key, ())))
+            for key in draw(st.lists(st.sampled_from(list(valid)), min_size=1, max_size=2)):
+                values[key] = draw(st.sampled_from(EDGES + edges.get(key, ())))
         return "{" + ", ".join(f'"{key}": {value}' for key, value in values.items() if value) + "}"
 
     return record()

@@ -5,18 +5,16 @@ import numpy as np
 import pytest
 
 from beltrack import (
-    BinaryQuality,
     BoundingBox,
     CategoryLabel,
     Detection,
     FrameDetections,
     kf_initiate,
-    to_binary,
 )
 from beltrack import model
 from beltrack.model import corners, iou_matrix, split_frames
 
-from oracles import BRUISE, FRESH, ROT, SCAB, frame_of, iou, pixel_iou
+from oracles import frame_of, iou, pixel_iou
 
 
 def boxes_iou(rows, cols):
@@ -138,17 +136,6 @@ class TestIou:
 
 
 class TestCategories:
-    def test_to_binary_total_on_default_categories(self):
-        assert to_binary(FRESH) is BinaryQuality.NORMAL
-        for label in (BRUISE, ROT, SCAB):
-            assert to_binary(label) is BinaryQuality.DEFECT
-
-    def test_to_binary_deterministic_for_any_category_count(self):
-        for c in range(6):
-            label = CategoryLabel(c, num_categories=6)
-            expected = BinaryQuality.NORMAL if c == 0 else BinaryQuality.DEFECT
-            assert to_binary(label) is expected
-
     def test_index_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             CategoryLabel(4)

@@ -47,7 +47,7 @@ class TestNoiselessPipeline:
         gt, _ = generate_scene(clean_scene())
         assert len(result.verdicts) == 1
         verdict = result.verdicts[0]
-        assert verdict.final_category == gt.objects[0].true_category
+        assert verdict.final_category == gt.categories[0]
         assert result.report_aggregated.mean_stability == 1.0
         assert result.report_frame_wise.mean_stability == 1.0
         assert result.n_unlabeled_tracks == 0
