@@ -19,8 +19,9 @@ Files must be UTF-8: a line holding a byte that is not is a bad line, like
 one that is not JSON. Each non-blank line must hold exactly one JSON
 object. Files are read in blocks of ``_BLOCK_LINES`` lines, each parsed
 with one ``json.loads`` into a table, so parse memory is bounded by one
-block; a block with a bad line is parsed again line by line, which words
-the error.
+block; blank lines are dropped before the parse, and a block with a bad
+line is parsed again line by line, which words the error. The writers
+write, block by block, the bytes of one ``json.dumps`` per record.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def _parse_block(
     lines: list[str], fields: tuple[str, ...], optional: str | None
 ) -> np.ndarray | None:
     """The rows ``_parse_line`` gives for ``lines``, one per line, as one
-    table; None when a line is blank or ``_parse_line`` would reject it."""
+    table; None when ``_parse_line`` would reject a line."""
     text = "[" + ",".join(lines) + "]"
     if not text.isascii():
         return None  # the per-line parse checks for bytes that are not UTF-8
@@ -137,35 +138,37 @@ def _blocks(
     handle: IO[str], fields: tuple[str, ...], optional: str | None,
     errors: list[tuple[int, str]], skip_malformed: bool,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(line numbers, ``_parse_line`` rows) of each block of ``_BLOCK_LINES``
-    lines. A block with a blank or bad line is parsed line by line: each bad
-    line adds (line number, message) to ``errors``, and the first one ends
-    the read, after the rows before it, unless ``skip_malformed``. The
-    first block is empty, so a file without lines joins into a table of
-    the right width."""
+    """(line numbers, ``_parse_line`` rows) of the non-blank lines of each
+    block of ``_BLOCK_LINES`` lines. A block with a bad line is parsed line
+    by line: each bad line adds (line number, message) to ``errors``, and
+    the first one ends the read, after the rows before it, unless
+    ``skip_malformed``. The first block is empty, so a file without lines
+    joins into a table of the right width."""
     width = len(fields) + (optional is not None)
     yield np.empty(0, np.int64), np.empty((0, width))
     start = 1
     while lines := list(islice(handle, _BLOCK_LINES)):
-        table = _parse_block(lines, fields, optional)
+        numbers = np.arange(start, start + len(lines))
+        start += len(lines)
+        kept = list(filter(str.strip, lines))  # a blank line holds no record
+        if len(kept) < len(lines):
+            numbers = numbers[[bool(line.strip()) for line in lines]]
+        table = _parse_block(kept, fields, optional)
         if table is not None:
-            yield np.arange(start, start + len(lines)), table
+            yield numbers, table
         else:
-            rows, numbers = [], []
-            for line_number, line in enumerate(lines, start):
-                if not line.strip():
-                    continue
+            rows, parsed = [], []
+            for line_number, line in zip(numbers.tolist(), kept):
                 try:
                     rows.append(_parse_line(line, fields, optional))
-                    numbers.append(line_number)
+                    parsed.append(line_number)
                 except (ValueError, OverflowError) as exc:
                     errors.append((line_number, _line_error(exc)))
                     if not skip_malformed:
                         break
-            yield np.array(numbers, np.int64), np.array(rows).reshape(-1, width)
+            yield np.array(parsed, np.int64), np.array(rows).reshape(-1, width)
             if errors and not skip_malformed:
                 return
-        start += len(lines)
 
 
 def _line_error(exc: Exception) -> str:
@@ -228,29 +231,40 @@ def ingest_detections(
     return _frames_from_table(path, table, lines, errors, skip_malformed, num_categories)
 
 
+def write_columns(handle: IO[str], fields: tuple[str, ...], columns: list[np.ndarray]):
+    """Write a row of ``columns`` (equal-length 1-D arrays, one per name in
+    ``fields``) per line, ``_BLOCK_LINES`` rows at a time, as ``json.dumps``
+    writes its dict: ``str`` of a ``tolist()`` int or finite float is its
+    JSON text, and a string value must be JSON text (``null``, ``"defect"``)."""
+    line = "{" + ", ".join(f"{json.dumps(name)}: %s" for name in fields) + "}\n"
+    for start in range(0, len(columns[0]), _BLOCK_LINES):
+        block = [column[start : start + _BLOCK_LINES].tolist() for column in columns]
+        handle.write("".join(map(line.__mod__, zip(*block))))
+
+
 def write_detections(frames: Iterable[FrameDetections], path: str | Path):
-    """Write a detection stream in the JSONL format ``ingest_detections`` reads."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as handle:
-        for frame in frames:
-            for (x, y, w, h), score, category in zip(
-                frame.boxes.tolist(), frame.scores.tolist(), frame.categories.tolist()
-            ):
-                values = (frame.frame_index, x, y, w, h, score, None if category < 0 else category)
-                handle.write(json.dumps(dict(zip(_COLUMNS, values))) + "\n")
+    """Write a detection stream in the JSONL format ``ingest_detections``
+    reads, ``_BLOCK_LINES`` frames at a time."""
+    frames = iter(frames)
+    with Path(path).open("w", encoding="utf-8") as handle:
+        while group := list(islice(frames, _BLOCK_LINES)):
+            labels = np.concatenate([frame.categories for frame in group])
+            indices = np.array([frame.frame_index for frame in group], dtype=object)
+            write_columns(handle, _COLUMNS, [
+                np.repeat(indices, [len(frame.scores) for frame in group]),
+                *np.concatenate([frame.boxes for frame in group]).T,
+                np.concatenate([frame.scores for frame in group]),
+                np.where(labels < 0, "null", labels.astype(object)),
+            ])
 
 
 def write_ground_truth(gt: SceneGroundTruth, path: str | Path):
     """One line per (object, frame): the detection format plus identity fields."""
-    path = Path(path)
-    object_ids = np.repeat(gt.object_ids, gt.counts).tolist()
-    categories = np.repeat(gt.categories, gt.counts).tolist()
-    with path.open("w", encoding="utf-8") as handle:
-        for object_id, category, frame, (x, y, w, h) in zip(
-            object_ids, categories, gt.frames.tolist(), gt.boxes.tolist()
-        ):
-            values = (frame, object_id, x, y, w, h, category)
-            handle.write(json.dumps(dict(zip(TRUTH_FIELDS, values))) + "\n")
+    with Path(path).open("w", encoding="utf-8") as handle:
+        write_columns(handle, TRUTH_FIELDS, [
+            gt.frames, np.repeat(gt.object_ids, gt.counts), *gt.boxes.T,
+            np.repeat(gt.categories, gt.counts),
+        ])
 
 
 def read_ground_truth(path: str | Path, num_categories: int = 4) -> SceneGroundTruth:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .aggregation import TieBreak, TrackVerdict, majority_vote
 from .errors import ConfigError
-from .io import ingest_detections, ingest_mot, write_detections, write_ground_truth
+from .io import ingest_detections, ingest_mot, write_columns, write_detections, write_ground_truth
 from .metrics import (
     FrameChoice,
     StabilityGranularity,
@@ -36,6 +36,8 @@ from .simulate import SceneGroundTruth, SimConfig, generate_scene
 from .tracker import ByteTracker, TrackerConfig
 
 logger = logging.getLogger(__name__)
+
+VERDICT_FIELDS = ("track_id", "category", "binary", "k", "votes", "stability_frame_wise")
 
 
 @dataclass(frozen=True)
@@ -104,13 +106,16 @@ def run_stream(
         frames = sorted(frames, key=lambda f: f.frame_index)
     tracker = ByteTracker(tracker_config)
     empty_steps = tracker.config.max_frames_lost + 1
+    # Gap frames have no rows to check: they share empty read-only slices.
+    first = frames[0]
+    no_rows = first.boxes[:0], first.scores[:0], first.categories[:0], first.num_categories
     previous = None
     for frame in frames:
         if previous is not None:
             if frame.frame_index == previous:
                 raise ValueError(f"frame {previous} appears more than once in the stream")
             for empty in range(previous + 1, min(frame.frame_index, previous + 1 + empty_steps)):
-                tracker.step(FrameDetections(empty))
+                tracker.step(FrameDetections._from_columns(empty, *no_rows))
         tracker.step(frame)
         previous = frame.frame_index
     return tracker.finalize()
@@ -178,19 +183,15 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
 
 def write_verdicts(result: PipelineResult, path: str | Path):
     """Verdict JSONL: one line per labeled track."""
-    path = Path(path)
     stability = result.report_frame_wise.per_track_stability
-    with path.open("w", encoding="utf-8") as handle:
-        for verdict in result.verdicts:
-            record = {
-                "track_id": verdict.track_id,
-                "category": verdict.final_category,
-                "binary": verdict.final_binary.value,
-                "k": verdict.track_length,
-                "votes": list(verdict.vote_counts),
-                "stability_frame_wise": stability[verdict.track_id],
-            }
-            handle.write(json.dumps(record) + "\n")
+    rows = [
+        (v.track_id, v.final_category, f'"{v.final_binary.value}"', v.track_length,
+         str(list(v.vote_counts)), stability[v.track_id])
+        for v in result.verdicts
+    ]
+    table = np.array(rows, dtype=object).reshape(-1, len(VERDICT_FIELDS))
+    with Path(path).open("w", encoding="utf-8") as handle:
+        write_columns(handle, VERDICT_FIELDS, list(table.T))
 
 
 def _report_dict(report: VideoQualityReport) -> dict:

@@ -23,7 +23,9 @@ parse; the ground-truth one checks each line with ``check_truth_row`` and
 then against the lines before it. The vote reference counts a track's labels
 one by one, checked against the package's ``bincount`` over the track's
 category column. ``live_tracks`` reads a tracker's live tables, which
-hold the lifecycle of the tracks that are not yet removed.
+hold the lifecycle of the tracks that are not yet removed. The writer
+references call ``json.dumps`` once per record, checked byte for byte
+against the package's block formatter.
 """
 
 import json
@@ -602,3 +604,44 @@ def read_ground_truth_reference(path, num_categories=4):
         table[order, 2:6],
         num_categories,
     )
+
+
+def write_detections_reference(frames, path):
+    """``write_detections`` with one ``json.dumps`` per record."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for frame in frames:
+            for (x, y, w, h), score, category in zip(
+                frame.boxes.tolist(), frame.scores.tolist(), frame.categories.tolist()
+            ):
+                record = {"frame": frame.frame_index, "x": x, "y": y, "w": w, "h": h,
+                          "score": score, "category": None if category < 0 else category}
+                handle.write(json.dumps(record) + "\n")
+
+
+def write_ground_truth_reference(gt, path):
+    """``write_ground_truth`` with one ``json.dumps`` per record."""
+    object_ids = np.repeat(gt.object_ids, gt.counts).tolist()
+    categories = np.repeat(gt.categories, gt.counts).tolist()
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for object_id, category, frame, (x, y, w, h) in zip(
+            object_ids, categories, gt.frames.tolist(), gt.boxes.tolist()
+        ):
+            record = {"frame": frame, "object_id": object_id, "x": x, "y": y, "w": w, "h": h,
+                      "true_category": category}
+            handle.write(json.dumps(record) + "\n")
+
+
+def write_verdicts_reference(result, path):
+    """``write_verdicts`` with one ``json.dumps`` per record."""
+    stability = result.report_frame_wise.per_track_stability
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for verdict in result.verdicts:
+            record = {
+                "track_id": verdict.track_id,
+                "category": verdict.final_category,
+                "binary": verdict.final_binary.value,
+                "k": verdict.track_length,
+                "votes": list(verdict.vote_counts),
+                "stability_frame_wise": stability[verdict.track_id],
+            }
+            handle.write(json.dumps(record) + "\n")

@@ -572,6 +572,32 @@ class TestBlockParseMatchesPerLineReaders:
             assert parse.call_count == 4
         assert len(frame.scores) == 8
 
+    def test_blank_lines_keep_a_block_on_the_joined_parse(self, tmp_path):
+        config = SimConfig(
+            seed=35, n_lanes=2, n_objects_per_lane=6, false_positive_rate=0.3,
+            label_flip_prob=0.2,
+        )
+        _, frames = generate_scene(config)
+        plain, blank = tmp_path / "plain.jsonl", tmp_path / "blank.jsonl"
+        write_detections(frames, plain)
+        lines = plain.read_text(encoding="utf-8").splitlines()
+        text = []
+        for i, line in enumerate(lines):
+            text.append(line)
+            if i % 7 == 0:
+                text.extend(["", "  ", "\t"][: i % 3 + 1])  # one to three blank lines
+        write_lines(blank, text)
+        per_line = mock.patch.object(bio, "_parse_line", wraps=bio._parse_line)
+        with mock.patch.object(bio, "_BLOCK_LINES", 16), per_line as parse:
+            assert ingest_detections(blank) == ingest_detections(plain) == frames
+            assert parse.call_count == 0
+        # Lines 2 to 4 are blank, line 5 the bad one.
+        write_lines(blank, [RECORD, "", " ", "\t", "not json", RECORD])
+        with pytest.raises(InputError, match=r"blank\.jsonl:5: invalid JSON"):
+            ingest_detections(blank)
+        (frame,) = ingest_detections(blank, skip_malformed=True)
+        assert len(frame.scores) == 2
+
 
 class TestBytesThatAreNotUtf8:
     """A line holding a byte that is not UTF-8 is a bad line: an error that

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import beltrack.model as model
 import beltrack.pipeline as pipeline_module
 from beltrack import (
     AggregationConfig,
@@ -202,6 +203,26 @@ class TestGapsInStream:
             return columns, live, tracker.removed_at
 
         assert facts(skipping, tracks) == facts(stepping, stepping.finalize())
+
+    def test_gap_frames_skip_the_row_checks(self, monkeypatch):
+        _, scene = generate_scene(clean_scene(n_lanes=2, n_objects_per_lane=None, n_frames=120))
+        frames = [f for f in scene if f.frame_index % 9 not in (3, 4, 5)]
+        # The same stream with its gaps given as checked empty frames.
+        by_index = {f.frame_index: f for f in frames}
+        filled = [
+            by_index.get(t, FrameDetections(t))
+            for t in range(frames[0].frame_index, frames[-1].frame_index + 1)
+        ]
+        want = run_stream(filled)
+        checks = []
+        monkeypatch.setattr(model, "check_rows", lambda *args: checks.append(args))
+        got = run_stream(frames)
+        assert checks == []
+
+        def columns(tracks):
+            return [(t.id, t.frames.tolist(), t.boxes.tolist(), t.categories.tolist()) for t in tracks]
+
+        assert columns(got) == columns(want) and len(frames) < len(filled)
 
 
 class RecordingTracker(ByteTracker):
