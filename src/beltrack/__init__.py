@@ -2,7 +2,7 @@
 association, track-level label aggregation, quality metrics, and a seeded
 scene simulator."""
 
-from .aggregation import TrackVerdict, majority_vote
+from .aggregation import VerdictTable, majority_vote
 from .assignment import AssignmentResult, build_cost_matrix, solve_assignment
 from .errors import ConfigError, InputError
 from .kalman import (
@@ -20,12 +20,12 @@ from .metrics import (
     stability_report,
 )
 from .model import (
-    BinaryQuality,
     BoundingBox,
     CategoryLabel,
     Detection,
     FrameDetections,
     Track,
+    TrackTable,
 )
 from .pipeline import (
     AggregationConfig,

@@ -15,54 +15,42 @@ from typing import Literal
 
 import numpy as np
 
-from .model import BinaryQuality, Track
+from .model import TrackTable
 
 TieBreak = Literal["prefer_defect", "lowest_index"]
 
 
-@dataclass(frozen=True)
-class TrackVerdict:
-    """A track's vote: the winning category index and its binary label."""
+@dataclass(frozen=True, eq=False)
+class VerdictTable:
+    """One row per labeled track, in id order: ``track_ids`` (n,), ``votes``
+    (n, num_categories), the track's label count per category, and the
+    winning ``categories`` (n,): index 0 is normal, any other a defect."""
 
-    track_id: int
-    final_category: int
-    final_binary: BinaryQuality
-    vote_counts: tuple[int, ...]
-    track_length: int
+    track_ids: np.ndarray
+    votes: np.ndarray
+    categories: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.track_ids)
 
 
 def majority_vote(
-    track: Track,
-    tie_break: TieBreak = "prefer_defect",
-    collapse_first: bool = False,
-) -> TrackVerdict:
-    """Final track label as the most-voted category.
+    tracks: TrackTable, tie_break: TieBreak = "prefer_defect", collapse_first: bool = False
+) -> VerdictTable:
+    """Each labeled track's most-voted category, from one ``bincount`` over
+    the (track, category) pairs of the table's labeled rows.
 
     The default tie rule prefers any defect category over fresh (a false
     reject is cheaper than shipping a defect), then the lowest defect index;
     ``lowest_index`` picks the smallest tied index instead. With
     ``collapse_first`` the vote is binary normal-vs-defect and the reported
-    category is the most frequent one on the winning side.
-    """
-    labels = track.labels
-    if len(labels) == 0:
-        raise ValueError(f"track {track.id} has no predictions to vote on")
-    counts = np.bincount(labels, minlength=track.num_categories).tolist()
-    top_defect = counts.index(max(counts[1:]), 1)  # lowest index among equals
-    prefer_defect = tie_break == "prefer_defect"
-    if collapse_first:
-        normal, defect = counts[0], sum(counts[1:])
-        defect_wins = defect > normal or (defect == normal and prefer_defect)
-        winner = top_defect if defect_wins else 0
-    else:
-        winner = counts.index(max(counts))  # lowest index among equals
-        if winner == 0 and prefer_defect and counts[top_defect] == counts[0]:
-            winner = top_defect
-
-    return TrackVerdict(
-        track_id=track.id,
-        final_category=winner,
-        final_binary=BinaryQuality.NORMAL if winner == 0 else BinaryQuality.DEFECT,
-        vote_counts=tuple(counts),
-        track_length=len(labels),
-    )
+    category is the most frequent one on the winning side."""
+    labeled = tracks.labeled()
+    n, c = len(labeled), labeled.num_categories
+    cells = np.repeat(np.arange(n), labeled.counts) * c + labeled.categories
+    votes = np.bincount(cells, minlength=n * c).reshape(n, c)
+    top_defect = 1 + votes[:, 1:].argmax(axis=1)  # the lowest index among equals
+    # The top defect wins on its own count, or the defects' sum, against fresh's.
+    rival = votes[:, 1:].sum(axis=1) if collapse_first else votes[np.arange(n), top_defect]
+    defect_wins = (rival > votes[:, 0]) | ((rival == votes[:, 0]) & (tie_break == "prefer_defect"))
+    return VerdictTable(labeled.ids, votes, np.where(defect_wins, top_defect, 0))

@@ -28,6 +28,7 @@ from typing import Literal, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError, InputError
 from .io import _check_utf8, _open_text, ingest_detections, ingest_mot, read_ground_truth
+from .model import DEFAULT_NUM_CATEGORIES
 from .pipeline import (
     AggregationConfig,
     PipelineRun,
@@ -261,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     track.add_argument("--input", required=True, help="detection JSONL (or MOT text with --mot)")
     track.add_argument("--mot", action="store_true", help="input is MOT-challenge text")
     track.add_argument("--skip-malformed", action="store_true")
-    track.add_argument("--num-categories", type=int, default=4)
+    track.add_argument("--num-categories", type=int, default=DEFAULT_NUM_CATEGORIES)
     track.add_argument("--output-verdicts", help="per-track verdict JSONL path")
     track.add_argument("--output-summary", help="run summary JSON path")
     track.add_argument("--config", help="JSON config file (overrides flags)")
@@ -280,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--detections", required=True)
     evaluate.add_argument("--truth", required=True)
     evaluate.add_argument("--mot", action="store_true")
-    evaluate.add_argument("--num-categories", type=int, default=4)
+    evaluate.add_argument("--num-categories", type=int, default=DEFAULT_NUM_CATEGORIES)
     evaluate.add_argument("--iou-threshold", type=float, default=0.5)
     evaluate.add_argument("--output", help="write the evaluation JSON here as well")
     evaluate.add_argument("--config", help="JSON config file (overrides flags)")

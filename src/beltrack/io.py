@@ -209,7 +209,7 @@ def _frames_from_table(
 
 
 def ingest_detections(
-    path: str | Path, *, skip_malformed: bool = False, num_categories: int = 4
+    path: str | Path, *, skip_malformed: bool = False, num_categories: int = DEFAULT_NUM_CATEGORIES
 ) -> list[FrameDetections]:
     """Read a detection JSONL file, grouped by frame and sorted by frame index.
 
@@ -232,10 +232,10 @@ def ingest_detections(
 
 
 def write_columns(handle: IO[str], fields: tuple[str, ...], columns: list[np.ndarray]):
-    """Write a row of ``columns`` (equal-length 1-D arrays, one per name in
+    """Write a row of ``columns`` (equal-length arrays, one per name in
     ``fields``) per line, ``_BLOCK_LINES`` rows at a time, as ``json.dumps``
-    writes its dict: ``str`` of a ``tolist()`` int or finite float is its
-    JSON text, and a string value must be JSON text (``null``, ``"defect"``)."""
+    writes its dict: ``str`` of a ``tolist()`` int, finite float or int list
+    (a 2-D column's row) is its JSON text, and a string value must be JSON text."""
     line = "{" + ", ".join(f"{json.dumps(name)}: %s" for name in fields) + "}\n"
     for start in range(0, len(columns[0]), _BLOCK_LINES):
         block = [column[start : start + _BLOCK_LINES].tolist() for column in columns]
@@ -267,7 +267,9 @@ def write_ground_truth(gt: SceneGroundTruth, path: str | Path):
         ])
 
 
-def read_ground_truth(path: str | Path, num_categories: int = 4) -> SceneGroundTruth:
+def read_ground_truth(
+    path: str | Path, num_categories: int = DEFAULT_NUM_CATEGORIES
+) -> SceneGroundTruth:
     """Read a ground-truth JSONL file into one table, objects in id order
     and each object's rows in frame order. The lines are checked as one
     table, by ``row_checks`` and then for a line that changes its object's

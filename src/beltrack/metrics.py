@@ -13,8 +13,8 @@ from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
-from .aggregation import TrackVerdict
-from .model import BinaryQuality, FrameDetections, Track, corners, pair_iou
+from .aggregation import VerdictTable
+from .model import FrameDetections, TrackTable, corners, pair_iou
 from .simulate import SceneGroundTruth
 
 FrameChoice = Literal["last", "first", "random"]
@@ -32,47 +32,44 @@ class VideoQualityReport:
     n_defect_tracks: int
 
 
-def defect_ratio(verdicts: Sequence[TrackVerdict]) -> float:
+def defect_ratio(verdicts: VerdictTable) -> float:
     """Fraction of tracks whose final label is defect."""
-    if not verdicts:
-        raise ValueError("defect ratio is undefined for an empty verdict list")
-    n_defect = sum(1 for v in verdicts if v.final_binary is BinaryQuality.DEFECT)
-    return n_defect / len(verdicts)
+    if not len(verdicts):
+        raise ValueError("defect ratio is undefined for an empty verdict table")
+    return int(np.count_nonzero(verdicts.categories)) / len(verdicts)
 
 
-def aggregated_report(verdicts: Sequence[TrackVerdict]) -> VideoQualityReport:
+def aggregated_report(verdicts: VerdictTable) -> VideoQualityReport:
     """Score one video's voted tracks: each reports its verdict on every
     frame, so its label sequence is constant and its stability exactly 1.0."""
     return VideoQualityReport(
         defect_ratio=defect_ratio(verdicts),
-        per_track_stability={v.track_id: 1.0 for v in verdicts},
+        per_track_stability=dict.fromkeys(verdicts.track_ids.tolist(), 1.0),
         mean_stability=1.0,
         n_total_tracks=len(verdicts),
-        n_defect_tracks=sum(1 for v in verdicts if v.final_binary is BinaryQuality.DEFECT),
+        n_defect_tracks=int(np.count_nonzero(verdicts.categories)),
     )
 
 
 def stability_report(
-    tracks: Sequence[Track],
+    tracks: TrackTable,
     *,
     frame_choice: FrameChoice = "last",
     granularity: StabilityGranularity = "binary",
     rng: np.random.Generator | None = None,
 ) -> VideoQualityReport:
-    """Score one video's tracks frame by frame, without voting, in one pass
-    over their concatenated labels.
+    """Score one video's labeled tracks frame by frame, without voting, in
+    one pass over the table's labeled rows.
 
     Stability is taken over the raw per-frame label sequences, and each
     track is decided by a single frame (``frame_choice``; the default mimics
     an exit-gate camera reading the last frame; ``random`` draws every
     track's frame with one ``rng.integers`` call).
     """
-    if not tracks:
+    labeled = tracks.labeled()
+    if not len(labeled):
         raise ValueError("stability report needs at least one labeled track")
-    lengths = np.array([len(track.labels) for track in tracks])
-    if not lengths.all():
-        raise ValueError("temporal stability is undefined for an empty label sequence")
-    labels = np.concatenate([track.labels for track in tracks])
+    lengths, labels = labeled.counts, labeled.categories
     defects = labels > 0  # the binary collapse: index 0 is normal
     sequence = defects if granularity == "binary" else labels
     changes = np.concatenate(([0], np.cumsum(sequence[1:] != sequence[:-1])))
@@ -85,10 +82,10 @@ def stability_report(
         chosen = starts if frame_choice == "first" else stops - 1
     n_defect = int(np.count_nonzero(defects[chosen]))
     return VideoQualityReport(
-        defect_ratio=n_defect / len(tracks),
-        per_track_stability=dict(zip([track.id for track in tracks], stability.tolist())),
+        defect_ratio=n_defect / len(labeled),
+        per_track_stability=dict(zip(labeled.ids.tolist(), stability.tolist())),
         mean_stability=float(np.mean(stability)),
-        n_total_tracks=len(tracks),
+        n_total_tracks=len(labeled),
         n_defect_tracks=n_defect,
     )
 
@@ -190,7 +187,7 @@ def _overlaps(
 
 
 def covering_tracks(
-    tracks: Sequence[Track], gt: SceneGroundTruth, iou_threshold: float = 0.5
+    tracks: TrackTable, gt: SceneGroundTruth, iou_threshold: float = 0.5
 ) -> np.ndarray:
     """The covering column: for each truth row, in the truth's row order,
     the id of the track covering that true box, -1 where none does (so
@@ -203,13 +200,11 @@ def covering_tracks(
     """
     if not 0.0 < iou_threshold <= 1.0:  # nan fails too
         raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    frames = np.concatenate([_NO_ROWS, *(track.frames for track in tracks)])
-    boxes = np.concatenate([np.zeros((0, 4)), *(track.boxes for track in tracks)])
-    track_ids = np.repeat([t.id for t in tracks], [len(t.frames) for t in tracks]).astype(np.int64)
-
+    track_ids = np.repeat(tracks.ids, tracks.counts)
     covering = np.full(len(gt.frames), -1, dtype=np.int64)
     by_frame = np.argsort(gt.frames, kind="stable")
-    for k, rows, overlap in _overlaps(by_frame, gt.frames, gt.boxes, frames, boxes, iou_threshold):
+    found = _overlaps(by_frame, gt.frames, gt.boxes, tracks.frames, tracks.boxes, iou_threshold)
+    for k, rows, overlap in found:
         ids = track_ids[rows]
         best = np.lexsort((ids, -overlap, k))  # per true box: best overlap, then lowest id
         best = best[np.diff(k[best], prepend=-1) != 0]

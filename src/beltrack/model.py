@@ -1,18 +1,18 @@
 """Shared domain vocabulary: boxes, detections, categories, and tracks.
 
 Everything here is immutable value data. Detections and tracks are held
-as columns: a frame's detections (:class:`FrameDetections`) and a track's
-matches (:class:`Track`) are (x, y, w, h) box rows beside score and category
-columns, checked and compared as tables (``split_frames``, ``iou_matrix``).
+as columns: a frame's detections (:class:`FrameDetections`) and a stream's
+tracks (:class:`TrackTable`) are (x, y, w, h) box rows beside score and
+category columns, checked and compared as tables (``split_frames``,
+``iou_matrix``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -184,13 +184,6 @@ class CategoryLabel:
 def category_labels(num_categories: int) -> tuple[CategoryLabel, ...]:
     """The label of each category index, built once and shared."""
     return tuple(CategoryLabel(index, num_categories) for index in range(num_categories))
-
-
-class BinaryQuality(Enum):
-    """Industrial pass/fail label collapsed from the multi-class categories."""
-
-    NORMAL = "normal"
-    DEFECT = "defect"
 
 
 @dataclass(frozen=True)
@@ -365,11 +358,8 @@ class Track:
     """A track's id and, as columns in frame order, the frames it matched:
     ``frames`` (k,), ``boxes`` (k, 4) (x, y, w, h) rows and ``categories``
     (k,), -1 where the detection had no label. ``predictions`` gives
-    (frame, label) tuples of the labeled rows.
-
-    ``ByteTracker.finalize`` builds each track from its rows of the match
-    table, the columns read-only views of one sorted copy.
-    """
+    (frame, label) tuples of the labeled rows. Iterating a ``TrackTable``
+    gives its tracks, over views of its columns."""
 
     id: int
     frames: np.ndarray
@@ -388,3 +378,40 @@ class Track:
         return [
             (f, table[c]) for f, c in zip(self.frames.tolist(), self.categories.tolist()) if c >= 0
         ]
+
+
+@dataclass(frozen=True, eq=False)
+class TrackTable:
+    """A stream's tracks as one table in id order, ``SceneGroundTruth``'s
+    shape with a category per row: ``ids`` (n,) and ``counts`` (n,), each
+    track's number of rows; then the rows, track after track and each in
+    frame order, ``frames`` (k,), ``boxes`` (k, 4) (x, y, w, h) and
+    ``categories`` (k,), -1 where a detection had no label. ``len`` counts
+    the tracks; iterating gives a ``Track`` per track, over column views."""
+
+    ids: np.ndarray
+    counts: np.ndarray
+    frames: np.ndarray
+    boxes: np.ndarray
+    categories: np.ndarray
+    num_categories: int
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[Track]:
+        stops = np.cumsum(self.counts).tolist()
+        for track_id, a, b in zip(self.ids.tolist(), [0, *stops], stops):
+            yield Track(track_id, self.frames[a:b], self.boxes[a:b], self.categories[a:b],
+                        self.num_categories)
+
+    def labeled(self) -> "TrackTable":
+        """The labeled rows, and the tracks that have any."""
+        rows = self.categories >= 0
+        owners = np.repeat(np.arange(len(self.ids)), self.counts)[rows]
+        counts = np.bincount(owners, minlength=len(self.ids))
+        kept = counts > 0
+        return TrackTable(
+            self.ids[kept], counts[kept], self.frames[rows], self.boxes[rows],
+            self.categories[rows], self.num_categories,
+        )

@@ -16,7 +16,7 @@ from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .aggregation import TieBreak, TrackVerdict, majority_vote
+from .aggregation import TieBreak, VerdictTable, majority_vote
 from .errors import ConfigError
 from .io import ingest_detections, ingest_mot, write_columns, write_detections, write_ground_truth
 from .metrics import (
@@ -31,7 +31,7 @@ from .metrics import (
     stability_report,
     switches_in,
 )
-from .model import FrameDetections, Track
+from .model import DEFAULT_NUM_CATEGORIES, FrameDetections, TrackTable
 from .simulate import SceneGroundTruth, SimConfig, generate_scene
 from .tracker import ByteTracker, TrackerConfig
 
@@ -68,7 +68,7 @@ class PipelineRun:
     summary_path: str | Path | None = None
     skip_malformed: bool = False
     mot_format: bool = False
-    num_categories: int = 4
+    num_categories: int = DEFAULT_NUM_CATEGORIES
 
     def __post_init__(self):
         if (self.input_path is None) == (self.sim_config is None):
@@ -77,18 +77,19 @@ class PipelineRun:
 
 @dataclass
 class PipelineResult:
-    verdicts: list[TrackVerdict]
+    verdicts: VerdictTable
     report_aggregated: VideoQualityReport
     report_frame_wise: VideoQualityReport
-    tracks: list[Track]
+    tracks: TrackTable
     n_unlabeled_tracks: int
 
 
 def run_stream(
     frames: list[FrameDetections],
     tracker_config: TrackerConfig | None = None,
-) -> list[Track]:
-    """Drive a tracker over a detection stream and return the finished tracks.
+) -> TrackTable:
+    """Drive a tracker over a detection stream and return the table of the
+    finished tracks.
 
     Frames are sorted if needed (with a warning), and the tracker steps
     through the frames that produced no detections too, so tracks age and
@@ -98,13 +99,13 @@ def run_stream(
     the span of their indices. A frame index given twice is rejected with
     ``ValueError``.
     """
+    tracker = ByteTracker(tracker_config)
     if not frames:
-        return []
+        return tracker.finalize()
     indices = [f.frame_index for f in frames]
     if indices != sorted(indices):
         logger.warning("detection stream is out of order; sorting %d frames in memory", len(frames))
         frames = sorted(frames, key=lambda f: f.frame_index)
-    tracker = ByteTracker(tracker_config)
     empty_steps = tracker.config.max_frames_lost + 1
     # Gap frames have no rows to check: they share empty read-only slices.
     first = frames[0]
@@ -119,18 +120,6 @@ def run_stream(
         tracker.step(frame)
         previous = frame.frame_index
     return tracker.finalize()
-
-
-def _vote(
-    tracks: list[Track], aggregation: AggregationConfig
-) -> tuple[list[Track], list[TrackVerdict]]:
-    """The tracks that saw at least one label, and one verdict for each."""
-    labeled = [track for track in tracks if len(track.labels)]
-    verdicts = [
-        majority_vote(track, aggregation.tie_break, aggregation.collapse_before_vote)
-        for track in labeled
-    ]
-    return labeled, verdicts
 
 
 def run_pipeline(run: PipelineRun) -> PipelineResult:
@@ -151,17 +140,17 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
         )
 
     tracks = run_stream(frames, run.tracker_config)
-    labeled, verdicts = _vote(tracks, run.aggregation)
-    n_unlabeled = len(tracks) - len(labeled)
+    aggregation = run.aggregation
+    verdicts = majority_vote(tracks, aggregation.tie_break, aggregation.collapse_before_vote)
+    n_unlabeled = len(tracks) - len(verdicts)
     if n_unlabeled:
         logger.info("%d of %d tracks carry no category predictions", n_unlabeled, len(tracks))
 
-    if labeled:
+    if len(verdicts):
         report_aggregated = aggregated_report(verdicts)
         report_frame_wise = stability_report(
-            labeled,
-            frame_choice=run.aggregation.frame_choice,
-            granularity=run.aggregation.stability_granularity,
+            tracks, frame_choice=aggregation.frame_choice,
+            granularity=aggregation.stability_granularity,
         )
     else:
         empty = VideoQualityReport(0.0, {}, 0.0, 0, 0)
@@ -182,27 +171,26 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
 
 
 def write_verdicts(result: PipelineResult, path: str | Path):
-    """Verdict JSONL: one line per labeled track."""
-    stability = result.report_frame_wise.per_track_stability
-    rows = [
-        (v.track_id, v.final_category, f'"{v.final_binary.value}"', v.track_length,
-         str(list(v.vote_counts)), stability[v.track_id])
-        for v in result.verdicts
-    ]
-    table = np.array(rows, dtype=object).reshape(-1, len(VERDICT_FIELDS))
+    """Verdict JSONL: one line per labeled track, its votes a row of the
+    vote-count table."""
+    verdicts, stability = result.verdicts, result.report_frame_wise.per_track_stability
+    ids, categories = verdicts.track_ids, verdicts.categories
     with Path(path).open("w", encoding="utf-8") as handle:
-        write_columns(handle, VERDICT_FIELDS, list(table.T))
+        write_columns(handle, VERDICT_FIELDS, [
+            ids, categories, np.where(categories > 0, '"defect"', '"normal"'),
+            verdicts.votes.sum(axis=1), verdicts.votes,
+            np.fromiter(map(stability.__getitem__, ids.tolist()), float, len(ids)),
+        ])
 
 
 def _report_dict(report: VideoQualityReport) -> dict:
+    stability = report.per_track_stability  # its keys are sorted as the summary is written
     return {
         "defect_ratio": report.defect_ratio,
         "mean_stability": report.mean_stability,
         "n_total_tracks": report.n_total_tracks,
         "n_defect_tracks": report.n_defect_tracks,
-        "per_track_stability": {
-            str(track_id): value for track_id, value in sorted(report.per_track_stability.items())
-        },
+        "per_track_stability": dict(zip(map(str, stability), stability.values())),
     }
 
 
@@ -256,11 +244,10 @@ def evaluate_against_truth(
         raise ConfigError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     aggregation = aggregation or AggregationConfig()
     tracks = run_stream(frames, tracker_config)
-    labeled, verdicts = _vote(tracks, aggregation)
-    # The tracker gives every track of a stream one category count.
-    if labeled and labeled[0].num_categories != gt.num_categories:
+    verdicts = majority_vote(tracks, aggregation.tie_break, aggregation.collapse_before_vote)
+    if len(verdicts) and tracks.num_categories != gt.num_categories:
         raise ValueError(
-            f"the stream has {labeled[0].num_categories} categories, "
+            f"the stream has {tracks.num_categories} categories, "
             f"the truth has {gt.num_categories}"
         )
     ap = detection_map(frames, gt, iou_threshold) if len(gt.frames) else 0.0
@@ -271,10 +258,10 @@ def evaluate_against_truth(
     # id (ids may skip numbers, so the table spans the largest id), -1 where
     # it has no track or its track no labels. Categories compare as indices,
     # and as binary labels by whether the index is 0 (fresh, normal) or not.
-    lookup = np.full((2, max((track.id for track in tracks), default=0) + 1), -1)
-    ids = [track.id for track in labeled]
-    lookup[0, ids] = [verdict.final_category for verdict in verdicts]
-    lookup[1, ids] = [track.labels[-1] for track in labeled]
+    labeled = tracks.labeled()
+    lookup = np.full((2, tracks.ids.max(initial=0) + 1), -1)
+    lookup[0, verdicts.track_ids] = verdicts.categories
+    lookup[1, labeled.ids] = labeled.categories[np.cumsum(labeled.counts) - 1]
     found = np.where(assignment >= 0, lookup[:, assignment], -1)
     hits = [found == gt.categories, (found >= 0) & ((found == 0) == (gt.categories == 0))]
     n_objects = len(gt.object_ids)
@@ -290,15 +277,11 @@ def evaluate_against_truth(
         aggregated_category_accuracy=agg_cat,
         last_frame_category_accuracy=last_cat,
         last_frame_binary_accuracy=last_bin,
-        estimated_defect_ratio=defect_ratio(verdicts) if verdicts else None,
+        estimated_defect_ratio=defect_ratio(verdicts) if len(verdicts) else None,
         true_defect_ratio=int(np.count_nonzero(gt.categories)) / max(n_objects, 1),
-        mean_frame_wise_stability=(
-            stability_report(
-                labeled, granularity=aggregation.stability_granularity
-            ).mean_stability
-            if labeled
-            else None
-        ),
+        mean_frame_wise_stability=stability_report(
+            tracks, granularity=aggregation.stability_granularity
+        ).mean_stability if len(verdicts) else None,
     )
 
 

@@ -21,6 +21,7 @@ from .model import (
     CategoryLabel,
     FrameDetections,
     category_labels,
+    check_rows,
     frame_runs,
     split_frames,
 )
@@ -50,7 +51,7 @@ class SimConfig:
     score_std_fp: float = 0.05
     label_flip_prob: float = 0.0
     n_objects_per_lane: int | None = None  # None: keep spawning until the stream ends
-    num_categories: int = 4
+    num_categories: int = DEFAULT_NUM_CATEGORIES
 
     def __post_init__(self):
         for name in ("defect_probability", "detection_dropout_prob", "label_flip_prob",
@@ -104,9 +105,9 @@ class SceneGroundTruth:
     """The true trajectories of a scene as one read-only table in object
     order: ``object_ids`` (n,), true ``categories`` (n,) (indices in
     [0, num_categories)) and ``counts`` (n,), each object's number of rows;
-    then the rows, object after object and each object's in frame order,
-    ``frames`` (k,) and ``boxes`` (k, 4) (x, y, w, h). ``generate_scene``
-    keeps only objects with rows.
+    then the rows, object after object and each object's in strictly rising
+    frame order, ``frames`` (k,) and ``boxes`` (k, 4) (x, y, w, h), checked
+    by ``model.row_checks``. ``generate_scene`` keeps only objects with rows.
 
     ``objects`` gives one ``GroundTruthObject`` view per object, built on
     each access. Equality and pickling compare and carry the columns.
@@ -137,6 +138,12 @@ class SceneGroundTruth:
             )
         if ((categories < 0) | (categories >= self.num_categories)).any():
             raise ValueError(f"true categories must be in [0, {self.num_categories})")
+        # The rows pass a truth file's row checks; each object's frames rise.
+        rows = {"frame": frames, "box": boxes, "true_category": np.repeat(categories, counts)}
+        check_rows(rows, self.num_categories)
+        owners = np.repeat(np.arange(len(counts)), counts)
+        if (np.diff(frames)[owners[1:] == owners[:-1]] <= 0).any():
+            raise ValueError("each object's frames must be strictly increasing")
         for name, column in zip(_TRUTH_COLUMNS, (ids, categories, counts, frames, boxes)):
             column.flags.writeable = False
             object.__setattr__(self, name, column)

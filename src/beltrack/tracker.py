@@ -16,7 +16,7 @@ import numpy as np
 from .assignment import build_cost_matrix, solve_assignment
 from .errors import ConfigError
 from .kalman import STATE_ROWS, KalmanState, decode_boxes, kf_initiate, kf_predict, kf_update
-from .model import DEFAULT_NUM_CATEGORIES, FrameDetections, Track, corners
+from .model import DEFAULT_NUM_CATEGORIES, FrameDetections, TrackTable, corners
 
 #: One row of a tracker's match table: a track matched (or spawned from) a
 #: detection on a frame; category -1 where the detection had no label.
@@ -101,7 +101,8 @@ class ByteTracker:
     column leaves both tables and nothing else behind.
 
     Each frame appends its matches and spawns to one table of ``MATCH_ROW``
-    rows, which ``finalize`` splits into the tracks, live and removed alike.
+    rows, which ``finalize`` sorts into the track table, live and removed
+    tracks alike.
 
     One instance per video stream; calls must be externally serialized.
     """
@@ -233,26 +234,21 @@ class ByteTracker:
             newly_removed_track_ids=tuple(sorted(removed_ids)),
         )
 
-    def finalize(self) -> list[Track]:
-        """All tracks ever created (removed ones included), in id order,
-        filtered by the configured minimum length.
-
-        A track is its id and its rows of the match table, in frame order,
-        as read-only views of one sorted copy: each call builds the tracks
-        anew, and later steps leave those of earlier calls as they were."""
+    def finalize(self) -> TrackTable:
+        """All tracks ever created (removed ones included) as one table in id
+        order, without those shorter than the configured minimum length: a
+        read-only sorted copy of the match table's rows, built anew by each
+        call, so later steps leave the tables of earlier calls as they were."""
         table = self._matches[: self._rows]
-        table = table[np.argsort(table["track"], kind="stable")]
-        table.flags.writeable = False
-        frames, boxes, categories = table["frame"], table["box"], table["category"]
-        num_categories = self._num_categories or DEFAULT_NUM_CATEGORIES
         # Ids run 1, 2, ... in spawn order, and each track has its spawn row.
-        stops = np.cumsum(np.bincount(table["track"])[1:]).tolist()
-        return [
-            Track(track_id, frames[start:stop], boxes[start:stop], categories[start:stop],
-                  num_categories)
-            for track_id, start, stop in zip(range(1, self._next_id), [0, *stops], stops)
-            if stop - start >= self.config.min_track_length_report
-        ]
+        counts = np.bincount(table["track"], minlength=self._next_id)[1:]
+        kept = counts >= self.config.min_track_length_report
+        table = table[np.argsort(table["track"], kind="stable")[np.repeat(kept, counts)]]
+        table.flags.writeable = False
+        return TrackTable(
+            np.arange(1, self._next_id)[kept], counts[kept], table["frame"], table["box"],
+            table["category"], self._num_categories or DEFAULT_NUM_CATEGORIES,
+        )
 
     def _remove(self, mask: np.ndarray) -> list[int]:
         """Drop the masked columns from the live tables and return their ids."""

@@ -9,7 +9,7 @@ the package's ``iou_matrix``, and the metric references are plain loops over
 it, checked against the package's candidate-pair join; the object and
 track loops of ``evaluate_reference`` (a ``Counter`` majority, one
 ``temporal_stability`` per track) against the package's array code over
-the covering column and the concatenated labels. The Kalman
+the covering column and the track table. The Kalman
 references step one filter with dense 8x8 matrix products, converting its
 per-axis blocks to the dense covariance and back, checked against the
 package's batched per-axis filter. The scalar checks (``check_box``,
@@ -21,8 +21,11 @@ readers call ``json.loads`` once per line, as the package's JSONL readers
 do only for a block with a bad line, and are checked against the block
 parse; the ground-truth one checks each line with ``check_truth_row`` and
 then against the lines before it. The vote reference counts a track's labels
-one by one, checked against the package's ``bincount`` over the track's
-category column. ``live_tracks`` reads a tracker's live tables, which
+one by one, checked against the package's one ``bincount`` over the
+(track, category) pairs of a whole track table; ``evaluate_reference`` votes
+with it. ``table_of`` builds a track table from ``Track``s, and
+``stability_report_reference`` scores one track by track, with
+``temporal_stability``. ``live_tracks`` reads a tracker's live tables, which
 hold the lifecycle of the tracks that are not yet removed. The writer
 references call ``json.dumps`` once per record, checked byte for byte
 against the package's block formatter.
@@ -41,16 +44,16 @@ from scipy.optimize import linear_sum_assignment
 
 from beltrack import (
     AggregationConfig,
-    BinaryQuality,
     FrameDetections,
     InputError,
     KalmanState,
     SceneEvaluation,
+    TrackTable,
     decode_boxes,
-    majority_vote,
     run_stream,
 )
 import beltrack.io as bio
+from beltrack.metrics import VideoQualityReport
 from beltrack.model import category_labels
 from beltrack.simulate import SceneGroundTruth
 
@@ -297,6 +300,20 @@ def scipy_assignment(costs: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
     return float(sum(costs[r, c] for r, c in pairs)), pairs
 
 
+def table_of(tracks, num_categories=4):
+    """A ``TrackTable`` of ``Track``s, in the order given, with their
+    category count (``num_categories`` if there are none)."""
+    tracks = list(tracks)
+    return TrackTable(
+        np.array([track.id for track in tracks], dtype=np.int64),
+        np.array([len(track.frames) for track in tracks], dtype=np.int64),
+        np.concatenate([np.zeros(0, np.int64), *(track.frames for track in tracks)]),
+        np.concatenate([np.zeros((0, 4)), *(track.boxes for track in tracks)]),
+        np.concatenate([np.zeros(0, np.int64), *(track.categories for track in tracks)]),
+        tracks[0].num_categories if tracks else num_categories,
+    )
+
+
 def truth_of_rows(rows):
     """Fresh ground truth with one object per (frame, x, y, w, h, ...) tuple
     (ids 1, 2, ...), its row in the order given; further fields such as a
@@ -316,6 +333,28 @@ def temporal_stability(labels) -> float:
         raise ValueError("temporal stability is undefined for an empty label sequence")
     changes = sum(1 for a, b in zip(labels, labels[1:]) if a != b)
     return 1.0 - changes / len(labels)
+
+
+def stability_report_reference(tracks, frame_choice="last", granularity="binary", rng=None):
+    """``metrics.stability_report`` as a loop over the labeled tracks: each
+    one's ``temporal_stability``, and the label of its chosen frame, a
+    ``random`` one drawn per track in table order."""
+    rng = rng or np.random.default_rng(0)
+    stability, n_defect = {}, 0
+    for track in tracks:
+        labels = track.labels.tolist()
+        if not labels:
+            continue
+        defects = [c > 0 for c in labels]
+        stability[track.id] = temporal_stability(defects if granularity == "binary" else labels)
+        chosen = {"first": 0, "last": -1}.get(frame_choice)
+        n_defect += defects[int(rng.integers(len(labels))) if chosen is None else chosen]
+    if not stability:
+        raise ValueError("stability report needs at least one labeled track")
+    return VideoQualityReport(
+        n_defect / len(stability), stability, float(np.mean(list(stability.values()))),
+        len(stability), n_defect,
+    )
 
 
 def covering_tracks_reference(tracks, gt, iou_threshold=0.5):
@@ -408,8 +447,8 @@ def detection_map_reference(dets, gt, iou_threshold=0.5):
 
 
 def majority_vote_reference(labels, num_categories, tie_break, collapse_first):
-    """``aggregation.majority_vote`` as a loop over category indices: the
-    vote counts and the winning index."""
+    """``aggregation.majority_vote`` of one track as a loop over its label
+    indices: the vote counts and the winning index."""
     counts = [0] * num_categories
     for label in labels:
         counts[label] += 1
@@ -428,13 +467,14 @@ def majority_vote_reference(labels, num_categories, tie_break, collapse_first):
 
 def evaluate_reference(frames, gt, tracker_config=None, aggregation=None, iou_threshold=0.5):
     """``pipeline.evaluate_against_truth`` as loops over tracks and objects,
-    on the references above; the tracker and the vote are the package's."""
+    on the references above; the tracker is the package's."""
     aggregation = aggregation or AggregationConfig()
-    tracks = run_stream(frames, tracker_config)
+    tracks = list(run_stream(frames, tracker_config))
     voted = {
-        track.id: (track, majority_vote(
-            track, aggregation.tie_break, aggregation.collapse_before_vote
-        ))
+        track.id: (track, majority_vote_reference(
+            track.labels.tolist(), track.num_categories,
+            aggregation.tie_break, aggregation.collapse_before_vote,
+        )[1])
         for track in tracks if len(track.labels)
     }
     covering = covering_tracks_reference(tracks, gt, iou_threshold)
@@ -444,8 +484,8 @@ def evaluate_reference(frames, gt, tracker_config=None, aggregation=None, iou_th
     ):
         if track_id not in voted:
             continue
-        track, verdict = voted[track_id]
-        voted_index, last_index = verdict.final_category, int(track.labels[-1])
+        track, voted_index = voted[track_id]
+        last_index = int(track.labels[-1])
         agg_cat += voted_index == true_index
         agg_bin += (voted_index == 0) == (true_index == 0)
         last_cat += last_index == true_index
@@ -458,7 +498,7 @@ def evaluate_reference(frames, gt, tracker_config=None, aggregation=None, iou_th
         for track, _ in voted.values()
     ]
     n = len(gt.object_ids)
-    n_defect = sum(v.final_binary is BinaryQuality.DEFECT for _, v in voted.values())
+    n_defect = sum(winner > 0 for _, winner in voted.values())
     return SceneEvaluation(
         n_objects=n,
         n_tracks=len(tracks),
@@ -634,14 +674,17 @@ def write_ground_truth_reference(gt, path):
 def write_verdicts_reference(result, path):
     """``write_verdicts`` with one ``json.dumps`` per record."""
     stability = result.report_frame_wise.per_track_stability
+    verdicts = result.verdicts
     with Path(path).open("w", encoding="utf-8") as handle:
-        for verdict in result.verdicts:
+        for track_id, category, votes in zip(
+            verdicts.track_ids.tolist(), verdicts.categories.tolist(), verdicts.votes.tolist()
+        ):
             record = {
-                "track_id": verdict.track_id,
-                "category": verdict.final_category,
-                "binary": verdict.final_binary.value,
-                "k": verdict.track_length,
-                "votes": list(verdict.vote_counts),
-                "stability_frame_wise": stability[verdict.track_id],
+                "track_id": track_id,
+                "category": category,
+                "binary": "normal" if category == 0 else "defect",
+                "k": sum(votes),
+                "votes": votes,
+                "stability_frame_wise": stability[track_id],
             }
             handle.write(json.dumps(record) + "\n")

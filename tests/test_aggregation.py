@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from beltrack import (
-    BinaryQuality,
     ByteTracker,
     CategoryLabel,
     Track,
@@ -15,7 +14,7 @@ from beltrack import (
     stability_report,
 )
 
-from oracles import BRUISE, FRESH, ROT, SCAB, frame_of, majority_vote_reference
+from oracles import BRUISE, FRESH, ROT, SCAB, frame_of, majority_vote_reference, table_of
 
 
 def track_of(*labels, track_id=1):
@@ -65,75 +64,90 @@ class TestRecordPrediction:
         (track,) = tracker.finalize()
         assert track.frames.tolist() == list(range(100))
         assert track.labels.tolist() == [FRESH.index] * 100
-        assert majority_vote(track).track_length == 100
+        assert majority_vote(tracker.finalize()).votes.tolist() == [[100, 0, 0, 0]]
+
+
+#: The tracks each case is voted between, as tracks 1 and 4 of a table whose
+#: case is track 3: a count that leaks into a neighbouring track changes a
+#: verdict.
+NEIGHBOURS = ((SCAB, SCAB, None, SCAB), (FRESH, BRUISE, None, FRESH))
+
+
+def vote(*labels, tie_break="prefer_defect", collapse_first=False):
+    """The vote counts and the winner of a track that predicted ``labels``
+    (None: no label), voted in one table between its neighbours, whose
+    verdicts must equal the reference's; None if it gets no verdict."""
+    before, after = NEIGHBOURS
+    tracks = [track_of(*before, track_id=1), track_of(*labels, track_id=3),
+              track_of(*after, track_id=4)]
+    verdicts = majority_vote(table_of(tracks), tie_break, collapse_first)
+    rows = {
+        track_id: (tuple(votes), winner)
+        for track_id, votes, winner in zip(
+            verdicts.track_ids.tolist(), verdicts.votes.tolist(), verdicts.categories.tolist()
+        )
+    }
+    for track_id, neighbour in ((1, before), (4, after)):
+        counts, winner = majority_vote_reference(
+            [label.index for label in neighbour if label is not None], 4, tie_break, collapse_first
+        )
+        assert rows.pop(track_id) == (tuple(counts), winner)
+    return rows.get(3)
 
 
 class TestMajorityVote:
     def test_strict_majority(self):
-        verdict = majority_vote(track_of(FRESH, FRESH, ROT))
-        assert verdict.final_category == FRESH.index
-        assert verdict.final_binary is BinaryQuality.NORMAL
-        assert verdict.vote_counts == (2, 0, 1, 0)
-        assert verdict.track_length == 3
+        assert vote(FRESH, FRESH, ROT) == ((2, 0, 1, 0), FRESH.index)
 
     def test_tie_prefers_defect(self):
-        verdict = majority_vote(track_of(FRESH, ROT))
-        assert verdict.final_category == ROT.index
-        assert verdict.final_binary is BinaryQuality.DEFECT
+        assert vote(FRESH, ROT)[1] == ROT.index
 
     def test_tie_between_defects_takes_lowest_index(self):
-        verdict = majority_vote(track_of(ROT, SCAB, BRUISE, FRESH))
-        assert verdict.final_category == BRUISE.index
+        assert vote(ROT, SCAB, BRUISE, FRESH)[1] == BRUISE.index
 
     def test_lowest_index_tie_break_mode(self):
-        verdict = majority_vote(track_of(FRESH, ROT), tie_break="lowest_index")
-        assert verdict.final_category == FRESH.index
+        assert vote(FRESH, ROT, tie_break="lowest_index")[1] == FRESH.index
 
     def test_single_vote(self):
-        verdict = majority_vote(track_of(BRUISE))
-        assert verdict.final_category == BRUISE.index
-        assert verdict.final_binary is BinaryQuality.DEFECT
-        assert verdict.track_length == 1
+        assert vote(BRUISE) == ((0, 1, 0, 0), BRUISE.index)
 
-    def test_empty_buffer_rejected(self):
-        with pytest.raises(ValueError):
-            majority_vote(track_of())
+    def test_track_without_labels_gets_no_verdict(self):
+        assert vote() is None
+        assert vote(None, None) is None
+        assert vote(None, ROT, None) == ((0, 0, 1, 0), ROT.index)
 
     def test_collapse_first_differs_on_mixed_defects(self):
         # fresh has the plurality of categories, but defects outnumber it
-        mixed = track_of(FRESH, FRESH, FRESH, BRUISE, BRUISE, ROT, ROT)
-        assert majority_vote(mixed).final_binary is BinaryQuality.NORMAL
-        collapsed = majority_vote(mixed, collapse_first=True)
-        assert collapsed.final_binary is BinaryQuality.DEFECT
-        assert collapsed.final_category == BRUISE.index
+        mixed = (FRESH, FRESH, FRESH, BRUISE, BRUISE, ROT, ROT)
+        assert vote(*mixed)[1] == FRESH.index
+        assert vote(*mixed, collapse_first=True)[1] == BRUISE.index
 
     def test_vote_counts_sum_to_length_and_winner_is_max(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
             k = int(rng.integers(1, 40))
             labels = [CategoryLabel(int(rng.integers(4))) for _ in range(k)]
-            verdict = majority_vote(track_of(*labels))
-            assert sum(verdict.vote_counts) == k
-            assert verdict.vote_counts[verdict.final_category] == max(verdict.vote_counts)
+            counts, winner = vote(*labels)
+            assert sum(counts) == k
+            assert counts[winner] == max(counts)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
             k = int(rng.integers(1, 25))
             labels = [CategoryLabel(int(rng.integers(4))) for _ in range(k)]
-            baseline = majority_vote(track_of(*labels)).final_category
+            baseline = vote(*labels)[1]
             shuffled = list(labels)
             rng.shuffle(shuffled)
-            assert majority_vote(track_of(*shuffled)).final_category == baseline
+            assert vote(*shuffled)[1] == baseline
 
     def test_appending_current_winner_never_changes_verdict(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
             k = int(rng.integers(1, 25))
             labels = [CategoryLabel(int(rng.integers(4))) for _ in range(k)]
-            winner = majority_vote(track_of(*labels)).final_category
-            extended = majority_vote(track_of(*labels, CategoryLabel(winner))).final_category
-            assert extended == winner
+            winner = vote(*labels)[1]
+            assert vote(*labels, CategoryLabel(winner))[1] == winner
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -143,22 +157,28 @@ class TestMajorityVote:
         collapse_first=st.booleans(),
     )
     def test_matches_loop_reference(self, data, num_categories, tie_break, collapse_first):
-        # unlabeled frames (-1) sit between the labels and cast no vote
-        categories = data.draw(st.lists(st.integers(-1, num_categories - 1), max_size=30))
-        labels = [c for c in categories if c >= 0]
-        track = replace(track_of(*(
-            None if c < 0 else CategoryLabel(c, num_categories) for c in categories
-        )), num_categories=num_categories)
-        if not labels:
-            with pytest.raises(ValueError, match="no predictions"):
-                majority_vote(track, tie_break, collapse_first)
-            return
-        verdict = majority_vote(track, tie_break, collapse_first)
-        counts, winner = majority_vote_reference(labels, num_categories, tie_break, collapse_first)
-        assert verdict.vote_counts == tuple(counts)
-        assert verdict.final_category == winner
-        assert verdict.final_binary is (BinaryQuality.NORMAL if winner == 0 else BinaryQuality.DEFECT)
-        assert verdict.track_length == len(labels)
+        # unlabeled frames (-1) sit between the labels and cast no vote, and
+        # a track with no label gets no verdict
+        histories = data.draw(st.lists(
+            st.lists(st.integers(-1, num_categories - 1), max_size=30), max_size=6
+        ))
+        tracks = [
+            replace(track_of(*(
+                None if c < 0 else CategoryLabel(c, num_categories) for c in categories
+            ), track_id=track_id), num_categories=num_categories)
+            for track_id, categories in enumerate(histories, start=1)
+        ]
+        verdicts = majority_vote(table_of(tracks, num_categories), tie_break, collapse_first)
+        want = [
+            (track.id, *majority_vote_reference(
+                track.labels.tolist(), num_categories, tie_break, collapse_first
+            ))
+            for track in tracks if len(track.labels)
+        ]
+        assert verdicts.votes.shape == (len(want), num_categories)
+        assert list(zip(
+            verdicts.track_ids.tolist(), verdicts.votes.tolist(), verdicts.categories.tolist()
+        )) == want
 
 
 class TestFrameWiseLabels:
@@ -166,22 +186,23 @@ class TestFrameWiseLabels:
     # own; stability_report reads that sequence off the category column
 
     def test_sequence_mapping(self):
-        report = stability_report([track_of(FRESH, ROT, FRESH)])
+        report = stability_report(table_of([track_of(FRESH, ROT, FRESH)]))
         assert report.per_track_stability[1] == 1.0 - 2 / 3
         assert report.n_defect_tracks == 0  # the last frame is fresh
 
     def test_all_fresh(self):
-        report = stability_report([track_of(*([FRESH] * 5))])
+        report = stability_report(table_of([track_of(*([FRESH] * 5))]))
         assert report.per_track_stability[1] == 1.0
         assert report.n_defect_tracks == 0
 
     def test_alternating_has_five_changes(self):
-        report = stability_report([track_of(FRESH, ROT, FRESH, ROT, FRESH, ROT)])
+        report = stability_report(table_of([track_of(FRESH, ROT, FRESH, ROT, FRESH, ROT)]))
         assert report.per_track_stability[1] == 1.0 - 5 / 6
 
     def test_empty_buffer_rejected(self):
-        with pytest.raises(ValueError):
-            stability_report([track_of()])
+        for tracks in ([], [track_of()], [track_of(None, None)]):
+            with pytest.raises(ValueError, match="at least one labeled track"):
+                stability_report(table_of(tracks))
 
 
 class TestVoteAccuracyBound:
@@ -191,8 +212,8 @@ class TestVoteAccuracyBound:
         # must reach at least P(Binom(k, 1-q) > k//2) minus slack.
         q, k, n_tracks = 0.3, 21, 500
         rng = np.random.default_rng(42)
-        correct = 0
-        for track in range(n_tracks):
+        tracks, truths = [], []
+        for track_id in range(n_tracks):
             true = CategoryLabel(int(rng.integers(4)))
             labels = []
             for _ in range(k):
@@ -201,7 +222,9 @@ class TestVoteAccuracyBound:
                     labels.append(CategoryLabel(others[int(rng.integers(3))]))
                 else:
                     labels.append(true)
-            verdict = majority_vote(track_of(*labels))
-            correct += verdict.final_category == true.index
+            tracks.append(track_of(*labels, track_id=track_id))
+            truths.append(true.index)
+        verdicts = majority_vote(table_of(tracks))
+        correct = int(np.count_nonzero(verdicts.categories == truths))
         bound = stats.binom.sf(k // 2, k, 1 - q)
         assert correct / n_tracks >= bound - 0.03

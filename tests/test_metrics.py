@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beltrack import (
-    BinaryQuality,
     CategoryLabel,
     FrameDetections,
     Track,
@@ -29,12 +28,12 @@ from oracles import (
     frames_of,
     majority_tracks_reference,
     switches_reference,
+    table_of,
     temporal_stability,
     truth_of_rows,
 )
 
-N = BinaryQuality.NORMAL
-D = BinaryQuality.DEFECT
+N, D = "normal", "defect"
 
 
 def track_of(*labels, track_id=1):
@@ -49,23 +48,26 @@ def track_of(*labels, track_id=1):
     )
 
 
-def verdict_of(*labels, track_id=1):
-    return majority_vote(track_of(*labels, track_id=track_id))
+def verdicts_of(*histories):
+    """The verdicts of one table of tracks 0, 1, ... that predicted the
+    label lists ``histories``."""
+    return majority_vote(table_of(
+        track_of(*labels, track_id=track_id) for track_id, labels in enumerate(histories)
+    ))
 
 
 class TestDefectRatio:
     def test_two_in_ten(self):
-        verdicts = [verdict_of(ROT, track_id=i) for i in range(2)]
-        verdicts += [verdict_of(FRESH, track_id=i) for i in range(2, 10)]
+        verdicts = verdicts_of(*[[ROT]] * 2, *[[FRESH]] * 8)
         assert defect_ratio(verdicts) == 0.2
 
     def test_all_normal(self):
-        verdicts = [verdict_of(FRESH, track_id=i) for i in range(5)]
+        verdicts = verdicts_of(*[[FRESH]] * 5)
         assert defect_ratio(verdicts) == 0.0
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
-            defect_ratio([])
+            defect_ratio(verdicts_of())
 
 
 class TestTemporalStability:
@@ -99,49 +101,47 @@ class TestTemporalStability:
 class TestStabilityReport:
     def test_aggregated_mode_is_exactly_stable(self):
         rng = np.random.default_rng(1)
-        verdicts = []
-        for i in range(20):
+        histories = []
+        for _ in range(20):
             k = int(rng.integers(1, 30))
-            labels = [CategoryLabel(int(rng.integers(4))) for _ in range(k)]
-            verdicts.append(verdict_of(*labels, track_id=i))
-        report = aggregated_report(verdicts)
+            histories.append([CategoryLabel(int(rng.integers(4))) for _ in range(k)])
+        report = aggregated_report(verdicts_of(*histories))
         assert report.mean_stability == 1.0
         assert all(v == 1.0 for v in report.per_track_stability.values())
 
     def test_frame_wise_alternating_buffer(self):
-        report = stability_report([track_of(ROT, FRESH, ROT, FRESH)])
+        report = stability_report(table_of([track_of(ROT, FRESH, ROT, FRESH)]))
         assert report.mean_stability == 0.25
         assert report.per_track_stability[1] == 0.25
 
     def test_frame_wise_defect_ratio_uses_last_frame_by_default(self):
         tracks = [track_of(ROT, FRESH, track_id=1), track_of(FRESH, ROT, track_id=2)]
-        report = stability_report(tracks)
+        report = stability_report(table_of(tracks))
         assert report.defect_ratio == 0.5
         assert report.n_defect_tracks == 1
 
     def test_frame_choice_first(self):
         tracks = [track_of(ROT, FRESH, track_id=1), track_of(FRESH, ROT, track_id=2)]
-        report = stability_report(tracks, frame_choice="first")
+        report = stability_report(table_of(tracks), frame_choice="first")
         assert report.n_defect_tracks == 1  # track 1's first label is defect
 
     def test_category_granularity_counts_defect_type_changes(self):
         labels = [CategoryLabel(1), CategoryLabel(2), CategoryLabel(2), CategoryLabel(3)]
-        binary = stability_report([track_of(*labels)])
-        four_way = stability_report([track_of(*labels)], granularity="category")
+        binary = stability_report(table_of([track_of(*labels)]))
+        four_way = stability_report(table_of([track_of(*labels)]), granularity="category")
         assert binary.mean_stability == 1.0  # all defect
         assert four_way.mean_stability == 0.5  # two changes over k=4
 
     def test_aggregated_defect_ratio_matches_verdicts(self):
-        verdicts = [verdict_of(ROT, ROT, FRESH, track_id=1), verdict_of(FRESH, FRESH, track_id=2)]
-        report = aggregated_report(verdicts)
+        report = aggregated_report(verdicts_of([ROT, ROT, FRESH], [FRESH, FRESH]))
         assert report.defect_ratio == 0.5
         assert report.n_total_tracks == 2
 
     def test_empty_buffers_rejected(self):
         with pytest.raises(ValueError):
-            stability_report([])
+            stability_report(table_of([]))
         with pytest.raises(ValueError):
-            aggregated_report([])
+            aggregated_report(verdicts_of())
 
 
 class TestDetectionMap:
@@ -244,26 +244,26 @@ class TestCountIdSwitches:
     def test_perfect_coverage_no_switches(self):
         boxes = [(t, (5.0 * t, 0, 20, 20)) for t in range(10)]
         gt = single_object_gt(boxes)
-        assert switches_in(covering_tracks([simple_track(1, boxes)], gt), gt) == 0
+        assert switches_in(covering_tracks(table_of([simple_track(1, boxes)]), gt), gt) == 0
 
     def test_identity_handoff_counts_once(self):
         boxes = [(t, (5.0 * t, 0, 20, 20)) for t in range(10)]
         gt = single_object_gt(boxes)
         tracks = [simple_track(1, boxes[:5]), simple_track(2, boxes[5:])]
-        assert switches_in(covering_tracks(tracks, gt), gt) == 1
+        assert switches_in(covering_tracks(table_of(tracks), gt), gt) == 1
 
     def test_coverage_gap_is_not_a_switch(self):
         boxes = [(t, (5.0 * t, 0, 20, 20)) for t in range(10)]
         gt = single_object_gt(boxes)
         tracks = [simple_track(1, boxes[:4] + boxes[6:])]
-        assert switches_in(covering_tracks(tracks, gt), gt) == 0
+        assert switches_in(covering_tracks(table_of(tracks), gt), gt) == 0
 
     def test_low_overlap_tracks_ignored(self):
         boxes = [(t, (5.0 * t, 0, 20, 20)) for t in range(6)]
         gt = single_object_gt(boxes)
         far = [(t, (500.0, 500.0, 20, 20)) for t in range(6)]
         tracks = [simple_track(1, boxes), simple_track(2, far)]
-        assert switches_in(covering_tracks(tracks, gt), gt) == 0
+        assert switches_in(covering_tracks(table_of(tracks), gt), gt) == 0
 
 
 class TestMajorityTracks:
@@ -271,15 +271,15 @@ class TestMajorityTracks:
         boxes = [(t, (5.0 * t, 0, 20, 20)) for t in range(6)]
         gt = single_object_gt(boxes)
         handoff = [simple_track(2, boxes[:3]), simple_track(1, boxes[3:])]
-        assert majority_tracks(covering_tracks(handoff, gt), gt).tolist() == [1]
+        assert majority_tracks(covering_tracks(table_of(handoff), gt), gt).tolist() == [1]
         uneven = [simple_track(2, boxes[:4]), simple_track(1, boxes[4:])]
-        assert majority_tracks(covering_tracks(uneven, gt), gt).tolist() == [2]
+        assert majority_tracks(covering_tracks(table_of(uneven), gt), gt).tolist() == [2]
 
     def test_uncovered_object_gets_minus_one(self):
         boxes = [(t, (5.0 * t, 0, 20, 20)) for t in range(6)]
         far = [(t, (500.0, 500.0, 20, 20)) for t in range(6)]
         gt = single_object_gt(boxes)
-        covering = covering_tracks([simple_track(1, far)], gt)
+        covering = covering_tracks(table_of([simple_track(1, far)]), gt)
         assert covering.tolist() == [-1] * 6
         assert majority_tracks(covering, gt).tolist() == [-1]
 
@@ -295,7 +295,7 @@ def truth_with_counts(covered):
     counts = [len(ids) for ids in covered]
     gt = SceneGroundTruth(
         np.arange(len(covered)), np.zeros(len(covered)), counts,
-        [t for n in counts for t in range(n)], np.zeros((sum(counts), 4)),
+        [t for n in counts for t in range(n)], np.ones((sum(counts), 4)),
     )
     return gt, np.array([i for ids in covered for i in ids], dtype=np.int64)
 
@@ -325,7 +325,7 @@ class TestStabilityReportMatchesPerTrackLoop:
             for i, labels in enumerate(histories)
         ]
         report = stability_report(
-            tracks, frame_choice=frame_choice, granularity=granularity,
+            table_of(tracks), frame_choice=frame_choice, granularity=granularity,
             rng=np.random.default_rng(seed),
         )
         rng = np.random.default_rng(seed)  # one scalar draw per track, in track order
@@ -374,9 +374,9 @@ class TestOverlapKernelMatchesScalarLoops:
         ))
         if threshold == 0.0:  # a track whose box misses the object's would cover it
             with pytest.raises(ValueError):
-                covering_tracks(tracks, gt, threshold)
+                covering_tracks(table_of(tracks), gt, threshold)
             return
-        assert covering_tracks(tracks, gt, threshold).tolist() == covering_tracks_reference(
+        assert covering_tracks(table_of(tracks), gt, threshold).tolist() == covering_tracks_reference(
             tracks, gt, threshold
         )
 
@@ -421,7 +421,7 @@ def assert_join_matches_oracles(truth_rows, other_rows, threshold=0.5):
     for truth, other in ((truth_rows, other_rows), (other_rows, truth_rows)):
         gt = truth_of(*((i, FRESH, [row]) for i, row in enumerate(truth, start=1)))
         tracks = [simple_track(len(other) - i, [row]) for i, row in enumerate(other)]
-        coverage = covering_tracks(tracks, gt, threshold).tolist()
+        coverage = covering_tracks(table_of(tracks), gt, threshold).tolist()
         assert coverage == covering_tracks_reference(tracks, gt, threshold)
         dets = frames_of([(f, *box, (0.9, 0.6, 0.3)[i % 3]) for i, (f, box) in enumerate(other)])
         ap = None
@@ -544,7 +544,7 @@ class TestOverlapJoinEdgeCases:
     def test_covering_threshold_out_of_range_rejected(self, threshold):
         gt = single_object_gt([(0, (0.0, 0.0, 10.0, 10.0))])
         with pytest.raises(ValueError, match="iou_threshold"):
-            covering_tracks([simple_track(1, [(0, (20.0, 0.0, 10.0, 10.0))])], gt, threshold)
+            covering_tracks(table_of([simple_track(1, [(0, (20.0, 0.0, 10.0, 10.0))])]), gt, threshold)
 
     @settings(max_examples=150, deadline=None)
     @given(

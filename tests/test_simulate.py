@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from beltrack import ConfigError
-from beltrack.simulate import SimConfig, generate_scene
+from beltrack.simulate import SceneGroundTruth, SimConfig, generate_scene
 
 
 def stream_fingerprint(gt, frames):
@@ -204,3 +204,30 @@ class TestConfigValidation:
         weights = (1.0,) * max(num_categories - 1, 0)
         with pytest.raises(ConfigError, match="num_categories must be >= 2"):
             SimConfig(num_categories=num_categories, defect_category_weights=weights)
+
+
+class TestTruthTableChecks:
+    # A truth built in memory holds the rules a truth file's rows are read
+    # under, so the library call and the written file score the same truth.
+
+    def test_box_that_is_not_finite_rejected(self):
+        with pytest.raises(ValueError, match="box field 'x' must be finite"):
+            SceneGroundTruth([1], [0], [2], [0, 0], [[0, 0, 10, 10], [math.nan, 0, 10, 10]])
+
+    @pytest.mark.parametrize(("frame", "box", "words"), [
+        (-1, [0, 0, 10, 10], "frame_index must be >= 0"),
+        (0, [0, 0, 0, 10], "box size must be positive"),
+        (0, [0, 0, 1e200, 1e200], "box area must be finite"),
+    ])
+    def test_row_checks_apply(self, frame, box, words):
+        with pytest.raises(ValueError, match=words):
+            SceneGroundTruth([1, 2], [0, 1], [1, 1], [3, frame], [[0, 0, 10, 10], box])
+
+    @pytest.mark.parametrize("frames", [[0, 0], [1, 0]])
+    def test_frames_must_rise_within_an_object(self, frames):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SceneGroundTruth([1, 2], [0, 0], [1, 2], [5, *frames], [[0, 0, 10, 10]] * 3)
+
+    def test_objects_share_frames(self):
+        gt = SceneGroundTruth([1, 2, 3], [0, 1, 0], [2, 0, 1], [3, 4, 3], [[0, 0, 10, 10]] * 3)
+        assert gt.frames.tolist() == [3, 4, 3]

@@ -57,14 +57,14 @@ class TestLifecycleBasics:
         out = tracker.step(FrameDetections(0))
         assert out.active_tracks == ()
         assert out.newly_removed_track_ids == ()
-        assert tracker.finalize() == []
+        assert len(tracker.finalize()) == 0
 
     def test_single_object_single_track(self):
         tracker = ByteTracker()
         for t in range(10):
             out = tracker.step(frame_with(t, (moving_box(t), 0.9, FRESH)))
             assert out.active_tracks == (1,)
-        tracks = tracker.finalize()
+        tracks = list(tracker.finalize())
         assert len(tracks) == 1
         assert tracks[0].id == 1
         assert tracks[0].frames.tolist() == list(range(10))
@@ -78,7 +78,7 @@ class TestLifecycleBasics:
                 (moving_box(t, y0=200.0), 0.9, ROT),
             )
             tracker.step(frame)
-        tracks = tracker.finalize()
+        tracks = list(tracker.finalize())
         assert [tr.id for tr in tracks] == [1, 2]
         assert all(len(tr.frames) == 8 for tr in tracks)
 
@@ -94,7 +94,7 @@ class TestLifecycleBasics:
         tracker = ByteTracker()
         for t in range(5):
             tracker.step(frame_with(t, (moving_box(t), 0.4, FRESH)))
-        assert tracker.finalize() == []
+        assert len(tracker.finalize()) == 0
 
     def test_track_ids_never_reused(self):
         config = TrackerConfig(max_frames_lost=1)
@@ -104,7 +104,7 @@ class TestLifecycleBasics:
         for t in range(1, 5):
             tracker.step(FrameDetections(t))
         tracker.step(frame_with(5, ((200, 200, 20, 20), 0.9, None)))
-        tracks = tracker.finalize()
+        tracks = list(tracker.finalize())
         assert [tr.id for tr in tracks] == [1, 2]
 
     def test_lost_track_expires_into_removed(self):
@@ -236,7 +236,7 @@ class TestDivergence:
             assert list(out.active_tracks) == ([1, 2, 3] if t < 6 else [2, 3])
         assert diverged_at is not None
 
-        tracks = tracker.finalize()
+        tracks = list(tracker.finalize())
         assert [tr.id for tr in tracks] == [1, 2, 3]
         assert list(live_tracks(tracker)) == [2, 3]
         for track, x0 in zip(tracks[1:], (300.0, 500.0)):
@@ -266,7 +266,7 @@ class TestLostRecovery:
             tracker.step(FrameDetections(t))
         for t in range(8, 12):
             tracker.step(frame_with(t, (moving_box(t, velocity=3.0), 0.9, FRESH)))
-        tracks = tracker.finalize()
+        tracks = list(tracker.finalize())
         assert len(tracks) == 1
         assert live_tracks(tracker)[1].status == ACTIVE
         assert tracks[0].frames.tolist() == [0, 1, 2, 3, 4, 5, 8, 9, 10, 11]
@@ -296,7 +296,7 @@ class TestByteRecovery:
         tracker = ByteTracker()
         for frame in self.stream(include_lows=True):
             tracker.step(frame)
-        tracks = tracker.finalize()
+        tracks = list(tracker.finalize())
         assert len(tracks) == 1
         assert len(tracks[0].frames) == 10
 
@@ -304,7 +304,7 @@ class TestByteRecovery:
         tracker = ByteTracker()
         for frame in self.stream(include_lows=False):
             tracker.step(frame)
-        tracks = tracker.finalize()
+        tracks = list(tracker.finalize())
         assert len(tracks) >= 2
 
     def test_overlapping_low_detection_keeps_track_active(self):
@@ -389,7 +389,7 @@ class TestLifecycleProperties:
             removed += out.newly_removed_track_ids
             removed_at.update(dict.fromkeys(out.newly_removed_track_ids, t))
             stepped.append(t)
-        tracks, live = tracker.finalize(), live_tracks(tracker)
+        tracks, live = list(tracker.finalize()), live_tracks(tracker)
         assert len(removed) == len(set(removed))
         assert set(removed) == {tr.id for tr in tracks} - set(live)
         if out is not None:
@@ -420,7 +420,7 @@ class TestPredictionRecording:
         tracker.step(frame_with(0, (moving_box(0), 0.9, FRESH)))
         tracker.step(frame_with(1, (moving_box(1), 0.9, None)))
         tracker.step(frame_with(2, (moving_box(2), 0.9, ROT)))
-        track = tracker.finalize()[0]
+        (track, *_) = tracker.finalize()
         assert track.frames[track.categories >= 0].tolist() == [0, 2]
         assert track.labels.tolist() == [FRESH.index, ROT.index]
 
@@ -429,7 +429,7 @@ class TestPredictionRecording:
         for t in range(6):
             label = FRESH if t % 2 == 0 else None
             tracker.step(frame_with(t, (moving_box(t), 0.9, label)))
-        track = tracker.finalize()[0]
+        (track, *_) = tracker.finalize()
         assert track.frames.tolist() == list(range(6))
         assert track.categories.tolist() == [FRESH.index, -1] * 3
 
@@ -439,7 +439,7 @@ class TestPredictionRecording:
         tracker = ByteTracker()
         for t in range(100):
             tracker.step(frame_with(t, (moving_box(t, velocity=1.0), 0.9, FRESH)))
-        track = tracker.finalize()[0]
+        (track, *_) = tracker.finalize()
         assert track.frames.tolist() == list(range(100))
         assert track.labels.tolist() == [FRESH.index] * 100
 
@@ -461,7 +461,7 @@ class TestMatchTable:
                 }
                 for track_id, live in live_tracks(tracker).items():
                     assert hits_and_last[track_id] == (live.hits, live.last_frame)
-        tracks = tracker.finalize()
+        tracks = list(tracker.finalize())
         assert len(tracks) > 20
         assert sum(len(track.frames) for track in tracks) > 256  # the table has grown
         for track in tracks:
@@ -502,7 +502,7 @@ class TestFinalize:
         tracker.step(frame_with(0, ((0, 0, 20, 20), 0.9, None)))
         for t in range(1, 4):
             tracker.step(frame_with(t, ((200, 0, 20, 20), 0.9, None)))
-        tracks = tracker.finalize()
+        tracks = list(tracker.finalize())
         assert len(tracks) == 1  # the 1-frame track is filtered out
         assert len(tracks[0].frames) == 3
 
@@ -554,11 +554,33 @@ class TestFinalize:
         assert columns(tracker.finalize()) != early_columns
         assert columns(early) == early_columns
         assert len(early) > 5
+        first, second, *_ = early
         with pytest.raises(FrozenInstanceError):
-            early[0].frames = early[1].frames
+            first.frames = second.frames
+        with pytest.raises(FrozenInstanceError):
+            early.frames = early.ids
+        with pytest.raises(ValueError, match="read-only"):
+            early.categories[0] = 1
+
+    def test_table_columns_and_id_gaps(self):
+        # Tracks 1 and 3 have one row each and are dropped; 2 and 4 keep
+        # their ids, and the table's rows are theirs, in id then frame order.
+        tracker = ByteTracker(TrackerConfig(min_track_length_report=2))
+        tracker.step(frame_with(0, ((0, 0, 20, 20), 0.9, FRESH)))
+        tracker.step(frame_with(1, ((200, 0, 20, 20), 0.9, None), ((400, 0, 20, 20), 0.9, ROT)))
+        tracker.step(frame_with(2, ((200, 0, 20, 20), 0.9, ROT), ((600, 0, 20, 20), 0.9, FRESH)))
+        tracker.step(frame_with(3, ((600, 0, 20, 20), 0.9, None)))
+        table = tracker.finalize()
+        assert (table.ids.tolist(), table.counts.tolist()) == ([2, 4], [2, 2])
+        assert table.frames.tolist() == [1, 2, 2, 3]
+        assert table.boxes[:, 0].tolist() == [200, 200, 600, 600]
+        assert table.categories.tolist() == [-1, ROT.index, FRESH.index, -1]
+        assert [track.id for track in table] == [2, 4]
 
     def test_no_input_no_tracks(self):
-        assert ByteTracker().finalize() == []
+        table = ByteTracker().finalize()
+        assert len(table) == 0 and list(table) == []
+        assert table.frames.shape == (0,) and table.boxes.shape == (0, 4)
 
 
 class TestMemory:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beltrack.io as bio
-from beltrack import AggregationConfig, BinaryQuality, FrameDetections, TrackVerdict
+from beltrack import AggregationConfig, ByteTracker, FrameDetections, VerdictTable
 from beltrack.io import write_detections, write_ground_truth
 from beltrack.metrics import VideoQualityReport
 from beltrack.model import passing_rows, row_checks
@@ -77,17 +77,15 @@ def truth_tables(draw):
     """Ground truth with edge floats in its boxes and int64-range ids and frames."""
     num_categories = draw(st.integers(2, 6))
     ids = sorted(draw(st.sets(st.integers(-(2**62), 2**62), max_size=4)))
-    frames = [sorted(draw(st.sets(frame_indices, min_size=1, max_size=4))) for _ in ids]
-    boxes = [
-        [draw(coordinates), draw(coordinates), draw(sizes), draw(sizes)]
-        for rows in frames for _ in rows
-    ]
+    # The truth's rows pass the row checks, as a truth file's do.
+    boxes = [accepted_boxes(draw, draw(st.integers(1, 4))) for _ in ids]
+    frames = [sorted(draw(st.sets(frame_indices, min_size=len(b), max_size=len(b)))) for b in boxes]
     return SceneGroundTruth(
         ids,
         [draw(st.integers(0, num_categories - 1)) for _ in ids],
         [len(rows) for rows in frames],
         [frame for rows in frames for frame in rows],
-        np.array(boxes, dtype=float).reshape(-1, 4),
+        np.concatenate([np.empty((0, 4)), *boxes]),
         num_categories,
     )
 
@@ -96,19 +94,20 @@ def truth_tables(draw):
 def pipeline_results(draw):
     """A result as ``write_verdicts`` reads it: verdicts and their tracks' stability."""
     num_categories = draw(st.integers(2, 6))
-    verdicts = []
-    for track_id in sorted(draw(st.sets(st.integers(1, 2**62), max_size=6))):
-        votes = draw(st.lists(
-            st.integers(0, 2**40), min_size=num_categories, max_size=num_categories
-        ))
-        category = draw(st.integers(0, num_categories - 1))
-        verdicts.append(TrackVerdict(
-            track_id, category, BinaryQuality.NORMAL if category == 0 else BinaryQuality.DEFECT,
-            tuple(votes), sum(votes),
-        ))
-    stability = {v.track_id: draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1)) for v in verdicts}
-    report = VideoQualityReport(0.0, stability, 0.0, len(verdicts), 0)
-    return PipelineResult(verdicts, report, report, [], 0)
+    ids = sorted(draw(st.sets(st.integers(1, 2**62), max_size=6)))
+    votes = [
+        draw(st.lists(st.integers(0, 2**40), min_size=num_categories, max_size=num_categories))
+        for _ in ids
+    ]
+    categories = [draw(st.integers(0, num_categories - 1)) for _ in ids]
+    verdicts = VerdictTable(
+        np.array(ids, dtype=np.int64),
+        np.array(votes, dtype=np.int64).reshape(-1, num_categories),
+        np.array(categories, dtype=np.int64),
+    )
+    stability = {track_id: draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1)) for track_id in ids}
+    report = VideoQualityReport(0.0, stability, 0.0, len(ids), 0)
+    return PipelineResult(verdicts, report, report, ByteTracker().finalize(), 0)
 
 
 def written_both_ways(write, reference, value):
