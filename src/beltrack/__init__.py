@@ -23,6 +23,7 @@ from .model import (
     BoundingBox,
     CategoryLabel,
     Detection,
+    DetectionTable,
     FrameDetections,
     Track,
     TrackTable,

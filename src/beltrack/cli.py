@@ -186,12 +186,12 @@ def _cmd_evaluate(args) -> int:
     tracker_config = _build_config(TrackerConfig, config_file, args)
     aggregation = _build_config(AggregationConfig, config_file, args)
     if args.mot:
-        frames = ingest_mot(args.detections)
+        detections = ingest_mot(args.detections)
     else:
-        frames = ingest_detections(args.detections, num_categories=args.num_categories)
+        detections = ingest_detections(args.detections, num_categories=args.num_categories)
     gt = read_ground_truth(args.truth, num_categories=args.num_categories)
     evaluation = evaluate_against_truth(
-        frames, gt, tracker_config, aggregation, iou_threshold=args.iou_threshold
+        detections, gt, tracker_config, aggregation, iou_threshold=args.iou_threshold
     )
     payload = dataclasses.asdict(evaluation)
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -222,9 +222,16 @@ def _cmd_report(args) -> int:
             for key in _VERDICT_FIELDS:
                 if key not in record:
                     raise InputError(f"{path}:{line_number}: missing field {key!r}")
-            if record["binary"] not in ("normal", "defect") or type(record["k"]) is not int:
+            binary, k = record["binary"], record["k"]
+            if binary not in ("normal", "defect") or type(k) is not int or k < 1:
                 raise InputError(
-                    f"{path}:{line_number}: 'binary' must be normal or defect, 'k' an integer"
+                    f"{path}:{line_number}: 'binary' must be normal or defect, 'k' an integer >= 1"
+                )
+            category = record.get("category", int(binary == "defect"))  # absent: agrees
+            if type(category) is not int or category < 0 or (category > 0) != (binary == "defect"):
+                raise InputError(
+                    f"{path}:{line_number}: 'category' must be 0 for a normal verdict and above 0 "
+                    f"for a defect, got {json.dumps(category)} for {binary}"
                 )
             frame_wise = record.get("stability_frame_wise", 0.0)
             if type(frame_wise) not in (int, float) or not math.isfinite(frame_wise):

@@ -33,19 +33,12 @@ from array import array
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterator
 
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .model import (
-    DEFAULT_NUM_CATEGORIES,
-    FrameDetections,
-    first_fault,
-    passing_rows,
-    row_checks,
-    split_checked_rows,
-)
+from .model import DEFAULT_NUM_CATEGORIES, DetectionTable, first_fault, passing_rows, row_checks
 from .simulate import SceneGroundTruth
 
 logger = logging.getLogger(__name__)
@@ -177,17 +170,18 @@ def _line_error(exc: Exception) -> str:
     return str(exc)
 
 
-def _frames_from_table(
+def _checked_detections(
     path: Path,
     table: np.ndarray,
     lines: np.ndarray,
     errors: list[tuple[int, str]],
     skip_malformed: bool,
     num_categories: int,
-) -> list[FrameDetections]:
+) -> DetectionTable:
     """Check the parsed rows (``_COLUMNS``) as one table, report the first
     bad line (or log and drop every bad line when ``skip_malformed``), and
-    split the rest into frames. ``errors`` holds the lines that failed to parse."""
+    return the rest as a detection table. ``errors`` holds the lines that
+    failed to parse."""
     frames, boxes, scores, categories = table[:, 0], table[:, 1:5], table[:, 5], table[:, 6]
     checks = row_checks(
         {"frame": frames, "box": boxes, "score": scores, "category": categories}, num_categories
@@ -202,7 +196,7 @@ def _frames_from_table(
     for line_number, message in errors:
         logger.warning("skipping line: %s:%d: %s", path, line_number, message)
     categories = np.nan_to_num(categories[valid], nan=-1)  # nan: no label
-    return split_checked_rows(
+    return DetectionTable._from_checked_rows(
         frames[valid].astype(np.int64), boxes[valid], scores[valid],
         categories.astype(np.int64), num_categories,
     )
@@ -210,8 +204,9 @@ def _frames_from_table(
 
 def ingest_detections(
     path: str | Path, *, skip_malformed: bool = False, num_categories: int = DEFAULT_NUM_CATEGORIES
-) -> list[FrameDetections]:
-    """Read a detection JSONL file, grouped by frame and sorted by frame index.
+) -> DetectionTable:
+    """Read a detection JSONL file into one table, sorted by frame index
+    (each frame's lines in file order).
 
     Malformed lines abort with the offending line number unless
     ``skip_malformed`` is set, in which case they are logged and dropped.
@@ -228,7 +223,7 @@ def ingest_detections(
         # A parse error ends the read after the rows before it, which may
         # still fail the table check. No block outlives the join.
         lines, table = (np.concatenate(part) for part in zip(*blocks))
-    return _frames_from_table(path, table, lines, errors, skip_malformed, num_categories)
+    return _checked_detections(path, table, lines, errors, skip_malformed, num_categories)
 
 
 def write_columns(handle: IO[str], fields: tuple[str, ...], columns: list[np.ndarray]):
@@ -242,20 +237,15 @@ def write_columns(handle: IO[str], fields: tuple[str, ...], columns: list[np.nda
         handle.write("".join(map(line.__mod__, zip(*block))))
 
 
-def write_detections(frames: Iterable[FrameDetections], path: str | Path):
-    """Write a detection stream in the JSONL format ``ingest_detections``
-    reads, ``_BLOCK_LINES`` frames at a time."""
-    frames = iter(frames)
+def write_detections(detections: DetectionTable, path: str | Path):
+    """Write a detection table in the JSONL format ``ingest_detections``
+    reads, one line per row in table order."""
+    labels = detections.categories
     with Path(path).open("w", encoding="utf-8") as handle:
-        while group := list(islice(frames, _BLOCK_LINES)):
-            labels = np.concatenate([frame.categories for frame in group])
-            indices = np.array([frame.frame_index for frame in group], dtype=object)
-            write_columns(handle, _COLUMNS, [
-                np.repeat(indices, [len(frame.scores) for frame in group]),
-                *np.concatenate([frame.boxes for frame in group]).T,
-                np.concatenate([frame.scores for frame in group]),
-                np.where(labels < 0, "null", labels.astype(object)),
-            ])
+        write_columns(handle, _COLUMNS, [
+            detections.frames, *detections.boxes.T, detections.scores,
+            np.where(labels < 0, "null", labels.astype(object)),
+        ])
 
 
 def write_ground_truth(gt: SceneGroundTruth, path: str | Path):
@@ -326,7 +316,7 @@ def read_ground_truth(
     )
 
 
-def ingest_mot(path: str | Path, *, skip_malformed: bool = False) -> list[FrameDetections]:
+def ingest_mot(path: str | Path, *, skip_malformed: bool = False) -> DetectionTable:
     """Read MOT-challenge text (frame,id,x,y,w,h,score,...) as a detection stream.
 
     The id column and any trailing fields are ignored; there is no category
@@ -362,4 +352,4 @@ def ingest_mot(path: str | Path, *, skip_malformed: bool = False) -> list[FrameD
             line_numbers.append(line_number)
     table = np.frombuffer(rows).reshape(-1, len(_COLUMNS))
     lines = np.frombuffer(line_numbers, dtype=np.int64)
-    return _frames_from_table(path, table, lines, errors, skip_malformed, DEFAULT_NUM_CATEGORIES)
+    return _checked_detections(path, table, lines, errors, skip_malformed, DEFAULT_NUM_CATEGORIES)

@@ -9,12 +9,12 @@ k - 1), so a maximally oscillating track scores 1/k rather than 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal
 
 import numpy as np
 
 from .aggregation import VerdictTable
-from .model import FrameDetections, TrackTable, corners, pair_iou
+from .model import DetectionTable, TrackTable, corners, pair_iou
 from .simulate import SceneGroundTruth
 
 FrameChoice = Literal["last", "first", "random"]
@@ -91,7 +91,7 @@ def stability_report(
 
 
 def detection_map(
-    dets: Sequence[FrameDetections],
+    dets: DetectionTable,
     gt: SceneGroundTruth,
     iou_threshold: float = 0.5,
 ) -> float:
@@ -122,12 +122,9 @@ def _true_positives(dets, gt, iou_threshold) -> tuple[np.ndarray, int]:
     count; the candidates die with this frame, before the precision arrays."""
     if len(gt.frames) == 0:
         raise ValueError("average precision is undefined without ground-truth boxes")
-    frames = np.repeat([f.frame_index for f in dets], [len(f.scores) for f in dets]).astype(np.int64)
-    boxes = np.concatenate([np.zeros((0, 4)), *(f.boxes for f in dets)])
-    scores = np.concatenate([np.zeros(0), *(f.scores for f in dets)])
-    order = np.argsort(-scores, kind="stable")  # sweep order: k-th entry has rank k
-    ranks = np.argsort(frames[order], kind="stable")  # grouped by frame, ascending within
-    found = _overlaps(order[ranks], frames, boxes, gt.frames, gt.boxes, iou_threshold)
+    order = np.argsort(-dets.scores, kind="stable")  # sweep order: k-th entry has rank k
+    ranks = np.argsort(dets.frames[order], kind="stable")  # by frame, in rank order within
+    found = _overlaps(order[ranks], dets.frames, dets.boxes, gt.frames, gt.boxes, iou_threshold)
     parts = [(ranks[k], truth, overlap) for k, truth, overlap in found]
     rank, truth, overlap = (np.concatenate(c) for c in zip((_NO_ROWS, _NO_ROWS, np.zeros(0)), *parts))
     tp = np.zeros(len(order))

@@ -1,20 +1,24 @@
 """Shared domain vocabulary: boxes, detections, categories, and tracks.
 
 Everything here is immutable value data. Detections and tracks are held
-as columns: a frame's detections (:class:`FrameDetections`) and a stream's
-tracks (:class:`TrackTable`) are (x, y, w, h) box rows beside score and
-category columns, checked and compared as tables (``split_frames``,
+as columns: a stream's detections (:class:`DetectionTable`, a
+:class:`FrameDetections` view per frame) and its tracks
+(:class:`TrackTable`) are (x, y, w, h) box rows beside frame, score and
+category columns, checked and compared as tables (``row_checks``,
 ``iou_matrix``).
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_NUM_CATEGORIES = 4
 
@@ -204,11 +208,10 @@ class FrameDetections:
     (n,) category indices in [0, num_categories), -1 where a box has no
     classifier label.
 
-    ``FrameDetections(frame, boxes, scores, categories)`` copies the columns
-    and checks them as ``split_frames`` does; without ``categories`` no box
-    has a label, and ``FrameDetections(frame)`` is an empty frame.
-    ``detections`` gives the rows as ``Detection``s. Equality and pickling
-    compare and carry the columns.
+    ``FrameDetections(frame, boxes, scores, categories)`` copies and checks
+    the columns as a ``DetectionTable`` of one frame; without
+    ``categories`` no box has a label, and ``FrameDetections(frame)`` is an
+    empty frame. ``detections`` gives the rows as ``Detection``s.
     """
 
     frame_index: int
@@ -218,24 +221,15 @@ class FrameDetections:
     num_categories: int = DEFAULT_NUM_CATEGORIES
 
     def __post_init__(self):
-        scores = np.array(self.scores, dtype=float)
-        boxes = np.array(np.empty((0, 4)) if self.boxes is None else self.boxes, dtype=float)
-        if self.categories is None:
-            categories = np.full(scores.shape, -1, dtype=np.int64)
-        else:
-            categories = np.array(self.categories, dtype=np.int64)
-        if not (
-            scores.ndim == 1
-            and boxes.shape == (len(scores), 4)
-            and categories.shape == scores.shape
-        ):
-            raise ValueError("a frame needs an (x, y, w, h) box, a score and a category per row")
-        check_rows(
-            {"frame": np.full(len(scores), self.frame_index), "box": boxes, "score": scores,
-             "category": categories},
+        shape = np.shape(self.scores)
+        table = DetectionTable(
+            np.full(shape, self.frame_index),
+            np.empty((0, 4)) if self.boxes is None else self.boxes,
+            self.scores,
+            np.full(shape, -1) if self.categories is None else self.categories,
             self.num_categories,
         )
-        columns = _read_only(boxes, scores, categories)
+        columns = table.boxes, table.scores, table.categories
         _set_columns(self, self.frame_index, *columns, self.num_categories)
 
     @classmethod
@@ -248,17 +242,10 @@ class FrameDetections:
         num_categories: int,
     ) -> "FrameDetections":
         """A frame over the given read-only columns, neither copied nor
-        checked (see ``split_frames``, which checks them)."""
+        checked (a ``DetectionTable``'s, which checked them)."""
         frame = cls.__new__(cls)
         _set_columns(frame, frame_index, boxes, scores, categories, num_categories)
         return frame
-
-    @classmethod
-    def _unpickle(cls, frame_index, boxes, scores, categories, num_categories):
-        """A frame over unpickled columns, which it makes read-only."""
-        return cls._from_columns(
-            frame_index, *_read_only(boxes, scores, categories), num_categories
-        )
 
     @property
     def detections(self) -> tuple[Detection, ...]:
@@ -271,29 +258,120 @@ class FrameDetections:
             )
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, FrameDetections):
-            return NotImplemented
-        # As for rows: the category count is part of a label, so it only
-        # matters where a row carries one.
-        return (
-            self.frame_index == other.frame_index
-            and np.array_equal(self.boxes, other.boxes)
-            and np.array_equal(self.scores, other.scores)
-            and np.array_equal(self.categories, other.categories)
-            and (self.num_categories == other.num_categories or not (self.categories >= 0).any())
+
+#: The columns of a ``DetectionTable``, one entry each per row.
+_DETECTION_COLUMNS = ("frames", "boxes", "scores", "categories")
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class DetectionTable:
+    """A stream's detections as one read-only table, stably sorted by frame:
+    ``frames`` (k,) beside the three columns of ``FrameDetections``.
+
+    ``DetectionTable(frames, boxes, scores, categories)`` copies the
+    columns, checks them with ``row_checks`` (``ValueError`` for the first
+    bad row) and sorts them; ``from_frames`` builds the table of a list of
+    frames. ``len`` counts the frames, and iterating gives one
+    ``FrameDetections`` view per frame. Equality and pickling compare and
+    carry the columns.
+    """
+
+    frames: np.ndarray
+    boxes: np.ndarray
+    scores: np.ndarray
+    categories: np.ndarray
+    num_categories: int = DEFAULT_NUM_CATEGORIES
+
+    def __post_init__(self):
+        frames = np.array(self.frames, dtype=np.int64)
+        boxes = np.array(self.boxes, dtype=float)
+        scores = np.array(self.scores, dtype=float)
+        categories = np.array(self.categories, dtype=np.int64)
+        if not (
+            frames.ndim == 1
+            and scores.shape == categories.shape == frames.shape
+            and boxes.shape == (len(frames), 4)
+        ):
+            raise ValueError("detections need a frame, an (x, y, w, h) box, a score and a "
+                             "category per row")
+        check_rows(
+            {"frame": frames, "box": boxes, "score": scores, "category": categories},
+            self.num_categories,
         )
+        _sort_rows(self, frames, boxes, scores, categories, self.num_categories)
+
+    @classmethod
+    def _from_checked_rows(cls, frames, boxes, scores, categories, num_categories: int):
+        """The table of rows that have passed ``row_checks``, not checked again."""
+        table = cls.__new__(cls)
+        _sort_rows(table, frames, boxes, scores, categories, num_categories)
+        return table
+
+    @classmethod
+    def from_frames(cls, frames: Sequence[FrameDetections]) -> "DetectionTable":
+        """The table of a list of frames. A list out of frame order is sorted,
+        with a warning; a repeated frame index raises ``ValueError``, as do
+        labeled frames with different category counts. The table takes the
+        labeled frames' count (the default without labels)."""
+        ordered = sorted(frames, key=lambda frame: frame.frame_index)
+        if ordered != list(frames):
+            logger.warning(
+                "detection stream is out of order; sorting %d frames in memory", len(frames)
+            )
+        for before, frame in zip(ordered, ordered[1:]):
+            if frame.frame_index == before.frame_index:
+                raise ValueError(f"frame {frame.frame_index} appears more than once in the stream")
+        labeled = [frame for frame in ordered if (frame.categories >= 0).any()]
+        num_categories = labeled[0].num_categories if labeled else DEFAULT_NUM_CATEGORIES
+        for frame in labeled:
+            if frame.num_categories != num_categories:
+                raise ValueError(
+                    f"frame {frame.frame_index} has {frame.num_categories} categories, "
+                    f"earlier frames have {num_categories}"
+                )
+        return cls(
+            np.repeat([f.frame_index for f in ordered], [len(f.scores) for f in ordered]),
+            np.concatenate([np.empty((0, 4)), *(f.boxes for f in ordered)]),
+            np.concatenate([np.empty(0), *(f.scores for f in ordered)]),
+            np.concatenate([np.empty(0, np.int64), *(f.categories for f in ordered)]),
+            num_categories,
+        )
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(np.diff(self.frames))) + (len(self.frames) > 0)
+
+    def __iter__(self) -> Iterator[FrameDetections]:
+        for frame, a, b in frame_runs(self.frames):
+            yield FrameDetections._from_columns(
+                frame, self.boxes[a:b], self.scores[a:b], self.categories[a:b],
+                self.num_categories,
+            )
+
+    def __eq__(self, other):
+        if not isinstance(other, DetectionTable):
+            return NotImplemented
+        # As for labels: the category count matters only where a row has one.
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in _DETECTION_COLUMNS
+        ) and (self.num_categories == other.num_categories or not (self.categories >= 0).any())
 
     def __reduce__(self):
-        return (
-            FrameDetections._unpickle,
-            (self.frame_index, self.boxes, self.scores, self.categories, self.num_categories),
-        )
+        return DetectionTable, (*(getattr(self, name) for name in _DETECTION_COLUMNS),
+                                self.num_categories)
 
 
-def _set_columns(frame, *values):
-    for name, value in zip(FrameDetections.__slots__, values):
-        object.__setattr__(frame, name, value)
+def _sort_rows(table: DetectionTable, frames, boxes, scores, categories, num_categories: int):
+    """Set ``table`` to read-only copies of the rows, stably sorted by frame."""
+    order = np.argsort(frames, kind="stable")
+    columns = _read_only(frames[order], boxes[order], scores[order], categories[order])
+    _set_columns(table, *columns, num_categories)
+
+
+def _set_columns(value, *fields):
+    """Set the fields of a frozen, slotted ``value`` in declaration order."""
+    for name, field in zip(type(value).__slots__, fields):
+        object.__setattr__(value, name, field)
 
 
 def _read_only(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -307,41 +385,6 @@ def valid_extents(extents: np.ndarray, h: np.ndarray) -> np.ndarray:
     rows right (x + w), bottom (y + h), area w * h and aspect w / h."""
     # h, w/h > 0 give w > 0; then the rows are finite only if x, y, w, h are.
     return np.isfinite(extents).all(axis=0) & (np.minimum(h, extents[3]) > 0.0)
-
-
-def split_frames(
-    frame_indices: np.ndarray,
-    boxes: np.ndarray,
-    scores: np.ndarray,
-    categories: np.ndarray,
-    num_categories: int,
-) -> list[FrameDetections]:
-    """One frame per distinct frame index, in frame order, from a table of
-    detection rows (category -1: no label). The rows of a frame keep their
-    table order; the frames are views of one sorted, read-only copy.
-
-    Raises ``ValueError`` for the first row that ``row_checks`` rejects.
-    """
-    check_rows(
-        {"frame": frame_indices, "box": boxes, "score": scores, "category": categories},
-        num_categories,
-    )
-    return split_checked_rows(frame_indices, boxes, scores, categories, num_categories)
-
-
-def split_checked_rows(
-    frame_indices: np.ndarray, boxes: np.ndarray, scores: np.ndarray, categories: np.ndarray,
-    num_categories: int,
-) -> list[FrameDetections]:
-    """``split_frames`` of rows that have passed ``row_checks``."""
-    order = np.argsort(frame_indices, kind="stable")
-    boxes, scores, categories = _read_only(boxes[order], scores[order], categories[order])
-    return [
-        FrameDetections._from_columns(
-            frame, boxes[a:b], scores[a:b], categories[a:b], num_categories
-        )
-        for frame, a, b in frame_runs(frame_indices[order])
-    ]
 
 
 def frame_runs(frame_column: np.ndarray) -> list[tuple[int, int, int]]:
@@ -406,12 +449,15 @@ class TrackTable:
                         self.num_categories)
 
     def labeled(self) -> "TrackTable":
-        """The labeled rows, and the tracks that have any."""
-        rows = self.categories >= 0
-        owners = np.repeat(np.arange(len(self.ids)), self.counts)[rows]
-        counts = np.bincount(owners, minlength=len(self.ids))
-        kept = counts > 0
-        return TrackTable(
-            self.ids[kept], counts[kept], self.frames[rows], self.boxes[rows],
-            self.categories[rows], self.num_categories,
-        )
+        """The labeled rows, and the tracks that have any: one table, built
+        by the first call and returned by every later one."""
+        if "_labeled" not in self.__dict__:
+            rows = self.categories >= 0
+            owners = np.repeat(np.arange(len(self.ids)), self.counts)[rows]
+            counts = np.bincount(owners, minlength=len(self.ids))
+            kept = counts > 0
+            self.__dict__["_labeled"] = TrackTable(
+                self.ids[kept], counts[kept], self.frames[rows], self.boxes[rows],
+                self.categories[rows], self.num_categories,
+            )
+        return self.__dict__["_labeled"]

@@ -31,7 +31,7 @@ from .metrics import (
     stability_report,
     switches_in,
 )
-from .model import DEFAULT_NUM_CATEGORIES, FrameDetections, TrackTable
+from .model import DEFAULT_NUM_CATEGORIES, DetectionTable, FrameDetections, TrackTable
 from .simulate import SceneGroundTruth, SimConfig, generate_scene
 from .tracker import ByteTracker, TrackerConfig
 
@@ -85,38 +85,27 @@ class PipelineResult:
 
 
 def run_stream(
-    frames: list[FrameDetections],
+    detections: DetectionTable,
     tracker_config: TrackerConfig | None = None,
 ) -> TrackTable:
-    """Drive a tracker over a detection stream and return the table of the
-    finished tracks.
+    """Drive a tracker over a detection table, frame by frame, and return
+    the table of the finished tracks.
 
-    Frames are sorted if needed (with a warning), and the tracker steps
-    through the frames that produced no detections too, so tracks age and
-    coast correctly. After ``max_frames_lost + 1`` empty frames every track
-    is removed and further empty frames change nothing, so a longer gap is
-    skipped: the run takes time in proportion to the frames given, not to
-    the span of their indices. A frame index given twice is rejected with
-    ``ValueError``.
+    The tracker steps through the frames that produced no detections too,
+    so tracks age and coast correctly. After ``max_frames_lost + 1`` empty
+    frames every track is removed and further empty frames change nothing,
+    so a longer gap is skipped: the run takes time in proportion to the
+    frames with rows, not to the span of their indices.
     """
     tracker = ByteTracker(tracker_config)
-    if not frames:
-        return tracker.finalize()
-    indices = [f.frame_index for f in frames]
-    if indices != sorted(indices):
-        logger.warning("detection stream is out of order; sorting %d frames in memory", len(frames))
-        frames = sorted(frames, key=lambda f: f.frame_index)
     empty_steps = tracker.config.max_frames_lost + 1
     # Gap frames have no rows to check: they share empty read-only slices.
-    first = frames[0]
-    no_rows = first.boxes[:0], first.scores[:0], first.categories[:0], first.num_categories
+    no_rows = [detections.boxes[:0], detections.scores[:0], detections.categories[:0]]
     previous = None
-    for frame in frames:
-        if previous is not None:
-            if frame.frame_index == previous:
-                raise ValueError(f"frame {previous} appears more than once in the stream")
-            for empty in range(previous + 1, min(frame.frame_index, previous + 1 + empty_steps)):
-                tracker.step(FrameDetections._from_columns(empty, *no_rows))
+    for frame in detections:
+        gap = range(frame.frame_index if previous is None else previous + 1, frame.frame_index)
+        for empty in gap[:empty_steps]:
+            tracker.step(FrameDetections._from_columns(empty, *no_rows, detections.num_categories))
         tracker.step(frame)
         previous = frame.frame_index
     return tracker.finalize()
@@ -129,17 +118,17 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
     so the verdict file and the summary agree under every configuration.
     """
     if run.sim_config is not None:
-        _, frames = generate_scene(run.sim_config)
+        _, detections = generate_scene(run.sim_config)
     elif run.mot_format:
-        frames = ingest_mot(run.input_path, skip_malformed=run.skip_malformed)
+        detections = ingest_mot(run.input_path, skip_malformed=run.skip_malformed)
     else:
-        frames = ingest_detections(
+        detections = ingest_detections(
             run.input_path,
             skip_malformed=run.skip_malformed,
             num_categories=run.num_categories,
         )
 
-    tracks = run_stream(frames, run.tracker_config)
+    tracks = run_stream(detections, run.tracker_config)
     aggregation = run.aggregation
     verdicts = majority_vote(tracks, aggregation.tie_break, aggregation.collapse_before_vote)
     n_unlabeled = len(tracks) - len(verdicts)
@@ -225,7 +214,7 @@ class SceneEvaluation:
 
 
 def evaluate_against_truth(
-    frames: list[FrameDetections],
+    detections: DetectionTable,
     gt: SceneGroundTruth,
     tracker_config: TrackerConfig | None = None,
     aggregation: AggregationConfig | None = None,
@@ -243,14 +232,14 @@ def evaluate_against_truth(
     if not 0.0 < iou_threshold <= 1.0:  # nan fails too
         raise ConfigError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
     aggregation = aggregation or AggregationConfig()
-    tracks = run_stream(frames, tracker_config)
+    tracks = run_stream(detections, tracker_config)
     verdicts = majority_vote(tracks, aggregation.tie_break, aggregation.collapse_before_vote)
     if len(verdicts) and tracks.num_categories != gt.num_categories:
         raise ValueError(
             f"the stream has {tracks.num_categories} categories, "
             f"the truth has {gt.num_categories}"
         )
-    ap = detection_map(frames, gt, iou_threshold) if len(gt.frames) else 0.0
+    ap = detection_map(detections, gt, iou_threshold) if len(gt.frames) else 0.0
 
     covering = covering_tracks(tracks, gt, iou_threshold)
     assignment = majority_tracks(covering, gt)
@@ -289,7 +278,7 @@ def simulate_to_files(
     config: SimConfig, detections_path: str | Path, truth_path: str | Path
 ) -> tuple[int, int]:
     """Generate a scene and write both stream files; returns (objects, frames)."""
-    gt, frames = generate_scene(config)
-    write_detections(frames, detections_path)
+    gt, detections = generate_scene(config)
+    write_detections(detections, detections_path)
     write_ground_truth(gt, truth_path)
-    return len(gt.object_ids), len(frames)
+    return len(gt.object_ids), len(detections)

@@ -19,11 +19,10 @@ from .errors import ConfigError
 from .model import (
     DEFAULT_NUM_CATEGORIES,
     CategoryLabel,
-    FrameDetections,
+    DetectionTable,
     category_labels,
     check_rows,
     frame_runs,
-    split_frames,
 )
 
 
@@ -196,14 +195,14 @@ def _spawn_times(rng: np.random.Generator, config: SimConfig) -> list[int]:
     return times
 
 
-def generate_scene(config: SimConfig) -> tuple[SceneGroundTruth, list[FrameDetections]]:
+def generate_scene(config: SimConfig) -> tuple[SceneGroundTruth, DetectionTable]:
     """Build one scene: true trajectories and the noisy detection stream.
 
     An object spawned at frame s sits fully off-screen at x = -size and moves
     belt_velocity px per frame; it is "visible" (produces a truth box and,
     modulo dropout, a detection) on frames >= 0 with a strictly positive
-    overlap with the image. Frames with no detections are omitted from the
-    stream.
+    overlap with the image. The detection table has no rows on frames
+    without detections.
     """
     rng = np.random.default_rng(config.seed)
 
@@ -299,11 +298,7 @@ def generate_scene(config: SimConfig) -> tuple[SceneGroundTruth, list[FrameDetec
                 rows.append((frame, x, y, size, size, score, category))
 
     table = np.array(rows, dtype=float).reshape(-1, 7)
-    frames = split_frames(
-        table[:, 0].astype(np.int64),
-        table[:, 1:5],
-        table[:, 5],
-        table[:, 6].astype(np.int64),
-        config.num_categories,
+    detections = DetectionTable(
+        table[:, 0], table[:, 1:5], table[:, 5], table[:, 6], config.num_categories
     )
-    return truth, frames
+    return truth, detections

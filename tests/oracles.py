@@ -44,6 +44,7 @@ from scipy.optimize import linear_sum_assignment
 
 from beltrack import (
     AggregationConfig,
+    DetectionTable,
     FrameDetections,
     InputError,
     KalmanState,
@@ -96,13 +97,15 @@ def frame_of(frame_index, rows=(), num_categories=4):
     )
 
 
-def frames_of(rows, num_categories=4):
-    """Frames in frame order from (frame, x, y, w, h, score[, category])
+def detections_of(rows, num_categories=4):
+    """The detection table of (frame, x, y, w, h, score[, category])
     tuples, each frame's rows in the order given."""
     grouped = {}
     for row in rows:
         grouped.setdefault(row[0], []).append(row[1:])
-    return [frame_of(t, grouped[t], num_categories) for t in sorted(grouped)]
+    return DetectionTable.from_frames(
+        [frame_of(t, grouped[t], num_categories) for t in sorted(grouped)]
+    )
 
 
 def check_box(x, y, w, h):
@@ -572,7 +575,7 @@ def ingest_detections_scalar_reference(path, *, skip_malformed=False, num_catego
             except (TypeError, ValueError, OverflowError) as exc:
                 if not skip_malformed:
                     raise InputError(f"{path}:{line_number}: {exc}") from exc
-    return frames_of(rows, num_categories)
+    return detections_of(rows, num_categories)
 
 
 def ingest_detections_reference(path, *, skip_malformed=False, num_categories=4):
@@ -598,7 +601,7 @@ def ingest_detections_reference(path, *, skip_malformed=False, num_categories=4)
             line_numbers.append(line_number)
     table = np.frombuffer(rows).reshape(-1, len(bio._COLUMNS))
     lines = np.frombuffer(line_numbers, dtype=np.int64)
-    return bio._frames_from_table(path, table, lines, errors, skip_malformed, num_categories)
+    return bio._checked_detections(path, table, lines, errors, skip_malformed, num_categories)
 
 
 def read_ground_truth_reference(path, num_categories=4):

@@ -11,6 +11,7 @@ import pytest
 
 from beltrack import (
     ByteTracker,
+    DetectionTable,
     FrameDetections,
     SimConfig,
     Track,
@@ -32,8 +33,8 @@ from oracles import (
     FRESH,
     brute_force_assignment,
     dense_covariance,
+    detections_of,
     frame_of,
-    frames_of,
     pixel_iou,
     table_of,
     temporal_stability,
@@ -263,7 +264,7 @@ def test_criterion_08_defect_ratio_recovery():
 
 def test_criterion_09_detection_map_sanity():
     def frames_of_squares(entries):
-        return frames_of([(frame, x, y, 10, 10, score) for frame, x, y, score in entries])
+        return detections_of([(frame, x, y, 10, 10, score) for frame, x, y, score in entries])
 
     def truth_of_squares(entries):
         return truth_of_rows([(frame, x, y, 10, 10) for frame, x, y, _ in entries])
@@ -295,9 +296,9 @@ def test_criterion_09_detection_map_sanity():
         dets = frames_of_squares(det_entries)
         baseline = detection_map(dets, gt)
         for transform in (lambda s: s**2, lambda s: s**0.5, lambda s: 0.25 + s / 2):
-            rescaled = [
-                FrameDetections(f.frame_index, f.boxes, transform(f.scores)) for f in dets
-            ]
+            rescaled = DetectionTable(
+                dets.frames, dets.boxes, transform(dets.scores), dets.categories
+            )
             if abs(detection_map(rescaled, gt) - baseline) > 1e-12:
                 invariant = False
 

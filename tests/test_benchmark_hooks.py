@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import beltrack.pipeline as pipeline
-from beltrack import FrameDetections, SimConfig
+from beltrack import DetectionTable, SimConfig
 from beltrack.io import write_detections
 from beltrack.simulate import generate_scene
 
@@ -51,13 +51,8 @@ def test_traced_run_counts_labeled_tracks_and_one_vote(tmp_path):
         seed=3, n_lanes=2, n_objects_per_lane=5, label_flip_prob=0.2, false_positive_rate=0.5
     ))
     path = tmp_path / "dets.jsonl"
-    unlabeled_lane = [
-        np.where(f.boxes[:, 1] < 80.0, -1, f.categories) for f in frames
-    ]
-    write_detections([
-        FrameDetections(f.frame_index, f.boxes, f.scores, categories)
-        for f, categories in zip(frames, unlabeled_lane)
-    ], path)
+    categories = np.where(frames.boxes[:, 1] < 80.0, -1, frames.categories)
+    write_detections(DetectionTable(frames.frames, frames.boxes, frames.scores, categories), path)
     with tracing.Tracer() as tracer:
         result = pipeline.run_pipeline(pipeline.PipelineRun(input_path=path))
     spans = tracer.spans()

@@ -529,6 +529,20 @@ class TestReport:
             ('{"track_id": 1, "binary": "bad", "k": 3}', "'binary' must be normal or defect"),
             ('{"track_id": 1, "binary": "defect", "k": "3"}', "'binary' must be normal or defect"),
             *(
+                (f'{{"track_id": 1, "binary": "defect", "k": {k}}}',
+                 "'binary' must be normal or defect, 'k' an integer >= 1")
+                for k in (0, -4, "true")
+            ),
+            *(
+                (f'{{"track_id": 1, "category": {category}, "binary": "defect", "k": 3}}',
+                 "'category' must be 0 for a normal verdict and above 0 for a defect, "
+                 f"got {category} for defect")
+                for category in (0, -1, "null", '"2"', "true", "1.0")
+            ),
+            ('{"track_id": 1, "category": 2, "binary": "normal", "k": 3}',
+             "'category' must be 0 for a normal verdict and above 0 for a defect, "
+             "got 2 for normal"),
+            *(
                 (
                     f'{{"track_id": 1, "binary": "defect", "k": 3, "stability_frame_wise": {value}}}',
                     "'stability_frame_wise' must be a finite number",
@@ -543,6 +557,19 @@ class TestReport:
         verdicts.write_text(good + "\n" + bad_line + "\n", encoding="utf-8")
         assert run_cli("report", "--verdicts", str(verdicts)) == 1
         assert f"{verdicts}:2: {message}" in capsys.readouterr().err
+
+    def test_no_length_below_one_reaches_the_summary(self, tmp_path, capsys):
+        # A negative and a zero length once gave a mean track length of -2.0.
+        verdicts = tmp_path / "verdicts.jsonl"
+        verdicts.write_text(
+            '{"track_id": 1, "binary": "normal", "k": -4}\n'
+            '{"track_id": 2, "binary": "normal", "k": 0}\n',
+            encoding="utf-8",
+        )
+        assert run_cli("report", "--verdicts", str(verdicts)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{verdicts}:1: 'binary' must be normal or defect, 'k' an integer >= 1" in captured.err
 
     def test_verdict_file_not_utf8_is_input_error(self, tmp_path, capsys):
         verdicts = tmp_path / "verdicts.jsonl"

@@ -1,6 +1,7 @@
 """Property tests of the columnar detection layer against its row-by-row
 counterparts: the table-at-once ingest against the scalar reference, the
-column checks against the scalar checks, and frames against their rows."""
+column checks against the scalar checks, frames against their rows, and
+the detection table against its frames, its pickle and its file."""
 
 import json
 import math
@@ -13,11 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beltrack import BoundingBox, FrameDetections, InputError
-from beltrack.io import DETECTION_FIELDS, ingest_detections
-from beltrack.model import first_fault, passing_rows, row_checks, split_frames, valid_extents
+from beltrack import BoundingBox, DetectionTable, FrameDetections, InputError, run_stream
+from beltrack.io import DETECTION_FIELDS, ingest_detections, write_detections
+from beltrack.model import first_fault, passing_rows, row_checks, valid_extents
 
 from oracles import (
+    FRESH,
     check_box,
     check_detection_row,
     check_truth_row,
@@ -189,7 +191,7 @@ valid_rows = st.lists(
 )
 
 
-def table_of(rows):
+def columns_of(rows):
     """The (frame, boxes, scores, categories) columns of ``valid_rows``."""
     return (
         np.array([frame for frame, _, _, _ in rows], dtype=np.int64),
@@ -199,34 +201,49 @@ def table_of(rows):
     )
 
 
-def frames_of(rows, num_categories):
-    return split_frames(*table_of(rows), num_categories)
-
-
-def assert_read_only(frame):
-    for column in (frame.boxes, frame.scores, frame.categories):
+def assert_read_only(value):
+    for column in (value.boxes, value.scores, value.categories):
         assert not column.flags.writeable
+
+
+def frame_columns(frame):
+    return (
+        frame.frame_index, frame.boxes.tolist(), frame.scores.tolist(),
+        frame.categories.tolist(), frame.num_categories,
+    )
+
+
+def written_and_read(detections):
+    """The bytes ``write_detections`` gives for ``detections``, and the
+    table ``ingest_detections`` reads back from them."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "dets.jsonl"
+        write_detections(detections, path)
+        return path.read_bytes(), ingest_detections(
+            path, num_categories=detections.num_categories
+        )
 
 
 class TestFramesAndRows:
     @settings(max_examples=200, deadline=None)
     @given(rows=valid_rows, num_categories=st.sampled_from([3, 4, 6]))
     def test_pickle_and_row_round_trips(self, rows, num_categories):
-        table = table_of(rows)
-        frames = split_frames(*table, num_categories)
-        # The frames are views of a read-only copy; the table stays as it was.
-        assert all(column.flags.writeable for column in table)
-        assert [f.frame_index for f in frames] == sorted({frame for frame, _, _, _ in rows})
-        for frame in frames:
+        columns = columns_of(rows)
+        detections = DetectionTable(*columns, num_categories)
+        # The table is a sorted, read-only copy; the columns stay as they were.
+        assert all(column.flags.writeable for column in columns)
+        assert_read_only(detections)
+        copy = pickle.loads(pickle.dumps(detections))
+        assert copy == detections and copy.num_categories == num_categories
+        assert_read_only(copy)
+        assert [frame.frame_index for frame in detections] == sorted({row[0] for row in rows})
+        for frame in detections:
             assert_read_only(frame)
-            copy = pickle.loads(pickle.dumps(frame))
-            assert copy == frame
-            assert_read_only(copy)
             built = FrameDetections(
                 frame.frame_index, frame.boxes, frame.scores, frame.categories,
                 frame.num_categories,
             )
-            assert built == frame
+            assert frame_columns(built) == frame_columns(frame)
             assert_read_only(built)
             rebuilt = frame_of(
                 frame.frame_index,
@@ -234,14 +251,13 @@ class TestFramesAndRows:
                  for d in frame.detections],
                 frame.num_categories,
             )
-            assert rebuilt == frame
+            assert frame_columns(rebuilt) == frame_columns(frame)
             assert rebuilt.detections == frame.detections
 
     @settings(max_examples=100, deadline=None)
     @given(rows=valid_rows)
     def test_split_keeps_each_frames_rows_in_table_order(self, rows):
-        frames = frames_of(rows, 3)
-        for frame in frames:
+        for frame in DetectionTable(*columns_of(rows), 3):
             mine = [
                 (box, score, category)
                 for index, box, score, category in rows
@@ -253,6 +269,73 @@ class TestFramesAndRows:
 
     def test_split_rejects_a_bad_row_with_the_scalar_message(self):
         with pytest.raises(ValueError, match="box area must be finite"):
-            frames_of([(0, (0.0, 0.0, 1e200, 1e200), 0.5, -1)], 4)
+            DetectionTable(*columns_of([(0, (0.0, 0.0, 1e200, 1e200), 0.5, -1)]))
         with pytest.raises(ValueError, match="frame_index must be >= 0"):
-            frames_of([(-1, (0.0, 0.0, 1.0, 1.0), 0.5, -1)], 4)
+            DetectionTable(*columns_of([(-1, (0.0, 0.0, 1.0, 1.0), 0.5, -1)]))
+
+
+class TestDetectionTable:
+    """Rows in any frame order, unlabeled rows and the empty stream: the
+    table against its frames and its file."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=valid_rows, num_categories=st.sampled_from([3, 4]), data=st.data())
+    def test_equals_from_frames_of_its_frames_in_any_order(self, rows, num_categories, data):
+        detections = DetectionTable(*columns_of(rows), num_categories)
+        frames = data.draw(st.permutations(list(detections)))
+        assert DetectionTable.from_frames(frames) == detections
+        assert len(detections) == len(frames)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=valid_rows, num_categories=st.sampled_from([3, 4]))
+    def test_views_concatenate_to_the_columns(self, rows, num_categories):
+        detections = DetectionTable(*columns_of(rows), num_categories)
+        frames = list(detections)
+        assert np.array_equal(
+            np.repeat([f.frame_index for f in frames], [len(f.scores) for f in frames]),
+            detections.frames,
+        )
+        for name in ("boxes", "scores", "categories"):
+            column = getattr(detections, name)
+            joined = np.concatenate([column[:0], *(getattr(f, name) for f in frames)])
+            assert np.array_equal(joined, column)
+        assert (np.diff(detections.frames) >= 0).all()
+        assert all(f.num_categories == num_categories for f in frames)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=valid_rows, num_categories=st.sampled_from([3, 4]))
+    def test_file_round_trip(self, rows, num_categories):
+        detections = DetectionTable(*columns_of(rows), num_categories)
+        text, read = written_and_read(detections)
+        assert read == detections
+        again, _ = written_and_read(read)
+        assert again == text and text.count(b"\n") == len(rows)
+
+    def test_empty_stream(self):
+        empty = DetectionTable.from_frames([])
+        assert len(empty) == 0 and list(empty) == []
+        assert empty == DetectionTable([], np.empty((0, 4)), [], [])
+        assert empty.boxes.shape == (0, 4) and empty.num_categories == 4
+
+
+class TestFromFrames:
+    def test_sorted_with_warning(self, caplog):
+        frames = [
+            frame_of(1, [(5, 0, 20, 20, 0.9, FRESH)]),
+            frame_of(0, [(0, 0, 20, 20, 0.9, FRESH)]),
+        ]
+        with caplog.at_level("WARNING"):
+            detections = DetectionTable.from_frames(frames)
+        assert "out of order" in caplog.text
+        assert [f.frame_index for f in detections] == [0, 1]
+        tracks = list(run_stream(detections))
+        assert len(tracks) == 1
+        assert tracks[0].frames.tolist() == [0, 1]
+
+    def test_repeated_frame_rejected(self):
+        frames = [
+            frame_of(t, [(5.0 * t, 0, 20, 20, 0.9, FRESH)])
+            for t in (0, 1, 1)
+        ]
+        with pytest.raises(ValueError, match="frame 1 appears more than once"):
+            DetectionTable.from_frames(frames)

@@ -62,7 +62,7 @@ class TestIngestDetections:
             '{"frame": 0, "x": 5, "y": 5, "w": 10, "h": 10, "score": 0.8, "category": null}',
             '{"frame": 1, "x": 40, "y": 0, "w": 10, "h": 10, "score": 0.7, "category": 2}',
         ])
-        frames = ingest_detections(path)
+        frames = list(ingest_detections(path))
         assert [f.frame_index for f in frames] == [0, 1]
         assert frames[0].categories.tolist() == [-1]
         assert frames[1].categories.tolist() == [0, 2]
@@ -101,9 +101,8 @@ class TestIngestDetections:
             '{"frame": 0, "x": 0, "y": 0, "w": 5, "h": 5, "score": 0.9, "category": 1}',
             '{"frame": 0, "x": 0, "y": 0, "w": -3, "h": 5, "score": 0.9, "category": 1}',
         ])
-        frames = ingest_detections(path, skip_malformed=True)
-        assert len(frames) == 1
-        assert len(frames[0].scores) == 1
+        (frame,) = ingest_detections(path, skip_malformed=True)
+        assert len(frame.scores) == 1
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="not found"):
@@ -179,8 +178,7 @@ class TestIngestDetections:
     def test_missing_category_key_means_no_label(self, tmp_path):
         path = tmp_path / "dets.jsonl"
         write_lines(path, ['{"frame": 0, "x": 0, "y": 0, "w": 5, "h": 5, "score": 0.9}'])
-        frames = ingest_detections(path)
-        assert frames[0].categories.tolist() == [-1]
+        assert ingest_detections(path).categories.tolist() == [-1]
 
 
 class TestRoundTrip:
@@ -358,7 +356,7 @@ class TestMotAdapter:
             "1,2,100,20,30,40,0.5,-1,-1,-1",
             "2,1,15,20,30,40,0.8,-1,-1,-1",
         ])
-        frames = ingest_mot(path)
+        frames = list(ingest_mot(path))
         assert [f.frame_index for f in frames] == [1, 2]
         assert frames[0].boxes.tolist() == [[10, 20, 30, 40], [100, 20, 30, 40]]
         assert frames[0].categories.tolist() == [-1, -1]
@@ -366,8 +364,7 @@ class TestMotAdapter:
     def test_confidence_clamped(self, tmp_path):
         path = tmp_path / "dets.txt"
         write_lines(path, ["1,1,10,20,30,40,-1", "1,2,10,80,30,40,7.5"])
-        frames = ingest_mot(path)
-        assert frames[0].scores.tolist() == [0.0, 1.0]
+        assert ingest_mot(path).scores.tolist() == [0.0, 1.0]
 
     def test_short_line_rejected(self, tmp_path):
         path = tmp_path / "dets.txt"
@@ -540,7 +537,7 @@ class TestBlockParseMatchesPerLineReaders:
         write_lines(path, [RECORD_HEAD, RECORD_TAIL, f"{RECORD}, {RECORD}"])
         with pytest.raises(InputError, match=r"dets\.jsonl:1: invalid JSON"):
             ingest_detections(path)
-        assert ingest_detections(path, skip_malformed=True) == []
+        assert len(ingest_detections(path, skip_malformed=True).frames) == 0
 
     def test_split_record_ending_beside_a_whole_record_rejected(self, tmp_path):
         # Two lines joined into two objects, every line with one "{".

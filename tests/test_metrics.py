@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from beltrack import (
     CategoryLabel,
-    FrameDetections,
+    DetectionTable,
     Track,
     aggregated_report,
     defect_ratio,
@@ -24,8 +24,7 @@ from oracles import (
     ROT,
     covering_tracks_reference,
     detection_map_reference,
-    frame_of,
-    frames_of,
+    detections_of,
     majority_tracks_reference,
     switches_reference,
     table_of,
@@ -147,16 +146,16 @@ class TestStabilityReport:
 class TestDetectionMap:
     def test_perfect_detector(self):
         rows = [(0, 0, 0, 10, 10, 1.0), (0, 50, 50, 10, 10, 1.0), (1, 0, 0, 9, 9, 1.0)]
-        assert detection_map(frames_of(rows), truth_of_rows(rows)) == 1.0
+        assert detection_map(detections_of(rows), truth_of_rows(rows)) == 1.0
 
     def test_false_positive_after_full_recall_keeps_ap_one(self):
         gt = truth_of_rows([(0, 0, 0, 10, 10)])
-        dets = frames_of([(0, 0, 0, 10, 10, 0.9), (0, 80, 80, 10, 10, 0.8)])
+        dets = detections_of([(0, 0, 0, 10, 10, 0.9), (0, 80, 80, 10, 10, 0.8)])
         assert detection_map(dets, gt) == 1.0
 
     def test_missing_ground_truth_caps_recall(self):
         gt = truth_of_rows([(0, 0, 0, 10, 10), (0, 50, 50, 10, 10)])
-        dets = frames_of([(0, 0, 0, 10, 10, 0.9)])
+        dets = detections_of([(0, 0, 0, 10, 10, 0.9)])
         assert detection_map(dets, gt) == 0.5
 
     def test_truth_rows_in_object_order(self):
@@ -166,18 +165,18 @@ class TestDetectionMap:
             (1, FRESH, [(0, (0.0, 0.0, 10.0, 10.0)), (1, (5.0, 0.0, 10.0, 10.0))]),
             (2, FRESH, [(0, (50.0, 50.0, 10.0, 10.0))]),
         )
-        dets = frames_of([(0, 0, 0, 10, 10, 0.9), (0, 50, 50, 10, 10, 0.8), (1, 5, 0, 10, 10, 0.7)])
+        dets = detections_of([(0, 0, 0, 10, 10, 0.9), (0, 50, 50, 10, 10, 0.8), (1, 5, 0, 10, 10, 0.7)])
         assert detection_map(dets, gt) == 1.0
         assert detection_map_reference(dets, gt) == 1.0
 
     def test_no_ground_truth_rejected(self):
-        dets = frames_of([(0, 0, 0, 10, 10, 0.9)])
+        dets = detections_of([(0, 0, 0, 10, 10, 0.9)])
         with pytest.raises(ValueError):
             detection_map(dets, truth_of_rows([]))
 
     def test_low_scoring_fp_before_tp_lowers_ap(self):
         gt = truth_of_rows([(0, 0, 0, 10, 10)])
-        dets = frames_of([(0, 0, 0, 10, 10, 0.5), (0, 80, 80, 10, 10, 0.9)])
+        dets = detections_of([(0, 0, 0, 10, 10, 0.5), (0, 80, 80, 10, 10, 0.9)])
         # FP outranks the TP: precision at full recall is 0.5
         assert detection_map(dets, gt) == 0.5
 
@@ -203,12 +202,12 @@ class TestDetectionMap:
                      10.0, 10.0, float(rng.uniform(0.1, 1.0)))
                 )
             gt = truth_of_rows(gt_entries)
-            dets = frames_of(det_entries)
+            dets = detections_of(det_entries)
             baseline = detection_map(dets, gt)
             for transform in (lambda s: s**2, lambda s: s**0.5, lambda s: 0.25 + s / 2):
-                rescaled = [
-                    FrameDetections(f.frame_index, f.boxes, transform(f.scores)) for f in dets
-                ]
+                rescaled = DetectionTable(
+                    dets.frames, dets.boxes, transform(dets.scores), dets.categories
+                )
                 assert detection_map(rescaled, gt) == pytest.approx(baseline, abs=1e-12)
 
 
@@ -392,11 +391,11 @@ class TestOverlapKernelMatchesScalarLoops:
         threshold=thresholds,
     )
     def test_detection_map(self, dets, truths, threshold):
-        # a frame may come in more than one FrameDetections entry, and the
-        # truth's rows are in object order, not in frame order
-        det_frames = [
-            frame_of(frame, [(*box, score) for box, score in entries]) for frame, entries in dets
-        ]
+        # a frame's rows may come in more than one entry, and the truth's
+        # rows are in object order, not in frame order
+        det_frames = detections_of(
+            [(frame, *box, score) for frame, entries in dets for box, score in entries]
+        )
         gt = truth_of(*(
             (object_id, FRESH, sorted(dict(boxes).items()))
             for object_id, boxes in enumerate(truths, start=1)
@@ -423,7 +422,7 @@ def assert_join_matches_oracles(truth_rows, other_rows, threshold=0.5):
         tracks = [simple_track(len(other) - i, [row]) for i, row in enumerate(other)]
         coverage = covering_tracks(table_of(tracks), gt, threshold).tolist()
         assert coverage == covering_tracks_reference(tracks, gt, threshold)
-        dets = frames_of([(f, *box, (0.9, 0.6, 0.3)[i % 3]) for i, (f, box) in enumerate(other)])
+        dets = detections_of([(f, *box, (0.9, 0.6, 0.3)[i % 3]) for i, (f, box) in enumerate(other)])
         ap = None
         if truth:
             ap = detection_map(dets, gt, threshold)

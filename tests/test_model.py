@@ -8,11 +8,12 @@ from beltrack import (
     BoundingBox,
     CategoryLabel,
     Detection,
+    DetectionTable,
     FrameDetections,
     kf_initiate,
 )
 from beltrack import model
-from beltrack.model import corners, iou_matrix, split_frames
+from beltrack.model import corners, iou_matrix
 
 from oracles import frame_of, iou, pixel_iou
 
@@ -176,11 +177,13 @@ class TestDetection:
     def test_category_count_only_matters_where_a_row_has_a_label(self):
         unlabeled = frame_of(0, [(0, 0, 1, 1, 0.5)])
         assert unlabeled.num_categories == 4
-        assert split_frames(
-            np.zeros(1, dtype=np.int64), unlabeled.boxes, unlabeled.scores,
-            unlabeled.categories, 6,
-        ) == [unlabeled]
-        assert frame_of(0, [(0, 0, 1, 1, 0.5, 1)], 6) != frame_of(0, [(0, 0, 1, 1, 0.5, 1)], 4)
+        assert DetectionTable(
+            [0], unlabeled.boxes, unlabeled.scores, unlabeled.categories, 6
+        ) == DetectionTable.from_frames([unlabeled])
+        six, four = (
+            DetectionTable.from_frames([frame_of(0, [(0, 0, 1, 1, 0.5, 1)], n)]) for n in (6, 4)
+        )
+        assert six != four
 
     def test_frame_detections_requires_consistent_frames(self):
         # The rows carry the frame's index.

@@ -14,6 +14,7 @@ from beltrack import (
     AggregationConfig,
     ByteTracker,
     ConfigError,
+    DetectionTable,
     FrameDetections,
     SimConfig,
     TrackerConfig,
@@ -115,27 +116,6 @@ class TestStabilityGranularityOption:
         assert four_way.report_frame_wise.mean_stability < binary.report_frame_wise.mean_stability
 
 
-class TestOutOfOrderFrames:
-    def test_sorted_with_warning(self, caplog):
-        frames = [
-            frame_of(1, [(5, 0, 20, 20, 0.9, FRESH)]),
-            frame_of(0, [(0, 0, 20, 20, 0.9, FRESH)]),
-        ]
-        with caplog.at_level("WARNING"):
-            tracks = list(run_stream(frames))
-        assert "out of order" in caplog.text
-        assert len(tracks) == 1
-        assert tracks[0].frames.tolist() == [0, 1]
-
-    def test_repeated_frame_rejected(self):
-        frames = [
-            frame_of(t, [(5.0 * t, 0, 20, 20, 0.9, FRESH)])
-            for t in (0, 1, 1)
-        ]
-        with pytest.raises(ValueError, match="frame 1 appears more than once"):
-            run_stream(frames)
-
-
 class TestUnlabeledTracks:
     def test_tracks_without_labels_are_counted_not_judged(self, tmp_path):
         frames = [
@@ -143,7 +123,7 @@ class TestUnlabeledTracks:
             for t in range(5)
         ]
         path = tmp_path / "dets.jsonl"
-        write_detections(frames, path)
+        write_detections(DetectionTable.from_frames(frames), path)
         result = run_pipeline(PipelineRun(input_path=path))
         assert len(result.tracks) == 1
         assert result.n_unlabeled_tracks == 1
@@ -158,7 +138,7 @@ class TestGapsInStream:
             frame_of(t, [(2.0 * t, 0, 20, 20, 0.9, FRESH)])
             for t in (0, 1, 2, 40, 41, 42)
         ]
-        tracks = run_stream(frames)
+        tracks = run_stream(DetectionTable.from_frames(frames))
         assert len(tracks) == 2
 
     def test_gap_to_frame_2_62_takes_no_time(self):
@@ -166,8 +146,9 @@ class TestGapsInStream:
             frame_of(t, [(5.0, 0, 20, 20, 0.9, FRESH)])
             for t in (0, 1, 2**62)
         ]
+        detections = DetectionTable.from_frames(frames)
         start = time.perf_counter()
-        tracks = run_stream(frames)
+        tracks = run_stream(detections)
         assert time.perf_counter() - start < 0.5
         assert [tr.frames.tolist() for tr in tracks] == [[0, 1], [2**62]]
 
@@ -193,7 +174,7 @@ class TestGapsInStream:
             return made[-1]
 
         monkeypatch.setattr(pipeline_module, "ByteTracker", recording)
-        tracks = run_stream(frames, config)
+        tracks = run_stream(DetectionTable.from_frames(frames), config)
         (skipping,) = made
 
         def facts(tracker, tracks):
@@ -212,16 +193,20 @@ class TestGapsInStream:
     def test_gap_frames_skip_the_row_checks(self, monkeypatch):
         _, scene = generate_scene(clean_scene(n_lanes=2, n_objects_per_lane=None, n_frames=120))
         frames = [f for f in scene if f.frame_index % 9 not in (3, 4, 5)]
-        # The same stream with its gaps given as checked empty frames.
+        # The same stream with its gaps stepped as checked empty frames.
         by_index = {f.frame_index: f for f in frames}
         filled = [
             by_index.get(t, FrameDetections(t))
             for t in range(frames[0].frame_index, frames[-1].frame_index + 1)
         ]
-        want = run_stream(filled)
+        stepping = ByteTracker()
+        for frame in filled:
+            stepping.step(frame)
+        want = stepping.finalize()
+        detections = DetectionTable.from_frames(frames)
         checks = []
         monkeypatch.setattr(model, "check_rows", lambda *args: checks.append(args))
-        got = run_stream(frames)
+        got = run_stream(detections)
         assert checks == []
 
         def columns(tracks):
@@ -259,9 +244,7 @@ class TestEvaluateAgainstTruth:
 
     def test_stream_and_truth_must_agree_on_the_category_count(self):
         gt, frames = generate_scene(clean_scene(n_lanes=2, n_objects_per_lane=4, seed=0))
-        five = [
-            FrameDetections(f.frame_index, f.boxes, f.scores, f.categories, 5) for f in frames
-        ]
+        five = DetectionTable(frames.frames, frames.boxes, frames.scores, frames.categories, 5)
         with pytest.raises(ValueError, match="the stream has 5 categories, the truth has 4"):
             evaluate_against_truth(five, gt)
         # With both at 5 categories, the scores are those of both at 4.
@@ -300,12 +283,10 @@ class TestEvaluateAgainstTruth:
             detection_dropout_prob=0.15, bbox_jitter_std=1.5, label_flip_prob=0.25,
         )
         gt, frames = generate_scene(config)
-        frames = [
-            FrameDetections(
-                f.frame_index, f.boxes, f.scores, np.where(f.boxes[:, 1] < 80.0, -1, f.categories)
-            )
-            for f in frames
-        ]
+        frames = DetectionTable(
+            frames.frames, frames.boxes, frames.scores,
+            np.where(frames.boxes[:, 1] < 80.0, -1, frames.categories),
+        )
         short_dropped = TrackerConfig(min_track_length_report=8)
         ids = [track.id for track in run_stream(frames, short_dropped)]
         assert max(ids) > len(ids)
@@ -393,7 +374,7 @@ def write_label_stream(path, *label_sequences):
         ])
         for t in range(max(len(labels) for labels in label_sequences))
     ]
-    write_detections(frames, path)
+    write_detections(DetectionTable.from_frames(frames), path)
 
 
 def defect_counts(directory: Path, input_path: Path, aggregation: AggregationConfig):

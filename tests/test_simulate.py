@@ -176,7 +176,7 @@ class TestSceneStatistics:
         config = SimConfig(seed=0, n_lanes=1, n_objects_per_lane=0)
         gt, frames = generate_scene(config)
         assert gt.objects == ()
-        assert frames == []
+        assert len(frames) == 0 and len(frames.frames) == 0
 
 
 class TestConfigValidation:

@@ -120,3 +120,14 @@ class TestTableMatchesPerTrackReferences:
             assert (got.id, got.num_categories) == (want.id, want.num_categories)
             for name in ("frames", "boxes", "categories"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    @settings(max_examples=100, deadline=None)
+    @given(tables=track_tables())
+    def test_labeled_is_built_once(self, tables):
+        tracks, table = tables
+        labeled = table.labeled()
+        assert table.labeled() is labeled
+        assert labeled.ids.tolist() == [track.id for track in tracks if len(track.labels)]
+        assert labeled.categories.tolist() == [
+            label for track in tracks for label in track.labels.tolist()
+        ]

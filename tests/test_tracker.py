@@ -12,6 +12,7 @@ import beltrack.tracker as tracker_module
 from beltrack import (
     ByteTracker,
     ConfigError,
+    DetectionTable,
     FrameDetections,
     KalmanState,
     TrackerConfig,
@@ -20,7 +21,6 @@ from beltrack import (
     kf_update,
 )
 from beltrack.io import ingest_detections
-from beltrack.model import split_frames
 from beltrack.pipeline import run_stream
 from beltrack.simulate import SimConfig, generate_scene
 from beltrack.tracker import ACTIVE, LOST, TENTATIVE
@@ -453,7 +453,7 @@ class TestMatchTable:
         ))
         by_index = {f.frame_index: f for f in frames}
         tracker = ByteTracker()
-        for t in range(frames[-1].frame_index + 1):
+        for t in range(int(frames.frames[-1]) + 1):
             tracker.step(by_index.get(t, FrameDetections(t)))
             if t % 20 == 0:  # the live tracks' hits and last frames are their rows'
                 hits_and_last = {
@@ -479,19 +479,25 @@ class TestMatchTable:
 
     def test_mixed_category_counts_rejected(self):
         # Unlabeled frames carry no category count; labeled frames must agree.
-        box = [[5.0, 50.0, 32.0, 32.0]]
         frames = [
             frame_with(0, (moving_box(0), 0.9, ROT)),
-            *split_frames(np.array([1]), np.array(box), np.array([0.9]), np.array([-1]), 6),
+            frame_of(1, [(*moving_box(1), 0.9, None)], num_categories=6),
             frame_of(2, [(*moving_box(2), 0.9, 5)], num_categories=6),
         ]
         with pytest.raises(ValueError, match="frame 2 has 6 categories, earlier frames have 4"):
-            run_stream(frames)
+            DetectionTable.from_frames(frames)
+        # Stepped one by one, the tracker rejects them alike.
+        tracker = ByteTracker()
+        with pytest.raises(ValueError, match="frame 2 has 6 categories, earlier frames have 4"):
+            for frame in frames:
+                tracker.step(frame)
 
     def test_box_with_the_largest_float_area_keeps_one_track(self):
         # Its area doubled overflows; the overlap with itself must still be 1.
         box = (0.0, 0.0, 1e154, 1.5e154)
-        tracks = run_stream([frame_with(t, (box, 0.9, FRESH)) for t in range(3)])
+        tracks = run_stream(
+            DetectionTable.from_frames([frame_with(t, (box, 0.9, FRESH)) for t in range(3)])
+        )
         assert [list(track.frames) for track in tracks] == [[0, 1, 2]]
 
 
@@ -526,7 +532,7 @@ class TestFinalize:
             false_positive_rate=0.5, label_flip_prob=0.2, frame_width=200,
         ))
         by_index = {f.frame_index: f for f in frames}
-        stream = [by_index.get(t, FrameDetections(t)) for t in range(frames[-1].frame_index + 1)]
+        stream = [by_index.get(t, FrameDetections(t)) for t in range(int(frames.frames[-1]) + 1)]
         middle = len(stream) // 2
 
         def columns(tracks):
@@ -593,7 +599,7 @@ class TestMemory:
             label_flip_prob=0.2,
         ))
         by_index = {f.frame_index: f for f in frames}
-        n_frames = frames[-1].frame_index + 1
+        n_frames = int(frames.frames[-1]) + 1
         assert n_frames == 4053
         removed = 0
         tracemalloc.start()
@@ -628,12 +634,12 @@ class TestDeterminism:
         assert runs[0] == runs[1]
 
 
-def confident(frame):
-    """The frame's detections that score at least 0.6."""
-    keep = frame.scores >= 0.6
-    return FrameDetections(
-        frame.frame_index, frame.boxes[keep], frame.scores[keep], frame.categories[keep],
-        frame.num_categories,
+def confident(detections):
+    """The detections that score at least 0.6."""
+    keep = detections.scores >= 0.6
+    return DetectionTable(
+        detections.frames[keep], detections.boxes[keep], detections.scores[keep],
+        detections.categories[keep], detections.num_categories,
     )
 
 
@@ -650,7 +656,7 @@ class TestLowConfidenceHelpsStatistically:
                 score_mean_true=0.65, score_std_true=0.15,
             )
             _, frames = generate_scene(config)
-            filtered = [confident(f) for f in frames]
+            filtered = confident(frames)
             n_full = len(run_stream(frames))
             n_filtered = len(run_stream(filtered))
             assert n_full <= n_filtered

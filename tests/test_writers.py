@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import beltrack.io as bio
-from beltrack import AggregationConfig, ByteTracker, FrameDetections, VerdictTable
+from beltrack import AggregationConfig, ByteTracker, DetectionTable, FrameDetections, VerdictTable
 from beltrack.io import write_detections, write_ground_truth
 from beltrack.metrics import VideoQualityReport
 from beltrack.model import passing_rows, row_checks
@@ -56,7 +56,7 @@ def accepted_boxes(draw, n):
 
 @st.composite
 def detection_streams(draw):
-    """Frames in frame order, each with rows the row checks accept."""
+    """A detection table of frames whose rows the row checks accept."""
     num_categories = draw(st.integers(2, 6))
     scores = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0]), st.floats(0.0, 1.0))
     frames = []
@@ -69,7 +69,7 @@ def detection_streams(draw):
             [draw(st.integers(-1, num_categories - 1)) for _ in boxes],
             num_categories,
         ))
-    return frames
+    return DetectionTable.from_frames(frames)
 
 
 @st.composite
@@ -121,29 +121,30 @@ def written_both_ways(write, reference, value):
 
 class TestDetections:
     @settings(max_examples=200, deadline=None)
-    @given(frames=detection_streams(), lines=block_lines, generator=st.booleans())
-    def test_bytes_equal_one_dumps_per_record(self, frames, lines, generator):
-        # Small blocks end inside frames; a generator is read once.
-        stream = (frame for frame in frames) if generator else frames
+    @given(detections=detection_streams(), lines=block_lines)
+    def test_bytes_equal_one_dumps_per_record(self, detections, lines):
+        # Small blocks end inside frames.
         with mock.patch.object(bio, "_BLOCK_LINES", lines):
             got, want = written_both_ways(
-                lambda _, path: write_detections(stream, path), write_detections_reference, frames
+                write_detections, write_detections_reference, detections
             )
         assert got == want
 
-    @pytest.mark.parametrize("frames", [[], iter([]), [FrameDetections(3), FrameDetections(4)]])
+    @pytest.mark.parametrize(
+        "frames", [[], [FrameDetections(3)], [FrameDetections(3), FrameDetections(4)]]
+    )
     def test_no_rows_write_an_empty_file(self, tmp_path, frames):
-        write_detections(frames, tmp_path / "dets.jsonl")
+        write_detections(DetectionTable.from_frames(frames), tmp_path / "dets.jsonl")
         assert (tmp_path / "dets.jsonl").read_bytes() == b""
 
     def test_frame_spanning_blocks(self):
         rows = 2 * bio._BLOCK_LINES + 7
         rng = np.random.default_rng(0)
-        frame = FrameDetections(
-            2**53 - 1, rng.uniform(1, 100, (rows, 4)), rng.uniform(0, 1, rows),
+        detections = DetectionTable(
+            np.full(rows, 2**53 - 1), rng.uniform(1, 100, (rows, 4)), rng.uniform(0, 1, rows),
             rng.integers(-1, 4, rows),
         )
-        got, want = written_both_ways(write_detections, write_detections_reference, [frame])
+        got, want = written_both_ways(write_detections, write_detections_reference, detections)
         assert got == want and got.count(b"\n") == rows
 
 
