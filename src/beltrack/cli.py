@@ -205,7 +205,7 @@ def _cmd_report(args) -> int:
     path = Path(args.verdicts)
     if not path.exists():
         raise InputError(f"verdict file not found: {path}")
-    records = []
+    records, track_ids = [], set()
     with _open_text(path) as handle:
         for line_number, line in enumerate(handle, start=1):
             if not line.strip():
@@ -238,6 +238,26 @@ def _cmd_report(args) -> int:
                 raise InputError(
                     f"{path}:{line_number}: 'stability_frame_wise' must be a finite number"
                 )
+            votes = record.get("votes", [k])  # absent: agrees
+            if not (
+                type(votes) is list and all(type(v) is int and v >= 0 for v in votes)
+                and sum(votes) == k
+            ):
+                raise InputError(
+                    f"{path}:{line_number}: 'votes' must be a list of integers >= 0 summing to "
+                    f"'k' ({k}), got {json.dumps(votes)}"
+                )
+            track_id = record["track_id"]
+            if type(track_id) is not int or track_id < 0:
+                raise InputError(
+                    f"{path}:{line_number}: 'track_id' must be an integer >= 0, "
+                    f"got {json.dumps(track_id)}"
+                )
+            if track_id in track_ids:
+                raise InputError(
+                    f"{path}:{line_number}: 'track_id' {track_id} repeats an earlier line's"
+                )
+            track_ids.add(track_id)
             records.append(record)
     if not records:
         raise InputError(f"{path}: no verdicts to summarize")

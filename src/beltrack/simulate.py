@@ -6,12 +6,33 @@ frame) in fixed lanes, entering from the left edge and leaving on the
 right. Noise knobs model detector dropout, box jitter, false positives,
 and classifier label flips. Given the same seed and config the output is
 bit-identical across runs (PCG64 generator).
+
+Every draw comes from one generator seeded with ``seed``, in this order,
+which is what keeps a scene the same from one version to the next:
+
+1. Lane after lane, each spawn's jitter, ``integers`` (only when
+   ``spawn_jitter_frames > 0``).
+2. Each object in spawn order: its size, ``normal`` (only when
+   ``box_size_std > 0``); ``random`` for defect, then ``choice`` of its
+   defect category when it is one.
+3. Frame after frame, from 0 to the stream's end: each visible truth row,
+   in object order, draws ``random`` for dropout (only when
+   ``detection_dropout_prob > 0``); if kept, ``normal(0, bbox_jitter_std,
+   size=2)`` for its x and y jitter (only when ``bbox_jitter_std > 0``),
+   ``normal`` for its score, and ``random`` for a flip (only when
+   ``label_flip_prob > 0``), then ``integers(num_categories - 1)`` for the
+   other category when it flips. Then, when ``false_positive_rate > 0``,
+   ``poisson`` for the frame's false-positive count, and per false positive
+   ``normal`` for its size, ``random`` for x, ``random`` for y, ``normal``
+   for its score and ``integers(num_categories)`` for its category.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -22,7 +43,6 @@ from .model import (
     DetectionTable,
     category_labels,
     check_rows,
-    frame_runs,
 )
 
 
@@ -58,18 +78,22 @@ class SimConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {value}")
-        if self.lane_spacing <= 0:
-            raise ConfigError(f"lane_spacing must be > 0, got {self.lane_spacing}")
-        if self.belt_velocity <= 0:
-            raise ConfigError(f"belt_velocity must be > 0, got {self.belt_velocity}")
+        for name in ("lane_spacing", "belt_velocity", "box_size_mean", "frame_width",
+                     "frame_height"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0, got {value}")
+        for name in ("box_size_std", "bbox_jitter_std", "score_std_true", "score_std_fp",
+                     "false_positive_rate"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if self.n_lanes < 1:
             raise ConfigError(f"n_lanes must be >= 1, got {self.n_lanes}")
         if self.spawn_interval_frames < 1:
             raise ConfigError(f"spawn_interval_frames must be >= 1, got {self.spawn_interval_frames}")
         if self.spawn_jitter_frames < 0:
             raise ConfigError(f"spawn_jitter_frames must be >= 0, got {self.spawn_jitter_frames}")
-        if self.box_size_mean <= 0:
-            raise ConfigError(f"box_size_mean must be > 0, got {self.box_size_mean}")
         if self.num_categories < 2:
             raise ConfigError(f"num_categories must be >= 2, got {self.num_categories}")
         if len(self.defect_category_weights) != self.num_categories - 1:
@@ -77,10 +101,10 @@ class SimConfig:
                 f"defect_category_weights needs {self.num_categories - 1} entries, "
                 f"got {len(self.defect_category_weights)}"
             )
-        if min(self.defect_category_weights) < 0 or sum(self.defect_category_weights) <= 0:
-            raise ConfigError("defect_category_weights must be non-negative with positive sum")
-        if self.false_positive_rate < 0:
-            raise ConfigError(f"false_positive_rate must be >= 0, got {self.false_positive_rate}")
+        weights = self.defect_category_weights
+        if not all(0.0 <= w < math.inf for w in weights) or sum(weights) <= 0:
+            raise ConfigError("defect_category_weights must be finite and non-negative with "
+                              "positive sum")
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,17 +219,8 @@ def _spawn_times(rng: np.random.Generator, config: SimConfig) -> list[int]:
     return times
 
 
-def generate_scene(config: SimConfig) -> tuple[SceneGroundTruth, DetectionTable]:
-    """Build one scene: true trajectories and the noisy detection stream.
-
-    An object spawned at frame s sits fully off-screen at x = -size and moves
-    belt_velocity px per frame; it is "visible" (produces a truth box and,
-    modulo dropout, a detection) on frames >= 0 with a strictly positive
-    overlap with the image. The detection table has no rows on frames
-    without detections.
-    """
-    rng = np.random.default_rng(config.seed)
-
+def _ground_truth(rng: np.random.Generator, config: SimConfig) -> SceneGroundTruth:
+    """A scene's true trajectories, drawn first from the scene's generator."""
     lane_spawns = [_spawn_times(rng, config) for _ in range(config.n_lanes)]
     spawn_list = sorted(
         (t, lane) for lane, times in enumerate(lane_spawns) for t in times
@@ -253,7 +268,7 @@ def generate_scene(config: SimConfig) -> tuple[SceneGroundTruth, DetectionTable]
     # Objects no frame shows are left out; no random draw depends on them.
     categories = np.array(categories, dtype=np.int64)
     seen = np.bincount(row_object, minlength=len(counts))  # rows per object
-    truth = SceneGroundTruth(
+    return SceneGroundTruth(
         np.arange(1, len(counts) + 1)[seen > 0],
         categories[seen > 0],
         seen[seen > 0],
@@ -262,43 +277,70 @@ def generate_scene(config: SimConfig) -> tuple[SceneGroundTruth, DetectionTable]
         config.num_categories,
     )
 
-    # The rows of each frame, in object order.
-    by_frame = np.argsort(row_frames, kind="stable")
-    visible = {frame: by_frame[a:b] for frame, a, b in frame_runs(row_frames[by_frame])}
-    row_category = categories[row_object]
 
-    # One (frame, x, y, w, h, score, category) row per detection, in stream order.
-    rows: list[tuple] = []
-    last_frame = int(row_frames.max()) if len(row_frames) else -1
-    n_frames = max(config.n_frames, last_frame + 1)
-    for frame in range(n_frames):
-        seen = visible.get(frame, by_frame[:0])
-        boxes, true_indices = truth.boxes[seen].tolist(), row_category[seen].tolist()
-        for (x, y, w, h), true_index in zip(boxes, true_indices):
-            if config.detection_dropout_prob > 0 and rng.random() < config.detection_dropout_prob:
+def generate_scene(config: SimConfig) -> tuple[SceneGroundTruth, DetectionTable]:
+    """Build one scene: true trajectories and the noisy detection stream.
+
+    An object spawned at frame s sits fully off-screen at x = -size and moves
+    belt_velocity px per frame; it is "visible" (produces a truth box and,
+    modulo dropout, a detection) on frames >= 0 with a strictly positive
+    overlap with the image. The detection table has no rows on frames
+    without detections. The noise draws follow the order the module
+    docstring states.
+    """
+    rng = np.random.default_rng(config.seed)
+    truth = _ground_truth(rng, config)
+
+    # The draws, one generator call at a time in stream order, kept as they
+    # come: per kept truth row a jitter pair, a raw score and a flip draw
+    # (-1: none); per frame a false-positive count; per false positive its
+    # raw size, x and y fractions, raw score and category.
+    random, normal, integers = rng.random, rng.normal, rng.integers
+    dropout, jitter_std, flip = (
+        config.detection_dropout_prob, config.bbox_jitter_std, config.label_flip_prob
+    )
+    fp_size_std, n_others = max(config.box_size_std, 1.0), config.num_categories - 1
+    kept, jitter, scores, flips = array("q"), array("d"), array("d"), array("q")
+    fp_counts, fp = array("q"), array("d")
+    by_frame = iter(np.argsort(truth.frames, kind="stable").tolist())
+    n_frames = max(config.n_frames, int(truth.frames.max(initial=-1)) + 1)
+    for count in np.bincount(truth.frames, minlength=n_frames).tolist():
+        for row in islice(by_frame, count):
+            if dropout > 0 and random() < dropout:
                 continue
-            if config.bbox_jitter_std > 0:
-                dx, dy = rng.normal(0.0, config.bbox_jitter_std, size=2)
-                x, y = x + dx, y + dy
-            score = float(rng.normal(config.score_mean_true, config.score_std_true))
-            score = min(max(score, 0.0), 1.0)
-            index = true_index
-            if config.label_flip_prob > 0 and rng.random() < config.label_flip_prob:
-                others = [c for c in range(config.num_categories) if c != true_index]
-                index = others[int(rng.integers(len(others)))]
-            rows.append((frame, x, y, w, h, score, index))
+            kept.append(row)
+            if jitter_std > 0:
+                jitter.extend(normal(0.0, jitter_std, size=2).tolist())
+            scores.append(normal(config.score_mean_true, config.score_std_true))
+            flips.append(integers(n_others) if flip > 0 and random() < flip else -1)
         if config.false_positive_rate > 0:
-            for _ in range(int(rng.poisson(config.false_positive_rate))):
-                size = max(4.0, float(rng.normal(config.box_size_mean, max(config.box_size_std, 1.0))))
-                x = float(rng.uniform(0.0, max(config.frame_width - size, 1.0)))
-                y = float(rng.uniform(0.0, max(config.frame_height - size, 1.0)))
-                score = float(rng.normal(config.score_mean_fp, config.score_std_fp))
-                score = min(max(score, 0.0), 1.0)
-                category = int(rng.integers(config.num_categories))
-                rows.append((frame, x, y, size, size, score, category))
+            fp_counts.append(rng.poisson(config.false_positive_rate))
+            for _ in range(fp_counts[-1]):
+                fp.extend((
+                    normal(config.box_size_mean, fp_size_std), random(), random(),
+                    normal(config.score_mean_fp, config.score_std_fp), integers(n_others + 1),
+                ))
 
-    table = np.array(rows, dtype=float).reshape(-1, 7)
+    # Truth rows, then false positives: the table's stable frame sort puts a
+    # frame's false positives after its truth rows. A flip to the k-th other
+    # category is k, or k + 1 from the true category up.
+    kept, flips = np.frombuffer(kept, dtype=np.int64), np.frombuffer(flips, dtype=np.int64)
+    boxes = truth.boxes[kept]
+    if jitter_std > 0:
+        boxes[:, :2] += np.frombuffer(jitter).reshape(-1, 2)
+    true_categories = np.repeat(truth.categories, truth.counts)[kept]
+    size, u, v, fp_scores, fp_categories = np.frombuffer(fp).reshape(-1, 5).T
+    size = np.maximum(size, 4.0)
+    # ``uniform(0, room)`` is ``0 + room * random()`` in NumPy: the same bits.
+    x = np.maximum(config.frame_width - size, 1.0) * u
+    y = np.maximum(config.frame_height - size, 1.0) * v
     detections = DetectionTable(
-        table[:, 0], table[:, 1:5], table[:, 5], table[:, 6], config.num_categories
+        np.concatenate((truth.frames[kept], np.repeat(np.arange(len(fp_counts)), fp_counts))),
+        np.concatenate((boxes, np.column_stack((x, y, size, size)))),
+        np.clip(np.concatenate((np.frombuffer(scores), fp_scores)), 0.0, 1.0),
+        np.concatenate((
+            np.where(flips < 0, true_categories, flips + (flips >= true_categories)), fp_categories,
+        )),
+        config.num_categories,
     )
     return truth, detections

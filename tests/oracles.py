@@ -28,7 +28,10 @@ with it. ``table_of`` builds a track table from ``Track``s, and
 ``temporal_stability``. ``live_tracks`` reads a tracker's live tables, which
 hold the lifecycle of the tracks that are not yet removed. The writer
 references call ``json.dumps`` once per record, checked byte for byte
-against the package's block formatter.
+against the package's block formatter. The scene reference runs the
+simulator's noise stage as a loop that draws, jitters, clips and flips one
+detection row at a time, checked against the package's stream-order draws
+applied as columns.
 """
 
 import json
@@ -54,8 +57,9 @@ from beltrack import (
     run_stream,
 )
 import beltrack.io as bio
+import beltrack.simulate as simulate
 from beltrack.metrics import VideoQualityReport
-from beltrack.model import category_labels
+from beltrack.model import category_labels, frame_runs
 from beltrack.simulate import SceneGroundTruth
 
 class LiveTrack(NamedTuple):
@@ -691,3 +695,53 @@ def write_verdicts_reference(result, path):
                 "stability_frame_wise": stability[track_id],
             }
             handle.write(json.dumps(record) + "\n")
+
+
+def generate_scene_reference(config):
+    """``generate_scene`` with its noise stage as a loop that draws and
+    builds one detection row at a time, checked against the package's draws
+    in stream order applied as columns."""
+    rng = np.random.default_rng(config.seed)
+    truth = simulate._ground_truth(rng, config)
+    row_frames = truth.frames
+
+    # The rows of each frame, in object order.
+    by_frame = np.argsort(row_frames, kind="stable")
+    visible = {frame: by_frame[a:b] for frame, a, b in frame_runs(row_frames[by_frame])}
+    row_category = np.repeat(truth.categories, truth.counts)
+
+    # One (frame, x, y, w, h, score, category) row per detection, in stream order.
+    rows: list[tuple] = []
+    last_frame = int(row_frames.max()) if len(row_frames) else -1
+    n_frames = max(config.n_frames, last_frame + 1)
+    for frame in range(n_frames):
+        seen = visible.get(frame, by_frame[:0])
+        boxes, true_indices = truth.boxes[seen].tolist(), row_category[seen].tolist()
+        for (x, y, w, h), true_index in zip(boxes, true_indices):
+            if config.detection_dropout_prob > 0 and rng.random() < config.detection_dropout_prob:
+                continue
+            if config.bbox_jitter_std > 0:
+                dx, dy = rng.normal(0.0, config.bbox_jitter_std, size=2)
+                x, y = x + dx, y + dy
+            score = float(rng.normal(config.score_mean_true, config.score_std_true))
+            score = min(max(score, 0.0), 1.0)
+            index = true_index
+            if config.label_flip_prob > 0 and rng.random() < config.label_flip_prob:
+                others = [c for c in range(config.num_categories) if c != true_index]
+                index = others[int(rng.integers(len(others)))]
+            rows.append((frame, x, y, w, h, score, index))
+        if config.false_positive_rate > 0:
+            for _ in range(int(rng.poisson(config.false_positive_rate))):
+                size = max(4.0, float(rng.normal(config.box_size_mean, max(config.box_size_std, 1.0))))
+                x = float(rng.uniform(0.0, max(config.frame_width - size, 1.0)))
+                y = float(rng.uniform(0.0, max(config.frame_height - size, 1.0)))
+                score = float(rng.normal(config.score_mean_fp, config.score_std_fp))
+                score = min(max(score, 0.0), 1.0)
+                category = int(rng.integers(config.num_categories))
+                rows.append((frame, x, y, size, size, score, category))
+
+    table = np.array(rows, dtype=float).reshape(-1, 7)
+    detections = DetectionTable(
+        table[:, 0], table[:, 1:5], table[:, 5], table[:, 6], config.num_categories
+    )
+    return truth, detections

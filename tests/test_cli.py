@@ -549,6 +549,19 @@ class TestReport:
                 )
                 for value in ('"0.5"', "null", "true", "NaN", "Infinity")
             ),
+            *(
+                (f'{{"track_id": 2, "binary": "defect", "k": 3, "votes": {votes}}}',
+                 "'votes' must be a list of integers >= 0 summing to 'k' (3), "
+                 f"got {votes}")
+                for votes in ("[1, 0]", "[0, 4, -1]", "[1.0, 2]", "[true, 2]", '"3"', "null", "3")
+            ),
+            *(
+                (f'{{"track_id": {track_id}, "binary": "defect", "k": 3}}',
+                 f"'track_id' must be an integer >= 0, got {track_id}")
+                for track_id in ('"x"', "-1", "2.0", "true", "null")
+            ),
+            ('{"track_id": 1, "category": 2, "binary": "defect", "k": 5}',
+             "'track_id' 1 repeats an earlier line's"),
         ],
     )
     def test_malformed_verdict_line_is_input_error(self, tmp_path, capsys, bad_line, message):
@@ -570,6 +583,20 @@ class TestReport:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{verdicts}:1: 'binary' must be normal or defect, 'k' an integer >= 1" in captured.err
+
+    def test_inconsistent_verdicts_are_not_summarized(self, tmp_path, capsys):
+        # These three lines were once summarized as three tracks, two defect.
+        verdicts = tmp_path / "verdicts.jsonl"
+        verdicts.write_text(
+            '{"track_id": 1, "category": 0, "binary": "normal", "k": 3, "votes": [1, 0]}\n'
+            '{"track_id": 1, "category": 2, "binary": "defect", "k": 5}\n'
+            '{"track_id": "x", "binary": "defect", "k": 5}\n',
+            encoding="utf-8",
+        )
+        assert run_cli("report", "--verdicts", str(verdicts)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{verdicts}:1: 'votes' must be a list of integers >= 0 summing to 'k'" in captured.err
 
     def test_verdict_file_not_utf8_is_input_error(self, tmp_path, capsys):
         verdicts = tmp_path / "verdicts.jsonl"

@@ -1,11 +1,16 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import beltrack.io as bio
 from beltrack import ConfigError
 from beltrack.simulate import SceneGroundTruth, SimConfig, generate_scene
+from oracles import generate_scene_reference
 
 
 def stream_fingerprint(gt, frames):
@@ -103,6 +108,125 @@ class TestDeterminism:
         assert [f.frame_index for f in frames_a] == [f.frame_index for f in frames_b]
 
 
+@st.composite
+def small_configs(draw):
+    """Small scenes with every noise knob drawn, 0 included."""
+    num_categories = draw(st.integers(2, 5))
+    knob = lambda high: st.one_of(st.just(0.0), st.floats(0.0, high))  # noqa: E731
+    return SimConfig(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        n_lanes=draw(st.integers(1, 3)),
+        n_objects_per_lane=draw(st.none() | st.integers(0, 4)),
+        n_frames=draw(st.integers(0, 60)),
+        spawn_interval_frames=draw(st.integers(1, 15)),
+        spawn_jitter_frames=draw(st.integers(0, 4)),
+        frame_width=draw(st.floats(20.0, 150.0)),
+        frame_height=draw(st.floats(20.0, 150.0)),
+        belt_velocity=draw(st.floats(2.0, 12.0)),
+        box_size_mean=draw(st.floats(5.0, 40.0)),
+        box_size_std=draw(knob(8.0)),
+        defect_probability=draw(st.floats(0.0, 1.0)),
+        defect_category_weights=tuple(
+            draw(st.lists(st.floats(0.1, 2.0), min_size=num_categories - 1,
+                          max_size=num_categories - 1))
+        ),
+        detection_dropout_prob=draw(knob(1.0)),
+        bbox_jitter_std=draw(knob(3.0)),
+        false_positive_rate=draw(knob(3.0)),
+        score_mean_true=draw(st.floats(0.0, 1.0)),
+        score_std_true=draw(knob(0.5)),
+        score_mean_fp=draw(st.floats(0.0, 1.0)),
+        score_std_fp=draw(knob(0.5)),
+        label_flip_prob=draw(knob(1.0)),
+        num_categories=num_categories,
+    )
+
+
+class TestPinnedScenes:
+    """The draws stay in the order the module docstring states, so a seed
+    gives the same scene from one version to the next."""
+
+    # Shaped like the benchmark's tiny scenes, one of each workload.
+    BELT = SimConfig(
+        seed=3, n_lanes=3, n_objects_per_lane=5, spawn_jitter_frames=5,
+        detection_dropout_prob=0.1, bbox_jitter_std=1.0, false_positive_rate=0.5,
+        label_flip_prob=0.2,
+    )
+    CLUTTER = SimConfig(
+        seed=4, n_lanes=6, n_objects_per_lane=5, spawn_interval_frames=12,
+        false_positive_rate=3.0, score_mean_true=0.75, score_std_true=0.15,
+        detection_dropout_prob=0.15, bbox_jitter_std=1.5, label_flip_prob=0.25,
+    )
+
+    @pytest.mark.parametrize(("config", "detections_sha256", "truth_sha256"), [
+        (TestDeterminism.NOISY,
+         "cd27f59bf782e913a39234fd1afedadbe5a623823e19fc413626c3261b882e72",
+         "bbebce95ce64b28386163c561008bf04eff15fa8f5da46a733d54b95690a5dda"),
+        (BELT,
+         "39c9386883de4dc60d602e1b7353567179e3f423cfc255ed7ae05235d6fbed1c",
+         "1cfbb028c02b73ffdbf87b1a0d1df1615138a82ae44f73fab63a6ade8118dcb4"),
+        (CLUTTER,
+         "d4056248103ae3c30342589918b4abdd3525c9a820ad39e77c69aaa3e169a9b3",
+         "c39d4c264c871f5ebaf6f5e85077ea884bd4b68d10a833eb92ba0c82091053c1"),
+    ], ids=["noisy", "belt", "clutter"])
+    def test_written_scene_digests(self, tmp_path, config, detections_sha256, truth_sha256):
+        gt, detections = generate_scene(config)
+        bio.write_detections(detections, tmp_path / "detections.jsonl")
+        bio.write_ground_truth(gt, tmp_path / "truth.jsonl")
+        digest = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()  # noqa: E731
+        assert digest("detections.jsonl") == detections_sha256
+        assert digest("truth.jsonl") == truth_sha256
+
+    @given(small_configs())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_row_by_row_reference(self, config):
+        assert generate_scene(config) == generate_scene_reference(config)
+
+
+class TestKnobRates:
+    """Each noise knob's rate, within 4 standard deviations of its
+    distribution, whatever the draws' order."""
+
+    BASE = SimConfig(seed=31, n_lanes=3, n_objects_per_lane=30, frame_width=200.0)
+
+    def test_dropout_share_is_binomial(self):
+        p = 0.3
+        gt, detections = generate_scene(dataclasses.replace(self.BASE, detection_dropout_prob=p))
+        n = len(gt.frames)
+        dropped = (n - len(detections.scores)) / n
+        assert abs(dropped - p) <= 4 * math.sqrt(p * (1 - p) / n)
+
+    def test_false_positives_per_frame_are_poisson(self):
+        rate, n_frames = 1.7, 2000
+        config = dataclasses.replace(
+            self.BASE, n_objects_per_lane=0, n_frames=n_frames, false_positive_rate=rate,
+        )
+        _, detections = generate_scene(config)
+        total = len(detections.scores)
+        assert abs(total - rate * n_frames) <= 4 * math.sqrt(rate * n_frames)
+
+    def test_jitter_standard_deviation(self):
+        sigma = 2.0
+        gt, detections = generate_scene(dataclasses.replace(self.BASE, bbox_jitter_std=sigma))
+        # No dropout, so the detections are the truth rows in frame order.
+        truth = gt.boxes[np.argsort(gt.frames, kind="stable")]
+        offsets = (detections.boxes[:, :2] - truth[:, :2]).ravel()
+        assert (detections.boxes[:, 2:] == truth[:, 2:]).all()
+        m = len(offsets)
+        assert abs(offsets.mean()) <= 4 * sigma / math.sqrt(m)
+        assert abs(offsets.var(ddof=1) - sigma**2) <= 4 * sigma**2 * math.sqrt(2 / (m - 1))
+
+    def test_scores_are_clipped_to_unit_interval(self):
+        config = dataclasses.replace(
+            self.BASE, score_mean_true=0.95, score_std_true=0.3, score_mean_fp=0.05,
+            score_std_fp=0.3, false_positive_rate=2.0,
+        )
+        _, detections = generate_scene(config)
+        scores = detections.scores
+        assert ((scores >= 0.0) & (scores <= 1.0)).all()
+        assert (scores == 0.0).any() and (scores == 1.0).any()
+
+
 class TestLabelNoise:
     def test_zero_flip_probability_gives_true_categories(self):
         config = SimConfig(
@@ -197,6 +321,26 @@ class TestConfigValidation:
             SimConfig(defect_category_weights=(1.0, 1.0))
         with pytest.raises(ConfigError):
             SimConfig(defect_category_weights=(0.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize(("field", "value", "words"), [
+        *((name, value, f"{name} must be finite and >= 0")
+          for name in ("score_std_true", "score_std_fp", "bbox_jitter_std", "box_size_std")
+          for value in (-0.5, math.inf, math.nan)),
+        *(("false_positive_rate", value, "false_positive_rate must be finite and >= 0")
+          for value in (-1.0, math.inf, math.nan)),
+        *((name, value, f"{name} must be finite and > 0")
+          for name in ("box_size_mean", "frame_width", "frame_height", "lane_spacing",
+                       "belt_velocity")
+          for value in (0.0, -5.0, math.inf, math.nan)),
+        *(("defect_category_weights", weights, "defect_category_weights must be finite")
+          for weights in ((1.0, math.inf, 1.0), (1.0, math.nan, 1.0), (1.0, -1.0, 3.0))),
+    ])
+    def test_noise_scales_and_extents(self, field, value, words):
+        # A negative score std once failed mid-generation in NumPy, a NaN
+        # false-positive rate meant none, and a negative frame width still
+        # showed every object.
+        with pytest.raises(ConfigError, match=words):
+            SimConfig(**{field: value})
 
     @pytest.mark.parametrize("num_categories", [1, 0, -3])
     def test_fewer_than_two_categories(self, num_categories):
