@@ -12,13 +12,7 @@ from .kalman import (
     kf_predict,
     kf_update,
 )
-from .metrics import (
-    VideoQualityReport,
-    aggregated_report,
-    defect_ratio,
-    detection_map,
-    stability_report,
-)
+from .metrics import defect_ratio, detection_map, stability_report
 from .model import (
     BoundingBox,
     CategoryLabel,

@@ -19,12 +19,13 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path
 from types import UnionType
 from typing import Literal, get_args, get_origin, get_type_hints
+
+import numpy as np
 
 from .errors import ConfigError, InputError
 from .io import _check_utf8, _open_text, ingest_detections, ingest_mot, read_ground_truth
@@ -161,11 +162,11 @@ def _cmd_track(args) -> int:
         num_categories=args.num_categories,
     )
     result = run_pipeline(run)
+    verdicts, labeled = result.verdicts, max(len(result.verdicts), 1)
     print(
-        f"{len(result.tracks)} tracks ({len(result.verdicts)} labeled), "
-        f"aggregated defect ratio "
-        f"{result.report_aggregated.defect_ratio:.4f}, "
-        f"frame-wise mean stability {result.report_frame_wise.mean_stability:.4f}"
+        f"{len(result.tracks)} tracks ({len(verdicts)} labeled), aggregated defect ratio "
+        f"{np.count_nonzero(verdicts.categories) / labeled:.4f}, "
+        f"frame-wise mean stability {result.frame_wise_stability.sum() / labeled:.4f}"
     )
     return 0
 
@@ -201,6 +202,27 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+def _check_vote(votes: list[int], category: int, named: bool, where: str):
+    """``InputError`` unless some tie rule of ``majority_vote``, with or
+    without ``collapse_first``, votes ``category`` from ``votes``: fresh (0)
+    needs a count at least each defect's; a defect needs the defects' sum
+    at least fresh's count and, if the line ``named`` it, to be the first
+    of the most-voted defects."""
+    if len(votes) < 2 or category >= len(votes):
+        raise InputError(
+            f"{where}: 'votes' must have one count per category, at least 2, "
+            f"got {json.dumps(votes)} for category {category}"
+        )
+    fresh, defects = votes[0], votes[1:]
+    if category == 0:
+        votable = fresh >= max(defects)
+    else:
+        top = 1 + defects.index(max(defects))
+        votable = sum(defects) >= fresh and (category == top or not named)
+    if not votable:
+        raise InputError(f"{where}: no tie rule votes category {category} from {json.dumps(votes)}")
+
+
 def _cmd_report(args) -> int:
     path = Path(args.verdicts)
     if not path.exists():
@@ -234,9 +256,10 @@ def _cmd_report(args) -> int:
                     f"for a defect, got {json.dumps(category)} for {binary}"
                 )
             frame_wise = record.get("stability_frame_wise", 0.0)
-            if type(frame_wise) not in (int, float) or not math.isfinite(frame_wise):
+            if type(frame_wise) not in (int, float) or not 0.0 <= frame_wise <= 1.0:
                 raise InputError(
-                    f"{path}:{line_number}: 'stability_frame_wise' must be a finite number"
+                    f"{path}:{line_number}: 'stability_frame_wise' must be a finite number "
+                    f"in [0, 1], got {json.dumps(frame_wise)}"
                 )
             votes = record.get("votes", [k])  # absent: agrees
             if not (
@@ -247,6 +270,8 @@ def _cmd_report(args) -> int:
                     f"{path}:{line_number}: 'votes' must be a list of integers >= 0 summing to "
                     f"'k' ({k}), got {json.dumps(votes)}"
                 )
+            if "votes" in record:
+                _check_vote(votes, category, "category" in record, f"{path}:{line_number}")
             track_id = record["track_id"]
             if type(track_id) is not int or track_id < 0:
                 raise InputError(

@@ -1,6 +1,8 @@
-"""Evaluation metrics: video-level quality reports, and detection average
-precision and identity switches against simulator ground truth, which score
-only the candidate pairs of one blocked overlap join (``_overlaps``).
+"""Evaluation metrics: the defect ratio of a verdict table, the frame-wise
+baseline as columns beside it (each track's deciding frame's category and
+its temporal stability), and detection average precision and identity
+switches against simulator ground truth, which score only the candidate
+pairs of one blocked overlap join (``_overlaps``).
 
 Temporal stability divides the change count by the full track length k (not
 k - 1), so a maximally oscillating track scores 1/k rather than 0.
@@ -8,7 +10,6 @@ k - 1), so a maximally oscillating track scores 1/k rather than 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Literal
 
 import numpy as np
@@ -21,34 +22,11 @@ FrameChoice = Literal["last", "first", "random"]
 StabilityGranularity = Literal["binary", "category"]
 
 
-@dataclass(frozen=True)
-class VideoQualityReport:
-    """Track-level quality summary for one video stream."""
-
-    defect_ratio: float
-    per_track_stability: dict[int, float]
-    mean_stability: float
-    n_total_tracks: int
-    n_defect_tracks: int
-
-
 def defect_ratio(verdicts: VerdictTable) -> float:
     """Fraction of tracks whose final label is defect."""
     if not len(verdicts):
         raise ValueError("defect ratio is undefined for an empty verdict table")
     return int(np.count_nonzero(verdicts.categories)) / len(verdicts)
-
-
-def aggregated_report(verdicts: VerdictTable) -> VideoQualityReport:
-    """Score one video's voted tracks: each reports its verdict on every
-    frame, so its label sequence is constant and its stability exactly 1.0."""
-    return VideoQualityReport(
-        defect_ratio=defect_ratio(verdicts),
-        per_track_stability=dict.fromkeys(verdicts.track_ids.tolist(), 1.0),
-        mean_stability=1.0,
-        n_total_tracks=len(verdicts),
-        n_defect_tracks=int(np.count_nonzero(verdicts.categories)),
-    )
 
 
 def stability_report(
@@ -57,21 +35,21 @@ def stability_report(
     frame_choice: FrameChoice = "last",
     granularity: StabilityGranularity = "binary",
     rng: np.random.Generator | None = None,
-) -> VideoQualityReport:
+) -> tuple[np.ndarray, np.ndarray]:
     """Score one video's labeled tracks frame by frame, without voting, in
-    one pass over the table's labeled rows.
+    one pass over the table's labeled rows: two columns over those tracks,
+    in id order (the rows of ``majority_vote``'s verdict table), both empty
+    when no track is labeled.
 
-    Stability is taken over the raw per-frame label sequences, and each
-    track is decided by a single frame (``frame_choice``; the default mimics
-    an exit-gate camera reading the last frame; ``random`` draws every
-    track's frame with one ``rng.integers`` call).
+    The first column is the category of the single frame that decides each
+    track (``frame_choice``; the default mimics an exit-gate camera reading
+    the last frame; ``random`` draws every track's frame with one
+    ``rng.integers`` call). The second is each track's stability, taken
+    over its raw per-frame label sequence.
     """
     labeled = tracks.labeled()
-    if not len(labeled):
-        raise ValueError("stability report needs at least one labeled track")
     lengths, labels = labeled.counts, labeled.categories
-    defects = labels > 0  # the binary collapse: index 0 is normal
-    sequence = defects if granularity == "binary" else labels
+    sequence = labels > 0 if granularity == "binary" else labels  # index 0 is normal
     changes = np.concatenate(([0], np.cumsum(sequence[1:] != sequence[:-1])))
     stops = np.cumsum(lengths)
     starts = stops - lengths
@@ -80,14 +58,7 @@ def stability_report(
         chosen = starts + (rng or np.random.default_rng(0)).integers(lengths)
     else:
         chosen = starts if frame_choice == "first" else stops - 1
-    n_defect = int(np.count_nonzero(defects[chosen]))
-    return VideoQualityReport(
-        defect_ratio=n_defect / len(labeled),
-        per_track_stability=dict(zip(labeled.ids.tolist(), stability.tolist())),
-        mean_stability=float(np.mean(stability)),
-        n_total_tracks=len(labeled),
-        n_defect_tracks=n_defect,
-    )
+    return labels[chosen], stability
 
 
 def detection_map(

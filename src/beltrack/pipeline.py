@@ -22,8 +22,6 @@ from .io import ingest_detections, ingest_mot, write_columns, write_detections, 
 from .metrics import (
     FrameChoice,
     StabilityGranularity,
-    VideoQualityReport,
-    aggregated_report,
     covering_tracks,
     defect_ratio,
     detection_map,
@@ -77,11 +75,15 @@ class PipelineRun:
 
 @dataclass
 class PipelineResult:
+    """A run's tracks and its verdicts, and beside the verdict rows the
+    frame-wise baseline's two columns (``metrics.stability_report``): the
+    category of the frame that decides each track without a vote, and the
+    track's stability."""
+
     verdicts: VerdictTable
-    report_aggregated: VideoQualityReport
-    report_frame_wise: VideoQualityReport
     tracks: TrackTable
-    n_unlabeled_tracks: int
+    frame_wise_categories: np.ndarray
+    frame_wise_stability: np.ndarray
 
 
 def run_stream(
@@ -114,8 +116,8 @@ def run_stream(
 def run_pipeline(run: PipelineRun) -> PipelineResult:
     """Execute the full loop and optionally write verdict/summary files.
 
-    Both reports derive from the one verdict list and one frame-wise pass,
-    so the verdict file and the summary agree under every configuration.
+    Both files derive from the one verdict table and the frame-wise columns
+    beside it, so they agree under every configuration.
     """
     if run.sim_config is not None:
         _, detections = generate_scene(run.sim_config)
@@ -134,24 +136,10 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
     n_unlabeled = len(tracks) - len(verdicts)
     if n_unlabeled:
         logger.info("%d of %d tracks carry no category predictions", n_unlabeled, len(tracks))
-
-    if len(verdicts):
-        report_aggregated = aggregated_report(verdicts)
-        report_frame_wise = stability_report(
-            tracks, frame_choice=aggregation.frame_choice,
-            granularity=aggregation.stability_granularity,
-        )
-    else:
-        empty = VideoQualityReport(0.0, {}, 0.0, 0, 0)
-        report_aggregated = report_frame_wise = empty
-
-    result = PipelineResult(
-        verdicts=verdicts,
-        report_aggregated=report_aggregated,
-        report_frame_wise=report_frame_wise,
-        tracks=tracks,
-        n_unlabeled_tracks=n_unlabeled,
-    )
+    result = PipelineResult(verdicts, tracks, *stability_report(
+        tracks, frame_choice=aggregation.frame_choice,
+        granularity=aggregation.stability_granularity,
+    ))
     if run.verdicts_path is not None:
         write_verdicts(result, run.verdicts_path)
     if run.summary_path is not None:
@@ -162,35 +150,38 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
 def write_verdicts(result: PipelineResult, path: str | Path):
     """Verdict JSONL: one line per labeled track, its votes a row of the
     vote-count table."""
-    verdicts, stability = result.verdicts, result.report_frame_wise.per_track_stability
-    ids, categories = verdicts.track_ids, verdicts.categories
+    verdicts, categories = result.verdicts, result.verdicts.categories
     with Path(path).open("w", encoding="utf-8") as handle:
         write_columns(handle, VERDICT_FIELDS, [
-            ids, categories, np.where(categories > 0, '"defect"', '"normal"'),
-            verdicts.votes.sum(axis=1), verdicts.votes,
-            np.fromiter(map(stability.__getitem__, ids.tolist()), float, len(ids)),
+            verdicts.track_ids, categories, np.where(categories > 0, '"defect"', '"normal"'),
+            verdicts.votes.sum(axis=1), verdicts.votes, result.frame_wise_stability,
         ])
 
 
-def _report_dict(report: VideoQualityReport) -> dict:
-    stability = report.per_track_stability  # its keys are sorted as the summary is written
+def _report_dict(ids: np.ndarray, categories: np.ndarray, stability: np.ndarray) -> dict:
+    """One evaluation mode's block: the tracks ``ids`` decided as
+    ``categories``, with their ``stability``; zeros without tracks."""
+    n, n_defect = len(ids), int(np.count_nonzero(categories))
     return {
-        "defect_ratio": report.defect_ratio,
-        "mean_stability": report.mean_stability,
-        "n_total_tracks": report.n_total_tracks,
-        "n_defect_tracks": report.n_defect_tracks,
-        "per_track_stability": dict(zip(map(str, stability), stability.values())),
+        "defect_ratio": n_defect / n if n else 0.0,
+        "mean_stability": float(np.mean(stability)) if n else 0.0,
+        "n_total_tracks": n,
+        "n_defect_tracks": n_defect,
+        "per_track_stability": dict(zip(map(str, ids.tolist()), stability.tolist())),
     }
 
 
 def write_summary(result: PipelineResult, path: str | Path):
-    """Run summary JSON with the quality report of both evaluation modes."""
+    """Run summary JSON with the quality report of both evaluation modes:
+    the vote's, whose stability is 1 (a voted label never changes), and the
+    frame-wise baseline's."""
+    ids, n_tracks = result.verdicts.track_ids, len(result.tracks)
     payload = {
-        "n_tracks": len(result.tracks),
-        "n_labeled_tracks": len(result.verdicts),
-        "n_unlabeled_tracks": result.n_unlabeled_tracks,
-        "aggregated": _report_dict(result.report_aggregated),
-        "frame_wise": _report_dict(result.report_frame_wise),
+        "n_tracks": n_tracks,
+        "n_labeled_tracks": len(ids),
+        "n_unlabeled_tracks": n_tracks - len(ids),
+        "aggregated": _report_dict(ids, result.verdicts.categories, np.ones(len(ids))),
+        "frame_wise": _report_dict(ids, result.frame_wise_categories, result.frame_wise_stability),
     }
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -247,10 +238,9 @@ def evaluate_against_truth(
     # id (ids may skip numbers, so the table spans the largest id), -1 where
     # it has no track or its track no labels. Categories compare as indices,
     # and as binary labels by whether the index is 0 (fresh, normal) or not.
-    labeled = tracks.labeled()
+    last, stability = stability_report(tracks, granularity=aggregation.stability_granularity)
     lookup = np.full((2, tracks.ids.max(initial=0) + 1), -1)
-    lookup[0, verdicts.track_ids] = verdicts.categories
-    lookup[1, labeled.ids] = labeled.categories[np.cumsum(labeled.counts) - 1]
+    lookup[:, verdicts.track_ids] = verdicts.categories, last
     found = np.where(assignment >= 0, lookup[:, assignment], -1)
     hits = [found == gt.categories, (found >= 0) & ((found == 0) == (gt.categories == 0))]
     n_objects = len(gt.object_ids)
@@ -268,9 +258,7 @@ def evaluate_against_truth(
         last_frame_binary_accuracy=last_bin,
         estimated_defect_ratio=defect_ratio(verdicts) if len(verdicts) else None,
         true_defect_ratio=int(np.count_nonzero(gt.categories)) / max(n_objects, 1),
-        mean_frame_wise_stability=stability_report(
-            tracks, granularity=aggregation.stability_granularity
-        ).mean_stability if len(verdicts) else None,
+        mean_frame_wise_stability=float(np.mean(stability)) if len(verdicts) else None,
     )
 
 

@@ -88,14 +88,12 @@ class SimConfig:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {value}")
-        if self.n_lanes < 1:
-            raise ConfigError(f"n_lanes must be >= 1, got {self.n_lanes}")
-        if self.spawn_interval_frames < 1:
-            raise ConfigError(f"spawn_interval_frames must be >= 1, got {self.spawn_interval_frames}")
-        if self.spawn_jitter_frames < 0:
-            raise ConfigError(f"spawn_jitter_frames must be >= 0, got {self.spawn_jitter_frames}")
-        if self.num_categories < 2:
-            raise ConfigError(f"num_categories must be >= 2, got {self.num_categories}")
+        for name, least in (("n_lanes", 1), ("spawn_interval_frames", 1),
+                            ("spawn_jitter_frames", 0), ("n_frames", 0),
+                            ("n_objects_per_lane", 0), ("num_categories", 2)):
+            value = getattr(self, name)
+            if value is not None and value < least:  # n_objects_per_lane may be None
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
         if len(self.defect_category_weights) != self.num_categories - 1:
             raise ConfigError(
                 f"defect_category_weights needs {self.num_categories - 1} entries, "

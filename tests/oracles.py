@@ -58,7 +58,6 @@ from beltrack import (
 )
 import beltrack.io as bio
 import beltrack.simulate as simulate
-from beltrack.metrics import VideoQualityReport
 from beltrack.model import category_labels, frame_runs
 from beltrack.simulate import SceneGroundTruth
 
@@ -343,25 +342,20 @@ def temporal_stability(labels) -> float:
 
 
 def stability_report_reference(tracks, frame_choice="last", granularity="binary", rng=None):
-    """``metrics.stability_report`` as a loop over the labeled tracks: each
-    one's ``temporal_stability``, and the label of its chosen frame, a
-    ``random`` one drawn per track in table order."""
+    """``metrics.stability_report`` as a loop over the labeled tracks: the
+    category of each one's chosen frame, a ``random`` one drawn per track in
+    table order, and its ``temporal_stability``, as two columns."""
     rng = rng or np.random.default_rng(0)
-    stability, n_defect = {}, 0
+    chosen_categories, stability = [], []
     for track in tracks:
         labels = track.labels.tolist()
         if not labels:
             continue
         defects = [c > 0 for c in labels]
-        stability[track.id] = temporal_stability(defects if granularity == "binary" else labels)
+        stability.append(temporal_stability(defects if granularity == "binary" else labels))
         chosen = {"first": 0, "last": -1}.get(frame_choice)
-        n_defect += defects[int(rng.integers(len(labels))) if chosen is None else chosen]
-    if not stability:
-        raise ValueError("stability report needs at least one labeled track")
-    return VideoQualityReport(
-        n_defect / len(stability), stability, float(np.mean(list(stability.values()))),
-        len(stability), n_defect,
-    )
+        chosen_categories.append(labels[int(rng.integers(len(labels))) if chosen is None else chosen])
+    return np.array(chosen_categories, dtype=np.int64), np.array(stability, dtype=float)
 
 
 def covering_tracks_reference(tracks, gt, iou_threshold=0.5):
@@ -680,11 +674,11 @@ def write_ground_truth_reference(gt, path):
 
 def write_verdicts_reference(result, path):
     """``write_verdicts`` with one ``json.dumps`` per record."""
-    stability = result.report_frame_wise.per_track_stability
     verdicts = result.verdicts
     with Path(path).open("w", encoding="utf-8") as handle:
-        for track_id, category, votes in zip(
-            verdicts.track_ids.tolist(), verdicts.categories.tolist(), verdicts.votes.tolist()
+        for track_id, category, votes, stability in zip(
+            verdicts.track_ids.tolist(), verdicts.categories.tolist(), verdicts.votes.tolist(),
+            result.frame_wise_stability.tolist(),
         ):
             record = {
                 "track_id": track_id,
@@ -692,7 +686,7 @@ def write_verdicts_reference(result, path):
                 "binary": "normal" if category == 0 else "defect",
                 "k": sum(votes),
                 "votes": votes,
-                "stability_frame_wise": stability[track_id],
+                "stability_frame_wise": stability,
             }
             handle.write(json.dumps(record) + "\n")
 

@@ -6,6 +6,8 @@ geometry against pixel counting, the tracker against simulator ground truth,
 and the aggregation gains against their binomial/analytic expectations.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,9 @@ from beltrack import (
     ByteTracker,
     DetectionTable,
     FrameDetections,
+    PipelineResult,
     SimConfig,
     Track,
-    aggregated_report,
     decode_boxes,
     evaluate_against_truth,
     kf_initiate,
@@ -23,10 +25,12 @@ from beltrack import (
     kf_update,
     majority_vote,
     solve_assignment,
+    stability_report,
 )
 from beltrack.cli import main as cli_main
 from beltrack.metrics import detection_map
 from beltrack.model import corners, iou_matrix
+from beltrack.pipeline import write_summary
 from beltrack.simulate import generate_scene
 
 from oracles import (
@@ -201,7 +205,7 @@ def test_criterion_06_majority_vote_gain():
     )
 
 
-def test_criterion_07_temporal_stability_formula():
+def test_criterion_07_temporal_stability_formula(tmp_path):
     exact = temporal_stability([D, D, D, D]) == 1.0 and temporal_stability([D, N, D, N]) == 0.25
 
     # All-fresh scene so every flip crosses the binary boundary, making the
@@ -231,7 +235,10 @@ def test_criterion_07_temporal_stability_formula():
             num_categories=4,
         )
         tracks.append(track)
-    aggregated_exact = aggregated_report(majority_vote(table_of(tracks))).mean_stability == 1.0
+    table = table_of(tracks)
+    summary = tmp_path / "summary.json"
+    write_summary(PipelineResult(majority_vote(table), table, *stability_report(table)), summary)
+    aggregated_exact = json.loads(summary.read_text())["aggregated"]["mean_stability"] == 1.0
 
     worst = max(abs(v - analytic) for v in values)
     ok = exact and worst <= 0.05 and aggregated_exact

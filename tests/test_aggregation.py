@@ -186,23 +186,23 @@ class TestFrameWiseLabels:
     # own; stability_report reads that sequence off the category column
 
     def test_sequence_mapping(self):
-        report = stability_report(table_of([track_of(FRESH, ROT, FRESH)]))
-        assert report.per_track_stability[1] == 1.0 - 2 / 3
-        assert report.n_defect_tracks == 0  # the last frame is fresh
+        categories, stability = stability_report(table_of([track_of(FRESH, ROT, FRESH)]))
+        assert stability.tolist() == [1.0 - 2 / 3]
+        assert categories.tolist() == [FRESH.index]  # the last frame is fresh
 
     def test_all_fresh(self):
-        report = stability_report(table_of([track_of(*([FRESH] * 5))]))
-        assert report.per_track_stability[1] == 1.0
-        assert report.n_defect_tracks == 0
+        categories, stability = stability_report(table_of([track_of(*([FRESH] * 5))]))
+        assert stability.tolist() == [1.0]
+        assert categories.tolist() == [FRESH.index]
 
     def test_alternating_has_five_changes(self):
-        report = stability_report(table_of([track_of(FRESH, ROT, FRESH, ROT, FRESH, ROT)]))
-        assert report.per_track_stability[1] == 1.0 - 5 / 6
+        _, stability = stability_report(table_of([track_of(FRESH, ROT, FRESH, ROT, FRESH, ROT)]))
+        assert stability.tolist() == [1.0 - 5 / 6]
 
-    def test_empty_buffer_rejected(self):
+    def test_empty_buffer_gives_empty_columns(self):
         for tracks in ([], [track_of()], [track_of(None, None)]):
-            with pytest.raises(ValueError, match="at least one labeled track"):
-                stability_report(table_of(tracks))
+            categories, stability = stability_report(table_of(tracks))
+            assert len(categories) == len(stability) == 0
 
 
 class TestVoteAccuracyBound:

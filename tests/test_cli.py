@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -9,14 +10,26 @@ from pathlib import Path
 from types import UnionType
 from typing import Literal, get_args, get_origin, get_type_hints
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import beltrack.cli as cli
-from beltrack import AggregationConfig, ConfigError, SimConfig, TrackerConfig
+from beltrack import (
+    AggregationConfig,
+    ConfigError,
+    InputError,
+    PipelineResult,
+    SimConfig,
+    TrackerConfig,
+    TrackTable,
+    majority_vote,
+    stability_report,
+)
 from beltrack.cli import main
 from beltrack.io import ingest_detections, read_ground_truth
+from beltrack.pipeline import write_verdicts
 
 
 def run_cli(*argv):
@@ -48,6 +61,15 @@ class TestSimulate:
         assert len(dets.read_text().splitlines()) > 50
         first = json.loads(dets.read_text().splitlines()[0])
         assert set(first) == {"frame", "x", "y", "w", "h", "score", "category"}
+
+    @pytest.mark.parametrize("flag", ["--n-frames", "--n-objects-per-lane"])
+    def test_negative_count_is_exit_code_2(self, tmp_path, capsys, flag):
+        # Both once wrote empty files and exited 0.
+        dets, truth = tmp_path / "dets.jsonl", tmp_path / "truth.jsonl"
+        argv = ["simulate", "--output-detections", str(dets), "--output-truth", str(truth)]
+        assert run_cli(*argv, flag, "-3") == 2
+        assert f"{flag[2:].replace('-', '_')} must be >= 0, got -3" in capsys.readouterr().err
+        assert not dets.exists() and not truth.exists()
 
 
 class TestTrack:
@@ -499,11 +521,26 @@ class TestTrackAnyStreamAnyConfig:
                 return
             records = [json.loads(line) for line in verdicts.read_text().splitlines()]
             payload = json.loads(summary.read_text())
+            # ``report`` reads back every verdict file ``track`` writes; an
+            # empty one has nothing to summarize.
+            reported = Path(tmp) / "r.json"
+            assert run_cli("report", "--verdicts", str(verdicts), "--output", str(reported)) == (
+                0 if records else 1
+            )
+            report = json.loads(reported.read_text()) if records else None
         assert payload["n_labeled_tracks"] == len(records)
         n_defect = sum(record["binary"] == "defect" for record in records)
         assert payload["aggregated"]["n_defect_tracks"] == n_defect
         stability = payload["frame_wise"]["per_track_stability"]
         assert {str(r["track_id"]): r["stability_frame_wise"] for r in records} == stability
+        if records:
+            aggregated = payload["aggregated"]
+            assert report["n_tracks"] == payload["n_labeled_tracks"]
+            assert report["n_defect_tracks"] == aggregated["n_defect_tracks"]
+            assert report["defect_ratio"] == aggregated["defect_ratio"]
+            assert report["mean_stability_frame_wise"] == pytest.approx(
+                payload["frame_wise"]["mean_stability"], rel=1e-12
+            )
 
 
 class TestReport:
@@ -562,6 +599,33 @@ class TestReport:
             ),
             ('{"track_id": 1, "category": 2, "binary": "defect", "k": 5}',
              "'track_id' 1 repeats an earlier line's"),
+            *(
+                (f'{{"track_id": 2, "binary": "defect", "k": 2, "stability_frame_wise": {value}}}',
+                 f"'stability_frame_wise' must be a finite number in [0, 1], got {value}")
+                for value in ("7.5", "-3", "1.0000000000000002", "-0.1", "2")
+            ),
+            *(
+                (f'{{"track_id": 2, {category}"binary": "{binary}", "k": 3, "votes": {votes}}}',
+                 f"'votes' must have one count per category, at least 2, got {votes} "
+                 f"for category {number}")
+                for category, binary, votes, number in (
+                    ("", "normal", "[3]", 0), ("", "defect", "[3]", 1),
+                    ('"category": 3, ', "defect", "[1, 1, 1]", 3),
+                    ('"category": 5, ', "defect", "[0, 1, 1, 1]", 5),
+                )
+            ),
+            *(
+                (f'{{"track_id": 2, {category}"binary": "{binary}", "k": 3, "votes": {votes}}}',
+                 f"no tie rule votes category {number} from {votes}")
+                for category, binary, votes, number in (
+                    ('"category": 0, ', "normal", "[0, 3]", 0),
+                    ('"category": 0, ', "normal", "[1, 0, 2]", 0),
+                    ("", "normal", "[1, 2, 0]", 0),
+                    ('"category": 2, ', "defect", "[1, 1, 1]", 2),
+                    ('"category": 1, ', "defect", "[2, 1, 0]", 1),
+                    ("", "defect", "[2, 0, 1]", 1),
+                )
+            ),
         ],
     )
     def test_malformed_verdict_line_is_input_error(self, tmp_path, capsys, bad_line, message):
@@ -570,6 +634,72 @@ class TestReport:
         verdicts.write_text(good + "\n" + bad_line + "\n", encoding="utf-8")
         assert run_cli("report", "--verdicts", str(verdicts)) == 1
         assert f"{verdicts}:2: {message}" in capsys.readouterr().err
+
+    def test_contradictory_lines_are_not_summarized(self, tmp_path, capsys):
+        # Both files were once summarized, the first with a mean frame-wise
+        # stability of 2.25, the second as one normal track.
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        first.write_text(
+            '{"track_id": 1, "binary": "normal", "k": 3, "stability_frame_wise": 7.5}\n'
+            '{"track_id": 2, "binary": "defect", "category": 1, "k": 2, '
+            '"stability_frame_wise": -3}\n',
+            encoding="utf-8",
+        )
+        second.write_text(
+            '{"track_id": 1, "category": 0, "binary": "normal", "k": 3, "votes": [0, 3]}\n',
+            encoding="utf-8",
+        )
+        for path, message in (
+            (first, "'stability_frame_wise' must be a finite number in [0, 1], got 7.5"),
+            (second, "no tie rule votes category 0 from [0, 3]"),
+        ):
+            assert run_cli("report", "--verdicts", str(path)) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{path}:1: {message}" in captured.err
+
+    def test_defect_without_a_category_takes_any_winning_defect(self, tmp_path, capsys):
+        verdicts = tmp_path / "verdicts.jsonl"
+        verdicts.write_text(
+            '{"track_id": 1, "binary": "defect", "k": 3, "votes": [1, 0, 2]}\n'
+            '{"track_id": 2, "binary": "normal", "k": 4, "votes": [2, 1, 1]}\n',
+            encoding="utf-8",
+        )
+        assert run_cli("report", "--verdicts", str(verdicts)) == 0
+        assert json.loads(capsys.readouterr().out)["n_defect_tracks"] == 1
+
+    def test_every_vote_is_accepted_and_only_those(self, tmp_path, capsys):
+        # Every count vector over 2-4 categories with counts 0-3 (333 tracks),
+        # voted under both tie rules with and without collapse_first: the
+        # verdict file ``track`` would write reads back, and a line naming a
+        # category no rule voted from its counts is rejected.
+        configs = list(itertools.product(("prefer_defect", "lowest_index"), (False, True)))
+        for num_categories in (2, 3, 4):
+            vectors = [v for v in itertools.product(range(4), repeat=num_categories) if sum(v)]
+            counts = np.array([sum(v) for v in vectors])
+            tracks = TrackTable(
+                np.arange(len(vectors)), counts, np.concatenate([np.arange(k) for k in counts]),
+                np.tile([0.0, 0.0, 10.0, 10.0], (counts.sum(), 1)),
+                np.concatenate([np.repeat(np.arange(num_categories), v) for v in vectors]),
+                num_categories,
+            )
+            voted = [set() for _ in vectors]
+            for tie_break, collapse_first in configs:
+                verdicts = majority_vote(tracks, tie_break, collapse_first)
+                assert verdicts.votes.tolist() == [list(v) for v in vectors]
+                for winners, category in zip(voted, verdicts.categories.tolist()):
+                    winners.add(category)
+                path = tmp_path / f"{num_categories}-{tie_break}-{collapse_first}.jsonl"
+                write_verdicts(PipelineResult(verdicts, tracks, *stability_report(tracks)), path)
+                assert run_cli("report", "--verdicts", str(path)) == 0
+                assert json.loads(capsys.readouterr().out)["n_tracks"] == len(vectors)
+            for vector, winners in zip(vectors, voted):
+                for category in range(num_categories):
+                    if category in winners:
+                        cli._check_vote(list(vector), category, True, "line")
+                    else:
+                        with pytest.raises(InputError, match="no tie rule votes"):
+                            cli._check_vote(list(vector), category, True, "line")
 
     def test_no_length_below_one_reaches_the_summary(self, tmp_path, capsys):
         # A negative and a zero length once gave a mean track length of -2.0.

@@ -1,3 +1,4 @@
+import json
 from unittest.mock import patch
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from beltrack import (
     CategoryLabel,
     DetectionTable,
+    PipelineResult,
     Track,
-    aggregated_report,
     defect_ratio,
     detection_map,
     majority_vote,
@@ -17,6 +18,7 @@ from beltrack import (
 )
 from beltrack import metrics
 from beltrack.metrics import covering_tracks, majority_tracks, switches_in
+from beltrack.pipeline import write_summary
 from beltrack.simulate import SceneGroundTruth
 
 from oracles import (
@@ -47,12 +49,24 @@ def track_of(*labels, track_id=1):
     )
 
 
-def verdicts_of(*histories):
-    """The verdicts of one table of tracks 0, 1, ... that predicted the
-    label lists ``histories``."""
-    return majority_vote(table_of(
+def tracks_of(*histories):
+    """One table of tracks 0, 1, ... that predicted the label lists
+    ``histories``."""
+    return table_of(
         track_of(*labels, track_id=track_id) for track_id, labels in enumerate(histories)
-    ))
+    )
+
+
+def verdicts_of(*histories):
+    """The verdicts of ``tracks_of(*histories)``."""
+    return majority_vote(tracks_of(*histories))
+
+
+def summary_of(path, *histories):
+    """The summary ``write_summary`` writes for the table ``tracks_of(*histories)``."""
+    tracks = tracks_of(*histories)
+    write_summary(PipelineResult(majority_vote(tracks), tracks, *stability_report(tracks)), path)
+    return json.loads(path.read_text())
 
 
 class TestDefectRatio:
@@ -98,49 +112,51 @@ class TestTemporalStability:
 
 
 class TestStabilityReport:
-    def test_aggregated_mode_is_exactly_stable(self):
+    def test_aggregated_mode_is_exactly_stable(self, tmp_path):
         rng = np.random.default_rng(1)
         histories = []
         for _ in range(20):
             k = int(rng.integers(1, 30))
             histories.append([CategoryLabel(int(rng.integers(4))) for _ in range(k)])
-        report = aggregated_report(verdicts_of(*histories))
-        assert report.mean_stability == 1.0
-        assert all(v == 1.0 for v in report.per_track_stability.values())
+        report = summary_of(tmp_path / "summary.json", *histories)["aggregated"]
+        assert report["mean_stability"] == 1.0
+        assert all(v == 1.0 for v in report["per_track_stability"].values())
 
     def test_frame_wise_alternating_buffer(self):
-        report = stability_report(table_of([track_of(ROT, FRESH, ROT, FRESH)]))
-        assert report.mean_stability == 0.25
-        assert report.per_track_stability[1] == 0.25
+        _, stability = stability_report(table_of([track_of(ROT, FRESH, ROT, FRESH)]))
+        assert stability.tolist() == [0.25]
 
     def test_frame_wise_defect_ratio_uses_last_frame_by_default(self):
         tracks = [track_of(ROT, FRESH, track_id=1), track_of(FRESH, ROT, track_id=2)]
-        report = stability_report(table_of(tracks))
-        assert report.defect_ratio == 0.5
-        assert report.n_defect_tracks == 1
+        categories, _ = stability_report(table_of(tracks))
+        assert categories.tolist() == [FRESH.index, ROT.index]
 
     def test_frame_choice_first(self):
         tracks = [track_of(ROT, FRESH, track_id=1), track_of(FRESH, ROT, track_id=2)]
-        report = stability_report(table_of(tracks), frame_choice="first")
-        assert report.n_defect_tracks == 1  # track 1's first label is defect
+        categories, _ = stability_report(table_of(tracks), frame_choice="first")
+        assert categories.tolist() == [ROT.index, FRESH.index]  # track 1's first label is defect
 
     def test_category_granularity_counts_defect_type_changes(self):
         labels = [CategoryLabel(1), CategoryLabel(2), CategoryLabel(2), CategoryLabel(3)]
-        binary = stability_report(table_of([track_of(*labels)]))
-        four_way = stability_report(table_of([track_of(*labels)]), granularity="category")
-        assert binary.mean_stability == 1.0  # all defect
-        assert four_way.mean_stability == 0.5  # two changes over k=4
+        _, binary = stability_report(table_of([track_of(*labels)]))
+        _, four_way = stability_report(table_of([track_of(*labels)]), granularity="category")
+        assert binary.tolist() == [1.0]  # all defect
+        assert four_way.tolist() == [0.5]  # two changes over k=4
 
-    def test_aggregated_defect_ratio_matches_verdicts(self):
-        report = aggregated_report(verdicts_of([ROT, ROT, FRESH], [FRESH, FRESH]))
-        assert report.defect_ratio == 0.5
-        assert report.n_total_tracks == 2
+    def test_aggregated_defect_ratio_matches_verdicts(self, tmp_path):
+        histories = ([ROT, ROT, FRESH], [FRESH, FRESH])
+        report = summary_of(tmp_path / "summary.json", *histories)["aggregated"]
+        assert report["defect_ratio"] == 0.5 == defect_ratio(verdicts_of(*histories))
+        assert report["n_total_tracks"] == 2
 
-    def test_empty_buffers_rejected(self):
-        with pytest.raises(ValueError):
-            stability_report(table_of([]))
-        with pytest.raises(ValueError):
-            aggregated_report(verdicts_of())
+    def test_empty_buffers_give_empty_columns_and_a_zero_summary(self, tmp_path):
+        categories, stability = stability_report(table_of([]))
+        assert (categories.dtype, stability.dtype) == (np.int64, np.float64)
+        assert len(categories) == len(stability) == 0
+        zeros = {"defect_ratio": 0.0, "mean_stability": 0.0, "n_total_tracks": 0,
+                 "n_defect_tracks": 0, "per_track_stability": {}}
+        summary = summary_of(tmp_path / "summary.json")
+        assert summary["aggregated"] == summary["frame_wise"] == zeros
 
 
 class TestDetectionMap:
@@ -323,21 +339,19 @@ class TestStabilityReportMatchesPerTrackLoop:
             track_of(*(CategoryLabel(c) for c in labels), track_id=2 * i + 1)
             for i, labels in enumerate(histories)
         ]
-        report = stability_report(
+        categories, stability = stability_report(
             table_of(tracks), frame_choice=frame_choice, granularity=granularity,
             rng=np.random.default_rng(seed),
         )
         rng = np.random.default_rng(seed)  # one scalar draw per track, in track order
-        stability, n_defect = {}, 0
-        for track, labels in zip(tracks, histories):
+        want_categories, want_stability = [], []
+        for labels in histories:
             defects = [c > 0 for c in labels]
-            stability[track.id] = temporal_stability(defects if granularity == "binary" else labels)
+            want_stability.append(temporal_stability(defects if granularity == "binary" else labels))
             frame = {"first": 0, "last": -1}.get(frame_choice)
-            n_defect += defects[int(rng.integers(len(labels))) if frame is None else frame]
-        assert report.per_track_stability == stability
-        assert report.mean_stability == float(np.mean(list(stability.values())))
-        assert (report.n_defect_tracks, report.n_total_tracks) == (n_defect, len(tracks))
-        assert report.defect_ratio == n_defect / len(tracks)
+            want_categories.append(labels[int(rng.integers(len(labels))) if frame is None else frame])
+        assert stability.tolist() == want_stability
+        assert categories.tolist() == want_categories
 
 
 # Boxes on a coarse grid with two sizes, so identical boxes (equal-overlap

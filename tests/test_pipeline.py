@@ -1,3 +1,4 @@
+import itertools
 import json
 import tempfile
 import time
@@ -55,9 +56,8 @@ class TestNoiselessPipeline:
         result = run_pipeline(PipelineRun(sim_config=clean_scene()))
         gt, _ = generate_scene(clean_scene())
         assert result.verdicts.categories.tolist() == gt.categories.tolist()
-        assert result.report_aggregated.mean_stability == 1.0
-        assert result.report_frame_wise.mean_stability == 1.0
-        assert result.n_unlabeled_tracks == 0
+        assert result.frame_wise_stability.tolist() == [1.0]
+        assert len(result.tracks) == len(result.verdicts)
 
     def test_file_input_equals_simulated_input(self, tmp_path):
         config = clean_scene(n_objects_per_lane=3, label_flip_prob=0.2, seed=9)
@@ -67,7 +67,9 @@ class TestNoiselessPipeline:
         from_sim = run_pipeline(PipelineRun(sim_config=config))
         from_file = run_pipeline(PipelineRun(input_path=path))
         assert verdict_rows(from_sim.verdicts) == verdict_rows(from_file.verdicts)
-        assert from_sim.report_frame_wise == from_file.report_frame_wise
+        for got, want in ((from_sim.frame_wise_categories, from_file.frame_wise_categories),
+                          (from_sim.frame_wise_stability, from_file.frame_wise_stability)):
+            assert got.tolist() == want.tolist()
 
 
 class TestDeterminism:
@@ -99,7 +101,8 @@ class TestTrackingIndependentOfAggregation:
         for got, want in zip(result.tracks, tracks):
             assert np.array_equal(got.frames, want.frames)
             assert np.array_equal(got.boxes, want.boxes)
-        assert result.report_frame_wise.n_total_tracks == result.report_aggregated.n_total_tracks
+        assert len(result.frame_wise_categories) == len(result.frame_wise_stability)
+        assert len(result.frame_wise_stability) == len(result.verdicts)
 
 
 class TestStabilityGranularityOption:
@@ -113,7 +116,7 @@ class TestStabilityGranularityOption:
             sim_config=config,
             aggregation=AggregationConfig(stability_granularity="category"),
         ))
-        assert four_way.report_frame_wise.mean_stability < binary.report_frame_wise.mean_stability
+        assert four_way.frame_wise_stability.mean() < binary.frame_wise_stability.mean()
 
 
 class TestUnlabeledTracks:
@@ -126,8 +129,8 @@ class TestUnlabeledTracks:
         write_detections(DetectionTable.from_frames(frames), path)
         result = run_pipeline(PipelineRun(input_path=path))
         assert len(result.tracks) == 1
-        assert result.n_unlabeled_tracks == 1
         assert len(result.verdicts) == 0
+        assert len(result.frame_wise_categories) == len(result.frame_wise_stability) == 0
 
 
 class TestGapsInStream:
@@ -338,6 +341,34 @@ class TestEvaluateAgainstTruth:
             ingest_detections(detections_path), read_ground_truth(truth_path)
         )
         assert from_files == in_memory
+
+
+class TestEvaluateAgreesWithSummary:
+    def test_defect_ratio_and_mean_stability_under_every_config(self, tmp_path):
+        # One cluttered, label-flipping scene: evaluate's estimated defect
+        # ratio and mean frame-wise stability are the summary's, read off the
+        # same verdict table and frame-wise columns.
+        config = SimConfig(
+            seed=4, n_lanes=3, n_objects_per_lane=8, spawn_interval_frames=12,
+            false_positive_rate=1.0, detection_dropout_prob=0.15, bbox_jitter_std=1.5,
+            label_flip_prob=0.4,
+        )
+        gt, detections = generate_scene(config)
+        summary = tmp_path / "summary.json"
+        ratios = set()
+        for tie_break, collapse, granularity in itertools.product(
+            ("prefer_defect", "lowest_index"), (False, True), ("binary", "category")
+        ):
+            aggregation = AggregationConfig(
+                tie_break, collapse, stability_granularity=granularity
+            )
+            run_pipeline(PipelineRun(sim_config=config, aggregation=aggregation, summary_path=summary))
+            payload = json.loads(summary.read_text())
+            evaluation = evaluate_against_truth(detections, gt, aggregation=aggregation)
+            assert evaluation.estimated_defect_ratio == payload["aggregated"]["defect_ratio"]
+            assert evaluation.mean_frame_wise_stability == payload["frame_wise"]["mean_stability"]
+            ratios.add(evaluation.estimated_defect_ratio)
+        assert len(ratios) > 1  # the tie rules decide some tracks differently
 
 
 class TestSummaryContents:

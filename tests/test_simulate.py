@@ -349,6 +349,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="num_categories must be >= 2"):
             SimConfig(num_categories=num_categories, defect_category_weights=weights)
 
+    @pytest.mark.parametrize(("field", "value"), [
+        ("n_frames", -5), ("n_frames", -1), ("n_objects_per_lane", -3), ("n_objects_per_lane", -1),
+        ("n_lanes", 0), ("spawn_interval_frames", 0), ("spawn_jitter_frames", -1),
+    ])
+    def test_counts_below_their_least_value(self, field, value):
+        # A negative frame or object count once wrote empty files and exited 0.
+        with pytest.raises(ConfigError, match=f"{field} must be >= "):
+            SimConfig(**{field: value})
+
+    def test_zero_frames_and_zero_objects_are_valid(self):
+        gt, detections = generate_scene(SimConfig(n_frames=0))
+        assert len(gt.object_ids) == len(detections) == 0
+        gt, detections = generate_scene(SimConfig(n_objects_per_lane=0))
+        assert len(gt.object_ids) == len(detections) == 0
+
 
 class TestTruthTableChecks:
     # A truth built in memory holds the rules a truth file's rows are read

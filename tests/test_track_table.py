@@ -5,7 +5,6 @@ reference in ``oracles`` on tables with unlabeled rows, tracks without a
 label, ids that skip numbers and 2-6 categories."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,13 +94,9 @@ class TestTableMatchesPerTrackReferences:
         for frame_choice in ("last", "first", "random"):
             for granularity in ("binary", "category"):
                 args = dict(frame_choice=frame_choice, granularity=granularity)
-                if not any(len(track.labels) for track in tracks):
-                    with pytest.raises(ValueError, match="at least one labeled track"):
-                        stability_report(table, **args)
-                    continue
                 got = stability_report(table, **args, rng=np.random.default_rng(seed))
                 want = stability_report_reference(tracks, **args, rng=np.random.default_rng(seed))
-                assert got == want
+                assert [(c.dtype, c.tolist()) for c in got] == [(c.dtype, c.tolist()) for c in want]
 
     @settings(max_examples=300, deadline=None)
     @given(tables=track_tables(), gt=truths(), threshold=st.sampled_from([1e-9, 0.3, 0.5, 1.0]))

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import beltrack.io as bio
 from beltrack import AggregationConfig, ByteTracker, DetectionTable, FrameDetections, VerdictTable
 from beltrack.io import write_detections, write_ground_truth
-from beltrack.metrics import VideoQualityReport
 from beltrack.model import passing_rows, row_checks
 from beltrack.pipeline import PipelineResult, PipelineRun, run_pipeline, write_verdicts
 from beltrack.simulate import SceneGroundTruth, SimConfig, generate_scene
@@ -105,9 +104,10 @@ def pipeline_results(draw):
         np.array(votes, dtype=np.int64).reshape(-1, num_categories),
         np.array(categories, dtype=np.int64),
     )
-    stability = {track_id: draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1)) for track_id in ids}
-    report = VideoQualityReport(0.0, stability, 0.0, len(ids), 0)
-    return PipelineResult(verdicts, report, report, ByteTracker().finalize(), 0)
+    stability = [draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1)) for _ in ids]
+    return PipelineResult(
+        verdicts, ByteTracker().finalize(), verdicts.categories, np.array(stability, dtype=float)
+    )
 
 
 def written_both_ways(write, reference, value):
