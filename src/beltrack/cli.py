@@ -284,17 +284,17 @@ def _cmd_report(args) -> int:
                 )
             track_ids.add(track_id)
             records.append(record)
-    if not records:
-        raise InputError(f"{path}: no verdicts to summarize")
-    n_defect = sum(1 for r in records if r["binary"] == "defect")
-    lengths = [r["k"] for r in records]
+    # Zeros without verdicts, as in the summary of a run without labeled tracks.
+    n, n_defect = len(records), sum(1 for r in records if r["binary"] == "defect")
     stability = [r["stability_frame_wise"] for r in records if "stability_frame_wise" in r]
     payload = {
-        "n_tracks": len(records),
+        "n_tracks": n,
         "n_defect_tracks": n_defect,
-        "defect_ratio": n_defect / len(records),
-        "mean_track_length": sum(lengths) / len(records),
-        "mean_stability_frame_wise": sum(stability) / len(stability) if stability else None,
+        "defect_ratio": n_defect / max(n, 1),
+        "mean_track_length": sum(r["k"] for r in records) / max(n, 1),
+        "mean_stability_frame_wise": (
+            sum(stability) / max(len(stability), 1) if stability or not records else None
+        ),
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.output:

@@ -11,9 +11,14 @@ Every field must be a JSON number (not a string or a boolean). The ground-
 truth format mirrors it with ``object_id`` and ``true_category`` fields
 (both whole numbers, every line labeled) instead of ``score``/``category``,
 and at most one line per object and frame, each object in one category.
-Each reader parses its file into one table of float64 rows and checks the
-table with ``model.row_checks``, which holds the rules and the order in
-which a line's first fault is reported.
+Each line becomes a float64 row, checked with ``model.row_checks``, which
+holds the rules and the order in which a line's first fault is reported.
+The detection JSONL reader checks each block of rows as it is parsed, and
+has two consumers: ``stream_detections`` yields tables of whole frames in
+frame order as the file is read, holding a bounded number of rows, and
+rejects a line more than ``REORDER_FRAMES`` frames out of order;
+``ingest_detections`` joins every block and sorts the rows once. The ground-truth and MOT readers read whole
+files into one table, which they check and sort.
 
 Files must be UTF-8: a line holding a byte that is not is a bad line, like
 one that is not JSON. Each non-blank line must hold exactly one JSON
@@ -51,6 +56,14 @@ _COLUMNS = (*DETECTION_FIELDS, "category")
 #: Lines parsed per ``json.loads`` call: few enough that a block's records
 #: stay below the garbage collector's first threshold (700 new objects).
 _BLOCK_LINES = 512
+#: The reorder window of ``stream_detections``, in frames: a detection line
+#: may hold a frame at most this many frames below the highest frame of the
+#: lines before it. Files no further out of order read as if sorted.
+REORDER_FRAMES = 64
+#: Rows ``stream_detections`` gathers before it yields frames: the first
+#: tracker steps after a block's parse run on cold caches (the first one about
+#: 40% slower on a steady-belt file), so a few large tables keep them rare.
+_YIELD_ROWS = 8 * _BLOCK_LINES
 
 
 def _open_text(path: Path) -> IO[str]:
@@ -170,22 +183,34 @@ def _line_error(exc: Exception) -> str:
     return str(exc)
 
 
-def _checked_detections(
+def _checked_rows(
     path: Path,
     table: np.ndarray,
     lines: np.ndarray,
     errors: list[tuple[int, str]],
     skip_malformed: bool,
     num_categories: int,
-) -> DetectionTable:
+    highest: float | None = None,
+) -> tuple[np.ndarray, ...]:
     """Check the parsed rows (``_COLUMNS``) as one table, report the first
     bad line (or log and drop every bad line when ``skip_malformed``), and
-    return the rest as a detection table. ``errors`` holds the lines that
-    failed to parse."""
+    return the rest as detection columns: frames, boxes, scores and
+    categories (-1: no label). ``errors`` holds the lines that failed to
+    parse, and is emptied. Given the ``highest`` frame of the lines read
+    before, a line more than ``REORDER_FRAMES`` frames below the highest
+    frame before it fails too, as the last check."""
     frames, boxes, scores, categories = table[:, 0], table[:, 1:5], table[:, 5], table[:, 6]
     checks = row_checks(
         {"frame": frames, "box": boxes, "score": scores, "category": categories}, num_categories
     )
+    if highest is not None:
+        # The highest frame of the lines up to each line that pass the checks.
+        reach = np.maximum.accumulate(np.where(passing_rows(checks), frames, highest))
+        reach = np.maximum(reach, highest)
+        checks.append((frames >= reach - REORDER_FRAMES, lambda i: (
+            f"frame {int(frames[i])} is more than {REORDER_FRAMES} frames behind "
+            f"frame {int(reach[i])} of an earlier line"
+        )))
     valid = passing_rows(checks)
     for i in np.flatnonzero(~valid).tolist():
         errors.append((int(lines[i]), first_fault(checks, i)))
@@ -195,35 +220,83 @@ def _checked_detections(
         raise InputError(f"{path}:{line_number}: {message}")
     for line_number, message in errors:
         logger.warning("skipping line: %s:%d: %s", path, line_number, message)
+    errors.clear()
     categories = np.nan_to_num(categories[valid], nan=-1)  # nan: no label
-    return DetectionTable._from_checked_rows(
-        frames[valid].astype(np.int64), boxes[valid], scores[valid],
-        categories.astype(np.int64), num_categories,
+    return (
+        frames[valid].astype(np.int64), boxes[valid], scores[valid], categories.astype(np.int64)
     )
 
 
-def ingest_detections(
-    path: str | Path, *, skip_malformed: bool = False, num_categories: int = DEFAULT_NUM_CATEGORIES
-) -> DetectionTable:
-    """Read a detection JSONL file into one table, sorted by frame index
-    (each frame's lines in file order).
-
-    Malformed lines abort with the offending line number unless
-    ``skip_malformed`` is set, in which case they are logged and dropped.
-    Each line becomes one numeric row; the rows are checked as one table.
-    """
+def _detection_blocks(
+    path: str | Path, skip_malformed: bool, num_categories: int, ordered: bool = False
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """The ``_checked_rows`` columns of each block of a detection JSONL
+    file, in file order, the first one empty. ``ordered`` adds the check
+    for a line too far out of frame order."""
     if num_categories < 2:
         raise ConfigError(f"num_categories must be >= 2, got {num_categories}")
     path = Path(path)
     if not path.exists():
         raise InputError(f"detection file not found: {path}")
     errors: list[tuple[int, str]] = []
+    highest = 0 if ordered else None  # frames are >= 0
     with _open_text(path) as handle:
-        blocks = _blocks(handle, DETECTION_FIELDS, "category", errors, skip_malformed)
         # A parse error ends the read after the rows before it, which may
-        # still fail the table check. No block outlives the join.
-        lines, table = (np.concatenate(part) for part in zip(*blocks))
-    return _checked_detections(path, table, lines, errors, skip_malformed, num_categories)
+        # still fail the checks.
+        for lines, table in _blocks(handle, DETECTION_FIELDS, "category", errors, skip_malformed):
+            columns = _checked_rows(
+                path, table, lines, errors, skip_malformed, num_categories, highest
+            )
+            if ordered:
+                highest = columns[0].max(initial=highest)
+            yield columns
+
+
+def ingest_detections(
+    path: str | Path, *, skip_malformed: bool = False, num_categories: int = DEFAULT_NUM_CATEGORIES
+) -> DetectionTable:
+    """Read a whole detection JSONL file into one table, sorted by frame
+    index (each frame's lines in file order).
+
+    Malformed lines abort with the offending line number unless
+    ``skip_malformed`` is set, in which case they are logged and dropped.
+    Each line becomes one numeric row; the rows are checked block by block.
+    """
+    blocks = _detection_blocks(path, skip_malformed, num_categories)
+    columns = [np.concatenate(column) for column in zip(*blocks)]
+    return DetectionTable._from_checked_rows(*columns, num_categories)
+
+
+def stream_detections(
+    path: str | Path, *, skip_malformed: bool = False, num_categories: int = DEFAULT_NUM_CATEGORIES
+) -> Iterator[DetectionTable]:
+    """Read a detection JSONL file as ``ingest_detections`` does, one block
+    at a time, and yield its rows as tables of whole frames in frame order
+    (each frame's lines in file order): a frame is yielded once it lies more
+    than ``REORDER_FRAMES`` frames below the highest frame read, in tables
+    gathered from ``_YIELD_ROWS`` rows. So at most ``_YIELD_ROWS`` rows, or
+    the rows of the last ``REORDER_FRAMES + 1`` frames, and a block are held.
+
+    A line more than ``REORDER_FRAMES`` frames below the highest frame of
+    the lines before it is a bad line: its frame may have been yielded.
+    Within that window the tables equal ``ingest_detections``'s, frame for
+    frame. A bad line raises ``InputError`` when its block is read, after
+    the frames yielded before it. Close the stream to close the file.
+    """
+    blocks = _detection_blocks(path, skip_malformed, num_categories, ordered=True)
+    pending = next(blocks)  # the empty first block
+    for block in blocks:
+        pending = [np.concatenate(pair) for pair in zip(pending, block)]
+        if len(pending[0]) < _YIELD_ROWS:
+            continue
+        done = pending[0] < pending[0].max(initial=0) - REORDER_FRAMES
+        if done.any():
+            yield DetectionTable._from_checked_rows(
+                *(column[done] for column in pending), num_categories
+            )
+            pending = [column[~done] for column in pending]
+    if len(pending[0]):
+        yield DetectionTable._from_checked_rows(*pending, num_categories)
 
 
 def write_columns(handle: IO[str], fields: tuple[str, ...], columns: list[np.ndarray]):
@@ -352,4 +425,5 @@ def ingest_mot(path: str | Path, *, skip_malformed: bool = False) -> DetectionTa
             line_numbers.append(line_number)
     table = np.frombuffer(rows).reshape(-1, len(_COLUMNS))
     lines = np.frombuffer(line_numbers, dtype=np.int64)
-    return _checked_detections(path, table, lines, errors, skip_malformed, DEFAULT_NUM_CATEGORIES)
+    columns = _checked_rows(path, table, lines, errors, skip_malformed, DEFAULT_NUM_CATEGORIES)
+    return DetectionTable._from_checked_rows(*columns, DEFAULT_NUM_CATEGORIES)

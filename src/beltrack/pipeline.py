@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import json
 import logging
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Literal, get_args, get_origin, get_type_hints
+from typing import Iterable, Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .aggregation import TieBreak, VerdictTable, majority_vote
 from .errors import ConfigError
-from .io import ingest_detections, ingest_mot, write_columns, write_detections, write_ground_truth
+from .io import ingest_mot, stream_detections, write_columns, write_detections, write_ground_truth
 from .metrics import (
     FrameChoice,
     StabilityGranularity,
@@ -87,11 +88,13 @@ class PipelineResult:
 
 
 def run_stream(
-    detections: DetectionTable,
+    detections: DetectionTable | Iterable[DetectionTable],
     tracker_config: TrackerConfig | None = None,
 ) -> TrackTable:
-    """Drive a tracker over a detection table, frame by frame, and return
-    the table of the finished tracks.
+    """Drive a tracker over a detection table, or over a stream of tables
+    in frame order such as ``io.stream_detections`` yields, frame by frame,
+    and return the table of the finished tracks. A stream is read only as
+    far as the tracker has stepped.
 
     The tracker steps through the frames that produced no detections too,
     so tracks age and coast correctly. After ``max_frames_lost + 1`` empty
@@ -101,36 +104,43 @@ def run_stream(
     """
     tracker = ByteTracker(tracker_config)
     empty_steps = tracker.config.max_frames_lost + 1
-    # Gap frames have no rows to check: they share empty read-only slices.
-    no_rows = [detections.boxes[:0], detections.scores[:0], detections.categories[:0]]
+    tables = [detections] if isinstance(detections, DetectionTable) else detections
     previous = None
-    for frame in detections:
-        gap = range(frame.frame_index if previous is None else previous + 1, frame.frame_index)
-        for empty in gap[:empty_steps]:
-            tracker.step(FrameDetections._from_columns(empty, *no_rows, detections.num_categories))
-        tracker.step(frame)
-        previous = frame.frame_index
+    for table in tables:
+        # Gap frames have no rows to check: they share empty read-only slices.
+        no_rows = [table.boxes[:0], table.scores[:0], table.categories[:0]]
+        for frame in table:
+            gap = range(frame.frame_index if previous is None else previous + 1, frame.frame_index)
+            for empty in gap[:empty_steps]:
+                tracker.step(FrameDetections._from_columns(empty, *no_rows, table.num_categories))
+            tracker.step(frame)
+            previous = frame.frame_index
     return tracker.finalize()
 
 
 def run_pipeline(run: PipelineRun) -> PipelineResult:
     """Execute the full loop and optionally write verdict/summary files.
 
-    Both files derive from the one verdict table and the frame-wise columns
-    beside it, so they agree under every configuration.
+    A detection JSONL file is tracked while it is read, in frame order
+    (``io.stream_detections``), so a bad line raises ``InputError`` after
+    the frames before it were tracked, and no file is written. A MOT file
+    is read whole first. Both files derive from the one verdict table and
+    the frame-wise columns beside it, so they agree under every
+    configuration.
     """
     if run.sim_config is not None:
-        _, detections = generate_scene(run.sim_config)
+        source = nullcontext(generate_scene(run.sim_config)[1])
     elif run.mot_format:
-        detections = ingest_mot(run.input_path, skip_malformed=run.skip_malformed)
+        source = nullcontext(ingest_mot(run.input_path, skip_malformed=run.skip_malformed))
     else:
-        detections = ingest_detections(
+        # Closed, and the file with it, when a step raises mid-file.
+        source = closing(stream_detections(
             run.input_path,
             skip_malformed=run.skip_malformed,
             num_categories=run.num_categories,
-        )
-
-    tracks = run_stream(detections, run.tracker_config)
+        ))
+    with source as detections:
+        tracks = run_stream(detections, run.tracker_config)
     aggregation = run.aggregation
     verdicts = majority_vote(tracks, aggregation.tie_break, aggregation.collapse_before_vote)
     n_unlabeled = len(tracks) - len(verdicts)

@@ -599,7 +599,8 @@ def ingest_detections_reference(path, *, skip_malformed=False, num_categories=4)
             line_numbers.append(line_number)
     table = np.frombuffer(rows).reshape(-1, len(bio._COLUMNS))
     lines = np.frombuffer(line_numbers, dtype=np.int64)
-    return bio._checked_detections(path, table, lines, errors, skip_malformed, num_categories)
+    columns = bio._checked_rows(path, table, lines, errors, skip_malformed, num_categories)
+    return DetectionTable._from_checked_rows(*columns, num_categories)
 
 
 def read_ground_truth_reference(path, num_categories=4):

@@ -522,25 +522,24 @@ class TestTrackAnyStreamAnyConfig:
             records = [json.loads(line) for line in verdicts.read_text().splitlines()]
             payload = json.loads(summary.read_text())
             # ``report`` reads back every verdict file ``track`` writes; an
-            # empty one has nothing to summarize.
+            # empty one gives the zeros of the summary.
             reported = Path(tmp) / "r.json"
-            assert run_cli("report", "--verdicts", str(verdicts), "--output", str(reported)) == (
-                0 if records else 1
-            )
-            report = json.loads(reported.read_text()) if records else None
+            assert run_cli("report", "--verdicts", str(verdicts), "--output", str(reported)) == 0
+            report = json.loads(reported.read_text())
         assert payload["n_labeled_tracks"] == len(records)
         n_defect = sum(record["binary"] == "defect" for record in records)
         assert payload["aggregated"]["n_defect_tracks"] == n_defect
         stability = payload["frame_wise"]["per_track_stability"]
         assert {str(r["track_id"]): r["stability_frame_wise"] for r in records} == stability
-        if records:
-            aggregated = payload["aggregated"]
-            assert report["n_tracks"] == payload["n_labeled_tracks"]
-            assert report["n_defect_tracks"] == aggregated["n_defect_tracks"]
-            assert report["defect_ratio"] == aggregated["defect_ratio"]
-            assert report["mean_stability_frame_wise"] == pytest.approx(
-                payload["frame_wise"]["mean_stability"], rel=1e-12
-            )
+        aggregated = payload["aggregated"]
+        assert report["n_tracks"] == payload["n_labeled_tracks"] == aggregated["n_total_tracks"]
+        assert report["n_defect_tracks"] == aggregated["n_defect_tracks"]
+        assert report["defect_ratio"] == aggregated["defect_ratio"]
+        assert report["mean_stability_frame_wise"] == pytest.approx(
+            payload["frame_wise"]["mean_stability"], rel=1e-12
+        )
+        if not records:
+            assert report["mean_track_length"] == 0.0
 
 
 class TestReport:
@@ -556,6 +555,20 @@ class TestReport:
 
     def test_missing_verdicts_is_input_error(self, tmp_path):
         assert run_cli("report", "--verdicts", str(tmp_path / "no.jsonl")) == 1
+
+    def test_verdicts_of_a_run_without_labeled_tracks_summarize_to_zeros(self, tmp_path, capsys):
+        dets, verdicts = tmp_path / "dets.jsonl", tmp_path / "verdicts.jsonl"
+        dets.write_text(
+            '{"frame": 0, "x": 0, "y": 0, "w": 10, "h": 10, "score": 0.9, "category": null}\n'
+        )
+        assert run_cli("track", "--input", str(dets), "--output-verdicts", str(verdicts)) == 0
+        assert verdicts.read_text() == ""
+        capsys.readouterr()
+        assert run_cli("report", "--verdicts", str(verdicts)) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "n_tracks": 0, "n_defect_tracks": 0, "defect_ratio": 0.0,
+            "mean_track_length": 0.0, "mean_stability_frame_wise": 0.0,
+        }
 
     @pytest.mark.parametrize(
         "bad_line, message",
