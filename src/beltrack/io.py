@@ -14,11 +14,12 @@ and at most one line per object and frame, each object in one category.
 Each line becomes a float64 row, checked with ``model.row_checks``, which
 holds the rules and the order in which a line's first fault is reported.
 The detection JSONL reader checks each block of rows as it is parsed, and
-has two consumers: ``stream_detections`` yields tables of whole frames in
-frame order as the file is read, holding a bounded number of rows, and
-rejects a line more than ``REORDER_FRAMES`` frames out of order;
-``ingest_detections`` joins every block and sorts the rows once. The ground-truth and MOT readers read whole
-files into one table, which they check and sort.
+has two consumers: ``stream_detections`` yields whole frames in frame
+order as the file is read, holding the rows of ``REORDER_FRAMES + 1``
+frames, and rejects a line more than ``REORDER_FRAMES`` frames out of
+order; ``ingest_detections`` joins every block and sorts the rows once.
+The ground-truth and MOT readers read whole files into one table, which
+they check and sort.
 
 Files must be UTF-8: a line holding a byte that is not is a bad line, like
 one that is not JSON. Each non-blank line must hold exactly one JSON
@@ -43,7 +44,14 @@ from typing import IO, Iterator
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .model import DEFAULT_NUM_CATEGORIES, DetectionTable, first_fault, passing_rows, row_checks
+from .model import (
+    DEFAULT_NUM_CATEGORIES,
+    DetectionTable,
+    FrameDetections,
+    first_fault,
+    passing_rows,
+    row_checks,
+)
 from .simulate import SceneGroundTruth
 
 logger = logging.getLogger(__name__)
@@ -58,12 +66,13 @@ _COLUMNS = (*DETECTION_FIELDS, "category")
 _BLOCK_LINES = 512
 #: The reorder window of ``stream_detections``, in frames: a detection line
 #: may hold a frame at most this many frames below the highest frame of the
-#: lines before it. Files no further out of order read as if sorted.
+#: lines before it. Files no further out of order read as if sorted. The
+#: value is not measured on any producer: this package's writers (and so the
+#: simulator) write files sorted by frame, which read the same at any window,
+#: and no out-of-order detector output has been seen. The window costs the
+#: rows of ``REORDER_FRAMES + 1`` frames; a file further out of order must be
+#: sorted by frame first.
 REORDER_FRAMES = 64
-#: Rows ``stream_detections`` gathers before it yields frames: the first
-#: tracker steps after a block's parse run on cold caches (the first one about
-#: 40% slower on a steady-belt file), so a few large tables keep them rare.
-_YIELD_ROWS = 8 * _BLOCK_LINES
 
 
 def _open_text(path: Path) -> IO[str]:
@@ -269,34 +278,30 @@ def ingest_detections(
 
 def stream_detections(
     path: str | Path, *, skip_malformed: bool = False, num_categories: int = DEFAULT_NUM_CATEGORIES
-) -> Iterator[DetectionTable]:
+) -> Iterator[FrameDetections]:
     """Read a detection JSONL file as ``ingest_detections`` does, one block
-    at a time, and yield its rows as tables of whole frames in frame order
-    (each frame's lines in file order): a frame is yielded once it lies more
-    than ``REORDER_FRAMES`` frames below the highest frame read, in tables
-    gathered from ``_YIELD_ROWS`` rows. So at most ``_YIELD_ROWS`` rows, or
-    the rows of the last ``REORDER_FRAMES + 1`` frames, and a block are held.
+    at a time, and yield its frames in frame order (each frame's lines in
+    file order): after each block, the frames more than ``REORDER_FRAMES``
+    frames below the highest frame read. So the rows of at most
+    ``REORDER_FRAMES + 1`` frames and a block are held.
 
     A line more than ``REORDER_FRAMES`` frames below the highest frame of
     the lines before it is a bad line: its frame may have been yielded.
-    Within that window the tables equal ``ingest_detections``'s, frame for
-    frame. A bad line raises ``InputError`` when its block is read, after
-    the frames yielded before it. Close the stream to close the file.
+    Within that window the frames equal ``ingest_detections``'s. A bad line
+    raises ``InputError`` when its block is read, after the frames yielded
+    before it. Close the stream to close the file.
     """
     blocks = _detection_blocks(path, skip_malformed, num_categories, ordered=True)
     pending = next(blocks)  # the empty first block
     for block in blocks:
         pending = [np.concatenate(pair) for pair in zip(pending, block)]
-        if len(pending[0]) < _YIELD_ROWS:
-            continue
         done = pending[0] < pending[0].max(initial=0) - REORDER_FRAMES
         if done.any():
-            yield DetectionTable._from_checked_rows(
+            yield from DetectionTable._from_checked_rows(
                 *(column[done] for column in pending), num_categories
             )
             pending = [column[~done] for column in pending]
-    if len(pending[0]):
-        yield DetectionTable._from_checked_rows(*pending, num_categories)
+    yield from DetectionTable._from_checked_rows(*pending, num_categories)
 
 
 def write_columns(handle: IO[str], fields: tuple[str, ...], columns: list[np.ndarray]):

@@ -88,13 +88,13 @@ class PipelineResult:
 
 
 def run_stream(
-    detections: DetectionTable | Iterable[DetectionTable],
+    detections: Iterable[FrameDetections],
     tracker_config: TrackerConfig | None = None,
 ) -> TrackTable:
-    """Drive a tracker over a detection table, or over a stream of tables
-    in frame order such as ``io.stream_detections`` yields, frame by frame,
-    and return the table of the finished tracks. A stream is read only as
-    far as the tracker has stepped.
+    """Drive a tracker over frames in frame order, a ``DetectionTable`` or a
+    stream such as ``io.stream_detections`` yields, and return the table of
+    the finished tracks. A stream is read only as far as the tracker has
+    stepped.
 
     The tracker steps through the frames that produced no detections too,
     so tracks age and coast correctly. After ``max_frames_lost + 1`` empty
@@ -104,17 +104,15 @@ def run_stream(
     """
     tracker = ByteTracker(tracker_config)
     empty_steps = tracker.config.max_frames_lost + 1
-    tables = [detections] if isinstance(detections, DetectionTable) else detections
     previous = None
-    for table in tables:
-        # Gap frames have no rows to check: they share empty read-only slices.
-        no_rows = [table.boxes[:0], table.scores[:0], table.categories[:0]]
-        for frame in table:
-            gap = range(frame.frame_index if previous is None else previous + 1, frame.frame_index)
-            for empty in gap[:empty_steps]:
-                tracker.step(FrameDetections._from_columns(empty, *no_rows, table.num_categories))
-            tracker.step(frame)
-            previous = frame.frame_index
+    for frame in detections:
+        gap = range(frame.frame_index if previous is None else previous + 1, frame.frame_index)
+        # Gap frames have no rows to check: they take empty read-only slices.
+        for empty in gap[:empty_steps]:
+            no_rows = frame.boxes[:0], frame.scores[:0], frame.categories[:0]
+            tracker.step(FrameDetections._from_columns(empty, *no_rows, frame.num_categories))
+        tracker.step(frame)
+        previous = frame.frame_index
     return tracker.finalize()
 
 

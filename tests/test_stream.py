@@ -1,6 +1,6 @@
 """``io.stream_detections`` and ``run_pipeline`` track a detection JSONL file
-while reading it: frames come out whole and in frame order once no later
-line may add to them, files at most ``REORDER_FRAMES`` frames out of order
+while reading it: frames come out whole and in frame order after the block
+that puts them past the reorder window, files at most ``REORDER_FRAMES`` frames out of order
 track as their sorted tables do, and a line further behind is a bad line.
 
 The CI step that runs with ``-W error::ResourceWarning`` lists this module:
@@ -53,17 +53,25 @@ def assert_same_tracks(got, want):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+def rows(frames):
+    """(frame, boxes, scores, categories) of each frame."""
+    return [(f.frame_index, f.boxes.tolist(), f.scores.tolist(), f.categories.tolist())
+            for f in frames]
+
+
 def streamed_frames(path, **options):
-    """(frame, rows) of each frame the stream yields, and the frames of each table."""
-    tables = list(stream_detections(path, **options))
-    frames = [(f.frame_index, f.boxes.tolist(), f.scores.tolist(), f.categories.tolist())
-              for table in tables for f in table]
-    return frames, [table.frames.tolist() for table in tables]
+    """The rows of each frame the stream yields, and the number of blocks
+    parsed when each came out."""
+    with mock.patch.object(bio, "_parse_block", wraps=bio._parse_block) as parsed:
+        frames, parses = [], []
+        for frame in stream_detections(path, **options):
+            frames.append(frame)
+            parses.append(parsed.call_count)
+    return rows(frames), parses
 
 
 def batch_frames(path, **options):
-    return [(f.frame_index, f.boxes.tolist(), f.scores.tolist(), f.categories.tolist())
-            for f in ingest_detections(path, **options)]
+    return rows(ingest_detections(path, **options))
 
 
 class TestStreamMatchesTheBatchReader:
@@ -72,12 +80,11 @@ class TestStreamMatchesTheBatchReader:
     def test_generated_scenes(self, tmp_path, seed, block_lines):
         path = tmp_path / "dets.jsonl"
         write_lines(path, scene_lines(seed))
-        with mock.patch.object(bio, "_BLOCK_LINES", block_lines), \
-                mock.patch.object(bio, "_YIELD_ROWS", block_lines):
-            frames, tables = streamed_frames(path)
+        with mock.patch.object(bio, "_BLOCK_LINES", block_lines):
+            frames, parses = streamed_frames(path)
             assert frames == batch_frames(path)
             if block_lines == 7:
-                assert len(tables) > 1  # yielded as the file was read
+                assert parses[0] < parses[-1]  # yielded as the file was read
             assert_same_tracks(
                 run_stream(stream_detections(path)), run_stream(ingest_detections(path))
             )
@@ -88,10 +95,8 @@ class TestStreamMatchesTheBatchReader:
         window=st.sampled_from([0, 1, 3, 8, W]),
         spread=st.integers(0, W),
         block_lines=st.integers(1, 40),
-        yield_rows=st.integers(1, 100),
     )
-    def test_lines_shuffled_within_the_window(self, seed, window, spread, block_lines,
-                                              yield_rows):
+    def test_lines_shuffled_within_the_window(self, seed, window, spread, block_lines):
         # Each line moves by a random offset of at most the window: sorted by
         # frame + offset, no line lands more than the window behind the
         # highest frame before it.
@@ -103,7 +108,6 @@ class TestStreamMatchesTheBatchReader:
             path = Path(directory) / "dets.jsonl"
             write_lines(path, shuffled)
             with mock.patch.object(bio, "_BLOCK_LINES", block_lines), \
-                    mock.patch.object(bio, "_YIELD_ROWS", yield_rows), \
                     mock.patch.object(bio, "REORDER_FRAMES", window):
                 assert streamed_frames(path)[0] == batch_frames(path)
                 assert_same_tracks(
@@ -117,18 +121,19 @@ class TestStreamMatchesTheBatchReader:
         lines += [line(101 + frame // 5, x=frame % 5 * 20.0) for frame in range(200)]
         path = tmp_path / "dets.jsonl"
         write_lines(path, lines)
-        with mock.patch.object(bio, "_YIELD_ROWS", 1):  # a table per block
-            frames, tables = streamed_frames(path)
+        frames, parses = streamed_frames(path)
         assert frames == batch_frames(path)
-        assert len(tables) > 1
-        # Each frame comes out whole, in one table, and the tables in frame order.
+        # Each frame comes out whole, once, in frame order; frame 100 after
+        # the second block, which completes it.
         indices = [frame for frame, *_ in frames]
         assert indices == sorted(set(indices))
+        assert parses[indices.index(100)] == 2
         assert next(scores for frame, _, scores, _ in frames if frame == 100) == [0.9] * 30
 
     @pytest.mark.parametrize("before, after, n_tracks", [
         (range(512), range(551, 700), 2),  # the gap follows the last line of a block
-        ([*range(480), *range(520, 552)], range(552, 700), 3),  # it ends the first table
+        # It ends the frames the first block lets out.
+        ([*range(480), *range(520, 552)], range(552, 700), 3),
     ])
     def test_gap_frames_across_a_block_boundary(self, tmp_path, before, after, n_tracks):
         # The gap of 40 frames is past max_frames_lost (30): 31 empty frames
@@ -149,9 +154,8 @@ class TestStreamMatchesTheBatchReader:
             with mock.patch.object(ByteTracker, "step", spy):
                 return steps, run_stream(detections)
 
-        with mock.patch.object(bio, "_YIELD_ROWS", 1):  # a table per block
-            streamed, tracks = stepped(stream_detections(path))
-            assert len(list(stream_detections(path))) > 1
+        streamed, tracks = stepped(stream_detections(path))
+        assert streamed_frames(path)[1][0] == 1  # yielded before the last block
         batch, batch_tracks = stepped(ingest_detections(path))
         assert streamed == batch
         assert set(range(last + 1, last + 32)) <= set(streamed)
@@ -252,14 +256,16 @@ class TestTrackingStartsBeforeTheFileEnds:
         path = self.frames_then_a_bad_line(tmp_path)
         with mock.patch.object(bio, "_parse_block", wraps=bio._parse_block) as parsed:
             stream = stream_detections(path)
-            first = next(stream)
+            first = [next(stream)]
+            while parsed.call_count == 1:
+                first.append(next(stream))
             stream.close()
-        # The blocks that gather _YIELD_ROWS rows are read, and out go the
-        # frames more than W below the last one read (4 rows a frame).
-        blocks = -(-bio._YIELD_ROWS // bio._BLOCK_LINES)
-        assert parsed.call_count == blocks
-        last = blocks * bio._BLOCK_LINES // 4 - 1
-        assert first.frames.tolist() == np.repeat(np.arange(last - W), 4).tolist()
+        # After the first block, out go the frames more than W below the
+        # last one read (4 rows a frame); the next frame needs a second block.
+        last = bio._BLOCK_LINES // 4 - 1
+        assert [frame.frame_index for frame in first[:-1]] == list(range(last - W))
+        assert first[-1].frame_index == last - W
+        assert all(len(frame.scores) == 4 for frame in first)
 
     def test_a_stream_abandoned_by_a_raising_tracker_closes_its_file(self, tmp_path):
         path = self.frames_then_a_bad_line(tmp_path)
