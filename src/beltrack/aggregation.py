@@ -37,20 +37,25 @@ class VerdictTable:
 def majority_vote(
     tracks: TrackTable, tie_break: TieBreak = "prefer_defect", collapse_first: bool = False
 ) -> VerdictTable:
-    """Each labeled track's most-voted category, from one ``bincount`` over
-    the (track, category) pairs of the table's labeled rows.
-
-    The default tie rule prefers any defect category over fresh (a false
-    reject is cheaper than shipping a defect), then the lowest defect index;
-    ``lowest_index`` picks the smallest tied index instead. With
-    ``collapse_first`` the vote is binary normal-vs-defect and the reported
-    category is the most frequent one on the winning side."""
+    """Each labeled track's most-voted category (``elected``), from one
+    ``bincount`` over the (track, category) pairs of the table's labeled
+    rows."""
     labeled = tracks.labeled()
     n, c = len(labeled), labeled.num_categories
     cells = np.repeat(np.arange(n), labeled.counts) * c + labeled.categories
     votes = np.bincount(cells, minlength=n * c).reshape(n, c)
+    return VerdictTable(labeled.ids, votes, elected(votes, tie_break, collapse_first))
+
+
+def elected(votes: np.ndarray, tie_break: TieBreak, collapse_first: bool) -> np.ndarray:
+    """The category each row of ``votes``, a track's count per category,
+    elects. The default tie rule prefers any defect category over fresh (a
+    false reject is cheaper than shipping a defect), then the lowest defect
+    index; ``lowest_index`` picks the smallest tied index instead. With
+    ``collapse_first`` the vote is binary normal-vs-defect and the reported
+    category is the most frequent one on the winning side."""
     top_defect = 1 + votes[:, 1:].argmax(axis=1)  # the lowest index among equals
     # The top defect wins on its own count, or the defects' sum, against fresh's.
-    rival = votes[:, 1:].sum(axis=1) if collapse_first else votes[np.arange(n), top_defect]
+    rival = votes[:, 1:].sum(axis=1) if collapse_first else votes[np.arange(len(votes)), top_defect]
     defect_wins = (rival > votes[:, 0]) | ((rival == votes[:, 0]) & (tie_break == "prefer_defect"))
-    return VerdictTable(labeled.ids, votes, np.where(defect_wins, top_defect, 0))
+    return np.where(defect_wins, top_defect, 0)

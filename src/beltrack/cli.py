@@ -10,7 +10,8 @@ a config-file equivalent (JSON with ``tracker``, ``simulate``, and
 flags, with a warning. The ``BELTRACK_CONFIG`` environment variable names a
 default config file.
 
-Exit codes: 0 success, 1 input error, 2 configuration error.
+Exit codes: 0 success, 1 input error or an output file that cannot be
+written (its directory is missing, say), 2 configuration error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from typing import Literal, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .io import _check_utf8, _open_text, ingest_detections, ingest_mot, read_ground_truth
+from .aggregation import TieBreak, elected
+from .io import ingest_detections, ingest_mot, read_ground_truth, read_records
 from .model import DEFAULT_NUM_CATEGORIES
 from .pipeline import (
     AggregationConfig,
@@ -203,87 +205,61 @@ def _cmd_evaluate(args) -> int:
 
 
 def _check_vote(votes: list[int], category: int, named: bool, where: str):
-    """``InputError`` unless some tie rule of ``majority_vote``, with or
-    without ``collapse_first``, votes ``category`` from ``votes``: fresh (0)
-    needs a count at least each defect's; a defect needs the defects' sum
-    at least fresh's count and, if the line ``named`` it, to be the first
-    of the most-voted defects."""
+    """``InputError`` unless one of ``majority_vote``'s tie rules, with or
+    without ``collapse_first``, elects ``category`` from ``votes``, or, if
+    the line ``named`` no category, a category on the same side of normal
+    and defect."""
     if len(votes) < 2 or category >= len(votes):
         raise InputError(
             f"{where}: 'votes' must have one count per category, at least 2, "
             f"got {json.dumps(votes)} for category {category}"
         )
-    fresh, defects = votes[0], votes[1:]
-    if category == 0:
-        votable = fresh >= max(defects)
-    else:
-        top = 1 + defects.index(max(defects))
-        votable = sum(defects) >= fresh and (category == top or not named)
-    if not votable:
+    row, rules = np.array([votes]), get_args(TieBreak)
+    choices = [elected(row, rule, collapse)[0] for rule in rules for collapse in (False, True)]
+    if not any(c == category if named else (c > 0) == (category > 0) for c in choices):
         raise InputError(f"{where}: no tie rule votes category {category} from {json.dumps(votes)}")
 
 
 def _cmd_report(args) -> int:
     path = Path(args.verdicts)
-    if not path.exists():
-        raise InputError(f"verdict file not found: {path}")
     records, track_ids = [], set()
-    with _open_text(path) as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                _check_utf8(line)
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{line_number}: invalid JSON ({exc.msg})") from exc
-            except ValueError as exc:
-                raise InputError(f"{path}:{line_number}: {exc}") from None
-            if not isinstance(record, dict):
-                raise InputError(f"{path}:{line_number}: expected a JSON object")
-            for key in _VERDICT_FIELDS:
-                if key not in record:
-                    raise InputError(f"{path}:{line_number}: missing field {key!r}")
-            binary, k = record["binary"], record["k"]
-            if binary not in ("normal", "defect") or type(k) is not int or k < 1:
-                raise InputError(
-                    f"{path}:{line_number}: 'binary' must be normal or defect, 'k' an integer >= 1"
-                )
-            category = record.get("category", int(binary == "defect"))  # absent: agrees
-            if type(category) is not int or category < 0 or (category > 0) != (binary == "defect"):
-                raise InputError(
-                    f"{path}:{line_number}: 'category' must be 0 for a normal verdict and above 0 "
-                    f"for a defect, got {json.dumps(category)} for {binary}"
-                )
-            frame_wise = record.get("stability_frame_wise", 0.0)
-            if type(frame_wise) not in (int, float) or not 0.0 <= frame_wise <= 1.0:
-                raise InputError(
-                    f"{path}:{line_number}: 'stability_frame_wise' must be a finite number "
-                    f"in [0, 1], got {json.dumps(frame_wise)}"
-                )
-            votes = record.get("votes", [k])  # absent: agrees
-            if not (
-                type(votes) is list and all(type(v) is int and v >= 0 for v in votes)
-                and sum(votes) == k
-            ):
-                raise InputError(
-                    f"{path}:{line_number}: 'votes' must be a list of integers >= 0 summing to "
-                    f"'k' ({k}), got {json.dumps(votes)}"
-                )
-            if "votes" in record:
-                _check_vote(votes, category, "category" in record, f"{path}:{line_number}")
-            track_id = record["track_id"]
-            if type(track_id) is not int or track_id < 0:
-                raise InputError(
-                    f"{path}:{line_number}: 'track_id' must be an integer >= 0, "
-                    f"got {json.dumps(track_id)}"
-                )
-            if track_id in track_ids:
-                raise InputError(
-                    f"{path}:{line_number}: 'track_id' {track_id} repeats an earlier line's"
-                )
-            track_ids.add(track_id)
-            records.append(record)
+    for line_number, record in read_records(path, "verdict", _VERDICT_FIELDS):
+        where = f"{path}:{line_number}"
+        binary, k = record["binary"], record["k"]
+        if binary not in ("normal", "defect") or type(k) is not int or k < 1:
+            raise InputError(f"{where}: 'binary' must be normal or defect, 'k' an integer >= 1")
+        category = record.get("category", int(binary == "defect"))  # absent: agrees
+        if type(category) is not int or category < 0 or (category > 0) != (binary == "defect"):
+            raise InputError(
+                f"{where}: 'category' must be 0 for a normal verdict and above 0 for a defect, "
+                f"got {json.dumps(category)} for {binary}"
+            )
+        frame_wise = record.get("stability_frame_wise", 0.0)
+        if type(frame_wise) not in (int, float) or not 0.0 <= frame_wise <= 1.0:
+            raise InputError(
+                f"{where}: 'stability_frame_wise' must be a finite number in [0, 1], "
+                f"got {json.dumps(frame_wise)}"
+            )
+        votes = record.get("votes", [k])  # absent: agrees
+        if not (
+            type(votes) is list and all(type(v) is int and v >= 0 for v in votes)
+            and sum(votes) == k
+        ):
+            raise InputError(
+                f"{where}: 'votes' must be a list of integers >= 0 summing to 'k' ({k}), "
+                f"got {json.dumps(votes)}"
+            )
+        if "votes" in record:
+            _check_vote(votes, category, "category" in record, where)
+        track_id = record["track_id"]
+        if type(track_id) is not int or track_id < 0:
+            raise InputError(
+                f"{where}: 'track_id' must be an integer >= 0, got {json.dumps(track_id)}"
+            )
+        if track_id in track_ids:
+            raise InputError(f"{where}: 'track_id' {track_id} repeats an earlier line's")
+        track_ids.add(track_id)
+        records.append(record)
     # Zeros without verdicts, as in the summary of a run without labeled tracks.
     n, n_defect = len(records), sum(1 for r in records if r["binary"] == "defect")
     stability = [r["stability_frame_wise"] for r in records if "stability_frame_wise" in r]
@@ -361,6 +337,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an output file that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

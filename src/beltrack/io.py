@@ -13,21 +13,28 @@ truth format mirrors it with ``object_id`` and ``true_category`` fields
 and at most one line per object and frame, each object in one category.
 Each line becomes a float64 row, checked with ``model.row_checks``, which
 holds the rules and the order in which a line's first fault is reported.
+
+Every reader opens its file with ``_open_text``, where a missing path, or
+one that cannot be read (a directory, say), is an ``InputError``. The
+table readers, MOT text included, share one line loop, ``_blocks``: it
+reads ``_BLOCK_LINES`` lines at a time, drops blank lines, and parses each
+JSONL block with one ``json.loads``, so parse memory is bounded by one
+block; a block with a bad line is parsed again line by line, which words
+its faults. One parse of a JSONL line, ``_record``, serves the tables and
+the verdict records ``read_records`` yields. A line that holds a byte that
+is not UTF-8, is not JSON, nests too deeply or is not one JSON object is a
+bad line. A block's parse faults and its rows' check faults are reported in
+one place, ``_passing``: the lowest bad line raises, naming ``path:line``,
+or under ``skip_malformed`` each one is logged and dropped.
+
 The detection JSONL reader checks each block of rows as it is parsed, and
 has two consumers: ``stream_detections`` yields whole frames in frame
 order as the file is read, holding the rows of ``REORDER_FRAMES + 1``
 frames, and rejects a line more than ``REORDER_FRAMES`` frames out of
 order; ``ingest_detections`` joins every block and sorts the rows once.
 The ground-truth and MOT readers read whole files into one table, which
-they check and sort.
-
-Files must be UTF-8: a line holding a byte that is not is a bad line, like
-one that is not JSON. Each non-blank line must hold exactly one JSON
-object. Files are read in blocks of ``_BLOCK_LINES`` lines, each parsed
-with one ``json.loads`` into a table, so parse memory is bounded by one
-block; blank lines are dropped before the parse, and a block with a bad
-line is parsed again line by line, which words the error. The writers
-write, block by block, the bytes of one ``json.dumps`` per record.
+they check and sort. The writers write, block by block, the bytes of one
+``json.dumps`` per record.
 """
 
 from __future__ import annotations
@@ -35,11 +42,11 @@ from __future__ import annotations
 import json
 import logging
 import math
-from array import array
+from functools import partial
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -48,6 +55,7 @@ from .model import (
     DEFAULT_NUM_CATEGORIES,
     DetectionTable,
     FrameDetections,
+    RowCheck,
     first_fault,
     passing_rows,
     row_checks,
@@ -75,11 +83,16 @@ _BLOCK_LINES = 512
 REORDER_FRAMES = 64
 
 
-def _open_text(path: Path) -> IO[str]:
+def _open_text(path: Path, kind: str) -> IO[str]:
     """``path`` as UTF-8 text, split into lines as a strict decode would;
     each byte that is not UTF-8 turns into a lone surrogate code point,
-    which ``_check_utf8`` rejects."""
-    return path.open(encoding="utf-8", errors="surrogateescape")
+    which ``_check_utf8`` rejects. ``InputError`` if it cannot be opened."""
+    try:
+        return path.open(encoding="utf-8", errors="surrogateescape")
+    except FileNotFoundError:
+        raise InputError(f"{kind} file not found: {path}") from None
+    except OSError as exc:
+        raise InputError(f"{kind} file cannot be read: {path} ({exc.strerror})") from None
 
 
 def _check_utf8(line: str):
@@ -91,19 +104,45 @@ def _check_utf8(line: str):
         raise ValueError(f"not valid UTF-8 (byte 0x{byte:02x})") from None
 
 
-def _parse_line(line: str, fields: tuple[str, ...], optional: str | None) -> tuple[float, ...]:
-    """One JSONL record as a table row: its ``fields``, then ``optional`` if
-    given (nan where absent or null). Raises ValueError (JSONDecodeError
-    included) for a line that is not a JSON object, a missing field, a value
-    that is not a JSON number (booleans included) or a NaN ``optional``, and
-    OverflowError for an integer past the float range."""
+def _record(line: str, fields: tuple[str, ...]) -> dict:
+    """The JSON object on a JSONL line, which must hold ``fields``; a bad
+    line raises ValueError, worded as its error."""
     _check_utf8(line)
-    record = json.loads(line)
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise ValueError("invalid JSON (nested too deeply)") from None
     if not isinstance(record, dict):
         raise ValueError("expected a JSON object")
     for key in fields:
         if key not in record:
             raise ValueError(f"missing field {key!r}")
+    return record
+
+
+def read_records(path: str | Path, kind: str, fields: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
+    """(line number, ``_record``) of each non-blank line of a JSONL file of
+    ``kind``; a bad line raises ``InputError`` naming ``path:line``."""
+    with _open_text(Path(path), kind) as handle:
+        for line_number, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = _record(line, fields)
+            except ValueError as exc:
+                raise InputError(f"{path}:{line_number}: {exc}") from None
+            yield line_number, record
+
+
+def _parse_line(line: str, fields: tuple[str, ...], optional: str | None) -> tuple[float, ...]:
+    """One JSONL record as a table row: its ``fields``, then ``optional`` if
+    given (nan where absent or null). Raises ValueError for a line that
+    ``_record`` rejects, a value that is not a JSON number (booleans
+    included) or a NaN ``optional``, and OverflowError for an integer past
+    the float range."""
+    record = _record(line, fields)
     labeled = optional is not None and record.get(optional) is not None
     keys = (*fields, optional) if labeled else fields
     values = [record[key] for key in keys]
@@ -114,6 +153,20 @@ def _parse_line(line: str, fields: tuple[str, ...], optional: str | None) -> tup
     if labeled and math.isnan(row[-1]):  # nan marks an absent ``optional``
         raise ValueError(f"{optional} must be an integer, got {row[-1]!r}")
     return row if labeled or optional is None else (*row, math.nan)
+
+
+def _parse_mot_line(line: str) -> tuple[float, ...]:
+    """A MOT text line (frame,id,x,y,w,h,score,...) as a ``_COLUMNS`` row,
+    its score clamped into [0, 1], or ValueError."""
+    _check_utf8(line)
+    parts = line.strip().split(",")
+    if len(parts) < 7:
+        raise ValueError("expected at least 7 comma-separated fields")
+    # The frame stays a float: the row checks reject a fractional one.
+    frame, x, y, w, h, score = (float(parts[i]) for i in (0, 2, 3, 4, 5, 6))
+    if not math.isfinite(score):
+        raise ValueError(f"confidence must be finite, got {parts[6].strip()!r}")
+    return frame, x, y, w, h, min(1.0, max(0.0, score)), math.nan
 
 
 def _parse_block(
@@ -150,17 +203,14 @@ def _parse_block(
 
 
 def _blocks(
-    handle: IO[str], fields: tuple[str, ...], optional: str | None,
-    errors: list[tuple[int, str]], skip_malformed: bool,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(line numbers, ``_parse_line`` rows) of the non-blank lines of each
-    block of ``_BLOCK_LINES`` lines. A block with a bad line is parsed line
-    by line: each bad line adds (line number, message) to ``errors``, and
-    the first one ends the read, after the rows before it, unless
-    ``skip_malformed``. The first block is empty, so a file without lines
-    joins into a table of the right width."""
-    width = len(fields) + (optional is not None)
-    yield np.empty(0, np.int64), np.empty((0, width))
+    handle: IO[str], width: int, parse_line: Callable, parse_block: Callable | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]]:
+    """(line numbers, rows, faults) of the non-blank lines of each block of
+    ``_BLOCK_LINES`` lines: the ``width`` columns ``parse_line`` gives, and
+    (line number, message) for each line it rejects. ``parse_block`` parses
+    a whole block, or gives None, and then the block is parsed line by line.
+    The first block is empty, so a file without lines joins into a table."""
+    yield np.empty(0, np.int64), np.empty((0, width)), []
     start = 1
     while lines := list(islice(handle, _BLOCK_LINES)):
         numbers = np.arange(start, start + len(lines))
@@ -168,46 +218,53 @@ def _blocks(
         kept = list(filter(str.strip, lines))  # a blank line holds no record
         if len(kept) < len(lines):
             numbers = numbers[[bool(line.strip()) for line in lines]]
-        table = _parse_block(kept, fields, optional)
+        table = None if parse_block is None else parse_block(kept)
         if table is not None:
-            yield numbers, table
-        else:
-            rows, parsed = [], []
-            for line_number, line in zip(numbers.tolist(), kept):
-                try:
-                    rows.append(_parse_line(line, fields, optional))
-                    parsed.append(line_number)
-                except (ValueError, OverflowError) as exc:
-                    errors.append((line_number, _line_error(exc)))
-                    if not skip_malformed:
-                        break
-            yield np.array(parsed, np.int64), np.array(rows).reshape(-1, width)
-            if errors and not skip_malformed:
-                return
+            yield numbers, table, []
+            continue
+        rows, parsed, faults = [], [], []
+        for line_number, line in zip(numbers.tolist(), kept):
+            try:
+                rows.append(parse_line(line))
+                parsed.append(line_number)
+            except (ValueError, OverflowError) as exc:
+                faults.append((line_number, str(exc)))
+        yield np.array(parsed, np.int64), np.array(rows).reshape(-1, width), faults
 
 
-def _line_error(exc: Exception) -> str:
-    if isinstance(exc, json.JSONDecodeError):
-        return f"invalid JSON ({exc.msg})"
-    return str(exc)
+def _passing(
+    path: Path, lines: np.ndarray, checks: list[RowCheck], faults: list, skip_malformed: bool
+) -> np.ndarray:
+    """The mask of the rows that pass ``checks``. The lowest bad line, a row
+    failing a check or a parse fault, raises ``InputError``, or under
+    ``skip_malformed`` each bad line is logged."""
+    valid = passing_rows(checks)
+    # Rows are in line order. Without ``skip_malformed`` only the first bad
+    # one is worded: a later row's words may read a bad earlier row.
+    bad = np.flatnonzero(~valid)[: None if skip_malformed else 1]
+    faults = sorted(faults + [(int(lines[i]), first_fault(checks, i)) for i in bad.tolist()])
+    if faults and not skip_malformed:
+        line_number, message = faults[0]
+        raise InputError(f"{path}:{line_number}: {message}")
+    for line_number, message in faults:
+        logger.warning("skipping line: %s:%d: %s", path, line_number, message)
+    return valid
 
 
 def _checked_rows(
     path: Path,
     table: np.ndarray,
     lines: np.ndarray,
-    errors: list[tuple[int, str]],
+    faults: list[tuple[int, str]],
     skip_malformed: bool,
     num_categories: int,
     highest: float | None = None,
 ) -> tuple[np.ndarray, ...]:
-    """Check the parsed rows (``_COLUMNS``) as one table, report the first
-    bad line (or log and drop every bad line when ``skip_malformed``), and
-    return the rest as detection columns: frames, boxes, scores and
-    categories (-1: no label). ``errors`` holds the lines that failed to
-    parse, and is emptied. Given the ``highest`` frame of the lines read
-    before, a line more than ``REORDER_FRAMES`` frames below the highest
-    frame before it fails too, as the last check."""
+    """Check the parsed rows (``_COLUMNS``) as one table, report their bad
+    lines with the parse ``faults`` (``_passing``), and return the rest as
+    detection columns: frames, boxes, scores and categories (-1: no label).
+    Given the ``highest`` frame of the lines read before, a line more than
+    ``REORDER_FRAMES`` frames below the highest frame before it fails too."""
     frames, boxes, scores, categories = table[:, 0], table[:, 1:5], table[:, 5], table[:, 6]
     checks = row_checks(
         {"frame": frames, "box": boxes, "score": scores, "category": categories}, num_categories
@@ -220,16 +277,7 @@ def _checked_rows(
             f"frame {int(frames[i])} is more than {REORDER_FRAMES} frames behind "
             f"frame {int(reach[i])} of an earlier line"
         )))
-    valid = passing_rows(checks)
-    for i in np.flatnonzero(~valid).tolist():
-        errors.append((int(lines[i]), first_fault(checks, i)))
-    errors.sort()
-    if errors and not skip_malformed:
-        line_number, message = errors[0]
-        raise InputError(f"{path}:{line_number}: {message}")
-    for line_number, message in errors:
-        logger.warning("skipping line: %s:%d: %s", path, line_number, message)
-    errors.clear()
+    valid = _passing(path, lines, checks, faults, skip_malformed)
     categories = np.nan_to_num(categories[valid], nan=-1)  # nan: no label
     return (
         frames[valid].astype(np.int64), boxes[valid], scores[valid], categories.astype(np.int64)
@@ -245,16 +293,13 @@ def _detection_blocks(
     if num_categories < 2:
         raise ConfigError(f"num_categories must be >= 2, got {num_categories}")
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"detection file not found: {path}")
-    errors: list[tuple[int, str]] = []
+    fields = dict(fields=DETECTION_FIELDS, optional="category")
+    parsers = partial(_parse_line, **fields), partial(_parse_block, **fields)
     highest = 0 if ordered else None  # frames are >= 0
-    with _open_text(path) as handle:
-        # A parse error ends the read after the rows before it, which may
-        # still fail the checks.
-        for lines, table in _blocks(handle, DETECTION_FIELDS, "category", errors, skip_malformed):
+    with _open_text(path, "detection") as handle:
+        for lines, table, faults in _blocks(handle, len(_COLUMNS), *parsers):
             columns = _checked_rows(
-                path, table, lines, errors, skip_malformed, num_categories, highest
+                path, table, lines, faults, skip_malformed, num_categories, highest
             )
             if ordered:
                 highest = columns[0].max(initial=highest)
@@ -346,12 +391,11 @@ def read_ground_truth(
     if num_categories < 2:
         raise ConfigError(f"num_categories must be >= 2, got {num_categories}")
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"ground-truth file not found: {path}")
-    errors: list[tuple[int, str]] = []  # a line that failed to parse ends the read
-    with _open_text(path) as handle:
-        blocks = _blocks(handle, TRUTH_FIELDS, None, errors, False)
-        lines, table = (np.concatenate(part) for part in zip(*blocks))
+    fields = dict(fields=TRUTH_FIELDS, optional=None)
+    parsers = partial(_parse_line, **fields), partial(_parse_block, **fields)
+    with _open_text(path, "ground-truth") as handle:
+        lines, table, faults = zip(*_blocks(handle, len(TRUTH_FIELDS), *parsers))
+    lines, table = np.concatenate(lines), np.concatenate(table)
     frames, object_ids, categories = table[:, 0], table[:, 1], table[:, 6]
     checks = row_checks(
         {"frame": frames, "object_id": object_ids, "box": table[:, 2:6],
@@ -377,13 +421,7 @@ def read_ground_truth(
     checks.append((~repeated, lambda i: (
         f"object {int(object_ids[i])} appears twice on frame {int(frames[i])}"
     )))
-    valid = passing_rows(checks)
-    if not valid.all():
-        row = int(np.argmin(valid))  # rows are in line order
-        raise InputError(f"{path}:{lines[row]}: {first_fault(checks, row)}")
-    if errors:  # the parse error follows every row read
-        line_number, message = errors[0]
-        raise InputError(f"{path}:{line_number}: {message}")
+    _passing(path, lines, checks, list(chain.from_iterable(faults)), False)
     return SceneGroundTruth(
         ids.astype(np.int64),
         categories[first].astype(np.int64),
@@ -403,32 +441,10 @@ def ingest_mot(path: str | Path, *, skip_malformed: bool = False) -> DetectionTa
     Malformed lines abort, or are logged and dropped with ``skip_malformed``.
     """
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"MOT file not found: {path}")
-    rows, line_numbers = array("d"), array("q")
-    errors: list[tuple[int, str]] = []
-    with _open_text(path) as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                _check_utf8(line)
-                if len(parts) < 7:
-                    raise ValueError("expected at least 7 comma-separated fields")
-                # The frame stays a float: the table check rejects a fractional one.
-                frame, x, y, w, h, score = (float(parts[i]) for i in (0, 2, 3, 4, 5, 6))
-                if not math.isfinite(score):
-                    raise ValueError(f"confidence must be finite, got {parts[6].strip()!r}")
-            except (ValueError, OverflowError) as exc:
-                errors.append((line_number, str(exc)))
-                if skip_malformed:
-                    continue
-                break  # an earlier line may still fail the table check
-            rows.extend((frame, x, y, w, h, min(1.0, max(0.0, score)), math.nan))
-            line_numbers.append(line_number)
-    table = np.frombuffer(rows).reshape(-1, len(_COLUMNS))
-    lines = np.frombuffer(line_numbers, dtype=np.int64)
-    columns = _checked_rows(path, table, lines, errors, skip_malformed, DEFAULT_NUM_CATEGORIES)
+    with _open_text(path, "MOT") as handle:
+        lines, table, faults = zip(*_blocks(handle, len(_COLUMNS), _parse_mot_line))
+    columns = _checked_rows(
+        path, np.concatenate(table), np.concatenate(lines), list(chain.from_iterable(faults)),
+        skip_malformed, DEFAULT_NUM_CATEGORIES,
+    )
     return DetectionTable._from_checked_rows(*columns, DEFAULT_NUM_CATEGORIES)

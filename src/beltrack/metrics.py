@@ -34,7 +34,6 @@ def stability_report(
     *,
     frame_choice: FrameChoice = "last",
     granularity: StabilityGranularity = "binary",
-    rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score one video's labeled tracks frame by frame, without voting, in
     one pass over the table's labeled rows: two columns over those tracks,
@@ -44,8 +43,8 @@ def stability_report(
     The first column is the category of the single frame that decides each
     track (``frame_choice``; the default mimics an exit-gate camera reading
     the last frame; ``random`` draws every track's frame with one
-    ``rng.integers`` call). The second is each track's stability, taken
-    over its raw per-frame label sequence.
+    ``integers`` call of ``default_rng(0)``). The second is each track's
+    stability, taken over its raw per-frame label sequence.
     """
     labeled = tracks.labeled()
     lengths, labels = labeled.counts, labeled.categories
@@ -55,7 +54,7 @@ def stability_report(
     starts = stops - lengths
     stability = 1.0 - (changes[stops - 1] - changes[starts]) / lengths
     if frame_choice == "random":
-        chosen = starts + (rng or np.random.default_rng(0)).integers(lengths)
+        chosen = starts + np.random.default_rng(0).integers(lengths)
     else:
         chosen = starts if frame_choice == "first" else stops - 1
     return labels[chosen], stability

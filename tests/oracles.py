@@ -341,11 +341,12 @@ def temporal_stability(labels) -> float:
     return 1.0 - changes / len(labels)
 
 
-def stability_report_reference(tracks, frame_choice="last", granularity="binary", rng=None):
+def stability_report_reference(tracks, frame_choice="last", granularity="binary"):
     """``metrics.stability_report`` as a loop over the labeled tracks: the
     category of each one's chosen frame, a ``random`` one drawn per track in
-    table order, and its ``temporal_stability``, as two columns."""
-    rng = rng or np.random.default_rng(0)
+    table order from ``default_rng(0)``, and its ``temporal_stability``, as
+    two columns."""
+    rng = np.random.default_rng(0)
     chosen_categories, stability = [], []
     for track in tracks:
         labels = track.labels.tolist()
@@ -592,7 +593,7 @@ def ingest_detections_reference(path, *, skip_malformed=False, num_categories=4)
             try:
                 rows.extend(bio._parse_line(line, bio.DETECTION_FIELDS, "category"))
             except (ValueError, OverflowError) as exc:
-                errors.append((line_number, bio._line_error(exc)))
+                errors.append((line_number, str(exc)))
                 if not skip_malformed:
                     break  # an earlier line may still fail the table check
                 continue
@@ -621,7 +622,7 @@ def read_ground_truth_reference(path, num_categories=4):
                 row = bio._parse_line(line, bio.TRUTH_FIELDS, None)
                 check_truth_row(row, num_categories)
             except (ValueError, OverflowError) as exc:
-                raise InputError(f"{path}:{line_number}: {bio._line_error(exc)}") from exc
+                raise InputError(f"{path}:{line_number}: {exc}") from exc
             frame, object_id, category = int(row[0]), int(row[1]), int(row[-1])
             if categories.setdefault(object_id, category) != category:
                 raise InputError(

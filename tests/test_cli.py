@@ -714,6 +714,33 @@ class TestReport:
                         with pytest.raises(InputError, match="no tie rule votes"):
                             cli._check_vote(list(vector), category, True, "line")
 
+    def test_a_line_without_a_category_is_checked_by_its_side(self):
+        # Every count vector over 2-4 categories with counts 0-3: a line that
+        # names no category takes the side of its ``binary``, accepted when
+        # some tie rule, with or without collapse_first, votes that side.
+        configs = list(itertools.product(("prefer_defect", "lowest_index"), (False, True)))
+        for num_categories in (2, 3, 4):
+            vectors = [v for v in itertools.product(range(4), repeat=num_categories) if sum(v)]
+            counts = np.array([sum(v) for v in vectors])
+            tracks = TrackTable(
+                np.arange(len(vectors)), counts, np.concatenate([np.arange(k) for k in counts]),
+                np.tile([0.0, 0.0, 10.0, 10.0], (counts.sum(), 1)),
+                np.concatenate([np.repeat(np.arange(num_categories), v) for v in vectors]),
+                num_categories,
+            )
+            sides = [set() for _ in vectors]
+            for tie_break, collapse_first in configs:
+                verdicts = majority_vote(tracks, tie_break, collapse_first)
+                for voted, category in zip(sides, verdicts.categories.tolist()):
+                    voted.add(int(category > 0))
+            for vector, voted in zip(vectors, sides):
+                for side in (0, 1):
+                    if side in voted:
+                        cli._check_vote(list(vector), side, False, "line")
+                    else:
+                        with pytest.raises(InputError, match="no tie rule votes"):
+                            cli._check_vote(list(vector), side, False, "line")
+
     def test_no_length_below_one_reaches_the_summary(self, tmp_path, capsys):
         # A negative and a zero length once gave a mean track length of -2.0.
         verdicts = tmp_path / "verdicts.jsonl"
@@ -775,6 +802,60 @@ class TestMotInput:
         assert code == 0
         assert f"skipping line: {mot}:2:" in caplog.text
         assert json.loads(summary.read_text())["n_tracks"] == 1
+
+
+class TestUnusablePaths:
+    """An input path that cannot be read, an input line nested too deeply
+    to parse, and an output path in a missing directory each end a verb
+    with exit code 1 and a message; each once ended in a traceback."""
+
+    @pytest.mark.parametrize("verb", ["track", "track --mot", "evaluate", "report"])
+    def test_directory_as_input(self, scene_files, tmp_path, capsys, verb):
+        dets, truth = scene_files
+        argv = {
+            "track": ["track", "--input", str(tmp_path)],
+            "track --mot": ["track", "--mot", "--input", str(tmp_path)],
+            "evaluate": ["evaluate", "--detections", str(dets), "--truth", str(tmp_path)],
+            "report": ["report", "--verdicts", str(tmp_path)],
+        }[verb]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and f"file cannot be read: {tmp_path}" in err
+
+    @pytest.mark.parametrize("verb", ["track", "evaluate", "report"])
+    def test_line_nested_too_deeply(self, scene_files, tmp_path, capsys, verb):
+        dets, truth = scene_files
+        bad = tmp_path / "bad.jsonl"
+        lines = (truth if verb == "evaluate" else dets).read_text().splitlines()[:3]
+        if verb == "report":
+            lines = ['{"track_id": 1, "binary": "normal", "k": 3}']
+        bad.write_text("\n".join([*lines, "[" * 200_000]) + "\n", encoding="utf-8")
+        argv = {
+            "track": ["track", "--input", str(bad)],
+            "evaluate": ["evaluate", "--detections", str(dets), "--truth", str(bad)],
+            "report": ["report", "--verdicts", str(bad)],
+        }[verb]
+        assert run_cli(*argv) == 1
+        where = f"{bad}:{len(lines) + 1}"
+        assert f"input error: {where}: invalid JSON (nested too deeply)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["simulate", "track", "evaluate", "report"])
+    def test_output_in_a_missing_directory(self, scene_files, tmp_path, capsys, verb):
+        dets, truth = scene_files
+        verdicts = tmp_path / "verdicts.jsonl"
+        assert run_cli("track", "--input", str(dets), "--output-verdicts", str(verdicts)) == 0
+        capsys.readouterr()
+        out = tmp_path / "missing" / "out.json"
+        argv = {
+            "simulate": ["simulate", "--output-detections", str(out), "--output-truth", str(truth),
+                         "--n-frames", "5"],
+            "track": ["track", "--input", str(dets), "--output-verdicts", str(out)],
+            "evaluate": ["evaluate", "--detections", str(dets), "--truth", str(truth),
+                         "--output", str(out)],
+            "report": ["report", "--verdicts", str(verdicts), "--output", str(out)],
+        }[verb]
+        assert run_cli(*argv) == 1
+        assert f"error: [Errno 2] No such file or directory: '{out}'" in capsys.readouterr().err
 
 
 class TestInstalledEntryPoint:

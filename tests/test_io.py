@@ -17,6 +17,8 @@ from beltrack.io import (
     ingest_detections,
     ingest_mot,
     read_ground_truth,
+    read_records,
+    stream_detections,
     write_detections,
     write_ground_truth,
 )
@@ -243,6 +245,18 @@ class TestReadGroundTruth:
         with pytest.raises(InputError, match="changes category"):
             read_ground_truth(path)
 
+    @pytest.mark.parametrize("category", ["NaN", "Infinity"])
+    def test_bad_first_category_reported_before_the_change_it_starts(self, tmp_path, category):
+        # Line 2 changes category from line 1's, whose category is no integer:
+        # wording line 2 as well once ended in a ValueError from int().
+        path = tmp_path / "gt.jsonl"
+        write_lines(path, [
+            f'{{"frame": 0, "object_id": 1, "x": 0, "y": 0, "w": 5, "h": 5, "true_category": {category}}}',
+            '{"frame": 1, "object_id": 1, "x": 5, "y": 0, "w": 5, "h": 5, "true_category": 0}',
+        ])
+        with pytest.raises(InputError, match=r"gt\.jsonl:1: true_category must be an integer"):
+            read_ground_truth(path)
+
     def test_negative_frame_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "gt.jsonl"
         write_lines(path, [
@@ -396,6 +410,28 @@ class TestMotAdapter:
         write_lines(path, ["1,1,10,20,30,40,0.9", f"2,1,15,20,30,40,{confidence}"])
         with pytest.raises(InputError, match=r":2: confidence must be finite"):
             ingest_mot(path)
+
+    def test_bad_lines_in_a_later_block(self, tmp_path, caplog):
+        # Four lines a block: the bad lines 6 (a row fault), 7 (a parse
+        # fault) and 11 (too few fields) are in the second and third blocks.
+        lines = [f"{t},1,{5 * t},0,20,20,0.9" for t in range(12)]
+        lines[5], lines[6], lines[10] = "5,1,0,0,0,20,0.9", "6,1,x,0,20,20,0.9", "10,1,0,0,20"
+        path = tmp_path / "dets.txt"
+        write_lines(path, lines)
+        with mock.patch.object(bio, "_BLOCK_LINES", 4):
+            with pytest.raises(InputError, match=rf"dets\.txt:6: box size must be positive"):
+                ingest_mot(path)
+            lines[5], lines[6] = lines[6], lines[5]  # the parse fault first
+            write_lines(path, lines)
+            with pytest.raises(
+                InputError, match=r"dets\.txt:6: could not convert string to float: 'x'"
+            ):
+                ingest_mot(path)
+            with caplog.at_level(logging.WARNING, logger="beltrack"):
+                table = ingest_mot(path, skip_malformed=True)
+        assert table.frames.tolist() == [t for t in range(12) if t not in (5, 6, 10)]
+        skipped = [re.search(r":(\d+): ", r.getMessage()).group(1) for r in caplog.records]
+        assert skipped == ["6", "7", "11"]
 
 
 #: A record cut after its "x" field: with the comma a joined block puts
@@ -632,3 +668,74 @@ class TestBytesThatAreNotUtf8:
         with pytest.raises(InputError, match=r"dets\.txt:2: not valid UTF-8 \(byte 0xff\)"):
             ingest_mot(path)
         assert [f.frame_index for f in ingest_mot(path, skip_malformed=True)] == [0, 2]
+
+
+#: Lines nested past the JSON parser's recursion limit: without braces, and
+#: with the one pair of braces that sends a block to the joined parse first.
+DEEP_LINES = ["[" * 200_000, '{"frame": ' + "[" * 100_000 + "]" * 100_000 + "}"]
+TRUTH_RECORD = (
+    '{"frame": 0, "object_id": 1, "x": 0, "y": 0, "w": 5, "h": 5, "true_category": 0}'
+)
+
+
+class TestLinesNestedTooDeeply:
+    """A line too deeply nested to parse is a bad line; each JSON reader
+    once ended in ``RecursionError`` on one."""
+
+    @pytest.mark.parametrize("deep", DEEP_LINES)
+    def test_detection_line_rejected_or_skipped(self, tmp_path, deep):
+        path = tmp_path / "dets.jsonl"
+        write_lines(path, [RECORD, deep, RECORD])
+        message = r"dets\.jsonl:2: invalid JSON \(nested too deeply\)"
+        with pytest.raises(InputError, match=message):
+            ingest_detections(path)
+        with pytest.raises(InputError, match=message):
+            list(stream_detections(path))
+        (frame,) = ingest_detections(path, skip_malformed=True)
+        assert len(frame.scores) == 2
+        assert [len(f.scores) for f in stream_detections(path, skip_malformed=True)] == [2]
+
+    @pytest.mark.parametrize("deep", DEEP_LINES)
+    def test_truth_line_rejected(self, tmp_path, deep):
+        path = tmp_path / "gt.jsonl"
+        write_lines(path, [TRUTH_RECORD, deep])
+        with pytest.raises(InputError, match=r"gt\.jsonl:2: invalid JSON \(nested too deeply\)"):
+            read_ground_truth(path)
+
+    @pytest.mark.parametrize("deep", DEEP_LINES)
+    def test_record_line_rejected(self, tmp_path, deep):
+        path = tmp_path / "verdicts.jsonl"
+        write_lines(path, ['{"k": 1}', deep])
+        records = read_records(path, "verdict", ("k",))
+        assert next(records) == (1, {"k": 1})
+        with pytest.raises(
+            InputError, match=r"verdicts\.jsonl:2: invalid JSON \(nested too deeply\)"
+        ):
+            next(records)
+
+
+class TestUnreadablePath:
+    """One opener for every reader: a missing path and one that cannot be
+    opened, such as a directory, are input errors naming the file's kind."""
+
+    READERS = [
+        ("detection", ingest_detections),
+        ("detection", lambda path: list(stream_detections(path))),
+        ("MOT", ingest_mot),
+        ("ground-truth", read_ground_truth),
+        ("verdict", lambda path: list(read_records(path, "verdict", ()))),
+    ]
+    IDS = ["ingest_detections", "stream_detections", "ingest_mot", "read_ground_truth",
+           "read_records"]
+
+    @pytest.mark.parametrize("kind, read", READERS, ids=IDS)
+    def test_directory(self, tmp_path, kind, read):
+        cannot = rf"^{kind} file cannot be read: {re.escape(str(tmp_path))} \(Is a directory\)$"
+        with pytest.raises(InputError, match=cannot):
+            read(tmp_path)
+
+    @pytest.mark.parametrize("kind, read", READERS, ids=IDS)
+    def test_missing(self, tmp_path, kind, read):
+        missing = tmp_path / "missing.jsonl"
+        with pytest.raises(InputError, match=rf"^{kind} file not found: {re.escape(str(missing))}$"):
+            read(missing)

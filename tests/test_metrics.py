@@ -332,18 +332,16 @@ class TestStabilityReportMatchesPerTrackLoop:
         histories=st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=12), min_size=1, max_size=8),
         frame_choice=st.sampled_from(["last", "first", "random"]),
         granularity=st.sampled_from(["binary", "category"]),
-        seed=st.integers(0, 2**32 - 1),
     )
-    def test_one_pass_equals_per_track_scores(self, histories, frame_choice, granularity, seed):
+    def test_one_pass_equals_per_track_scores(self, histories, frame_choice, granularity):
         tracks = [
             track_of(*(CategoryLabel(c) for c in labels), track_id=2 * i + 1)
             for i, labels in enumerate(histories)
         ]
         categories, stability = stability_report(
-            table_of(tracks), frame_choice=frame_choice, granularity=granularity,
-            rng=np.random.default_rng(seed),
+            table_of(tracks), frame_choice=frame_choice, granularity=granularity
         )
-        rng = np.random.default_rng(seed)  # one scalar draw per track, in track order
+        rng = np.random.default_rng(0)  # one scalar draw per track, in track order
         want_categories, want_stability = [], []
         for labels in histories:
             defects = [c > 0 for c in labels]

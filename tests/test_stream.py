@@ -272,8 +272,8 @@ class TestTrackingStartsBeforeTheFileEnds:
         original_open, original_step = bio._open_text, ByteTracker.step
         handles, steps = [], []
 
-        def open_text(file):
-            handles.append(original_open(file))
+        def open_text(file, kind):
+            handles.append(original_open(file, kind))
             return handles[-1]
 
         def failing_step(tracker, frame):
