@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .aggregation import TieBreak, elected
-from .io import ingest_detections, ingest_mot, read_ground_truth, read_records
+from .io import ingest_detections, read_ground_truth, read_records
 from .model import DEFAULT_NUM_CATEGORIES
 from .pipeline import (
     AggregationConfig,
@@ -109,11 +109,14 @@ def _load_config_file(args: argparse.Namespace) -> dict:
     path = args.config or os.environ.get("BELTRACK_CONFIG")
     if not path:
         return {}
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:  # a directory, say
+        raise ConfigError(f"config file cannot be read: {path} ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid UTF-8: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}") from exc
     if not isinstance(data, dict):
@@ -188,10 +191,9 @@ def _cmd_evaluate(args) -> int:
     config_file = _load_config_file(args)
     tracker_config = _build_config(TrackerConfig, config_file, args)
     aggregation = _build_config(AggregationConfig, config_file, args)
-    if args.mot:
-        detections = ingest_mot(args.detections)
-    else:
-        detections = ingest_detections(args.detections, num_categories=args.num_categories)
+    detections = ingest_detections(
+        args.detections, num_categories=args.num_categories, mot=args.mot
+    )
     gt = read_ground_truth(args.truth, num_categories=args.num_categories)
     evaluation = evaluate_against_truth(
         detections, gt, tracker_config, aggregation, iou_threshold=args.iou_threshold

@@ -27,14 +27,16 @@ bad line. A block's parse faults and its rows' check faults are reported in
 one place, ``_passing``: the lowest bad line raises, naming ``path:line``,
 or under ``skip_malformed`` each one is logged and dropped.
 
-The detection JSONL reader checks each block of rows as it is parsed, and
-has two consumers: ``stream_detections`` yields whole frames in frame
-order as the file is read, holding the rows of ``REORDER_FRAMES + 1``
-frames, and rejects a line more than ``REORDER_FRAMES`` frames out of
-order; ``ingest_detections`` joins every block and sorts the rows once.
-The ground-truth and MOT readers read whole files into one table, which
-they check and sort. The writers write, block by block, the bytes of one
-``json.dumps`` per record.
+Every detection file, JSONL or MOT text, is read by one generator,
+``_releases``, which chooses only its line parser by the format: it checks
+each block of rows as it is parsed, rejects a line more than
+``REORDER_FRAMES`` frames below the highest frame of the lines before it,
+and after each block releases, sorted by frame, the frames that no later
+line may reach. ``stream_detections`` yields the frames of each release, so
+it holds the rows of ``REORDER_FRAMES + 1`` frames and a block, and
+``ingest_detections`` joins every release into one table. The ground-truth
+reader reads its whole file into one table, which it checks and sorts. The
+writers write, block by block, the bytes of one ``json.dumps`` per record.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ _COLUMNS = (*DETECTION_FIELDS, "category")
 #: Lines parsed per ``json.loads`` call: few enough that a block's records
 #: stay below the garbage collector's first threshold (700 new objects).
 _BLOCK_LINES = 512
-#: The reorder window of ``stream_detections``, in frames: a detection line
+#: The reorder window of the detection readers, in frames: a detection line
 #: may hold a frame at most this many frames below the highest frame of the
 #: lines before it. Files no further out of order read as if sorted. The
 #: value is not measured on any producer: this package's writers (and so the
@@ -156,8 +158,10 @@ def _parse_line(line: str, fields: tuple[str, ...], optional: str | None) -> tup
 
 
 def _parse_mot_line(line: str) -> tuple[float, ...]:
-    """A MOT text line (frame,id,x,y,w,h,score,...) as a ``_COLUMNS`` row,
-    its score clamped into [0, 1], or ValueError."""
+    """A MOT text line (frame,id,x,y,w,h,score,...) as a ``_COLUMNS`` row
+    without a category (the format has none), or ValueError. The id and any
+    trailing fields are ignored. A finite score is clamped into [0, 1] (MOT
+    files sometimes carry -1 or unnormalized values); nan and inf fail."""
     _check_utf8(line)
     parts = line.strip().split(",")
     if len(parts) < 7:
@@ -253,100 +257,107 @@ def _passing(
 
 def _checked_rows(
     path: Path,
-    table: np.ndarray,
     lines: np.ndarray,
+    table: np.ndarray,
     faults: list[tuple[int, str]],
     skip_malformed: bool,
     num_categories: int,
-    highest: float | None = None,
-) -> tuple[np.ndarray, ...]:
+    highest: int,
+) -> list[np.ndarray]:
     """Check the parsed rows (``_COLUMNS``) as one table, report their bad
     lines with the parse ``faults`` (``_passing``), and return the rest as
     detection columns: frames, boxes, scores and categories (-1: no label).
-    Given the ``highest`` frame of the lines read before, a line more than
-    ``REORDER_FRAMES`` frames below the highest frame before it fails too."""
+    A line more than ``REORDER_FRAMES`` frames below the highest frame
+    before it, of the rows or of the lines read before (``highest``), fails
+    too."""
     frames, boxes, scores, categories = table[:, 0], table[:, 1:5], table[:, 5], table[:, 6]
     checks = row_checks(
         {"frame": frames, "box": boxes, "score": scores, "category": categories}, num_categories
     )
-    if highest is not None:
-        # The highest frame of the lines up to each line that pass the checks.
-        reach = np.maximum.accumulate(np.where(passing_rows(checks), frames, highest))
-        reach = np.maximum(reach, highest)
-        checks.append((frames >= reach - REORDER_FRAMES, lambda i: (
-            f"frame {int(frames[i])} is more than {REORDER_FRAMES} frames behind "
-            f"frame {int(reach[i])} of an earlier line"
-        )))
+    # The highest frame of the lines up to each line that pass the checks.
+    reach = np.maximum.accumulate(np.where(passing_rows(checks), frames, highest))
+    reach = np.maximum(reach, highest)
+    checks.append((frames >= reach - REORDER_FRAMES, lambda i: (
+        f"frame {int(frames[i])} is more than {REORDER_FRAMES} frames behind "
+        f"frame {int(reach[i])} of an earlier line"
+    )))
     valid = _passing(path, lines, checks, faults, skip_malformed)
     categories = np.nan_to_num(categories[valid], nan=-1)  # nan: no label
-    return (
+    return [
         frames[valid].astype(np.int64), boxes[valid], scores[valid], categories.astype(np.int64)
-    )
+    ]
 
 
-def _detection_blocks(
-    path: str | Path, skip_malformed: bool, num_categories: int, ordered: bool = False
-) -> Iterator[tuple[np.ndarray, ...]]:
-    """The ``_checked_rows`` columns of each block of a detection JSONL
-    file, in file order, the first one empty. ``ordered`` adds the check
-    for a line too far out of frame order."""
+def _releases(
+    path: str | Path, skip_malformed: bool, num_categories: int, mot: bool
+) -> Iterator[list[np.ndarray]]:
+    """The ``_checked_rows`` columns of a detection file, JSONL or MOT text,
+    as it is read: after each block, the rows of the frames more than
+    ``REORDER_FRAMES`` frames below the highest frame read, and at the end
+    the rest, each release stably sorted by frame. Every frame of a release
+    is below those of the next (a later line is a bad line), so the
+    releases join into a sorted table."""
     if num_categories < 2:
         raise ConfigError(f"num_categories must be >= 2, got {num_categories}")
     path = Path(path)
     fields = dict(fields=DETECTION_FIELDS, optional="category")
-    parsers = partial(_parse_line, **fields), partial(_parse_block, **fields)
-    highest = 0 if ordered else None  # frames are >= 0
-    with _open_text(path, "detection") as handle:
-        for lines, table, faults in _blocks(handle, len(_COLUMNS), *parsers):
-            columns = _checked_rows(
-                path, table, lines, faults, skip_malformed, num_categories, highest
-            )
-            if ordered:
-                highest = columns[0].max(initial=highest)
-            yield columns
+    parsers = (
+        (_parse_mot_line,) if mot
+        else (partial(_parse_line, **fields), partial(_parse_block, **fields))
+    )
+    highest = 0  # frames are >= 0
+    with _open_text(path, "MOT" if mot else "detection") as handle:
+        blocks = _blocks(handle, len(_COLUMNS), *parsers)
+        pending = _checked_rows(path, *next(blocks), skip_malformed, num_categories, highest)
+        for block in blocks:
+            columns = _checked_rows(path, *block, skip_malformed, num_categories, highest)
+            highest = columns[0].max(initial=highest)
+            # The held rows stay sorted; the rows to release are a prefix.
+            pending = [np.concatenate(pair) for pair in zip(pending, columns)]
+            order = np.argsort(pending[0], kind="stable")
+            pending = [column[order] for column in pending]
+            cut = np.searchsorted(pending[0], highest - REORDER_FRAMES)
+            if cut:
+                yield [column[:cut].copy() for column in pending]  # apart from the held rows
+                pending = [column[cut:] for column in pending]
+        yield pending
 
 
 def ingest_detections(
-    path: str | Path, *, skip_malformed: bool = False, num_categories: int = DEFAULT_NUM_CATEGORIES
+    path: str | Path, *, skip_malformed: bool = False,
+    num_categories: int = DEFAULT_NUM_CATEGORIES, mot: bool = False,
 ) -> DetectionTable:
-    """Read a whole detection JSONL file into one table, sorted by frame
-    index (each frame's lines in file order).
+    """Read a whole detection file, JSONL or with ``mot`` MOT text, into one
+    table, sorted by frame index (each frame's lines in file order). The
+    rows are the frames ``stream_detections`` yields, under its rules.
 
     Malformed lines abort with the offending line number unless
     ``skip_malformed`` is set, in which case they are logged and dropped.
-    Each line becomes one numeric row; the rows are checked block by block.
     """
-    blocks = _detection_blocks(path, skip_malformed, num_categories)
-    columns = [np.concatenate(column) for column in zip(*blocks)]
+    # Each column is joined in turn, its pieces dropped once it is.
+    pieces = [list(column) for column in zip(*_releases(path, skip_malformed, num_categories, mot))]
+    columns = [np.concatenate(pieces.pop(0)) for _ in range(len(pieces))]
     return DetectionTable._from_checked_rows(*columns, num_categories)
 
 
 def stream_detections(
-    path: str | Path, *, skip_malformed: bool = False, num_categories: int = DEFAULT_NUM_CATEGORIES
+    path: str | Path, *, skip_malformed: bool = False,
+    num_categories: int = DEFAULT_NUM_CATEGORIES, mot: bool = False,
 ) -> Iterator[FrameDetections]:
-    """Read a detection JSONL file as ``ingest_detections`` does, one block
-    at a time, and yield its frames in frame order (each frame's lines in
-    file order): after each block, the frames more than ``REORDER_FRAMES``
+    """Read a detection file, JSONL or with ``mot`` MOT text, one block at a
+    time, and yield its frames in frame order (each frame's lines in file
+    order): after each block, the frames more than ``REORDER_FRAMES``
     frames below the highest frame read. So the rows of at most
     ``REORDER_FRAMES + 1`` frames and a block are held.
 
     A line more than ``REORDER_FRAMES`` frames below the highest frame of
-    the lines before it is a bad line: its frame may have been yielded.
-    Within that window the frames equal ``ingest_detections``'s. A bad line
-    raises ``InputError`` when its block is read, after the frames yielded
-    before it. Close the stream to close the file.
+    the lines before it is a bad line: its frame may have been yielded. A
+    bad line raises ``InputError`` when its block is read, after the frames
+    yielded before it, unless ``skip_malformed`` is set, in which case it is
+    logged and dropped. Close the stream to close the file.
     """
-    blocks = _detection_blocks(path, skip_malformed, num_categories, ordered=True)
-    pending = next(blocks)  # the empty first block
-    for block in blocks:
-        pending = [np.concatenate(pair) for pair in zip(pending, block)]
-        done = pending[0] < pending[0].max(initial=0) - REORDER_FRAMES
-        if done.any():
-            yield from DetectionTable._from_checked_rows(
-                *(column[done] for column in pending), num_categories
-            )
-            pending = [column[~done] for column in pending]
-    yield from DetectionTable._from_checked_rows(*pending, num_categories)
+    for release in _releases(path, skip_malformed, num_categories, mot):
+        yield from DetectionTable._from_checked_rows(*release, num_categories)
 
 
 def write_columns(handle: IO[str], fields: tuple[str, ...], columns: list[np.ndarray]):
@@ -430,21 +441,3 @@ def read_ground_truth(
         table[order, 2:6],
         num_categories,
     )
-
-
-def ingest_mot(path: str | Path, *, skip_malformed: bool = False) -> DetectionTable:
-    """Read MOT-challenge text (frame,id,x,y,w,h,score,...) as a detection stream.
-
-    The id column and any trailing fields are ignored; there is no category
-    channel in this format. Finite confidences are clamped into [0, 1] (MOT
-    files sometimes carry -1 or unnormalized values); nan and inf are rejected.
-    Malformed lines abort, or are logged and dropped with ``skip_malformed``.
-    """
-    path = Path(path)
-    with _open_text(path, "MOT") as handle:
-        lines, table, faults = zip(*_blocks(handle, len(_COLUMNS), _parse_mot_line))
-    columns = _checked_rows(
-        path, np.concatenate(table), np.concatenate(lines), list(chain.from_iterable(faults)),
-        skip_malformed, DEFAULT_NUM_CATEGORIES,
-    )
-    return DetectionTable._from_checked_rows(*columns, DEFAULT_NUM_CATEGORIES)

@@ -298,13 +298,17 @@ class DetectionTable:
             {"frame": frames, "box": boxes, "score": scores, "category": categories},
             self.num_categories,
         )
-        _sort_rows(self, frames, boxes, scores, categories, self.num_categories)
+        order = np.argsort(frames, kind="stable")
+        columns = frames[order], boxes[order], scores[order], categories[order]
+        _set_columns(self, *_read_only(*columns), self.num_categories)
 
     @classmethod
     def _from_checked_rows(cls, frames, boxes, scores, categories, num_categories: int):
-        """The table of rows that have passed ``row_checks``, not checked again."""
+        """The table of rows that have passed ``row_checks``, stably sorted
+        by frame: the columns themselves, made read-only, not checked,
+        sorted or copied again."""
         table = cls.__new__(cls)
-        _sort_rows(table, frames, boxes, scores, categories, num_categories)
+        _set_columns(table, *_read_only(frames, boxes, scores, categories), num_categories)
         return table
 
     @classmethod
@@ -359,13 +363,6 @@ class DetectionTable:
     def __reduce__(self):
         return DetectionTable, (*(getattr(self, name) for name in _DETECTION_COLUMNS),
                                 self.num_categories)
-
-
-def _sort_rows(table: DetectionTable, frames, boxes, scores, categories, num_categories: int):
-    """Set ``table`` to read-only copies of the rows, stably sorted by frame."""
-    order = np.argsort(frames, kind="stable")
-    columns = _read_only(frames[order], boxes[order], scores[order], categories[order])
-    _set_columns(table, *columns, num_categories)
 
 
 def _set_columns(value, *fields):

@@ -8,18 +8,20 @@ only the labels and stability scores derived from them.
 
 from __future__ import annotations
 
+import errno
 import json
 import logging
-from contextlib import closing, nullcontext
+import os
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Literal, get_args, get_origin, get_type_hints
+from typing import Iterable, Iterator, Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .aggregation import TieBreak, VerdictTable, majority_vote
 from .errors import ConfigError
-from .io import ingest_mot, stream_detections, write_columns, write_detections, write_ground_truth
+from .io import stream_detections, write_columns, write_detections, write_ground_truth
 from .metrics import (
     FrameChoice,
     StabilityGranularity,
@@ -119,40 +121,66 @@ def run_stream(
 def run_pipeline(run: PipelineRun) -> PipelineResult:
     """Execute the full loop and optionally write verdict/summary files.
 
-    A detection JSONL file is tracked while it is read, in frame order
-    (``io.stream_detections``), so a bad line raises ``InputError`` after
-    the frames before it were tracked, and no file is written. A MOT file
-    is read whole first. Both files derive from the one verdict table and
-    the frame-wise columns beside it, so they agree under every
-    configuration.
+    A detection file, JSONL or MOT text (``mot_format``), is tracked while
+    it is read, in frame order (``io.stream_detections``), so a bad line
+    raises ``InputError`` after the frames before it were tracked. Each
+    output file is first made as an empty temporary file beside its path,
+    before the first frame is read, so an unusable path raises ``OSError``
+    at once; the files are renamed to their paths once both are written,
+    and removed if the run raises, so a failed run writes no file. Both
+    files derive from the one verdict table and the frame-wise columns
+    beside it, so they agree under every configuration.
     """
-    if run.sim_config is not None:
-        source = nullcontext(generate_scene(run.sim_config)[1])
-    elif run.mot_format:
-        source = nullcontext(ingest_mot(run.input_path, skip_malformed=run.skip_malformed))
-    else:
-        # Closed, and the file with it, when a step raises mid-file.
-        source = closing(stream_detections(
-            run.input_path,
-            skip_malformed=run.skip_malformed,
-            num_categories=run.num_categories,
+    with _staged(run.verdicts_path, run.summary_path) as (verdicts_path, summary_path):
+        if run.sim_config is not None:
+            source = generate_scene(run.sim_config)[1]
+        else:
+            source = stream_detections(
+                run.input_path, skip_malformed=run.skip_malformed,
+                num_categories=run.num_categories, mot=run.mot_format,
+            )
+        # Closed, and a file with it, when a step raises mid-stream.
+        with closing(iter(source)) as detections:
+            tracks = run_stream(detections, run.tracker_config)
+        aggregation = run.aggregation
+        verdicts = majority_vote(tracks, aggregation.tie_break, aggregation.collapse_before_vote)
+        n_unlabeled = len(tracks) - len(verdicts)
+        if n_unlabeled:
+            logger.info("%d of %d tracks carry no category predictions", n_unlabeled, len(tracks))
+        result = PipelineResult(verdicts, tracks, *stability_report(
+            tracks, frame_choice=aggregation.frame_choice,
+            granularity=aggregation.stability_granularity,
         ))
-    with source as detections:
-        tracks = run_stream(detections, run.tracker_config)
-    aggregation = run.aggregation
-    verdicts = majority_vote(tracks, aggregation.tie_break, aggregation.collapse_before_vote)
-    n_unlabeled = len(tracks) - len(verdicts)
-    if n_unlabeled:
-        logger.info("%d of %d tracks carry no category predictions", n_unlabeled, len(tracks))
-    result = PipelineResult(verdicts, tracks, *stability_report(
-        tracks, frame_choice=aggregation.frame_choice,
-        granularity=aggregation.stability_granularity,
-    ))
-    if run.verdicts_path is not None:
-        write_verdicts(result, run.verdicts_path)
-    if run.summary_path is not None:
-        write_summary(result, run.summary_path)
+        if verdicts_path is not None:
+            write_verdicts(result, verdicts_path)
+        if summary_path is not None:
+            write_summary(result, summary_path)
     return result
+
+
+@contextmanager
+def _staged(*paths: str | Path | None) -> Iterator[list[Path | None]]:
+    """A new empty file beside each of ``paths`` (None for None), to be
+    written in its place: renamed to its path when the block ends, removed
+    when it raises. An ``OSError`` in making one, or a path that is a
+    directory, names its path."""
+    staged = dict.fromkeys(Path(path) for path in paths if path is not None)
+    try:
+        for path in staged:
+            staged[path] = path.parent / f".{path.name}.{os.urandom(4).hex()}.tmp"
+            try:
+                staged[path].touch(exist_ok=False)
+                if path.is_dir():  # the rename would fail, but only after the run
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            except OSError as exc:
+                exc.filename = str(path)
+                raise
+        yield [None if path is None else staged[Path(path)] for path in paths]
+        for path, temporary in staged.items():
+            temporary.replace(path)
+    finally:
+        for temporary in filter(None, staged.values()):
+            temporary.unlink(missing_ok=True)  # gone once renamed
 
 
 def write_verdicts(result: PipelineResult, path: str | Path):

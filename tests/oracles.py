@@ -580,7 +580,9 @@ def ingest_detections_scalar_reference(path, *, skip_malformed=False, num_catego
 def ingest_detections_reference(path, *, skip_malformed=False, num_categories=4):
     """``ingest_detections`` with one ``json.loads`` per line: each line
     parsed by ``bio._parse_line``, the first parse error ending the
-    read unless ``skip_malformed``, the rows checked as one table."""
+    read unless ``skip_malformed``, the rows checked as one table, with no
+    release loop: a line more than ``bio.REORDER_FRAMES`` frames behind the
+    lines before it fails, and the rest are sorted at once."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"detection file not found: {path}")
@@ -600,8 +602,8 @@ def ingest_detections_reference(path, *, skip_malformed=False, num_categories=4)
             line_numbers.append(line_number)
     table = np.frombuffer(rows).reshape(-1, len(bio._COLUMNS))
     lines = np.frombuffer(line_numbers, dtype=np.int64)
-    columns = bio._checked_rows(path, table, lines, errors, skip_malformed, num_categories)
-    return DetectionTable._from_checked_rows(*columns, num_categories)
+    columns = bio._checked_rows(path, lines, table, errors, skip_malformed, num_categories, 0)
+    return DetectionTable(*columns, num_categories)
 
 
 def read_ground_truth_reference(path, num_categories=4):

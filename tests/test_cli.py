@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -8,6 +9,7 @@ import sys
 import tempfile
 from pathlib import Path
 from types import UnionType
+from unittest import mock
 from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -204,10 +206,30 @@ class TestConfigFile:
             "--output-truth", str(tmp_path / "t.jsonl"), "--config", str(config),
         ) == 0
 
-    def test_missing_config_file_is_config_error(self, scene_files, tmp_path):
+    @pytest.mark.parametrize("fault, message", [
+        ("missing", "config file not found: {path}"),
+        ("a directory", "config file cannot be read: {path} (Is a directory)"),
+        ("unreadable", "config file cannot be read: {path} (Permission denied)"),
+        ("not UTF-8", "config file {path} is not valid UTF-8: invalid start byte"),
+        ("not JSON", "config file {path} is not valid JSON: Expecting property name"),
+    ])
+    def test_unusable_config_file_is_config_error(self, scene_files, tmp_path, capsys, fault,
+                                                  message):
+        # Not UTF-8 once ended in a traceback, and a directory in exit code 1.
         dets, _ = scene_files
-        code = run_cli("track", "--input", str(dets), "--config", str(tmp_path / "no.json"))
+        path = tmp_path / "config.json"
+        if fault == "a directory":
+            path.mkdir()
+        elif fault != "missing":
+            contents = {"not UTF-8": b'{"tracker": "\xff"}', "not JSON": b"{"}
+            path.write_bytes(contents.get(fault, b"{}"))
+        # Root reads any file whatever its mode: the read is made to fail.
+        denied = PermissionError(13, "Permission denied")
+        with mock.patch.object(Path, "read_text", side_effect=denied) if fault == "unreadable" \
+                else contextlib.nullcontext():
+            code = run_cli("track", "--input", str(dets), "--config", str(path))
         assert code == 2
+        assert f"config error: {message.format(path=path)}" in capsys.readouterr().err
 
     def test_misspelled_aggregation_value_is_config_error(self, scene_files, tmp_path):
         dets, truth = scene_files
@@ -774,6 +796,41 @@ class TestReport:
         verdicts.write_bytes(good + b"\n" + b'{"track_id": 2, "binary": "\xff", "k": 3}\n')
         assert run_cli("report", "--verdicts", str(verdicts)) == 1
         assert f"{verdicts}:2: not valid UTF-8 (byte 0xff)" in capsys.readouterr().err
+
+
+class TestLateLine:
+    """A line 65 frames behind the lines before it is a bad line for every
+    verb that reads a detection file, JSONL or MOT text: ``track`` and
+    ``evaluate`` stop on it with the same message, and ``track
+    --skip-malformed`` logs it in those words and drops it (``evaluate``
+    has no such flag)."""
+
+    @pytest.mark.parametrize("mot", [False, True], ids=["jsonl", "mot"])
+    def test_track_and_evaluate_agree(self, tmp_path, capsys, caplog, mot):
+        frames = [*range(100), 34]
+        if mot:
+            path = tmp_path / "dets.txt"
+            lines = [f"{frame},-1,{5 * frame},0,20,20,0.9" for frame in frames]
+        else:
+            path = tmp_path / "dets.jsonl"
+            lines = [json.dumps({"frame": frame, "x": 5 * frame, "y": 0, "w": 20, "h": 20,
+                                 "score": 0.9, "category": 0}) for frame in frames]
+        path.write_text("".join(text + "\n" for text in lines))
+        truth = tmp_path / "truth.jsonl"
+        truth.write_text("")
+        flags = ["--mot"] if mot else []
+        fault = f"{path}:101: frame 34 is more than 64 frames behind frame 99 of an earlier line"
+        assert run_cli("track", "--input", str(path), *flags) == 1
+        assert f"input error: {fault}" in capsys.readouterr().err
+        assert run_cli("evaluate", "--detections", str(path), "--truth", str(truth), *flags) == 1
+        assert f"input error: {fault}" in capsys.readouterr().err
+        summary = tmp_path / "summary.json"
+        with caplog.at_level("WARNING", logger="beltrack"):
+            code = run_cli("track", "--input", str(path), *flags, "--skip-malformed",
+                           "--output-summary", str(summary))
+        assert code == 0
+        assert [record.getMessage() for record in caplog.records] == [f"skipping line: {fault}"]
+        assert json.loads(summary.read_text())["n_tracks"] == 1
 
 
 class TestMotInput:

@@ -15,7 +15,6 @@ import beltrack.io as bio
 from beltrack import InputError
 from beltrack.io import (
     ingest_detections,
-    ingest_mot,
     read_ground_truth,
     read_records,
     stream_detections,
@@ -370,7 +369,7 @@ class TestMotAdapter:
             "1,2,100,20,30,40,0.5,-1,-1,-1",
             "2,1,15,20,30,40,0.8,-1,-1,-1",
         ])
-        frames = list(ingest_mot(path))
+        frames = list(ingest_detections(path, mot=True))
         assert [f.frame_index for f in frames] == [1, 2]
         assert frames[0].boxes.tolist() == [[10, 20, 30, 40], [100, 20, 30, 40]]
         assert frames[0].categories.tolist() == [-1, -1]
@@ -378,38 +377,38 @@ class TestMotAdapter:
     def test_confidence_clamped(self, tmp_path):
         path = tmp_path / "dets.txt"
         write_lines(path, ["1,1,10,20,30,40,-1", "1,2,10,80,30,40,7.5"])
-        assert ingest_mot(path).scores.tolist() == [0.0, 1.0]
+        assert ingest_detections(path, mot=True).scores.tolist() == [0.0, 1.0]
 
     def test_short_line_rejected(self, tmp_path):
         path = tmp_path / "dets.txt"
         write_lines(path, ["1,1,10,20,30"])
         with pytest.raises(InputError, match=r":1:"):
-            ingest_mot(path)
+            ingest_detections(path, mot=True)
 
     def test_bad_box_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "dets.txt"
         write_lines(path, ["1,1,10,20,30,40,0.9", "2,1,15,20,0,40,0.9", "3,1,x,20,30,40,0.9"])
         with pytest.raises(InputError, match=r":2: box size must be positive"):
-            ingest_mot(path)
+            ingest_detections(path, mot=True)
 
     def test_frame_at_2_to_the_53_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "dets.txt"
         write_lines(path, ["1,1,10,20,30,40,0.9", f"{2**53},1,15,20,30,40,0.9"])
         with pytest.raises(InputError, match=r":2: frame is out of range"):
-            ingest_mot(path)
+            ingest_detections(path, mot=True)
 
     def test_fractional_frame_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "dets.txt"
         write_lines(path, ["1,1,10,20,30,40,0.9", "2.7,1,0,0,5,5,0.9"])
         with pytest.raises(InputError, match=r":2: frame must be an integer, got 2\.7"):
-            ingest_mot(path)
+            ingest_detections(path, mot=True)
 
     @pytest.mark.parametrize("confidence", ["nan", "inf", "-inf"])
     def test_non_finite_confidence_rejected_with_line_number(self, tmp_path, confidence):
         path = tmp_path / "dets.txt"
         write_lines(path, ["1,1,10,20,30,40,0.9", f"2,1,15,20,30,40,{confidence}"])
         with pytest.raises(InputError, match=r":2: confidence must be finite"):
-            ingest_mot(path)
+            ingest_detections(path, mot=True)
 
     def test_bad_lines_in_a_later_block(self, tmp_path, caplog):
         # Four lines a block: the bad lines 6 (a row fault), 7 (a parse
@@ -420,15 +419,15 @@ class TestMotAdapter:
         write_lines(path, lines)
         with mock.patch.object(bio, "_BLOCK_LINES", 4):
             with pytest.raises(InputError, match=rf"dets\.txt:6: box size must be positive"):
-                ingest_mot(path)
+                ingest_detections(path, mot=True)
             lines[5], lines[6] = lines[6], lines[5]  # the parse fault first
             write_lines(path, lines)
             with pytest.raises(
                 InputError, match=r"dets\.txt:6: could not convert string to float: 'x'"
             ):
-                ingest_mot(path)
+                ingest_detections(path, mot=True)
             with caplog.at_level(logging.WARNING, logger="beltrack"):
-                table = ingest_mot(path, skip_malformed=True)
+                table = ingest_detections(path, skip_malformed=True, mot=True)
         assert table.frames.tolist() == [t for t in range(12) if t not in (5, 6, 10)]
         skipped = [re.search(r":(\d+): ", r.getMessage()).group(1) for r in caplog.records]
         assert skipped == ["6", "7", "11"]
@@ -666,8 +665,9 @@ class TestBytesThatAreNotUtf8:
         path = tmp_path / "dets.txt"
         path.write_bytes(b"0,1,0,0,20,20,0.9\r1,1,0,0,20,20,0.9,\xff\r2,1,10,0,20,20,0.9\r")
         with pytest.raises(InputError, match=r"dets\.txt:2: not valid UTF-8 \(byte 0xff\)"):
-            ingest_mot(path)
-        assert [f.frame_index for f in ingest_mot(path, skip_malformed=True)] == [0, 2]
+            ingest_detections(path, mot=True)
+        table = ingest_detections(path, skip_malformed=True, mot=True)
+        assert [f.frame_index for f in table] == [0, 2]
 
 
 #: Lines nested past the JSON parser's recursion limit: without braces, and
@@ -721,12 +721,13 @@ class TestUnreadablePath:
     READERS = [
         ("detection", ingest_detections),
         ("detection", lambda path: list(stream_detections(path))),
-        ("MOT", ingest_mot),
+        ("MOT", lambda path: ingest_detections(path, mot=True)),
+        ("MOT", lambda path: list(stream_detections(path, mot=True))),
         ("ground-truth", read_ground_truth),
         ("verdict", lambda path: list(read_records(path, "verdict", ()))),
     ]
-    IDS = ["ingest_detections", "stream_detections", "ingest_mot", "read_ground_truth",
-           "read_records"]
+    IDS = ["ingest_detections", "stream_detections", "ingest_detections_mot",
+           "stream_detections_mot", "read_ground_truth", "read_records"]
 
     @pytest.mark.parametrize("kind, read", READERS, ids=IDS)
     def test_directory(self, tmp_path, kind, read):
