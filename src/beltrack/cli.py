@@ -11,7 +11,8 @@ flags, with a warning. The ``BELTRACK_CONFIG`` environment variable names a
 default config file.
 
 Exit codes: 0 success, 1 input error or an output file that cannot be
-written (its directory is missing, say), 2 configuration error.
+written (its directory is missing, say), 2 configuration error, such as an
+output that is the same file as an input or another output.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .pipeline import (
     evaluate_against_truth,
     run_pipeline,
     simulate_to_files,
+    staged_outputs,
 )
 from .simulate import SimConfig
 from .tracker import TrackerConfig
@@ -191,17 +193,17 @@ def _cmd_evaluate(args) -> int:
     config_file = _load_config_file(args)
     tracker_config = _build_config(TrackerConfig, config_file, args)
     aggregation = _build_config(AggregationConfig, config_file, args)
-    detections = ingest_detections(
-        args.detections, num_categories=args.num_categories, mot=args.mot
-    )
-    gt = read_ground_truth(args.truth, num_categories=args.num_categories)
-    evaluation = evaluate_against_truth(
-        detections, gt, tracker_config, aggregation, iou_threshold=args.iou_threshold
-    )
-    payload = dataclasses.asdict(evaluation)
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
+    with staged_outputs(args.output, inputs=[args.detections, args.truth]) as (output,):
+        detections = ingest_detections(
+            args.detections, num_categories=args.num_categories, mot=args.mot
+        )
+        gt = read_ground_truth(args.truth, num_categories=args.num_categories)
+        evaluation = evaluate_against_truth(
+            detections, gt, tracker_config, aggregation, iou_threshold=args.iou_threshold
+        )
+        text = json.dumps(dataclasses.asdict(evaluation), indent=2, sort_keys=True)
+        if output:
+            output.write_text(text + "\n", encoding="utf-8")
     print(text)
     return 0
 
@@ -223,7 +225,16 @@ def _check_vote(votes: list[int], category: int, named: bool, where: str):
 
 
 def _cmd_report(args) -> int:
-    path = Path(args.verdicts)
+    with staged_outputs(args.output, inputs=[args.verdicts]) as (output,):
+        text = _report(Path(args.verdicts))
+        if output:
+            output.write_text(text + "\n", encoding="utf-8")
+    print(text)
+    return 0
+
+
+def _report(path: Path) -> str:
+    """The report JSON of a verdict file."""
     records, track_ids = [], set()
     for line_number, record in read_records(path, "verdict", _VERDICT_FIELDS):
         where = f"{path}:{line_number}"
@@ -274,11 +285,7 @@ def _cmd_report(args) -> int:
             sum(stability) / max(len(stability), 1) if stability or not records else None
         ),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
-    print(text)
-    return 0
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,12 +8,15 @@ for near and far objects.
 The transition pairs each of (cx, cy, a, h) only with its own velocity, the
 noise is diagonal and the measurement selects the positions, so the 8x8
 covariance is four independent 2x2 (position, velocity) blocks, and every
-other entry is exactly 0. A ``KalmanState`` holds just those blocks. Arrays
-put the component axes first, so a batch of n filters holds each component
-as one row: means (8, n), blocks (3, 4, n), boxes (4, n) x, y, w, h rows; a
-single filter, mean (8,) and box (4,), is the unbatched case. Predict and
-update write into the state they are given; ``decode_boxes`` turns means back
-into boxes and flags the states that no longer encode one.
+other entry is exactly 0. Every noise scale is the same multiple of h on all
+four axes, so the blocks start equal and every step applies the same
+operations to each: a ``KalmanState`` holds one (pp, pv, vv) block for all
+four. A per-axis noise, such as ByteTrack's fixed aspect noise, would break
+this. Arrays put the component axes first, so a batch of n filters holds
+each component as one row: means (8, n), blocks (3, n), boxes (4, n) x, y, w,
+h rows; a single filter, mean (8,), block (3,) and box (4,), is the unbatched
+case. Predict and update write into the state they are given; ``decode_boxes``
+turns means back into boxes and flags the states that no longer encode one.
 """
 
 from __future__ import annotations
@@ -31,20 +34,20 @@ _POSITION_STD = 1.0 / 20
 _VELOCITY_STD = 1.0 / 160
 _MEASUREMENT_STD = 1.0 / 20
 _PROCESS_STD = np.array([_POSITION_STD, _VELOCITY_STD])
-#: Rows of a table of filters: 8 mean components, then 12 block entries.
-STATE_ROWS = 20
+#: Rows of a table of filters: 8 mean components, then the block's 3 entries.
+STATE_ROWS = 11
 
 
 @dataclass(frozen=True, eq=False)
 class KalmanState:
-    """Filters as component rows: a mean and per-axis blocks, batch axis last."""
+    """Filters as component rows: a mean and the axes' one block, batch axis last."""
     mean: np.ndarray    # shape (8, ...)
-    blocks: np.ndarray  # shape (3, 4, ...): rows pp, pv, vv; one column per axis
+    blocks: np.ndarray  # shape (3, ...): rows pp, pv, vv
 
     @staticmethod
     def view(table: np.ndarray) -> "KalmanState":
         """Filters whose mean and blocks are views of a (STATE_ROWS, n) table."""
-        return KalmanState(mean=table[:8], blocks=table[8:].reshape(3, 4, table.shape[1]))
+        return KalmanState(mean=table[:8], blocks=table[8:])
 
 
 def _measurement(boxes: np.ndarray) -> np.ndarray:
@@ -64,7 +67,7 @@ def kf_initiate(boxes: np.ndarray) -> KalmanState:
     measurement = _measurement(boxes)
     mean = np.concatenate([measurement, np.zeros_like(measurement)])
     h = measurement[3]
-    blocks = np.zeros((3, 4) + measurement.shape[1:])
+    blocks = np.zeros((3,) + h.shape)
     blocks[0] = (2 * _POSITION_STD * h) ** 2
     blocks[2] = (10 * _VELOCITY_STD * h) ** 2
     return KalmanState(mean=mean, blocks=blocks)
@@ -82,7 +85,7 @@ def kf_predict(state: KalmanState) -> KalmanState:
     mean[:4] += mean[4:]
     blocks[:2] += blocks[1:]  # pp + pv, pv + vv (NumPy buffers the overlap)
     blocks[0] += blocks[1]
-    blocks[::2] += noise[:, None]
+    blocks[::2] += noise
     return state
 
 
@@ -95,18 +98,19 @@ def kf_update(state: KalmanState, observed: np.ndarray) -> KalmanState:
     which ``decode_boxes`` flags.
     """
     mean, blocks = state.mean, state.blocks
-    pp, pv, vv = blocks[0], blocks[1], blocks[2]
+    # 0-d views for a single filter, so the rows are written in place.
+    pp, pv, vv = blocks[0, ...], blocks[1, ...], blocks[2, ...]
     r = np.square(_MEASUREMENT_STD * mean[3])
     innovation = _measurement(observed)
     innovation -= mean[:4]
     gain = blocks[:2] / (pp + r)  # rows k_p, k_v
     k_p, k_v = gain[0], gain[1]
-    mean += (gain * innovation).reshape(mean.shape)
+    mean += (gain[:, None] * innovation).reshape(mean.shape)
     # Joseph form: each block row is a + b r with b one of k_p k_p, k_v k_p
     # and k_v k_v, written after the last read of the rows it needs.
     noise = np.empty_like(blocks)
     np.multiply(gain, k_p, out=noise[:2])
-    np.multiply(k_v, k_v, out=noise[2])
+    np.multiply(k_v, k_v, out=noise[2, ...])
     noise *= r
     keep = 1.0 - k_p
     k_v_pp = k_v * pp

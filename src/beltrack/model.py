@@ -10,15 +10,12 @@ category columns, checked and compared as tables (``row_checks``,
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_NUM_CATEGORIES = 4
 
@@ -270,10 +267,9 @@ class DetectionTable:
 
     ``DetectionTable(frames, boxes, scores, categories)`` copies the
     columns, checks them with ``row_checks`` (``ValueError`` for the first
-    bad row) and sorts them; ``from_frames`` builds the table of a list of
-    frames. ``len`` counts the frames, and iterating gives one
-    ``FrameDetections`` view per frame. Equality and pickling compare and
-    carry the columns.
+    bad row) and sorts them. ``len`` counts the frames, and iterating gives
+    one ``FrameDetections`` view per frame. Equality and pickling compare
+    and carry the columns.
     """
 
     frames: np.ndarray
@@ -310,36 +306,6 @@ class DetectionTable:
         table = cls.__new__(cls)
         _set_columns(table, *_read_only(frames, boxes, scores, categories), num_categories)
         return table
-
-    @classmethod
-    def from_frames(cls, frames: Sequence[FrameDetections]) -> "DetectionTable":
-        """The table of a list of frames. A list out of frame order is sorted,
-        with a warning; a repeated frame index raises ``ValueError``, as do
-        labeled frames with different category counts. The table takes the
-        labeled frames' count (the default without labels)."""
-        ordered = sorted(frames, key=lambda frame: frame.frame_index)
-        if ordered != list(frames):
-            logger.warning(
-                "detection stream is out of order; sorting %d frames in memory", len(frames)
-            )
-        for before, frame in zip(ordered, ordered[1:]):
-            if frame.frame_index == before.frame_index:
-                raise ValueError(f"frame {frame.frame_index} appears more than once in the stream")
-        labeled = [frame for frame in ordered if (frame.categories >= 0).any()]
-        num_categories = labeled[0].num_categories if labeled else DEFAULT_NUM_CATEGORIES
-        for frame in labeled:
-            if frame.num_categories != num_categories:
-                raise ValueError(
-                    f"frame {frame.frame_index} has {frame.num_categories} categories, "
-                    f"earlier frames have {num_categories}"
-                )
-        return cls(
-            np.repeat([f.frame_index for f in ordered], [len(f.scores) for f in ordered]),
-            np.concatenate([np.empty((0, 4)), *(f.boxes for f in ordered)]),
-            np.concatenate([np.empty(0), *(f.scores for f in ordered)]),
-            np.concatenate([np.empty(0, np.int64), *(f.categories for f in ordered)]),
-            num_categories,
-        )
 
     def __len__(self) -> int:
         return int(np.count_nonzero(np.diff(self.frames))) + (len(self.frames) > 0)

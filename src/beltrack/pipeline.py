@@ -126,12 +126,14 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
     raises ``InputError`` after the frames before it were tracked. Each
     output file is first made as an empty temporary file beside its path,
     before the first frame is read, so an unusable path raises ``OSError``
-    at once; the files are renamed to their paths once both are written,
-    and removed if the run raises, so a failed run writes no file. Both
+    at once (``ConfigError`` if it is the input or the other output); the
+    files are renamed to their paths once both are written, and removed if
+    the run raises, so a failed run writes no file. Both
     files derive from the one verdict table and the frame-wise columns
     beside it, so they agree under every configuration.
     """
-    with _staged(run.verdicts_path, run.summary_path) as (verdicts_path, summary_path):
+    outputs = run.verdicts_path, run.summary_path
+    with staged_outputs(*outputs, inputs=[run.input_path]) as (verdicts_path, summary_path):
         if run.sim_config is not None:
             source = generate_scene(run.sim_config)[1]
         else:
@@ -159,12 +161,23 @@ def run_pipeline(run: PipelineRun) -> PipelineResult:
 
 
 @contextmanager
-def _staged(*paths: str | Path | None) -> Iterator[list[Path | None]]:
+def staged_outputs(
+    *paths: str | Path | None, inputs: Iterable[str | Path | None] = ()
+) -> Iterator[list[Path | None]]:
     """A new empty file beside each of ``paths`` (None for None), to be
     written in its place: renamed to its path when the block ends, removed
-    when it raises. An ``OSError`` in making one, or a path that is a
-    directory, names its path."""
-    staged = dict.fromkeys(Path(path) for path in paths if path is not None)
+    when it raises. A path that is the same file as another of ``paths`` or
+    as one of ``inputs`` raises ``ConfigError`` naming both, before any file
+    is made. An ``OSError`` in making one, or a path that is a directory,
+    names its path."""
+    outputs = [Path(path) for path in paths if path is not None]
+    named = [("output", path) for path in outputs]
+    named += [("input", Path(path)) for path in inputs if path is not None]
+    for i, path in enumerate(outputs):
+        for kind, other in named[i + 1 :]:
+            if _same_file(path, other):
+                raise ConfigError(f"output {path} is the same file as {kind} {other}")
+    staged = dict.fromkeys(outputs)
     try:
         for path in staged:
             staged[path] = path.parent / f".{path.name}.{os.urandom(4).hex()}.tmp"
@@ -181,6 +194,14 @@ def _staged(*paths: str | Path | None) -> Iterator[list[Path | None]]:
     finally:
         for temporary in filter(None, staged.values()):
             temporary.unlink(missing_ok=True)  # gone once renamed
+
+
+def _same_file(a: Path, b: Path) -> bool:
+    """Whether two paths name one existing file, or resolve to one path."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
 def write_verdicts(result: PipelineResult, path: str | Path):
@@ -301,8 +322,9 @@ def evaluate_against_truth(
 def simulate_to_files(
     config: SimConfig, detections_path: str | Path, truth_path: str | Path
 ) -> tuple[int, int]:
-    """Generate a scene and write both stream files; returns (objects, frames)."""
-    gt, detections = generate_scene(config)
-    write_detections(detections, detections_path)
-    write_ground_truth(gt, truth_path)
+    """Generate a scene and write both stream files, staged; returns (objects, frames)."""
+    with staged_outputs(detections_path, truth_path) as (detections_file, truth_file):
+        gt, detections = generate_scene(config)
+        write_detections(detections, detections_file)
+        write_ground_truth(gt, truth_file)
     return len(gt.object_ids), len(detections)

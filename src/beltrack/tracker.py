@@ -278,7 +278,6 @@ class ByteTracker:
         n, status = len(boxes), ACTIVE if self.config.min_hits_to_activate <= 1 else TENTATIVE
         life = [list(range(self._next_id, self._next_id + n)), [status] * n, [1] * n, [t] * n]
         self._life = np.concatenate([self._life, life], axis=1)
-        born = np.concatenate([born.mean, born.blocks.reshape(12, n)])
-        self._filters = np.concatenate([self._filters, born], axis=1)
+        self._filters = np.hstack([self._filters, np.vstack([born.mean, born.blocks])])
         self._next_id += n
 

@@ -9,21 +9,25 @@ the package's ``iou_matrix``, and the metric references are plain loops over
 it, checked against the package's candidate-pair join; the object and
 track loops of ``evaluate_reference`` (a ``Counter`` majority, one
 ``temporal_stability`` per track) against the package's array code over
-the covering column and the track table. The Kalman
-references step one filter with dense 8x8 matrix products, converting its
-per-axis blocks to the dense covariance and back, checked against the
-package's batched per-axis filter. The scalar checks (``check_box``,
-``check_detection_row``, ``check_truth_row``) check one row at a time, in
-the package's report order, and are checked against its list of column
-checks; the scalar ingest reference parses and checks one line at a time
-with them, checked against the package's table-at-once check. The per-line
+the covering column and the track table. The Kalman references step one
+filter with dense 8x8 matrix products, spreading its one block over the
+four axes of the dense covariance and taking it back with
+``shared_block``, which asserts that the four axis blocks are still equal:
+every reference step checks the fact the package's one-block filter rests
+on. They are checked against the package's batched filter. The scalar
+checks (``check_box``, ``check_detection_row``, ``check_truth_row``) check
+one row at a time, in the package's report order, and are checked against
+its list of column checks; the scalar ingest reference parses and checks
+one line at a time with them, checked against the package's table-at-once
+check. The per-line
 readers call ``json.loads`` once per line, as the package's JSONL readers
 do only for a block with a bad line, and are checked against the block
 parse; the ground-truth one checks each line with ``check_truth_row`` and
 then against the lines before it. The vote reference counts a track's labels
 one by one, checked against the package's one ``bincount`` over the
 (track, category) pairs of a whole track table; ``evaluate_reference`` votes
-with it. ``table_of`` builds a track table from ``Track``s, and
+with it. ``table_of`` builds a track table from ``Track``s and
+``table_of_frames`` a detection table from a list of frames, and
 ``stability_report_reference`` scores one track by track, with
 ``temporal_stability``. ``live_tracks`` reads a tracker's live tables, which
 hold the lifecycle of the tracks that are not yet removed. The writer
@@ -58,7 +62,7 @@ from beltrack import (
 )
 import beltrack.io as bio
 import beltrack.simulate as simulate
-from beltrack.model import category_labels, frame_runs
+from beltrack.model import DEFAULT_NUM_CATEGORIES, category_labels, frame_runs
 from beltrack.simulate import SceneGroundTruth
 
 class LiveTrack(NamedTuple):
@@ -76,7 +80,7 @@ def live_tracks(tracker) -> dict[int, LiveTrack]:
     filters = KalmanState.view(tracker._filters)
     return {
         track_id: LiveTrack(
-            status, hits, last, KalmanState(filters.mean[:, i], filters.blocks[..., i])
+            status, hits, last, KalmanState(filters.mean[:, i], filters.blocks[:, i])
         )
         for i, (track_id, status, hits, last) in enumerate(tracker._life.T.tolist())
     }
@@ -100,15 +104,28 @@ def frame_of(frame_index, rows=(), num_categories=4):
     )
 
 
+def table_of_frames(frames):
+    """The detection table of a list of frames, in any order (the table
+    sorts its rows by frame), with the category count of its labeled frames,
+    which must agree (the default without labels)."""
+    counts = {frame.num_categories for frame in frames if (frame.categories >= 0).any()}
+    assert len(counts) <= 1, f"labeled frames differ in category count: {sorted(counts)}"
+    return DetectionTable(
+        np.repeat([f.frame_index for f in frames], [len(f.scores) for f in frames]),
+        np.concatenate([np.empty((0, 4)), *(f.boxes for f in frames)]),
+        np.concatenate([np.empty(0), *(f.scores for f in frames)]),
+        np.concatenate([np.empty(0, np.int64), *(f.categories for f in frames)]),
+        counts.pop() if counts else DEFAULT_NUM_CATEGORIES,
+    )
+
+
 def detections_of(rows, num_categories=4):
     """The detection table of (frame, x, y, w, h, score[, category])
     tuples, each frame's rows in the order given."""
     grouped = {}
     for row in rows:
         grouped.setdefault(row[0], []).append(row[1:])
-    return DetectionTable.from_frames(
-        [frame_of(t, grouped[t], num_categories) for t in sorted(grouped)]
-    )
+    return table_of_frames([frame_of(t, grouped[t], num_categories) for t in sorted(grouped)])
 
 
 def check_box(x, y, w, h):
@@ -177,27 +194,28 @@ _F[:4, 4:] = np.eye(4)
 _H = np.eye(4, 8)
 
 
-def dense_covariance(blocks: np.ndarray) -> np.ndarray:
-    """One filter's (3, 4) per-axis blocks (rows pp, pv, vv) as the dense 8x8
-    covariance over (cx, cy, a, h, vcx, vcy, va, vh)."""
+def dense_covariance(block: np.ndarray) -> np.ndarray:
+    """One filter's (3,) block (pp, pv, vv), spread over the four axes, as
+    the dense 8x8 covariance over (cx, cy, a, h, vcx, vcy, va, vh)."""
+    pp, pv, vv = block
+    axes = np.arange(4)
     dense = np.zeros((8, 8))
-    for axis in range(4):
-        pp, pv, vv = blocks[:, axis]
-        dense[axis, axis], dense[axis + 4, axis + 4] = pp, vv
-        dense[axis, axis + 4] = dense[axis + 4, axis] = pv
+    dense[axes, axes], dense[axes + 4, axes + 4] = pp, vv
+    dense[axes, axes + 4] = dense[axes + 4, axes] = pv
     return dense
 
 
-def per_axis_blocks(dense: np.ndarray) -> np.ndarray:
-    """The (3, 4) per-axis blocks of one filter's dense 8x8 covariance.
-    Asserts that every entry outside the blocks is exactly 0 and that the
-    blocks are symmetric, so nothing is lost."""
+def shared_block(dense: np.ndarray) -> np.ndarray:
+    """The (3,) block of one filter's dense 8x8 covariance. Asserts that
+    the four axes' (position, velocity) blocks are equal and symmetric and
+    that every entry outside them is exactly 0, so nothing is lost."""
     axes = np.arange(4)
     blocks = np.array([dense[axes, axes], dense[axes, axes + 4], dense[axes + 4, axes + 4]])
     assert np.array_equal(dense[axes + 4, axes], blocks[1]), "asymmetric block"
-    outside = dense - dense_covariance(blocks)
+    assert (blocks == blocks[:, :1]).all(), f"the four axis blocks differ: {blocks.tolist()}"
+    outside = dense - dense_covariance(blocks[:, 0])
     assert not outside.any(), f"nonzero entry outside the blocks: {np.abs(outside).max()}"
-    return blocks
+    return blocks[:, 0]
 
 
 def kf_predict_reference(state: KalmanState) -> KalmanState:
@@ -206,7 +224,7 @@ def kf_predict_reference(state: KalmanState) -> KalmanState:
     q_std = np.array([_POSITION_STD * h] * 4 + [_VELOCITY_STD * h] * 4)
     mean = _F @ state.mean
     covariance = _F @ dense_covariance(state.blocks) @ _F.T + np.diag(q_std**2)
-    return KalmanState(mean=mean, blocks=per_axis_blocks(0.5 * (covariance + covariance.T)))
+    return KalmanState(mean=mean, blocks=shared_block(0.5 * (covariance + covariance.T)))
 
 
 def kf_update_reference(state: KalmanState, observed) -> KalmanState:
@@ -223,7 +241,7 @@ def kf_update_reference(state: KalmanState, observed) -> KalmanState:
     mean = state.mean + gain @ innovation
     i_kh = np.eye(8) - gain @ _H
     covariance = i_kh @ prior @ i_kh.T + gain @ r @ gain.T
-    return KalmanState(mean=mean, blocks=per_axis_blocks(0.5 * (covariance + covariance.T)))
+    return KalmanState(mean=mean, blocks=shared_block(0.5 * (covariance + covariance.T)))
 
 
 def stacked(states: list[KalmanState]) -> KalmanState:

@@ -914,6 +914,75 @@ class TestUnusablePaths:
         assert run_cli(*argv) == 1
         assert f"error: [Errno 2] No such file or directory: '{out}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["simulate", "track", "evaluate", "report"])
+    def test_output_fails_before_any_input_is_read_and_leaves_no_file(
+        self, tmp_path, capsys, verb
+    ):
+        # Every input is missing, and so is one output's directory: the
+        # output fails first, and no other output is made. ``simulate``
+        # once left its detection file behind, and ``evaluate`` and
+        # ``report`` once read their inputs first.
+        missing = str(tmp_path / "missing.jsonl")
+        good, bad = str(tmp_path / "out.jsonl"), tmp_path / "missing" / "out.json"
+        argv = {
+            "simulate": ["simulate", "--output-detections", good, "--output-truth", str(bad),
+                         "--n-frames", "5"],
+            "track": ["track", "--input", missing, "--output-verdicts", good,
+                      "--output-summary", str(bad)],
+            "evaluate": ["evaluate", "--detections", missing, "--truth", missing,
+                         "--output", str(bad)],
+            "report": ["report", "--verdicts", missing, "--output", str(bad)],
+        }[verb]
+        assert run_cli(*argv) == 1
+        assert f"error: [Errno 2] No such file or directory: '{bad}'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestCollidingPaths:
+    """An output that is the same file as an input or as another output of
+    the same run is a config error naming both paths, raised before any file
+    is read or made; each case once exited 0, one file overwriting the
+    other."""
+
+    CASES = {
+        "simulate outputs": ["simulate", "--output-detections", "{x}", "--output-truth", "{x}"],
+        "track outputs": ["track", "--input", "{dets}", "--output-verdicts", "{x}",
+                          "--output-summary", "{x}"],
+        "track input": ["track", "--input", "{dets}", "--output-verdicts", "{dets}"],
+        "evaluate detections": ["evaluate", "--detections", "{dets}", "--truth", "{truth}",
+                                "--output", "{dets}"],
+        "evaluate truth": ["evaluate", "--detections", "{dets}", "--truth", "{truth}",
+                           "--output", "{truth}"],
+        "report input": ["report", "--verdicts", "{dets}", "--output", "{dets}"],
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_path(self, scene_files, tmp_path, capsys, case):
+        dets, truth = scene_files
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        names = {"x": tmp_path / "x.jsonl", "dets": dets, "truth": truth}
+        argv = [arg.format(**names) for arg in self.CASES[case]]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output ") and "is the same file as" in err
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("link", ["spelled", "symlink", "hard link"])
+    def test_other_names_of_the_input(self, scene_files, tmp_path, capsys, link):
+        dets, _ = scene_files
+        other = tmp_path / "other.jsonl"
+        if link == "spelled":
+            other = tmp_path / "sub" / ".." / dets.name
+        elif link == "symlink":
+            other.symlink_to(dets)
+        else:
+            os.link(dets, other)
+        data = dets.read_bytes()
+        assert run_cli("track", "--input", str(dets), "--output-verdicts", str(other)) == 2
+        err = capsys.readouterr().err
+        assert f"config error: output {other} is the same file as input {dets}" in err
+        assert dets.read_bytes() == data
+
 
 class TestInstalledEntryPoint:
     def test_console_script_help(self):

@@ -14,17 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beltrack import BoundingBox, DetectionTable, FrameDetections, InputError, run_stream
+from beltrack import BoundingBox, DetectionTable, FrameDetections, InputError
 from beltrack.io import DETECTION_FIELDS, ingest_detections, write_detections
 from beltrack.model import first_fault, passing_rows, row_checks, valid_extents
 
 from oracles import (
-    FRESH,
     check_box,
     check_detection_row,
     check_truth_row,
     frame_of,
     ingest_detections_scalar_reference,
+    table_of_frames,
 )
 
 GOOD_VALUES = {
@@ -283,7 +283,7 @@ class TestDetectionTable:
     def test_equals_from_frames_of_its_frames_in_any_order(self, rows, num_categories, data):
         detections = DetectionTable(*columns_of(rows), num_categories)
         frames = data.draw(st.permutations(list(detections)))
-        assert DetectionTable.from_frames(frames) == detections
+        assert table_of_frames(frames) == detections
         assert len(detections) == len(frames)
 
     @settings(max_examples=200, deadline=None)
@@ -312,30 +312,8 @@ class TestDetectionTable:
         assert again == text and text.count(b"\n") == len(rows)
 
     def test_empty_stream(self):
-        empty = DetectionTable.from_frames([])
+        empty = table_of_frames([])
         assert len(empty) == 0 and list(empty) == []
         assert empty == DetectionTable([], np.empty((0, 4)), [], [])
         assert empty.boxes.shape == (0, 4) and empty.num_categories == 4
 
-
-class TestFromFrames:
-    def test_sorted_with_warning(self, caplog):
-        frames = [
-            frame_of(1, [(5, 0, 20, 20, 0.9, FRESH)]),
-            frame_of(0, [(0, 0, 20, 20, 0.9, FRESH)]),
-        ]
-        with caplog.at_level("WARNING"):
-            detections = DetectionTable.from_frames(frames)
-        assert "out of order" in caplog.text
-        assert [f.frame_index for f in detections] == [0, 1]
-        tracks = list(run_stream(detections))
-        assert len(tracks) == 1
-        assert tracks[0].frames.tolist() == [0, 1]
-
-    def test_repeated_frame_rejected(self):
-        frames = [
-            frame_of(t, [(5.0 * t, 0, 20, 20, 0.9, FRESH)])
-            for t in (0, 1, 1)
-        ]
-        with pytest.raises(ValueError, match="frame 1 appears more than once"):
-            DetectionTable.from_frames(frames)

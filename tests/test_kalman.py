@@ -79,17 +79,15 @@ class TestPredict:
         assert moved.mean[0] == pytest.approx(4.0)
 
     def test_trace_grows_under_process_noise(self):
-        # Moderate-scale random PSD (position, velocity) blocks, one per
-        # axis: with the height-scaled process noise added, predict
-        # inflates total uncertainty.
+        # States the filter reaches: started on a random box, then a few
+        # predict/update cycles. Predict adds 4 (2 pv + vv + q_p + q_v) to
+        # the trace, and an update scales pv by r / (pp + r), so pv never
+        # turns negative and predict inflates total uncertainty.
         rng = np.random.default_rng(2)
         for _ in range(200):
-            factor = rng.normal(0, 0.5, size=(4, 2, 2))
-            cov = factor @ factor.swapaxes(1, 2)
-            blocks = np.array([cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]])
-            mean = np.zeros(8)
-            mean[3] = rng.uniform(10, 60)
-            state = KalmanState(mean=mean, blocks=blocks)
+            state = kf_initiate(random_box(rng))
+            for _ in range(int(rng.integers(0, 6))):
+                state = kf_update(kf_predict(state), random_box(rng))
             prior_trace = np.trace(dense_covariance(state.blocks))
             assert np.trace(dense_covariance(kf_predict(state).blocks)) > prior_trace
 
@@ -223,3 +221,18 @@ class TestBatchedFilterMatchesSingleFilterReference:
                 else:
                     assert valid[i]
                     BoundingBox(*boxes[[0, 1, 6, 7], i].tolist())  # accepted
+
+
+class TestOneBlockServesFourAxes:
+    @settings(max_examples=200, deadline=None)
+    @given(start=box_tuples, steps=st.lists(st.one_of(st.none(), box_tuples), max_size=12))
+    def test_dense_reference_keeps_the_axis_blocks_equal(self, start, steps):
+        # Each step is a predict (None) or an update on a box, in any order;
+        # the references' ``shared_block`` asserts after each one that the
+        # dense covariance's four axis blocks are still equal.
+        state = kf_initiate(np.array(start))
+        for box in steps:
+            if box is None:
+                state = kf_predict_reference(state)
+            else:
+                state = kf_update_reference(state, box)

@@ -15,7 +15,7 @@ from beltrack import (
 from beltrack import model
 from beltrack.model import corners, iou_matrix
 
-from oracles import frame_of, iou, pixel_iou
+from oracles import frame_of, iou, pixel_iou, table_of_frames
 
 
 def boxes_iou(rows, cols):
@@ -179,9 +179,9 @@ class TestDetection:
         assert unlabeled.num_categories == 4
         assert DetectionTable(
             [0], unlabeled.boxes, unlabeled.scores, unlabeled.categories, 6
-        ) == DetectionTable.from_frames([unlabeled])
+        ) == table_of_frames([unlabeled])
         six, four = (
-            DetectionTable.from_frames([frame_of(0, [(0, 0, 1, 1, 0.5, 1)], n)]) for n in (6, 4)
+            table_of_frames([frame_of(0, [(0, 0, 1, 1, 0.5, 1)], n)]) for n in (6, 4)
         )
         assert six != four
 

@@ -27,7 +27,7 @@ from beltrack.io import ingest_detections, read_ground_truth, write_detections
 from beltrack.pipeline import PipelineRun, simulate_to_files
 from beltrack.simulate import SceneGroundTruth, generate_scene
 
-from oracles import FRESH, evaluate_reference, frame_of, live_tracks
+from oracles import FRESH, evaluate_reference, frame_of, live_tracks, table_of_frames
 
 
 def verdict_rows(verdicts):
@@ -126,7 +126,7 @@ class TestUnlabeledTracks:
             for t in range(5)
         ]
         path = tmp_path / "dets.jsonl"
-        write_detections(DetectionTable.from_frames(frames), path)
+        write_detections(table_of_frames(frames), path)
         result = run_pipeline(PipelineRun(input_path=path))
         assert len(result.tracks) == 1
         assert len(result.verdicts) == 0
@@ -141,7 +141,7 @@ class TestGapsInStream:
             frame_of(t, [(2.0 * t, 0, 20, 20, 0.9, FRESH)])
             for t in (0, 1, 2, 40, 41, 42)
         ]
-        tracks = run_stream(DetectionTable.from_frames(frames))
+        tracks = run_stream(table_of_frames(frames))
         assert len(tracks) == 2
 
     def test_gap_to_frame_2_62_takes_no_time(self):
@@ -149,7 +149,7 @@ class TestGapsInStream:
             frame_of(t, [(5.0, 0, 20, 20, 0.9, FRESH)])
             for t in (0, 1, 2**62)
         ]
-        detections = DetectionTable.from_frames(frames)
+        detections = table_of_frames(frames)
         start = time.perf_counter()
         tracks = run_stream(detections)
         assert time.perf_counter() - start < 0.5
@@ -177,7 +177,7 @@ class TestGapsInStream:
             return made[-1]
 
         monkeypatch.setattr(pipeline_module, "ByteTracker", recording)
-        tracks = run_stream(DetectionTable.from_frames(frames), config)
+        tracks = run_stream(table_of_frames(frames), config)
         (skipping,) = made
 
         def facts(tracker, tracks):
@@ -206,7 +206,7 @@ class TestGapsInStream:
         for frame in filled:
             stepping.step(frame)
         want = stepping.finalize()
-        detections = DetectionTable.from_frames(frames)
+        detections = table_of_frames(frames)
         checks = []
         monkeypatch.setattr(model, "check_rows", lambda *args: checks.append(args))
         got = run_stream(detections)
@@ -405,7 +405,7 @@ def write_label_stream(path, *label_sequences):
         ])
         for t in range(max(len(labels) for labels in label_sequences))
     ]
-    write_detections(DetectionTable.from_frames(frames), path)
+    write_detections(table_of_frames(frames), path)
 
 
 def defect_counts(directory: Path, input_path: Path, aggregation: AggregationConfig):

@@ -20,6 +20,7 @@ from beltrack.pipeline import PipelineResult, PipelineRun, run_pipeline, write_v
 from beltrack.simulate import SceneGroundTruth, SimConfig, generate_scene
 
 from oracles import (
+    table_of_frames,
     write_detections_reference,
     write_ground_truth_reference,
     write_verdicts_reference,
@@ -68,7 +69,7 @@ def detection_streams(draw):
             [draw(st.integers(-1, num_categories - 1)) for _ in boxes],
             num_categories,
         ))
-    return DetectionTable.from_frames(frames)
+    return table_of_frames(frames)
 
 
 @st.composite
@@ -134,7 +135,7 @@ class TestDetections:
         "frames", [[], [FrameDetections(3)], [FrameDetections(3), FrameDetections(4)]]
     )
     def test_no_rows_write_an_empty_file(self, tmp_path, frames):
-        write_detections(DetectionTable.from_frames(frames), tmp_path / "dets.jsonl")
+        write_detections(table_of_frames(frames), tmp_path / "dets.jsonl")
         assert (tmp_path / "dets.jsonl").read_bytes() == b""
 
     def test_frame_spanning_blocks(self):
