@@ -5,9 +5,11 @@ of a matrix. A matching of ``min(n, m)`` pairs costs ``min(n, m) * top``
 less the saving ``top - c`` of each of its pairs cheaper than ``top``. The
 optimum is therefore a matching of greatest saving within each connected
 group of cheaper pairs, plus the rows left over paired with the columns left
-over, each such pair at cost ``top``. An IoU matrix is sparse: nearly every
-group has a single row or a single column and takes its cheapest pair, so
-the general solver (shortest augmenting paths, the method scipy's
+over, each such pair at cost ``top``. An IoU matrix is sparse. Most often no
+two cheaper pairs share a row or a column, so each pair is a group of its
+own and the matching is those pairs, found with no sort. Otherwise nearly
+every group has a single row or a single column and takes its cheapest
+pair, so the general solver (shortest augmenting paths, the method scipy's
 ``linear_sum_assignment`` uses) runs only on the rare larger groups.
 """
 
@@ -61,20 +63,26 @@ def solve_assignment(costs: CostMatrix, max_cost: float) -> AssignmentResult:
     if costs.size == 0:
         return AssignmentResult((), tuple(range(n_rows)), tuple(range(n_cols)))
     top = float(costs.max())
-    # The pairs cheaper than ``top`` as (cost, row, column), by cost and
-    # then row-major among equal costs.
-    cells = np.flatnonzero(costs < top)
+    # The pairs cheaper than ``top``, row-major.
+    cells = (costs < top).ravel().nonzero()[0]
     values = costs.take(cells).tolist()
-    cheap = sorted((cost, *divmod(cell, n_cols)) for cost, cell in zip(values, cells.tolist()))
-    # A nan makes ``top`` nan; the least cost is ``top`` or the first cheap one.
-    if not (math.isfinite(top) and math.isfinite(cheap[0][0] if cheap else top)):
+    # A nan makes ``top`` nan; the least cost is ``top`` or the least cheap one.
+    if not (math.isfinite(top) and math.isfinite(min(values, default=top))):
         raise ValueError("cost matrix entries must be finite")
-    matches = [(r, c) for cost, r, c in _group_matching(costs, top, cheap) if cost <= max_cost]
+    pairs = [divmod(cell, n_cols) for cell in cells.tolist()]
+    # Where no row and no column repeats, each pair is a group of its own
+    # and the matching; otherwise the groups are solved in cost order.
+    if len({r for r, _ in pairs}) < len(pairs) or len({c for _, c in pairs}) < len(pairs):
+        cheap = sorted((cost, r, c) for cost, (r, c) in zip(values, pairs))
+        matches = [(r, c) for cost, r, c in _group_matching(costs, top, cheap) if cost <= max_cost]
+    else:
+        matches = [pair for cost, pair in zip(values, pairs) if cost <= max_cost]
 
-    matched_rows = {r for r, _ in matches}
-    matched_cols = {c for _, c in matches}
-    free_rows = [i for i in range(n_rows) if i not in matched_rows]
-    free_cols = [j for j in range(n_cols) if j not in matched_cols]
+    free_rows, free_cols = list(range(n_rows)), list(range(n_cols))
+    for r, c in matches:
+        free_rows[r] = free_cols[c] = -1
+    free_rows = [i for i in free_rows if i >= 0]
+    free_cols = [j for j in free_cols if j >= 0]
     # Every leftover pair costs ``top``, so the gate keeps all of them or
     # none; and when it keeps them, it kept every cheap pair too.
     if top <= max_cost:

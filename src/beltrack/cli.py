@@ -12,7 +12,7 @@ default config file.
 
 Exit codes: 0 success, 1 input error or an output file that cannot be
 written (its directory is missing, say), 2 configuration error, such as an
-output that is the same file as an input or another output.
+output that is the same file as an input, the config file or another output.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .pipeline import (
     PipelineRun,
     evaluate_against_truth,
     run_pipeline,
+    same_file,
     simulate_to_files,
     staged_outputs,
 )
@@ -107,10 +108,15 @@ def _config_value(name: str, value, hint, optional: bool):
     raise ConfigError(f"{name} must be {what}, got {json.dumps(value)}")
 
 
-def _load_config_file(args: argparse.Namespace) -> dict:
+def _load_config_file(args: argparse.Namespace, *outputs: str | None) -> dict:
+    """The config file's sections, ``{}`` without one; ``ConfigError`` if one
+    of the run's ``outputs`` is the config file."""
     path = args.config or os.environ.get("BELTRACK_CONFIG")
     if not path:
         return {}
+    for output in filter(None, outputs):
+        if same_file(Path(output), Path(path)):
+            raise ConfigError(f"output {output} is the same file as config {path}")
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -157,7 +163,7 @@ def _build_config(config_cls: type, config_file: dict, args):
 
 
 def _cmd_track(args) -> int:
-    config_file = _load_config_file(args)
+    config_file = _load_config_file(args, args.output_verdicts, args.output_summary)
     run = PipelineRun(
         input_path=args.input,
         tracker_config=_build_config(TrackerConfig, config_file, args),
@@ -179,7 +185,7 @@ def _cmd_track(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config_file = _load_config_file(args)
+    config_file = _load_config_file(args, args.output_detections, args.output_truth)
     sim = _build_config(SimConfig, config_file, args)
     n_objects, n_frames = simulate_to_files(sim, args.output_detections, args.output_truth)
     print(
@@ -190,12 +196,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    config_file = _load_config_file(args)
+    config_file = _load_config_file(args, args.output)
     tracker_config = _build_config(TrackerConfig, config_file, args)
     aggregation = _build_config(AggregationConfig, config_file, args)
     with staged_outputs(args.output, inputs=[args.detections, args.truth]) as (output,):
         detections = ingest_detections(
-            args.detections, num_categories=args.num_categories, mot=args.mot
+            args.detections, skip_malformed=args.skip_malformed,
+            num_categories=args.num_categories, mot=args.mot,
         )
         gt = read_ground_truth(args.truth, num_categories=args.num_categories)
         evaluation = evaluate_against_truth(
@@ -318,6 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--detections", required=True)
     evaluate.add_argument("--truth", required=True)
     evaluate.add_argument("--mot", action="store_true")
+    evaluate.add_argument(
+        "--skip-malformed", action="store_true",
+        help="drop bad detection lines, as track does (the truth file stays strict)",
+    )
     evaluate.add_argument("--num-categories", type=int, default=DEFAULT_NUM_CATEGORIES)
     evaluate.add_argument("--iou-threshold", type=float, default=0.5)
     evaluate.add_argument("--output", help="write the evaluation JSON here as well")

@@ -16,7 +16,8 @@ this. Arrays put the component axes first, so a batch of n filters holds
 each component as one row: means (8, n), blocks (3, n), boxes (4, n) x, y, w,
 h rows; a single filter, mean (8,), block (3,) and box (4,), is the unbatched
 case. Predict and update write into the state they are given; ``decode_boxes``
-turns means back into boxes and flags the states that no longer encode one.
+turns means back into boxes and flags the states that no longer encode one,
+and ``encodes_boxes`` clears a batch of states without decoding it.
 """
 
 from __future__ import annotations
@@ -122,11 +123,24 @@ def kf_update(state: KalmanState, observed: np.ndarray) -> KalmanState:
     return state
 
 
+def encodes_boxes(mean: np.ndarray) -> bool:
+    """Whether every (8, n) state surely encodes a box ``BoundingBox`` takes,
+    by bounds on its positions: |cx|, |cy| <= 1e100 and a, h in [1e-100,
+    1e100]. Then w = a h, the corners, the area and w / h are finite and
+    w / h > 0. False leaves the question to ``decode_boxes``."""
+    positions = mean[:4]
+    return bool(
+        np.abs(positions).max(initial=0.0) <= 1e100
+        and positions[2:].min(initial=np.inf) >= 1e-100
+    )
+
+
 def decode_boxes(mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decode (8, n) states to (8, n) boxes (the inverse of the initiate
-    encoding) with rows x, y, right, bottom (corners), area, aspect, w, h,
-    and a mask, False where the state encodes no box ``BoundingBox`` takes.
-    Such states raise floating-point warnings; callers silence them."""
+    """Decode (8, n) states, of which only the four position rows are read,
+    to (8, n) boxes (the inverse of the initiate encoding) with rows x, y,
+    right, bottom (corners), area, aspect, w, h, and a mask, False where the
+    state encodes no box ``BoundingBox`` takes. Such states raise
+    floating-point warnings; callers silence them."""
     boxes = np.empty((8,) + mean.shape[1:])
     w, h, size = boxes[6], boxes[7], boxes[6:]
     np.multiply(mean[2], mean[3], out=w)

@@ -127,8 +127,9 @@ def check_rows(columns: dict[str, np.ndarray], num_categories: int = DEFAULT_NUM
 
 def corners(xywh: np.ndarray) -> np.ndarray:
     """(n, 4) (x, y, w, h) rows as (4, n) corner rows: x, y, right, bottom."""
-    xy = xywh[:, :2].T
-    return np.concatenate([xy, xy + xywh[:, 2:].T])
+    edges = xywh.T.copy()
+    edges[2:] += edges[:2]
+    return edges
 
 
 def iou_matrix(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -145,7 +146,8 @@ def pair_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _half_areas(edges: np.ndarray) -> np.ndarray:
-    return (edges[2] - edges[0]) * (edges[3] - edges[1]) / 2
+    sizes = edges[2:] - edges[:2]
+    return sizes[0] * sizes[1] / 2
 
 
 def _iou(a: np.ndarray, b: np.ndarray, half_a: np.ndarray, half_b: np.ndarray) -> np.ndarray:
@@ -159,9 +161,11 @@ def _iou(a: np.ndarray, b: np.ndarray, half_a: np.ndarray, half_b: np.ndarray) -
     # Halved, the union cannot overflow.
     union = np.add(half_a, half_b, out=overlap[1])
     union -= half
-    # Pairs without a float overlap keep 0 and skip the division, which
-    # could be 0/0; fmax scores an inf/inf pair 0.
-    np.divide(half, union, out=half, where=half > 0.0)
+    # A pair without a float overlap divides 0 by its union. Where that is
+    # 0/0 (two areas that underflow), or inf/inf, the nan it gives is
+    # scored 0 by fmax.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(half, union, out=half)
     return np.fmax(half, 0.0, out=half)
 
 

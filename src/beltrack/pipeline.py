@@ -175,7 +175,7 @@ def staged_outputs(
     named += [("input", Path(path)) for path in inputs if path is not None]
     for i, path in enumerate(outputs):
         for kind, other in named[i + 1 :]:
-            if _same_file(path, other):
+            if same_file(path, other):
                 raise ConfigError(f"output {path} is the same file as {kind} {other}")
     staged = dict.fromkeys(outputs)
     try:
@@ -196,7 +196,7 @@ def staged_outputs(
             temporary.unlink(missing_ok=True)  # gone once renamed
 
 
-def _same_file(a: Path, b: Path) -> bool:
+def same_file(a: Path, b: Path) -> bool:
     """Whether two paths name one existing file, or resolve to one path."""
     try:
         return os.path.samefile(a, b)

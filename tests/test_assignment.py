@@ -202,3 +202,88 @@ class TestExactSolver:
         costs = np.array([[1.0, 0.5, 1.0, 0.5], [1.0, 1.0, 1.0, 1.0]])
         assert solve_assignment(costs, max_cost=0.8).matches == ((0, 1),)
         assert solve_assignment(costs.T, max_cost=0.8).matches == ((1, 0),)
+
+
+#: Cells of the field ``cell_matrices`` draws on, each 100 px wide; a box
+#: reaches at most 40 px into its cell, so boxes of two cells never meet.
+N_CELLS = 6
+
+
+@st.composite
+def cell_matrices(draw, shared: bool):
+    """1 - IoU of integer track and detection boxes, each in one cell of a
+    row of cells. Every box of a cell covers the cell's point (10..15,
+    10..15), so the boxes of one cell all overlap and those of two cells
+    never do: the groups of cheap pairs are the cells. A cross-cell pair
+    keeps the top cost at 1, so every same-cell pair is cheap.
+
+    Without ``shared`` no two tracks and no two detections share a cell, so
+    no row or column repeats among the cheap pairs. With it, tracks 0 and 1
+    and detection 0 sit in cell 0, so detection 0's column repeats. Offsets
+    and sizes come from a few values, so equal costs are common."""
+    n_rows = draw(st.integers(2 if shared else 1, 8))
+    n_cols = draw(st.integers(2, 8))
+    if shared:
+        track_cells = [0, 0] + draw(st.lists(st.integers(0, N_CELLS - 1), min_size=n_rows - 2,
+                                             max_size=n_rows - 2))
+        det_cells = [0] + draw(st.lists(st.integers(0, N_CELLS - 1), min_size=n_cols - 2,
+                                        max_size=n_cols - 2)) + [N_CELLS - 1]
+    else:
+        n_rows, n_cols = min(n_rows, N_CELLS), min(n_cols, N_CELLS)
+        track_cells = draw(st.permutations(range(N_CELLS)))[:n_rows]
+        det_cells = draw(st.permutations(range(N_CELLS)))[:n_cols]
+        # One cross-cell pair at least: some detection outside track 0's cell.
+        if all(c == track_cells[0] for c in det_cells):
+            n_cols += 1
+            det_cells = [*det_cells, (track_cells[0] + 1) % N_CELLS]
+    offset, extent = st.sampled_from([0, 5, 10]), st.sampled_from([15, 20, 30])
+
+    def boxes(cells):
+        return [(100 * c + draw(offset), draw(offset), draw(extent), draw(extent)) for c in cells]
+
+    return cost_matrix(boxes(track_cells), boxes(det_cells)), list(track_cells), list(det_cells)
+
+
+def repeats_a_line(costs):
+    """Whether a row or a column holds two cheap cells (below the top cost)."""
+    rows, cols = np.nonzero(costs < costs.max())
+    return len(set(rows.tolist())) < len(rows) or len(set(cols.tolist())) < len(cols)
+
+
+class TestSparseIouMatrices:
+    """Both branches of the solver, the pairs taken whole where no row or
+    column repeats and the groups solved otherwise, against scipy's
+    optimum, the partition and the tie rule."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), shared=st.booleans(), max_cost=st.sampled_from([0.5, 0.8, 1.0]))
+    def test_optimal_partition_and_tie_rule(self, data, shared, max_cost):
+        costs, track_cells, det_cells = data.draw(cell_matrices(shared))
+        assert repeats_a_line(costs) == shared
+        n_rows, n_cols = costs.shape
+        full = solve_assignment(costs, max_cost=np.inf)
+        assert total_cost(costs, full) == pytest.approx(scipy_assignment(costs)[0], abs=1e-9)
+        assert_partition(full, n_rows, n_cols)
+        gated = solve_assignment(costs, max_cost)
+        assert_partition(gated, n_rows, n_cols)
+        assert gated.matches == tuple(p for p in full.matches if costs[p] <= max_cost)
+        # A cell with one track or one detection is a group with one row or
+        # one column: it takes its cheapest pair, the lowest row and then the
+        # lowest column among equals.
+        for cell in set(track_cells) & set(det_cells):
+            rows = [r for r, c in enumerate(track_cells) if c == cell]
+            cols = [c for c, d in enumerate(det_cells) if d == cell]
+            if len(rows) == 1 or len(cols) == 1:
+                best = min((costs[r, c], r, c) for r in rows for c in cols)
+                assert best[1:] in full.matches
+                assert sum(r in rows and c in cols for r, c in full.matches) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), shared=st.booleans(), bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_a_non_finite_cost_raises_in_either_branch(self, data, shared, bad):
+        costs, _, _ = data.draw(cell_matrices(shared))
+        row = data.draw(st.integers(0, costs.shape[0] - 1))
+        col = data.draw(st.integers(0, costs.shape[1] - 1))
+        costs[row, col] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve_assignment(costs, max_cost=0.8)

@@ -371,6 +371,29 @@ class TestEvaluate:
         assert code == 0
         assert seen == [AggregationConfig(tie_break="lowest_index", collapse_before_vote=True)]
 
+    def test_skip_malformed_drops_bad_detection_lines(self, scene_files, tmp_path, capsys):
+        # A bad line in the middle of the file and one at its end.
+        dets, truth = scene_files
+        lines = dets.read_text().splitlines(keepends=True)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(lines[:5]) + "not json\n" + "".join(lines[5:]) + '{"frame": 1}\n')
+        base = ["evaluate", "--detections", str(bad), "--truth", str(truth)]
+        assert run_cli(*base) == 1
+        assert f"{bad}:6: invalid JSON" in capsys.readouterr().err
+        assert run_cli(*base, "--skip-malformed") == 0
+        skipped = capsys.readouterr().out
+        assert run_cli("evaluate", "--detections", str(dets), "--truth", str(truth)) == 0
+        assert skipped == capsys.readouterr().out
+
+    def test_skip_malformed_leaves_the_truth_reader_strict(self, scene_files, tmp_path, capsys):
+        dets, truth = scene_files
+        bad = tmp_path / "bad_truth.jsonl"
+        bad.write_text(truth.read_text() + "not json\n")
+        n_lines = len(bad.read_text().splitlines())
+        argv = ["evaluate", "--detections", str(dets), "--truth", str(bad), "--skip-malformed"]
+        assert run_cli(*argv) == 1
+        assert f"{bad}:{n_lines}: invalid JSON" in capsys.readouterr().err
+
     def test_negative_truth_frame_is_input_error(self, scene_files, tmp_path):
         dets, _ = scene_files
         truth = tmp_path / "truth.jsonl"
@@ -982,6 +1005,57 @@ class TestCollidingPaths:
         err = capsys.readouterr().err
         assert f"config error: output {other} is the same file as input {dets}" in err
         assert dets.read_bytes() == data
+
+
+class TestConfigFileAsOutput:
+    """An output that is the run's config file, named by ``--config`` or by
+    ``BELTRACK_CONFIG``, is a config error naming both paths, raised before
+    any file is read or made; it once exited 0 and replaced the config file."""
+
+    CASES = {
+        "track summary": ["track", "--input", "{dets}", "--output-summary", "{config}"],
+        "track verdicts": ["track", "--input", "{dets}", "--output-verdicts", "{config}"],
+        "evaluate": ["evaluate", "--detections", "{dets}", "--truth", "{truth}",
+                     "--output", "{config}"],
+        "simulate": ["simulate", "--output-detections", "{config}", "--output-truth", "{truth}"],
+    }
+
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_rejected(self, scene_files, tmp_path, capsys, monkeypatch, case, source):
+        dets, truth = scene_files
+        config = tmp_path / "config.json"
+        config.write_text('{"tracker": {"max_frames_lost": 5}}\n')
+        argv = [arg.format(dets=dets, truth=truth, config=config) for arg in self.CASES[case]]
+        if source == "flag":
+            argv += ["--config", str(config)]
+        else:
+            monkeypatch.setenv("BELTRACK_CONFIG", str(config))
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert f"config error: output {config} is the same file as config {config}" in err
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_other_name_of_the_config(self, scene_files, tmp_path, capsys):
+        dets, _ = scene_files
+        config = tmp_path / "config.json"
+        config.write_text("{}\n")
+        other = tmp_path / "link.json"
+        other.symlink_to(config)
+        argv = ["track", "--input", str(dets), "--config", str(config), "--output-summary", str(other)]
+        assert run_cli(*argv) == 2
+        assert f"output {other} is the same file as config {config}" in capsys.readouterr().err
+        assert config.read_text() == "{}\n"
+
+    def test_a_config_beside_the_outputs_is_read(self, scene_files, tmp_path):
+        dets, _ = scene_files
+        config = tmp_path / "config.json"
+        config.write_text("{}\n")
+        summary = tmp_path / "summary.json"
+        argv = ["track", "--input", str(dets), "--config", str(config), "--output-summary", str(summary)]
+        assert run_cli(*argv) == 0
+        assert json.loads(summary.read_text())["n_tracks"] > 0
 
 
 class TestInstalledEntryPoint:

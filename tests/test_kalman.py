@@ -11,6 +11,7 @@ from beltrack import (
     kf_predict,
     kf_update,
 )
+from beltrack.kalman import encodes_boxes
 
 from oracles import (
     decoded_box,
@@ -221,6 +222,44 @@ class TestBatchedFilterMatchesSingleFilterReference:
                 else:
                     assert valid[i]
                     BoundingBox(*boxes[[0, 1, 6, 7], i].tolist())  # accepted
+
+
+class TestEncodesBoxes:
+    """``encodes_boxes`` clears a batch by bounds on its positions; a batch
+    it clears holds only states ``decode_boxes`` finds to encode a box."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([-2e100, -1e100, -3.0, 0.0, 50.0, 1e100, 2e100, *NON_FINITE]),
+                st.sampled_from([-1e100, 0.0, 7.5, 1e100, 1.1e100, *NON_FINITE]),
+                st.sampled_from([-1.0, 0.0, 1e-101, 1e-100, 0.5, 1e100, 2e100, *NON_FINITE]),
+                st.sampled_from([-3.0, 0.0, 9e-101, 1e-100, 40.0, 1e100, 1e101, *NON_FINITE]),
+            ),
+            max_size=6,
+        )
+    )
+    def test_a_cleared_batch_decodes_to_boxes(self, rows):
+        mean = np.zeros((8, len(rows)))
+        mean[:4] = np.array(rows).reshape(-1, 4).T
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            valid = decode_boxes(mean)[1]
+        inside = all(
+            abs(cx) <= 1e100 and abs(cy) <= 1e100 and 1e-100 <= a <= 1e100 and 1e-100 <= h <= 1e100
+            for cx, cy, a, h in rows
+        )
+        assert encodes_boxes(mean) == inside
+        if inside:
+            assert valid.all()
+
+    def test_filters_of_ordinary_boxes_are_cleared(self):
+        rng = np.random.default_rng(4)
+        boxes = np.array([random_box(rng) for _ in range(20)]).T
+        state = kf_initiate(boxes)
+        for _ in range(5):
+            state = kf_update(kf_predict(state), boxes + rng.normal(0, 2, boxes.shape))
+        assert encodes_boxes(state.mean) and encodes_boxes(state.mean[:, :0])
 
 
 class TestOneBlockServesFourAxes:

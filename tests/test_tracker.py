@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 import warnings
@@ -522,6 +523,20 @@ class TestFinalize:
         (later,) = tracker.finalize()
         assert later.frames.tolist() == [0, 1, 2, 3]
 
+    def test_decoding_in_blocks_changes_no_box(self, monkeypatch):
+        # A track's matched rows hold filter positions until finalize
+        # decodes them; blocks of 7 rows cut through tracks and give the
+        # boxes of one block.
+        _, frames = generate_scene(SimConfig(
+            seed=6, n_lanes=2, n_objects_per_lane=6, false_positive_rate=0.5, frame_width=200,
+        ))
+        whole = run_stream(frames)
+        monkeypatch.setattr(tracker_module, "_DECODE_ROWS", 7)
+        blocks = run_stream(frames)
+        assert len(whole.frames) > 7 * 5
+        assert np.array_equal(blocks.boxes, whole.boxes)
+        assert np.array_equal(blocks.frames, whole.frames) and np.array_equal(blocks.ids, whole.ids)
+
     def test_finalize_is_repeatable(self):
         # Mid-stream and at the end, finalize gives the columns a fresh
         # tracker gives for the frames stepped so far.
@@ -611,6 +626,67 @@ class TestMemory:
             tracemalloc.stop()
         assert removed == 594
         assert held <= 64 * 1024
+
+
+class TestPinnedTrackTables:
+    """``run_stream``'s track table on two small seeded scenes, one shaped
+    like each benchmark workload, stays bit for bit what it was: a change to
+    the matching or the live tables that moves an id, a count, a frame, a box
+    or a category fails here."""
+
+    BELT = SimConfig(
+        seed=3, n_lanes=3, n_objects_per_lane=30, spawn_jitter_frames=5,
+        detection_dropout_prob=0.1, bbox_jitter_std=1.0, false_positive_rate=0.5,
+        label_flip_prob=0.2,
+    )
+    CLUTTER = SimConfig(
+        seed=4, n_lanes=6, n_objects_per_lane=15, spawn_interval_frames=12,
+        false_positive_rate=3.0, score_mean_true=0.75, score_std_true=0.15,
+        detection_dropout_prob=0.15, bbox_jitter_std=1.5, label_flip_prob=0.25,
+    )
+
+    @pytest.mark.parametrize(("config", "sha256"), [
+        (BELT, "8435911b2781642ff5db445c82be4510438f4a0fa771d74f68f4ed3051477982"),
+        (CLUTTER, "b1b13b83f0fba92d78ac4adc96266ed012669a2d42e750d9b8b77e7aecb2366c"),
+    ], ids=["belt", "clutter"])
+    def test_track_table_digest(self, config, sha256):
+        tracks = run_stream(generate_scene(config)[1])
+        digest = hashlib.sha256()
+        for column in (tracks.ids, tracks.counts, tracks.frames, tracks.boxes, tracks.categories):
+            digest.update(np.ascontiguousarray(column).tobytes())
+        assert digest.hexdigest() == sha256
+
+
+class TestLiveBuffers:
+    def test_one_frame_spawning_past_the_capacity(self):
+        tracker = ByteTracker()
+        tracker.step(frame_with(0, ((0, 0, 10, 10), 0.9, None), ((0, 50, 10, 10), 0.9, None)))
+        n = tracker._life_buffer.shape[1]  # the capacity; two columns are taken
+        # n boxes that meet neither each other nor the two tracks.
+        boxes = np.array([(100 + 20 * i, 0, 10, 10) for i in range(n)], dtype=float)
+        tracker.step(FrameDetections(1, boxes, np.full(n, 0.9)))
+        ids = tracker._life[0].tolist()
+        assert ids == list(range(1, n + 3))
+        assert tracker._life_buffer.shape[1] >= n + 2 and tracker._life.base is not None
+        born = kf_initiate(boxes.T)
+        assert np.array_equal(tracker._filters[:8, 2:], born.mean)
+        assert np.array_equal(tracker._filters[8:, 2:], born.blocks)
+        assert live_tracks(tracker)[1].status == LOST
+        assert [live_tracks(tracker)[i].last_frame for i in (1, n + 2)] == [0, 1]
+
+    def test_removal_moves_the_kept_columns_down_in_order(self):
+        tracker = ByteTracker(TrackerConfig(max_frames_lost=1))
+        tracker.step(frame_with(0, ((0, 0, 10, 10), 0.9, None), ((0, 50, 10, 10), 0.9, None)))
+        tracker.step(frame_with(1, ((0, 50, 10, 10), 0.9, None), ((0, 100, 10, 10), 0.9, None)))
+        kept = copied(live_tracks(tracker)[2].state)
+        out = tracker.step(frame_with(2, ((0, 50, 10, 10), 0.9, None)))
+        assert out.newly_removed_track_ids == (1,)
+        assert list(live_tracks(tracker)) == [2, 3]
+        assert np.shares_memory(tracker._filters, tracker._filter_buffer)
+        state = live_tracks(tracker)[2].state
+        # Track 2 was matched again on frame 2; its filter moved down intact.
+        kf_update(kf_predict(kept), np.array([0.0, 50.0, 10.0, 10.0]))
+        assert np.array_equal(state.mean, kept.mean) and np.array_equal(state.blocks, kept.blocks)
 
 
 class TestDeterminism:
